@@ -2,7 +2,7 @@
 // index cost the read path while it is being written to?
 //
 //   1. Quiescent baseline — ranked-query p50/p99 against the freshly
-//      opened (single-segment, "plain" snapshot) database.
+//      opened database (one identity-map segment, no delta, no deletes).
 //   2. Ingest throughput — AddDocument docs/sec into the delta write
 //      buffer, each add publishing a new snapshot.
 //   3. Merge interference — the gated phase: query latency measured while
@@ -200,7 +200,7 @@ int Run() {
   const size_t quiescent_samples = tiny ? 300 : 600;
   const uint32_t ingest_docs = tiny ? 2000 : 8000;
 
-  // ---- 1. Quiescent baseline (plain snapshot, monolithic hot path). ----
+  // ---- 1. Quiescent baseline (fresh database: one segment, no delta). --
   MeasureLatencies(db, queries, queries.size());  // warm
   std::vector<double> quiescent =
       MeasureLatencies(db, queries, quiescent_samples);
@@ -256,9 +256,9 @@ int Run() {
   const double m_p99 = Percentile(merge_lat, 0.99) * 1e3;
   const double p50_ratio = q_p50 > 0.0 ? m_p50 / q_p50 : 0.0;
 
-  // Post-merge: everything compacted into one segment again, but the
-  // snapshot is no longer "plain" (the docid map is real), so this row
-  // shows the steady-state segmented-read overhead.
+  // Post-merge: everything compacted into one segment again, but its docid
+  // map is real, so this row shows the steady-state segmented-read
+  // overhead.
   std::vector<double> post_lat =
       MeasureLatencies(db, queries, quiescent_samples);
 
@@ -287,7 +287,7 @@ int Run() {
                                : 0.0;
 
   TablePrinter table({"phase", "p50 (ms)", "p99 (ms)", "samples"});
-  table.AddRow({"quiescent (plain)", StrFormat("%.4f", q_p50),
+  table.AddRow({"quiescent (fresh)", StrFormat("%.4f", q_p50),
                 StrFormat("%.4f", q_p99),
                 StrFormat("%zu", quiescent.size())});
   table.AddRow({"delta-resident", StrFormat("%.4f",

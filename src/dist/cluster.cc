@@ -14,6 +14,7 @@
 #include "common/shared_theta.h"
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "ir/gather.h"
 
 namespace x100ir::dist {
 namespace {
@@ -41,18 +42,6 @@ Status SleepService(double seconds, const Deadline* deadline) {
     std::this_thread::sleep_for(std::chrono::duration<double>(
         std::min(left, kSleepSliceSeconds)));
   }
-}
-
-// The snapshot layer's rank order (score desc, docid asc) over merged
-// shard candidates — docids are globally unique across shards, so the
-// merge is deterministic regardless of shard completion order.
-struct RankedCandidate {
-  int32_t docid = 0;
-  float score = 0.0f;
-};
-bool RankedBefore(const RankedCandidate& a, const RankedCandidate& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.docid < b.docid;
 }
 
 }  // namespace
@@ -200,7 +189,6 @@ void Cluster::RunShard(const Node& node, const ir::Query& query,
   }
   ir::SearchOptions sopts = opts.search;
   sopts.global_stats = &stats_;
-  sopts.tombstones = nullptr;
   sopts.shared_theta = theta;
   if (deadline != nullptr) sopts.deadline = deadline;
 
@@ -289,40 +277,17 @@ Status Cluster::Search(const ir::Query& query, ir::RunType type,
   }
   out->partial = out->shards_failed > 0;
 
-  // Merge in global docid space. Ranked: top-k under the engine's total
-  // rank order over at most n*k candidates — never a re-score, so shard
-  // scores pass through bit-exact. Boolean: partitions ascend in docid
-  // space, so concatenation in node order is already docid-sorted and the
-  // first k match the monolithic engine's first-k cap.
-  const bool ranked_run =
-      type != ir::RunType::kBoolAnd && type != ir::RunType::kBoolOr;
-  std::vector<RankedCandidate> ranked;
+  // Gather in global docid space, shards at their base offsets: shard
+  // scores pass through bit-exact, and the merge does not depend on shard
+  // completion order.
+  ir::Gather gather(type, opts.search.k, &out->merged);
   for (uint32_t i = 0; i < n; ++i) {
     if (!out->shard_status[i].ok()) continue;
-    const ir::SearchResult& sr = shard_results[i];
-    out->merged.MergeAccounting(sr);
     const int32_t base = nodes_[i]->base;
-    if (ranked_run) {
-      for (size_t r = 0; r < sr.docids.size(); ++r) {
-        ranked.push_back({base + sr.docids[r], sr.scores[r]});
-      }
-    } else {
-      for (int32_t d : sr.docids) out->merged.docids.push_back(base + d);
-    }
+    gather.Add(std::move(shard_results[i]),
+               [base](int32_t d) { return base + d; });
   }
-  if (ranked_run) {
-    const size_t k = std::min<size_t>(opts.search.k, ranked.size());
-    std::partial_sort(ranked.begin(), ranked.begin() + k, ranked.end(),
-                      RankedBefore);
-    out->merged.docids.reserve(k);
-    out->merged.scores.reserve(k);
-    for (size_t r = 0; r < k; ++r) {
-      out->merged.docids.push_back(ranked[r].docid);
-      out->merged.scores.push_back(ranked[r].score);
-    }
-  } else if (out->merged.docids.size() > opts.search.k) {
-    out->merged.docids.resize(opts.search.k);
-  }
+  gather.Finish();
   out->merged.seconds = timer.ElapsedSeconds();
   out->latency_ms = out->merged.seconds * 1e3 + opts_.network_ms;
   return OkStatus();

@@ -14,15 +14,14 @@
 #include <limits>
 #include <memory>
 #include <numeric>
-#include <string>
 #include <utility>
 
-#include "common/string_util.h"
 #include "common/timer.h"
 #include "ir/bm25.h"
 #include "ir/fused_score.h"
 #include "ir/plan_ops.h"
 #include "ir/posting_cursor.h"
+#include "ir/request.h"
 #include "ir/topk.h"
 #include "vec/mem_source.h"
 #include "vec/merge_join.h"
@@ -62,49 +61,13 @@ Status SearchEngine::Search(const Query& query, RunType type,
   if (index_ == nullptr) return InvalidArgument("search engine has no index");
   WallTimer timer;
   *result = SearchResult();
-
-  // Request validation happens here, up front, with specific messages —
-  // not by whichever operator deep in the plan would have tripped first.
-  if (opts.k == 0) {
-    return InvalidArgument("k must be > 0 (no run returns zero results)");
-  }
-  const bool storage_run = type == RunType::kBm25T ||
-                           type == RunType::kBm25TC ||
-                           type == RunType::kBm25TCM ||
-                           type == RunType::kBm25TCMQ8;
-  if (storage_run && !index_->has_storage()) {
-    return FailedPrecondition(
-        std::string(RunTypeName(type)) +
-        " needs an on-disk index (Database opened with a directory): the "
-        "storage runs read cold columns through the buffer pool");
-  }
-  std::vector<uint32_t> terms = query.terms;
-  std::sort(terms.begin(), terms.end());
-  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
-  if (terms.empty()) return InvalidArgument("query has no terms");
-  for (uint32_t t : terms) {
-    if (t >= index_->vocab_size()) {
-      return InvalidArgument(StrFormat("query term %u outside vocabulary", t));
-    }
-  }
-  // In-vocabulary terms with no postings ("unknown" words) match nothing:
-  // a conjunction containing one is empty, and a disjunction/ranked run
-  // simply drops them. Either way the result is a clean empty set, never a
-  // plan built over zero-length columns.
-  const size_t with_postings_end = std::stable_partition(
-      terms.begin(), terms.end(), [this](uint32_t t) {
-        return index_->term(t).doc_freq > 0;
-      }) - terms.begin();
-  const bool any_unknown = with_postings_end != terms.size();
-  terms.resize(with_postings_end);
-  if (terms.empty() || (type == RunType::kBoolAnd && any_unknown)) {
+  std::vector<uint32_t> terms;
+  X100IR_RETURN_IF_ERROR(PrepareQuery(
+      query, type, opts, index_->vocab_size(), index_->has_storage(),
+      [this](uint32_t t) { return index_->term(t).doc_freq; }, &terms));
+  if (terms.empty()) {
     result->seconds = timer.ElapsedSeconds();
     return OkStatus();
-  }
-  // A query admitted past its deadline (queue wait ate the budget) fails
-  // here, before any plan is built.
-  if (opts.deadline != nullptr) {
-    X100IR_RETURN_IF_ERROR(opts.deadline->Check());
   }
 
   Status s;

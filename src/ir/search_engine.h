@@ -66,6 +66,15 @@ inline const char* RunTypeName(RunType t) {
   return "UNKNOWN";
 }
 
+// Ranked runs return the top k by score, boolean runs the first k docids.
+inline bool IsRankedRun(RunType t) {
+  return t != RunType::kBoolAnd && t != RunType::kBoolOr;
+}
+// The storage-era runs (DESIGN.md §8.5) need an on-disk index.
+inline bool IsStorageRun(RunType t) {
+  return IsRankedRun(t) && t != RunType::kBm25;
+}
+
 inline std::array<RunType, 7> AllRunTypes() {
   return {RunType::kBoolAnd,  RunType::kBoolOr,   RunType::kBm25,
           RunType::kBm25T,    RunType::kBm25TC,   RunType::kBm25TCM,
@@ -83,7 +92,7 @@ struct SearchOptions {
   // vec::ExecContext::kMaxVectorSize.
   uint32_t vector_size = 1024;
   // Results to return (ranked runs) / result-set cap (boolean runs).
-  // k == 0 is rejected (Search validates the whole request up front).
+  // k == 0 is rejected (PrepareQuery validates the whole request up front).
   uint32_t k = 20;
   Bm25Params bm25;
 
@@ -127,21 +136,21 @@ struct SearchOptions {
   // draws from global state, so any fixed seed gives a reproducible query.
   uint64_t rng_seed = 0;
 
-  // Segmented-read plumbing (DESIGN.md §10), set by SearchSnapshot per
-  // segment — not part of the user-facing knob surface. Both borrowed,
-  // valid for the duration of the call; null means "score with the
-  // index's own build-time stats / no deletes", which is the monolithic
-  // behavior every pre-segmentation test pins.
+  // Segmented-read plumbing (DESIGN.md §10). Both borrowed, valid for the
+  // duration of the call; null means "score with the index's own
+  // build-time stats / no deletes".
   //
-  // Live collection stats: per-term idf and avg_doc_len override the
-  // segment-local values so every segment of a snapshot scores under one
-  // global model.
+  // Collection stats: idf and avg_doc_len override the index's values so
+  // every part of a read scores under one model. SearchSnapshot honours a
+  // caller's stats (a cluster node's cluster-wide stats), else it uses the
+  // snapshot's live stats, on every segment and delta.
   const CollectionStats* global_stats = nullptr;
   // Tombstone bitmap over *this index's local docids* (bit d = doc d
   // deleted). Filtered in every path: boolean collect, union TopK drain,
   // MaxScore candidates, and both storage-run passes. Deleted docs are
   // excluded from results and from num_matches. (TombstoneTest lives in
-  // collection_stats.h.)
+  // collection_stats.h.) SearchSnapshot sets it per segment, replacing any
+  // caller value.
   const uint64_t* tombstones = nullptr;
 
   // Distributed shared-θ channel (DESIGN.md §11.3), set by the dist/
@@ -205,7 +214,7 @@ struct SearchResult {
   vec::ExecStats stats;
 
   // Snapshot epoch the query executed against (0 until the first live
-  // update). Set by Database::Search; the during-merge bit-identity tests
+  // update). Set by SearchSnapshot; the during-merge bit-identity tests
   // use it to pick which serial oracle a result must match.
   uint64_t epoch = 0;
 
@@ -213,11 +222,10 @@ struct SearchResult {
   double TotalSeconds() const { return seconds + io_seconds; }
 
   // Folds another structure's execution accounting into this result — the
-  // one-call aggregation every multi-structure read uses (per-segment
-  // results in SearchSnapshot, per-shard results in the dist/
-  // coordinator). Docids/scores/epoch are NOT touched: result merging is
-  // rank- and structure-specific, accounting aggregation is not. Matches
-  // are additive because the merged structures partition the docid space.
+  // one-call aggregation every multi-structure read uses (Gather, gather.h,
+  // over a snapshot's segments or a cluster's shards). Docids/scores/epoch
+  // are NOT touched: merging results is the gather's job. Matches are
+  // additive because the merged structures partition the docid space.
   void MergeAccounting(const SearchResult& o) {
     num_matches += o.num_matches;
     used_second_pass = used_second_pass || o.used_second_pass;
@@ -234,8 +242,8 @@ class SearchEngine {
 
   void set_index(const InvertedIndex* index) { index_ = index; }
 
-  // Runs one query. Builds the plan, executes it, fills `result`
-  // (overwritten), and records wall time in result->seconds.
+  // Runs one query: PrepareQuery, then builds the plan, executes it, fills
+  // `result` (overwritten), and records wall time in result->seconds.
   //
   // Const and thread-safe (DESIGN.md §9.1): the engine holds no per-query
   // state — every query builds its own plan over the immutable index, all

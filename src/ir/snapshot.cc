@@ -366,12 +366,6 @@ void SnapshotManager::PublishLocked() {
     snap->deltas.push_back({delta_, active_visible, delta_tombs_});
   }
   snap->stats = FreezeStatsLocked();
-  bool no_tombs = true;
-  for (const Snapshot::SegmentRead& sr : segments_) {
-    no_tombs = no_tombs && sr.tombstones == nullptr;
-  }
-  snap->plain = segments_.size() == 1 && segments_[0].seg->identity_map() &&
-                snap->deltas.empty() && no_tombs;
   current_ = std::move(snap);
 }
 

@@ -1,38 +1,28 @@
 // Query execution over a Snapshot (DESIGN.md §10): every compressed
-// segment runs through the normal SearchEngine — with the snapshot's live
+// segment runs through the normal SearchEngine — with the read's
 // CollectionStats and the segment's tombstone bitmap plumbed into
 // SearchOptions — and the delta write buffers are evaluated exactly, in
 // scalar, with the same Bm25One kernel and the same ascending-term
 // accumulation order the vectorized union plan uses. Docid spaces are
-// disjoint, so the cross-structure merge is a concatenation (boolean runs)
-// or a top-k selection over at most (#structures + 1) * k candidates
-// (ranked runs) — never a re-score.
-#include <algorithm>
+// disjoint, so the Gather (gather.h) over the parts is a concatenation
+// (boolean runs) or a top-k selection over their top-k lists (ranked
+// runs) — never a re-score.
 #include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "common/string_util.h"
 #include "common/timer.h"
 #include "ir/bm25.h"
+#include "ir/gather.h"
+#include "ir/request.h"
 #include "ir/snapshot.h"
+#include "ir/topk.h"
 
 namespace x100ir::ir {
 namespace {
 
-struct RankedCandidate {
-  int32_t docid = 0;
-  float score = 0.0f;
-};
-
-// The TopKOperator's rank order: score descending, docid ascending on
-// exact float ties. Docids are globally unique, so this is a total order
-// and the merge result is independent of candidate arrival order.
-bool RankedBefore(const RankedCandidate& a, const RankedCandidate& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.docid < b.docid;
-}
-
-// Exact scalar evaluation of one delta buffer. Ranked runs accumulate
+// Exact scalar evaluation of one delta buffer into a part over delta-local
+// docids (ranked: its top k; boolean: its first k). Ranked runs accumulate
 // per-document scores term-by-term in ascending term order — the same
 // float addition order MergeUnionOperator uses (children are built in
 // ascending term order and partial sums fold in child order), so a delta
@@ -40,12 +30,11 @@ bool RankedBefore(const RankedCandidate& a, const RankedCandidate& b) {
 // would produce for it.
 void EvalDelta(const Snapshot::DeltaRead& dr,
                const std::vector<uint32_t>& terms, RunType type,
-               const SearchOptions& opts, const CollectionStats& stats,
-               std::vector<RankedCandidate>* ranked, uint64_t* num_matches,
-               std::vector<int32_t>* bool_matches) {
+               const SearchOptions& opts, SearchResult* part) {
+  const CollectionStats& stats = *opts.global_stats;
   const uint64_t* tombs =
       dr.tombstones != nullptr ? dr.tombstones->data() : nullptr;
-  const bool ranked_run = type != RunType::kBoolAnd && type != RunType::kBoolOr;
+  const bool ranked_run = IsRankedRun(type);
   const float inv_avgdl = stats.avg_doc_len > 0.0
                               ? static_cast<float>(1.0 / stats.avg_doc_len)
                               : 0.0f;
@@ -71,16 +60,17 @@ void EvalDelta(const Snapshot::DeltaRead& dr,
 
   const uint32_t need =
       type == RunType::kBoolAnd ? static_cast<uint32_t>(terms.size()) : 1;
+  TopK topk(opts.k);
   for (uint32_t local = 0; local < dr.visible; ++local) {
     if (hit_terms[local] < need) continue;
-    ++*num_matches;
-    const int32_t global = dr.delta->base_docid() + static_cast<int32_t>(local);
+    ++part->num_matches;
     if (ranked_run) {
-      ranked->push_back({global, acc[local]});
-    } else {
-      bool_matches->push_back(global);
+      topk.Push(static_cast<int32_t>(local), acc[local]);
+    } else if (part->docids.size() < opts.k) {
+      part->docids.push_back(static_cast<int32_t>(local));
     }
   }
+  if (ranked_run) topk.FinishSorted(&part->docids, &part->scores);
 }
 
 }  // namespace
@@ -88,116 +78,56 @@ void EvalDelta(const Snapshot::DeltaRead& dr,
 Status SearchSnapshot(const Snapshot& snap, const Query& query, RunType type,
                       const SearchOptions& user_opts, SearchResult* result) {
   if (result == nullptr) return InvalidArgument("null search result");
-  if (snap.stats == nullptr) {
+  SearchOptions opts = user_opts;
+  if (opts.global_stats == nullptr) opts.global_stats = snap.stats.get();
+  const CollectionStats* stats = opts.global_stats;
+  if (stats == nullptr) {
     return InvalidArgument("snapshot carries no collection stats");
   }
   WallTimer timer;
   *result = SearchResult();
   result->epoch = snap.epoch;
 
-  // Mirror the monolithic engine's up-front validation (same messages,
-  // same order) so the segmented path rejects exactly what it would.
-  if (user_opts.k == 0) {
-    return InvalidArgument("k must be > 0 (no run returns zero results)");
-  }
-  const bool storage_run = type == RunType::kBm25T ||
-                           type == RunType::kBm25TC ||
-                           type == RunType::kBm25TCM ||
-                           type == RunType::kBm25TCMQ8;
-  if (storage_run) {
-    for (const Snapshot::SegmentRead& sr : snap.segments) {
-      if (!sr.seg->index().has_storage()) {
-        return FailedPrecondition(
-            std::string(RunTypeName(type)) +
-            " needs an on-disk index (Database opened with a directory): the "
-            "storage runs read cold columns through the buffer pool");
-      }
-    }
-  }
-  std::vector<uint32_t> terms = query.terms;
-  std::sort(terms.begin(), terms.end());
-  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
-  if (terms.empty()) return InvalidArgument("query has no terms");
-  for (uint32_t t : terms) {
-    if (t >= snap.stats->df.size()) {
-      return InvalidArgument(StrFormat("query term %u outside vocabulary", t));
-    }
-  }
-  // "Unknown" means zero LIVE documents hold the term — the rebuilt
-  // monolithic oracle would not have it at all. (A term whose only
+  // "Unknown" means no live document of the read holds the term — the
+  // rebuilt monolithic oracle would not have it at all. (A term whose only
   // occurrences are tombstoned counts as unknown too.)
-  const size_t with_postings_end =
-      std::stable_partition(terms.begin(), terms.end(),
-                            [&snap](uint32_t t) {
-                              return snap.stats->df[t] > 0;
-                            }) -
-      terms.begin();
-  const bool any_unknown = with_postings_end != terms.size();
-  terms.resize(with_postings_end);
-  if (terms.empty() || (type == RunType::kBoolAnd && any_unknown)) {
+  bool has_storage = true;
+  for (const Snapshot::SegmentRead& sr : snap.segments) {
+    has_storage = has_storage && sr.seg->index().has_storage();
+  }
+  Query prepared;
+  X100IR_RETURN_IF_ERROR(PrepareQuery(
+      query, type, opts, static_cast<uint32_t>(stats->df.size()), has_storage,
+      [stats](uint32_t t) { return stats->df[t]; }, &prepared.terms));
+  if (prepared.terms.empty()) {
     result->seconds = timer.ElapsedSeconds();
     return OkStatus();
   }
-  if (user_opts.deadline != nullptr) {
-    X100IR_RETURN_IF_ERROR(user_opts.deadline->Check());
-  }
 
-  const bool ranked_run = type != RunType::kBoolAnd && type != RunType::kBoolOr;
-  Query sub;
-  sub.terms = terms;
-  sub.topic = query.topic;
-
-  std::vector<RankedCandidate> ranked;
-  std::vector<int32_t> bool_matches;  // global docid order by construction
-
+  // Segments ascend in global docid space and every delta base exceeds
+  // every committed global, so the parts arrive in global docid order. A
+  // segment's engine re-runs PrepareQuery against its own index, which on
+  // prepared terms only drops those the segment holds no postings for.
+  Gather gather(type, opts.k, result);
   for (const Snapshot::SegmentRead& sr : snap.segments) {
-    SearchOptions seg_opts = user_opts;
-    seg_opts.global_stats = snap.stats.get();
-    seg_opts.tombstones =
+    opts.tombstones =
         sr.tombstones != nullptr ? sr.tombstones->data() : nullptr;
-    SearchEngine engine(&sr.seg->index());
-    SearchResult seg_result;
-    X100IR_RETURN_IF_ERROR(engine.Search(sub, type, seg_opts, &seg_result));
-    result->MergeAccounting(seg_result);
-    const bool identity = sr.seg->identity_map();
-    if (ranked_run) {
-      for (size_t i = 0; i < seg_result.docids.size(); ++i) {
-        const int32_t g = identity ? seg_result.docids[i]
-                                   : sr.seg->GlobalOf(seg_result.docids[i]);
-        ranked.push_back({g, seg_result.scores[i]});
-      }
-    } else {
-      for (int32_t d : seg_result.docids) {
-        bool_matches.push_back(identity ? d : sr.seg->GlobalOf(d));
-      }
-    }
+    SearchResult part;
+    X100IR_RETURN_IF_ERROR(
+        SearchEngine(&sr.seg->index()).Search(prepared, type, opts, &part));
+    gather.Add(std::move(part),
+               [&sr](int32_t d) { return sr.seg->GlobalOf(d); });
   }
-
   for (const Snapshot::DeltaRead& dr : snap.deltas) {
-    if (user_opts.deadline != nullptr) {
-      X100IR_RETURN_IF_ERROR(user_opts.deadline->Check());
+    if (opts.deadline != nullptr) {
+      X100IR_RETURN_IF_ERROR(opts.deadline->Check());
     }
-    EvalDelta(dr, terms, type, user_opts, *snap.stats, &ranked,
-              &result->num_matches, &bool_matches);
+    SearchResult part;
+    EvalDelta(dr, prepared.terms, type, opts, &part);
+    const int32_t base = dr.delta->base_docid();
+    gather.Add(std::move(part), [base](int32_t d) { return base + d; });
   }
-
-  if (ranked_run) {
-    const size_t k = std::min<size_t>(user_opts.k, ranked.size());
-    std::partial_sort(ranked.begin(), ranked.begin() + k, ranked.end(),
-                      RankedBefore);
-    result->docids.reserve(k);
-    result->scores.reserve(k);
-    for (size_t i = 0; i < k; ++i) {
-      result->docids.push_back(ranked[i].docid);
-      result->scores.push_back(ranked[i].score);
-    }
-  } else {
-    // Segments ascend in global docid space and every delta base exceeds
-    // every committed global, so the concatenation is already docid-sorted;
-    // the monolithic boolean runs cap at the FIRST k matches.
-    if (bool_matches.size() > user_opts.k) bool_matches.resize(user_opts.k);
-    result->docids = std::move(bool_matches);
-  }
+  gather.Finish();
   result->seconds = timer.ElapsedSeconds();
   return OkStatus();
 }

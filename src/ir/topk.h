@@ -27,6 +27,7 @@
 
 #include "common/status.h"
 #include "ir/collection_stats.h"
+#include "ir/gather.h"
 #include "vec/primitives.h"
 #include "vec/scan.h"
 
@@ -49,20 +50,20 @@ class TopK {
   void Push(int32_t docid, float score) {
     if (!full()) {
       entries_.push_back({score, docid});
-      std::push_heap(entries_.begin(), entries_.end(), Stronger);
+      std::push_heap(entries_.begin(), entries_.end(), RankedBefore);
       return;
     }
-    if (Stronger(Entry{score, docid}, entries_.front())) {
-      std::pop_heap(entries_.begin(), entries_.end(), Stronger);
+    if (RankedBefore({score, docid}, entries_.front())) {
+      std::pop_heap(entries_.begin(), entries_.end(), RankedBefore);
       entries_.back() = {score, docid};
-      std::push_heap(entries_.begin(), entries_.end(), Stronger);
+      std::push_heap(entries_.begin(), entries_.end(), RankedBefore);
     }
   }
 
   // Drains the heap in rank order (score desc, docid asc) and resets it.
   void FinishSorted(std::vector<int32_t>* docids,
                     std::vector<float>* scores) {
-    std::sort(entries_.begin(), entries_.end(), Stronger);
+    std::sort(entries_.begin(), entries_.end(), RankedBefore);
     docids->resize(entries_.size());
     scores->resize(entries_.size());
     for (size_t i = 0; i < entries_.size(); ++i) {
@@ -73,20 +74,10 @@ class TopK {
   }
 
  private:
-  struct Entry {
-    float score;
-    int32_t docid;
-  };
-
-  // Rank order. Used as the heap comparator: the "largest" element under
-  // it is the weakest entry, which std::push_heap keeps at the root.
-  static bool Stronger(const Entry& a, const Entry& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.docid < b.docid;
-  }
-
   uint32_t k_;
-  std::vector<Entry> entries_;
+  // A heap under RankedBefore (gather.h): the "largest" element under it is
+  // the weakest entry, which std::push_heap keeps at the root.
+  std::vector<RankedDoc> entries_;
 };
 
 // Plan root for ranked runs. Child schema: (docid i32, score f32). Output:

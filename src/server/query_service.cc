@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -48,10 +49,10 @@ Status QueryService::Submit(const QueryRequest& request,
   // storage, so serving it costs a refusing service nothing and sheds a
   // whole query's worth of load from the sick device.
   if (cache_ != nullptr) {
+    const std::string key =
+        ResultCacheKey(request.query, request.run, request.opts);
     QueryResponse hit;
-    if (cache_->Lookup(
-            ResultCacheKey(request.query, request.run, request.opts),
-            db_->epoch(), &hit.result)) {
+    if (!key.empty() && cache_->Lookup(key, db_->epoch(), &hit.result)) {
       hit.status = OkStatus();
       hit.executed_run = request.run;
       done(std::move(hit));
@@ -216,8 +217,9 @@ void QueryService::RunQuery(QueryRequest request, uint64_t ordinal,
   // Insert validates the result's snapshot epoch against the cache's, so a
   // query that raced a commit never publishes its stale answer.
   if (cache_ != nullptr && resp.status.ok() && !resp.degraded) {
-    cache_->Insert(ResultCacheKey(request.query, request.run, request.opts),
-                   resp.result.epoch, resp.result);
+    const std::string key =
+        ResultCacheKey(request.query, request.run, request.opts);
+    if (!key.empty()) cache_->Insert(key, resp.result.epoch, resp.result);
   }
 
   done(std::move(resp));

@@ -1,9 +1,9 @@
 // Bounded LRU cache of full query responses, keyed on the complete result
 // surface of a request: run type, normalized term set, k, and every
 // SearchOptions knob that can change what Search returns (BM25 parameters,
-// path selection, two-pass cutoff). Vector size and rng seed are *not* in
-// the key — results are bit-identical across them by the engine's
-// determinism contract, which is exactly what makes caching sound.
+// path selection, two-pass cutoff, vector size — MaxScore demotes terms at
+// vector boundaries, which changes a score's float addition order). The
+// rng seed is not in the key: results are bit-identical across seeds.
 //
 // Epoch discipline (DESIGN.md §10): every entry is tagged with the snapshot
 // epoch its result was computed at, and the cache as a whole carries one
@@ -17,7 +17,6 @@
 #ifndef X100IR_SERVER_RESULT_CACHE_H_
 #define X100IR_SERVER_RESULT_CACHE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <list>
@@ -27,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "ir/request.h"
 #include "ir/search_engine.h"
 
 namespace x100ir::server {
@@ -39,15 +39,19 @@ struct ResultCacheStats {
 };
 
 // Serializes the result-relevant parts of a request into the cache key.
-// Terms are sorted and deduplicated — the engine does the same, so query
-// [5, 3, 5] and query [3, 5] share an entry.
+// PrepareQuery normalizes the terms against a target holding every term
+// (the key is taken before a snapshot is pinned), so query [5, 3, 5] and
+// query [3, 5] share an entry. Returns "" for a request PrepareQuery
+// rejects even so; it is never cached.
 inline std::string ResultCacheKey(const ir::Query& query, ir::RunType run,
                                   const ir::SearchOptions& opts) {
-  std::vector<uint32_t> terms = query.terms;
-  std::sort(terms.begin(), terms.end());
-  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+  std::vector<uint32_t> terms;
+  const Status s =
+      ir::PrepareQuery(query, run, opts, UINT32_MAX, /*has_storage=*/true,
+                       [](uint32_t) { return 1u; }, &terms);
+  if (!s.ok()) return "";
   std::string key;
-  key.reserve(24 + terms.size() * sizeof(uint32_t));
+  key.reserve(28 + terms.size() * sizeof(uint32_t));
   auto append = [&key](const void* p, size_t n) {
     key.append(static_cast<const char*>(p), n);
   };
@@ -60,6 +64,7 @@ inline std::string ResultCacheKey(const ir::Query& query, ir::RunType run,
                         (opts.maxscore_bm25 ? 2 : 0);
   append(&flags, 1);
   append(&opts.twopass_df_cutoff, sizeof(opts.twopass_df_cutoff));
+  append(&opts.vector_size, sizeof(opts.vector_size));
   append(terms.data(), terms.size() * sizeof(uint32_t));
   return key;
 }

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +22,9 @@
 #include "common/timer.h"
 #include "dist/cluster.h"
 #include "ir/query_gen.h"
+#include "ir/snapshot.h"
+
+#include "test_util.h"
 
 namespace x100ir {
 namespace {
@@ -98,52 +102,6 @@ std::string TempClusterDir(const char* name) {
           : std::string("global");
   return std::string(::testing::TempDir()) + "/x100ir_dist_" + tag + "_" +
          name;
-}
-
-// Same contract as ir_test's helper: scores within tol rank-by-rank,
-// docids exact except inside tied score runs (where the oracle's order is
-// only defined up to the tolerance).
-void ExpectRankingsEquivalent(const std::vector<int32_t>& docids_a,
-                              const std::vector<float>& scores_a,
-                              const std::vector<int32_t>& docids_b,
-                              const std::vector<float>& scores_b,
-                              float tol) {
-  ASSERT_EQ(docids_a.size(), docids_b.size());
-  ASSERT_EQ(scores_a.size(), scores_b.size());
-  const size_t n = docids_a.size();
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_NEAR(scores_a[i], scores_b[i], tol) << "rank " << i;
-    const bool tied_prev =
-        i > 0 && std::abs(scores_a[i] - scores_a[i - 1]) <= tol;
-    const bool tied_next =
-        i + 1 < n && std::abs(scores_a[i] - scores_a[i + 1]) <= tol;
-    if (!tied_prev && !tied_next && i + 1 < n) {
-      EXPECT_EQ(docids_a[i], docids_b[i]) << "rank " << i;
-    }
-  }
-}
-
-// Non-asserting equivalence check for the multi-threaded soak (gtest
-// assertions are not thread-safe; drivers count mismatches instead).
-bool RankingsEquivalent(const std::vector<int32_t>& docids_a,
-                        const std::vector<float>& scores_a,
-                        const std::vector<int32_t>& docids_b,
-                        const std::vector<float>& scores_b, float tol) {
-  if (docids_a.size() != docids_b.size()) return false;
-  if (scores_a.size() != scores_b.size()) return false;
-  const size_t n = docids_a.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (std::abs(scores_a[i] - scores_b[i]) > tol) return false;
-    const bool tied_prev =
-        i > 0 && std::abs(scores_a[i] - scores_a[i - 1]) <= tol;
-    const bool tied_next =
-        i + 1 < n && std::abs(scores_a[i] - scores_a[i + 1]) <= tol;
-    if (!tied_prev && !tied_next && i + 1 < n &&
-        docids_a[i] != docids_b[i]) {
-      return false;
-    }
-  }
-  return true;
 }
 
 ClusterOptions InMemoryCluster(uint32_t nodes) {
@@ -741,6 +699,83 @@ TEST(ConcurrentStreams, RunStreamsDrainsTheBatchAndAggregates) {
   // Cluster-wide ExecStats aggregated across every shard of every query.
   EXPECT_GT(stats.exec.windows_decoded, 0u);
   EXPECT_GT(stats.exec.primitive_calls, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// One front door: every read path rejects, or answers empty, alike.
+// ---------------------------------------------------------------------------
+
+TEST(FrontDoor, EdgeRequestsGetOneAnswerOnEveryReadPath) {
+  // Terms 0..5 occur; 6 and 7 are in the vocabulary with no postings.
+  Corpus corpus;
+  ASSERT_TRUE(Corpus::FromDocuments({{0, 1, 1}, {1, 2}, {0, 2, 3}, {3, 4},
+                                     {4, 5, 0}, {5, 1}, {2, 2, 4}, {0, 3, 5}},
+                                    8, &corpus)
+                  .ok());
+  ir::InvertedIndex index;
+  ir::BuildStats bstats;
+  ASSERT_TRUE(index.BuildFromCorpus(corpus, "", &bstats).ok());
+  const ir::SearchEngine engine(&index);
+
+  // In memory, with a tombstoned segment doc and a delta doc in view.
+  core::Database db;
+  ASSERT_TRUE(db.OpenWithCorpus(corpus, "", storage::StorageOptions()).ok());
+  ASSERT_TRUE(db.AddDocument({1, 2, 2}, nullptr).ok());
+  ASSERT_TRUE(db.DeleteDocument(1).ok());
+  const auto snap = db.Acquire();
+  ASSERT_EQ(snap->segments.size(), 1u);
+  ASSERT_NE(snap->segments[0].tombstones, nullptr);
+  ASSERT_EQ(snap->deltas.size(), 1u);
+
+  Cluster cluster;
+  ASSERT_TRUE(cluster.Open(corpus, "", InMemoryCluster(2)).ok());
+
+  struct Edge {
+    const char* name;
+    std::vector<uint32_t> terms;
+    RunType run;
+    uint32_t k;
+    StatusCode code;
+  };
+  const std::vector<Edge> edges = {
+      {"k = 0", {1}, RunType::kBm25, 0, StatusCode::kInvalidArgument},
+      {"no terms", {}, RunType::kBm25, 20, StatusCode::kInvalidArgument},
+      {"out of vocabulary", {1, 99}, RunType::kBoolOr, 20,
+       StatusCode::kInvalidArgument},
+      {"storage run in memory", {1}, RunType::kBm25TC, 20,
+       StatusCode::kFailedPrecondition},
+      {"all unknown", {6, 7}, RunType::kBm25, 20, StatusCode::kOk},
+      {"BoolAND with an unknown", {1, 6}, RunType::kBoolAnd, 20,
+       StatusCode::kOk},
+  };
+  for (const Edge& e : edges) {
+    Query q;
+    q.terms = e.terms;
+    SearchOptions opts;
+    opts.k = e.k;
+    DistSearchOptions dopts;
+    dopts.search = opts;
+    SearchResult r_engine, r_snap, r_db;
+    DistResult r_dist;
+    const Status want = engine.Search(q, e.run, opts, &r_engine);
+    EXPECT_EQ(want.code(), e.code) << e.name << ": " << want.ToString();
+    const std::vector<std::pair<Status, const SearchResult*>> paths = {
+        {want, &r_engine},
+        {ir::SearchSnapshot(*snap, q, e.run, opts, &r_snap), &r_snap},
+        {db.Search(q, e.run, opts, &r_db), &r_db},
+        {cluster.Search(q, e.run, dopts, &r_dist), &r_dist.merged},
+    };
+    for (size_t p = 0; p < paths.size(); ++p) {
+      const Status& got = paths[p].first;
+      EXPECT_EQ(got.code(), want.code()) << e.name << " path " << p;
+      EXPECT_EQ(got.message(), want.message()) << e.name << " path " << p;
+      if (got.ok()) {
+        EXPECT_TRUE(paths[p].second->docids.empty()) << e.name << " " << p;
+        EXPECT_TRUE(paths[p].second->scores.empty()) << e.name << " " << p;
+        EXPECT_EQ(paths[p].second->num_matches, 0u) << e.name << " " << p;
+      }
+    }
+  }
 }
 
 }  // namespace

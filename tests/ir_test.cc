@@ -24,6 +24,8 @@
 #include "ir/search_engine.h"
 #include "ir/topk.h"
 
+#include "test_util.h"
+
 namespace x100ir::ir {
 namespace {
 
@@ -107,36 +109,6 @@ std::vector<int32_t> OracleBool(const Corpus& corpus,
     if (match) out.push_back(static_cast<int32_t>(d));
   }
   return out;
-}
-
-// Compares two ranked results that were produced by different execution
-// paths of the same retrieval model. The paths sum per-term float
-// contributions in different orders (score-all union: merge order;
-// MaxScore: essential streams then probes strongest-first), so genuinely
-// tied documents can differ in the last ulp and legally swap ranks or
-// substitute across the k boundary. Scores must agree to `tol` rank by
-// rank everywhere; docids must match exactly at every rank that is not
-// score-tied with a neighbor.
-void ExpectRankingsEquivalent(const std::vector<int32_t>& docids_a,
-                              const std::vector<float>& scores_a,
-                              const std::vector<int32_t>& docids_b,
-                              const std::vector<float>& scores_b,
-                              float tol) {
-  ASSERT_EQ(docids_a.size(), docids_b.size());
-  ASSERT_EQ(scores_a.size(), scores_b.size());
-  const size_t n = docids_a.size();
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_NEAR(scores_a[i], scores_b[i], tol) << "rank " << i;
-    const bool tied_prev =
-        i > 0 && std::abs(scores_a[i] - scores_a[i - 1]) <= tol;
-    const bool tied_next =
-        i + 1 < n && std::abs(scores_a[i] - scores_a[i + 1]) <= tol;
-    // The last kept rank can also tie against the first *dropped* score,
-    // which is not observable here, so it is exempt from exact equality.
-    if (!tied_prev && !tied_next && i + 1 < n) {
-      EXPECT_EQ(docids_a[i], docids_b[i]) << "rank " << i;
-    }
-  }
 }
 
 // The golden corpus: 8 tiny hand-built documents over a 10-term

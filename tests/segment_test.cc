@@ -32,6 +32,8 @@
 #include "ir/snapshot.h"
 #include "storage/buffer_manager.h"
 
+#include "test_util.h"
+
 namespace x100ir::ir {
 namespace {
 
@@ -151,27 +153,6 @@ Status OracleSearch(const Oracle& o, const Query& q, RunType type,
   if (!s.ok()) return s;
   for (int32_t& d : result->docids) d = o.globals[static_cast<size_t>(d)];
   return OkStatus();
-}
-
-// Copy of ir_test's rank-agreement check, for execution paths that legally
-// differ in the last ulp (MaxScore vs score-all union, storage runs).
-void ExpectRankingsEquivalent(const std::vector<int32_t>& docids_a,
-                              const std::vector<float>& scores_a,
-                              const std::vector<int32_t>& docids_b,
-                              const std::vector<float>& scores_b, float tol) {
-  ASSERT_EQ(docids_a.size(), docids_b.size());
-  ASSERT_EQ(scores_a.size(), scores_b.size());
-  const size_t n = docids_a.size();
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_NEAR(scores_a[i], scores_b[i], tol) << "rank " << i;
-    const bool tied_prev =
-        i > 0 && std::abs(scores_a[i] - scores_a[i - 1]) <= tol;
-    const bool tied_next =
-        i + 1 < n && std::abs(scores_a[i] - scores_a[i + 1]) <= tol;
-    if (!tied_prev && !tied_next && i + 1 < n) {
-      EXPECT_EQ(docids_a[i], docids_b[i]) << "rank " << i;
-    }
-  }
 }
 
 // Full bitwise comparison battery: the score-all union path and both
@@ -570,7 +551,11 @@ TEST(SegmentTest, TornManifestFallsBackToCleanRebuild) {
   EXPECT_EQ(db.epoch(), 0u);
   EXPECT_FALSE(std::filesystem::exists(dopts.dir + "/seg_1"));
   auto snap = db.Acquire();
-  EXPECT_TRUE(snap->plain);
+  // The monolithic shape: one identity-map segment, no deletes, no delta.
+  ASSERT_EQ(snap->segments.size(), 1u);
+  EXPECT_TRUE(snap->segments[0].seg->identity_map());
+  EXPECT_EQ(snap->segments[0].tombstones, nullptr);
+  EXPECT_TRUE(snap->deltas.empty());
   EXPECT_EQ(snap->stats->num_docs, db.corpus().num_docs());
   int32_t docid = -1;
   ASSERT_TRUE(db.AddDocument({1, 2, 3}, &docid).ok());
@@ -740,6 +725,40 @@ TEST(SegmentTest, BlockMaxStaysSoundAcrossSealMergeAndDeletes) {
     }
   }
   std::filesystem::remove_all(dir);
+}
+
+// Every read goes through SearchSnapshot under the snapshot's live stats.
+// On a fresh database those equal the base index's build-time stats, so
+// Database::Search must return exactly what a lone engine over that index
+// returns with no stats plumbed in.
+TEST(SegmentTest, FreshDatabaseReadsExactlyLikeItsBaseIndex) {
+  core::DatabaseOptions dopts;
+  dopts.corpus = TinyGenerated(/*num_docs=*/1200);
+  dopts.dir = FreshDir("db");
+  dopts.storage.page_bytes = 4096;
+  core::Database db;
+  ASSERT_TRUE(db.Open(dopts).ok());
+  const auto snap = db.Acquire();
+  const SearchEngine engine(&snap->segments[0].seg->index());
+  SearchOptions opts;
+  opts.k = 50;
+  uint32_t second_passes = 0;
+  for (const Query& q : MakeQueries(db.corpus(), 60)) {
+    for (RunType type : AllRunTypes()) {
+      SearchResult got, want;
+      ASSERT_TRUE(db.Search(q, type, opts, &got).ok()) << RunTypeName(type);
+      ASSERT_TRUE(engine.Search(q, type, opts, &want).ok());
+      second_passes += want.used_second_pass ? 1 : 0;
+      EXPECT_EQ(got.docids, want.docids) << RunTypeName(type);
+      EXPECT_EQ(ScoreBits(got.scores), ScoreBits(want.scores))
+          << RunTypeName(type);
+      EXPECT_EQ(got.num_matches, want.num_matches) << RunTypeName(type);
+      EXPECT_EQ(got.used_second_pass, want.used_second_pass)
+          << RunTypeName(type);
+    }
+  }
+  EXPECT_GT(second_passes, 0u);  // the storage runs' second pass was compared
+  std::filesystem::remove_all(dopts.dir);
 }
 
 }  // namespace

@@ -32,6 +32,8 @@
 #include "storage/fault_injection.h"
 #include "storage/file.h"
 
+#include "test_util.h"
+
 namespace x100ir::server {
 namespace {
 
@@ -804,6 +806,53 @@ TEST(ResultCache, HitServesIdenticalResultWithoutAdmission) {
   EXPECT_EQ(stats.submitted, stats.cache_hits + stats.admitted +
                                  stats.shed_queue_full +
                                  stats.refused_unavailable);
+  service.Stop();
+}
+
+// MaxScore demotes terms at vector boundaries, which changes the float
+// addition order of a score, so a request at another vector size is
+// another key: it must miss and get its own answer, bit for bit, never the
+// default-size entry.
+TEST(ResultCache, VectorSizeIsPartOfTheKey) {
+  core::DatabaseOptions dopts;
+  dopts.corpus = SmallCorpus();
+  core::Database db;
+  ASSERT_TRUE(db.Open(dopts).ok());
+
+  // Witness: the first query whose BM25 answer at vector size 1 differs
+  // in any bit from its answer at the default size.
+  QueryRequest req;
+  req.run = ir::RunType::kBm25;
+  QueryRequest small = req;
+  small.opts.vector_size = 1;
+  ir::SearchResult want;
+  bool found = false;
+  for (const QueryRequest& r : MixedRequests(db, 400, false)) {
+    ir::SearchResult at_default;
+    ASSERT_TRUE(db.Search(r.query, req.run, req.opts, &at_default).ok());
+    ASSERT_TRUE(db.Search(r.query, req.run, small.opts, &want).ok());
+    if (at_default.docids != want.docids ||
+        ScoreBits(at_default.scores) != ScoreBits(want.scores)) {
+      req.query = small.query = r.query;
+      found = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(found) << "no query's MaxScore bits depend on vector size";
+
+  QueryServiceOptions sopts;
+  sopts.num_threads = 1;
+  sopts.result_cache_entries = 1024;
+  QueryService service;
+  ASSERT_TRUE(service.Start(&db, sopts).ok());
+  ASSERT_TRUE(service.Execute(req).status.ok());
+  const QueryResponse got = service.Execute(small);
+  ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+  EXPECT_EQ(got.result.docids, want.docids);
+  EXPECT_EQ(ScoreBits(got.result.scores), ScoreBits(want.scores));
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_misses, 2u);
   service.Stop();
 }
 
