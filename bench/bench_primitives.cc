@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for X100 primitives and the engine's
 // ablation knobs: selection vectors vs compaction, composed expression vs
-// fused BM25 kernel, merge-join galloping.
+// fused BM25 kernel.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -10,7 +10,6 @@
 #include "ir/bm25.h"
 #include "vec/expression.h"
 #include "vec/mem_source.h"
-#include "vec/merge_join.h"
 #include "vec/primitives.h"
 #include "vec/scan.h"
 #include "vec/select.h"
@@ -162,47 +161,6 @@ void BM_Bm25ComposedVsFused(benchmark::State& state) {
   state.SetLabel(fused ? "fused map_bm25" : "composed primitives");
 }
 BENCHMARK(BM_Bm25ComposedVsFused)->Arg(0)->Arg(1);
-
-// Merge-intersect of a short and a long posting list: galloping skips.
-void BM_MergeIntersectSkewed(benchmark::State& state) {
-  const auto ratio = static_cast<uint32_t>(state.range(0));
-  const uint32_t long_n = 1 << 20;
-  std::vector<int32_t> long_list(long_n), long_payload(long_n, 1);
-  for (uint32_t i = 0; i < long_n; ++i) {
-    long_list[i] = static_cast<int32_t>(i);
-  }
-  std::vector<int32_t> short_list, short_payload;
-  for (uint32_t i = 0; i < long_n; i += ratio) {
-    short_list.push_back(static_cast<int32_t>(i));
-    short_payload.push_back(1);
-  }
-  ExecContext ctx;
-  for (auto _ : state) {
-    auto mk = [&](const std::vector<int32_t>& keys,
-                  const std::vector<int32_t>& payload, const char* name) {
-      Schema schema;
-      schema.Add("docid", TypeId::kI32);
-      schema.Add(name, TypeId::kI32);
-      std::vector<VectorSourcePtr> sources;
-      sources.push_back(std::make_unique<MemVectorSource<int32_t>>(keys));
-      sources.push_back(std::make_unique<MemVectorSource<int32_t>>(payload));
-      return std::make_unique<ScanOperator>(&ctx, std::move(schema),
-                                            std::move(sources));
-    };
-    std::vector<OperatorPtr> children;
-    children.push_back(mk(short_list, short_payload, "a"));
-    children.push_back(mk(long_list, long_payload, "b"));
-    MergeJoinOperator join(&ctx, std::move(children), MergeMode::kIntersect);
-    join.Open();
-    uint64_t rows = 0;
-    Batch* b = nullptr;
-    while (join.Next(&b).ok() && b != nullptr) rows += b->count;
-    join.Close();
-    benchmark::DoNotOptimize(rows);
-  }
-  state.SetItemsProcessed(state.iterations() * long_n);
-}
-BENCHMARK(BM_MergeIntersectSkewed)->Arg(1)->Arg(16)->Arg(256);
 
 }  // namespace
 }  // namespace x100ir::vec

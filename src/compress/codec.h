@@ -111,8 +111,8 @@ struct WindowExtent {
 };
 
 // Borrowed pointers into one window's resident decode inputs — what a fused
-// consumer (ir/fused_score.h) needs to unpack-and-transform a window without
-// materializing the intermediate int32 vector. Only meaningful for
+// consumer (ir/tf_window_score.h) needs to unpack-and-transform a window
+// without materializing the intermediate int32 vector. Only meaningful for
 // full-payload inits (Init, not InitMeta) of patched-layout blocks.
 // `payload` has the block's trailing slack behind it, so the LOOP1 kernels'
 // over-reads stay in bounds. For kPfor, value = base + codeword (exceptions

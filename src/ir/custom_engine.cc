@@ -7,7 +7,7 @@
 #include "common/timer.h"
 #include "ir/bm25.h"  // Bm25One — the shared scalar scoring kernel
 #include "ir/topk.h"
-#include "vec/merge_join.h"  // GallopLowerBound for MaxScore skips
+#include "vec/streaming_merge.h"  // GallopLowerBound for MaxScore skips
 
 namespace x100ir::ir {
 

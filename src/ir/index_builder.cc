@@ -159,7 +159,10 @@ Status MakeBlockSource(std::vector<uint8_t> block,
 
 Status InvertedIndex::TryLoadColumns(const std::string& dir) {
   // BlockVectorSource::Create deep-validates the payloads, so a corrupt
-  // file fails loudly here and the caller falls back to a rebuild.
+  // file fails loudly here and the caller falls back to a rebuild. A valid
+  // block of the wrong scheme is refused the same way: the skip cursors
+  // read PFOR-DELTA window value bases off the docid column, and the fused
+  // scorer unpacks tf windows as patched PFOR.
   const uint64_t n = num_postings_;
   std::vector<uint8_t> docid_block, tf_block;
   uint64_t docid_n = 0, tf_n = 0;
@@ -172,9 +175,20 @@ Status InvertedIndex::TryLoadColumns(const std::string& dir) {
   if (docid_n != n || tf_n != n) {
     return Internal("column files disagree with index.meta");
   }
+  std::unique_ptr<vec::BlockVectorSource> docid, tf;
   X100IR_RETURN_IF_ERROR(
-      MakeBlockSource(std::move(docid_block), &docid_source_, n, "docid"));
-  return MakeBlockSource(std::move(tf_block), &tf_source_, n, "tf");
+      MakeBlockSource(std::move(docid_block), &docid, n, "docid"));
+  X100IR_RETURN_IF_ERROR(MakeBlockSource(std::move(tf_block), &tf, n, "tf"));
+  if (docid->decoder()->scheme() != compress::Scheme::kPforDelta) {
+    return Internal("docid column is not PFOR-DELTA in " + dir);
+  }
+  if (tf->decoder()->scheme() != compress::Scheme::kPfor ||
+      tf->decoder()->naive_layout()) {
+    return Internal("tf column is not patched PFOR in " + dir);
+  }
+  docid_source_ = std::move(docid);
+  tf_source_ = std::move(tf);
+  return OkStatus();
 }
 
 bool InvertedIndex::SideTablesMatch(const std::string& dir) const {

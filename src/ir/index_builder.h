@@ -160,7 +160,9 @@ class InvertedIndex {
                    BuildStats* stats, const storage::StorageOptions* owned,
                    const StorageBinding* shared);
   // Loads the compressed column files from a fingerprint-matched dir; any
-  // failure (missing, truncated, corrupt) means "rebuild", not "error".
+  // failure (missing, truncated, corrupt, or a docid column that is not
+  // PFOR-DELTA / tf column that is not patched PFOR) means "rebuild", not
+  // "error".
   Status TryLoadColumns(const std::string& dir);
   // True when the persisted side tables byte-match the corpus-derived
   // terms_/doc_lens_ — reuse must reject a torn terms or doclen file the

@@ -3,8 +3,9 @@
 // since storage/ landed — the Table 2 runs (storage_runs.cc) execute the
 // same plan shapes over cold columns. Everything else here is composition
 // of existing vec/ operators (Scan over SliceVectorSource windows of the
-// compressed TD columns, MergeJoin for conjunctions) plus the TopKOperator
-// plan root (topk.h).
+// compressed TD columns, the streaming skip join for conjunctions) plus
+// the TopKOperator plan root (topk.h), and the Block-Max MaxScore
+// executor.
 #include "ir/search_engine.h"
 
 #include <algorithm>
@@ -18,13 +19,12 @@
 
 #include "common/timer.h"
 #include "ir/bm25.h"
-#include "ir/fused_score.h"
 #include "ir/plan_ops.h"
 #include "ir/posting_cursor.h"
 #include "ir/request.h"
+#include "ir/tf_window_score.h"
 #include "ir/topk.h"
 #include "vec/mem_source.h"
-#include "vec/merge_join.h"
 #include "vec/primitives.h"
 #include "vec/scan.h"
 #include "vec/streaming_merge.h"
@@ -107,7 +107,7 @@ Status SearchEngine::SearchBool(const std::vector<uint32_t>& terms,
   ctx.vector_size = opts.vector_size;
   ctx.rng = Rng(opts.rng_seed);
   vec::OperatorPtr root;
-  if (conjunctive && opts.streaming_and) {
+  if (conjunctive) {
     // Streaming skip join: cursors rarest-first so the shortest list
     // drives and the long lists are only probed (DESIGN.md §7.2).
     std::vector<uint32_t> by_df = terms;
@@ -124,7 +124,7 @@ Status SearchEngine::SearchBool(const std::vector<uint32_t>& terms,
       X100IR_RETURN_IF_ERROR(cursor->Init(index_, t));
       cursors.push_back(std::move(cursor));
     }
-    root = std::make_unique<vec::StreamingMergeJoinOperator>(
+    root = std::make_unique<vec::StreamingJoinOperator>(
         &ctx, std::move(cursors));
   } else {
     std::vector<vec::OperatorPtr> children;
@@ -132,13 +132,8 @@ Status SearchEngine::SearchBool(const std::vector<uint32_t>& terms,
     for (uint32_t t : terms) {
       children.push_back(MakeTermScan(*index_, &ctx, t, /*with_tf=*/false));
     }
-    if (conjunctive) {
-      root = std::make_unique<vec::MergeJoinOperator>(
-          &ctx, std::move(children), vec::MergeMode::kIntersect);
-    } else {
-      root = std::make_unique<MergeUnionOperator>(&ctx, std::move(children),
-                                                  /*sum_scores=*/false);
-    }
+    root = std::make_unique<MergeUnionOperator>(&ctx, std::move(children),
+                                                /*sum_scores=*/false);
   }
   X100IR_RETURN_IF_ERROR(root->Open());
   vec::Batch* b = nullptr;
@@ -253,7 +248,7 @@ Status SearchEngine::SearchBm25(const std::vector<uint32_t>& terms,
 // this window's bound cannot reach θ, no document in the window can enter
 // the top k through *any* merge, so the window is skipped without
 // decoding (windows_blockmax_skipped). Decoded windows are scored with
-// the fused decode→score kernel (fused_score.h): the tf codewords go from
+// the fused decode→score kernel (tf_window_score.h): the tf codewords go from
 // packed payload to BM25 contributions without materializing a tf vector.
 // The merge emits candidate vectors of (docid, partial score), and one
 // SelectColVal per vector rejects candidates whose partial +
@@ -266,11 +261,12 @@ Status SearchEngine::SearchBm25(const std::vector<uint32_t>& terms,
 // score(d) <= other_bound + ub_w < θ, so even when d still surfaces as a
 // candidate through another essential list, its completed score stays
 // below θ and the heap push is a no-op — the top k (and p@20) are
-// bit-identical to the unskipped oracle; only num_matches and the window
-// counters may differ. The same argument covers the demotion probe: a
-// probe cursor starts at the demoted stream's current vector, never
-// before, so it may miss contributions from earlier skipped windows —
-// missing them only lowers a score that is already provably below θ.
+// bit-identical to an evaluation without the skip; only num_matches and
+// the window counters may differ. The same argument covers the demotion
+// probe: a probe cursor starts at the demoted stream's current vector,
+// never before, so it may miss contributions from earlier skipped
+// windows — missing them only lowers a score that is already provably
+// below θ.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -293,7 +289,6 @@ struct MsTerm {
   // cursor as its resume offset (re-covering at most one buffered vector,
   // which forward-only SkipTo crosses for free).
   DocidSkipCursor stream;
-  TfWindowReader tf_reader;
   uint64_t vec_start = 0;
   std::vector<int32_t> docids;
   std::vector<float> scores;
@@ -301,10 +296,16 @@ struct MsTerm {
 
   // Non-essential phase: forward probe cursor from the first unconsumed
   // posting (the stream read ahead by up to one vector; that tail is
-  // re-covered by the probe cursor, never lost).
+  // re-covered by the probe cursor, never lost), and the raw tfs probe
+  // completion scores with.
   bool demoted = false;
   DocidSkipCursor probe;
+  TfWindowReader tf_reader;
 };
+
+Status FusedScoreRefused() {
+  return Internal("fused decode→score kernel refused a tf window");
+}
 
 }  // namespace
 
@@ -404,82 +405,76 @@ Status SearchEngine::SearchBm25MaxScore(const std::vector<uint32_t>& terms,
     return shared != nullptr ? std::max(local, shared->Load()) : local;
   };
 
-  // Block-max table and fused-kernel eligibility. The fused kernel wants
-  // resident PFOR tf windows in the patched layout; anything else (naive
-  // layout A/B builds, PDICT) keeps the composed decode+MapBm25 path —
-  // the "raw tfs needed" fallback of DESIGN.md §12.3.
+  // Block-max table and the fused scorer's inputs. TryLoadColumns admits
+  // only a patched PFOR tf column (and every build writes one), so every
+  // window is fusable: a kernel refusal is a broken index invariant and
+  // fails the query rather than falling back to another scorer.
   const std::vector<BlockMaxEntry>& blockmax = index_->block_max();
-  const bool use_blockmax = opts.blockmax && !blockmax.empty();
   const compress::BlockDecoder* tf_dec = index_->tf_decoder();
-  const bool can_fuse = opts.fused_score && tf_dec != nullptr &&
-                        tf_dec->scheme() == compress::Scheme::kPfor &&
-                        !tf_dec->naive_layout();
+  const float c0 = k1 * (1.0f - bb);
+  const float c1 = k1 * bb * inv_avgdl;
+
+  // Per-window block-max test: true when even Σ(other terms' ubs) plus the
+  // window's bound under the live (k1, b, idf) cannot reach θ, so no
+  // document in window w can enter the top k through this term.
+  const auto window_below_theta = [&](const MsTerm& ts, uint32_t w) {
+    const BlockMaxEntry& bm = blockmax[w];
+    const float wb =
+        Bm25One(ts.idf, static_cast<float>(bm.max_tf),
+                static_cast<float>(bm.min_doclen), k1, bb, inv_avgdl);
+    return ts.other_bound + wb < live_theta();
+  };
+  // Scores the decoded docid window behind `rv` into out[0..rv.win_len)
+  // straight from the packed tf payload; dl is doclen staging.
+  const auto score_window =
+      [&](const MsTerm& ts, const compress::SortedRangeCursor::RunView& rv,
+          int32_t* dl, float* out) {
+        GatherI32(doclens, rv.vals, rv.win_len, dl);
+        if (!FusedScoreTfWindow(tf_dec->WindowViewOf(rv.win_index), dl,
+                                ts.idf * (k1 + 1.0f), c0, c1, out)) {
+          return false;
+        }
+        ++ctx.stats.fused_windows;
+        ++ctx.stats.primitive_calls;
+        return true;
+      };
 
   // Window-granular refill: append whole [lo, hi) window slices until the
   // buffer holds at least vector_size postings or the stream ends. Each
   // window is either rejected by its block bound without decoding, or
-  // docid-decoded once and scored in one kernel call.
+  // docid-decoded once and scored in one kernel call. False = the kernel
+  // refused a window.
   const auto refill = [&](MsTerm& ts) {
     ts.voff = 0;
     ts.vlen = 0;
     ts.vec_start = ts.stream.position();
     compress::SortedRangeCursor& cur = ts.stream.range_cursor();
     alignas(32) int32_t wdl[compress::kEntryPointStride];
-    alignas(32) int32_t wtf[compress::kEntryPointStride];
     alignas(32) float wscore[compress::kEntryPointStride];
     while (ts.vlen < vsize && !ts.stream.AtEnd()) {
-      const uint32_t w = cur.CurrentWindowIndex();
-      if (use_blockmax) {
-        const BlockMaxEntry& bm = blockmax[w];
-        const float wb =
-            Bm25One(ts.idf, static_cast<float>(bm.max_tf),
-                    static_cast<float>(bm.min_doclen), k1, bb, inv_avgdl);
-        if (ts.other_bound + wb < live_theta()) {
-          cur.SkipCurrentWindowBlockMax();
-          // Leading skips move the buffer's start: vec_start must name the
-          // first posting actually buffered (or the end, if none are).
-          if (ts.vlen == 0) ts.vec_start = ts.stream.position();
-          continue;
-        }
+      if (window_below_theta(ts, cur.CurrentWindowIndex())) {
+        cur.SkipCurrentWindowBlockMax();
+        // Leading skips move the buffer's start: vec_start must name the
+        // first posting actually buffered (or the end, if none are).
+        if (ts.vlen == 0) ts.vec_start = ts.stream.position();
+        continue;
       }
       const compress::SortedRangeCursor::RunView rv = cur.CurrentRunView();
+      if (!score_window(ts, rv, wdl, wscore)) return false;
       const uint32_t cnt = rv.hi - rv.lo;
-      if (can_fuse) {
-        const compress::WindowView view = tf_dec->WindowViewOf(rv.win_index);
-        GatherI32(doclens, rv.vals, rv.win_len, wdl);
-        if (FusedScoreTfWindow(view, wdl, ts.idf * (k1 + 1.0f),
-                               k1 * (1.0f - bb), k1 * bb * inv_avgdl,
-                               wscore)) {
-          std::memcpy(ts.docids.data() + ts.vlen, rv.vals + rv.lo,
-                      sizeof(int32_t) * cnt);
-          std::memcpy(ts.scores.data() + ts.vlen, wscore + rv.lo,
-                      sizeof(float) * cnt);
-          ++ctx.stats.fused_windows;
-          ++ctx.stats.primitive_calls;
-          ts.vlen += cnt;
-          cur.AdvanceTo(rv.win_base + rv.hi);
-          continue;
-        }
-      }
-      // Composed two-step path (also the fused kernel's agreement oracle):
-      // decode the tf slice, then one MapBm25 over it. The tf/doclen
-      // staging never outlives the kernel call, so it lives on the stack
-      // instead of per-term buffers (a window is at most one stride).
-      for (uint32_t i = 0; i < cnt; ++i) {
-        const uint32_t slot = rv.lo + i;
-        ts.docids[ts.vlen + i] = rv.vals[slot];
-        wtf[i] = ts.tf_reader.TfAt(rv.win_base + slot);
-        wdl[i] = doclens[rv.vals[slot]];
-      }
-      MapBm25(cnt, ts.scores.data() + ts.vlen, wtf, wdl, ts.idf, k1, bb,
-              inv_avgdl);
-      ++ctx.stats.primitive_calls;
+      std::memcpy(ts.docids.data() + ts.vlen, rv.vals + rv.lo,
+                  sizeof(int32_t) * cnt);
+      std::memcpy(ts.scores.data() + ts.vlen, wscore + rv.lo,
+                  sizeof(float) * cnt);
       ts.vlen += cnt;
       cur.AdvanceTo(rv.win_base + rv.hi);
     }
+    return true;
   };
   if (!solo_only) {
-    for (size_t i = 0; i < m; ++i) refill(states[i]);
+    for (size_t i = 0; i < m; ++i) {
+      if (!refill(states[i])) return FusedScoreRefused();
+    }
   }
 
   // Folds the per-term cursor stats into ctx.stats — shared by the normal
@@ -499,7 +494,6 @@ Status SearchEngine::SearchBm25MaxScore(const std::vector<uint32_t>& terms,
   // Window staging for the solo-stream fast path (one stride each; the
   // docids never need staging — the cursor's decoded run is used in place).
   alignas(32) int32_t sdl[compress::kEntryPointStride];
-  alignas(32) int32_t stf[compress::kEntryPointStride];
   alignas(32) float sscore[compress::kEntryPointStride];
   vec::sel_t wsel[compress::kEntryPointStride];
 
@@ -597,45 +591,15 @@ Status SearchEngine::SearchBm25MaxScore(const std::vector<uint32_t>& terms,
       compress::SortedRangeCursor& cur = ts.stream.range_cursor();
       uint32_t consumed = 0;
       while (consumed < vsize && !ts.stream.AtEnd()) {
-        const uint32_t w = cur.CurrentWindowIndex();
-        if (use_blockmax) {
-          const BlockMaxEntry& bm = blockmax[w];
-          const float wb =
-              Bm25One(ts.idf, static_cast<float>(bm.max_tf),
-                      static_cast<float>(bm.min_doclen), k1, bb, inv_avgdl);
-          if (ts.other_bound + wb < live_theta()) {
-            cur.SkipCurrentWindowBlockMax();
-            continue;
-          }
+        if (window_below_theta(ts, cur.CurrentWindowIndex())) {
+          cur.SkipCurrentWindowBlockMax();
+          continue;
         }
         const compress::SortedRangeCursor::RunView rv = cur.CurrentRunView();
+        if (!score_window(ts, rv, sdl, sscore)) return FusedScoreRefused();
         const uint32_t cnt = rv.hi - rv.lo;
         const int32_t* vd = rv.vals + rv.lo;
-        const float* ws = nullptr;
-        bool fused_ok = false;
-        if (can_fuse) {
-          const compress::WindowView view =
-              tf_dec->WindowViewOf(rv.win_index);
-          GatherI32(doclens, rv.vals, rv.win_len, sdl);
-          fused_ok = FusedScoreTfWindow(view, sdl, ts.idf * (k1 + 1.0f),
-                                        k1 * (1.0f - bb),
-                                        k1 * bb * inv_avgdl, sscore);
-          if (fused_ok) {
-            ws = sscore + rv.lo;
-            ++ctx.stats.fused_windows;
-            ++ctx.stats.primitive_calls;
-          }
-        }
-        if (!fused_ok) {
-          for (uint32_t i = 0; i < cnt; ++i) {
-            const uint32_t slot = rv.lo + i;
-            stf[i] = ts.tf_reader.TfAt(rv.win_base + slot);
-            sdl[i] = doclens[rv.vals[slot]];
-          }
-          MapBm25(cnt, sscore, stf, sdl, ts.idf, k1, bb, inv_avgdl);
-          ++ctx.stats.primitive_calls;
-          ws = sscore;
-        }
+        const float* ws = sscore + rv.lo;
         candidates += cnt;
         const float cut = live_theta() - ness_bound;
         const uint32_t n_cand = vec::SelectGeFloatVal(cnt, wsel, ws, cut);
@@ -714,8 +678,9 @@ Status SearchEngine::SearchBm25MaxScore(const std::vector<uint32_t>& terms,
       }
       a.voff = ai;
       b.voff = bi;
-      if (ai >= an) refill(a);
-      if (bi >= bn) refill(b);
+      if ((ai >= an && !refill(a)) || (bi >= bn && !refill(b))) {
+        return FusedScoreRefused();
+      }
       if (ap[1]->voff >= ap[1]->vlen) --na;
       if (ap[0]->voff >= ap[0]->vlen) {
         ap[0] = ap[na - 1];
@@ -744,7 +709,7 @@ Status SearchEngine::SearchBm25MaxScore(const std::vector<uint32_t>& terms,
         MsTerm& ts = *ap[i];
         partial += ts.scores[ts.voff];
         if (++ts.voff == ts.vlen) {
-          refill(ts);
+          if (!refill(ts)) return FusedScoreRefused();
           if (ts.voff >= ts.vlen) {  // stream dry: drop from the active set
             ap[i] = ap[na - 1];
             hp[i] = hp[na - 1];

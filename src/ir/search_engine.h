@@ -5,10 +5,14 @@
 // compressed posting columns.
 //
 // Plan shapes (DESIGN.md §6.2):
-//   kBoolAnd — Scan(docid)ₜ per term  → MergeJoin(intersect)      → collect
-//   kBoolOr  — Scan(docid)ₜ per term  → MergeUnion(distinct)      → collect
-//   kBm25    — Scan(docid,tf)ₜ        → Bm25Score(idfₜ, doclen)
-//                                     → MergeUnion(sum scores)    → TopK(k)
+//   kBoolAnd — DocidSkipCursorₜ, rarest first
+//                                → StreamingJoin(leapfrog)      → collect
+//   kBoolOr  — Scan(docid)ₜ per term  → MergeUnion(distinct)    → collect
+//   kBm25    — Block-Max MaxScore over DocidSkipCursorₜ, windows scored
+//              by the fused decode→score kernel              → TopK(k)
+//              (maxscore_bm25 = false: the score-all union plan,
+//               Scan(docid,tf)ₜ → Bm25Score(idfₜ, doclen)
+//                               → MergeUnion(sum scores)     → TopK(k))
 //
 // The storage-era runs (DESIGN.md §8.5) execute the same ranked plan
 // shapes over *cold* columns served through the buffer pool, preceded by a
@@ -96,29 +100,12 @@ struct SearchOptions {
   uint32_t k = 20;
   Bm25Params bm25;
 
-  // Execution-path selection (DESIGN.md §7). Defaults are the streaming,
-  // skip-aware hot paths; the PR 3 materializing plans stay reachable for
-  // A/B benching (bench_table1_systems) and oracle tests.
-  //
-  // BoolAND: streaming galloping merge-join driving SkipTo over the
-  // compressed docid windows, vs materialize-then-intersect.
-  bool streaming_and = true;
-  // BM25: threshold-propagated MaxScore evaluation (per-term upper bounds,
-  // essential/non-essential partition, probe completion), vs score-all
-  // union.
+  // BM25 execution (DESIGN.md §7.4, §12): Block-Max MaxScore — per-term
+  // upper bounds, essential/non-essential partition, per-window block-max
+  // skips, fused decode→score windows, probe completion — vs the
+  // score-all union plan, which the §4 vector-size curve and Table 1's
+  // union row measure.
   bool maxscore_bm25 = true;
-  // Block-Max refinement of MaxScore (DESIGN.md §12): before decoding a
-  // 128-posting window of an essential term, test the window's stored
-  // (max_tf, min_doclen) score bound against the live threshold and skip
-  // the decode outright when it cannot beat θ. Off = PR 8's term-level
-  // bounds only — the agreement oracle (skips never change the top-k,
-  // only num_matches and the window counters).
-  bool blockmax = true;
-  // Score essential-term tf windows with the fused decode→score kernel
-  // (fused_score.h) instead of decode-then-MapBm25. Bit-identical by
-  // contract; off = the composed two-step path, kept as the agreement
-  // oracle.
-  bool fused_score = true;
 
   // Storage runs: document-frequency cutoff separating pass 1's short
   // ("selective") lists from the long lists that are only probed. 0 picks

@@ -1,4 +1,4 @@
-#include "ir/fused_score.h"
+#include "ir/tf_window_score.h"
 
 #include <cstring>
 

@@ -10,19 +10,20 @@
 // SIMD toggle off) the window is unpacked into a stack buffer and scored
 // there — still no heap materialization, still one pass.
 //
-// Bit-identity contract, pinned by Ir.FusedScoreAgreesWithComposedPath:
-// the kernel performs exactly the scalar composed path's operation
-// sequence (cast, mul, add, mul, add, div — each elementwise and exactly
-// rounded, no FMA contraction), so fused and two-step scores are
-// identical floats, not merely close.
+// Bit-identity contract, pinned by FusedScore.* in tests/ir_test.cc: the
+// kernel performs exactly MapBm25's operation sequence over the decoded
+// window (cast, mul, add, mul, add, div — each elementwise and exactly
+// rounded, no FMA contraction), so its scores are the floats MapBm25
+// computes, not merely close ones.
 //
-// Fallback rules (the caller keeps the two-step decode + MapBm25 path):
-//   - returns false for delta-coded or dictionary views (tf columns are
-//     plain PFOR; anything else needs LOOP3/dict plumbing);
-//   - callers that need the raw tfs (probe completion, Table 2 runs) never
-//     call this — the fused kernel only exists for the score-only refill.
-#ifndef X100IR_IR_FUSED_SCORE_H_
-#define X100IR_IR_FUSED_SCORE_H_
+// Input contract: a resident window of a patched-layout PFOR block
+// (value = base + codeword, exception records override). A view carries
+// no scheme, so the caller vouches for it: InvertedIndex::TryLoadColumns
+// admits only such a tf column and every build writes one. It is the one
+// window scorer of Block-Max MaxScore; callers that need the raw tfs
+// (probe completion, the Table 2 runs) never call it.
+#ifndef X100IR_IR_TF_WINDOW_SCORE_H_
+#define X100IR_IR_TF_WINDOW_SCORE_H_
 
 #include <cstdint>
 
@@ -34,7 +35,9 @@ namespace x100ir::ir {
 // doclen of the document holding posting view.begin + i (the caller
 // gathers it from the decoded docid window). w/c0/c1 are MapBm25's folded
 // constants: w = idf*(k1+1), c0 = k1*(1-b), c1 = k1*b*inv_avgdl.
-// Returns false (out untouched) when the view cannot be fused.
+// Returns false (out untouched) for a view with no payload or a length
+// outside (0, kEntryPointStride]; the MaxScore executor fails the query
+// with an Internal status then.
 bool FusedScoreTfWindow(const compress::WindowView& view,
                         const int32_t* doclens, float w, float c0, float c1,
                         float* out);
@@ -47,4 +50,4 @@ void GatherI32(const int32_t* base, const int32_t* idx, uint32_t n,
 
 }  // namespace x100ir::ir
 
-#endif  // X100IR_IR_FUSED_SCORE_H_
+#endif  // X100IR_IR_TF_WINDOW_SCORE_H_

@@ -60,9 +60,8 @@ inline std::string ResultCacheKey(const ir::Query& query, ir::RunType run,
   append(&opts.k, sizeof(opts.k));
   append(&opts.bm25.k1, sizeof(opts.bm25.k1));
   append(&opts.bm25.b, sizeof(opts.bm25.b));
-  const uint8_t flags = (opts.streaming_and ? 1 : 0) |
-                        (opts.maxscore_bm25 ? 2 : 0);
-  append(&flags, 1);
+  const uint8_t maxscore = opts.maxscore_bm25 ? 1 : 0;
+  append(&maxscore, 1);
   append(&opts.twopass_df_cutoff, sizeof(opts.twopass_df_cutoff));
   append(&opts.vector_size, sizeof(opts.vector_size));
   append(terms.data(), terms.size() * sizeof(uint32_t));

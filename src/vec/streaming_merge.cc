@@ -2,11 +2,11 @@
 
 namespace x100ir::vec {
 
-StreamingMergeJoinOperator::StreamingMergeJoinOperator(
+StreamingJoinOperator::StreamingJoinOperator(
     ExecContext* ctx, std::vector<SkipCursorPtr> cursors)
     : ctx_(ctx), cursors_(std::move(cursors)) {}
 
-Status StreamingMergeJoinOperator::Open() {
+Status StreamingJoinOperator::Open() {
   if (cursors_.empty()) {
     return InvalidArgument("streaming merge-join needs at least one cursor");
   }
@@ -33,7 +33,7 @@ Status StreamingMergeJoinOperator::Open() {
   return OkStatus();
 }
 
-Status StreamingMergeJoinOperator::Next(Batch** out) {
+Status StreamingJoinOperator::Next(Batch** out) {
   if (out == nullptr) return InvalidArgument("null output");
   int32_t* dst = out_docid_.Data<int32_t>();
   uint32_t filled = 0;
@@ -78,7 +78,7 @@ Status StreamingMergeJoinOperator::Next(Batch** out) {
   return OkStatus();
 }
 
-void StreamingMergeJoinOperator::Close() {
+void StreamingJoinOperator::Close() {
   if (!stats_folded_ && ctx_ != nullptr) {
     for (const SkipCursorPtr& c : cursors_) {
       if (c != nullptr) c->FoldStats(&ctx_->stats);

@@ -1,6 +1,7 @@
-// Streaming, skip-aware merge-join — the replacement for the hot path of
-// MergeJoinOperator's materialize-then-intersect (which stays as the
-// reference/oracle; DESIGN.md §7.2).
+// Streaming, skip-aware merge-join — the conjunctive (BoolAND) executor,
+// and the inverted-list intersection of the paper's relational IR
+// formulation: a conjunctive query is a merge-join of posting lists on
+// docid (DESIGN.md §7.2).
 //
 // The operator drives SkipCursor children with a leapfrog intersection:
 // take the head of one list as the candidate, SkipTo(candidate) on each
@@ -17,16 +18,38 @@
 #ifndef X100IR_VEC_STREAMING_MERGE_H_
 #define X100IR_VEC_STREAMING_MERGE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/status.h"
-#include "vec/merge_join.h"
 #include "vec/scan.h"
 #include "vec/vector.h"
 
 namespace x100ir::vec {
+
+// First index in v[lo..n) with v[index] >= key (n if none): exponential
+// probe from lo, then binary search inside the bracketed run. Cheap when
+// the answer is near lo (dense intersections degrade to two-pointer), and
+// logarithmic in the skip distance when it is far (sparse-vs-dense skew).
+// MemSkipCursor's SkipTo and the custom engine's MaxScore skips use it.
+inline uint32_t GallopLowerBound(const int32_t* v, uint32_t lo, uint32_t n,
+                                 int32_t key) {
+  if (lo >= n || v[lo] >= key) return lo;
+  // 64-bit probe arithmetic: with n - prev > 2^31 a uint32 step would
+  // double to 0 and the probe loop would never advance again.
+  uint64_t step = 1;
+  uint64_t prev = lo;
+  // Invariant: v[prev] < key.
+  while (step < n - prev && v[prev + step] < key) {
+    prev += step;
+    step <<= 1;
+  }
+  const uint64_t hi = std::min<uint64_t>(n, prev + step);
+  return static_cast<uint32_t>(
+      std::lower_bound(v + prev + 1, v + hi, key) - v);
+}
 
 // A sorted i32 stream with value-based skipping — what the streaming join
 // drives. Implementations: ir::DocidSkipCursor (compressed posting slice
@@ -79,10 +102,10 @@ class MemSkipCursor : public SkipCursor {
 // N-ary streaming intersection of SkipCursors on their values. Output
 // schema: one dense i32 "docid" column, strictly increasing. Constant
 // memory: one output vector, no materialization.
-class StreamingMergeJoinOperator : public Operator {
+class StreamingJoinOperator : public Operator {
  public:
-  StreamingMergeJoinOperator(ExecContext* ctx,
-                             std::vector<SkipCursorPtr> cursors);
+  StreamingJoinOperator(ExecContext* ctx,
+                        std::vector<SkipCursorPtr> cursors);
 
   Status Open() override;
   Status Next(Batch** out) override;

@@ -18,6 +18,8 @@
 #include "compress/pfor.h"
 #include "compress/pfor_delta.h"
 
+#include "test_util.h"
+
 namespace x100ir::compress {
 namespace {
 
@@ -777,16 +779,6 @@ TEST(Codec, EntryPointStrideIsStable) {
 // ---------------------------------------------------------------------------
 // SIMD LOOP1 unpack (PR 4): bit-exactness against the scalar kernels.
 // ---------------------------------------------------------------------------
-
-// Restores the SIMD toggle even when an assertion bails out of a test.
-class ScopedSimdToggle {
- public:
-  ScopedSimdToggle() : prev_(internal::SimdUnpackEnabled()) {}
-  ~ScopedSimdToggle() { internal::SetSimdUnpackEnabled(prev_); }
-
- private:
-  bool prev_;
-};
 
 TEST(Codec, SimdUnpackBitExactSweep) {
   // On hosts without SIMD support both decodes run the scalar table and the

@@ -1,12 +1,13 @@
 // dist/ cluster tests (DESIGN.md §11): merge correctness against the
-// single-engine oracle across cluster sizes, the shared-θ pruning proof,
-// the deadline/straggler/fault battery, and a concurrent multi-stream
-// soak. The identity discipline follows the segmented-read tests: paths
-// that accumulate floats in the same order as the oracle are asserted
-// *bitwise* (EXPECT_EQ on docids and scores); MaxScore paths — where the
-// pruning threshold changes which terms are demoted and therefore the
-// per-document float addition order — are asserted rank-equivalent within
-// tolerance, with docids exact away from ties.
+// reference evaluator (reference.h) across cluster sizes, the shared-θ
+// pruning proof, the deadline/straggler/fault battery, and a concurrent
+// multi-stream soak. The identity discipline follows the segmented-read
+// tests: paths that accumulate floats in the reference's order (the exact
+// union plan, the boolean plans) are asserted *bitwise* — docids, score
+// bits, num_matches; MaxScore paths — where the pruning threshold changes
+// which terms are demoted and therefore the per-document float addition
+// order — are asserted rank-equivalent within tolerance, with docids exact
+// away from ties.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -24,6 +25,7 @@
 #include "ir/query_gen.h"
 #include "ir/snapshot.h"
 
+#include "reference.h"
 #include "test_util.h"
 
 namespace x100ir {
@@ -45,7 +47,7 @@ using ir::SearchResult;
 
 // Same shape as ir_test's small generated corpus: big enough that MaxScore
 // pruning and multi-partition splits are non-trivial, small enough that
-// the oracle runs stay fast under sanitizers.
+// the reference scans stay fast under sanitizers.
 CorpusOptions SmallGeneratedOptions() {
   CorpusOptions opts;
   opts.num_docs = 2000;
@@ -73,8 +75,15 @@ const Corpus& SharedCorpus() {
   return *corpus;
 }
 
-// The monolithic oracle: one engine over the whole corpus, in memory.
-const core::Database& OracleDb() {
+// The reference over the whole corpus (cluster docids are corpus docids).
+const Reference& SharedReference() {
+  static const Reference* ref = new Reference(Reference::Of(SharedCorpus()));
+  return *ref;
+}
+
+// One engine over the whole corpus, in memory: what a one-node cluster
+// must equal bit for bit in every mode, MaxScore included.
+const core::Database& MonolithDb() {
   static const core::Database* db = [] {
     auto* d = new core::Database();
     Status s = d->OpenWithCorpus(SharedCorpus(), "", storage::StorageOptions());
@@ -236,17 +245,17 @@ TEST(ClusterOpen, FewerNodesServeAPrefixOfThePartitions) {
 }
 
 // ---------------------------------------------------------------------------
-// Merge correctness vs the single-engine oracle
+// Merge correctness vs the reference
 // ---------------------------------------------------------------------------
 
 // The exact union path accumulates every document's score in ascending
-// term order inside whichever shard wholly owns the document — the same
-// float addition order as the monolithic plan — and the ranked merge is
-// selection, never re-scoring. So distributed results must be BITWISE
-// identical to the oracle: same docids, same float scores, same match
-// count. Boolean runs are order-preserving concatenations: same docids.
+// term order inside whichever shard wholly owns the document — the
+// reference's float addition order — and the ranked merge is selection,
+// never re-scoring. So distributed results must be BITWISE identical to
+// the reference: same docids, same score bits, same match count. Boolean
+// runs are order-preserving concatenations: same docids, same counts.
 TEST(ClusterMerge, ExactPathsBitwiseMatchOracleAcrossClusterSizes) {
-  const core::Database& oracle = OracleDb();
+  const Reference& ref = SharedReference();
   const std::vector<Query> queries = TestQueries();
   for (uint32_t n : {1u, 2u, 4u, 8u}) {
     Cluster cluster;
@@ -256,15 +265,14 @@ TEST(ClusterMerge, ExactPathsBitwiseMatchOracleAcrossClusterSizes) {
            {RunType::kBoolAnd, RunType::kBoolOr, RunType::kBm25}) {
         SearchOptions sopts;
         sopts.maxscore_bm25 = false;  // exact union scoring
-        SearchResult expect;
-        ASSERT_TRUE(oracle.Search(q, type, sopts, &expect).ok());
+        const SearchResult expect = ref.Search(q, type, sopts);
         DistSearchOptions dopts;
         dopts.search = sopts;
         DistResult got;
         ASSERT_TRUE(cluster.Search(q, type, dopts, &got).ok());
         EXPECT_EQ(got.merged.docids, expect.docids)
             << "nodes=" << n << " type=" << RunTypeName(type);
-        EXPECT_EQ(got.merged.scores, expect.scores)
+        EXPECT_EQ(ScoreBits(got.merged.scores), ScoreBits(expect.scores))
             << "nodes=" << n << " type=" << RunTypeName(type);
         EXPECT_EQ(got.merged.num_matches, expect.num_matches)
             << "nodes=" << n << " type=" << RunTypeName(type);
@@ -277,17 +285,16 @@ TEST(ClusterMerge, ExactPathsBitwiseMatchOracleAcrossClusterSizes) {
 
 // MaxScore paths: θ changes which terms are demoted, which changes the
 // per-document float accumulation order — last-ulp differences vs the
-// oracle are expected, rankings must be equivalent. Both θ modes.
+// reference are expected, rankings must be equivalent. Both θ modes.
 TEST(ClusterMerge, MaxScoreBothThetaModesMatchOracle) {
-  const core::Database& oracle = OracleDb();
+  const Reference& ref = SharedReference();
   const std::vector<Query> queries = TestQueries();
   for (uint32_t n : {2u, 4u, 8u}) {
     Cluster cluster;
     ASSERT_TRUE(cluster.Open(SharedCorpus(), "", InMemoryCluster(n)).ok());
     for (const Query& q : queries) {
-      SearchResult expect;
-      ASSERT_TRUE(oracle.Search(q, RunType::kBm25, SearchOptions(), &expect)
-                      .ok());
+      const SearchResult expect =
+          ref.Search(q, RunType::kBm25, SearchOptions());
       for (bool share : {false, true}) {
         DistSearchOptions dopts;
         dopts.share_theta = share;
@@ -300,11 +307,13 @@ TEST(ClusterMerge, MaxScoreBothThetaModesMatchOracle) {
   }
 }
 
-// A one-node cluster runs the oracle's own plan over the oracle's own
+// A one-node cluster runs the monolith's own plan over the monolith's own
 // docid space (base 0): every mode — exact, MaxScore, shared-θ (the only
-// shard seeds itself with its own bound, a no-op) — must be bitwise.
+// shard seeds itself with its own bound, a no-op) — must be bitwise, and
+// the exact mode is bitwise the reference too.
 TEST(ClusterMerge, SingleNodeClusterIsBitwiseInAllModes) {
-  const core::Database& oracle = OracleDb();
+  const core::Database& monolith = MonolithDb();
+  const Reference& ref = SharedReference();
   Cluster cluster;
   ASSERT_TRUE(cluster.Open(SharedCorpus(), "", InMemoryCluster(1)).ok());
   for (const Query& q : TestQueries()) {
@@ -312,16 +321,22 @@ TEST(ClusterMerge, SingleNodeClusterIsBitwiseInAllModes) {
       for (bool share : {false, true}) {
         SearchOptions sopts;
         sopts.maxscore_bm25 = maxscore;
-        SearchResult expect;
-        ASSERT_TRUE(oracle.Search(q, RunType::kBm25, sopts, &expect).ok());
+        SearchResult plan;
+        ASSERT_TRUE(monolith.Search(q, RunType::kBm25, sopts, &plan).ok());
         DistSearchOptions dopts;
         dopts.search = sopts;
         dopts.share_theta = share;
         DistResult got;
         ASSERT_TRUE(cluster.Search(q, RunType::kBm25, dopts, &got).ok());
-        EXPECT_EQ(got.merged.docids, expect.docids);
-        EXPECT_EQ(got.merged.scores, expect.scores);
-        EXPECT_EQ(got.merged.num_matches, expect.num_matches);
+        EXPECT_EQ(got.merged.docids, plan.docids);
+        EXPECT_EQ(ScoreBits(got.merged.scores), ScoreBits(plan.scores));
+        EXPECT_EQ(got.merged.num_matches, plan.num_matches);
+        if (!maxscore) {
+          const SearchResult expect = ref.Search(q, RunType::kBm25, sopts);
+          EXPECT_EQ(got.merged.docids, expect.docids);
+          EXPECT_EQ(ScoreBits(got.merged.scores), ScoreBits(expect.scores));
+          EXPECT_EQ(got.merged.num_matches, expect.num_matches);
+        }
       }
     }
   }
@@ -587,27 +602,22 @@ TEST(ClusterStorage, PartitionIndexesBuildOnceAndReuseOnReopen) {
 }
 
 // kBm25T/TC recompute scores from tf columns under the cluster-global
-// stats, so the distributed rankings must be equivalent to the monolithic
-// storage run. (TCM/TCMQ8 bake partition-local stats into materialized
+// stats, so the distributed rankings must be equivalent to the
+// reference's. (TCM/TCMQ8 bake partition-local stats into materialized
 // columns at build time — a documented substitution, not asserted here.)
 TEST(ClusterStorage, TwoPassStorageRunMatchesOracle) {
   const std::string cdir = TempClusterDir("cluster");
-  const std::string odir = TempClusterDir("oracle");
   std::filesystem::remove_all(cdir);
-  std::filesystem::remove_all(odir);
   ClusterOptions copts = InMemoryCluster(4);
   copts.storage.pool_bytes = 8ull << 20;
   Cluster cluster;
   ASSERT_TRUE(cluster.Open(SharedCorpus(), cdir, copts).ok());
-  core::Database oracle;
-  ASSERT_TRUE(
-      oracle.OpenWithCorpus(SharedCorpus(), odir, copts.storage).ok());
+  const Reference& ref = SharedReference();
   const std::vector<Query> queries = TestQueries();
   for (size_t i = 0; i < queries.size(); i += 7) {
     const Query& q = queries[i];
-    SearchResult expect;
-    ASSERT_TRUE(
-        oracle.Search(q, RunType::kBm25TC, SearchOptions(), &expect).ok());
+    const SearchResult expect =
+        ref.Search(q, RunType::kBm25TC, SearchOptions());
     DistResult got;
     ASSERT_TRUE(
         cluster.Search(q, RunType::kBm25TC, DistSearchOptions(), &got).ok());
@@ -615,7 +625,6 @@ TEST(ClusterStorage, TwoPassStorageRunMatchesOracle) {
                              expect.docids, expect.scores, 1e-4f);
   }
   std::filesystem::remove_all(cdir);
-  std::filesystem::remove_all(odir);
 }
 
 // ---------------------------------------------------------------------------
@@ -624,20 +633,17 @@ TEST(ClusterStorage, TwoPassStorageRunMatchesOracle) {
 
 // Seeded soak: four closed-loop driver threads hammer one cluster with
 // shared-θ scatter-gather queries while the main thread knows every
-// query's oracle answer. Zero mismatches and zero errors required. (The θ
+// query's reference answer. Zero mismatches and zero errors required. (The θ
 // channel is per-query state; concurrent queries must never bleed bounds
 // into each other — a bleed would surface here as a pruned-away result.)
 TEST(ConcurrentStreams, SharedThetaSoakMatchesOracleUnderConcurrency) {
-  const core::Database& oracle = OracleDb();
   Cluster cluster;
   ASSERT_TRUE(cluster.Open(SharedCorpus(), "", InMemoryCluster(4)).ok());
   const std::vector<Query> queries = TestQueries();
-  std::vector<SearchResult> expected(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(oracle
-                    .Search(queries[i], RunType::kBm25, SearchOptions(),
-                            &expected[i])
-                    .ok());
+  std::vector<SearchResult> expected;
+  for (const Query& q : queries) {
+    expected.push_back(
+        SharedReference().Search(q, RunType::kBm25, SearchOptions()));
   }
   constexpr int kDrivers = 4;
   constexpr int kRounds = 3;

@@ -1,9 +1,10 @@
 // End-to-end tests for the query API: corpus generation and qrels, the
-// query generator, index build/persist/reuse, BoolAND/BoolOR result sets vs
-// a naive set oracle, BM25 top-k vs a naive full-scan scorer (the golden
+// query generator, index build/persist/reuse, BoolAND/BoolOR result sets
+// and BM25 top-k vs the reference evaluator (reference.h; the golden
 // retrieval test — acceptance pins agreement to 1e-5), top-k heap
-// semantics, p@20 metrics, and vector-size validation through the public
-// Database::Search API.
+// semantics, p@20 metrics, vector-size validation through the public
+// Database::Search API, Block-Max MaxScore skipping, and the fused
+// decode→score kernel against MapBm25.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "compress/pfor.h"
+#include "compress/unpack.h"
 #include "core/database.h"
 #include "ir/corpus.h"
 #include "ir/custom_engine.h"
@@ -22,94 +26,14 @@
 #include "ir/metrics.h"
 #include "ir/query_gen.h"
 #include "ir/search_engine.h"
+#include "ir/tf_window_score.h"
 #include "ir/topk.h"
 
+#include "reference.h"
 #include "test_util.h"
 
 namespace x100ir::ir {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Oracles
-// ---------------------------------------------------------------------------
-
-// Naive BM25 scorer: full scan over the corpus, float arithmetic mirroring
-// the fused kernel term by term (idf via the same formula the index
-// builder uses), ranked (score desc, docid asc).
-struct OracleHit {
-  int32_t docid;
-  float score;
-};
-
-std::vector<OracleHit> OracleBm25(const Corpus& corpus,
-                                  const std::vector<uint32_t>& terms,
-                                  const Bm25Params& params) {
-  const uint32_t n_docs = corpus.num_docs();
-  std::vector<uint32_t> sorted_terms = terms;
-  std::sort(sorted_terms.begin(), sorted_terms.end());
-  sorted_terms.erase(std::unique(sorted_terms.begin(), sorted_terms.end()),
-                     sorted_terms.end());
-
-  std::vector<float> idf(sorted_terms.size());
-  for (size_t i = 0; i < sorted_terms.size(); ++i) {
-    uint32_t df = 0;
-    for (uint32_t d = 0; d < n_docs; ++d) {
-      for (const DocTerm& p : corpus.doc(d)) {
-        if (p.term == sorted_terms[i]) ++df;
-      }
-    }
-    idf[i] = static_cast<float>(
-        std::log(1.0 + (static_cast<double>(n_docs) - df + 0.5) / (df + 0.5)));
-  }
-  const float inv_avgdl = static_cast<float>(1.0 / corpus.avg_doc_len());
-
-  std::vector<OracleHit> hits;
-  for (uint32_t d = 0; d < n_docs; ++d) {
-    float score = 0.0f;
-    bool matched = false;
-    for (size_t i = 0; i < sorted_terms.size(); ++i) {
-      for (const DocTerm& p : corpus.doc(d)) {
-        if (p.term != sorted_terms[i]) continue;
-        const float w = idf[i] * (params.k1 + 1.0f);
-        const float c0 = params.k1 * (1.0f - params.b);
-        const float c1 = params.k1 * params.b * inv_avgdl;
-        const float tff = static_cast<float>(p.tf);
-        score += w * tff /
-                 (tff + c0 + c1 * static_cast<float>(corpus.doc_len(d)));
-        matched = true;
-      }
-    }
-    if (matched) hits.push_back({static_cast<int32_t>(d), score});
-  }
-  std::sort(hits.begin(), hits.end(), [](const OracleHit& a,
-                                         const OracleHit& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.docid < b.docid;
-  });
-  return hits;
-}
-
-// Naive boolean oracle over the corpus.
-std::vector<int32_t> OracleBool(const Corpus& corpus,
-                                const std::vector<uint32_t>& terms,
-                                bool conjunctive) {
-  std::vector<int32_t> out;
-  for (uint32_t d = 0; d < corpus.num_docs(); ++d) {
-    uint32_t present = 0;
-    for (uint32_t t : terms) {
-      for (const DocTerm& p : corpus.doc(d)) {
-        if (p.term == t) {
-          ++present;
-          break;
-        }
-      }
-    }
-    const bool match =
-        conjunctive ? present == terms.size() : present > 0;
-    if (match) out.push_back(static_cast<int32_t>(d));
-  }
-  return out;
-}
 
 // The golden corpus: 8 tiny hand-built documents over a 10-term
 // vocabulary, chosen so AND/OR/ranking all have non-trivial answers.
@@ -397,10 +321,11 @@ TEST_F(GoldenSearchTest, BooleanRunsMatchSetOracle) {
                                           : RunType::kBoolOr,
                               opts, &result)
                       .ok());
-      const auto want = OracleBool(corpus_, terms, conjunctive);
-      EXPECT_EQ(result.docids, want)
+      const SearchResult want = Reference::Of(corpus_).Search(
+          q, conjunctive ? RunType::kBoolAnd : RunType::kBoolOr, opts);
+      EXPECT_EQ(result.docids, want.docids)
           << (conjunctive ? "AND" : "OR") << " terms[0]=" << terms[0];
-      EXPECT_EQ(result.num_matches, want.size());
+      EXPECT_EQ(result.num_matches, want.num_matches);
       EXPECT_TRUE(result.scores.empty());
     }
   }
@@ -427,15 +352,16 @@ TEST_F(GoldenSearchTest, Bm25TopKMatchesOracleTo1e5) {
     opts.k = 4;
     SearchResult result;
     ASSERT_TRUE(engine_.Search(q, RunType::kBm25, opts, &result).ok());
-    const auto oracle = OracleBm25(corpus_, terms, opts.bm25);
-    const size_t want_n = std::min<size_t>(opts.k, oracle.size());
+    const SearchResult want =
+        Reference::Of(corpus_).Search(q, RunType::kBm25, opts);
+    const size_t want_n = want.docids.size();
     ASSERT_EQ(result.docids.size(), want_n) << "terms[0]=" << terms[0];
     ASSERT_EQ(result.scores.size(), want_n);
-    EXPECT_EQ(result.num_matches, oracle.size());
+    EXPECT_EQ(result.num_matches, want.num_matches);
     for (size_t i = 0; i < want_n; ++i) {
-      EXPECT_EQ(result.docids[i], oracle[i].docid)
+      EXPECT_EQ(result.docids[i], want.docids[i])
           << "rank " << i << " terms[0]=" << terms[0];
-      EXPECT_NEAR(result.scores[i], oracle[i].score, 1e-5) << "rank " << i;
+      EXPECT_NEAR(result.scores[i], want.scores[i], 1e-5) << "rank " << i;
     }
     // Ranked output is ordered (score desc, docid asc).
     for (size_t i = 1; i < want_n; ++i) {
@@ -470,9 +396,9 @@ TEST_F(GoldenSearchTest, HandlesDuplicateTermsAndErrors) {
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
 }
 
-// The same oracle agreement on a generated corpus, through the Database
-// facade, across several vector sizes (including ones that exercise
-// refill paths mid-posting-list).
+// The same reference agreement on a generated corpus, through the
+// Database facade, across several vector sizes (including ones that
+// exercise refill paths mid-posting-list).
 TEST(Database, Bm25MatchesOracleOnGeneratedCorpusAcrossVectorSizes) {
   core::Database db;
   core::DatabaseOptions dopts;
@@ -485,20 +411,21 @@ TEST(Database, Bm25MatchesOracleOnGeneratedCorpusAcrossVectorSizes) {
   const auto queries = gen.EvalQueries();
   ASSERT_FALSE(queries.empty());
 
+  const Reference ref = Reference::Of(db.corpus());
   for (const Query& q : queries) {
     SearchOptions opts;
     opts.k = 10;
-    const auto oracle = OracleBm25(db.corpus(), q.terms, opts.bm25);
+    const SearchResult want = ref.Search(q, RunType::kBm25, opts);
     for (uint32_t vs : {1u, 3u, 64u, 1024u, 1u << 15}) {
       opts.vector_size = vs;
       SearchResult result;
       ASSERT_TRUE(db.Search(q, RunType::kBm25, opts, &result).ok());
-      const size_t want_n = std::min<size_t>(opts.k, oracle.size());
+      const size_t want_n = want.docids.size();
       ASSERT_EQ(result.docids.size(), want_n) << "vs=" << vs;
       for (size_t i = 0; i < want_n; ++i) {
-        EXPECT_EQ(result.docids[i], oracle[i].docid)
+        EXPECT_EQ(result.docids[i], want.docids[i])
             << "vs=" << vs << " rank " << i;
-        EXPECT_NEAR(result.scores[i], oracle[i].score, 1e-5);
+        EXPECT_NEAR(result.scores[i], want.scores[i], 1e-5);
       }
     }
   }
@@ -597,35 +524,40 @@ TEST(Metrics, PrecisionAtKAgainstKnownQrels) {
 }
 
 // ---------------------------------------------------------------------------
-// PR 4: streaming/skipping hot path vs the materializing PR 3 plans,
+// PR 4: streaming/skipping hot path vs the reference's full evaluation,
 // request validation, ExecStats, custom-engine baselines
 // ---------------------------------------------------------------------------
 
+// The streaming AND join and MaxScore against the reference, which
+// materializes every document's evaluation; the score-all union plan
+// matches it bit for bit.
 TEST_F(GoldenSearchTest, StreamingPathsAgreeWithMaterialized) {
+  const Reference ref = Reference::Of(corpus_);
   const std::vector<std::vector<uint32_t>> term_sets = {
       {2}, {0, 2}, {1, 2, 3}, {0, 1, 2, 3, 4}, {8, 9}, {4, 6, 8}};
   for (const auto& terms : term_sets) {
     Query q;
     q.terms = terms;
     for (uint32_t vs : {1u, 3u, 256u}) {
-      SearchOptions streaming, materialized;
-      streaming.vector_size = materialized.vector_size = vs;
-      streaming.k = materialized.k = 100;
-      materialized.streaming_and = false;
-      materialized.maxscore_bm25 = false;
+      SearchOptions opts;
+      opts.vector_size = vs;
+      opts.k = 100;
+      SearchResult a;
+      ASSERT_TRUE(engine_.Search(q, RunType::kBoolAnd, opts, &a).ok());
+      const SearchResult and_want = ref.Search(q, RunType::kBoolAnd, opts);
+      EXPECT_EQ(a.docids, and_want.docids) << "AND terms[0]=" << terms[0];
+      EXPECT_EQ(a.num_matches, and_want.num_matches);
 
-      SearchResult a, b;
-      ASSERT_TRUE(engine_.Search(q, RunType::kBoolAnd, streaming, &a).ok());
-      ASSERT_TRUE(
-          engine_.Search(q, RunType::kBoolAnd, materialized, &b).ok());
-      EXPECT_EQ(a.docids, b.docids) << "AND terms[0]=" << terms[0];
-      EXPECT_EQ(a.num_matches, b.num_matches);
-
-      streaming.k = materialized.k = 4;
-      ASSERT_TRUE(engine_.Search(q, RunType::kBm25, streaming, &a).ok());
-      ASSERT_TRUE(engine_.Search(q, RunType::kBm25, materialized, &b).ok());
-      ExpectRankingsEquivalent(a.docids, a.scores, b.docids, b.scores,
+      opts.k = 4;
+      const SearchResult want = ref.Search(q, RunType::kBm25, opts);
+      ASSERT_TRUE(engine_.Search(q, RunType::kBm25, opts, &a).ok());
+      ExpectRankingsEquivalent(a.docids, a.scores, want.docids, want.scores,
                                1e-4f);
+      opts.maxscore_bm25 = false;
+      ASSERT_TRUE(engine_.Search(q, RunType::kBm25, opts, &a).ok());
+      EXPECT_EQ(a.docids, want.docids) << "union terms[0]=" << terms[0];
+      EXPECT_EQ(ScoreBits(a.scores), ScoreBits(want.scores));
+      EXPECT_EQ(a.num_matches, want.num_matches);
     }
   }
 }
@@ -707,14 +639,11 @@ TEST(Database, ExecStatsProveWindowSkipping) {
   // frequent list's window count.
   const uint64_t frequent_windows = db.index()->term(0).doc_freq / 128;
   EXPECT_LT(r.stats.windows_decoded, frequent_windows / 2);
-
-  // The materialized path decodes through scans (no skip counters).
-  SearchOptions materialized;
-  materialized.streaming_and = false;
-  SearchResult rm;
-  ASSERT_TRUE(db.Search(q, RunType::kBoolAnd, materialized, &rm).ok());
-  EXPECT_EQ(rm.stats.windows_skipped, 0u);
-  EXPECT_EQ(r.docids, rm.docids);
+  // ...and skipping loses no match.
+  const SearchResult want =
+      Reference::Of(db.corpus()).Search(q, RunType::kBoolAnd, streaming);
+  EXPECT_EQ(r.docids, want.docids);
+  EXPECT_EQ(r.num_matches, want.num_matches);
 
   // Both ranked paths report primitive calls.
   SearchOptions ranked;
@@ -734,22 +663,23 @@ TEST(Database, MaxScorePrunesAndAgreesOnGeneratedCorpus) {
   QueryGenOptions qopts;
   qopts.num_eval_queries = 8;
   QueryGenerator gen(db.corpus(), qopts);
+  const Reference ref = Reference::Of(db.corpus());
   uint64_t total_pruned = 0;
   for (Query q : gen.EvalQueries()) {
     // Mix in the heaviest Zipf term: low idf, long list — the textbook
     // non-essential term once the heap fills.
     q.terms.push_back(0);
-    SearchOptions maxscore, union_all;
-    maxscore.k = union_all.k = 5;
-    maxscore.vector_size = union_all.vector_size = 64;
-    union_all.maxscore_bm25 = false;
-    SearchResult a, b;
+    SearchOptions maxscore;
+    maxscore.k = 5;
+    maxscore.vector_size = 64;
+    SearchResult a;
     ASSERT_TRUE(db.Search(q, RunType::kBm25, maxscore, &a).ok());
-    ASSERT_TRUE(db.Search(q, RunType::kBm25, union_all, &b).ok());
-    ExpectRankingsEquivalent(a.docids, a.scores, b.docids, b.scores, 1e-4f);
+    const SearchResult want = ref.Search(q, RunType::kBm25, maxscore);
+    ExpectRankingsEquivalent(a.docids, a.scores, want.docids, want.scores,
+                             1e-4f);
     total_pruned += a.stats.vectors_pruned;
     // Pruning can only shrink the candidate set.
-    EXPECT_LE(a.num_matches, b.num_matches);
+    EXPECT_LE(a.num_matches, want.num_matches);
   }
   EXPECT_GT(total_pruned, 0u);
 }
@@ -947,7 +877,7 @@ TEST(Database, BlockMaxSkipsWindowsAndAgreesWithOracle) {
   // Per-window skips need θ to beat Σ(other terms' static ubs) + the
   // window bound, so they fire on short queries over long lists (the
   // classic block-max win) and naturally fade as terms pile up — both
-  // populations must agree with the unskipped oracle either way.
+  // populations must agree with the reference either way.
   QueryGenOptions qopts;
   qopts.num_eval_queries = 8;
   QueryGenerator gen(db.corpus(), qopts);
@@ -960,22 +890,21 @@ TEST(Database, BlockMaxSkipsWindowsAndAgreesWithOracle) {
     pair.terms = {t, t + 40};
     workload.push_back(pair);
   }
+  const Reference ref = Reference::Of(db.corpus());
   uint64_t total_blockmax_skipped = 0;
   for (const Query& q : workload) {
-    SearchOptions with_bm, oracle;
-    with_bm.k = oracle.k = 10;
-    with_bm.vector_size = oracle.vector_size = 64;
-    oracle.blockmax = false;
-    oracle.fused_score = false;
-    SearchResult a, b;
-    ASSERT_TRUE(db.Search(q, RunType::kBm25, with_bm, &a).ok());
-    ASSERT_TRUE(db.Search(q, RunType::kBm25, oracle, &b).ok());
+    SearchOptions opts;
+    opts.k = 10;
+    opts.vector_size = 64;
+    SearchResult a;
+    ASSERT_TRUE(db.Search(q, RunType::kBm25, opts, &a).ok());
+    const SearchResult want = ref.Search(q, RunType::kBm25, opts);
     // Block-max skips may only drop candidates that are provably below θ:
-    // the top-k itself must match the unskipped oracle (p@20 unchanged).
-    ExpectRankingsEquivalent(a.docids, a.scores, b.docids, b.scores, 1e-5f);
-    EXPECT_LE(a.num_matches, b.num_matches);
+    // the top-k itself must match the reference (p@20 unchanged).
+    ExpectRankingsEquivalent(a.docids, a.scores, want.docids, want.scores,
+                             1e-5f);
+    EXPECT_LE(a.num_matches, want.num_matches);
     total_blockmax_skipped += a.stats.windows_blockmax_skipped;
-    EXPECT_EQ(b.stats.windows_blockmax_skipped, 0u);
   }
   // On this small organic corpus the bounds rarely fire (few windows per
   // list, similar maxima) — that is fine; the planted test below pins that
@@ -1008,71 +937,207 @@ TEST(Database, BlockMaxSkipsProvablyWeakWindows) {
 
   Query q;
   q.terms = {0};
-  SearchOptions with_bm, oracle;
-  with_bm.k = oracle.k = 10;
-  with_bm.vector_size = oracle.vector_size = 64;
-  oracle.blockmax = false;
-  SearchResult a, b;
-  ASSERT_TRUE(engine.Search(q, RunType::kBm25, with_bm, &a).ok());
-  ASSERT_TRUE(engine.Search(q, RunType::kBm25, oracle, &b).ok());
+  SearchOptions opts;
+  opts.k = 10;
+  opts.vector_size = 64;
+  SearchResult a;
+  ASSERT_TRUE(engine.Search(q, RunType::kBm25, opts, &a).ok());
+  const SearchResult want =
+      Reference::Of(corpus).Search(q, RunType::kBm25, opts);
 
-  // The top k are exactly the ten tf=8 docs, identically in both paths
-  // (the skipped docs all score strictly below θ).
-  EXPECT_EQ(a.docids, b.docids);
-  EXPECT_EQ(a.scores, b.scores);
+  // The top k are exactly the ten tf=8 docs, with the reference's score
+  // bits (a single-term score is one contribution: no addition order).
   ASSERT_EQ(a.docids.size(), 10u);
   for (size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(a.docids[i], static_cast<int32_t>(i));
   }
+  EXPECT_EQ(a.docids, want.docids);
+  EXPECT_EQ(ScoreBits(a.scores), ScoreBits(want.scores));
 
-  // Most of the list's ~23 windows were rejected by their bound...
-  EXPECT_EQ(b.stats.windows_blockmax_skipped, 0u);
+  // Most of the list's ~23 windows were rejected by their bound, while
+  // decoded + skipped + block-max-skipped still partitions every window
+  // term 0's posting range overlaps...
   EXPECT_GT(a.stats.windows_blockmax_skipped, 15u);
-  // ...which is real savings, and the skipped candidates are gone from
-  // num_matches while the decoded+skipped partition still covers the list.
-  EXPECT_LT(a.stats.windows_decoded, b.stats.windows_decoded);
-  EXPECT_LT(a.num_matches, b.num_matches);
+  const TermInfo& info = index.term(0);
+  const uint64_t overlapped = (info.posting_start + info.doc_freq - 1) / 128 -
+                              info.posting_start / 128 + 1;
   EXPECT_EQ(a.stats.windows_decoded + a.stats.windows_skipped +
                 a.stats.windows_blockmax_skipped,
-            b.stats.windows_decoded + b.stats.windows_skipped);
+            overlapped);
+  // ...and the skipped documents never became candidates.
+  EXPECT_EQ(want.num_matches, kDocs);
+  EXPECT_LT(a.num_matches, kDocs);
 }
 
-TEST(Database, FusedScoreBitIdenticalToComposedPath) {
+// ---------------------------------------------------------------------------
+// Fused decode→score kernel vs MapBm25 (tf_window_score.h)
+// ---------------------------------------------------------------------------
+
+// Scores one tf window both ways — FusedScoreTfWindow straight from the
+// view, MapBm25 over the decoded tfs — and requires identical float bits.
+void ExpectFusedMatchesMapBm25(const compress::WindowView& view,
+                               const int32_t* tf, const int32_t* dl,
+                               float idf, float inv_avgdl) {
+  constexpr float k1 = 1.2f;
+  constexpr float b = 0.75f;
+  std::vector<float> want(view.len), got(view.len);
+  MapBm25(view.len, want.data(), tf, dl, idf, k1, b, inv_avgdl);
+  ASSERT_TRUE(FusedScoreTfWindow(view, dl, idf * (k1 + 1.0f),
+                                 k1 * (1.0f - b), k1 * b * inv_avgdl,
+                                 got.data()));
+  ASSERT_EQ(ScoreBits(got), ScoreBits(want))
+      << "window at " << view.begin << " b=" << view.bit_width
+      << " dense=" << view.dense << " exceptions=" << view.exc_count;
+}
+
+TEST(FusedScore, BitsEqualMapBm25OnEveryIndexWindow) {
+  Corpus corpus;
+  ASSERT_TRUE(Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
+  InvertedIndex index;
+  BuildStats stats;
+  ASSERT_TRUE(index.BuildFromCorpus(corpus, "", &stats).ok());
+  const compress::BlockDecoder* dec = index.tf_decoder();
+  ASSERT_EQ(dec->scheme(), compress::Scheme::kPfor);
+  ASSERT_FALSE(dec->naive_layout());
+  const float inv_avgdl = static_cast<float>(1.0 / index.avg_doc_len());
+  ScopedSimdToggle restore;
+  uint64_t with_exceptions = 0;
+  for (bool simd : {false, true}) {
+    compress::internal::SetSimdUnpackEnabled(simd);
+    for (uint32_t w = 0; w < dec->entry_count(); ++w) {
+      const compress::WindowView view = dec->WindowViewOf(w);
+      int32_t tf[compress::kEntryPointStride];
+      int32_t docid[compress::kEntryPointStride];
+      int32_t dl[compress::kEntryPointStride];
+      index.tf_source()->Read(view.begin, view.len, tf);
+      index.docid_source()->Read(view.begin, view.len, docid);
+      for (uint32_t i = 0; i < view.len; ++i) {
+        dl[i] = index.doc_lens()[docid[i]];
+      }
+      for (float idf : {0.05f, 2.5f, 9.75f}) {
+        ExpectFusedMatchesMapBm25(view, tf, dl, idf, inv_avgdl);
+      }
+      with_exceptions += view.exc_count > 0 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(with_exceptions, 0u);
+}
+
+// Synthetic PFOR blocks at every codeword width: per block one window with
+// sparse exceptions, one exception-heavy window, one window of nothing but
+// exceptions (stored dense), and a 37-value short last window. Width 0 —
+// the constant run, which no encoder emits — is covered by hand-built
+// views over the same windows' shapes.
+TEST(FusedScore, BitsEqualMapBm25OnSyntheticBlocks) {
+  constexpr uint32_t kStride = compress::kEntryPointStride;
+  constexpr uint32_t kN = 3 * kStride + 37;
+  constexpr double kExceptionRate[] = {0.03, 0.25, 1.0, 0.1};
+  const float inv_avgdl = 1.0f / 37.5f;
+  ScopedSimdToggle restore;
+  uint64_t dense = 0, patched = 0, short_tail = 0;
+  for (int bw = 1; bw <= compress::kMaxBitWidth; ++bw) {
+    Rng rng(0xf05ed + bw);
+    const int64_t lo = 1;
+    const int64_t span = int64_t{1} << bw;
+    const int64_t extra =
+        std::min<int64_t>(1000, INT32_MAX - lo - span + 1);
+    std::vector<int32_t> values(kN), dl(kN);
+    for (uint32_t i = 0; i < kN; ++i) {
+      const bool exc = rng.NextDouble() < kExceptionRate[i / kStride];
+      values[i] = static_cast<int32_t>(
+          exc ? lo + span + static_cast<int64_t>(rng.NextBounded(extra))
+              : lo + static_cast<int64_t>(
+                         rng.NextBounded(static_cast<uint64_t>(span))));
+      dl[i] = 1 + static_cast<int32_t>(rng.NextBounded(300));
+    }
+    values[0] = static_cast<int32_t>(lo);  // pins the FOR base
+    compress::EncodeOptions eo;
+    eo.bit_width = bw;
+    std::vector<uint8_t> block;
+    ASSERT_TRUE(
+        compress::PforEncode(values.data(), kN, eo, &block, nullptr).ok());
+    compress::BlockDecoder dec;
+    ASSERT_TRUE(dec.Init(block.data(), block.size()).ok());
+    ASSERT_TRUE(dec.Validate().ok());
+    ASSERT_EQ(dec.bit_width(), bw);
+    for (bool simd : {false, true}) {
+      compress::internal::SetSimdUnpackEnabled(simd);
+      for (uint32_t w = 0; w < dec.entry_count(); ++w) {
+        const compress::WindowView view = dec.WindowViewOf(w);
+        ExpectFusedMatchesMapBm25(view, values.data() + view.begin,
+                                  dl.data() + view.begin, 1.7f, inv_avgdl);
+        dense += view.dense ? 1 : 0;
+        patched += !view.dense && view.exc_count > 0 ? 1 : 0;
+        short_tail += view.len < kStride ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(dense, 0u);
+  EXPECT_GT(patched, 0u);
+  EXPECT_GT(short_tail, 0u);
+
+  // Width 0: every codeword is 0, so value == base except at exception
+  // records {int32 value, uint32 block-absolute pos}.
+  for (uint32_t len : {kStride, 37u}) {
+    const uint32_t begin = 2 * kStride;
+    const int32_t base = 3;
+    std::vector<int32_t> tf(len, base), dl(len);
+    std::vector<uint8_t> exc;
+    Rng rng(len);
+    for (uint32_t i = 0; i < len; ++i) {
+      dl[i] = 1 + static_cast<int32_t>(rng.NextBounded(300));
+      if (i % 5 != 2) continue;
+      tf[i] = base + 1 + static_cast<int32_t>(rng.NextBounded(40));
+      const uint32_t pos = begin + i;
+      const uint8_t* v = reinterpret_cast<const uint8_t*>(&tf[i]);
+      const uint8_t* p = reinterpret_cast<const uint8_t*>(&pos);
+      exc.insert(exc.end(), v, v + 4);
+      exc.insert(exc.end(), p, p + 4);
+    }
+    // The kernel never reads a width-0 payload, but it must be non-null.
+    const std::vector<uint8_t> payload(64, 0);
+    compress::WindowView view;
+    view.payload = payload.data();
+    view.exc = exc.data();
+    view.exc_count = static_cast<uint32_t>(exc.size() / 8);
+    view.begin = begin;
+    view.len = len;
+    view.bit_width = 0;
+    view.base = base;
+    for (bool simd : {false, true}) {
+      compress::internal::SetSimdUnpackEnabled(simd);
+      ExpectFusedMatchesMapBm25(view, tf.data(), dl.data(), 1.7f, inv_avgdl);
+    }
+  }
+}
+
+// Single-term queries score every docid window they decode with the fused
+// kernel and never touch the tf column through the probe reader.
+TEST(Database, SingleTermQueriesFuseEveryDecodedWindow) {
   core::Database db;
   core::DatabaseOptions dopts;
   dopts.corpus = SmallGeneratedOptions();
   ASSERT_TRUE(db.Open(dopts).ok());
-
-  QueryGenOptions qopts;
-  qopts.num_eval_queries = 8;
-  QueryGenerator gen(db.corpus(), qopts);
-  uint64_t total_fused = 0;
-  for (Query q : gen.EvalQueries()) {
-    q.terms.push_back(0);
-    // Isolate the kernel: block-max off on both sides, so both runs merge
-    // the exact same candidate stream and only the scoring path differs.
-    SearchOptions fused, composed;
-    fused.k = composed.k = 10;
-    fused.blockmax = composed.blockmax = false;
-    composed.fused_score = false;
-    SearchResult a, b;
-    ASSERT_TRUE(db.Search(q, RunType::kBm25, fused, &a).ok());
-    ASSERT_TRUE(db.Search(q, RunType::kBm25, composed, &b).ok());
-    // Bit-identical, not merely close (fused_score.h's contract) — and in
-    // particular within the 1e-5 the golden retrieval tests pin.
-    ASSERT_EQ(a.docids, b.docids);
-    ASSERT_EQ(a.scores.size(), b.scores.size());
-    for (size_t i = 0; i < a.scores.size(); ++i) {
-      EXPECT_EQ(a.scores[i], b.scores[i]) << "rank " << i;
-      EXPECT_NEAR(a.scores[i], b.scores[i], 1e-5) << "rank " << i;
+  uint32_t queries = 0;
+  uint64_t fused = 0;
+  for (uint32_t t = 0; t < db.index()->vocab_size() && queries < 1200; ++t) {
+    if (db.index()->term(t).doc_freq == 0) continue;
+    Query q;
+    q.terms.push_back(t);
+    for (const uint32_t k : {1u, 10u, 100u}) {
+      SearchOptions opts;
+      opts.k = k;
+      SearchResult r;
+      ASSERT_TRUE(db.Search(q, RunType::kBm25, opts, &r).ok());
+      EXPECT_EQ(r.stats.fused_windows, r.stats.windows_decoded)
+          << "term " << t << " k " << k;
+      EXPECT_EQ(r.stats.tf_windows_decoded, 0u) << "term " << t;
+      fused += r.stats.fused_windows;
+      ++queries;
     }
-    EXPECT_EQ(a.num_matches, b.num_matches);
-    total_fused += a.stats.fused_windows;
-    EXPECT_EQ(b.stats.fused_windows, 0u);
-    // Fused windows never decode a tf vector.
-    EXPECT_LT(a.stats.tf_windows_decoded, b.stats.tf_windows_decoded);
   }
-  EXPECT_GT(total_fused, 0u);
+  EXPECT_EQ(queries, 1200u);
+  EXPECT_GT(fused, 0u);
 }
 
 TEST(Database, WindowCountersPartitionSingleTermTraversal) {

@@ -1,0 +1,132 @@
+// The one reference evaluator the agreement tests compare against: exact
+// BoolAND, BoolOR and ranked BM25 over a list of live documents. It reads
+// no index, cursor or engine code — it scans every document — and scores
+// with the statistics a monolithic index rebuilt from exactly those
+// documents carries: num_docs and df counted over the list, avg_doc_len
+// as Corpus::Finalize computes it (integer total length, one double
+// division), idf = Bm25Idf(num_docs, df).
+//
+// Bitwise contract: each BM25 contribution is written out in MapBm25's
+// operation order (w = idf * (k1 + 1), c0 = k1 * (1 - b),
+// c1 = k1 * b * inv_avgdl, then w * tf / ((tf + c0) + c1 * doclen)), and a
+// document's contributions are summed from 0.0f in ascending term order —
+// the float addition order of the score-all union plan. That plan, and
+// both boolean plans, therefore match the reference bit for bit (docids,
+// score bits, num_matches) on a monolithic index, a segmented snapshot
+// with tombstones and a delta, and an N-way cluster. MaxScore and the
+// storage runs add in other orders and are compared within a tolerance.
+#ifndef X100IR_TESTS_REFERENCE_H_
+#define X100IR_TESTS_REFERENCE_H_
+
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "ir/bm25.h"
+#include "ir/corpus.h"
+#include "ir/query_gen.h"
+#include "ir/search_engine.h"
+
+namespace x100ir {
+
+class Reference {
+ public:
+  struct Doc {
+    int32_t docid = 0;               // result-space (global) docid
+    std::vector<ir::DocTerm> terms;  // sorted by term, distinct, tf > 0
+  };
+
+  // `docs` ascending by docid; every term id below `vocab`.
+  Reference(std::vector<Doc> docs, uint32_t vocab)
+      : docs_(std::move(docs)), df_(vocab, 0) {
+    uint64_t total_len = 0;
+    for (const Doc& d : docs_) {
+      int64_t len = 0;
+      for (const ir::DocTerm& p : d.terms) {
+        ++df_[p.term];
+        len += p.tf;
+      }
+      lens_.push_back(static_cast<int32_t>(len));
+      total_len += static_cast<uint64_t>(len);
+    }
+    avg_doc_len_ = docs_.empty() ? 0.0
+                                 : static_cast<double>(total_len) /
+                                       static_cast<double>(docs_.size());
+  }
+
+  // Every document of `corpus`, docid = corpus docid.
+  static Reference Of(const ir::Corpus& corpus) {
+    std::vector<Doc> docs(corpus.num_docs());
+    for (uint32_t d = 0; d < corpus.num_docs(); ++d) {
+      docs[d].docid = static_cast<int32_t>(d);
+      docs[d].terms = corpus.doc(d);
+    }
+    return Reference(std::move(docs), corpus.vocab_size());
+  }
+
+  // Boolean runs: the first k matching docids ascending. Every ranked run
+  // type: the exact BM25 top k (score desc, docid asc). num_matches counts
+  // every matching document.
+  ir::SearchResult Search(const ir::Query& query, ir::RunType type,
+                          const ir::SearchOptions& opts) const {
+    std::vector<uint32_t> terms = query.terms;
+    std::sort(terms.begin(), terms.end());
+    terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+    const float k1 = opts.bm25.k1;
+    const float b = opts.bm25.b;
+    const float inv_avgdl =
+        avg_doc_len_ > 0.0 ? static_cast<float>(1.0 / avg_doc_len_) : 0.0f;
+    const float c0 = k1 * (1.0f - b);
+    const float c1 = k1 * b * inv_avgdl;
+    const uint32_t n = static_cast<uint32_t>(docs_.size());
+    std::vector<float> w(terms.size());
+    for (size_t j = 0; j < terms.size(); ++j) {
+      w[j] = Bm25Idf(n, df_[terms[j]]) * (k1 + 1.0f);
+    }
+    std::vector<std::pair<float, int32_t>> hits;  // (score, docid)
+    for (uint32_t i = 0; i < n; ++i) {
+      const std::vector<ir::DocTerm>& dt = docs_[i].terms;
+      float score = 0.0f;
+      size_t present = 0;
+      for (size_t j = 0; j < terms.size(); ++j) {
+        const auto it = std::lower_bound(
+            dt.begin(), dt.end(), terms[j],
+            [](const ir::DocTerm& p, uint32_t v) { return p.term < v; });
+        if (it == dt.end() || it->term != terms[j]) continue;
+        ++present;
+        const float tff = static_cast<float>(it->tf);
+        score += w[j] * tff / (tff + c0 + c1 * static_cast<float>(lens_[i]));
+      }
+      const bool match = type == ir::RunType::kBoolAnd
+                             ? present == terms.size()
+                             : present > 0;
+      if (match) hits.push_back({score, docs_[i].docid});
+    }
+    const bool ranked = ir::IsRankedRun(type);
+    if (ranked) {
+      std::sort(hits.begin(), hits.end(), [](const auto& x, const auto& y) {
+        if (x.first != y.first) return x.first > y.first;
+        return x.second < y.second;
+      });
+    }
+    ir::SearchResult r;
+    r.num_matches = hits.size();
+    hits.resize(std::min<size_t>(hits.size(), opts.k));
+    for (const auto& [score, docid] : hits) {
+      r.docids.push_back(docid);
+      if (ranked) r.scores.push_back(score);
+    }
+    return r;
+  }
+
+ private:
+  std::vector<Doc> docs_;
+  std::vector<int32_t> lens_;
+  std::vector<uint32_t> df_;
+  double avg_doc_len_ = 0.0;
+};
+
+}  // namespace x100ir
+
+#endif  // X100IR_TESTS_REFERENCE_H_

@@ -1,7 +1,8 @@
 // Snapshot-semantics battery for the segmented index (DESIGN.md §10):
-// live adds/deletes are bit-identical to a monolithic index rebuilt over
-// the same logical corpus, concurrent searches during a background merge
-// stay bit-identical to their serial oracle (epoch-stable: a merge changes
+// live adds/deletes are bit-identical to the reference evaluator over the
+// same logical corpus (reference.h: the statistics of a monolithic index
+// rebuilt from the live documents), concurrent searches during a
+// background merge stay bit-identical to it (epoch-stable: a merge changes
 // no logical content), replaced segments retire — files deleted, pages
 // dropped from the shared pool — only when the last pinning snapshot
 // releases, a torn MANIFEST falls back to a clean rebuild, a valid one is
@@ -32,6 +33,7 @@
 #include "ir/snapshot.h"
 #include "storage/buffer_manager.h"
 
+#include "reference.h"
 #include "test_util.h"
 
 namespace x100ir::ir {
@@ -49,7 +51,7 @@ std::string FreshDir(const char* name) {
   return dir;
 }
 
-// Small enough that a full oracle rebuild per verification is cheap, big
+// Small enough that a full reference scan per verification is cheap, big
 // enough that queries have real posting lists to merge across segments.
 CorpusOptions TinyGenerated(uint32_t num_docs = 400) {
   CorpusOptions opts;
@@ -86,12 +88,12 @@ std::vector<uint32_t> RandomDoc(Rng* rng, uint32_t vocab) {
 }
 
 // ---------------------------------------------------------------------------
-// Reference model + oracle: the logical corpus the database should equal.
+// Live model: the logical corpus the database should equal.
 // ---------------------------------------------------------------------------
 
-// Mirrors every mutation the test applies to the database; BuildOracle
-// compacts the live docs (global docid order) into a fresh monolithic
-// in-memory index — exactly what the acceptance criterion compares against.
+// Mirrors every mutation the test applies to the database; Ref() is the
+// reference evaluator over its live docs in global docid order — exactly
+// what the acceptance criterion compares against.
 struct LiveModel {
   uint32_t vocab = 0;
   std::vector<std::vector<DocTerm>> docs;  // by global docid, normalized
@@ -123,55 +125,33 @@ struct LiveModel {
     for (uint8_t d : dead) n += d == 0 ? 1 : 0;
     return n;
   }
-};
-
-struct Oracle {
-  Corpus corpus;
-  std::unique_ptr<InvertedIndex> index;
-  std::vector<int32_t> globals;  // oracle-local docid -> global docid
-};
-
-void BuildOracle(const LiveModel& m, Oracle* o) {
-  std::vector<std::vector<DocTerm>> live;
-  o->globals.clear();
-  for (size_t d = 0; d < m.docs.size(); ++d) {
-    if (m.dead[d]) continue;
-    live.push_back(m.docs[d]);
-    o->globals.push_back(static_cast<int32_t>(d));
+  Reference Ref() const {
+    std::vector<Reference::Doc> live;
+    for (size_t d = 0; d < docs.size(); ++d) {
+      if (!dead[d]) live.push_back({static_cast<int32_t>(d), docs[d]});
+    }
+    return Reference(std::move(live), vocab);
   }
-  ASSERT_TRUE(Corpus::FromDocTerms(std::move(live), m.vocab, &o->corpus).ok());
-  o->index = std::make_unique<InvertedIndex>();
-  BuildStats stats;
-  ASSERT_TRUE(o->index->BuildFromCorpus(o->corpus, "", &stats).ok());
-}
-
-// Serial oracle run with local docids mapped back to global space.
-Status OracleSearch(const Oracle& o, const Query& q, RunType type,
-                    const SearchOptions& opts, SearchResult* result) {
-  SearchEngine engine(o.index.get());
-  Status s = engine.Search(q, type, opts, result);
-  if (!s.ok()) return s;
-  for (int32_t& d : result->docids) d = o.globals[static_cast<size_t>(d)];
-  return OkStatus();
-}
+};
 
 // Full bitwise comparison battery: the score-all union path and both
-// boolean plans must match the oracle exactly — same docids, same float
+// boolean plans must match the reference exactly — same docids, same float
 // bits (same per-document accumulation order by construction, DESIGN.md
-// §10). MaxScore agrees to rank-equivalence.
-void ExpectMatchesOracle(const core::Database& db, const Oracle& o,
-                         const std::vector<Query>& queries) {
+// §10), same match counts. MaxScore agrees to rank-equivalence.
+void ExpectMatchesReference(const core::Database& db, const Reference& ref,
+                            const std::vector<Query>& queries) {
   SearchOptions exact;
   exact.maxscore_bm25 = false;
   exact.k = 50;
   SearchOptions maxscore;
   maxscore.k = 50;
   for (const Query& q : queries) {
-    SearchResult got, want;
+    SearchResult got;
+    const SearchResult want = ref.Search(q, RunType::kBm25, exact);
     ASSERT_TRUE(db.Search(q, RunType::kBm25, exact, &got).ok());
-    ASSERT_TRUE(OracleSearch(o, q, RunType::kBm25, exact, &want).ok());
     EXPECT_EQ(got.docids, want.docids);
-    EXPECT_EQ(got.scores, want.scores);
+    EXPECT_EQ(ScoreBits(got.scores), ScoreBits(want.scores));
+    EXPECT_EQ(got.num_matches, want.num_matches);
 
     SearchResult got_ms;
     ASSERT_TRUE(db.Search(q, RunType::kBm25, maxscore, &got_ms).ok());
@@ -179,10 +159,11 @@ void ExpectMatchesOracle(const core::Database& db, const Oracle& o,
                              want.scores, 1e-4f);
 
     for (RunType type : {RunType::kBoolAnd, RunType::kBoolOr}) {
-      SearchResult bg, bw;
+      SearchResult bg;
+      const SearchResult bw = ref.Search(q, type, exact);
       ASSERT_TRUE(db.Search(q, type, exact, &bg).ok());
-      ASSERT_TRUE(OracleSearch(o, q, type, exact, &bw).ok());
       EXPECT_EQ(bg.docids, bw.docids);
+      EXPECT_EQ(bg.num_matches, bw.num_matches);
     }
   }
 }
@@ -217,9 +198,7 @@ TEST(SegmentTest, AddsAreVisibleAndBitIdenticalToRebuiltOracle) {
   const uint64_t epoch_after = db.epoch();
   EXPECT_EQ(epoch_after, epoch0 + 120);
 
-  Oracle oracle;
-  BuildOracle(model, &oracle);
-  ExpectMatchesOracle(db, oracle, MakeQueries(db.corpus(), 25));
+  ExpectMatchesReference(db, model.Ref(), MakeQueries(db.corpus(), 25));
 
   // Results are stamped with the snapshot's epoch.
   SearchResult r;
@@ -261,10 +240,8 @@ TEST(SegmentTest, DeleteHidesDocsAndClassifiesErrors) {
   EXPECT_EQ(db.DeleteDocument(-1).code(), StatusCode::kNotFound);
   EXPECT_EQ(db.DeleteDocument(base_docs + 60).code(), StatusCode::kNotFound);
 
-  Oracle oracle;
-  BuildOracle(model, &oracle);
   const auto queries = MakeQueries(db.corpus(), 25);
-  ExpectMatchesOracle(db, oracle, queries);
+  ExpectMatchesReference(db, model.Ref(), queries);
 
   // Belt and braces: no run type ever returns a tombstoned docid.
   SearchOptions opts;
@@ -309,40 +286,42 @@ TEST(SegmentTest, SearchDuringMergeIsBitIdenticalToOracle) {
   }
 
   // The logical corpus is frozen for the whole merge: StartMerge and the
-  // commit bump the epoch but change no content, so ONE oracle covers the
-  // before, during, and after views.
-  Oracle oracle;
-  BuildOracle(model, &oracle);
+  // commit bump the epoch but change no content, so ONE reference covers
+  // the before, during, and after views.
+  const Reference ref = model.Ref();
   const auto queries = MakeQueries(db.corpus(), 8);
-  ExpectMatchesOracle(db, oracle, queries);
+  ExpectMatchesReference(db, ref, queries);
+  SearchOptions exact;
+  exact.maxscore_bm25 = false;
+  exact.k = 50;
+  std::vector<SearchResult> want_bm25, want_or;
+  for (const Query& q : queries) {
+    want_bm25.push_back(ref.Search(q, RunType::kBm25, exact));
+    want_or.push_back(ref.Search(q, RunType::kBoolOr, exact));
+  }
 
   std::atomic<bool> done{false};
   std::atomic<uint64_t> reader_queries{0};
   std::atomic<uint64_t> mismatches{0};
 
-  // Readers hammer the exact-union path and both boolean plans while the
+  // Readers hammer the exact-union path and the disjunctive plan while the
   // merge runs; EXPECT from a non-main thread is fine, but count too so
   // the main thread can assert the volume.
   auto reader = [&](int id) {
-    SearchOptions exact;
-    exact.maxscore_bm25 = false;
-    exact.k = 50;
     size_t i = static_cast<size_t>(id);
     while (!done.load(std::memory_order_acquire)) {
-      const Query& q = queries[i++ % queries.size()];
-      SearchResult got, want;
+      const size_t qi = i++ % queries.size();
+      const Query& q = queries[qi];
+      SearchResult got, bg;
       if (!db.Search(q, RunType::kBm25, exact, &got).ok() ||
-          !OracleSearch(oracle, q, RunType::kBm25, exact, &want).ok()) {
-        mismatches.fetch_add(1);
-        continue;
-      }
-      if (got.docids != want.docids || got.scores != want.scores) {
+          got.docids != want_bm25[qi].docids ||
+          ScoreBits(got.scores) != ScoreBits(want_bm25[qi].scores) ||
+          got.num_matches != want_bm25[qi].num_matches) {
         mismatches.fetch_add(1);
       }
-      SearchResult bg, bw;
       if (!db.Search(q, RunType::kBoolOr, exact, &bg).ok() ||
-          !OracleSearch(oracle, q, RunType::kBoolOr, exact, &bw).ok() ||
-          bg.docids != bw.docids) {
+          bg.docids != want_or[qi].docids ||
+          bg.num_matches != want_or[qi].num_matches) {
         mismatches.fetch_add(1);
       }
       reader_queries.fetch_add(1);
@@ -360,16 +339,16 @@ TEST(SegmentTest, SearchDuringMergeIsBitIdenticalToOracle) {
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_GT(reader_queries.load(), 0u);
 
-  // Post-merge: same oracle still holds, including the storage runs the
+  // Post-merge: same reference still holds, including the storage runs the
   // merged segment's materialized columns now serve (two-pass execution
   // differs in summation order: rank-equivalence, not bitwise).
-  ExpectMatchesOracle(db, oracle, queries);
+  ExpectMatchesReference(db, ref, queries);
   SearchOptions opts;
   opts.k = 30;
   for (const Query& q : queries) {
-    SearchResult got, want;
+    SearchResult got;
+    const SearchResult want = ref.Search(q, RunType::kBm25, opts);
     ASSERT_TRUE(db.Search(q, RunType::kBm25TC, opts, &got).ok());
-    ASSERT_TRUE(OracleSearch(oracle, q, RunType::kBm25, opts, &want).ok());
     ExpectRankingsEquivalent(got.docids, got.scores, want.docids, want.scores,
                              1e-3f);
   }
@@ -401,9 +380,7 @@ TEST(SegmentTest, DeletesDuringMergeLandOnTheMergedSegment) {
   }
   ASSERT_TRUE(db.WaitMerge().ok());
 
-  Oracle oracle;
-  BuildOracle(model, &oracle);
-  ExpectMatchesOracle(db, oracle, MakeQueries(db.corpus(), 15));
+  ExpectMatchesReference(db, model.Ref(), MakeQueries(db.corpus(), 15));
 
   // And they really are deletes, not ghosts: a re-delete is NotFound.
   EXPECT_EQ(db.DeleteDocument(3).code(), StatusCode::kNotFound);
@@ -506,9 +483,7 @@ TEST(SegmentTest, ManifestReopenAdoptsMergedStateAndDeletes) {
 
   // Merged docs (including the formerly-volatile delta docs) survived;
   // every delete — including the post-merge one — stuck.
-  Oracle oracle;
-  BuildOracle(model, &oracle);
-  ExpectMatchesOracle(db2, oracle, queries);
+  ExpectMatchesReference(db2, model.Ref(), queries);
   EXPECT_EQ(db2.DeleteDocument(77).code(), StatusCode::kNotFound);
   EXPECT_EQ(db2.DeleteDocument(2).code(), StatusCode::kNotFound);
 
@@ -565,9 +540,7 @@ TEST(SegmentTest, TornManifestFallsBackToCleanRebuild) {
   LiveModel model;
   model.InitFrom(db.corpus());
   model.Add({1, 2, 3});
-  Oracle oracle;
-  BuildOracle(model, &oracle);
-  ExpectMatchesOracle(db, oracle, MakeQueries(db.corpus(), 10));
+  ExpectMatchesReference(db, model.Ref(), MakeQueries(db.corpus(), 10));
 }
 
 // ---------------------------------------------------------------------------
@@ -607,16 +580,15 @@ TEST(SegmentTest, SoakMixedOpsHoldOracleInvariant) {
       // Point-in-time verify: the test thread is the only mutator, so the
       // current snapshot equals the model even while a merge runs.
       const Query& q = queries[static_cast<size_t>(op) % queries.size()];
-      Oracle oracle;
-      BuildOracle(model, &oracle);
       SearchOptions exact;
       exact.maxscore_bm25 = false;
       exact.k = 40;
-      SearchResult got, want;
+      SearchResult got;
+      const SearchResult want = model.Ref().Search(q, RunType::kBm25, exact);
       ASSERT_TRUE(db.Search(q, RunType::kBm25, exact, &got).ok());
-      ASSERT_TRUE(OracleSearch(oracle, q, RunType::kBm25, exact, &want).ok());
       ASSERT_EQ(got.docids, want.docids) << "op " << op;
-      ASSERT_EQ(got.scores, want.scores) << "op " << op;
+      ASSERT_EQ(ScoreBits(got.scores), ScoreBits(want.scores)) << "op " << op;
+      ASSERT_EQ(got.num_matches, want.num_matches) << "op " << op;
       ++verifies;
     } else {
       const Status s = db.StartMerge();
@@ -628,9 +600,7 @@ TEST(SegmentTest, SoakMixedOpsHoldOracleInvariant) {
     }
     if (op % 250 == 249) {
       ASSERT_TRUE(db.WaitMerge().ok());
-      Oracle oracle;
-      BuildOracle(model, &oracle);
-      ExpectMatchesOracle(db, oracle, {queries[0], queries[5]});
+      ExpectMatchesReference(db, model.Ref(), {queries[0], queries[5]});
     }
   }
   ASSERT_TRUE(db.WaitMerge().ok());
@@ -638,9 +608,7 @@ TEST(SegmentTest, SoakMixedOpsHoldOracleInvariant) {
   EXPECT_GT(verifies, 0u);
   EXPECT_EQ(db.Acquire()->stats->num_docs, model.live_count());
 
-  Oracle oracle;
-  BuildOracle(model, &oracle);
-  ExpectMatchesOracle(db, oracle, queries);
+  ExpectMatchesReference(db, model.Ref(), queries);
 }
 
 // ---------------------------------------------------------------------------

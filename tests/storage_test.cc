@@ -4,8 +4,9 @@
 // round trips for every encoding plus window-granular compressed reads
 // against the resident BlockDecoder as oracle; SortedColumnCursor vs
 // compress::SortedRangeCursor across hostile block boundaries; torn-write
-// safety of Database::Open over every persisted file; all seven RunTypes
-// end-to-end with ranked runs pinned against the BM25 float oracle; the
+// safety of Database::Open over every persisted file; wrong-scheme column
+// files rebuilt at load, never served; all seven RunTypes end-to-end with
+// ranked runs pinned against the reference evaluator (reference.h); the
 // quantization error bound; and a seeded eviction-schedule stress whose
 // results must be bit-identical to an all-hot pool.
 #include <gtest/gtest.h>
@@ -21,6 +22,8 @@
 
 #include "common/rng.h"
 #include "core/database.h"
+#include "compress/pdict.h"
+#include "compress/pfor.h"
 #include "compress/pfor_delta.h"
 #include "compress/skip_cursor.h"
 #include "ir/bm25.h"
@@ -32,6 +35,9 @@
 #include "storage/column_reader.h"
 #include "storage/column_source.h"
 #include "storage/file.h"
+
+#include "reference.h"
+#include "test_util.h"
 
 namespace x100ir::storage {
 namespace {
@@ -751,8 +757,116 @@ TEST(IndexStorageTest, TornWritesTriggerRebuildNeverGarbage) {
   EXPECT_TRUE(stats.reused_files);
 }
 
+// A compressed column file holding a valid block of the wrong scheme —
+// right value count, clean header — must never be served: the skip
+// cursors need PFOR-DELTA docid windows (BoolAND and ranked BM25 would
+// fail) and the fused scorer needs patched-PFOR tf windows. Reuse rebuilds
+// the directory; a corpus-free LoadFromDir (the manifest reopen path)
+// refuses it.
+TEST(IndexStorageTest, WrongSchemeColumnsRebuildNeverServe) {
+  ir::CorpusOptions copts = SmallGeneratedOptions();
+  copts.num_docs = 600;
+  copts.vocab_size = 900;
+  copts.num_topics = 6;
+  copts.relevant_docs_per_topic = 30;
+  ir::Corpus corpus;
+  ASSERT_TRUE(ir::Corpus::Generate(copts, &corpus).ok());
+  const std::string dir = FreshDir("scheme");
+  ir::InvertedIndex index;
+  ir::BuildStats stats;
+  ASSERT_TRUE(index.BuildFromCorpus(corpus, dir, &stats).ok());
+  std::vector<int32_t> docid_col, tf_col;  // the TD table, term order
+  for (uint32_t t = 0; t < index.vocab_size(); ++t) {
+    std::vector<int32_t> d, f;
+    ASSERT_TRUE(index.DecodePostings(t, &d, &f).ok());
+    docid_col.insert(docid_col.end(), d.begin(), d.end());
+    tf_col.insert(tf_col.end(), f.begin(), f.end());
+  }
+  const uint32_t n = static_cast<uint32_t>(docid_col.size());
+
+  // LoadFromDir through a shared pool: OK on the intact directory.
+  SimulatedDisk disk;
+  BufferManager pool(4u << 20, &disk, 4096);
+  const auto load_ok = [&] {
+    ir::InvertedIndex loaded;
+    const bool ok = loaded.LoadFromDir(dir, {&pool, 0}).ok();
+    loaded.DetachSharedStorage();
+    return ok;
+  };
+  ASSERT_TRUE(load_ok());
+
+  struct Case {
+    const char* file;
+    const std::vector<int32_t>* values;
+    compress::Scheme scheme;
+    bool naive;
+  };
+  const Case cases[] = {
+      {ir::kDocidCompressedFile, &docid_col, compress::Scheme::kPfor, false},
+      {ir::kDocidCompressedFile, &docid_col, compress::Scheme::kPdict, false},
+      {ir::kTfCompressedFile, &tf_col, compress::Scheme::kPforDelta, false},
+      {ir::kTfCompressedFile, &tf_col, compress::Scheme::kPdict, false},
+      {ir::kTfCompressedFile, &tf_col, compress::Scheme::kPfor, true},
+  };
+  ir::QueryGenOptions qopts;
+  qopts.num_efficiency_queries = 20;
+  ir::QueryGenerator gen(corpus, qopts);
+  const std::vector<ir::Query> queries = gen.EfficiencyQueries();
+  const Reference ref = Reference::Of(corpus);
+  for (const Case& c : cases) {
+    const std::string what = std::string(c.file) + " scheme " +
+                             std::to_string(static_cast<int>(c.scheme)) +
+                             (c.naive ? " naive" : "");
+    compress::EncodeOptions eo;
+    eo.naive_layout = c.naive;
+    std::vector<uint8_t> block;
+    const int32_t* v = c.values->data();
+    const Status enc =
+        c.scheme == compress::Scheme::kPfor
+            ? compress::PforEncode(v, n, eo, &block, nullptr)
+        : c.scheme == compress::Scheme::kPforDelta
+            ? compress::PforDeltaEncode(v, n, eo, &block, nullptr)
+            : compress::PdictEncode(v, n, eo, &block, nullptr);
+    ASSERT_TRUE(enc.ok()) << what;
+    const std::vector<uint8_t> bytes = ColumnFileBytes(
+        ir::ColumnFileHeader::kCompressedBlock, n, block.data(), block.size());
+    std::FILE* f = std::fopen((dir + "/" + c.file).c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), bytes.size(), 1, f), 1u);
+    ASSERT_EQ(std::fclose(f), 0);
+
+    EXPECT_FALSE(load_ok()) << what;
+    ir::InvertedIndex reopened;
+    ASSERT_TRUE(reopened.BuildFromCorpus(corpus, dir, &stats).ok()) << what;
+    EXPECT_FALSE(stats.reused_files) << what;
+    ir::SearchEngine engine(&reopened);
+    ir::SearchOptions opts;
+    ir::SearchOptions exact;
+    exact.maxscore_bm25 = false;
+    for (const ir::Query& q : queries) {
+      for (ir::RunType type : {ir::RunType::kBoolAnd, ir::RunType::kBoolOr}) {
+        ir::SearchResult r;
+        ASSERT_TRUE(engine.Search(q, type, opts, &r).ok()) << what;
+        const ir::SearchResult want = ref.Search(q, type, opts);
+        EXPECT_EQ(r.docids, want.docids) << what;
+        EXPECT_EQ(r.num_matches, want.num_matches) << what;
+      }
+      const ir::SearchResult want = ref.Search(q, ir::RunType::kBm25, opts);
+      ir::SearchResult r;
+      ASSERT_TRUE(engine.Search(q, ir::RunType::kBm25, exact, &r).ok());
+      EXPECT_EQ(r.docids, want.docids) << what;
+      EXPECT_EQ(ScoreBits(r.scores), ScoreBits(want.scores)) << what;
+      ASSERT_TRUE(engine.Search(q, ir::RunType::kBm25, opts, &r).ok());
+      ExpectRankingsEquivalent(r.docids, r.scores, want.docids, want.scores,
+                               1e-4f);
+    }
+    // The rebuild rewrote a servable directory.
+    EXPECT_TRUE(load_ok()) << what;
+  }
+}
+
 // All 7 RunTypes end-to-end on the golden corpus; ranked runs agree with
-// a naive float oracle.
+// the reference.
 TEST(RunTypes, AllSevenExecuteAndRankedRunsMatchOracle) {
   const ir::Corpus corpus = GoldenCorpus();
   const std::string dir = FreshDir("runtypes");
@@ -761,35 +875,12 @@ TEST(RunTypes, AllSevenExecuteAndRankedRunsMatchOracle) {
   ASSERT_TRUE(index.BuildFromCorpus(corpus, dir, &bstats).ok());
   ir::SearchEngine engine(&index);
 
-  // Naive oracle: score every doc containing a query term.
-  const std::vector<uint32_t> qterms = {1, 2, 3};
-  const float inv_avgdl = static_cast<float>(1.0 / corpus.avg_doc_len());
-  std::vector<std::pair<float, int32_t>> oracle;
-  for (uint32_t d = 0; d < corpus.num_docs(); ++d) {
-    float s = 0.0f;
-    bool any = false;
-    for (const ir::DocTerm& p : corpus.doc(d)) {
-      for (uint32_t t : qterms) {
-        if (p.term == t) {
-          s += Bm25One(index.term(t).idf, static_cast<float>(p.tf),
-                       static_cast<float>(corpus.doc_len(d)), 1.2f, 0.75f,
-                       inv_avgdl);
-          any = true;
-        }
-      }
-    }
-    if (any) oracle.push_back({s, static_cast<int32_t>(d)});
-  }
-  std::sort(oracle.begin(), oracle.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-
   ir::Query q;
-  q.terms = qterms;
+  q.terms = {1, 2, 3};
   ir::SearchOptions opts;
   opts.k = 5;
+  const ir::SearchResult want =
+      Reference::Of(corpus).Search(q, ir::RunType::kBm25, opts);
   for (ir::RunType type : ir::AllRunTypes()) {
     ir::SearchResult r;
     ASSERT_TRUE(engine.Search(q, type, opts, &r).ok())
@@ -803,16 +894,17 @@ TEST(RunTypes, AllSevenExecuteAndRankedRunsMatchOracle) {
       EXPECT_EQ(r.docids, (std::vector<int32_t>{0, 1, 3, 4, 6}));
       continue;
     }
-    // Ranked runs agree with the oracle. TCMQ8 scores carry quantization
-    // error (<= 3 terms * scale/2); the others are float-tight.
+    // Ranked runs agree with the reference. TCMQ8 scores carry
+    // quantization error (<= 3 terms * scale/2); the others are
+    // float-tight.
     const float tol = type == ir::RunType::kBm25TCMQ8
                           ? 3.0f * index.storage()->score_q8.q8_scale()
                           : 1e-4f;
-    ASSERT_EQ(r.docids.size(), std::min<size_t>(5, oracle.size()));
+    ASSERT_EQ(r.docids.size(), want.docids.size());
     for (size_t i = 0; i < r.docids.size(); ++i) {
-      EXPECT_EQ(r.docids[i], oracle[i].second)
+      EXPECT_EQ(r.docids[i], want.docids[i])
           << ir::RunTypeName(type) << " rank " << i;
-      EXPECT_NEAR(r.scores[i], oracle[i].first, tol)
+      EXPECT_NEAR(r.scores[i], want.scores[i], tol)
           << ir::RunTypeName(type) << " rank " << i;
     }
   }

@@ -10,7 +10,20 @@
 #include <cstring>
 #include <vector>
 
+#include "compress/unpack.h"
+
 namespace x100ir {
+
+// Restores the process-wide SIMD unpack toggle even when an assertion
+// bails out of a test.
+class ScopedSimdToggle {
+ public:
+  ScopedSimdToggle() : prev_(compress::internal::SimdUnpackEnabled()) {}
+  ~ScopedSimdToggle() { compress::internal::SetSimdUnpackEnabled(prev_); }
+
+ private:
+  bool prev_;
+};
 
 // Float bit patterns, for bitwise score comparisons (== would equate +0
 // and -0).

@@ -1,8 +1,8 @@
 // Correctness tests for the vectorized primitive layer: map/select
 // primitives (dense + selection-vector paths), the expression compiler,
 // scan/select operators over memory and compressed-block sources, the
-// merge-join galloping kernel vs a naive reference, and fused-vs-composed
-// BM25 agreement.
+// galloping lower bound and the streaming merge-join vs set-intersection
+// references, and fused-vs-composed BM25 agreement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include "ir/bm25.h"
 #include "vec/expression.h"
 #include "vec/mem_source.h"
-#include "vec/merge_join.h"
 #include "vec/primitives.h"
 #include "vec/scan.h"
 #include "vec/select.h"
@@ -548,7 +547,7 @@ TEST(Select, ModesProduceSameSurvivors) {
 }
 
 // ---------------------------------------------------------------------------
-// Merge join
+// Galloping lower bound (streaming_merge.h)
 // ---------------------------------------------------------------------------
 
 TEST(MergeJoin, GallopLowerBoundEdges) {
@@ -571,114 +570,6 @@ TEST(MergeJoin, GallopLowerBoundEdges) {
   }
 }
 
-TEST(MergeJoin, GallopingMatchesNaive) {
-  struct Case {
-    uint32_t na, nb, gap_a, gap_b;
-  };
-  const Case cases[] = {
-      {1000, 1000, 2, 2},     // dense vs dense
-      {50, 100000, 2, 2},     // short vs long (the galloping case)
-      {100000, 50, 2, 2},     // symmetric skew
-      {0, 1000, 2, 2},        // empty side
-      {1000, 1000, 1000, 3},  // sparse vs dense key spaces
-  };
-  uint64_t seed = 41;
-  for (const Case& c : cases) {
-    auto a = SortedUnique(c.na, c.gap_a, seed++);
-    auto b = SortedUnique(c.nb, c.gap_b, seed++);
-    const uint32_t cap = std::min(c.na, c.nb);
-    std::vector<sel_t> na_a(cap), na_b(cap), ga_a(cap), ga_b(cap);
-    const uint32_t kn = MergeIntersectNaive(
-        a.data(), c.na, b.data(), c.nb, na_a.data(), na_b.data());
-    const uint32_t kg = MergeIntersectGalloping(
-        a.data(), c.na, b.data(), c.nb, ga_a.data(), ga_b.data());
-    ASSERT_EQ(kg, kn);
-    for (uint32_t i = 0; i < kn; ++i) {
-      ASSERT_EQ(ga_a[i], na_a[i]) << i;
-      ASSERT_EQ(ga_b[i], na_b[i]) << i;
-    }
-    // Cross-check against std::set_intersection on values.
-    std::vector<int32_t> expected;
-    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                          std::back_inserter(expected));
-    ASSERT_EQ(kn, expected.size());
-    for (uint32_t i = 0; i < kn; ++i) ASSERT_EQ(a[na_a[i]], expected[i]);
-  }
-}
-
-std::unique_ptr<ScanOperator> MakeListScan(ExecContext* ctx,
-                                           const std::vector<int32_t>& keys,
-                                           const std::vector<int32_t>& payload,
-                                           const char* payload_name) {
-  Schema schema;
-  schema.Add("docid", TypeId::kI32);
-  schema.Add(payload_name, TypeId::kI32);
-  std::vector<VectorSourcePtr> sources;
-  sources.push_back(std::make_unique<MemVectorSource<int32_t>>(keys));
-  sources.push_back(std::make_unique<MemVectorSource<int32_t>>(payload));
-  return std::make_unique<ScanOperator>(ctx, std::move(schema),
-                                        std::move(sources));
-}
-
-TEST(MergeJoin, OperatorIntersectsWithPayloads) {
-  auto a = SortedUnique(5000, 5, 43);
-  auto b = SortedUnique(800, 31, 47);
-  auto c = SortedUnique(3000, 8, 53);
-  // payload[i] = 10 * key so row alignment is verifiable post-join. The
-  // payload vectors must outlive the plan: MemVectorSource borrows.
-  auto payload_of = [](const std::vector<int32_t>& keys) {
-    std::vector<int32_t> p(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) p[i] = keys[i] * 10;
-    return p;
-  };
-  const auto pa = payload_of(a), pb = payload_of(b), pc = payload_of(c);
-  std::vector<int32_t> expected_ab;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(expected_ab));
-  std::vector<int32_t> expected;
-  std::set_intersection(expected_ab.begin(), expected_ab.end(), c.begin(),
-                        c.end(), std::back_inserter(expected));
-
-  ExecContext ctx;
-  ctx.vector_size = 64;
-  std::vector<OperatorPtr> children;
-  children.push_back(MakeListScan(&ctx, a, pa, "pa"));
-  children.push_back(MakeListScan(&ctx, b, pb, "pb"));
-  children.push_back(MakeListScan(&ctx, c, pc, "pc"));
-  MergeJoinOperator join(&ctx, std::move(children), MergeMode::kIntersect);
-  ASSERT_TRUE(join.Open().ok());
-  EXPECT_EQ(join.schema().NumColumns(), 4u);
-
-  std::vector<int32_t> keys;
-  Batch* batch = nullptr;
-  while (true) {
-    ASSERT_TRUE(join.Next(&batch).ok());
-    if (batch == nullptr) break;
-    for (uint32_t i = 0; i < batch->count; ++i) {
-      const int32_t key = batch->columns[0]->Data<int32_t>()[i];
-      keys.push_back(key);
-      // Every payload column must carry the value from its own list's
-      // matching row.
-      for (uint32_t col = 1; col < 4; ++col) {
-        ASSERT_EQ(batch->columns[col]->Data<int32_t>()[i], key * 10)
-            << "col " << col;
-      }
-    }
-  }
-  join.Close();
-  EXPECT_EQ(keys, expected);
-}
-
-TEST(MergeJoin, RejectsUnsortedInput) {
-  std::vector<int32_t> bad = {1, 5, 3, 7};
-  std::vector<int32_t> payload = {0, 0, 0, 0};
-  ExecContext ctx;
-  std::vector<OperatorPtr> children;
-  children.push_back(MakeListScan(&ctx, bad, payload, "p"));
-  MergeJoinOperator join(&ctx, std::move(children), MergeMode::kIntersect);
-  EXPECT_FALSE(join.Open().ok());
-}
-
 // ---------------------------------------------------------------------------
 // Streaming merge-join over skip cursors (PR 4)
 // ---------------------------------------------------------------------------
@@ -691,7 +582,7 @@ std::vector<int32_t> RunStreamingJoin(
   for (const auto& l : lists) {
     cursors.push_back(std::make_unique<MemSkipCursor>(l));
   }
-  StreamingMergeJoinOperator join(&ctx, std::move(cursors));
+  StreamingJoinOperator join(&ctx, std::move(cursors));
   EXPECT_TRUE(join.Open().ok());
   std::vector<int32_t> out;
   Batch* batch = nullptr;
@@ -746,7 +637,7 @@ TEST(StreamingMergeJoin, EmptyAndDisjointInputs) {
 
   ExecContext ctx;
   std::vector<SkipCursorPtr> none;
-  StreamingMergeJoinOperator join(&ctx, std::move(none));
+  StreamingJoinOperator join(&ctx, std::move(none));
   EXPECT_FALSE(join.Open().ok());
 }
 
