@@ -1,18 +1,12 @@
-// Micro-benchmarks (google-benchmark) for X100 primitives and the engine's
-// ablation knobs: selection vectors vs compaction, composed expression vs
-// fused BM25 kernel.
+// Micro-benchmarks (google-benchmark) for the X100 primitives: the §2
+// call-amortization curve (BM_MapAddF32 over vector sizes), sparse
+// selection-vector iteration, and the branch-free select.
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
-#include "ir/bm25.h"
-#include "vec/expression.h"
-#include "vec/mem_source.h"
 #include "vec/primitives.h"
-#include "vec/scan.h"
-#include "vec/select.h"
 
 namespace x100ir::vec {
 namespace {
@@ -82,85 +76,6 @@ void BM_SelectGtI32(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_SelectGtI32)->Arg(100)->Arg(500)->Arg(900);
-
-// Ablation: Select with selection vector (zero copy) vs compaction.
-void BM_SelectOperatorModes(benchmark::State& state) {
-  const bool compact = state.range(0) == 1;
-  const uint32_t rows = 256 * 1024;
-  auto keys = RandomInts(rows, 1000, 7);
-  ExecContext ctx;
-  for (auto _ : state) {
-    Schema schema;
-    schema.Add("k", TypeId::kI32);
-    std::vector<VectorSourcePtr> sources;
-    sources.push_back(std::make_unique<MemVectorSource<int32_t>>(keys));
-    auto scan = std::make_unique<ScanOperator>(&ctx, std::move(schema),
-                                               std::move(sources));
-    auto pred = Expr::Call("lt", {Expr::Col("k"), Expr::ConstI32(500)});
-    SelectOperator select(&ctx, std::move(scan), pred,
-                          compact ? SelectMode::kCompact
-                                  : SelectMode::kSelectionVector);
-    select.Open();
-    uint64_t live = 0;
-    Batch* b = nullptr;
-    while (select.Next(&b).ok() && b != nullptr) live += b->ActiveCount();
-    select.Close();
-    benchmark::DoNotOptimize(live);
-  }
-  state.SetItemsProcessed(state.iterations() * rows);
-  state.SetLabel(compact ? "compact" : "selection-vector");
-}
-BENCHMARK(BM_SelectOperatorModes)->Arg(0)->Arg(1);
-
-// Ablation: composed BM25 expression (5 primitives/term) vs the fused
-// map_bm25 kernel — the flexibility-vs-speed trade-off of the relational
-// formulation.
-void BM_Bm25ComposedVsFused(benchmark::State& state) {
-  const bool fused = state.range(0) == 1;
-  const uint32_t n = 4096;
-  auto tf = RandomInts(n, 20, 11);
-  auto doclen = RandomInts(n, 500, 13);
-  std::vector<float> out(n);
-
-  Schema schema;
-  schema.Add("tf0", TypeId::kI32);
-  schema.Add("doclen", TypeId::kI32);
-  Vector tf_vec(TypeId::kI32, n), len_vec(TypeId::kI32, n);
-  tf_vec.Fill(tf.data(), n);
-  len_vec.Fill(doclen.data(), n);
-  Batch batch;
-  batch.count = n;
-  batch.columns = {&tf_vec, &len_vec};
-
-  const float idf = 2.1f, k1 = 1.2f, b = 0.75f, avgdl = 150.0f;
-  std::unique_ptr<CompiledExpr> compiled;
-  if (!fused) {
-    auto tf_f = Expr::Call("cast_f32", {Expr::Col("tf0")});
-    auto len_f = Expr::Call("cast_f32", {Expr::Col("doclen")});
-    auto norm = Expr::Call(
-        "add", {Expr::ConstF32(k1 * (1 - b)),
-                Expr::Call("mul", {Expr::ConstF32(k1 * b / avgdl), len_f})});
-    auto w = Expr::Call(
-        "mul", {Expr::ConstF32(idf * (k1 + 1)),
-                Expr::Call("div", {tf_f, Expr::Call("add", {tf_f, norm})})});
-    auto compiled_or = CompiledExpr::Compile(w, schema, n);
-    compiled = std::move(compiled_or.value());
-  }
-  for (auto _ : state) {
-    if (fused) {
-      MapBm25(n, out.data(), tf.data(), doclen.data(), idf, k1, b,
-              1.0f / avgdl);
-      benchmark::DoNotOptimize(out.data());
-    } else {
-      const Vector* result = nullptr;
-      compiled->Eval(batch, &result);
-      benchmark::DoNotOptimize(result);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel(fused ? "fused map_bm25" : "composed primitives");
-}
-BENCHMARK(BM_Bm25ComposedVsFused)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace x100ir::vec

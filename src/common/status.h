@@ -120,8 +120,8 @@ inline bool IsTransient(const Status& s) {
   return s.code() == StatusCode::kUnavailable;
 }
 
-// Status-or-value return type for factory functions (CompiledExpr::Compile,
-// BlockVectorSource::Create, ...). Minimal by design: T must be
+// Status-or-value return type for factory functions such as
+// BlockVectorSource::Create. Minimal by design: T must be
 // default-constructible and movable, and value() must only be called when
 // ok(). Kept here so every layer shares one vocabulary type.
 template <typename T>

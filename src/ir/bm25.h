@@ -1,20 +1,14 @@
-// Fused BM25 scoring kernel — the "speed" end of the paper's
-// flexibility-vs-speed trade-off. The composed formulation spends ~5
-// primitive calls and 4 intermediate vectors per term:
-//
-//   cast_f32(tf); norm = k1(1-b) + (k1*b/avgdl)*len;
-//   score = idf(k1+1) * tf / (tf + norm)
-//
-// while this kernel evaluates the same formula in one pass with no
-// intermediates. bench_primitives (BM_Bm25ComposedVsFused) measures the
-// gap; tests/vec_test.cc pins agreement to 1e-5.
+// BM25 scoring kernels. MapBm25 is the fused score map the plans run: the
+// formula idf(k1+1)·tf / (tf + k1(1-b) + k1·b·doclen/avgdl) in one pass
+// over a vector, constants folded, no intermediate vectors (DESIGN.md
+// §4.2). Bm25One is its scalar twin for call sites that score one posting
+// at a time; the two produce the same float bits for the same inputs,
+// which tests/vec_test.cc pins on every element.
 #ifndef X100IR_IR_BM25_H_
 #define X100IR_IR_BM25_H_
 
 #include <cmath>
 #include <cstdint>
-
-#include "vec/vector.h"
 
 namespace x100ir::ir {
 
@@ -56,26 +50,6 @@ inline void MapBm25(uint32_t n, float* out, const int32_t* tf,
   }
 }
 
-// Selection-vector variant: scores only the listed rows, writing through
-// sel (same ownership rules as the vec/ map primitives, DESIGN.md §4).
-inline void MapBm25Sel(uint32_t n, const x100ir::vec::sel_t* sel,
-                       uint32_t sel_count, float* out, const int32_t* tf,
-                       const int32_t* doclen, float idf, float k1, float b,
-                       float inv_avgdl) {
-  if (sel == nullptr) {
-    MapBm25(n, out, tf, doclen, idf, k1, b, inv_avgdl);
-    return;
-  }
-  const float w = idf * (k1 + 1.0f);
-  const float c0 = k1 * (1.0f - b);
-  const float c1 = k1 * b * inv_avgdl;
-  for (uint32_t j = 0; j < sel_count; ++j) {
-    const uint32_t i = sel[j];
-    const float tff = static_cast<float>(tf[i]);
-    out[i] = w * tff / (tff + c0 + c1 * static_cast<float>(doclen[i]));
-  }
-}
-
 }  // namespace x100ir::ir
 
 namespace x100ir {
@@ -85,7 +59,6 @@ namespace x100ir {
 using ir::Bm25Idf;
 using ir::Bm25One;
 using ir::MapBm25;
-using ir::MapBm25Sel;
 }  // namespace x100ir
 
 #endif  // X100IR_IR_BM25_H_

@@ -6,6 +6,7 @@
 
 #include "common/timer.h"
 #include "ir/bm25.h"  // Bm25One — the shared scalar scoring kernel
+#include "ir/request.h"
 #include "ir/topk.h"
 #include "vec/streaming_merge.h"  // GallopLowerBound for MaxScore skips
 
@@ -32,22 +33,12 @@ Status CustomIrEngine::Load(const InvertedIndex* index) {
 Status CustomIrEngine::PrepareTerms(const Query& query, uint32_t k,
                                     std::vector<uint32_t>* terms) const {
   if (index_ == nullptr) return InvalidArgument("engine not loaded");
-  if (k == 0) return InvalidArgument("k must be > 0");
-  *terms = query.terms;
-  std::sort(terms->begin(), terms->end());
-  terms->erase(std::unique(terms->begin(), terms->end()), terms->end());
-  if (terms->empty()) return InvalidArgument("query has no terms");
-  for (uint32_t t : *terms) {
-    if (t >= index_->vocab_size()) {
-      return InvalidArgument("query term outside vocabulary");
-    }
-  }
-  terms->erase(std::remove_if(terms->begin(), terms->end(),
-                              [this](uint32_t t) {
-                                return index_->term(t).doc_freq == 0;
-                              }),
-               terms->end());
-  return OkStatus();
+  SearchOptions opts;
+  opts.k = k;
+  return PrepareQuery(
+      query, RunType::kBm25, opts, index_->vocab_size(),
+      /*has_storage=*/false,
+      [this](uint32_t t) { return index_->term(t).doc_freq; }, terms);
 }
 
 Status CustomIrEngine::SearchDaat(const Query& query, uint32_t k,

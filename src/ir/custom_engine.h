@@ -65,7 +65,9 @@ class CustomIrEngine {
                         CustomSearchResult* result) const;
 
  private:
-  // Validates + dedups query terms into `terms` (posting-bearing only).
+  // The engine-wide front door (ir::PrepareQuery, request.h) under the
+  // kBm25 rules: the same rejections and wording as SearchEngine::Search,
+  // and `terms` holds the sorted distinct posting-bearing terms.
   Status PrepareTerms(const Query& query, uint32_t k,
                       std::vector<uint32_t>* terms) const;
 

@@ -8,7 +8,10 @@
 //     vector-at-a-time: distinct docids (BoolOR) or per-docid score sums
 //     (the BM25 disjunction). Children decode lazily, so a union never
 //     materializes whole posting lists — constant memory per child.
+//   RunRankedUnion — the score-all ranked root over scored children,
+//     MergeUnion(sum scores) → TopK(k), drained into a SearchResult.
 //
+// Every operator here consumes and emits dense batches (vec/scan.h).
 // Moved out of search_engine.cc when storage/ landed: the Table 2 runs
 // execute the same plan shapes over cold columns (the paper's flexibility
 // claim), so the operators are shared rather than duplicated. Not part of
@@ -24,6 +27,7 @@
 #include "common/string_util.h"
 #include "ir/bm25.h"
 #include "ir/search_engine.h"
+#include "ir/topk.h"
 #include "vec/scan.h"
 #include "vec/vector.h"
 
@@ -73,26 +77,15 @@ class Bm25ScoreOperator : public vec::Operator {
     const int32_t* docids = b->columns[0]->Data<int32_t>();
     const int32_t* tfs = b->columns[1]->Data<int32_t>();
     int32_t* dl = doclen_vec_.Data<int32_t>();
-    // Doclen gather, then the fused scoring kernel; both honor the child's
-    // selection vector (scans emit dense batches, but the operator contract
-    // does not require it).
-    if (b->sel == nullptr) {
-      for (uint32_t i = 0; i < b->count; ++i) dl[i] = doclens_[docids[i]];
-    } else {
-      for (uint32_t j = 0; j < b->sel_count; ++j) {
-        const vec::sel_t i = b->sel[j];
-        dl[i] = doclens_[docids[i]];
-      }
-    }
-    MapBm25Sel(b->count, b->sel, b->sel_count, score_vec_.Data<float>(), tfs,
-               dl, idf_, params_.k1, params_.b, inv_avgdl_);
+    // Doclen gather, then the fused scoring kernel.
+    for (uint32_t i = 0; i < b->count; ++i) dl[i] = doclens_[docids[i]];
+    MapBm25(b->count, score_vec_.Data<float>(), tfs, dl, idf_, params_.k1,
+            params_.b, inv_avgdl_);
     ++ctx_->stats.primitive_calls;
     // Zero-copy docid passthrough: the child's vector stays valid until
     // its next Next(), which happens only after ours.
     batch_.columns = {b->columns[0], &score_vec_};
     batch_.count = b->count;
-    batch_.sel = b->sel;
-    batch_.sel_count = b->sel_count;
     *out = &batch_;
     return OkStatus();
   }
@@ -189,8 +182,6 @@ class MergeUnionOperator : public vec::Operator {
       return OkStatus();
     }
     batch_.count = filled;
-    batch_.sel = nullptr;
-    batch_.sel_count = 0;
     *out = &batch_;
     return OkStatus();
   }
@@ -217,9 +208,6 @@ class MergeUnionOperator : public vec::Operator {
       if (b == nullptr) {
         st.cur = nullptr;
         return OkStatus();
-      }
-      if (b->sel != nullptr) {
-        return Internal("union children must emit dense batches");
       }
       if (b->count == 0) continue;
       st.cur = b;
@@ -248,6 +236,42 @@ class MergeUnionOperator : public vec::Operator {
   vec::Vector out_docid_, out_score_;
   vec::Batch batch_;
 };
+
+// The score-all ranked plan: MergeUnion(sum scores) over the scored
+// children (each emitting (docid i32, score f32)) → TopK(opts.k,
+// opts.tombstones), drained with a deadline checkpoint before every batch
+// (§9.3). Appends the ranked rows to result->docids/scores and sets
+// result->num_matches to the rows the top-k consumed, on every exit past
+// Open — a DeadlineExceeded result keeps its partial count. Execution
+// stats stay in *ctx; the caller accounts them.
+inline Status RunRankedUnion(vec::ExecContext* ctx,
+                             std::vector<vec::OperatorPtr> scored,
+                             const SearchOptions& opts,
+                             SearchResult* result) {
+  TopKOperator topk(ctx,
+                    std::make_unique<MergeUnionOperator>(
+                        ctx, std::move(scored), /*sum_scores=*/true),
+                    opts.k);
+  topk.set_tombstones(opts.tombstones);
+  X100IR_RETURN_IF_ERROR(topk.Open());
+  Status s;
+  vec::Batch* b = nullptr;
+  for (;;) {
+    if (opts.deadline != nullptr) {
+      s = opts.deadline->Check();
+      if (!s.ok()) break;
+    }
+    s = topk.Next(&b);
+    if (!s.ok() || b == nullptr) break;
+    const int32_t* docids = b->columns[0]->Data<int32_t>();
+    const float* scores = b->columns[1]->Data<float>();
+    result->docids.insert(result->docids.end(), docids, docids + b->count);
+    result->scores.insert(result->scores.end(), scores, scores + b->count);
+  }
+  result->num_matches = topk.rows_consumed();
+  topk.Close();
+  return s;
+}
 
 }  // namespace x100ir::ir
 

@@ -1,11 +1,11 @@
 // Plan construction for the in-memory runs. The shared ranked-run
-// operators (Bm25ScoreOperator, MergeUnionOperator) live in ir/plan_ops.h
-// since storage/ landed — the Table 2 runs (storage_runs.cc) execute the
-// same plan shapes over cold columns. Everything else here is composition
-// of existing vec/ operators (Scan over SliceVectorSource windows of the
+// operators (Bm25ScoreOperator, MergeUnionOperator) and the score-all
+// ranked root (RunRankedUnion) live in ir/plan_ops.h since storage/
+// landed — the Table 2 runs (storage_runs.cc) execute the same plan
+// shapes over cold columns. Everything else here is composition of
+// existing vec/ operators (Scan over SliceVectorSource windows of the
 // compressed TD columns, the streaming skip join for conjunctions) plus
-// the TopKOperator plan root (topk.h), and the Block-Max MaxScore
-// executor.
+// the Block-Max MaxScore executor.
 #include "ir/search_engine.h"
 
 #include <algorithm>
@@ -105,7 +105,6 @@ Status SearchEngine::SearchBool(const std::vector<uint32_t>& terms,
                                 SearchResult* result) const {
   vec::ExecContext ctx;
   ctx.vector_size = opts.vector_size;
-  ctx.rng = Rng(opts.rng_seed);
   vec::OperatorPtr root;
   if (conjunctive) {
     // Streaming skip join: cursors rarest-first so the shortest list
@@ -182,7 +181,6 @@ Status SearchEngine::SearchBm25(const std::vector<uint32_t>& terms,
                                 SearchResult* result) const {
   vec::ExecContext ctx;
   ctx.vector_size = opts.vector_size;
-  ctx.rng = Rng(opts.rng_seed);
   const double avgdl = EffectiveAvgDocLen(opts, *index_);
   const float inv_avgdl =
       avgdl > 0.0 ? static_cast<float>(1.0 / avgdl) : 0.0f;
@@ -195,36 +193,9 @@ Status SearchEngine::SearchBm25(const std::vector<uint32_t>& terms,
         &ctx, MakeTermScan(*index_, &ctx, t, /*with_tf=*/true),
         EffectiveIdf(opts, *index_, t), opts.bm25, doclens, inv_avgdl));
   }
-  auto union_op = std::make_unique<MergeUnionOperator>(&ctx, std::move(scored),
-                                                       /*sum_scores=*/true);
-  auto topk = std::make_unique<TopKOperator>(&ctx, std::move(union_op),
-                                             opts.k);
-  topk->set_tombstones(opts.tombstones);
-  TopKOperator* topk_raw = topk.get();
-  vec::OperatorPtr root = std::move(topk);
-  X100IR_RETURN_IF_ERROR(root->Open());
-  vec::Batch* b = nullptr;
-  for (;;) {
-    if (opts.deadline != nullptr) {
-      Status live = opts.deadline->Check();
-      if (!live.ok()) {
-        result->num_matches = topk_raw->rows_consumed();
-        root->Close();
-        result->stats = ctx.stats;
-        return live;
-      }
-    }
-    X100IR_RETURN_IF_ERROR(root->Next(&b));
-    if (b == nullptr) break;
-    const int32_t* docids = b->columns[0]->Data<int32_t>();
-    const float* scores = b->columns[1]->Data<float>();
-    result->docids.insert(result->docids.end(), docids, docids + b->count);
-    result->scores.insert(result->scores.end(), scores, scores + b->count);
-  }
-  result->num_matches = topk_raw->rows_consumed();
-  root->Close();
+  const Status s = RunRankedUnion(&ctx, std::move(scored), opts, result);
   result->stats = ctx.stats;
-  return OkStatus();
+  return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -314,7 +285,6 @@ Status SearchEngine::SearchBm25MaxScore(const std::vector<uint32_t>& terms,
                                         SearchResult* result) const {
   vec::ExecContext ctx;
   ctx.vector_size = opts.vector_size;
-  ctx.rng = Rng(opts.rng_seed);
   X100IR_RETURN_IF_ERROR(ctx.Validate());
   const uint32_t vsize = ctx.vector_size;
   const float k1 = opts.bm25.k1;

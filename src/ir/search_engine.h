@@ -119,9 +119,6 @@ struct SearchOptions {
   // and returns DeadlineExceeded with the stats accumulated so far — a
   // partial result is reported as a failure, never as a short answer.
   const Deadline* deadline = nullptr;
-  // Seed for the query's private ExecContext::rng stream. The engine never
-  // draws from global state, so any fixed seed gives a reproducible query.
-  uint64_t rng_seed = 0;
 
   // Segmented-read plumbing (DESIGN.md §10). Both borrowed, valid for the
   // duration of the call; null means "score with the index's own

@@ -39,6 +39,7 @@
 #include "ir/topk.h"
 #include "storage/column_reader.h"
 #include "storage/column_source.h"
+#include "vec/mem_source.h"
 #include "vec/scan.h"
 
 namespace x100ir::ir {
@@ -165,7 +166,6 @@ Status SearchEngine::SearchColdRun(RunType type,
   RunColumns cols = ColumnsFor(type, st, opts);
   vec::ExecContext ctx;
   ctx.vector_size = opts.vector_size;
-  ctx.rng = Rng(opts.rng_seed);
   X100IR_RETURN_IF_ERROR(ctx.Validate());
 
   // The tf-scoring runs (T/TC) score under the snapshot's live stats when
@@ -347,7 +347,11 @@ Status SearchEngine::SearchColdRun(RunType type,
   } else {
     // ---- Pass 2: the full relational plan over the cold columns. ----
     result->used_second_pass = !shorts.empty();
-    std::vector<storage::ColumnSliceSource*> raw_sources;
+    // The run owns the pool-backed sources and the scans read them through
+    // views, so each source's latched status (checked below) outlives the
+    // plan. Reserved up front: the views point into the vector.
+    std::vector<storage::ColumnSliceSource> pool_sources;
+    pool_sources.reserve(2 * m);
     std::vector<vec::OperatorPtr> scored;
     scored.reserve(m);
     for (size_t i = 0; i < m; ++i) {
@@ -357,16 +361,16 @@ Status SearchEngine::SearchColdRun(RunType type,
       schema.Add(cols.value_is_score ? "score" : "tf",
                  cols.value_is_score ? vec::TypeId::kF32
                                      : vec::TypeId::kI32);
-      std::vector<vec::VectorSourcePtr> sources;
-      auto dsrc = std::make_unique<storage::ColumnSliceSource>(
+      const storage::ColumnSliceSource& dsrc = pool_sources.emplace_back(
           cols.docid, info.posting_start, info.doc_freq, vec::TypeId::kI32);
-      auto vsrc = std::make_unique<storage::ColumnSliceSource>(
+      const storage::ColumnSliceSource& vsrc = pool_sources.emplace_back(
           cols.value, info.posting_start, info.doc_freq,
           cols.value_is_score ? vec::TypeId::kF32 : vec::TypeId::kI32);
-      raw_sources.push_back(dsrc.get());
-      raw_sources.push_back(vsrc.get());
-      sources.push_back(std::move(dsrc));
-      sources.push_back(std::move(vsrc));
+      std::vector<vec::VectorSourcePtr> sources;
+      sources.push_back(
+          std::make_unique<vec::SliceVectorSource>(&dsrc, 0, dsrc.size()));
+      sources.push_back(
+          std::make_unique<vec::SliceVectorSource>(&vsrc, 0, vsrc.size()));
       vec::OperatorPtr scan = std::make_unique<vec::ScanOperator>(
           &ctx, std::move(schema), std::move(sources));
       if (cols.value_is_score) {
@@ -379,32 +383,8 @@ Status SearchEngine::SearchColdRun(RunType type,
             inv_avgdl));
       }
     }
-    auto union_op = std::make_unique<MergeUnionOperator>(
-        &ctx, std::move(scored), /*sum_scores=*/true);
-    auto topk_op =
-        std::make_unique<TopKOperator>(&ctx, std::move(union_op), opts.k);
-    topk_op->set_tombstones(opts.tombstones);
-    TopKOperator* topk_raw = topk_op.get();
-    vec::OperatorPtr root = std::move(topk_op);
-    X100IR_RETURN_IF_ERROR(root->Open());
-    vec::Batch* batch = nullptr;
-    Status exec;
-    for (;;) {
-      if (opts.deadline != nullptr) {
-        exec = opts.deadline->Check();
-        if (!exec.ok()) break;
-      }
-      exec = root->Next(&batch);
-      if (!exec.ok() || batch == nullptr) break;
-      const int32_t* docids = batch->columns[0]->Data<int32_t>();
-      const float* scores = batch->columns[1]->Data<float>();
-      result->docids.insert(result->docids.end(), docids,
-                            docids + batch->count);
-      result->scores.insert(result->scores.end(), scores,
-                            scores + batch->count);
-    }
-    result->num_matches = topk_raw->rows_consumed();
-    root->Close();
+    const Status exec =
+        RunRankedUnion(&ctx, std::move(scored), opts, result);
     if (!exec.ok()) {
       account_windows();
       return exec;
@@ -412,8 +392,8 @@ Status SearchEngine::SearchColdRun(RunType type,
     // A pool failure inside a VectorSource cannot surface through the
     // void Read interface; it latches in the source and is checked here —
     // a failed query errors out instead of returning zero-filled garbage.
-    for (const storage::ColumnSliceSource* src : raw_sources) {
-      X100IR_RETURN_IF_ERROR(src->status());
+    for (const storage::ColumnSliceSource& src : pool_sources) {
+      X100IR_RETURN_IF_ERROR(src.status());
     }
   }
 

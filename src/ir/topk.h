@@ -142,8 +142,6 @@ class TopKOperator : public vec::Operator {
     std::copy_n(result_scores_.data() + pos_, len, out_score_.Data<float>());
     pos_ += len;
     batch_.count = len;
-    batch_.sel = nullptr;
-    batch_.sel_count = 0;
     *out = &batch_;
     return OkStatus();
   }
@@ -161,11 +159,11 @@ class TopKOperator : public vec::Operator {
       const int32_t* docids = b->columns[0]->Data<int32_t>();
       const float* scores = b->columns[1]->Data<float>();
       if (tombstones_ == nullptr) {
-        rows_consumed_ += b->ActiveCount();
+        rows_consumed_ += b->count;
         // Branch-free candidate filter: >= (not >) so a score tying the
         // current kth can still win on the docid tiebreak inside Push.
         const uint32_t n_cand = vec::SelectColVal<vec::GeCmp, float>(
-            b->count, b->sel, b->sel_count, cand_sel_.data(), scores,
+            b->count, nullptr, 0, cand_sel_.data(), scores,
             topk_.threshold());
         ++ctx_->stats.primitive_calls;
         for (uint32_t j = 0; j < n_cand; ++j) {
@@ -178,10 +176,7 @@ class TopKOperator : public vec::Operator {
         // is push-order-independent (exact top-k under (score, docid)),
         // so this branchy path stays bit-identical to an index rebuilt
         // without the deleted docs.
-        const uint32_t active =
-            b->sel != nullptr ? b->sel_count : b->count;
-        for (uint32_t j = 0; j < active; ++j) {
-          const uint32_t i = b->sel != nullptr ? b->sel[j] : j;
+        for (uint32_t i = 0; i < b->count; ++i) {
           if (TombstoneTest(tombstones_, docids[i])) continue;
           ++rows_consumed_;
           if (scores[i] >= topk_.threshold()) topk_.Push(docids[i], scores[i]);

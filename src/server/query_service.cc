@@ -157,8 +157,9 @@ ir::RunType QueryService::EffectiveRun(ir::RunType requested,
 void QueryService::RunQuery(QueryRequest request, uint64_t ordinal,
                             std::shared_ptr<InFlight> flight,
                             std::function<void(QueryResponse)> done) {
-  // The query's private random stream: forked from the root seed by
-  // ordinal, so it is reproducible and independent of scheduling (§9.1).
+  // The query's private random stream (retry backoff jitter): forked from
+  // the root seed by ordinal, so it is reproducible and independent of
+  // scheduling (§9.1).
   Rng rng = root_rng_->Fork(ordinal);
   QueryResponse resp;
   double backoff = opts_.retry_backoff_seconds;
@@ -167,7 +168,6 @@ void QueryService::RunQuery(QueryRequest request, uint64_t ordinal,
     const ir::RunType run = EffectiveRun(request.run, &remapped);
     ir::SearchOptions opts = request.opts;
     opts.deadline = &flight->deadline;
-    opts.rng_seed = rng.Next();
     resp.result = ir::SearchResult();
     resp.status = db_->Search(request.query, run, opts, &resp.result);
     resp.executed_run = run;

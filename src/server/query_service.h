@@ -110,8 +110,8 @@ struct QueryServiceOptions {
 struct QueryRequest {
   ir::Query query;
   ir::RunType run = ir::RunType::kBm25;
-  ir::SearchOptions opts;  // opts.deadline/rng_seed are overwritten by the
-                           // service (it owns both per-query resources)
+  ir::SearchOptions opts;  // opts.deadline is overwritten by the service
+                           // (it owns the per-query deadline)
   // Per-request deadline; 0 falls back to default_deadline_seconds.
   double deadline_seconds = 0.0;
 };

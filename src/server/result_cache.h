@@ -2,8 +2,7 @@
 // surface of a request: run type, normalized term set, k, and every
 // SearchOptions knob that can change what Search returns (BM25 parameters,
 // path selection, two-pass cutoff, vector size — MaxScore demotes terms at
-// vector boundaries, which changes a score's float addition order). The
-// rng seed is not in the key: results are bit-identical across seeds.
+// vector boundaries, which changes a score's float addition order).
 //
 // Epoch discipline (DESIGN.md §10): every entry is tagged with the snapshot
 // epoch its result was computed at, and the cache as a whole carries one

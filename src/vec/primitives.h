@@ -9,19 +9,21 @@
 //   - dense (sel == nullptr): a branch-free 0..n loop the compiler can
 //     auto-vectorize;
 //   - selection vector: iterate sel[0..sel_count) and write results
-//     *through* the selection vector (res[sel[j]]), never compacting —
-//     the ownership rules are in DESIGN.md §4.
+//     *through* the selection vector (res[sel[j]]), never compacting
+//     (DESIGN.md §4.1).
 //
 // Select primitives emit the qualifying positions branch-free: the store
 // `res[k] = i` is unconditional and only the increment of k is data-
 // dependent, so there is no mispredictable branch on the comparison
-// outcome (the same trick the codec's LOOP2 uses).
+// outcome (the same trick the codec's LOOP2 uses). Top-k's candidate
+// filter and MaxScore's threshold select are the plan callers; their
+// output stays private to the operator that asked.
 //
-// Primitives are deliberately NOT inlined into callers: in the engine they
-// are always reached through the expression interpreter's indirect call,
-// and the per-call overhead amortized over the vector is exactly the §2
-// curve bench_primitives plots. Inlining them into a bench loop would
-// optimize away the thing being measured.
+// Primitives are deliberately NOT inlined into callers: the per-call
+// overhead amortized over the vector is exactly the §2 curve
+// bench_primitives plots (BM_MapAddF32 over vector sizes 8..64K).
+// Inlining them into the bench loop would optimize away the thing being
+// measured.
 #ifndef X100IR_VEC_PRIMITIVES_H_
 #define X100IR_VEC_PRIMITIVES_H_
 
@@ -48,24 +50,10 @@ struct AddOp {
   }
 };
 
-struct SubOp {
-  template <typename T>
-  static T Apply(T a, T b) {
-    return a - b;
-  }
-};
-
 struct MulOp {
   template <typename T>
   static T Apply(T a, T b) {
     return a * b;
-  }
-};
-
-struct DivOp {
-  template <typename T>
-  static T Apply(T a, T b) {
-    return a / b;
   }
 };
 
@@ -87,27 +75,6 @@ struct GeCmp {
   template <typename T>
   static bool Apply(T a, T b) {
     return a >= b;
-  }
-};
-
-struct LeCmp {
-  template <typename T>
-  static bool Apply(T a, T b) {
-    return a <= b;
-  }
-};
-
-struct EqCmp {
-  template <typename T>
-  static bool Apply(T a, T b) {
-    return a == b;
-  }
-};
-
-struct NeCmp {
-  template <typename T>
-  static bool Apply(T a, T b) {
-    return a != b;
   }
 };
 
@@ -147,42 +114,6 @@ X100IR_NOINLINE void MapColVal(uint32_t n, const sel_t* sel,
   }
 }
 
-template <typename Op, typename TRes, typename TA, typename TB>
-X100IR_NOINLINE void MapValCol(uint32_t n, const sel_t* sel,
-                               uint32_t sel_count, TRes* res, TA val,
-                               const TB* b) {
-  if (sel == nullptr) {
-    for (uint32_t i = 0; i < n; ++i) {
-      res[i] = static_cast<TRes>(Op::Apply(val, b[i]));
-    }
-  } else {
-    for (uint32_t j = 0; j < sel_count; ++j) {
-      const sel_t i = sel[j];
-      res[i] = static_cast<TRes>(Op::Apply(val, b[i]));
-    }
-  }
-}
-
-// Unary map: res[i] = Op(a[i]). Used for casts.
-template <typename Op, typename TRes, typename TA>
-X100IR_NOINLINE void MapCol(uint32_t n, const sel_t* sel, uint32_t sel_count,
-                            TRes* res, const TA* a) {
-  if (sel == nullptr) {
-    for (uint32_t i = 0; i < n; ++i) {
-      res[i] = static_cast<TRes>(Op::Apply(a[i]));
-    }
-  } else {
-    for (uint32_t j = 0; j < sel_count; ++j) {
-      const sel_t i = sel[j];
-      res[i] = static_cast<TRes>(Op::Apply(a[i]));
-    }
-  }
-}
-
-struct CastF32Op {
-  static float Apply(int32_t a) { return static_cast<float>(a); }
-};
-
 // ---------------------------------------------------------------------------
 // Select family: emit qualifying active positions into res, branch-free.
 // Returns the number of positions written. Emitted indices are absolute
@@ -215,26 +146,6 @@ X100IR_NOINLINE uint32_t SelectColVal(uint32_t n, const sel_t* sel,
 // an AVX2 compare/movemask kernel when the host (and the SIMD toggle)
 // allow it. The ranked hot path's threshold filter calls this.
 uint32_t SelectGeFloatVal(uint32_t n, sel_t* res, const float* a, float val);
-
-template <typename Cmp, typename T>
-X100IR_NOINLINE uint32_t SelectColCol(uint32_t n, const sel_t* sel,
-                                      uint32_t sel_count, sel_t* res,
-                                      const T* a, const T* b) {
-  uint32_t k = 0;
-  if (sel == nullptr) {
-    for (uint32_t i = 0; i < n; ++i) {
-      res[k] = i;
-      k += static_cast<uint32_t>(Cmp::Apply(a[i], b[i]));
-    }
-  } else {
-    for (uint32_t j = 0; j < sel_count; ++j) {
-      const sel_t i = sel[j];
-      res[k] = i;
-      k += static_cast<uint32_t>(Cmp::Apply(a[i], b[i]));
-    }
-  }
-  return k;
-}
 
 }  // namespace x100ir::vec
 

@@ -60,8 +60,6 @@ Status ScanOperator::Next(Batch** out) {
   }
   pos_ += len;
   batch_.count = len;
-  batch_.sel = nullptr;
-  batch_.sel_count = 0;
   *out = &batch_;
   return OkStatus();
 }

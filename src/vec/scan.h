@@ -1,6 +1,7 @@
 // Vector-at-a-time (Volcano-with-vectors) operator interface and the leaf
-// scan operator. Operators pull batches of up to ExecContext::vector_size
-// rows — the §4 demonstration knob bench_vector_size sweeps: size 1
+// scan operator. Operators pull dense batches of up to
+// ExecContext::vector_size rows — the §4 demonstration knob
+// bench_vector_size sweeps: size 1
 // degenerates to tuple-at-a-time interpretation, huge sizes spill the
 // cache, the optimum sits in between.
 #ifndef X100IR_VEC_SCAN_H_
@@ -11,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/status.h"
 #include "vec/vector.h"
 
@@ -75,12 +75,6 @@ struct ExecContext {
   // engine around each query.
   ExecStats stats;
 
-  // Per-query random stream (DESIGN.md §9.1): every ExecContext owns its
-  // own Rng, seeded from SearchOptions::rng_seed, so nothing in a plan
-  // ever draws from shared mutable state — concurrent queries stay
-  // bit-identical to their serial runs.
-  Rng rng{0};
-
   // Called by every operator at Open: vector_size arrives from user-facing
   // APIs (SearchOptions), so the plan rejects 0 and clamps oversizes here
   // instead of trusting callers. Mutates in place; idempotent, so N
@@ -95,9 +89,10 @@ struct ExecContext {
 };
 
 // Pull-based operator. Lifecycle: Open() once, Next() until *out == nullptr
-// (end of stream), Close() once. The returned Batch and everything it
-// points at belong to the operator and stay valid until its next
-// Next()/Close().
+// (end of stream), Close() once. The returned Batch is dense (all `count`
+// rows live; an operator that filters keeps its selection vector to
+// itself) and it and everything it points at belong to the operator and
+// stay valid until its next Next()/Close().
 class Operator {
  public:
   virtual ~Operator() = default;

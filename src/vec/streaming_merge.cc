@@ -72,8 +72,6 @@ Status StreamingJoinOperator::Next(Batch** out) {
     return OkStatus();
   }
   batch_.count = filled;
-  batch_.sel = nullptr;
-  batch_.sel_count = 0;
   *out = &batch_;
   return OkStatus();
 }

@@ -1,39 +1,31 @@
 // Core value types of the X100-style vectorized execution layer (§2 of the
-// paper): fixed-capacity typed vectors, batches with optional selection
-// vectors, and column schemas.
+// paper): fixed-capacity typed vectors, the batches operators exchange, and
+// column schemas.
 //
-// Selection-vector convention (DESIGN.md §4): a Batch carries `count` rows
-// of which either all are active (`sel == nullptr`) or only the positions
-// listed in `sel[0..sel_count)` are. Selection vectors hold *absolute* row
-// indices in ascending order, so they compose: a select over an already
-// selected batch emits a subset of the incoming positions. Primitives write
-// results *through* the selection vector (res[sel[j]] = ...) instead of
-// compacting, so a filter costs nothing at filter time and downstream
-// operators keep zero-copy access to unselected payload columns.
+// Batches are dense (DESIGN.md §4.1): every one of a Batch's `count` rows
+// is live. A selection vector (`sel_t` positions, absolute and ascending)
+// is a primitive parameter and an operator's private output — top-k's
+// candidate filter and MaxScore's threshold select emit one into their own
+// buffer and consume it before the next batch — never part of a Batch.
 #ifndef X100IR_VEC_VECTOR_H_
 #define X100IR_VEC_VECTOR_H_
 
-#include <cassert>
 #include <cstdint>
-#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace x100ir::vec {
 
-// Selection-vector element: an absolute row index within a batch.
+// Selection-vector element: an absolute row index within a vector.
 using sel_t = uint32_t;
 
 // Column value types. All 4 bytes wide, which lets type-agnostic code
-// (compaction, gathers) move values as raw 32-bit words.
+// (VectorSource reads into RawData) move values as raw 32-bit words.
 enum class TypeId : uint8_t {
   kI32 = 0,
   kF32 = 1,
 };
-
-inline const char* TypeName(TypeId t) {
-  return t == TypeId::kI32 ? "i32" : "f32";
-}
 
 inline constexpr size_t kTypeWidth = 4;  // bytes, for every TypeId
 
@@ -46,12 +38,10 @@ class Vector {
 
   void Reset(TypeId type, uint32_t capacity) {
     type_ = type;
-    capacity_ = capacity;
     buf_.resize(static_cast<size_t>(capacity) * kTypeWidth);
   }
 
   TypeId type() const { return type_; }
-  uint32_t capacity() const { return capacity_; }
 
   template <typename T>
   T* Data() {
@@ -67,31 +57,17 @@ class Vector {
   void* RawData() { return buf_.data(); }
   const void* RawData() const { return buf_.data(); }
 
-  // Copies src[0..n) into the vector (n <= capacity).
-  template <typename T>
-  void Fill(const T* src, uint32_t n) {
-    static_assert(sizeof(T) == kTypeWidth, "vector element must be 4 bytes");
-    assert(n <= capacity_);
-    std::memcpy(buf_.data(), src, static_cast<size_t>(n) * sizeof(T));
-  }
-
  private:
   TypeId type_ = TypeId::kI32;
-  uint32_t capacity_ = 0;
   std::vector<uint8_t> buf_;
 };
 
-// A horizontal slice of columns flowing between operators. Non-owning:
-// column Vectors (and the selection vector) belong to the producing
-// operator and stay valid until its next Next()/Close().
+// A horizontal slice of columns flowing between operators: `count` dense
+// rows. Non-owning: the column Vectors belong to the producing operator and
+// stay valid until its next Next()/Close().
 struct Batch {
-  uint32_t count = 0;              // rows present in the column vectors
+  uint32_t count = 0;
   std::vector<Vector*> columns;
-  const sel_t* sel = nullptr;      // nullptr = all `count` rows active
-  uint32_t sel_count = 0;
-
-  // Rows a consumer actually sees.
-  uint32_t ActiveCount() const { return sel != nullptr ? sel_count : count; }
 };
 
 // Ordered, named, typed column list.
@@ -105,14 +81,6 @@ class Schema {
   uint32_t NumColumns() const { return static_cast<uint32_t>(names_.size()); }
   const std::string& name(uint32_t i) const { return names_[i]; }
   TypeId type(uint32_t i) const { return types_[i]; }
-
-  // Index of `name`, or -1 when absent.
-  int IndexOf(const std::string& name) const {
-    for (size_t i = 0; i < names_.size(); ++i) {
-      if (names_[i] == name) return static_cast<int>(i);
-    }
-    return -1;
-  }
 
  private:
   std::vector<std::string> names_;

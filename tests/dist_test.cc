@@ -22,6 +22,7 @@
 
 #include "common/timer.h"
 #include "dist/cluster.h"
+#include "ir/custom_engine.h"
 #include "ir/query_gen.h"
 #include "ir/snapshot.h"
 
@@ -722,6 +723,17 @@ TEST(FrontDoor, EdgeRequestsGetOneAnswerOnEveryReadPath) {
   ir::BuildStats bstats;
   ASSERT_TRUE(index.BuildFromCorpus(corpus, "", &bstats).ok());
   const ir::SearchEngine engine(&index);
+  // Table 1's hand-built baselines take a bare k, no run type: they must
+  // answer as the engine's kBm25 run does.
+  ir::CustomIrEngine custom;
+  ASSERT_TRUE(custom.Load(&index).ok());
+  using CustomSearch = Status (ir::CustomIrEngine::*)(
+      const Query&, uint32_t, ir::CustomSearchResult*) const;
+  const std::vector<std::pair<const char*, CustomSearch>> customs = {
+      {"DAAT", &ir::CustomIrEngine::SearchDaat},
+      {"TAAT", &ir::CustomIrEngine::SearchTaat},
+      {"MaxScore", &ir::CustomIrEngine::SearchMaxScore},
+  };
 
   // In memory, with a tombstoned segment doc and a delta doc in view.
   core::Database db;
@@ -779,6 +791,18 @@ TEST(FrontDoor, EdgeRequestsGetOneAnswerOnEveryReadPath) {
         EXPECT_TRUE(paths[p].second->docids.empty()) << e.name << " " << p;
         EXPECT_TRUE(paths[p].second->scores.empty()) << e.name << " " << p;
         EXPECT_EQ(paths[p].second->num_matches, 0u) << e.name << " " << p;
+      }
+    }
+    SearchResult r_bm25;
+    const Status want_bm25 = engine.Search(q, RunType::kBm25, opts, &r_bm25);
+    for (const auto& [name, search] : customs) {
+      ir::CustomSearchResult r_custom;
+      const Status got = (custom.*search)(q, e.k, &r_custom);
+      EXPECT_EQ(got.code(), want_bm25.code()) << e.name << " " << name;
+      EXPECT_EQ(got.message(), want_bm25.message()) << e.name << " " << name;
+      if (got.ok() && r_bm25.docids.empty()) {
+        EXPECT_TRUE(r_custom.docids.empty()) << e.name << " " << name;
+        EXPECT_EQ(r_custom.num_matches, 0u) << e.name << " " << name;
       }
     }
   }

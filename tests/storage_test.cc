@@ -975,6 +975,47 @@ TEST(RunTypes, Q8TopKOverlapAtLeast19Of20) {
   }
 }
 
+// A pool failure on the second pass's value column zero-fills tfs or
+// scores but leaves the docid stream intact, so the plan drains cleanly:
+// only the run's check of its sources' latched status after the drain can
+// fail the query, and it must, rather than rank zeros.
+TEST(RunTypes, SecondPassValueColumnFailureFailsTheQuery) {
+  ir::Corpus corpus;
+  ASSERT_TRUE(ir::Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
+  const std::string dir = FreshDir("pass2fault");
+  ir::InvertedIndex index;
+  ir::BuildStats bstats;
+  ASSERT_TRUE(index.BuildFromCorpus(corpus, dir, &bstats).ok());
+  ir::SearchEngine engine(&index);
+  BufferManager* pool = index.buffer_manager();
+  ir::Query q;
+  q.terms = {3, 50};
+  ir::SearchOptions opts;
+  opts.twopass_df_cutoff = 1;  // every list long: straight to pass 2
+  const std::pair<ir::RunType, ColumnReader*> runs[] = {
+      {ir::RunType::kBm25TC, &index.storage()->tf_compressed},
+      {ir::RunType::kBm25TCM, &index.storage()->score_f32},
+  };
+  for (const auto& [type, value_col] : runs) {
+    // Warm run: every page the plan reads is resident, and pool hits
+    // never fault. Then only the value column goes cold, under a plan
+    // that tears every fetch.
+    ir::SearchResult warm;
+    ASSERT_TRUE(engine.Search(q, type, opts, &warm).ok());
+    ASSERT_FALSE(warm.docids.empty());
+    ASSERT_TRUE(pool->EvictFile(value_col->file_id()).ok());
+    FaultPlanOptions fopts;
+    fopts.torn_rate = 1.0;
+    FaultPlan plan(fopts);
+    pool->set_fault_plan(&plan);
+    ir::SearchResult r;
+    const Status s = engine.Search(q, type, opts, &r);
+    pool->set_fault_plan(nullptr);
+    EXPECT_EQ(s.code(), StatusCode::kIOError)
+        << ir::RunTypeName(type) << ": " << s.ToString();
+  }
+}
+
 TEST(RunTypes, StorageRunsFailCleanlyWithoutDirectory) {
   const ir::Corpus corpus = GoldenCorpus();
   ir::InvertedIndex index;
