@@ -197,7 +197,7 @@ RunMeasurement MeasureRun(const std::vector<ir::Query>& eval_queries,
       run(q, &docids, &secs, &stats, &matches);
       total += secs;
       if (pass == 0) {
-        m.stats.Add(stats);
+        m.stats += stats;
         m.matches += matches;
       }
     }
@@ -244,7 +244,7 @@ void MeasureRunPaired(const std::vector<ir::Query>& eval_queries,
       run_a(q, &docids, &secs, &stats, &matches);
       ta += secs;
       if (pass == 0) {
-        out_a->stats.Add(stats);
+        out_a->stats += stats;
         out_a->matches += matches;
       }
       secs = 0.0;
@@ -253,7 +253,7 @@ void MeasureRunPaired(const std::vector<ir::Query>& eval_queries,
       run_b(q, &docids, &secs, &stats, &matches);
       tb += secs;
       if (pass == 0) {
-        out_b->stats.Add(stats);
+        out_b->stats += stats;
         out_b->matches += matches;
       }
     }

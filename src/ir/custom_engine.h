@@ -45,8 +45,6 @@ class CustomIrEngine {
     return (docids_.size() + tfs_.size()) * sizeof(int32_t);
   }
 
-  void set_params(const Bm25Params& params) { params_ = params; }
-
   // Document-at-a-time: k-way linear merge of the query's posting lists,
   // scoring each document once, bounded min-heap for the top k.
   Status SearchDaat(const Query& query, uint32_t k,

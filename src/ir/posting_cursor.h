@@ -57,8 +57,6 @@ class DocidSkipCursor : public vec::SkipCursor {
         cursor_.stats().windows_blockmax_skipped;
   }
 
-  const compress::SkipStats& skip_stats() const { return cursor_.stats(); }
-
   // The underlying range cursor, for window-granular drivers (the Block-Max
   // MaxScore refill loop: CurrentWindowIndex / SkipCurrentWindowBlockMax /
   // CurrentRunView / AdvanceTo).

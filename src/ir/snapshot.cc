@@ -35,30 +35,16 @@ std::string SegDir(const std::string& root, uint32_t seg_id) {
   return root + "/seg_" + std::to_string(seg_id);
 }
 
-// Deletes every on-disk trace of segmented state under `root` (manifest
-// and seg_* directories) — the clean-rebuild fallback for a torn or
-// mismatched manifest. The base segment's column files stay: the fresh
-// open will reuse or rebuild them through the normal fingerprint check.
-void RemoveSegmentedState(const std::string& root) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::remove(root + "/" + kManifestFile, ec);
-  fs::remove(root + "/" + kManifestTmpFile, ec);
-  for (const auto& entry : fs::directory_iterator(root, ec)) {
-    if (entry.is_directory(ec) &&
-        entry.path().filename().string().rfind("seg_", 0) == 0) {
-      fs::remove_all(entry.path(), ec);
-    }
-  }
-}
-
 // Sweeps seg_* directories the adopted manifest does not reference, plus a
 // stranded MANIFEST.tmp — the debris a crash between segment build and
 // manifest commit (or between commit and retirement) leaves behind. Safe
 // because every committed segment is listed in the manifest by definition,
-// and seg-id reuse after a crashed merge overwrites rather than trips.
-void SweepUnreferencedSegments(const std::string& root,
-                               const std::vector<uint32_t>& live_ids) {
+// and seg-id reuse after a crashed merge overwrites rather than trips. The
+// clean rebuild passes no live ids; the base segment's column files sit in
+// `root` itself and stay, for the fresh open to reuse or rebuild through
+// the normal fingerprint check.
+void SweepSegmentDirs(const std::string& root,
+                      const std::vector<uint32_t>& live_ids) {
   namespace fs = std::filesystem;
   std::error_code ec;
   fs::remove(root + "/" + kManifestTmpFile, ec);
@@ -119,7 +105,7 @@ Status SnapshotManager::Open(const Corpus* corpus, const std::string& dir,
     for (const Snapshot::SegmentRead& sr : segments_) {
       live_ids.push_back(sr.seg->seg_id());
     }
-    SweepUnreferencedSegments(dir_, live_ids);
+    SweepSegmentDirs(dir_, live_ids);
   } else {
     // No manifest (fresh/legacy directory) or an unusable one (torn swap,
     // corpus mismatch, torn segment): clean rebuild from the corpus. The
@@ -128,7 +114,9 @@ Status SnapshotManager::Open(const Corpus* corpus, const std::string& dir,
     // An *unusable* (vs merely absent) manifest also invalidates the WAL:
     // its records were framed against state the rebuild does not restore.
     if (!dir_.empty()) {
-      RemoveSegmentedState(dir_);
+      std::error_code ec;
+      std::filesystem::remove(dir_ + "/" + kManifestFile, ec);
+      SweepSegmentDirs(dir_, {});
       if (adopted.code() != StatusCode::kNotFound) {
         storage::Wal::RemoveFiles(dir_);
       }
@@ -152,10 +140,9 @@ Status SnapshotManager::Open(const Corpus* corpus, const std::string& dir,
       live_df_[t] = idx.term(t).doc_freq;
     }
   }
-  sealed_.clear();
-  sealed_tombs_.clear();
-  delta_ = std::make_shared<DeltaSegment>(corpus_->vocab_size(), next_docid_);
-  delta_tombs_.reset();
+  deltas_.assign(
+      1, {std::make_shared<DeltaSegment>(corpus_->vocab_size(), next_docid_),
+          0, nullptr});
   merge_deletes_.clear();
   if (!dir_.empty() && storage.wal.enabled) {
     wal_ = std::make_unique<storage::Wal>();
@@ -221,14 +208,7 @@ Status SnapshotManager::ReplayWalLocked() {
         if (cutoff > next_docid_) {
           return OutOfRange("seal cutoff beyond replayed docids");
         }
-        if (delta_->num_docs() > 0) {
-          delta_->Seal();
-          sealed_.push_back(delta_);
-          sealed_tombs_.push_back(delta_tombs_);
-          delta_ = std::make_shared<DeltaSegment>(corpus_->vocab_size(),
-                                                  next_docid_);
-          delta_tombs_.reset();
-        }
+        SealActiveLocked();
         return OkStatus();
       }
       case storage::WalRecordType::kMergeCommitted:
@@ -357,13 +337,9 @@ void SnapshotManager::PublishLocked() {
   auto snap = std::make_shared<Snapshot>();
   snap->epoch = epoch_;
   snap->segments = segments_;
-  for (size_t i = 0; i < sealed_.size(); ++i) {
-    snap->deltas.push_back(
-        {sealed_[i], sealed_[i]->num_docs(), sealed_tombs_[i]});
-  }
-  const uint32_t active_visible = delta_->num_docs();
-  if (active_visible > 0) {
-    snap->deltas.push_back({delta_, active_visible, delta_tombs_});
+  for (const Snapshot::DeltaRead& dr : deltas_) {
+    const uint32_t visible = dr.delta->num_docs();
+    if (visible > 0) snap->deltas.push_back({dr.delta, visible, dr.tombstones});
   }
   snap->stats = FreezeStatsLocked();
   current_ = std::move(snap);
@@ -434,24 +410,25 @@ Status SnapshotManager::AddDocument(const std::vector<uint32_t>& terms,
 
 Status SnapshotManager::ApplyAddLocked(std::vector<DocTerm> doc, int32_t len,
                                        int32_t* docid) {
-  // The active delta is only ever sealed while holding mu_ (StartMerge),
-  // and sealing installs a fresh active delta in the same critical
-  // section, so this Add cannot race a seal.
+  // The active delta is only ever sealed while holding mu_
+  // (SealActiveLocked), and sealing installs a fresh active delta in the
+  // same critical section, so this Add cannot race a seal.
+  Snapshot::DeltaRead& active = deltas_.back();
   int32_t id = -1;
-  X100IR_RETURN_IF_ERROR(delta_->Add(std::move(doc), &id));
+  X100IR_RETURN_IF_ERROR(active.delta->Add(std::move(doc), &id));
   // Keep the coverage invariant (SetBitCow): an existing delta bitmap must
   // span the delta's new doc count, or readers of the next snapshot would
   // index past it. COW — earlier snapshots keep their pairing.
-  if (delta_tombs_ != nullptr &&
-      delta_tombs_->size() < delta_->num_docs() / 64 + 1) {
-    auto grown = std::make_shared<std::vector<uint64_t>>(*delta_tombs_);
-    grown->resize(delta_->num_docs() / 64 + 1, 0);
-    delta_tombs_ = std::move(grown);
+  const size_t words = active.delta->num_docs() / 64 + 1;
+  if (active.tombstones != nullptr && active.tombstones->size() < words) {
+    auto grown = std::make_shared<std::vector<uint64_t>>(*active.tombstones);
+    grown->resize(words, 0);
+    active.tombstones = std::move(grown);
   }
   ++live_num_docs_;
   live_total_len_ += static_cast<uint64_t>(len);
-  for (const DocTerm& dt : delta_->doc(static_cast<uint32_t>(
-           id - delta_->base_docid()))) {
+  for (const DocTerm& dt : active.delta->doc(static_cast<uint32_t>(
+           id - active.delta->base_docid()))) {
     ++live_df_[dt.term];
   }
   ++next_docid_;
@@ -460,40 +437,32 @@ Status SnapshotManager::ApplyAddLocked(std::vector<DocTerm> doc, int32_t len,
   return OkStatus();
 }
 
+void SnapshotManager::SealActiveLocked() {
+  if (deltas_.back().delta->num_docs() == 0) return;
+  deltas_.back().delta->Seal();
+  deltas_.push_back(
+      {std::make_shared<DeltaSegment>(corpus_->vocab_size(), next_docid_), 0,
+       nullptr});
+}
+
 Status SnapshotManager::FindDeleteTargetLocked(int32_t docid,
                                                DeleteTarget* target) const {
   if (docid < 0 || docid >= next_docid_) {
     return NotFound(StrFormat("docid %d was never allocated", docid));
   }
-  if (docid >= delta_->base_docid()) {
-    const uint32_t local = static_cast<uint32_t>(docid - delta_->base_docid());
-    if (local >= delta_->num_docs()) {
-      return NotFound(StrFormat("docid %d was never allocated", docid));
-    }
-    const uint64_t* bits =
-        delta_tombs_ != nullptr ? delta_tombs_->data() : nullptr;
-    if (TombstoneTest(bits, static_cast<int32_t>(local))) {
-      return NotFound(StrFormat("docid %d is already deleted", docid));
-    }
-    target->kind = DeleteTarget::Kind::kActiveDelta;
-    target->local = local;
-    target->doc = &delta_->doc(local);
-    target->len = delta_->doc_len(local);
-    return OkStatus();
-  }
-  for (size_t i = 0; i < sealed_.size(); ++i) {
-    const DeltaSegment& sd = *sealed_[i];
+  for (size_t i = 0; i < deltas_.size(); ++i) {
+    const DeltaSegment& sd = *deltas_[i].delta;
     if (docid < sd.base_docid() ||
         docid >= sd.base_docid() + static_cast<int32_t>(sd.num_docs())) {
       continue;
     }
     const uint32_t local = static_cast<uint32_t>(docid - sd.base_docid());
-    const uint64_t* bits =
-        sealed_tombs_[i] != nullptr ? sealed_tombs_[i]->data() : nullptr;
+    const TombstoneBits& tombs = deltas_[i].tombstones;
+    const uint64_t* bits = tombs != nullptr ? tombs->data() : nullptr;
     if (TombstoneTest(bits, static_cast<int32_t>(local))) {
       return NotFound(StrFormat("docid %d is already deleted", docid));
     }
-    target->kind = DeleteTarget::Kind::kSealedDelta;
+    target->in_delta = true;
     target->index = i;
     target->local = local;
     target->doc = &sd.doc(local);
@@ -509,7 +478,7 @@ Status SnapshotManager::FindDeleteTargetLocked(int32_t docid,
     if (TombstoneTest(bits, local)) {
       return NotFound(StrFormat("docid %d is already deleted", docid));
     }
-    target->kind = DeleteTarget::Kind::kSegment;
+    target->in_delta = false;
     target->index = i;
     target->local = static_cast<uint32_t>(local);
     target->doc = &sr.seg->doc(static_cast<uint32_t>(local));
@@ -524,21 +493,13 @@ Status SnapshotManager::FindDeleteTargetLocked(int32_t docid,
 
 void SnapshotManager::ApplyDeleteLocked(const DeleteTarget& target,
                                         int32_t docid) {
-  switch (target.kind) {
-    case DeleteTarget::Kind::kActiveDelta:
-      delta_tombs_ = SetBitCow(delta_tombs_, target.local,
-                               delta_->num_docs());
-      break;
-    case DeleteTarget::Kind::kSealedDelta:
-      sealed_tombs_[target.index] =
-          SetBitCow(sealed_tombs_[target.index], target.local,
-                    sealed_[target.index]->num_docs());
-      break;
-    case DeleteTarget::Kind::kSegment:
-      segments_[target.index].tombstones =
-          SetBitCow(segments_[target.index].tombstones, target.local,
-                    segments_[target.index].seg->num_docs());
-      break;
+  if (target.in_delta) {
+    Snapshot::DeltaRead& dr = deltas_[target.index];
+    dr.tombstones =
+        SetBitCow(dr.tombstones, target.local, dr.delta->num_docs());
+  } else {
+    Snapshot::SegmentRead& sr = segments_[target.index];
+    sr.tombstones = SetBitCow(sr.tombstones, target.local, sr.seg->num_docs());
   }
   --live_num_docs_;
   live_total_len_ -= static_cast<uint64_t>(target.len);
@@ -556,8 +517,6 @@ Status SnapshotManager::DeleteDocument(int32_t docid) {
     std::lock_guard<std::mutex> lock(mu_);
     DeleteTarget target;
     X100IR_RETURN_IF_ERROR(FindDeleteTargetLocked(docid, &target));
-    const bool persistent_owner =
-        target.kind == DeleteTarget::Kind::kSegment;
     ApplyDeleteLocked(target, docid);
     if (wal_ != nullptr) {
       // The WAL is the durability story for every delete — including
@@ -568,12 +527,12 @@ Status SnapshotManager::DeleteDocument(int32_t docid) {
           wal_->Append(storage::WalRecordType::kDeleteDocument,
                        payload.data(), static_cast<uint32_t>(payload.size()),
                        &lsn);
-    } else if (persistent_owner && !dir_.empty()) {
+    } else if (!target.in_delta && !dir_.empty()) {
       // No WAL: deletes of persisted documents are made durable the old
       // way, re-writing the manifest. A failure leaves the in-memory
       // delete applied and reports the error — the reopen then
       // resurrects, it never loses.
-      persisted = WriteManifestLocked();
+      persisted = WriteManifestLocked(segments_, epoch_);
     }
     PublishLocked();
   }
@@ -583,21 +542,23 @@ Status SnapshotManager::DeleteDocument(int32_t docid) {
   return OkStatus();
 }
 
-Status SnapshotManager::WriteManifestLocked(bool* renamed) {
+Status SnapshotManager::WriteManifestLocked(
+    const std::vector<Snapshot::SegmentRead>& segments, uint64_t epoch,
+    bool* renamed) {
   if (renamed != nullptr) *renamed = false;
   if (storage::CrashedNow()) return IOError("simulated crash");
   const std::string tmp = dir_ + "/" + kManifestTmpFile;
   const std::string path = dir_ + "/" + kManifestFile;
   ManifestHeader hdr;
   hdr.corpus_fingerprint = corpus_->Fingerprint();
-  hdr.epoch = epoch_;
-  hdr.num_segments = static_cast<uint32_t>(segments_.size());
+  hdr.epoch = epoch;
+  hdr.num_segments = static_cast<uint32_t>(segments.size());
   hdr.next_seg_id = next_seg_id_;
   hdr.next_docid = next_docid_;
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return IOError("cannot create " + tmp);
   bool ok = std::fwrite(&hdr, sizeof(hdr), 1, f) == 1;
-  for (const Snapshot::SegmentRead& sr : segments_) {
+  for (const Snapshot::SegmentRead& sr : segments) {
     ManifestSegment e;
     e.seg_id = sr.seg->seg_id();
     e.num_docs = sr.seg->num_docs();
@@ -649,8 +610,8 @@ Status SnapshotManager::StartMerge() {
       // either fails, the delta stays active and no merge starts. The
       // rotation's fsync makes the DeltaSealed record (and everything
       // before it) durable; a replay that sees it reseals at the same
-      // cutoff. A DeltaSealed record without a merge behind it is
-      // harmless — replay reseals, content is unchanged.
+      // cutoff, through the same SealActiveLocked. A DeltaSealed record
+      // without a merge behind it is harmless — content is unchanged.
       const std::vector<uint8_t> payload =
           storage::Wal::EncodeDocid(next_docid_);
       X100IR_RETURN_IF_ERROR(
@@ -658,16 +619,11 @@ Status SnapshotManager::StartMerge() {
                        static_cast<uint32_t>(payload.size()), nullptr));
       X100IR_RETURN_IF_ERROR(wal_->Rotate(&input.wal_sealed_seq));
     }
-    delta_->Seal();
-    sealed_.push_back(delta_);
-    sealed_tombs_.push_back(delta_tombs_);
-    delta_ = std::make_shared<DeltaSegment>(corpus_->vocab_size(),
-                                            next_docid_);
-    delta_tombs_.reset();
+    SealActiveLocked();
     input.segments = segments_;
-    for (size_t i = 0; i < sealed_.size(); ++i) {
-      input.deltas.push_back(
-          {sealed_[i], sealed_[i]->num_docs(), sealed_tombs_[i]});
+    input.deltas.assign(deltas_.begin(), deltas_.end() - 1);
+    for (Snapshot::DeltaRead& dr : input.deltas) {
+      dr.visible = dr.delta->num_docs();
     }
     input.seg_id = next_seg_id_++;
     merge_cutoff_ = next_docid_;
@@ -791,63 +747,43 @@ Status SnapshotManager::CommitMergeLocked(const MergeInput& input,
     }
   }
 
-  std::vector<Snapshot::SegmentRead> old = std::move(segments_);
-  segments_.clear();
-  if (merged != nullptr) segments_.push_back({merged, merged_tombs});
-  sealed_.clear();
-  sealed_tombs_.clear();
-  ++epoch_;
+  std::vector<Snapshot::SegmentRead> next;
+  if (merged != nullptr) next.push_back({merged, merged_tombs});
+  Status status;
   if (!dir_.empty()) {
-    bool renamed = false;
-    Status written = WriteManifestLocked(&renamed);
-    if (!written.ok() && !renamed) {
-      // The swap never happened: restore the old segment set so the
-      // in-memory state keeps matching the on-disk manifest. The sealed
-      // delta was already compacted INTO `merged`, which we are dropping —
-      // re-adopt it so no document is lost.
-      segments_ = std::move(old);
-      for (const Snapshot::DeltaRead& dr : input.deltas) {
-        sealed_.push_back(dr.delta);
-        sealed_tombs_.push_back(dr.tombstones);
-      }
-      // Deletes that were journaled for the merged segment are already in
-      // the old structures' tombstones (DeleteDocument sets both), so
-      // nothing to replay.
-      PublishLocked();
-      return written;
-    }
-    // The rename happened: the merge is committed on disk even if the
-    // crash simulation fired right after it. Finish the in-memory commit
-    // and report the failure without undoing anything.
-    *committed = true;
-    Status post = written;
-    if (post.ok() && wal_ != nullptr) {
-      // Marker + truncation. The marker is informational (replay skips
-      // it); the truncation is what reclaims the pre-rotation files whose
-      // every record the manifest now carries. Failures here leave stale
-      // files whose replay is idempotent, so the commit stands.
-      const std::vector<uint8_t> payload = storage::Wal::EncodeMergeCommitted(
-          merge_cutoff_, epoch_);
-      uint64_t lsn = 0;
-      post = wal_->Append(storage::WalRecordType::kMergeCommitted,
+    // Before the rename nothing live has changed, so a failure here returns
+    // with nothing to undo: every delete that landed during the merge stays
+    // applied, and the sealed deltas feed the next attempt.
+    status = WriteManifestLocked(next, epoch_ + 1, committed);
+    if (!*committed) return status;
+  }
+  // The rename happened (or there is no manifest): the merge is committed
+  // even if the crash simulation fired right after it. Install exactly what
+  // the manifest says, then report any failure without undoing anything.
+  *committed = true;
+  std::vector<Snapshot::SegmentRead> old =
+      std::exchange(segments_, std::move(next));
+  deltas_.erase(deltas_.begin(),
+                deltas_.begin() +
+                    static_cast<std::ptrdiff_t>(input.deltas.size()));
+  ++epoch_;
+  for (const Snapshot::SegmentRead& sr : old) sr.seg->set_retire_on_release();
+  PublishLocked();
+  if (status.ok() && wal_ != nullptr) {
+    // Marker + truncation. The marker is informational (replay skips it);
+    // the truncation is what reclaims the pre-rotation files whose every
+    // record the manifest now carries. Failures here leave stale files
+    // whose replay is idempotent, so the commit stands.
+    const std::vector<uint8_t> payload =
+        storage::Wal::EncodeMergeCommitted(merge_cutoff_, epoch_);
+    uint64_t lsn = 0;
+    status = wal_->Append(storage::WalRecordType::kMergeCommitted,
                           payload.data(),
                           static_cast<uint32_t>(payload.size()), &lsn);
-      if (post.ok()) post = wal_->Sync(lsn);
-      if (post.ok()) post = wal_->DropFilesUpTo(input.wal_sealed_seq);
-    }
-    if (!post.ok()) {
-      for (const Snapshot::SegmentRead& sr : old) {
-        sr.seg->set_retire_on_release();
-      }
-      PublishLocked();
-      return post;
-    }
+    if (status.ok()) status = wal_->Sync(lsn);
+    if (status.ok()) status = wal_->DropFilesUpTo(input.wal_sealed_seq);
   }
-  for (const Snapshot::SegmentRead& sr : old) {
-    sr.seg->set_retire_on_release();
-  }
-  PublishLocked();
-  return OkStatus();
+  return status;
 }
 
 }  // namespace x100ir::ir

@@ -1,9 +1,9 @@
 // Snapshot reads and live updates over the segmented index (DESIGN.md §10).
 //
 // The SnapshotManager owns the database's mutable truth: the immutable
-// Segment set, per-segment tombstone bitmaps, the active DeltaSegment write
-// buffer (plus any sealed delta a running merge has adopted), the live
-// CollectionStats, and the docid/segment-id allocators. Every mutation
+// Segment set, per-segment tombstone bitmaps, the ordered DeltaSegment write
+// buffers (sealed ones awaiting a merge commit, then the active one), the
+// live CollectionStats, and the docid/segment-id allocators. Every mutation
 // (AddDocument, DeleteDocument, merge commit) happens under one commit
 // mutex and ends by publishing a brand-new immutable Snapshot; Acquire
 // hands a query a shared_ptr to the current one. In-flight queries
@@ -18,19 +18,22 @@
 // it started.
 //
 // Merge protocol (one background merge at a time, on a 1-thread pool):
-//   StartMerge  seals the active delta, adopts it + every segment as merge
-//               input, starts a fresh delta at the next docid, and kicks
-//               the background compaction. Queries keep running against
-//               the sealed delta + old segments throughout.
+//   StartMerge  seals the active delta if it holds documents (starting a
+//               fresh one at the next docid), adopts every sealed delta +
+//               every segment as merge input, and kicks the background
+//               compaction. Queries keep running against the sealed
+//               deltas + old segments throughout.
 //   background  compacts every live input document (global docid order)
 //               into one new compressed Segment under dir/seg_<id>.
-//   commit      re-checks deletes that landed during the merge (the
-//               journal) and turns them into tombstones on the new
-//               segment, writes the manifest tmp+rename (the atomic
-//               switch; meta-written-last discipline), swaps the segment
-//               set, and retires the old segments.
-//   failure     leaves the old state fully live: the sealed delta stays
-//               queryable and becomes input to the next merge attempt.
+//   commit      turns deletes that landed during the merge (the journal)
+//               into tombstones on the new segment, writes the manifest of
+//               the next segment list via tmp+rename (the atomic switch;
+//               meta-written-last discipline), and only after the rename
+//               installs that list: the compacted deltas leave, the old
+//               segments retire.
+//   failure     before the rename nothing live has changed: the sealed
+//               deltas, with every delete that landed on them, stay
+//               queryable and become input to the next merge attempt.
 //
 // Durability (DESIGN.md §13): merges persist through the manifest; the
 // delta tier persists through the write-ahead log (storage/wal.h). Every
@@ -153,9 +156,8 @@ class SnapshotManager {
   // One resolved DeleteDocument target: which structure owns the docid and
   // where, so validation (Find) can precede mutation (Apply).
   struct DeleteTarget {
-    enum class Kind { kActiveDelta, kSealedDelta, kSegment } kind =
-        Kind::kActiveDelta;
-    size_t index = 0;    // sealed_/segments_ index (unused for active)
+    bool in_delta = false;  // deltas_[index], else segments_[index]
+    size_t index = 0;
     uint32_t local = 0;  // structure-local docid
     const std::vector<DocTerm>* doc = nullptr;
     int32_t len = 0;
@@ -170,13 +172,17 @@ class SnapshotManager {
   std::shared_ptr<const CollectionStats> FreezeStatsLocked() const;
   // Publishes a new Snapshot of the current state at epoch_.
   void PublishLocked();
-  // Serializes the committed segment set to MANIFEST via tmp + rename.
+  // Serializes `segments` at `epoch` to MANIFEST via tmp + rename.
   // *renamed (may be null) reports whether the rename — the commit point —
   // happened, so a caller can distinguish pre- from post-commit failure.
-  Status WriteManifestLocked(bool* renamed = nullptr);
+  Status WriteManifestLocked(const std::vector<Snapshot::SegmentRead>& segments,
+                             uint64_t epoch, bool* renamed = nullptr);
   // Applies one normalized document to the active delta (stats + epoch, no
   // WAL, no publish) — the shared tail of AddDocument and WAL replay.
   Status ApplyAddLocked(std::vector<DocTerm> doc, int32_t len, int32_t* docid);
+  // Seals the active delta if it holds documents and opens a fresh one at
+  // next_docid_ (StartMerge and the DeltaSealed replay).
+  void SealActiveLocked();
   // Resolves a docid to its owning structure. NotFound for never-allocated
   // or already-deleted docids.
   Status FindDeleteTargetLocked(int32_t docid, DeleteTarget* target) const;
@@ -195,6 +201,7 @@ class SnapshotManager {
                             std::shared_ptr<Segment>* out);
   // *committed reports whether the merge passed its commit point (manifest
   // rename) — a post-commit failure must not retire the now-live segment.
+  // Before that point it changes no member.
   Status CommitMergeLocked(const MergeInput& input,
                            std::shared_ptr<Segment> merged, bool* committed);
 
@@ -215,10 +222,11 @@ class SnapshotManager {
   uint32_t next_seg_id_ = 1;
   int32_t next_docid_ = 0;
   std::vector<Snapshot::SegmentRead> segments_;
-  std::vector<std::shared_ptr<DeltaSegment>> sealed_;
-  std::vector<TombstoneBits> sealed_tombs_;
-  std::shared_ptr<DeltaSegment> delta_;
-  TombstoneBits delta_tombs_;
+  // Write buffers in ascending base order: sealed ones (a running merge's
+  // input, or a failed merge's for the next attempt), then the active one
+  // at back(), which takes every add. `visible` is set when a delta is
+  // handed out (publish, merge input), not kept here.
+  std::vector<Snapshot::DeltaRead> deltas_;
   uint32_t live_num_docs_ = 0;
   uint64_t live_total_len_ = 0;
   std::vector<uint32_t> live_df_;

@@ -12,16 +12,40 @@ void CrashPoint::Arm(CrashSite site, uint64_t countdown) {
   armed_site_ = site;
   countdown_ = countdown;
   crashed_.store(false, std::memory_order_release);
-  armed_.store(countdown > 0, std::memory_order_release);
+  armed_.store(countdown > 0 || held_site_ != CrashSite::kNumSites,
+               std::memory_order_release);
 }
 
 void CrashPoint::Reset() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_site_ = CrashSite::kNumSites;
+    countdown_ = 0;
+    for (uint64_t& h : hits_) h = 0;
+    crashed_.store(false, std::memory_order_release);
+  }
+  Release();  // drops any hold and, with countdown_ now 0, disarms
+}
+
+void CrashPoint::Hold(CrashSite site) {
   std::lock_guard<std::mutex> lock(mu_);
-  armed_site_ = CrashSite::kNumSites;
-  countdown_ = 0;
-  for (uint64_t& h : hits_) h = 0;
-  crashed_.store(false, std::memory_order_release);
-  armed_.store(false, std::memory_order_release);
+  held_site_ = site;
+  armed_.store(true, std::memory_order_release);
+}
+
+void CrashPoint::WaitHeld() {
+  std::unique_lock<std::mutex> lock(mu_);
+  held_cv_.wait(lock, [this] { return parked_; });
+}
+
+void CrashPoint::Release() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_site_ = CrashSite::kNumSites;
+    parked_ = false;
+    armed_.store(countdown_ > 0, std::memory_order_release);
+  }
+  held_cv_.notify_all();
 }
 
 bool CrashPoint::Reached(CrashSite site) {
@@ -31,9 +55,15 @@ bool CrashPoint::Reached(CrashSite site) {
   if (!armed_.load(std::memory_order_relaxed)) {
     return crashed_.load(std::memory_order_acquire);
   }
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   if (crashed_.load(std::memory_order_acquire)) return true;
   ++hits_[static_cast<size_t>(site)];
+  if (site == held_site_) {
+    held_site_ = CrashSite::kNumSites;  // park only the first arrival
+    parked_ = true;
+    held_cv_.notify_all();
+    held_cv_.wait(lock, [this] { return !parked_; });
+  }
   if (site == armed_site_ && countdown_ > 0 &&
       hits_[static_cast<size_t>(site)] == countdown_) {
     crashed_.store(true, std::memory_order_release);

@@ -11,14 +11,20 @@
 // by destructors — so a test can destroy the Database object and reopen
 // against the on-disk state the "crash" left behind.
 //
+// A site can also be held: the next thread to reach it parks there until
+// the test releases it, so a test can act while a background operation sits
+// at a known point (the merge between its segment build and its commit).
+//
 // The un-armed fast path is one relaxed atomic load, cheap enough to sit on
-// the per-record WAL append path. Arm/Reset are test-only and not meant to
-// race live traffic; Reached() itself is thread-safe (the background merge
-// thread hits sites concurrently with the test thread's bookkeeping).
+// the per-record WAL append path. Arm/Hold/Release/Reset are test-only and
+// not meant to race live traffic; Reached() itself is thread-safe (the
+// background merge thread hits sites concurrently with the test thread's
+// bookkeeping).
 #ifndef X100IR_STORAGE_CRASH_POINT_H_
 #define X100IR_STORAGE_CRASH_POINT_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 
@@ -72,8 +78,19 @@ class CrashPoint {
   // time (the battery iterates sites one by one).
   void Arm(CrashSite site, uint64_t countdown);
 
-  // Clears the armed site, the crashed flag, and all hit counters.
+  // Clears the armed site, the crashed flag, all hit counters and any hold,
+  // releasing a parked thread.
   void Reset();
+
+  // Parks the next thread that reaches `site` until Release() or Reset().
+  // One held site at a time; Hold replaces an earlier hold nobody reached.
+  void Hold(CrashSite site);
+
+  // Blocks until a thread is parked at the held site.
+  void WaitHeld();
+
+  // Un-parks the held thread, or cancels a hold no thread has reached yet.
+  void Release();
 
   // True once an armed countdown fired. Durable-write code checks this at
   // entry and refuses with IOError("simulated crash") — the process is
@@ -100,6 +117,9 @@ class CrashPoint {
   CrashSite armed_site_ = CrashSite::kNumSites;
   uint64_t countdown_ = 0;
   uint64_t hits_[static_cast<size_t>(CrashSite::kNumSites)] = {};
+  CrashSite held_site_ = CrashSite::kNumSites;
+  bool parked_ = false;
+  std::condition_variable held_cv_;  // parked_ flips, under mu_
 };
 
 // Convenience wrappers for the call sites.

@@ -552,11 +552,6 @@ WalStats Wal::stats() const {
   return stats_;
 }
 
-uint64_t Wal::current_seq() const {
-  std::lock_guard<std::mutex> lock(append_mu_);
-  return seq_;
-}
-
 // --- Payload encode/decode -------------------------------------------------
 
 std::vector<uint8_t> Wal::EncodeAdd(

@@ -170,7 +170,6 @@ class Wal {
   static void RemoveFiles(const std::string& dir);
 
   WalStats stats() const;
-  uint64_t current_seq() const;
 
   // --- Payload encode/decode helpers (shared by manager and tests) ------
   struct AddPayload {

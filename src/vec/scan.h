@@ -58,7 +58,6 @@ struct ExecStats {
     docs_probed += o.docs_probed;
     return *this;
   }
-  void Add(const ExecStats& o) { *this += o; }
 };
 
 // Per-query execution knobs, shared by every operator in a plan.

@@ -148,10 +148,6 @@ TEST(ExecStats, PlusEqualsSumsEveryCounter) {
   EXPECT_EQ(a.primitive_calls, 44u);
   EXPECT_EQ(a.vectors_pruned, 55u);
   EXPECT_EQ(a.docs_probed, 66u);
-  // The Add alias (pre-existing callers) routes through the operator.
-  vec::ExecStats c;
-  c.Add(b);
-  EXPECT_EQ(c.docs_probed, 60u);
 }
 
 TEST(SearchResultTest, MergeAccountingSumsAndNeverTouchesRanking) {

@@ -32,6 +32,7 @@
 #include "ir/search_engine.h"
 #include "ir/snapshot.h"
 #include "storage/buffer_manager.h"
+#include "storage/crash_point.h"
 
 #include "reference.h"
 #include "test_util.h"
@@ -86,6 +87,20 @@ std::vector<uint32_t> RandomDoc(Rng* rng, uint32_t vocab) {
   }
   return terms;
 }
+
+// Parks the background merge after its segment build, before its commit,
+// so a test acts at a known point of the merge instead of racing it.
+// Declare it after the Database: the destructor releases the merge before
+// the Database's destructor joins it, even when an assertion fails.
+struct MergeHold {
+  MergeHold() {
+    storage::CrashPoint::Instance().Hold(
+        storage::CrashSite::kMergeAfterSegmentBuild);
+  }
+  ~MergeHold() { storage::CrashPoint::Instance().Reset(); }
+  void WaitHeld() { storage::CrashPoint::Instance().WaitHeld(); }
+  void Release() { storage::CrashPoint::Instance().Release(); }
+};
 
 // ---------------------------------------------------------------------------
 // Live model: the logical corpus the database should equal.
@@ -330,8 +345,15 @@ TEST(SegmentTest, SearchDuringMergeIsBitIdenticalToOracle) {
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) readers.emplace_back(reader, t);
 
+  // Held between build and commit, the merge is certainly still running
+  // when the second StartMerge arrives, and the readers search while it is.
+  MergeHold hold;
   ASSERT_TRUE(db.StartMerge().ok());
+  hold.WaitHeld();
   EXPECT_EQ(db.StartMerge().code(), StatusCode::kFailedPrecondition);
+  const uint64_t at_hold = reader_queries.load();
+  while (reader_queries.load() < at_hold + 8) std::this_thread::yield();
+  hold.Release();
   ASSERT_TRUE(db.WaitMerge().ok());
   done.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
@@ -369,21 +391,70 @@ TEST(SegmentTest, DeletesDuringMergeLandOnTheMergedSegment) {
     model.Add(terms);
   }
 
-  // Delete below the merge cutoff while the merge runs: the journal must
-  // re-apply these as tombstones on the merged segment at commit. Whether
-  // a given delete lands before or after the commit race-wise, the final
-  // logical state is the same — which is exactly what the oracle checks.
+  // Delete below the merge cutoff while the merge is held before its
+  // commit: the journal must re-apply these as tombstones on the merged
+  // segment at commit.
+  MergeHold hold;
   ASSERT_TRUE(db.StartMerge().ok());
+  hold.WaitHeld();
   for (int32_t d = 3; d < 120; d += 17) {
     ASSERT_TRUE(db.DeleteDocument(d).ok()) << d;
     model.Delete(d);
   }
+  hold.Release();
   ASSERT_TRUE(db.WaitMerge().ok());
 
   ExpectMatchesReference(db, model.Ref(), MakeQueries(db.corpus(), 15));
 
   // And they really are deletes, not ghosts: a re-delete is NotFound.
   EXPECT_EQ(db.DeleteDocument(3).code(), StatusCode::kNotFound);
+}
+
+// A merge whose manifest write fails before the rename changes nothing
+// live: deletes that landed on its sealed delta and on the base segment
+// while it ran stay applied, and the sealed delta feeds the next attempt.
+TEST(SegmentTest, DeletesDuringAFailedMergeStayDeleted) {
+  core::DatabaseOptions dopts;
+  dopts.corpus = TinyGenerated();
+  dopts.dir = FreshDir("db");
+  dopts.storage.page_bytes = 4096;
+  core::Database db;
+  ASSERT_TRUE(db.Open(dopts).ok());
+
+  LiveModel model;
+  model.InitFrom(db.corpus());
+  Rng rng(71);
+  for (int i = 0; i < 150; ++i) {
+    const std::vector<uint32_t> terms = RandomDoc(&rng, model.vocab);
+    ASSERT_TRUE(db.AddDocument(terms, nullptr).ok());
+    model.Add(terms);
+  }
+
+  // A directory where the manifest writer creates its tmp file: the commit
+  // fails before its rename.
+  const std::string blocker = dopts.dir + "/" + kManifestTmpFile;
+  ASSERT_TRUE(std::filesystem::create_directory(blocker));
+  MergeHold hold;
+  ASSERT_TRUE(db.StartMerge().ok());
+  hold.WaitHeld();
+  const int32_t base_docs = static_cast<int32_t>(db.corpus().num_docs());
+  std::vector<int32_t> victims;
+  for (int32_t i = 0; i < 7; ++i) victims.push_back(base_docs + 5 + 20 * i);
+  victims.push_back(11);
+  for (int32_t d : victims) {
+    ASSERT_TRUE(db.DeleteDocument(d).ok()) << d;
+    model.Delete(d);
+  }
+  hold.Release();
+  EXPECT_EQ(db.WaitMerge().code(), StatusCode::kIOError);
+
+  const auto queries = MakeQueries(db.corpus(), 15);
+  ExpectMatchesReference(db, model.Ref(), queries);
+  EXPECT_EQ(db.DeleteDocument(victims[0]).code(), StatusCode::kNotFound);
+
+  std::filesystem::remove(blocker);
+  ASSERT_TRUE(db.Merge().ok());
+  ExpectMatchesReference(db, model.Ref(), queries);
 }
 
 // ---------------------------------------------------------------------------
