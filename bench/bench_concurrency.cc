@@ -1,19 +1,14 @@
-// Concurrent query service bench (DESIGN.md §9): two experiments over the
-// shared bench collection.
+// Concurrent query service bench (DESIGN.md §9): a scaling sweep over the
+// shared bench collection — QPS and p50/p99 latency vs worker count, for a
+// CPU-bound in-memory workload (kBm25 MaxScore) and a buffer-pool workload
+// (warm kBm25TCMQ8, exercising the lock-striped pool). The headline gate
+// (>= 3x QPS from 1 -> 8 workers, bench/gates.txt) is hardware-gated: it
+// only applies when the host actually has >= 8 cores ("GATE cores"
+// reports what the run saw).
 //
-//   1. Scaling sweep — QPS and p50/p99 latency vs worker count, for a
-//      CPU-bound in-memory workload (kBm25 MaxScore) and a buffer-pool
-//      workload (warm kBm25TCMQ8, exercising the lock-striped pool). The
-//      headline acceptance gate (>= 3x QPS from 1 -> 8 workers) is
-//      hardware-gated: it only applies when the host actually has >= 8
-//      cores ("GATE cores" reports what the run saw).
-//
-//   2. Fault soak — thousands of queries through the full service stack
-//      with a 5% transient-fault + latency-spike plan armed and a pool far
-//      smaller than the working set. Gated invariants: every query ends in
-//      one of the four contract outcomes (OK / DeadlineExceeded /
-//      ResourceExhausted / Unavailable), zero unclassified statuses, and
-//      every OK result is bit-identical to the fault-free serial oracle.
+// The service's fault contract (every outcome classified, OK results
+// bit-identical to a fault-free oracle) is a unit test:
+// ServerTest.FaultSoakEveryOutcomeClassifiedAndOkBitIdentical.
 //
 // Absolute QPS is runner-dependent and recorded (stdout +
 // X100IR_BENCH_JSON), never gated; the gated numbers are counters and
@@ -22,8 +17,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,7 +27,6 @@
 #include "ir/query_gen.h"
 #include "ir/search_engine.h"
 #include "server/query_service.h"
-#include "storage/fault_injection.h"
 
 namespace x100ir {
 namespace {
@@ -43,13 +35,6 @@ using Clock = std::chrono::steady_clock;
 
 double SecondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const size_t idx = static_cast<size_t>(p * static_cast<double>(v.size()));
-  return v[std::min(idx, v.size() - 1)];
 }
 
 struct SweepRow {
@@ -104,133 +89,18 @@ SweepRow MeasureWorkload(const core::Database& db,
   SweepRow row;
   row.threads = threads;
   row.qps = static_cast<double>(num_queries) / wall;
-  row.p50_ms = Percentile(lat, 0.50) * 1e3;
-  row.p99_ms = Percentile(lat, 0.99) * 1e3;
+  row.p50_ms = bench::Percentile(lat, 0.50) * 1e3;
+  row.p99_ms = bench::Percentile(lat, 0.99) * 1e3;
   row.errors = errors.load();
   return row;
 }
 
-struct SoakResult {
-  uint64_t total = 0;
-  uint64_t ok = 0;
-  uint64_t deadline_exceeded = 0;
-  uint64_t unavailable = 0;
-  uint64_t shed_attempts = 0;
-  uint64_t bad_status = 0;   // statuses outside the four-outcome contract
-  uint64_t mismatches = 0;   // OK results that differ from the oracle
-  uint64_t faults_injected = 0;
-  uint64_t service_retries = 0;
-  double wall_seconds = 0.0;
-  // Execution counters summed (ExecStats::operator+=) over every OK
-  // response — the soak's aggregate work profile, fault retries included.
-  vec::ExecStats exec;
-};
-
-SoakResult RunFaultSoak(const core::Database& db,
-                        const std::vector<ir::Query>& queries,
-                        uint32_t num_queries) {
-  // Fault-free serial oracle first (kBm25TCMQ8: identity under the
-  // degradation remap, so the ladder cannot make OK results incomparable).
-  ir::SearchOptions plain;
-  std::vector<ir::SearchResult> oracle(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    bench::CheckOk(
-        db.Search(queries[i], ir::RunType::kBm25TCMQ8, plain, &oracle[i]),
-        "oracle search");
-  }
-
-  storage::FaultPlanOptions fopts;
-  fopts.seed = 0xC1D12007;
-  fopts.transient_rate = 0.05;
-  fopts.latency_spike_rate = 0.01;
-  storage::FaultPlan plan(fopts);
-  db.index()->buffer_manager()->set_fault_plan(&plan);
-
-  server::QueryServiceOptions sopts;
-  sopts.num_threads = 4;
-  sopts.max_pending = 64;
-  sopts.retry_budget = 1;
-  sopts.retry_backoff_seconds = 1e-4;
-  server::QueryService service;
-  bench::CheckOk(service.Start(&db, sopts), "start soak service");
-
-  SoakResult r;
-  r.total = num_queries;
-  std::atomic<uint64_t> ok{0}, deadline{0}, unavailable{0}, bad{0},
-      mismatches{0};
-  std::mutex exec_mu;  // ExecStats has no atomic fields; callbacks race
-  const Clock::time_point t0 = Clock::now();
-  for (uint32_t i = 0; i < num_queries; ++i) {
-    const size_t qi = i % queries.size();
-    server::QueryRequest req;
-    req.query = queries[qi];
-    req.run = ir::RunType::kBm25TCMQ8;
-    // Every 64th query carries a microscopic deadline so the
-    // DeadlineExceeded leg of the contract is exercised in-soak.
-    if (i % 64 == 63) req.deadline_seconds = 1e-6;
-    for (;;) {
-      Status admitted = service.Submit(
-          req, [&, qi](server::QueryResponse resp) {
-            switch (resp.status.code()) {
-              case StatusCode::kOk:
-                ok.fetch_add(1);
-                if (resp.result.docids != oracle[qi].docids ||
-                    resp.result.scores != oracle[qi].scores) {
-                  mismatches.fetch_add(1);
-                }
-                {
-                  std::lock_guard<std::mutex> lock(exec_mu);
-                  r.exec += resp.result.stats;
-                }
-                break;
-              case StatusCode::kDeadlineExceeded:
-                deadline.fetch_add(1);
-                break;
-              case StatusCode::kUnavailable:
-                unavailable.fetch_add(1);
-                break;
-              default:
-                bad.fetch_add(1);
-                break;
-            }
-          });
-      if (admitted.ok()) break;
-      if (admitted.code() == StatusCode::kResourceExhausted) {
-        ++r.shed_attempts;
-        std::this_thread::yield();
-        continue;
-      }
-      if (admitted.code() == StatusCode::kUnavailable) {
-        unavailable.fetch_add(1);  // ladder refusal: a contract outcome
-        break;
-      }
-      bad.fetch_add(1);
-      break;
-    }
-  }
-  service.Drain();
-  r.wall_seconds = SecondsSince(t0);
-  const server::ServiceStats stats = service.stats();
-  service.Stop();
-  db.index()->buffer_manager()->set_fault_plan(nullptr);
-
-  r.ok = ok.load();
-  r.deadline_exceeded = deadline.load();
-  r.unavailable = unavailable.load();
-  r.bad_status = bad.load();
-  r.mismatches = mismatches.load();
-  r.faults_injected = plan.transient_injected() + plan.spikes_injected();
-  r.service_retries = stats.retries;
-  return r;
-}
-
 int Run() {
-  std::printf("=== Concurrent query service: scaling + fault soak ===\n\n");
+  std::printf("=== Concurrent query service: scaling sweep ===\n\n");
 
   const uint32_t cores = std::max(1u, std::thread::hardware_concurrency());
-  const bool tiny = bench::Scale() == bench::BenchScale::kTiny;
-  const uint32_t sweep_queries = tiny ? 400 : 2000;
-  const uint32_t soak_queries = tiny ? 2000 : 10000;
+  const uint32_t sweep_queries =
+      bench::Scale() == bench::BenchScale::kTiny ? 400 : 2000;
 
   // Thread counts 1 -> 2x cores (doubling), capped at 16.
   std::vector<uint32_t> counts;
@@ -310,172 +180,32 @@ int Run() {
       "shape: the read path is shared-nothing per query (immutable index, "
       "striped pool), so QPS should track workers until cores saturate.\n\n");
 
-  // -- Fault soak over a pool far smaller than the working set ------------
-  // 24 pages is far below the soak workload's touched page set at every
-  // scale, so misses (and fault draws) never dry up; 4 shards keep the
-  // per-shard budget (6 pages) above the worst-case concurrent pin count
-  // (4 workers x 1 pinned page), so the pool can always evict.
-  core::DatabaseOptions soak_opts = dopts;
-  soak_opts.storage.pool_bytes = 24ull * soak_opts.storage.page_bytes;
-  soak_opts.storage.shards = 4;
-  soak_opts.storage.retry.budget = 3;
-  core::Database soak_db;
-  bench::CheckOk(soak_db.Open(soak_opts), "open soak database");
-  std::printf(
-      "-- fault soak: %u queries, 5%% transient + 1%% latency spikes, "
-      "24-page pool --\n",
-      soak_queries);
-  const SoakResult soak = RunFaultSoak(soak_db, queries, soak_queries);
-  TablePrinter soak_table({"outcome", "count"});
-  soak_table.AddRow({"OK (bit-identical)",
-                     StrFormat("%llu", static_cast<unsigned long long>(
-                                           soak.ok))});
-  soak_table.AddRow(
-      {"DeadlineExceeded",
-       StrFormat("%llu",
-                 static_cast<unsigned long long>(soak.deadline_exceeded))});
-  soak_table.AddRow({"Unavailable",
-                     StrFormat("%llu", static_cast<unsigned long long>(
-                                           soak.unavailable))});
-  soak_table.AddRow(
-      {"shed attempts (resubmitted)",
-       StrFormat("%llu",
-                 static_cast<unsigned long long>(soak.shed_attempts))});
-  soak_table.AddRow({"unclassified",
-                     StrFormat("%llu", static_cast<unsigned long long>(
-                                           soak.bad_status))});
-  soak_table.AddRow({"OK-vs-oracle mismatches",
-                     StrFormat("%llu", static_cast<unsigned long long>(
-                                           soak.mismatches))});
-  soak_table.Print();
-  std::printf(
-      "faults injected: %llu, service-level retries: %llu, soak QPS: "
-      "%.0f\n",
-      static_cast<unsigned long long>(soak.faults_injected),
-      static_cast<unsigned long long>(soak.service_retries),
-      static_cast<double>(soak.total) / soak.wall_seconds);
-  std::printf(
-      "aggregate work over OK responses (ExecStats): %llu windows decoded, "
-      "%llu skipped, %llu tf windows, %llu primitive calls, %llu vectors "
-      "pruned, %llu docs probed\n\n",
-      static_cast<unsigned long long>(soak.exec.windows_decoded),
-      static_cast<unsigned long long>(soak.exec.windows_skipped),
-      static_cast<unsigned long long>(soak.exec.tf_windows_decoded),
-      static_cast<unsigned long long>(soak.exec.primitive_calls),
-      static_cast<unsigned long long>(soak.exec.vectors_pruned),
-      static_cast<unsigned long long>(soak.exec.docs_probed));
-
-  // -- Gates --------------------------------------------------------------
-  // scale_gated flags whether the 3x acceptance gate applies on this host
-  // (it needs >= 8 real cores and the 8-worker sweep point).
-  std::printf("GATE cores %u\n", cores);
-  std::printf("GATE scale_gated %d\n", (cores >= 8 && scale_8t > 0.0) ? 1 : 0);
-  std::printf("GATE qps_scale_8t %.3f\n", scale_8t);
-  std::printf("GATE qps_scale_best %.3f\n", scale_best);
-  std::printf("GATE sweep_errors %llu\n",
-              static_cast<unsigned long long>(sweep_errors));
-  std::printf("GATE soak_total %llu\n",
-              static_cast<unsigned long long>(soak.total));
-  std::printf("GATE soak_ok %llu\n",
-              static_cast<unsigned long long>(soak.ok));
-  std::printf("GATE soak_classified %llu\n",
-              static_cast<unsigned long long>(
-                  soak.ok + soak.deadline_exceeded + soak.unavailable));
-  std::printf("GATE soak_bad_status %llu\n",
-              static_cast<unsigned long long>(soak.bad_status));
-  std::printf("GATE soak_mismatches %llu\n",
-              static_cast<unsigned long long>(soak.mismatches));
-  std::printf("GATE soak_faults_injected %llu\n",
-              static_cast<unsigned long long>(soak.faults_injected));
-
-  const char* json_path = std::getenv("X100IR_BENCH_JSON");
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    bench::CheckOk(f != nullptr ? OkStatus() : IOError("cannot write json"),
-                   "open json");
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"comment\": \"Concurrent query service: QPS/p50/p99 vs worker "
-        "count (in-memory BM25 and warm-pool BM25TCMQ8), plus a fault soak "
-        "(5%% transient + 1%% latency spikes, 24-page pool). Absolute QPS "
-        "is host-dependent; the gated values are the outcome counters.\",\n"
-        "  \"command\": \"X100IR_BENCH_JSON=BENCH_concurrency.json "
-        "./build/bench_concurrency\",\n"
-        "  \"cores\": %u,\n"
-        "  \"scaling\": [\n",
-        cores);
-    const auto emit_rows = [f](const char* name,
-                               const std::vector<SweepRow>& rows,
-                               bool last_group) {
-      for (size_t i = 0; i < rows.size(); ++i) {
-        const SweepRow& r = rows[i];
-        const bool last = last_group && i + 1 == rows.size();
-        std::fprintf(f,
-                     "    {\"workload\": \"%s\", \"threads\": %u, \"qps\": "
-                     "%.1f, \"p50_ms\": %.4f, \"p99_ms\": %.4f}%s\n",
-                     name, r.threads, r.qps, r.p50_ms, r.p99_ms,
-                     last ? "" : ",");
-      }
-    };
-    emit_rows("bm25_inmemory", cpu_rows, false);
-    emit_rows("bm25tcmq8_warm_pool", pool_rows, true);
-    std::fprintf(
-        f,
-        "  ],\n"
-        "  \"soak\": {\"total\": %llu, \"ok\": %llu, "
-        "\"deadline_exceeded\": %llu, \"unavailable\": %llu, "
-        "\"shed_attempts\": %llu, \"unclassified\": %llu, "
-        "\"ok_vs_oracle_mismatches\": %llu, \"faults_injected\": %llu, "
-        "\"service_retries\": %llu, \"wall_seconds\": %.2f,\n"
-        "    \"exec_ok_responses\": {\"windows_decoded\": %llu, "
-        "\"windows_skipped\": %llu, \"tf_windows_decoded\": %llu, "
-        "\"primitive_calls\": %llu, \"vectors_pruned\": %llu, "
-        "\"docs_probed\": %llu}}\n"
-        "}\n",
-        static_cast<unsigned long long>(soak.total),
-        static_cast<unsigned long long>(soak.ok),
-        static_cast<unsigned long long>(soak.deadline_exceeded),
-        static_cast<unsigned long long>(soak.unavailable),
-        static_cast<unsigned long long>(soak.shed_attempts),
-        static_cast<unsigned long long>(soak.bad_status),
-        static_cast<unsigned long long>(soak.mismatches),
-        static_cast<unsigned long long>(soak.faults_injected),
-        static_cast<unsigned long long>(soak.service_retries),
-        soak.wall_seconds,
-        static_cast<unsigned long long>(soak.exec.windows_decoded),
-        static_cast<unsigned long long>(soak.exec.windows_skipped),
-        static_cast<unsigned long long>(soak.exec.tf_windows_decoded),
-        static_cast<unsigned long long>(soak.exec.primitive_calls),
-        static_cast<unsigned long long>(soak.exec.vectors_pruned),
-        static_cast<unsigned long long>(soak.exec.docs_probed));
-    std::fclose(f);
-    std::fprintf(stderr, "[bench] wrote %s\n", json_path);
-  }
-
-  // Hard in-binary failures (mirrored by CI's awk gate): the soak contract
-  // does not depend on the host, so violations fail even locally.
-  if (soak.bad_status != 0 || soak.mismatches != 0 ||
-      soak.ok + soak.deadline_exceeded + soak.unavailable != soak.total) {
-    std::fprintf(stderr, "FAIL: soak contract violated\n");
-    return 1;
-  }
-  if (soak.faults_injected == 0) {
-    std::fprintf(stderr, "FAIL: fault plan never fired\n");
-    return 1;
-  }
-  if (sweep_errors != 0) {
-    std::fprintf(stderr, "FAIL: fault-free sweep saw query errors\n");
-    return 1;
-  }
-  if (cores >= 8 && scale_8t > 0.0 && scale_8t < 3.0) {
-    std::fprintf(stderr,
-                 "FAIL: QPS scaled only %.2fx from 1 -> 8 workers on a "
-                 "%u-core host\n",
-                 scale_8t, cores);
-    return 1;
-  }
-  return 0;
+  // -- Gates (bounds in bench/gates.txt) ---------------------------------
+  // scale_gated flags whether the 3x gate applies on this host (it needs
+  // >= 8 real cores and the 8-worker sweep point).
+  bench::Record record(
+      "concurrency",
+      "Concurrent query service: QPS/p50/p99 vs worker count (in-memory "
+      "BM25 and warm-pool BM25TCMQ8). Absolute QPS is host-dependent; the "
+      "gated values are the error count and the 1->8 worker QPS ratio.");
+  const auto add_rows = [&record](const char* name,
+                                  const std::vector<SweepRow>& rows) {
+    for (const SweepRow& r : rows) {
+      record.AddRow(StrFormat("%s_%ut", name, r.threads))
+          .Set("threads", r.threads)
+          .Set("qps", r.qps)
+          .Set("p50_ms", r.p50_ms)
+          .Set("p99_ms", r.p99_ms);
+    }
+  };
+  add_rows("bm25_inmemory", cpu_rows);
+  add_rows("bm25tcmq8_warm_pool", pool_rows);
+  record.Gate("cores", cores);
+  record.Gate("scale_gated", cores >= 8 && scale_8t > 0.0 ? 1 : 0);
+  record.Gate("qps_scale_8t", scale_8t);
+  record.Gate("qps_scale_best", scale_best);
+  record.Gate("sweep_errors", sweep_errors);
+  return record.Finish();
 }
 
 }  // namespace

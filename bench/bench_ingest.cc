@@ -17,9 +17,10 @@
 //      throughput must sit far above fsync-per-write whenever fsync has a
 //      real cost.
 //
-// Gates: during-merge p50 within 2x of the quiescent p50, and group-commit
-// ingest >= 5x fsync-per-write. Both comparisons are host-relative, and
-// both self-disable where the host can't judge them: the interference gate
+// Gates (bench/gates.txt): all merge cycles commit, during-merge p50
+// within 2x of the quiescent p50, and group-commit ingest >= 5x
+// fsync-per-write. The two comparisons are host-relative, and both
+// self-disable where the host can't judge them: the interference gate
 // under 4 cores (the merge thread needs a core to hide on), the WAL gate
 // under 4 cores (writers must be able to append while the leader's fsync
 // is in flight; on one core their wake-ups serialize behind it) or when a
@@ -30,7 +31,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -48,13 +48,6 @@
 
 namespace x100ir {
 namespace {
-
-double Percentile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const size_t idx = static_cast<size_t>(q * static_cast<double>(v.size()));
-  return v[std::min(idx, v.size() - 1)];
-}
 
 // Runs `samples` ranked queries round-robin over the batch, recording
 // per-query wall latency. Aborts the bench on any query failure.
@@ -204,8 +197,7 @@ int Run() {
   MeasureLatencies(db, queries, queries.size());  // warm
   std::vector<double> quiescent =
       MeasureLatencies(db, queries, quiescent_samples);
-  const double q_p50 = Percentile(quiescent, 0.50) * 1e3;
-  const double q_p99 = Percentile(quiescent, 0.99) * 1e3;
+  const double q_p50 = bench::Percentile(quiescent, 0.50) * 1e3;
 
   // ---- 2. Ingest throughput into the delta write buffer. ---------------
   Rng rng(0x1267E57);
@@ -252,8 +244,7 @@ int Run() {
     bench::CheckOk(db.WaitMerge(), "merge");
     ++merges_ok;
   }
-  const double m_p50 = Percentile(merge_lat, 0.50) * 1e3;
-  const double m_p99 = Percentile(merge_lat, 0.99) * 1e3;
+  const double m_p50 = bench::Percentile(merge_lat, 0.50) * 1e3;
   const double p50_ratio = q_p50 > 0.0 ? m_p50 / q_p50 : 0.0;
 
   // Post-merge: everything compacted into one segment again, but its docid
@@ -286,40 +277,59 @@ int Run() {
                                ? wal_group.docs_per_sec / wal_fsync.docs_per_sec
                                : 0.0;
 
+  bench::Record record(
+      "ingest",
+      "Live-update interference + WAL durability cost: ranked-query "
+      "p50/p99 quiescent vs delta-resident vs during a background merge vs "
+      "post-merge, ingest docs/sec, and acknowledged-write throughput with "
+      "the WAL off / fsync-per-write / group-committed. Gated values: every "
+      "merge commits, during-merge p50 within 2x of quiescent "
+      "(self-disabled under 4 cores) and group-commit >= 5x "
+      "fsync-per-write (self-disabled under 4 cores -- one core serializes "
+      "waiter wake-ups behind the flush leader -- or when an fsync probe "
+      "reads < 100us -- tmpfs).");
   TablePrinter table({"phase", "p50 (ms)", "p99 (ms)", "samples"});
-  table.AddRow({"quiescent (fresh)", StrFormat("%.4f", q_p50),
-                StrFormat("%.4f", q_p99),
-                StrFormat("%zu", quiescent.size())});
-  table.AddRow({"delta-resident", StrFormat("%.4f",
-                                            Percentile(delta_lat, 0.5) * 1e3),
-                StrFormat("%.4f", Percentile(delta_lat, 0.99) * 1e3),
-                StrFormat("%zu", delta_lat.size())});
-  table.AddRow({"during merge", StrFormat("%.4f", m_p50),
-                StrFormat("%.4f", m_p99), StrFormat("%zu", merge_lat.size())});
-  table.AddRow({"post-merge", StrFormat("%.4f",
-                                        Percentile(post_lat, 0.5) * 1e3),
-                StrFormat("%.4f", Percentile(post_lat, 0.99) * 1e3),
-                StrFormat("%zu", post_lat.size())});
+  const auto add_phase = [&](const char* label, const char* name,
+                             const std::vector<double>& lat) {
+    const double p50 = bench::Percentile(lat, 0.50) * 1e3;
+    const double p99 = bench::Percentile(lat, 0.99) * 1e3;
+    table.AddRow({label, StrFormat("%.4f", p50), StrFormat("%.4f", p99),
+                  StrFormat("%zu", lat.size())});
+    record.AddRow(name)
+        .Set("p50_ms", p50)
+        .Set("p99_ms", p99)
+        .Set("samples", lat.size());
+  };
+  add_phase("quiescent (fresh)", "quiescent", quiescent);
+  add_phase("delta-resident", "delta_resident", delta_lat);
+  add_phase("during merge", "during_merge", merge_lat);
+  add_phase("post-merge", "post_merge", post_lat);
   table.Print();
   std::printf(
       "ingest: %u docs in %.2fs (%.0f docs/s), %u/%u merges committed\n\n",
       ingest_docs, ingest_seconds, docs_per_sec, merges_ok, cycles);
+  record.AddRow("ingest")
+      .Set("docs", ingest_docs)
+      .Set("docs_per_sec", docs_per_sec);
 
-  TablePrinter wal_table(
-      {"wal mode", "docs/s", "fsyncs", "max batch"});
-  wal_table.AddRow({"off (volatile)", StrFormat("%.0f", wal_off.docs_per_sec),
-                    "0", "-"});
-  wal_table.AddRow({"fsync-per-write",
-                    StrFormat("%.0f", wal_fsync.docs_per_sec),
-                    StrFormat("%llu", static_cast<unsigned long long>(
-                                          wal_fsync.fsyncs)),
-                    "1"});
-  wal_table.AddRow({"group commit",
-                    StrFormat("%.0f", wal_group.docs_per_sec),
-                    StrFormat("%llu", static_cast<unsigned long long>(
-                                          wal_group.fsyncs)),
-                    StrFormat("%llu", static_cast<unsigned long long>(
-                                          wal_group.batch_max))});
+  TablePrinter wal_table({"wal mode", "docs/s", "fsyncs", "max batch"});
+  const auto add_wal = [&](const char* label, const char* name,
+                           const WalModeResult& r) {
+    wal_table.AddRow({label, StrFormat("%.0f", r.docs_per_sec),
+                      StrFormat("%llu",
+                                static_cast<unsigned long long>(r.fsyncs)),
+                      StrFormat("%llu", static_cast<unsigned long long>(
+                                            r.batch_max))});
+    record.AddRow(name)
+        .Set("docs", wal_docs)
+        .Set("writer_threads", wal_threads)
+        .Set("docs_per_sec", r.docs_per_sec)
+        .Set("fsyncs", r.fsyncs)
+        .Set("batch_max", r.batch_max);
+  };
+  add_wal("off (volatile)", "wal_off", wal_off);
+  add_wal("fsync-per-write", "wal_fsync_per_write", wal_fsync);
+  add_wal("group commit", "wal_group_commit", wal_group);
   wal_table.Print();
   std::printf(
       "wal: %u docs x %u writers per mode, fsync probe %.1fus, "
@@ -329,14 +339,14 @@ int Run() {
   // The gate needs a real sample and a core for the merge thread to hide
   // on; otherwise it reports but does not judge.
   const bool gated = cores >= 4 && merge_lat.size() >= 50;
-  std::printf("GATE cores %u\n", cores);
-  std::printf("GATE interference_gated %d\n", gated ? 1 : 0);
-  std::printf("GATE merge_samples %zu\n", merge_lat.size());
-  std::printf("GATE quiescent_p50_ms %.4f\n", q_p50);
-  std::printf("GATE merge_p50_ms %.4f\n", m_p50);
-  std::printf("GATE merge_p50_ratio %.3f\n", p50_ratio);
-  std::printf("GATE ingest_docs_per_sec %.0f\n", docs_per_sec);
-  std::printf("GATE merges_ok %u\n", merges_ok);
+  record.Gate("cores", cores);
+  record.Gate("interference_gated", gated ? 1 : 0);
+  record.Gate("merge_samples", merge_lat.size());
+  record.Gate("quiescent_p50_ms", q_p50);
+  record.Gate("merge_p50_ms", m_p50);
+  record.Gate("merge_p50_ratio", p50_ratio);
+  record.Gate("ingest_docs_per_sec", docs_per_sec);
+  record.Gate("merges_ok", merges_ok);
 
   // The WAL gate judges only where the group-commit premise is physically
   // measurable: fsync must cost something real (a volume whose fsync is
@@ -346,81 +356,14 @@ int Run() {
   // so filling a batch costs about the fsync it is meant to hide — the
   // same structural self-disable as interference_gated above.
   const bool wal_gated = cores >= 4 && fsync_probe_us >= 100.0;
-  std::printf("GATE fsync_probe_us %.1f\n", fsync_probe_us);
-  std::printf("GATE wal_gated %d\n", wal_gated ? 1 : 0);
-  std::printf("GATE wal_off_docs_per_sec %.0f\n", wal_off.docs_per_sec);
-  std::printf("GATE wal_fsync_docs_per_sec %.0f\n", wal_fsync.docs_per_sec);
-  std::printf("GATE wal_group_docs_per_sec %.0f\n", wal_group.docs_per_sec);
-  std::printf("GATE wal_group_vs_fsync %.2f\n", wal_ratio);
-  std::printf("GATE wal_group_batch_max %llu\n",
-              static_cast<unsigned long long>(wal_group.batch_max));
-
-  const char* json_path = std::getenv("X100IR_BENCH_JSON");
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    bench::CheckOk(f != nullptr ? OkStatus() : IOError("cannot write json"),
-                   "open json");
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"comment\": \"Live-update interference + WAL durability cost: "
-        "ranked-query p50/p99 quiescent vs delta-resident vs during a "
-        "background merge, ingest docs/sec, and acknowledged-write "
-        "throughput with the WAL off / fsync-per-write / group-committed. "
-        "Gated values: during-merge p50 within 2x of quiescent "
-        "(self-disabled under 4 cores) and group-commit >= 5x "
-        "fsync-per-write (self-disabled under 4 cores -- one core "
-        "serializes waiter wake-ups behind the flush leader -- or when an "
-        "fsync probe reads < 100us -- tmpfs).\",\n"
-        "  \"command\": \"X100IR_BENCH_JSON=BENCH_ingest.json "
-        "./build/bench_ingest\",\n"
-        "  \"cores\": %u,\n"
-        "  \"ingest_docs\": %u,\n"
-        "  \"ingest_docs_per_sec\": %.0f,\n"
-        "  \"phases\": [\n"
-        "    {\"phase\": \"quiescent\", \"p50_ms\": %.4f, \"p99_ms\": "
-        "%.4f},\n"
-        "    {\"phase\": \"delta_resident\", \"p50_ms\": %.4f, \"p99_ms\": "
-        "%.4f},\n"
-        "    {\"phase\": \"during_merge\", \"p50_ms\": %.4f, \"p99_ms\": "
-        "%.4f, \"samples\": %zu},\n"
-        "    {\"phase\": \"post_merge\", \"p50_ms\": %.4f, \"p99_ms\": "
-        "%.4f}\n"
-        "  ],\n"
-        "  \"merge_p50_ratio\": %.3f,\n"
-        "  \"wal\": {\n"
-        "    \"docs\": %u,\n"
-        "    \"writer_threads\": %u,\n"
-        "    \"fsync_probe_us\": %.1f,\n"
-        "    \"gated\": %s,\n"
-        "    \"off_docs_per_sec\": %.0f,\n"
-        "    \"fsync_per_write_docs_per_sec\": %.0f,\n"
-        "    \"group_commit_docs_per_sec\": %.0f,\n"
-        "    \"group_vs_fsync\": %.2f,\n"
-        "    \"group_fsyncs\": %llu,\n"
-        "    \"group_batch_max\": %llu\n"
-        "  }\n"
-        "}\n",
-        cores, ingest_docs, docs_per_sec, q_p50, q_p99,
-        Percentile(delta_lat, 0.5) * 1e3, Percentile(delta_lat, 0.99) * 1e3,
-        m_p50, m_p99, merge_lat.size(), Percentile(post_lat, 0.5) * 1e3,
-        Percentile(post_lat, 0.99) * 1e3, p50_ratio, wal_docs, wal_threads,
-        fsync_probe_us, wal_gated ? "true" : "false", wal_off.docs_per_sec,
-        wal_fsync.docs_per_sec, wal_group.docs_per_sec, wal_ratio,
-        static_cast<unsigned long long>(wal_group.fsyncs),
-        static_cast<unsigned long long>(wal_group.batch_max));
-    std::fclose(f);
-    std::fprintf(stderr, "[bench] wrote %s\n", json_path);
-  }
-
-  // Host-independent hard failures; the latency gate itself is CI's awk
-  // (and only when interference_gated says the host can judge it).
-  if (merges_ok != cycles) {
-    std::fprintf(stderr, "FATAL: %u/%u merges committed\n", merges_ok,
-                 cycles);
-    return 1;
-  }
-  return 0;
+  record.Gate("fsync_probe_us", fsync_probe_us);
+  record.Gate("wal_gated", wal_gated ? 1 : 0);
+  record.Gate("wal_off_docs_per_sec", wal_off.docs_per_sec);
+  record.Gate("wal_fsync_docs_per_sec", wal_fsync.docs_per_sec);
+  record.Gate("wal_group_docs_per_sec", wal_group.docs_per_sec);
+  record.Gate("wal_group_vs_fsync", wal_ratio);
+  record.Gate("wal_group_batch_max", wal_group.batch_max);
+  return record.Finish();
 }
 
 }  // namespace

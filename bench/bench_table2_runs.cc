@@ -9,7 +9,6 @@
 // Absolute times differ from the paper's hardware; the row ordering and the
 // effect of each optimization are the reproduced result.
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -194,56 +193,35 @@ int Run() {
               rows[ir::RunType::kBm25TCM].p20,
               rows[ir::RunType::kBm25TCMQ8].p20);
 
-  // Machine-readable gates for CI's bench-smoke job. Cold times are
-  // dominated by the deterministic simulated disk, so these ratios are
-  // runner-independent; hot wall-clock ratios are reported in the JSON but
-  // never gated.
-  const double tcm_vs_bm25t_cold = rows[ir::RunType::kBm25TCM].cold_ms /
-                                   rows[ir::RunType::kBm25T].cold_ms;
-  const double tcmq8_vs_tcm_cold = rows[ir::RunType::kBm25TCMQ8].cold_ms /
-                                   rows[ir::RunType::kBm25TCM].cold_ms;
-  const double q8_vs_f32_bytes =
-      static_cast<double>(q8_bytes) / static_cast<double>(f32_bytes);
-  std::printf("\nGATE tcm_vs_bm25t_cold %.4f\n", tcm_vs_bm25t_cold);
-  std::printf("GATE tcmq8_vs_tcm_cold %.4f\n", tcmq8_vs_tcm_cold);
-  std::printf("GATE q8_vs_f32_bytes %.4f\n", q8_vs_f32_bytes);
-
-  const char* json_path = std::getenv("X100IR_BENCH_JSON");
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    bench::CheckOk(f != nullptr ? OkStatus() : IOError("cannot write json"),
-                   "open json");
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"comment\": \"Table 2 runs: p@20 + cold/hot avg per query; "
-        "cold ms include the deterministic simulated-disk charge (2 ms "
-        "seek, 200 MB/s), hot ms are wall-clock over a warm pool.\",\n"
-        "  \"command\": \"X100IR_BENCH_JSON=BENCH_table2.json "
-        "./build/bench_table2_runs\",\n"
-        "  \"results\": [\n");
-    for (ir::RunType type : ir::AllRunTypes()) {
-      const RunRow& r = rows[type];
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"p20\": %.4f, \"cold_ms\": "
-                   "%.4f, \"hot_ms\": %.4f, \"second_pass_pct\": %.1f},\n",
-                   RunTypeName(type), r.p20, r.cold_ms, r.hot_ms,
-                   r.second_pass_pct);
-    }
-    std::fprintf(
-        f,
-        "    {\"name\": \"gates\", \"tcm_vs_bm25t_cold\": %.4f, "
-        "\"tcmq8_vs_tcm_cold\": %.4f, \"q8_vs_f32_bytes\": %.4f, "
-        "\"score_f32_bytes\": %llu, \"score_q8_bytes\": %llu}\n"
-        "  ]\n"
-        "}\n",
-        tcm_vs_bm25t_cold, tcmq8_vs_tcm_cold, q8_vs_f32_bytes,
-        static_cast<unsigned long long>(f32_bytes),
-        static_cast<unsigned long long>(q8_bytes));
-    std::fclose(f);
-    std::fprintf(stderr, "[bench] wrote %s\n", json_path);
+  // Gates (bounds in bench/gates.txt). Cold times are dominated by the
+  // deterministic simulated disk, so these ratios are runner-independent;
+  // hot wall-clock is recorded but never gated.
+  bench::Record record(
+      "table2_runs",
+      "Table 2 runs: p@20 + cold/hot avg per query; cold ms include the "
+      "deterministic simulated-disk charge (2 ms seek, 200 MB/s), hot ms "
+      "are wall-clock over a warm pool.");
+  for (ir::RunType type : ir::AllRunTypes()) {
+    const RunRow& r = rows[type];
+    record.AddRow(RunTypeName(type))
+        .Set("p20", r.p20)
+        .Set("cold_ms", r.cold_ms)
+        .Set("hot_ms", r.hot_ms)
+        .Set("second_pass_pct", r.second_pass_pct)
+        .Set("cold_io_requests", r.cold_seeks)
+        .Set("cold_io_kb", r.cold_kb);
   }
-  return 0;
+  record.AddRow("score_columns")
+      .Set("f32_bytes", f32_bytes)
+      .Set("q8_bytes", q8_bytes);
+  std::printf("\n");
+  record.Gate("tcm_vs_bm25t_cold", rows[ir::RunType::kBm25TCM].cold_ms /
+                                       rows[ir::RunType::kBm25T].cold_ms);
+  record.Gate("tcmq8_vs_tcm_cold", rows[ir::RunType::kBm25TCMQ8].cold_ms /
+                                       rows[ir::RunType::kBm25TCM].cold_ms);
+  record.Gate("q8_vs_f32_bytes",
+              static_cast<double>(q8_bytes) / static_cast<double>(f32_bytes));
+  return record.Finish();
 }
 
 }  // namespace

@@ -4,13 +4,25 @@
 // collection under X100IR_BENCH_DIR (default ./bench_data). Scale is chosen
 // so the full bench suite completes in minutes on a laptop while preserving
 // the experiments' shape; set X100IR_BENCH_SCALE=large for a bigger run.
+//
+// Each bench reports through one bench::Record: its "GATE <name> <value>"
+// lines on stdout, and its JSON baseline (with a host block) when
+// X100IR_BENCH_JSON names a file. No bench judges its own gates: the
+// bounds live in bench/gates.txt and bench/check_gates.py applies them.
 #ifndef X100IR_BENCH_BENCH_UTIL_H_
 #define X100IR_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
+#include "common/string_util.h"
+#include "compress/unpack.h"
 #include "core/database.h"
 #include "ir/query_gen.h"
 
@@ -35,6 +47,17 @@ inline BenchScale Scale() {
 }
 
 inline bool LargeScale() { return Scale() == BenchScale::kLarge; }
+
+inline const char* ScaleName() {
+  switch (Scale()) {
+    case BenchScale::kTiny:
+      return "tiny";
+    case BenchScale::kLarge:
+      return "large";
+    default:
+      return "default";
+  }
+}
 
 /// The bench collection: a scaled-down GOV2 stand-in (DESIGN.md §3.1).
 inline ir::CorpusOptions BenchCorpusOptions() {
@@ -164,6 +187,122 @@ inline void CheckOk(const Status& s, const char* what) {
     std::exit(1);
   }
 }
+
+/// The q-quantile (0..1) of `v` by nearest rank; 0 for an empty sample.
+inline double Percentile(std::vector<double> v, double q) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const size_t idx = static_cast<size_t>(q * static_cast<double>(v.size()));
+  return v[std::min(idx, v.size() - 1)];
+}
+
+/// One bench run's results. Rows are named groups of numbers; gates are
+/// the values bench/gates.txt bounds (plus informational ones and the
+/// arming flags such as wal_gated), printed as they are recorded. Finish()
+/// writes the JSON baseline when X100IR_BENCH_JSON names a file:
+///
+///   {"bench", "comment", "command",
+///    "host": {cores, simd, force_scalar, scale, build_type},
+///    "rows": [{"name", <field>: <number>, ...}, ...],
+///    "gates": {<gate>: <number>, ...}}
+class Record {
+ public:
+  struct Row {
+    std::string name;
+    std::vector<std::pair<std::string, double>> fields;
+
+    Row& Set(const std::string& key, double value) {
+      fields.emplace_back(key, value);
+      return *this;
+    }
+  };
+
+  /// `bench` is the binary's name without its "bench_" prefix. The host
+  /// block is taken here, before any experiment toggles SIMD dispatch;
+  /// dispatch starts disabled only under X100IR_FORCE_SCALAR.
+  Record(std::string bench, std::string comment)
+      : bench_(std::move(bench)),
+        comment_(std::move(comment)),
+        host_(StrFormat(
+            "{\"cores\": %u, \"simd\": \"%s\", \"force_scalar\": %s, "
+            "\"scale\": \"%s\", \"build_type\": \"%s\"}",
+            std::thread::hardware_concurrency(),
+            compress::internal::SimdLevelName(
+                compress::internal::ActiveSimdLevel()),
+            compress::internal::SimdUnpackEnabled() ? "false" : "true",
+            ScaleName(), X100IR_BUILD_TYPE)) {}
+
+  /// Appends a row; the reference stays valid until the next AddRow.
+  Row& AddRow(const std::string& name) {
+    rows_.push_back(Row{name, {}});
+    return rows_.back();
+  }
+
+  void Gate(const std::string& name, double value) {
+    std::printf("GATE %s %s\n", name.c_str(), FormatNumber(value).c_str());
+    gates_.emplace_back(name, value);
+  }
+
+  /// Writes the JSON baseline if requested; returns main's exit status.
+  int Finish() const {
+    const char* path = std::getenv("X100IR_BENCH_JSON");
+    if (path == nullptr || path[0] == '\0') return 0;
+    std::string json = "{\n  \"bench\": " + JsonString(bench_) +
+                       ",\n  \"comment\": " + JsonString(comment_) +
+                       ",\n  \"command\": " +
+                       JsonString(std::string("X100IR_BENCH_JSON=") + path +
+                                  " ./build/bench_" + bench_) +
+                       ",\n  \"host\": " + host_ + ",\n  \"rows\": [";
+    for (size_t r = 0; r < rows_.size(); ++r) {
+      json += (r == 0 ? "\n    {\"name\": " : ",\n    {\"name\": ") +
+              JsonString(rows_[r].name);
+      for (const auto& [key, value] : rows_[r].fields) {
+        json += ", " + JsonString(key) + ": " + FormatNumber(value);
+      }
+      json += "}";
+    }
+    json += "\n  ],\n  \"gates\": {";
+    for (size_t g = 0; g < gates_.size(); ++g) {
+      json += (g == 0 ? "\n    " : ",\n    ") + JsonString(gates_[g].first) +
+              ": " + FormatNumber(gates_[g].second);
+    }
+    json += "\n  }\n}\n";
+    std::FILE* f = std::fopen(path, "w");
+    if (f == nullptr || std::fputs(json.c_str(), f) < 0 ||
+        std::fclose(f) != 0) {
+      std::fprintf(stderr, "FATAL cannot write %s\n", path);
+      std::exit(1);
+    }
+    std::fprintf(stderr, "[bench] wrote %s\n", path);
+    return 0;
+  }
+
+ private:
+  std::string bench_;
+  std::string comment_;
+  std::string host_;
+  std::vector<Row> rows_;
+  std::vector<std::pair<std::string, double>> gates_;
+
+  // A number as JSON and GATE lines print it: integers exactly, others to
+  // six significant digits, non-finite values as null.
+  static std::string FormatNumber(double v) {
+    if (!std::isfinite(v)) return "null";
+    if (v == std::floor(v) && std::fabs(v) < 1e15) {
+      return StrFormat("%.0f", v);
+    }
+    return StrFormat("%.6g", v);
+  }
+
+  static std::string JsonString(const std::string& s) {
+    std::string out = "\"";
+    for (char c : s) {
+      if (c == '"' || c == '\\') out += '\\';
+      out += c;
+    }
+    return out + "\"";
+  }
+};
 
 }  // namespace x100ir::bench
 

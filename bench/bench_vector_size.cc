@@ -5,7 +5,8 @@
 // Expected shape (the classic X100 curve): vector size 1 degenerates to
 // tuple-at-a-time Volcano execution (interpretation overhead per tuple);
 // very large vectors spill the CPU cache (materialization overheads);
-// the optimum sits at a few hundred to a few thousand values.
+// the optimum sits at a few hundred to a few thousand values. The shape is
+// gated through bench/gates.txt on the GATE ratios printed last.
 #include <cstdio>
 #include <vector>
 
@@ -59,19 +60,31 @@ int Run() {
     rows.emplace_back(vs, total * 1e3 / static_cast<double>(queries.size()));
     std::fprintf(stderr, "[bench] vector size %u done\n", vs);
   }
-  double best = rows[0].second;
-  for (const auto& [vs, ms] : rows) best = std::min(best, ms);
+  size_t best = 0;
+  for (size_t i = 1; i < rows.size(); ++i) {
+    if (rows[i].second < rows[best].second) best = i;
+  }
+  const double best_ms = rows[best].second;
+  bench::Record record("vector_size",
+                       "Section 4 vector-size sweep: BM25 score-all union "
+                       "plan, hot avg ms per query by vector size.");
   for (const auto& [vs, ms] : rows) {
     table.AddRow({StrFormat("%u", vs), StrFormat("%.3f", ms),
-                  StrFormat("%.2fx", ms / best)});
+                  StrFormat("%.2fx", ms / best_ms)});
+    record.AddRow(StrFormat("size_%u", vs)).Set("avg_ms", ms);
   }
   table.Print();
 
   std::printf(
       "\nshape: per-tuple interpretation overhead should make vector size 1 "
       "an order of magnitude slower than the optimum (~1K values, which "
-      "keeps a query's working set in cache).\n");
-  return 0;
+      "keeps a query's working set in cache).\n\n");
+  // Sweep rows between the optimum and the nearer end: 0 means the
+  // optimum sits at an end of the sweep rather than inside it.
+  record.Gate("optimum_edge_distance", std::min(best, rows.size() - 1 - best));
+  record.Gate("size1_vs_best", rows.front().second / best_ms);
+  record.Gate("largest_vs_best", rows.back().second / best_ms);
+  return record.Finish();
 }
 
 }  // namespace

@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Judges the paper benches' GATE lines against bench/gates.txt.
+
+  python3 bench/check_gates.py BENCH OUTPUT
+      Checks one bench's saved output against its bounds.
+  python3 bench/check_gates.py --run BUILD_DIR
+      Runs every bench the bounds file names from BUILD_DIR at tiny scale
+      (X100IR_BENCH_DIR defaults to BUILD_DIR/bench_data) and checks each.
+
+Prints PASS, FAIL or DISABLED for every gate. Exits 1 when a gate fails,
+when a gate it needs is missing from the output, or when a bench exits
+non-zero.
+"""
+import operator
+import os
+import subprocess
+import sys
+
+BOUNDS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "gates.txt")
+OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+       ">=": operator.ge, "==": operator.eq}
+
+
+def load_bounds(text):
+    """Parses bounds into (bench, gate, op, bound, armed_by) tuples."""
+    bounds = []
+    for n, line in enumerate(text.splitlines(), 1):
+        fields = line.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if len(fields) not in (4, 5) or fields[2] not in OPS:
+            raise ValueError("bounds line %d is malformed: %s" % (n, line))
+        bounds.append(tuple(fields) + (None,) * (5 - len(fields)))
+    return bounds
+
+
+def parse_gates(output):
+    """Maps each `GATE <name> <value>` line's name to its value; a
+    non-finite value, printed as null, reads as NaN and fails any bound."""
+    gates = {}
+    for line in output.splitlines():
+        fields = line.split()
+        if len(fields) == 3 and fields[0] == "GATE":
+            gates[fields[1]] = float("nan" if fields[2] == "null" else fields[2])
+    return gates
+
+
+def fmt(value):
+    return "%d" % value if value.is_integer() else "%g" % value
+
+
+def check(bench, output, bounds):
+    """Returns a (verdict, description) pair per bound of `bench`."""
+    gates = parse_gates(output)
+    results = []
+    for name, gate, op, bound, armed_by in bounds:
+        if name != bench:
+            continue
+        value = gates.get(gate)
+        try:
+            limit = float(bound)
+        except ValueError:
+            limit = gates.get(bound)
+        rule = "%s: %s %s %s" % (bench, gate, op, bound)
+        armed = True
+        if armed_by is not None:
+            rule += " if " + armed_by
+            flag = gates.get(armed_by.lstrip("!"))
+            armed = None if flag is None else (
+                (flag != 0) != armed_by.startswith("!"))
+        if value is None or limit is None or armed is None:
+            results.append(("FAIL", rule + " (missing)"))
+            continue
+        verdict = ("DISABLED" if not armed else
+                   "PASS" if OPS[op](value, limit) else "FAIL")
+        results.append((verdict, "%s (read %s)" % (rule, fmt(value))))
+    if not results:
+        raise ValueError("no bounds for bench " + bench)
+    return results
+
+
+def report(results):
+    for verdict, description in results:
+        print("%-8s %s" % (verdict, description))
+    return all(verdict != "FAIL" for verdict, _ in results)
+
+
+def run_all(build_dir, bounds):
+    env = dict(os.environ, X100IR_BENCH_SCALE="tiny")
+    env.setdefault("X100IR_BENCH_DIR", os.path.join(build_dir, "bench_data"))
+    env.pop("X100IR_BENCH_JSON", None)  # a tiny run is never a baseline
+    summary = []
+    for bench in dict.fromkeys(b[0] for b in bounds):
+        print("=== bench_%s ===" % bench, flush=True)
+        run = subprocess.run([os.path.join(build_dir, "bench_" + bench)],
+                             env=env, stdout=subprocess.PIPE, text=True)
+        sys.stdout.write(run.stdout)
+        if run.returncode != 0:
+            summary.append(("FAIL", "%s: exited with status %d" %
+                            (bench, run.returncode)))
+        summary += check(bench, run.stdout, bounds)
+    print("=== gates ===")
+    return report(summary)
+
+
+def main(argv):
+    with open(BOUNDS) as f:
+        bounds = load_bounds(f.read())
+    if len(argv) == 3 and argv[1] == "--run":
+        ok = run_all(argv[2], bounds)
+    elif len(argv) == 3 and not argv[1].startswith("-"):
+        with open(argv[2]) as f:
+            ok = report(check(argv[1], f.read(), bounds))
+    else:
+        sys.exit(__doc__)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -86,8 +86,10 @@ Status SearchEngine::Search(const Query& query, RunType type,
     case RunType::kBm25TC:
     case RunType::kBm25TCM:
     case RunType::kBm25TCMQ8: {
-      // Simulated I/O is charged to the shared disk; the per-query share
-      // is the delta across this run (single-threaded engine).
+      // Simulated I/O is charged to the disk the whole index shares; the
+      // per-query share is its delta across this run. That is exact only
+      // for serial callers: a concurrent query's charges land in the same
+      // delta.
       const double io_before = index_->disk()->io_seconds();
       s = SearchColdRun(type, terms, opts, result);
       result->io_seconds = index_->disk()->io_seconds() - io_before;

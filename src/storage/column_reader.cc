@@ -331,6 +331,9 @@ Status SortedColumnCursor::SkipToCompressed(int32_t target, bool* found) {
     uint32_t cand = lo;
     if (cand >= full_end) {
       if (full_end > w_last) {
+        // The jump to end passes windows w_from..w_last undecoded; they
+        // count as skipped, exactly as in SortedRangeCursor::SkipTo.
+        windows_skipped_ += w_last - w_from + 1 - (win_ == w_from ? 1 : 0);
         pos_ = end_;
         *found = false;
         return OkStatus();

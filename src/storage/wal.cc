@@ -67,14 +67,14 @@ bool ParseWalFileName(const std::string& name, uint64_t* seq) {
   return true;
 }
 
-void AppendBytes(std::vector<uint8_t>* out, const void* p, size_t n) {
-  const uint8_t* b = static_cast<const uint8_t*>(p);
-  out->insert(out->end(), b, b + n);
-}
-
 template <typename T>
 void AppendScalar(std::vector<uint8_t>* out, T v) {
-  AppendBytes(out, &v, sizeof(v));
+  // resize + memcpy rather than a range insert: g++ 12 cannot see that
+  // an insert of sizeof(T) bytes into an empty vector stays in bounds
+  // (-Wstringop-overflow).
+  const size_t at = out->size();
+  out->resize(at + sizeof(v));
+  std::memcpy(out->data() + at, &v, sizeof(v));
 }
 
 template <typename T>
@@ -286,7 +286,7 @@ Status Wal::Append(WalRecordType type, const void* payload, uint32_t len,
   WalRecordHeader hdr;
   hdr.len = len;
   hdr.type = static_cast<uint32_t>(type);
-  std::vector<uint8_t> crc_buf(8 + len);
+  std::vector<uint8_t> crc_buf(size_t{8} + len);
   std::memcpy(crc_buf.data(), &hdr.len, 4);
   std::memcpy(crc_buf.data() + 4, &hdr.type, 4);
   if (len > 0) std::memcpy(crc_buf.data() + 8, payload, len);
@@ -580,10 +580,11 @@ bool Wal::DecodeAdd(const WalRecordView& rec, AddPayload* out) {
   out->terms.clear();
   out->terms.reserve(nterms);
   for (uint32_t i = 0; i < nterms; ++i) {
-    uint32_t term;
-    int32_t tf;
-    ReadScalar(&p, end, &term);
-    ReadScalar(&p, end, &tf);
+    uint32_t term = 0;
+    int32_t tf = 0;
+    if (!ReadScalar(&p, end, &term) || !ReadScalar(&p, end, &tf)) {
+      return false;
+    }
     out->terms.emplace_back(term, tf);
   }
   return true;

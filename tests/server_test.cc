@@ -564,9 +564,9 @@ TEST(ServerTest, DegradationLadderEscalatesThenRecovers) {
 }
 
 // ---------------------------------------------------------------------------
-// Scaled-down fault soak: the bench_concurrency invariant, in-tree. Every
-// query ends in one of the four contract outcomes; OK results are
-// bit-identical to the fault-free serial oracle.
+// Fault soak: every query ends in one of the four contract outcomes; OK
+// results are bit-identical to the fault-free serial oracle; every 64th
+// request carries a 1 us deadline, so DeadlineExceeded is exercised too.
 // ---------------------------------------------------------------------------
 
 TEST(ServerTest, FaultSoakEveryOutcomeClassifiedAndOkBitIdentical) {
@@ -627,6 +627,9 @@ TEST(ServerTest, FaultSoakEveryOutcomeClassifiedAndOkBitIdentical) {
     QueryRequest req;
     req.query = queries[qi];
     req.run = ir::RunType::kBm25TCMQ8;
+    // The deadline starts at admission, and the hand-off to a worker
+    // alone outlasts 1 us.
+    if (i % 64 == 63) req.deadline_seconds = 1e-6;
     for (;;) {
       Status admitted = service.Submit(req, [&, qi](QueryResponse resp) {
         switch (resp.status.code()) {
@@ -673,6 +676,7 @@ TEST(ServerTest, FaultSoakEveryOutcomeClassifiedAndOkBitIdentical) {
   EXPECT_EQ(ok.load() + deadline.load() + unavailable.load(),
             static_cast<uint64_t>(kSoak));
   EXPECT_GT(ok.load(), static_cast<uint64_t>(kSoak) / 2);
+  EXPECT_GT(deadline.load(), 0u);
   EXPECT_GT(plan.transient_injected(), 0u);
   EXPECT_EQ(stats.shed_queue_full, shed_attempts);
   EXPECT_EQ(stats.failed, 0u);  // no torn faults configured, none reported

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -557,9 +558,12 @@ TEST(SortedColumnCursor, MatchesSortedRangeCursorOracle) {
   ASSERT_TRUE(compressed.Open(path, 1, &bm).ok());
   ASSERT_TRUE(raw.Open(raw_path, 2, &bm).ok());
 
-  // Sub-ranges crossing window boundaries, incl. the block's tail window.
+  // Sub-ranges crossing window boundaries, incl. the block's tail window,
+  // and 8 whole windows ending inside the block (SkipTo past their end
+  // jumps without decoding the last one).
   const std::pair<uint64_t, uint64_t> ranges[] = {
-      {0, values.size()}, {100, 700}, {127, 129}, {1280, 1407}, {5, 5}};
+      {0, values.size()}, {100, 700}, {127, 129}, {1280, 1407}, {5, 5},
+      {128, 1152}};
   for (const auto& [begin, end] : ranges) {
     for (uint64_t probe_seed = 0; probe_seed < 3; ++probe_seed) {
       compress::SortedRangeCursor oracle;
@@ -580,6 +584,8 @@ TEST(SortedColumnCursor, MatchesSortedRangeCursorOracle) {
         ASSERT_TRUE(cold_raw.SkipTo(target, &found_raw).ok());
         ASSERT_EQ(found, found_oracle) << "target=" << target;
         ASSERT_EQ(found_raw, found_oracle);
+        ASSERT_EQ(cold.windows_skipped(), oracle.stats().windows_skipped)
+            << "target=" << target;
         if (!found_oracle) break;
         ASSERT_EQ(cold.position(), oracle.position());
         ASSERT_EQ(cold_raw.position(), oracle.position());
@@ -591,6 +597,14 @@ TEST(SortedColumnCursor, MatchesSortedRangeCursorOracle) {
         target =
             oracle.value() + static_cast<int32_t>(prng.NextBounded(30));
       }
+      // A probe past every value: the windows the jump to end passes
+      // count as skipped in both cursors.
+      const int32_t past_end = std::numeric_limits<int32_t>::max();
+      const bool found_oracle = oracle.SkipTo(past_end);
+      bool found = true;
+      ASSERT_TRUE(cold.SkipTo(past_end, &found).ok());
+      ASSERT_EQ(found, found_oracle);
+      ASSERT_EQ(cold.windows_skipped(), oracle.stats().windows_skipped);
     }
   }
 }
