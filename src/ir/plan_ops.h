@@ -1,5 +1,4 @@
-// Engine-internal plan operators shared by the ranked-run paths
-// (search_engine.cc) and the storage-era runs (storage_runs.cc):
+// Engine-internal operators of the in-memory plans (search_engine.cc):
 //
 //   Bm25ScoreOperator — per-term map: gathers doclen for the vector's
 //     docids and runs the fused MapBm25 kernel (ir/bm25.h), emitting
@@ -11,11 +10,11 @@
 //   RunRankedUnion — the score-all ranked root over scored children,
 //     MergeUnion(sum scores) → TopK(k), drained into a SearchResult.
 //
-// Every operator here consumes and emits dense batches (vec/scan.h).
-// Moved out of search_engine.cc when storage/ landed: the Table 2 runs
-// execute the same plan shapes over cold columns (the paper's flexibility
-// claim), so the operators are shared rather than duplicated. Not part of
-// the public API.
+// Every operator here consumes and emits dense batches (vec/scan.h). They
+// serve the boolean OR run and kBm25's score-all union
+// (maxscore_bm25 = false); every other ranked run, the storage runs
+// included, runs the MaxScore executor (ir/maxscore.h). Not part of the
+// public API.
 #ifndef X100IR_IR_PLAN_OPS_H_
 #define X100IR_IR_PLAN_OPS_H_
 

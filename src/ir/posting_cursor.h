@@ -6,9 +6,9 @@
 //     that can contain the probe. Decode/skip counters fold into the plan's
 //     ExecStats at Close.
 //   TfWindowReader — random access to TD.tf at posting positions, cached
-//     per 128-value window. tf is only read for postings that actually get
-//     scored, so a skipped docid window never costs a tf decode — and a
-//     MaxScore probe that misses costs neither.
+//     per 128-value window: in-memory MaxScore's probe completion. tf is
+//     only read for postings that actually get scored, so a probe that
+//     misses never costs a tf decode.
 //
 // Both are per-query objects over borrowed index state (the index must
 // outlive them), like SliceVectorSource.
@@ -25,22 +25,23 @@
 
 namespace x100ir::ir {
 
+// Folds a skip cursor's window counters into a plan's ExecStats.
+inline void AddSkipStats(const compress::SkipStats& s, vec::ExecStats* out) {
+  out->windows_decoded += s.windows_decoded;
+  out->windows_skipped += s.windows_skipped;
+  out->windows_blockmax_skipped += s.windows_blockmax_skipped;
+}
+
 class DocidSkipCursor : public vec::SkipCursor {
  public:
-  // Cursor over postings [start + offset, start + doc_freq) of `term`.
-  // A nonzero offset resumes mid-list — how MaxScore turns a demoted
-  // term's already-advanced stream into a probe cursor.
-  Status Init(const InvertedIndex* index, uint32_t term,
-              uint64_t offset = 0) {
+  // Cursor over the postings of `term`.
+  Status Init(const InvertedIndex* index, uint32_t term) {
     if (index == nullptr) return InvalidArgument("null index");
     if (term >= index->vocab_size()) {
       return InvalidArgument("term outside vocabulary");
     }
     const TermInfo& info = index->term(term);
-    if (offset > info.doc_freq) {
-      return InvalidArgument("posting offset past the list");
-    }
-    return cursor_.Init(index->docid_decoder(), info.posting_start + offset,
+    return cursor_.Init(index->docid_decoder(), info.posting_start,
                         info.posting_start + info.doc_freq);
   }
 
@@ -51,16 +52,8 @@ class DocidSkipCursor : public vec::SkipCursor {
   bool SkipTo(int32_t target) override { return cursor_.SkipTo(target); }
 
   void FoldStats(vec::ExecStats* stats) override {
-    stats->windows_decoded += cursor_.stats().windows_decoded;
-    stats->windows_skipped += cursor_.stats().windows_skipped;
-    stats->windows_blockmax_skipped +=
-        cursor_.stats().windows_blockmax_skipped;
+    AddSkipStats(cursor_.stats(), stats);
   }
-
-  // The underlying range cursor, for window-granular drivers (the Block-Max
-  // MaxScore refill loop: CurrentWindowIndex / SkipCurrentWindowBlockMax /
-  // CurrentRunView / AdvanceTo).
-  compress::SortedRangeCursor& range_cursor() { return cursor_; }
 
  private:
   compress::SortedRangeCursor cursor_;

@@ -8,16 +8,18 @@
 //   kBoolAnd — DocidSkipCursorₜ, rarest first
 //                                → StreamingJoin(leapfrog)      → collect
 //   kBoolOr  — Scan(docid)ₜ per term  → MergeUnion(distinct)    → collect
-//   kBm25    — Block-Max MaxScore over DocidSkipCursorₜ, windows scored
-//              by the fused decode→score kernel              → TopK(k)
+//   kBm25    — Block-Max MaxScore (ir/maxscore.h) over the resident
+//              compressed columns, windows scored by the fused
+//              decode→score kernel                           → TopK(k)
 //              (maxscore_bm25 = false: the score-all union plan,
 //               Scan(docid,tf)ₜ → Bm25Score(idfₜ, doclen)
 //                               → MergeUnion(sum scores)     → TopK(k))
 //
-// The storage-era runs (DESIGN.md §8.5) execute the same ranked plan
-// shapes over *cold* columns served through the buffer pool, preceded by a
-// two-pass candidate phase; they require an on-disk index. What each adds:
-//   kBm25T     two-pass evaluation over the raw (uncompressed) columns
+// The storage-era runs (DESIGN.md §8.5) run the same Block-Max MaxScore
+// executor over columns served through the buffer pool; they require an
+// on-disk index and ignore maxscore_bm25. What each adds:
+//   kBm25T     the pruned evaluation (the paper's two-pass cutoff; here
+//              MaxScore) over the raw (uncompressed) columns
 //   kBm25TC    + compressed columns (cold I/O shrinks by the §3.3 ratio)
 //   kBm25TCM   + materialized f32 score column (no tf decode, no doclen
 //                gather, no float kernel on the hot path)
@@ -44,7 +46,7 @@ enum class RunType : uint8_t {
   kBoolAnd = 0,
   kBoolOr = 1,
   kBm25 = 2,
-  kBm25T = 3,      // + two-pass candidate cutoff
+  kBm25T = 3,      // + pruned evaluation over pool-served raw columns
   kBm25TC = 4,     // + compressed cold I/O accounting
   kBm25TCM = 5,    // + materialized score column
   kBm25TCMQ8 = 6,  // + 8-bit quantized scores
@@ -100,19 +102,12 @@ struct SearchOptions {
   uint32_t k = 20;
   Bm25Params bm25;
 
-  // BM25 execution (DESIGN.md §7.4, §12): Block-Max MaxScore — per-term
+  // kBm25 execution (DESIGN.md §7.4, §12): Block-Max MaxScore — per-term
   // upper bounds, essential/non-essential partition, per-window block-max
   // skips, fused decode→score windows, probe completion — vs the
   // score-all union plan, which the §4 vector-size curve and Table 1's
-  // union row measure.
+  // union row measure. The storage runs always run MaxScore.
   bool maxscore_bm25 = true;
-
-  // Storage runs: document-frequency cutoff separating pass 1's short
-  // ("selective") lists from the long lists that are only probed. 0 picks
-  // the default (num_docs / 16); tests pin both pass shapes by forcing it
-  // high (everything selective) or to 1 (everything long → always a full
-  // second pass).
-  uint32_t twopass_df_cutoff = 0;
 
   // Borrowed per-query deadline/cancellation token (DESIGN.md §9.3), or
   // nullptr for no limit. The engine checks it at vector-batch granularity
@@ -131,7 +126,7 @@ struct SearchOptions {
   const CollectionStats* global_stats = nullptr;
   // Tombstone bitmap over *this index's local docids* (bit d = doc d
   // deleted). Filtered in every path: boolean collect, union TopK drain,
-  // MaxScore candidates, and both storage-run passes. Deleted docs are
+  // and MaxScore candidates (the storage runs' too). Deleted docs are
   // excluded from results and from num_matches. (TombstoneTest lives in
   // collection_stats.h.) SearchSnapshot sets it per segment, replacing any
   // caller value.
@@ -139,24 +134,25 @@ struct SearchOptions {
 
   // Distributed shared-θ channel (DESIGN.md §11.3), set by the dist/
   // coordinator for doc-partitioned scatter-gather queries; null for every
-  // single-engine call. When present, SearchBm25MaxScore floors its
-  // pruning threshold with the channel's global k-th-best lower bound at
-  // every vector-batch boundary (pruning candidates, demoting terms, and
-  // bailing out of probe completion that a shard-local threshold could
-  // not) and publishes its own k-th-best back. Results whose score is
-  // provably below the global bound may then be *omitted* from this
-  // engine's top-k — sound for the coordinator (they cannot enter the
-  // merged top-k; exact ties at the bound are always kept so the docid
-  // tiebreak stays intact), but it means a seeded engine's result is a
-  // top-k of the cluster, not of this shard alone.
+  // single-engine call. When present, the MaxScore executor (kBm25 and
+  // the storage runs) floors its pruning threshold with the channel's
+  // global k-th-best lower bound at every vector-batch boundary (pruning
+  // candidates, demoting terms, and bailing out of probe completion that a
+  // shard-local threshold could not) and publishes its own k-th-best
+  // back. Results whose score is provably below the global bound may then
+  // be *omitted* from this engine's top-k — sound for the coordinator
+  // (they cannot enter the merged top-k; exact ties at the bound are
+  // always kept so the docid tiebreak stays intact), but it means a
+  // seeded engine's result is a top-k of the cluster, not of this shard
+  // alone.
   SharedTheta* shared_theta = nullptr;
 };
 
 // Effective scoring statistics: the snapshot's live collection stats when
 // the call is a segmented read, the index's own build-time values
-// otherwise. Every scoring path (union, MaxScore, both storage passes)
-// resolves idf and avg_doc_len through these, so a segment always scores
-// under the global live model.
+// otherwise. Every tf-scoring path (union, MaxScore, BM25T/TC) resolves
+// idf and avg_doc_len through these, so a segment always scores under the
+// global live model.
 inline float EffectiveIdf(const SearchOptions& opts, const InvertedIndex& idx,
                           uint32_t term) {
   return opts.global_stats != nullptr
@@ -177,14 +173,13 @@ struct SearchResult {
   std::vector<int32_t> docids;
   std::vector<float> scores;
   // Full match count before the k cap. For ranked runs: candidate
-  // documents considered. Under MaxScore pruning this counts documents
-  // reached through the essential lists — documents provably unable to
-  // enter the top k are never candidates, so the count can be lower than
-  // the score-all union's. The two-pass storage runs count pass-1
-  // candidates, or the full union when the second pass ran.
+  // documents considered. Under MaxScore pruning (kBm25 and every storage
+  // run) this counts documents reached through the essential lists —
+  // documents provably unable to enter the top k are never candidates, so
+  // the count can be lower than the score-all union's.
   uint64_t num_matches = 0;
-  // Two-pass storage runs: true when pass 1's threshold could not rule out
-  // documents living only in the long lists and the full evaluation ran.
+  // Always false: no run has a second pass. Kept only because the
+  // repository benchmark still reads it.
   bool used_second_pass = false;
   // Wall-clock of the run (real decode/score work).
   double seconds = 0.0;
@@ -242,14 +237,12 @@ class SearchEngine {
                     const SearchOptions& opts, SearchResult* result) const;
   Status SearchBm25(const std::vector<uint32_t>& terms,
                     const SearchOptions& opts, SearchResult* result) const;
-  Status SearchBm25MaxScore(const std::vector<uint32_t>& terms,
-                            const SearchOptions& opts,
-                            SearchResult* result) const;
-  // The storage-era two-pass runs (storage_runs.cc): BM25T/TC/TCM/TCMQ8
-  // over pool-served cold columns. Requires index_->has_storage().
-  Status SearchColdRun(RunType type, const std::vector<uint32_t>& terms,
-                       const SearchOptions& opts,
-                       SearchResult* result) const;
+  // The storage-era runs (storage_runs.cc): BM25T/TC/TCM/TCMQ8, the
+  // MaxScore executor over pool-served columns. Requires
+  // index_->has_storage().
+  Status SearchStorageRun(RunType type, const std::vector<uint32_t>& terms,
+                          const SearchOptions& opts,
+                          SearchResult* result) const;
 
   const InvertedIndex* index_ = nullptr;
 };

@@ -1,404 +1,207 @@
 // The Table 2 storage-era runs (DESIGN.md §8.5): BM25T / BM25TC / BM25TCM /
-// BM25TCMQ8, all reading cold columns through the buffer pool. The four
-// runs share one two-pass evaluation and differ only in which columns they
-// scan:
+// BM25TCMQ8. Each runs the Block-Max MaxScore executor of the in-memory
+// BM25 run (ir/maxscore.h) over columns served through the buffer pool;
+// the four differ only in which columns they read and how a value column
+// window becomes scores:
 //
 //             docid column   value column        score =
-//   BM25T     raw i32        raw tf              Bm25One(tf, doclen)
-//   BM25TC    PFOR-DELTA     PFOR tf             Bm25One(tf, doclen)
+//   BM25T     raw i32        raw tf              MapBm25(tf, doclen)
+//   BM25TC    PFOR-DELTA     PFOR tf             MapBm25(tf, doclen)
 //   BM25TCM   PFOR-DELTA     f32 score           the value itself
 //   BM25TCMQ8 PFOR-DELTA     u8 quantized score  bias + scale * q
 //
-// Two-pass protocol (the paper's BM25T trick): pass 1 fully evaluates only
-// the *selective* terms (df below a cutoff), completing each candidate's
-// score with forward skip-probes into the long lists — so a cold query
-// reads the short lists plus a sliver of the long ones. Any document
-// outside the candidate set lives only in long lists and is bounded by
-// U = Σ ub(long terms); when the pass-1 top-k threshold θ exceeds U the
-// answer is provably exact. Otherwise the *second pass* runs — the same
-// relational plan as the in-memory BM25 run (Scan → [Bm25Score] →
-// MergeUnion → TopK), just over pool-served cold columns; for the
-// materialized runs the Bm25Score operator drops out of the plan entirely,
-// which is the point of materialization.
-//
-// The materialized runs score with the build-time BM25 parameters baked
-// into the score column (InvertedIndex::kMaterialized*), not opts.bm25.
+// BM25T/TC score under the call's statistics (the snapshot's live ones on a
+// segmented read) with the kernels whose bits are pinned equal to the
+// in-memory fused kernel, so they return kBm25's docids, score bits and
+// match counts. The materialized runs score with the build-time BM25
+// parameters and statistics baked into the score column
+// (InvertedIndex::kMaterialized*), not opts.bm25, and bound with the same
+// (a bound computed under other stats than the scores would not be one);
+// the q8 bounds add half a quantization step.
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <memory>
-#include <numeric>
-#include <utility>
+#include <cstring>
 #include <vector>
 
 #include "common/status.h"
 #include "ir/bm25.h"
 #include "ir/index_builder.h"
-#include "ir/plan_ops.h"
+#include "ir/maxscore.h"
 #include "ir/search_engine.h"
-#include "ir/topk.h"
+#include "ir/tf_window_score.h"
 #include "storage/column_reader.h"
-#include "storage/column_source.h"
-#include "vec/mem_source.h"
-#include "vec/scan.h"
 
 namespace x100ir::ir {
 namespace {
 
-// Which columns a run scans and how their values become scores.
-struct RunColumns {
-  storage::ColumnReader* docid = nullptr;
-  storage::ColumnReader* value = nullptr;
-  bool value_is_score = false;  // f32/q8: the value column IS the score
-  float k1 = 0.0f, b = 0.0f;    // effective scoring parameters
-  float ub_slack = 0.0f;        // per-term upper-bound slack (q8 rounding)
-};
-
-RunColumns ColumnsFor(RunType type, IndexStorage* st,
-                      const SearchOptions& opts) {
-  RunColumns c;
-  switch (type) {
-    case RunType::kBm25T:
-      c.docid = &st->docid_raw;
-      c.value = &st->tf_raw;
-      c.k1 = opts.bm25.k1;
-      c.b = opts.bm25.b;
-      break;
-    case RunType::kBm25TC:
-      c.docid = &st->docid_compressed;
-      c.value = &st->tf_compressed;
-      c.k1 = opts.bm25.k1;
-      c.b = opts.bm25.b;
-      break;
-    case RunType::kBm25TCM:
-      c.docid = &st->docid_compressed;
-      c.value = &st->score_f32;
-      c.value_is_score = true;
-      c.k1 = InvertedIndex::kMaterializedK1;
-      c.b = InvertedIndex::kMaterializedB;
-      break;
-    case RunType::kBm25TCMQ8:
-    default:
-      c.docid = &st->docid_compressed;
-      c.value = &st->score_q8;
-      c.value_is_score = true;
-      c.k1 = InvertedIndex::kMaterializedK1;
-      c.b = InvertedIndex::kMaterializedB;
-      // Dequantized values can exceed the analytic bound by half a step.
-      c.ub_slack = st->score_q8.q8_scale() * 0.5f;
-      break;
-  }
-  return c;
-}
-
-// Forward value access with a decoded-window cache: pass-1 probes ascend,
-// so consecutive hits to the same 128-value window cost one pool read.
-class ValueWindowCache {
+// One term's value column (tf, or f32/q8 scores), read a 128-value window
+// at a time through the pool and cached: the window the stream scores,
+// then the windows probe completion reads. A failed read is written to the
+// query's latch and reported as false.
+class ValueWindows {
  public:
-  void Init(storage::ColumnReader* col) {
+  void Init(storage::ColumnReader* col, Status* latch) {
     col_ = col;
-    base_ = ~0ull;
+    latch_ = latch;
+    win_ = kNoWindow;
+    windows_decoded_ = 0;
   }
 
-  Status ScoreAt(uint64_t p, float* out) {
-    X100IR_RETURN_IF_ERROR(Ensure(p));
-    *out = f32_[p - base_];
-    return OkStatus();
+  // Loads window w; false (status latched) on a pool error.
+  bool Load(uint32_t w) {
+    if (w == win_) return true;
+    const uint64_t base = static_cast<uint64_t>(w) * kStride;
+    uint32_t len = static_cast<uint32_t>(
+        std::min<uint64_t>(kStride, col_->value_count() - base));
+    Status s;
+    switch (col_->encoding()) {
+      case ColumnFileHeader::kCompressedBlock:
+        s = col_->DecodeWindow(w, vals_.tf, &len);
+        break;
+      case ColumnFileHeader::kRawI32:
+        s = col_->Read(base, len, vals_.tf);
+        break;
+      default:  // f32 or q8 scores
+        s = col_->ReadF32(base, len, vals_.score);
+        break;
+    }
+    if (!s.ok()) {
+      if (latch_->ok()) *latch_ = std::move(s);
+      return false;
+    }
+    win_ = w;
+    ++windows_decoded_;
+    return true;
   }
-  Status TfAt(uint64_t p, int32_t* out) {
-    X100IR_RETURN_IF_ERROR(Ensure(p));
-    *out = i32_[p - base_];
-    return OkStatus();
-  }
+
+  // Values of the loaded window.
+  const int32_t* tf() const { return vals_.tf; }
+  const float* score() const { return vals_.score; }
+
+  uint64_t windows_decoded() const { return windows_decoded_; }
 
  private:
-  Status Ensure(uint64_t p) {
-    constexpr uint64_t kStride = 128;
-    const uint64_t base = p & ~(kStride - 1);
-    if (base == base_) return OkStatus();
-    const uint32_t len = static_cast<uint32_t>(
-        std::min<uint64_t>(kStride, col_->value_count() - base));
-    const bool f32 =
-        col_->encoding() == ColumnFileHeader::kRawF32 ||
-        col_->encoding() == ColumnFileHeader::kQuantU8;
-    X100IR_RETURN_IF_ERROR(f32 ? col_->ReadF32(base, len, f32_)
-                               : col_->Read(base, len, i32_));
-    base_ = base;
-    return OkStatus();
-  }
+  static constexpr uint32_t kStride = compress::kEntryPointStride;
+  static constexpr uint32_t kNoWindow = 0xFFFFFFFFu;
 
   storage::ColumnReader* col_ = nullptr;
-  uint64_t base_ = ~0ull;
+  Status* latch_ = nullptr;
+  uint32_t win_ = kNoWindow;
   union {
-    int32_t i32_[128];
-    float f32_[128];
-  };
+    int32_t tf[kStride];
+    float score[kStride];
+  } vals_;
+  uint64_t windows_decoded_ = 0;
 };
 
-// One query term's state across the two passes.
-struct ColdTerm {
-  uint32_t term = 0;
-  const TermInfo* info = nullptr;
-  // Scoring idf: the snapshot's live idf for the tf-scoring runs (T/TC),
-  // always the build-time idf for the materialized runs — their score
-  // columns were baked with it, so live stats cannot apply.
-  float idf = 0.0f;
-  float ub = 0.0f;
-  bool selective = false;
+// The pool-served posting backend of the MaxScore executor. Every cursor
+// and value reader of one query shares the backend's failure latch: a pool
+// error ends the failing term's stream, and the executor returns the
+// latched status at the next vector boundary (or at once, when a window
+// it is scoring cannot be read).
+class PoolPostings {
+ public:
+  using Cursor = storage::SortedColumnCursor;
+  using Values = ValueWindows;
 
-  // Pass 1, selective: fully materialized (docid, score) pairs.
-  std::vector<int32_t> docids;
-  std::vector<float> scores;
-  size_t off = 0;
+  PoolPostings(RunType type, const InvertedIndex& index,
+               const SearchOptions& opts)
+      : index_(index), opts_(opts), doclens_(index.doc_lens().data()) {
+    IndexStorage* st = index.storage();
+    model_.k1 = opts.bm25.k1;
+    model_.b = opts.bm25.b;
+    switch (type) {
+      case RunType::kBm25T:
+        docid_ = &st->docid_raw;
+        value_ = &st->tf_raw;
+        break;
+      case RunType::kBm25TC:
+        docid_ = &st->docid_compressed;
+        value_ = &st->tf_compressed;
+        break;
+      default:  // kBm25TCM / kBm25TCMQ8
+        docid_ = &st->docid_compressed;
+        value_ = type == RunType::kBm25TCM ? &st->score_f32 : &st->score_q8;
+        materialized_ = true;
+        model_.k1 = InvertedIndex::kMaterializedK1;
+        model_.b = InvertedIndex::kMaterializedB;
+        if (type == RunType::kBm25TCMQ8) {
+          model_.slack = st->score_q8.q8_scale() * 0.5f;
+        }
+        break;
+    }
+    const double avgdl = materialized_ ? index.avg_doc_len()
+                                       : EffectiveAvgDocLen(opts, index);
+    model_.inv_avgdl = avgdl > 0.0 ? static_cast<float>(1.0 / avgdl) : 0.0f;
+  }
 
-  // Pass 1, long: forward skip cursor + value completion cache.
-  storage::SortedColumnCursor cursor;
-  ValueWindowCache values;
+  const InvertedIndex& index() const { return index_; }
+  const ScoreModel& model() const { return model_; }
+  // The materialized columns were baked with the build-time idf, so live
+  // stats cannot apply to them.
+  float Idf(uint32_t term) const {
+    return materialized_ ? index_.term(term).idf
+                         : EffectiveIdf(opts_, index_, term);
+  }
+
+  Status InitCursor(Cursor* cursor, const TermInfo& info, uint64_t offset) {
+    return cursor->Init(docid_, info.posting_start + offset,
+                        info.posting_start + info.doc_freq, &latch_);
+  }
+  void InitValues(Values* values) { values->Init(value_, &latch_); }
+
+  // Scores the run's in-range slots out[lo..hi) from the value column's
+  // window. An empty run is a cursor that just failed: nothing to score.
+  bool ScoreWindow(float idf, Values& values, const Cursor::RunView& rv,
+                   int32_t* dl, float* out, vec::ExecStats* stats) {
+    const uint32_t n = rv.hi - rv.lo;
+    if (n == 0) return true;
+    if (!values.Load(rv.win_index)) return false;
+    if (materialized_) {
+      std::memcpy(out + rv.lo, values.score() + rv.lo, sizeof(float) * n);
+      return true;
+    }
+    GatherI32(doclens_, rv.vals + rv.lo, n, dl + rv.lo);
+    MapBm25(n, out + rv.lo, values.tf() + rv.lo, dl + rv.lo, idf, model_.k1,
+            model_.b, model_.inv_avgdl);
+    ++stats->primitive_calls;
+    return true;
+  }
+
+  // A failed read contributes nothing; the latch fails the query.
+  float ProbeScore(float idf, Values& values, uint64_t pos, int32_t d) {
+    const uint32_t w = static_cast<uint32_t>(pos / compress::kEntryPointStride);
+    if (!values.Load(w)) return 0.0f;
+    const uint64_t slot = pos - static_cast<uint64_t>(w) *
+                                    compress::kEntryPointStride;
+    if (materialized_) return values.score()[slot];
+    return Bm25One(idf, static_cast<float>(values.tf()[slot]),
+                   static_cast<float>(doclens_[d]), model_.k1, model_.b,
+                   model_.inv_avgdl);
+  }
+
+  bool failed() const { return !latch_.ok(); }
+  Status error() const { return latch_; }
+
+ private:
+  const InvertedIndex& index_;
+  const SearchOptions& opts_;
+  const int32_t* doclens_;
+  storage::ColumnReader* docid_ = nullptr;
+  storage::ColumnReader* value_ = nullptr;
+  bool materialized_ = false;  // the value column IS the score
+  ScoreModel model_;
+  Status latch_;
 };
 
 }  // namespace
 
-Status SearchEngine::SearchColdRun(RunType type,
-                                   const std::vector<uint32_t>& terms,
-                                   const SearchOptions& opts,
-                                   SearchResult* result) const {
-  IndexStorage* st = index_->storage();
-  RunColumns cols = ColumnsFor(type, st, opts);
-  vec::ExecContext ctx;
-  ctx.vector_size = opts.vector_size;
-  X100IR_RETURN_IF_ERROR(ctx.Validate());
-
-  // The tf-scoring runs (T/TC) score under the snapshot's live stats when
-  // present; the materialized runs keep the build-time stats their score
-  // columns were baked with (both for the values and for the upper bounds
-  // — a bound computed under different stats than the scores would not be
-  // a bound).
-  const double eff_avgdl = cols.value_is_score
-                               ? index_->avg_doc_len()
-                               : EffectiveAvgDocLen(opts, *index_);
-  const float inv_avgdl =
-      eff_avgdl > 0.0 ? static_cast<float>(1.0 / eff_avgdl) : 0.0f;
-  const float min_dl = static_cast<float>(index_->min_doc_len());
-  const int32_t* doclens = index_->doc_lens().data();
-  const uint32_t df_cutoff =
-      opts.twopass_df_cutoff != 0
-          ? opts.twopass_df_cutoff
-          : std::max<uint32_t>(64, index_->num_docs() / 16);
-  const uint64_t windows_before = cols.docid->windows_decoded() +
-                                  cols.value->windows_decoded();
-
-  const size_t m = terms.size();
-  std::vector<ColdTerm> states(m);
-  for (size_t i = 0; i < m; ++i) {
-    ColdTerm& ts = states[i];
-    ts.term = terms[i];
-    ts.info = &index_->term(terms[i]);
-    ts.idf = cols.value_is_score ? ts.info->idf
-                                 : EffectiveIdf(opts, *index_, terms[i]);
-    ts.ub = Bm25One(ts.idf, static_cast<float>(ts.info->max_tf),
-                    min_dl, cols.k1, cols.b, inv_avgdl) +
-            cols.ub_slack;
-    ts.selective = ts.info->doc_freq <= df_cutoff;
-  }
-  // Long lists strongest-first: probe completion retires the largest
-  // upper bounds first, so the early-abandon test bites soonest.
-  std::vector<uint32_t> longs, shorts;
-  for (uint32_t i = 0; i < m; ++i) {
-    (states[i].selective ? shorts : longs).push_back(i);
-  }
-  std::sort(longs.begin(), longs.end(), [&states](uint32_t a, uint32_t b) {
-    if (states[a].ub != states[b].ub) return states[a].ub > states[b].ub;
-    return states[a].term < states[b].term;
-  });
-  float u_long = 0.0f;
-  for (uint32_t i : longs) u_long += states[i].ub;
-
-  TopK topk(opts.k);
-  uint64_t candidates = 0;
-  uint64_t windows_skipped = 0;
-  bool exact = false;
-
-  // Window-count accounting, shared by the normal exit and the deadline
-  // bail-outs so a DeadlineExceeded result still carries its real stats.
-  // (The reader counters are process-wide totals; under concurrency the
-  // delta is approximate — see column_reader.h.)
-  const auto account_windows = [&] {
-    ctx.stats.windows_decoded += cols.docid->windows_decoded() +
-                                 cols.value->windows_decoded() -
-                                 windows_before;
-    ctx.stats.windows_skipped += windows_skipped;
-    result->stats = ctx.stats;
-  };
-
-  if (!shorts.empty()) {
-    // ---- Pass 1: evaluate the short lists fully. ----
-    for (uint32_t i : shorts) {
-      ColdTerm& ts = states[i];
-      const uint64_t start = ts.info->posting_start;
-      const uint32_t df = ts.info->doc_freq;
-      ts.docids.resize(df);
-      ts.scores.resize(df);
-      X100IR_RETURN_IF_ERROR(
-          cols.docid->Read(start, df, ts.docids.data()));
-      if (cols.value_is_score) {
-        X100IR_RETURN_IF_ERROR(
-            cols.value->ReadF32(start, df, ts.scores.data()));
-      } else {
-        std::vector<int32_t> tfs(df), dls(df);
-        X100IR_RETURN_IF_ERROR(cols.value->Read(start, df, tfs.data()));
-        for (uint32_t j = 0; j < df; ++j) dls[j] = doclens[ts.docids[j]];
-        MapBm25(df, ts.scores.data(), tfs.data(), dls.data(), ts.idf,
-                cols.k1, cols.b, inv_avgdl);
-        ++ctx.stats.primitive_calls;
-      }
-    }
-    for (uint32_t i : longs) {
-      ColdTerm& ts = states[i];
-      X100IR_RETURN_IF_ERROR(ts.cursor.Init(
-          cols.docid, ts.info->posting_start,
-          ts.info->posting_start + ts.info->doc_freq));
-      ts.values.Init(cols.value);
-    }
-
-    // Merge the short lists in docid order; complete each candidate from
-    // the long lists with forward probes, abandoning as soon as the
-    // remaining upper bounds cannot reach the live threshold.
-    uint64_t merge_steps = 0;
-    for (;;) {
-      // Deadline checkpoint every 128 candidates (§9.3) — the pass-1 merge
-      // is scalar, so per-iteration checks would cost more than the merge.
-      if (opts.deadline != nullptr && (merge_steps++ & 127u) == 0) {
-        Status live = opts.deadline->Check();
-        if (!live.ok()) {
-          result->num_matches = candidates;
-          account_windows();
-          return live;
-        }
-      }
-      int32_t d = 0;
-      bool any = false;
-      for (uint32_t i : shorts) {
-        const ColdTerm& ts = states[i];
-        if (ts.off >= ts.docids.size()) continue;
-        if (!any || ts.docids[ts.off] < d) {
-          d = ts.docids[ts.off];
-          any = true;
-        }
-      }
-      if (!any) break;
-      float s = 0.0f;
-      for (uint32_t i : shorts) {
-        ColdTerm& ts = states[i];
-        if (ts.off < ts.docids.size() && ts.docids[ts.off] == d) {
-          s += ts.scores[ts.off];
-          ++ts.off;
-        }
-      }
-      // Segmented read with deletes: a dead doc is consumed off the short
-      // lists (positional) but never becomes a candidate.
-      if (TombstoneTest(opts.tombstones, d)) continue;
-      ++candidates;
-      float remaining = u_long;
-      bool viable = true;
-      for (uint32_t i : longs) {
-        const float live = topk.threshold();
-        if (s + remaining < live) {
-          viable = false;
-          break;
-        }
-        ColdTerm& ts = states[i];
-        remaining -= ts.ub;
-        bool found = false;
-        X100IR_RETURN_IF_ERROR(ts.cursor.SkipTo(d, &found));
-        if (found) {
-          int32_t v = 0;
-          X100IR_RETURN_IF_ERROR(ts.cursor.Value(&v));
-          if (v == d) {
-            const uint64_t p = ts.cursor.position();
-            if (cols.value_is_score) {
-              float contrib = 0.0f;
-              X100IR_RETURN_IF_ERROR(ts.values.ScoreAt(p, &contrib));
-              s += contrib;
-            } else {
-              int32_t tf = 0;
-              X100IR_RETURN_IF_ERROR(ts.values.TfAt(p, &tf));
-              s += Bm25One(ts.idf, static_cast<float>(tf),
-                           static_cast<float>(doclens[d]), cols.k1, cols.b,
-                           inv_avgdl);
-            }
-            ++ctx.stats.docs_probed;
-          }
-        }
-      }
-      if (viable) topk.Push(d, s);
-    }
-    // Exact iff no document outside the candidate set can beat the
-    // threshold. Strict >: at exact equality a long-lists-only document
-    // could still win its tie on docid order.
-    exact = longs.empty() || (topk.full() && topk.threshold() > u_long);
-    for (uint32_t i : longs) {
-      windows_skipped += states[i].cursor.windows_skipped();
-    }
-  }
-
-  if (exact) {
-    topk.FinishSorted(&result->docids, &result->scores);
-    result->num_matches = candidates;
-  } else {
-    // ---- Pass 2: the full relational plan over the cold columns. ----
-    result->used_second_pass = !shorts.empty();
-    // The run owns the pool-backed sources and the scans read them through
-    // views, so each source's latched status (checked below) outlives the
-    // plan. Reserved up front: the views point into the vector.
-    std::vector<storage::ColumnSliceSource> pool_sources;
-    pool_sources.reserve(2 * m);
-    std::vector<vec::OperatorPtr> scored;
-    scored.reserve(m);
-    for (size_t i = 0; i < m; ++i) {
-      const TermInfo& info = *states[i].info;
-      vec::Schema schema;
-      schema.Add("docid", vec::TypeId::kI32);
-      schema.Add(cols.value_is_score ? "score" : "tf",
-                 cols.value_is_score ? vec::TypeId::kF32
-                                     : vec::TypeId::kI32);
-      const storage::ColumnSliceSource& dsrc = pool_sources.emplace_back(
-          cols.docid, info.posting_start, info.doc_freq, vec::TypeId::kI32);
-      const storage::ColumnSliceSource& vsrc = pool_sources.emplace_back(
-          cols.value, info.posting_start, info.doc_freq,
-          cols.value_is_score ? vec::TypeId::kF32 : vec::TypeId::kI32);
-      std::vector<vec::VectorSourcePtr> sources;
-      sources.push_back(
-          std::make_unique<vec::SliceVectorSource>(&dsrc, 0, dsrc.size()));
-      sources.push_back(
-          std::make_unique<vec::SliceVectorSource>(&vsrc, 0, vsrc.size()));
-      vec::OperatorPtr scan = std::make_unique<vec::ScanOperator>(
-          &ctx, std::move(schema), std::move(sources));
-      if (cols.value_is_score) {
-        // Materialized runs: the scan already yields (docid, score) — no
-        // scoring operator at all.
-        scored.push_back(std::move(scan));
-      } else {
-        scored.push_back(std::make_unique<Bm25ScoreOperator>(
-            &ctx, std::move(scan), states[i].idf, opts.bm25, doclens,
-            inv_avgdl));
-      }
-    }
-    const Status exec =
-        RunRankedUnion(&ctx, std::move(scored), opts, result);
-    if (!exec.ok()) {
-      account_windows();
-      return exec;
-    }
-    // A pool failure inside a VectorSource cannot surface through the
-    // void Read interface; it latches in the source and is checked here —
-    // a failed query errors out instead of returning zero-filled garbage.
-    for (const storage::ColumnSliceSource& src : pool_sources) {
-      X100IR_RETURN_IF_ERROR(src.status());
-    }
-  }
-
-  account_windows();
-  return OkStatus();
+Status SearchEngine::SearchStorageRun(RunType type,
+                                      const std::vector<uint32_t>& terms,
+                                      const SearchOptions& opts,
+                                      SearchResult* result) const {
+  PoolPostings postings(type, *index_, opts);
+  return SearchBm25MaxScore(postings, terms, opts, result);
 }
 
 }  // namespace x100ir::ir

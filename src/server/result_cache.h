@@ -1,8 +1,8 @@
 // Bounded LRU cache of full query responses, keyed on the complete result
 // surface of a request: run type, normalized term set, k, and every
 // SearchOptions knob that can change what Search returns (BM25 parameters,
-// path selection, two-pass cutoff, vector size — MaxScore demotes terms at
-// vector boundaries, which changes a score's float addition order).
+// path selection, vector size — MaxScore demotes terms at vector
+// boundaries, which changes a score's float addition order).
 //
 // Epoch discipline (DESIGN.md §10): every entry is tagged with the snapshot
 // epoch its result was computed at, and the cache as a whole carries one
@@ -50,7 +50,7 @@ inline std::string ResultCacheKey(const ir::Query& query, ir::RunType run,
                        [](uint32_t) { return 1u; }, &terms);
   if (!s.ok()) return "";
   std::string key;
-  key.reserve(28 + terms.size() * sizeof(uint32_t));
+  key.reserve(18 + terms.size() * sizeof(uint32_t));
   auto append = [&key](const void* p, size_t n) {
     key.append(static_cast<const char*>(p), n);
   };
@@ -61,7 +61,6 @@ inline std::string ResultCacheKey(const ir::Query& query, ir::RunType run,
   append(&opts.bm25.b, sizeof(opts.bm25.b));
   const uint8_t maxscore = opts.maxscore_bm25 ? 1 : 0;
   append(&maxscore, 1);
-  append(&opts.twopass_df_cutoff, sizeof(opts.twopass_df_cutoff));
   append(&opts.vector_size, sizeof(opts.vector_size));
   append(terms.data(), terms.size() * sizeof(uint32_t));
   return key;

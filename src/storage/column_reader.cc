@@ -153,7 +153,9 @@ Status ColumnReader::FetchBytes(uint64_t offset, uint64_t len,
 }
 
 uint32_t ColumnReader::num_windows() const {
-  return is_compressed() ? decoder_.entry_count() : 0;
+  return static_cast<uint32_t>(
+      (value_count_ + compress::kEntryPointStride - 1) /
+      compress::kEntryPointStride);
 }
 
 int32_t ColumnReader::WindowValueBase(uint32_t w) const {
@@ -188,7 +190,6 @@ Status ColumnReader::DecodeWindow(uint32_t w, int32_t* dst, uint32_t* wn) {
   std::memset(payload_scratch + ext.payload_bytes, 0, 8);
   decoder_.DecodeWindowDetached(w, payload_scratch,
                                 exc_section_.data() + exc_rel, dst);
-  windows_decoded_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t base =
       static_cast<uint64_t>(w) * compress::kEntryPointStride;
   *wn = static_cast<uint32_t>(
@@ -253,76 +254,128 @@ Status ColumnReader::ReadF32(uint64_t pos, uint32_t len, float* dst) {
 // ---------------------------------------------------------------------------
 
 Status SortedColumnCursor::Init(ColumnReader* col, uint64_t begin,
-                                uint64_t end) {
+                                uint64_t end, Status* latch) {
   if (col == nullptr) return InvalidArgument("null column reader");
+  if (latch == nullptr) return InvalidArgument("null failure latch");
   if (begin > end || end > col->value_count()) {
     return InvalidArgument("cursor range out of bounds");
   }
-  col_ = col;
-  begin_ = begin;
-  end_ = end;
-  pos_ = begin;
   compressed_ = col->is_compressed();
   if (compressed_ && !col->WindowIsDelta()) {
     return InvalidArgument(
         "sorted cursor needs window value bases (PFOR-DELTA)");
   }
+  col_ = col;
+  latch_ = latch;
+  end_ = end;
+  pos_ = begin;
   win_ = kNoWindow;
-  windows_skipped_ = 0;
+  stats_ = compress::SkipStats();
   return OkStatus();
 }
 
-Status SortedColumnCursor::EnsureWindow() {
+void SortedColumnCursor::Fail(Status s) {
+  if (latch_->ok()) *latch_ = std::move(s);
+  pos_ = end_;
+}
+
+bool SortedColumnCursor::EnsureWindow() {
   const uint32_t w = static_cast<uint32_t>(pos_ / kStride);
-  if (w == win_) return OkStatus();
-  win_base_ = static_cast<uint64_t>(w) * kStride;
-  if (compressed_) {
-    X100IR_RETURN_IF_ERROR(col_->DecodeWindow(w, win_vals_, &win_len_));
-  } else {
-    win_len_ = static_cast<uint32_t>(
-        std::min<uint64_t>(kStride, col_->value_count() - win_base_));
-    X100IR_RETURN_IF_ERROR(col_->Read(win_base_, win_len_, win_vals_));
+  if (w == win_) return true;
+  const uint64_t base = static_cast<uint64_t>(w) * kStride;
+  uint32_t len = static_cast<uint32_t>(
+      std::min<uint64_t>(kStride, col_->value_count() - base));
+  Status s = compressed_ ? col_->DecodeWindow(w, win_vals_, &len)
+                         : col_->Read(base, len, win_vals_);
+  if (!s.ok()) {
+    Fail(std::move(s));
+    return false;
   }
   win_ = w;
-  return OkStatus();
+  win_base_ = base;
+  win_len_ = len;
+  ++stats_.windows_decoded;
+  return true;
 }
 
-Status SortedColumnCursor::Value(int32_t* out) {
-  X100IR_RETURN_IF_ERROR(EnsureWindow());
-  *out = win_vals_[pos_ - win_base_];
-  return OkStatus();
-}
-
-Status SortedColumnCursor::ValueAt(uint64_t p, int32_t* out) {
-  if (win_ != kNoWindow && p >= win_base_ && p < win_base_ + win_len_) {
-    *out = win_vals_[p - win_base_];
-    return OkStatus();
+bool SortedColumnCursor::WindowMax(uint32_t w, int32_t* out) {
+  if (compressed_) {
+    *out = col_->WindowValueBase(w + 1);
+    return true;
   }
-  return col_->Read(p, 1, out);
+  if (w == win_) {
+    *out = win_vals_[kStride - 1];
+    return true;
+  }
+  Status s = col_->Read(static_cast<uint64_t>(w + 1) * kStride - 1, 1, out);
+  if (!s.ok()) {
+    Fail(std::move(s));
+    return false;
+  }
+  return true;
 }
 
-Status SortedColumnCursor::SkipTo(int32_t target, bool* found) {
-  return compressed_ ? SkipToCompressed(target, found)
-                     : SkipToRaw(target, found);
+int32_t SortedColumnCursor::value() {
+  if (!EnsureWindow()) return 0;
+  return win_vals_[pos_ - win_base_];
 }
 
-// Same boundary rules as compress::SortedRangeCursor::SkipTo (which the
-// tests pin this against): windows with a successor entry point expose
-// their max for free; the window containing end - 1 — or the block's final
-// window — has no trustworthy successor and is always decoded as a
-// candidate rather than skipped.
-Status SortedColumnCursor::SkipToCompressed(int32_t target, bool* found) {
+bool SortedColumnCursor::SkipCurrentWindowBlockMax() {
+  const uint32_t w = CurrentWindowIndex();
+  if (win_ != w) ++stats_.windows_blockmax_skipped;
+  pos_ = std::min<uint64_t>(end_, static_cast<uint64_t>(w + 1) * kStride);
+  return pos_ < end_;
+}
+
+SortedColumnCursor::RunView SortedColumnCursor::CurrentRunView() {
+  RunView rv;
+  rv.vals = win_vals_;
+  if (!EnsureWindow()) {
+    rv.win_base = end_;  // empty run at the end: lo == hi == 0
+    return rv;
+  }
+  rv.win_index = win_;
+  rv.win_base = win_base_;
+  rv.win_len = win_len_;
+  rv.lo = static_cast<uint32_t>(pos_ - win_base_);
+  rv.hi = static_cast<uint32_t>(
+      std::min<uint64_t>(end_, win_base_ + win_len_) - win_base_);
+  return rv;
+}
+
+// Same window decisions and counters as compress::SortedRangeCursor::SkipTo
+// (which the tests pin this against): windows with a successor entry point
+// expose their max without decoding; the window containing end - 1 — or
+// the column's final window — has no trusted max and is always decoded as
+// a candidate rather than skipped. The first window whose max reaches the
+// target is found by galloping from the cursor's window and then binary
+// search; the answer is the one SortedRangeCursor's binary search finds,
+// and on a raw column the gallop keeps the point reads near the cursor.
+bool SortedColumnCursor::SkipTo(int32_t target) {
+  ++stats_.skip_calls;
   while (!AtEnd()) {
     const uint32_t w_from = static_cast<uint32_t>(pos_ / kStride);
     const uint32_t w_last = static_cast<uint32_t>((end_ - 1) / kStride);
-    const uint32_t full_end =
-        std::min(static_cast<uint32_t>(end_ / kStride),
-                 col_->num_windows() - 1);
+    const uint32_t full_end = std::min(static_cast<uint32_t>(end_ / kStride),
+                                       col_->num_windows() - 1);
+    // The answer lies in [lo, hi]; hi == full_end means "no full-info
+    // window reaches the target".
     uint32_t lo = w_from;
     uint32_t hi = std::max(w_from, full_end);
+    int32_t max = 0;
+    for (uint32_t step = 1; lo < hi; step *= 2) {
+      const uint32_t probe = std::min(hi - 1, lo + step - 1);
+      if (!WindowMax(probe, &max)) return false;
+      if (max >= target) {
+        hi = probe;
+        break;
+      }
+      lo = probe + 1;
+    }
     while (lo < hi) {
       const uint32_t mid = lo + (hi - lo) / 2;
-      if (col_->WindowValueBase(mid + 1) >= target) {
+      if (!WindowMax(mid, &max)) return false;
+      if (max >= target) {
         hi = mid;
       } else {
         lo = mid + 1;
@@ -333,18 +386,18 @@ Status SortedColumnCursor::SkipToCompressed(int32_t target, bool* found) {
       if (full_end > w_last) {
         // The jump to end passes windows w_from..w_last undecoded; they
         // count as skipped, exactly as in SortedRangeCursor::SkipTo.
-        windows_skipped_ += w_last - w_from + 1 - (win_ == w_from ? 1 : 0);
+        stats_.windows_skipped +=
+            w_last - w_from + 1 - (win_ == w_from ? 1 : 0);
         pos_ = end_;
-        *found = false;
-        return OkStatus();
+        return false;
       }
       cand = w_last;
     }
     if (cand > w_from) {
-      windows_skipped_ += cand - w_from - (win_ == w_from ? 1 : 0);
+      stats_.windows_skipped += cand - w_from - (win_ == w_from ? 1 : 0);
       pos_ = static_cast<uint64_t>(cand) * kStride;
     }
-    X100IR_RETURN_IF_ERROR(EnsureWindow());
+    if (!EnsureWindow()) return false;
     const uint64_t cap = std::min<uint64_t>(end_, win_base_ + win_len_);
     uint32_t s = static_cast<uint32_t>(pos_ - win_base_);
     uint32_t e = static_cast<uint32_t>(cap - win_base_);
@@ -358,54 +411,11 @@ Status SortedColumnCursor::SkipToCompressed(int32_t target, bool* found) {
     }
     if (win_base_ + s < cap) {
       pos_ = win_base_ + s;
-      *found = true;
-      return OkStatus();
+      return true;
     }
     pos_ = cap;
   }
-  *found = false;
-  return OkStatus();
-}
-
-// Raw columns carry no skip metadata: gallop forward with point reads
-// (each one page-granular through the pool), then binary-search the
-// bracketed range.
-Status SortedColumnCursor::SkipToRaw(int32_t target, bool* found) {
-  if (AtEnd()) {
-    *found = false;
-    return OkStatus();
-  }
-  int32_t v = 0;
-  X100IR_RETURN_IF_ERROR(ValueAt(pos_, &v));
-  if (v >= target) {
-    *found = true;
-    return OkStatus();
-  }
-  uint64_t lo = pos_;       // value < target
-  uint64_t step = 1;
-  uint64_t hi = end_;       // first position with value >= target, or end_
-  while (lo + step < end_) {
-    X100IR_RETURN_IF_ERROR(ValueAt(lo + step, &v));
-    if (v >= target) {
-      hi = lo + step;
-      break;
-    }
-    lo += step;
-    step *= 2;
-  }
-  uint64_t s = lo + 1, e = hi;
-  while (s < e) {
-    const uint64_t m = s + (e - s) / 2;
-    X100IR_RETURN_IF_ERROR(ValueAt(m, &v));
-    if (v >= target) {
-      e = m;
-    } else {
-      s = m + 1;
-    }
-  }
-  pos_ = s;
-  *found = pos_ < end_;
-  return OkStatus();
+  return false;
 }
 
 }  // namespace x100ir::storage

@@ -23,11 +23,10 @@
 // Thread contract (DESIGN.md §9.1): after Open, one ColumnReader is shared
 // by every concurrent query — Read/ReadF32/DecodeWindow keep all mutable
 // state on the caller's stack and go through the thread-safe buffer pool,
-// so they may race freely. The only member that moves is the
-// windows_decoded_ telemetry counter (relaxed atomic: exact in total,
-// approximate as a per-query delta under concurrency — the serial Table 2
-// harness still reads exact deltas). SortedColumnCursor, by contrast, is
-// per-query state: create one per query, never share it.
+// so they may race freely; the reader itself is immutable. Window counts
+// belong to the query: SortedColumnCursor (per-query state — create one
+// per query, never share it) and the storage runs' value readers count
+// the windows they load.
 //
 // Transient page faults (storage/fault_injection.h) are retried here, in
 // FetchBytes — the single funnel every byte passes through — with a
@@ -37,13 +36,14 @@
 #ifndef X100IR_STORAGE_COLUMN_READER_H_
 #define X100IR_STORAGE_COLUMN_READER_H_
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "compress/codec.h"
+#include "compress/skip_cursor.h"
 #include "storage/buffer_manager.h"
 #include "storage/file.h"
 
@@ -75,18 +75,13 @@ class ColumnReader {
   Status Read(uint64_t pos, uint32_t len, int32_t* dst);
   Status ReadF32(uint64_t pos, uint32_t len, float* dst);
 
-  // Compressed-column window interface (skip cursors). `dst` must hold
-  // kEntryPointStride values; *wn receives the window's length.
+  // Window interface (skip cursors) over 128-value windows. num_windows()
+  // holds for every encoding, the rest for compressed columns only. `dst`
+  // must hold kEntryPointStride values; *wn receives the window's length.
   uint32_t num_windows() const;
   int32_t WindowValueBase(uint32_t w) const;
   bool WindowIsDelta() const;  // value bases meaningful (PFOR-DELTA)
   Status DecodeWindow(uint32_t w, int32_t* dst, uint32_t* wn);
-
-  // Cumulative windows decoded (compressed columns) — ExecStats deltas.
-  // Relaxed atomic: totals are exact, concurrent per-query deltas are not.
-  uint64_t windows_decoded() const {
-    return windows_decoded_.load(std::memory_order_relaxed);
-  }
 
   // The pool id this column was opened under — what EvictFile /
   // UnregisterFile take for per-column cold resets and retirement.
@@ -117,58 +112,80 @@ class ColumnReader {
   std::vector<uint8_t> exc_section_;
   uint64_t exc_section_offset_ = 0;  // block-relative
   compress::BlockDecoder decoder_;
-  std::atomic<uint64_t> windows_decoded_{0};
 };
 
 // Forward cursor over a *sorted* sub-range [begin, end) of an i32 column —
-// the storage twin of compress::SortedRangeCursor (same boundary rules,
-// pinned against it by tests), reaching values through the pool:
+// the storage twin of compress::SortedRangeCursor with the same interface
+// (value / SkipTo / the window API), the same boundary rules and the same
+// three window counters, pinned against it by tests — so the Block-Max
+// MaxScore executor (ir/maxscore.h) drives either one. Values come through
+// the pool, a 128-value window at a time:
 //
-//   compressed — SkipTo binary-searches the resident per-window value
-//     bases, fetches + decodes only the one candidate window;
-//   raw        — no window metadata exists, so SkipTo gallops with point
-//     reads (each a page-granular pool access) and settles by binary
-//     search; the decoded-window cache still serves dense forward walks.
+//   compressed — a window's max is the next entry point's resident value
+//     base, so SkipTo's window search reads no payload and only the one
+//     candidate window is fetched + decoded;
+//   raw        — no window metadata exists, so SkipTo reads each window
+//     max it tests with a point read (page-granular through the pool),
+//     galloping forward from the cursor so near targets touch near pages,
+//     then reads the one candidate window. It lands on the same windows.
 //
-// All accessors return Status: any access may fault a page in, and a pool
-// smaller than the pinned working set must surface as an error, not a
-// wrong result.
+// Failure: any access may fault a page in, and a pool error (a torn read,
+// a pool smaller than the pinned working set) must never become a wrong
+// result. The accessors mirror the in-memory cursor and return no Status,
+// so the first error is written to the borrowed `latch` and ends the
+// cursor: it reports AtEnd, SkipTo returns false and CurrentRunView an
+// empty run (lo == hi). The caller checks the latch.
 class SortedColumnCursor {
  public:
-  // The reader must outlive the cursor; [begin, end) values nondecreasing.
-  Status Init(ColumnReader* col, uint64_t begin, uint64_t end);
+  using RunView = compress::SortedRangeCursor::RunView;
+
+  // The reader and the latch must outlive the cursor; [begin, end) values
+  // nondecreasing. A latch may be shared by every cursor of one query.
+  Status Init(ColumnReader* col, uint64_t begin, uint64_t end,
+              Status* latch);
 
   bool AtEnd() const { return pos_ >= end_; }
   uint64_t position() const { return pos_; }
-  void Next() { ++pos_; }
+  const compress::SkipStats& stats() const { return stats_; }
 
-  // Current value; requires !AtEnd().
-  Status Value(int32_t* out);
+  // Current value; requires !AtEnd(). 0 if the window fetch fails.
+  int32_t value();
+
+  // compress::SortedRangeCursor's window API, same contracts.
+  uint32_t CurrentWindowIndex() const {
+    return static_cast<uint32_t>(pos_ / kStride);
+  }
+  bool SkipCurrentWindowBlockMax();
+  RunView CurrentRunView();
+  void AdvanceTo(uint64_t pos) {
+    pos_ = std::max(pos_, std::min(pos, end_));
+  }
 
   // Advances to the first position >= the current one whose value is >=
-  // target (nondecreasing targets). *found = false means the cursor
-  // reached the end.
-  Status SkipTo(int32_t target, bool* found);
-
-  uint64_t windows_skipped() const { return windows_skipped_; }
+  // target (nondecreasing targets); false when the cursor reaches the end
+  // or fails.
+  bool SkipTo(int32_t target);
 
  private:
   static constexpr uint32_t kStride = compress::kEntryPointStride;
   static constexpr uint32_t kNoWindow = 0xFFFFFFFFu;
 
-  Status EnsureWindow();
-  Status ValueAt(uint64_t p, int32_t* out);
-  Status SkipToCompressed(int32_t target, bool* found);
-  Status SkipToRaw(int32_t target, bool* found);
+  // Loads the window containing pos_; false after a latched failure.
+  bool EnsureWindow();
+  // *out = the last value of window w (w below SkipTo's full_end); false
+  // after a latched failure.
+  bool WindowMax(uint32_t w, int32_t* out);
+  void Fail(Status s);
 
   ColumnReader* col_ = nullptr;
-  uint64_t begin_ = 0, end_ = 0, pos_ = 0;
+  Status* latch_ = nullptr;
+  uint64_t end_ = 0, pos_ = 0;
   bool compressed_ = false;
   uint32_t win_ = kNoWindow;
   uint64_t win_base_ = 0;
   uint32_t win_len_ = 0;
   int32_t win_vals_[kStride];
-  uint64_t windows_skipped_ = 0;
+  compress::SkipStats stats_;
 };
 
 }  // namespace x100ir::storage

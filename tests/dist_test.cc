@@ -600,9 +600,15 @@ TEST(ClusterStorage, PartitionIndexesBuildOnceAndReuseOnReopen) {
 
 // kBm25T/TC recompute scores from tf columns under the cluster-global
 // stats, so the distributed rankings must be equivalent to the
-// reference's. (TCM/TCMQ8 bake partition-local stats into materialized
+// reference's, with shards pruning on their own θ and on the shared
+// channel alike. (TCM/TCMQ8 bake partition-local stats into materialized
 // columns at build time — a documented substitution, not asserted here.)
-TEST(ClusterStorage, TwoPassStorageRunMatchesOracle) {
+// The storage runs run the MaxScore executor, so a shard seeded through
+// the channel prunes for them too: sequential seeding scores strictly
+// fewer candidates over the batch, as
+// SharedThetaTest.SequentialSeedingPrunesStrictlyMoreCandidates shows for
+// kBm25.
+TEST(ClusterStorage, StorageRunMatchesOracleInBothThetaModes) {
   const std::string cdir = TempClusterDir("cluster");
   std::filesystem::remove_all(cdir);
   ClusterOptions copts = InMemoryCluster(4);
@@ -615,12 +621,33 @@ TEST(ClusterStorage, TwoPassStorageRunMatchesOracle) {
     const Query& q = queries[i];
     const SearchResult expect =
         ref.Search(q, RunType::kBm25TC, SearchOptions());
-    DistResult got;
-    ASSERT_TRUE(
-        cluster.Search(q, RunType::kBm25TC, DistSearchOptions(), &got).ok());
-    ExpectRankingsEquivalent(got.merged.docids, got.merged.scores,
-                             expect.docids, expect.scores, 1e-4f);
+    for (const bool share : {false, true}) {
+      DistSearchOptions dopts;
+      dopts.share_theta = share;
+      DistResult got;
+      ASSERT_TRUE(cluster.Search(q, RunType::kBm25TC, dopts, &got).ok());
+      ExpectRankingsEquivalent(got.merged.docids, got.merged.scores,
+                               expect.docids, expect.scores, 1e-4f);
+    }
   }
+  uint64_t cand_indep = 0, cand_shared = 0;
+  for (const Query& q : queries) {
+    DistSearchOptions dopts;
+    dopts.sequential = true;
+    dopts.share_theta = false;
+    DistResult indep;
+    ASSERT_TRUE(cluster.Search(q, RunType::kBm25TC, dopts, &indep).ok());
+    dopts.share_theta = true;
+    DistResult shared;
+    ASSERT_TRUE(cluster.Search(q, RunType::kBm25TC, dopts, &shared).ok());
+    ExpectRankingsEquivalent(shared.merged.docids, shared.merged.scores,
+                             indep.merged.docids, indep.merged.scores,
+                             1e-4f);
+    EXPECT_LE(shared.merged.num_matches, indep.merged.num_matches);
+    cand_indep += indep.merged.num_matches;
+    cand_shared += shared.merged.num_matches;
+  }
+  EXPECT_LT(cand_shared, cand_indep);
   std::filesystem::remove_all(cdir);
 }
 

@@ -1144,6 +1144,9 @@ TEST(Database, WindowCountersPartitionSingleTermTraversal) {
   core::Database db;
   core::DatabaseOptions dopts;
   dopts.corpus = SmallGeneratedOptions();
+  dopts.dir = TempIndexDir("window_partition");
+  std::filesystem::remove_all(dopts.dir);
+  dopts.storage.page_bytes = 4096;
   ASSERT_TRUE(db.Open(dopts).ok());
 
   // A single-term ranked query traverses the term's whole posting range
@@ -1151,7 +1154,9 @@ TEST(Database, WindowCountersPartitionSingleTermTraversal) {
   // exactly one of decoded / skipped / blockmax-skipped — the ExecStats
   // partition invariant (DESIGN.md §12.4). windows_decoded alone is *not*
   // monotone in θ (a tighter θ converts decodes into blockmax skips);
-  // only the three-way sum is invariant.
+  // only the three-way sum is invariant. It holds for the in-memory run
+  // and for a storage run, whose docid windows come through the pool
+  // (its tf windows count apart, in tf_windows_decoded).
   uint32_t tested = 0;
   for (uint32_t t = 0; t < db.index()->vocab_size() && tested < 6; ++t) {
     const TermInfo& info = db.index()->term(t);
@@ -1160,20 +1165,23 @@ TEST(Database, WindowCountersPartitionSingleTermTraversal) {
     const uint64_t first_w = info.posting_start / 128;
     const uint64_t last_w = (info.posting_start + info.doc_freq - 1) / 128;
     const uint64_t overlapped = last_w - first_w + 1;
-    for (const uint32_t k : {3u, 100u}) {
-      Query q;
-      q.terms = {t};
-      SearchOptions opts;
-      opts.k = k;
-      SearchResult r;
-      ASSERT_TRUE(db.Search(q, RunType::kBm25, opts, &r).ok());
-      EXPECT_EQ(r.stats.windows_decoded + r.stats.windows_skipped +
-                    r.stats.windows_blockmax_skipped,
-                overlapped)
-          << "term " << t << " k " << k;
+    Query q;
+    q.terms.push_back(t);
+    for (const RunType type : {RunType::kBm25, RunType::kBm25TC}) {
+      for (const uint32_t k : {3u, 100u}) {
+        SearchOptions opts;
+        opts.k = k;
+        SearchResult r;
+        ASSERT_TRUE(db.Search(q, type, opts, &r).ok());
+        EXPECT_EQ(r.stats.windows_decoded + r.stats.windows_skipped +
+                      r.stats.windows_blockmax_skipped,
+                  overlapped)
+            << RunTypeName(type) << " term " << t << " k " << k;
+      }
     }
   }
   ASSERT_GT(tested, 0u);
+  std::filesystem::remove_all(dopts.dir);
 }
 
 }  // namespace

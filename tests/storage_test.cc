@@ -3,15 +3,19 @@
 // pages, exact stats counters, EvictAll cold-pool semantics; ColumnReader
 // round trips for every encoding plus window-granular compressed reads
 // against the resident BlockDecoder as oracle; SortedColumnCursor vs
-// compress::SortedRangeCursor across hostile block boundaries; torn-write
-// safety of Database::Open over every persisted file; wrong-scheme column
-// files rebuilt at load, never served; all seven RunTypes end-to-end with
-// ranked runs pinned against the reference evaluator (reference.h); the
-// quantization error bound; and a seeded eviction-schedule stress whose
-// results must be bit-identical to an all-hot pool.
+// compress::SortedRangeCursor across hostile block boundaries, window API
+// and counters included; torn-write safety of Database::Open over every
+// persisted file; wrong-scheme column files rebuilt at load, never served;
+// all seven RunTypes end-to-end with ranked runs pinned against the
+// reference evaluator (reference.h); BM25T/TC bit-identical to in-memory
+// BM25 on fresh and segmented databases; exact per-query window counters
+// under concurrency; the quantization error bound; and a seeded
+// eviction-schedule stress whose results must be bit-identical to an
+// all-hot pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -19,6 +23,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -34,7 +39,6 @@
 #include "ir/search_engine.h"
 #include "storage/buffer_manager.h"
 #include "storage/column_reader.h"
-#include "storage/column_source.h"
 #include "storage/file.h"
 
 #include "reference.h"
@@ -445,7 +449,7 @@ TEST(ColumnReader, CompressedMatchesResidentDecoderAcrossBoundaries) {
     std::vector<int32_t> full(n);
     ASSERT_TRUE(col.Read(0, n, full.data()).ok());
     EXPECT_EQ(full, values) << "n=" << n;
-    EXPECT_GT(col.windows_decoded(), 0u);
+    EXPECT_GT(bm.stats().misses, 0u);  // window payloads came through the pool
     // Window value bases match the resident decoder's.
     for (uint32_t w = 0; w < col.num_windows(); ++w) {
       EXPECT_EQ(col.WindowValueBase(w), oracle.WindowValueBase(w));
@@ -529,6 +533,31 @@ TEST(ColumnReader, RejectsTruncationBadMagicAndBadParams) {
 // SortedColumnCursor
 // ---------------------------------------------------------------------------
 
+// The storage cursor must land where the in-memory one does after every
+// step — SkipTo probes and the window API the MaxScore executor drives —
+// with the same RunViews and the same three window counters, on a
+// compressed and on a raw column alike.
+void ExpectSameRun(const compress::SortedRangeCursor::RunView& a,
+                   const compress::SortedRangeCursor::RunView& b) {
+  ASSERT_EQ(a.win_index, b.win_index);
+  ASSERT_EQ(a.win_base, b.win_base);
+  ASSERT_EQ(a.win_len, b.win_len);
+  ASSERT_EQ(a.lo, b.lo);
+  ASSERT_EQ(a.hi, b.hi);
+  ASSERT_EQ(0, std::memcmp(a.vals + a.lo, b.vals + b.lo,
+                           sizeof(int32_t) * (a.hi - a.lo)));
+}
+
+void ExpectSameCursor(SortedColumnCursor& cold,
+                      compress::SortedRangeCursor& oracle) {
+  ASSERT_EQ(cold.AtEnd(), oracle.AtEnd());
+  ASSERT_EQ(cold.position(), oracle.position());
+  ASSERT_EQ(cold.stats().windows_decoded, oracle.stats().windows_decoded);
+  ASSERT_EQ(cold.stats().windows_skipped, oracle.stats().windows_skipped);
+  ASSERT_EQ(cold.stats().windows_blockmax_skipped,
+            oracle.stats().windows_blockmax_skipped);
+}
+
 TEST(SortedColumnCursor, MatchesSortedRangeCursorOracle) {
   Rng rng(77);
   std::vector<int32_t> values(1407);
@@ -568,43 +597,61 @@ TEST(SortedColumnCursor, MatchesSortedRangeCursorOracle) {
     for (uint64_t probe_seed = 0; probe_seed < 3; ++probe_seed) {
       compress::SortedRangeCursor oracle;
       ASSERT_TRUE(oracle.Init(&resident, begin, end).ok());
+      Status latch;
       SortedColumnCursor cold, cold_raw;
-      ASSERT_TRUE(cold.Init(&compressed, begin, end).ok());
-      ASSERT_TRUE(cold_raw.Init(&raw, begin, end).ok());
+      ASSERT_TRUE(cold.Init(&compressed, begin, end, &latch).ok());
+      ASSERT_TRUE(cold_raw.Init(&raw, begin, end, &latch).ok());
       Rng prng(900 + probe_seed);
       int32_t target =
           begin < values.size()
               ? values[begin] - 1 +
                     static_cast<int32_t>(prng.NextBounded(3))
               : 0;
-      for (int step = 0; step < 40; ++step) {
-        const bool found_oracle = oracle.SkipTo(target);
-        bool found = false, found_raw = false;
-        ASSERT_TRUE(cold.SkipTo(target, &found).ok());
-        ASSERT_TRUE(cold_raw.SkipTo(target, &found_raw).ok());
-        ASSERT_EQ(found, found_oracle) << "target=" << target;
-        ASSERT_EQ(found_raw, found_oracle);
-        ASSERT_EQ(cold.windows_skipped(), oracle.stats().windows_skipped)
-            << "target=" << target;
-        if (!found_oracle) break;
-        ASSERT_EQ(cold.position(), oracle.position());
-        ASSERT_EQ(cold_raw.position(), oracle.position());
-        int32_t cv = 0, rv = 0;
-        ASSERT_TRUE(cold.Value(&cv).ok());
-        ASSERT_TRUE(cold_raw.Value(&rv).ok());
-        ASSERT_EQ(cv, oracle.value());
-        ASSERT_EQ(rv, oracle.value());
-        target =
-            oracle.value() + static_cast<int32_t>(prng.NextBounded(30));
+      for (int step = 0; step < 40 && !oracle.AtEnd(); ++step) {
+        // A seeded mix of the steps the executor takes: value probes,
+        // block-max window skips, and a consumed window run.
+        const uint32_t op = static_cast<uint32_t>(prng.NextBounded(4));
+        if (op == 0) {
+          ASSERT_EQ(cold.CurrentWindowIndex(), oracle.CurrentWindowIndex());
+          ASSERT_EQ(cold_raw.CurrentWindowIndex(),
+                    oracle.CurrentWindowIndex());
+          const bool more = oracle.SkipCurrentWindowBlockMax();
+          ASSERT_EQ(cold.SkipCurrentWindowBlockMax(), more);
+          ASSERT_EQ(cold_raw.SkipCurrentWindowBlockMax(), more);
+        } else if (op == 1) {
+          const compress::SortedRangeCursor::RunView want =
+              oracle.CurrentRunView();
+          ExpectSameRun(cold.CurrentRunView(), want);
+          ExpectSameRun(cold_raw.CurrentRunView(), want);
+          const uint64_t to = want.win_base + want.hi;
+          oracle.AdvanceTo(to);
+          cold.AdvanceTo(to);
+          cold_raw.AdvanceTo(to);
+        } else {
+          const bool found_oracle = oracle.SkipTo(target);
+          ASSERT_EQ(cold.SkipTo(target), found_oracle)
+              << "target=" << target;
+          ASSERT_EQ(cold_raw.SkipTo(target), found_oracle)
+              << "target=" << target;
+          if (found_oracle) {
+            ASSERT_EQ(cold.value(), oracle.value());
+            ASSERT_EQ(cold_raw.value(), oracle.value());
+            target =
+                oracle.value() + static_cast<int32_t>(prng.NextBounded(30));
+          }
+        }
+        ExpectSameCursor(cold, oracle);
+        ExpectSameCursor(cold_raw, oracle);
       }
       // A probe past every value: the windows the jump to end passes
-      // count as skipped in both cursors.
+      // count as skipped in every cursor.
       const int32_t past_end = std::numeric_limits<int32_t>::max();
       const bool found_oracle = oracle.SkipTo(past_end);
-      bool found = true;
-      ASSERT_TRUE(cold.SkipTo(past_end, &found).ok());
-      ASSERT_EQ(found, found_oracle);
-      ASSERT_EQ(cold.windows_skipped(), oracle.stats().windows_skipped);
+      ASSERT_EQ(cold.SkipTo(past_end), found_oracle);
+      ASSERT_EQ(cold_raw.SkipTo(past_end), found_oracle);
+      ExpectSameCursor(cold, oracle);
+      ExpectSameCursor(cold_raw, oracle);
+      ASSERT_TRUE(latch.ok()) << latch.ToString();
     }
   }
 }
@@ -629,33 +676,45 @@ TEST(SortedColumnCursor, SkipsWindowsWithoutFetching) {
   BufferManager bm(1ull << 30, &disk, 4096);
   ColumnReader col;
   ASSERT_TRUE(col.Open(path, 1, &bm).ok());
+  Status latch;
   SortedColumnCursor cursor;
-  ASSERT_TRUE(cursor.Init(&col, 0, values.size()).ok());
-  bool found = false;
-  ASSERT_TRUE(cursor.SkipTo(values[128 * 35], &found).ok());
-  ASSERT_TRUE(found);
+  ASSERT_TRUE(cursor.Init(&col, 0, values.size(), &latch).ok());
+  ASSERT_TRUE(cursor.SkipTo(values[128 * 35]));
   EXPECT_EQ(cursor.position(), 128u * 35);
-  EXPECT_GE(cursor.windows_skipped(), 30u);
-  EXPECT_LE(col.windows_decoded(), 3u);
+  EXPECT_GE(cursor.stats().windows_skipped, 30u);
+  EXPECT_LE(cursor.stats().windows_decoded, 3u);
+  EXPECT_LE(bm.stats().misses, 3u);
+  EXPECT_TRUE(latch.ok());
 }
 
-TEST(ColumnSliceSource, LatchesPoolFailureAndZeroFills) {
-  std::vector<int32_t> values(5000, 9);
+// A pool error must end the cursor and land in its latch, never surface
+// as a value: a pool smaller than one page fails every fetch.
+TEST(SortedColumnCursor, PoolFailureLatchesAndEndsTheCursor) {
+  std::vector<int32_t> values(5000);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<int32_t>(i);
+  }
   const std::string path = WriteFile(
-      "src_rawi32", ColumnFileBytes(ir::ColumnFileHeader::kRawI32,
-                                    values.size(), values.data(),
-                                    values.size() * 4));
+      "latch_raw", ColumnFileBytes(ir::ColumnFileHeader::kRawI32,
+                                   values.size(), values.data(),
+                                   values.size() * 4));
   SimulatedDisk disk;
-  // Pool smaller than one page: every fetch is ResourceExhausted.
   BufferManager bm(1024, &disk, 4096);
   ColumnReader col;
   ASSERT_TRUE(col.Open(path, 1, &bm).ok());
-  ColumnSliceSource src(&col, 0, values.size(), vec::TypeId::kI32);
-  ASSERT_TRUE(src.status().ok());
-  std::vector<int32_t> out(64, -1);
-  src.Read(0, 64, out.data());
-  EXPECT_EQ(src.status().code(), StatusCode::kResourceExhausted);
-  for (int32_t x : out) EXPECT_EQ(x, 0);  // zero-filled, never garbage
+  Status latch;
+  SortedColumnCursor cursor;
+  ASSERT_TRUE(cursor.Init(&col, 0, values.size(), &latch).ok());
+  const SortedColumnCursor::RunView rv = cursor.CurrentRunView();
+  EXPECT_EQ(rv.lo, rv.hi);  // an empty run, not zeros
+  EXPECT_TRUE(cursor.AtEnd());
+  EXPECT_EQ(latch.code(), StatusCode::kResourceExhausted);
+  SortedColumnCursor probe;
+  Status probe_latch;
+  ASSERT_TRUE(probe.Init(&col, 0, values.size(), &probe_latch).ok());
+  EXPECT_FALSE(probe.SkipTo(4000));
+  EXPECT_TRUE(probe.AtEnd());
+  EXPECT_EQ(probe_latch.code(), StatusCode::kResourceExhausted);
 }
 
 // ---------------------------------------------------------------------------
@@ -924,44 +983,6 @@ TEST(RunTypes, AllSevenExecuteAndRankedRunsMatchOracle) {
   }
 }
 
-// Both two-pass shapes — pass 1 provably exact, and the forced full
-// evaluation — agree on every ranked storage run.
-TEST(RunTypes, ForcedPassShapesAgree) {
-  ir::Corpus corpus;
-  ASSERT_TRUE(ir::Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
-  const std::string dir = FreshDir("passes");
-  ir::InvertedIndex index;
-  ir::BuildStats bstats;
-  ASSERT_TRUE(index.BuildFromCorpus(corpus, dir, &bstats).ok());
-  ir::SearchEngine engine(&index);
-
-  ir::QueryGenOptions qopts;
-  qopts.num_efficiency_queries = 30;
-  ir::QueryGenerator gen(corpus, qopts);
-  const ir::RunType types[] = {ir::RunType::kBm25T, ir::RunType::kBm25TC,
-                               ir::RunType::kBm25TCM,
-                               ir::RunType::kBm25TCMQ8};
-  for (const auto& q : gen.EfficiencyQueries()) {
-    for (ir::RunType type : types) {
-      ir::SearchOptions all_short, all_long;
-      all_short.twopass_df_cutoff = UINT32_MAX;  // everything selective
-      all_long.twopass_df_cutoff = 1;            // everything probed/full
-      ir::SearchResult a, b;
-      ASSERT_TRUE(engine.Search(q, type, all_short, &a).ok());
-      ASSERT_TRUE(engine.Search(q, type, all_long, &b).ok());
-      // All-selective pass 1 is exact (no long lists to bound). The
-      // all-long shape runs the full evaluation; both must return the
-      // same ranking.
-      EXPECT_FALSE(a.used_second_pass);
-      ASSERT_EQ(a.docids.size(), b.docids.size()) << ir::RunTypeName(type);
-      for (size_t i = 0; i < a.docids.size(); ++i) {
-        ASSERT_NEAR(a.scores[i], b.scores[i], 1e-4)
-            << ir::RunTypeName(type);
-      }
-    }
-  }
-}
-
 // The quantized run keeps ranking quality: top-20 overlap vs TCM on the
 // planted-topic corpus.
 TEST(RunTypes, Q8TopKOverlapAtLeast19Of20) {
@@ -989,10 +1010,10 @@ TEST(RunTypes, Q8TopKOverlapAtLeast19Of20) {
   }
 }
 
-// A pool failure on the second pass's value column zero-fills tfs or
-// scores but leaves the docid stream intact, so the plan drains cleanly:
-// only the run's check of its sources' latched status after the drain can
-// fail the query, and it must, rather than rank zeros.
+// A torn page on either column a storage run reads fails the query with
+// IOError: the failing cursor or value reader latches the error and ends
+// its term's stream, and the executor returns the latch instead of a
+// ranking. No run may rank a document it could not read.
 TEST(RunTypes, SecondPassValueColumnFailureFailsTheQuery) {
   ir::Corpus corpus;
   ASSERT_TRUE(ir::Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
@@ -1002,32 +1023,172 @@ TEST(RunTypes, SecondPassValueColumnFailureFailsTheQuery) {
   ASSERT_TRUE(index.BuildFromCorpus(corpus, dir, &bstats).ok());
   ir::SearchEngine engine(&index);
   BufferManager* pool = index.buffer_manager();
+  ir::IndexStorage* st = index.storage();
   ir::Query q;
   q.terms = {3, 50};
   ir::SearchOptions opts;
-  opts.twopass_df_cutoff = 1;  // every list long: straight to pass 2
-  const std::pair<ir::RunType, ColumnReader*> runs[] = {
-      {ir::RunType::kBm25TC, &index.storage()->tf_compressed},
-      {ir::RunType::kBm25TCM, &index.storage()->score_f32},
+  struct Run {
+    ir::RunType type;
+    ColumnReader* docid;
+    ColumnReader* value;
   };
-  for (const auto& [type, value_col] : runs) {
-    // Warm run: every page the plan reads is resident, and pool hits
-    // never fault. Then only the value column goes cold, under a plan
-    // that tears every fetch.
-    ir::SearchResult warm;
-    ASSERT_TRUE(engine.Search(q, type, opts, &warm).ok());
-    ASSERT_FALSE(warm.docids.empty());
-    ASSERT_TRUE(pool->EvictFile(value_col->file_id()).ok());
-    FaultPlanOptions fopts;
-    fopts.torn_rate = 1.0;
-    FaultPlan plan(fopts);
-    pool->set_fault_plan(&plan);
-    ir::SearchResult r;
-    const Status s = engine.Search(q, type, opts, &r);
-    pool->set_fault_plan(nullptr);
-    EXPECT_EQ(s.code(), StatusCode::kIOError)
-        << ir::RunTypeName(type) << ": " << s.ToString();
+  const Run runs[] = {
+      {ir::RunType::kBm25T, &st->docid_raw, &st->tf_raw},
+      {ir::RunType::kBm25TC, &st->docid_compressed, &st->tf_compressed},
+      {ir::RunType::kBm25TCM, &st->docid_compressed, &st->score_f32},
+      {ir::RunType::kBm25TCMQ8, &st->docid_compressed, &st->score_q8},
+  };
+  for (const Run& run : runs) {
+    for (ColumnReader* cold : {run.value, run.docid}) {
+      // Warm run: every page the query reads is resident, and pool hits
+      // never fault. Then one column goes cold, under a plan that tears
+      // every fetch.
+      ir::SearchResult warm;
+      ASSERT_TRUE(engine.Search(q, run.type, opts, &warm).ok());
+      ASSERT_FALSE(warm.docids.empty());
+      ASSERT_TRUE(pool->EvictFile(cold->file_id()).ok());
+      FaultPlanOptions fopts;
+      fopts.torn_rate = 1.0;
+      FaultPlan plan(fopts);
+      pool->set_fault_plan(&plan);
+      ir::SearchResult r;
+      const Status s = engine.Search(q, run.type, opts, &r);
+      pool->set_fault_plan(nullptr);
+      const char* which = cold == run.value ? "value" : "docid";
+      EXPECT_EQ(s.code(), StatusCode::kIOError)
+          << ir::RunTypeName(run.type) << " " << which << ": "
+          << s.ToString();
+      EXPECT_TRUE(r.docids.empty()) << ir::RunTypeName(run.type) << " "
+                                    << which;
+    }
   }
+}
+
+// BM25T and BM25TC run the in-memory BM25 run's executor over pool-served
+// columns, scoring with kernels whose bits are pinned equal to the fused
+// one, so they must return its docids, score bits and match counts: on a
+// fresh database, and on a segmented one that scores under live statistics
+// through tombstones (a merged segment with deletes, plus a delta).
+TEST(RunTypes, Bm25TAndTCBitIdenticalToInMemoryBm25) {
+  core::DatabaseOptions dopts;
+  dopts.corpus = SmallGeneratedOptions();
+  dopts.dir = FreshDir("bitident");
+  dopts.storage.page_bytes = 4096;
+  core::Database db;
+  ASSERT_TRUE(db.Open(dopts).ok());
+  ir::QueryGenerator gen(db.corpus(), ir::QueryGenOptions());
+  const std::vector<ir::Query> queries = gen.EfficiencyQueries();
+  ASSERT_FALSE(queries.empty());
+  const auto check = [&](const char* setup) {
+    for (uint32_t vsize : {128u, 1024u}) {
+      ir::SearchOptions opts;
+      opts.vector_size = vsize;
+      for (size_t i = 0; i < queries.size(); ++i) {
+        ir::SearchResult want;
+        ASSERT_TRUE(db.Search(queries[i], ir::RunType::kBm25, opts, &want)
+                        .ok());
+        for (ir::RunType type : {ir::RunType::kBm25T, ir::RunType::kBm25TC}) {
+          ir::SearchResult got;
+          ASSERT_TRUE(db.Search(queries[i], type, opts, &got).ok());
+          const std::string what =
+              std::string(setup) + " " + ir::RunTypeName(type) + " vsize " +
+              std::to_string(vsize) + " query " + std::to_string(i);
+          ASSERT_EQ(got.docids, want.docids) << what;
+          ASSERT_EQ(ScoreBits(got.scores), ScoreBits(want.scores)) << what;
+          ASSERT_EQ(got.num_matches, want.num_matches) << what;
+        }
+      }
+    }
+  };
+  check("fresh");
+  if (HasFatalFailure()) return;
+
+  Rng rng(1701);
+  const uint32_t vocab = db.corpus().vocab_size();
+  const auto add_docs = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      std::vector<uint32_t> terms(8 + rng.NextBounded(40));
+      for (uint32_t& t : terms) {
+        t = static_cast<uint32_t>(rng.NextBounded(vocab));
+      }
+      int32_t docid = -1;
+      ASSERT_TRUE(db.AddDocument(terms, &docid).ok());
+    }
+  };
+  add_docs(200);
+  ASSERT_TRUE(db.Merge().ok());
+  for (int32_t d = 0; d < 1700; d += 7) {
+    ASSERT_TRUE(db.DeleteDocument(d).ok());
+  }
+  add_docs(60);
+  check("segmented");
+  std::filesystem::remove_all(dopts.dir);
+}
+
+// Window counters live in each query's own cursors and value readers, so
+// a storage run reports the same ExecStats under concurrency as alone.
+// (io_seconds is still the shared disk's delta and is not compared.)
+bool SameExecStats(const vec::ExecStats& a, const vec::ExecStats& b) {
+  return a.windows_decoded == b.windows_decoded &&
+         a.windows_skipped == b.windows_skipped &&
+         a.windows_blockmax_skipped == b.windows_blockmax_skipped &&
+         a.tf_windows_decoded == b.tf_windows_decoded &&
+         a.fused_windows == b.fused_windows &&
+         a.primitive_calls == b.primitive_calls &&
+         a.vectors_pruned == b.vectors_pruned &&
+         a.docs_probed == b.docs_probed;
+}
+
+TEST(RunTypes, ConcurrentStorageRunsReportTheirSerialExecStats) {
+  ir::Corpus corpus;
+  ASSERT_TRUE(ir::Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
+  const std::string dir = FreshDir("concurrent_stats");
+  ir::InvertedIndex index;
+  ir::BuildStats bstats;
+  StorageOptions sopts;
+  sopts.page_bytes = 4096;
+  ASSERT_TRUE(index.BuildFromCorpus(corpus, dir, &bstats, sopts).ok());
+  const ir::SearchEngine engine(&index);
+  ir::QueryGenOptions qopts;
+  qopts.num_efficiency_queries = 100;
+  ir::QueryGenerator gen(corpus, qopts);
+  const std::vector<ir::Query> queries = gen.EfficiencyQueries();
+  const ir::RunType types[] = {ir::RunType::kBm25T, ir::RunType::kBm25TC,
+                               ir::RunType::kBm25TCM,
+                               ir::RunType::kBm25TCMQ8};
+  const size_t n = queries.size() * 4;
+  std::vector<ir::SearchResult> serial(n);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(engine.Search(queries[i / 4], types[i % 4],
+                              ir::SearchOptions(), &serial[i])
+                    .ok());
+  }
+  std::atomic<uint64_t> mismatches{0}, errors{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t j = 0; j < n; ++j) {
+        const size_t i = (j + t * n / 4) % n;  // each thread its own order
+        ir::SearchResult r;
+        if (!engine.Search(queries[i / 4], types[i % 4], ir::SearchOptions(),
+                           &r)
+                 .ok()) {
+          ++errors;
+          continue;
+        }
+        const ir::SearchResult& want = serial[i];
+        if (r.docids != want.docids ||
+            ScoreBits(r.scores) != ScoreBits(want.scores) ||
+            r.num_matches != want.num_matches ||
+            !SameExecStats(r.stats, want.stats)) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(errors.load(), 0u);
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 TEST(RunTypes, StorageRunsFailCleanlyWithoutDirectory) {
@@ -1170,7 +1331,6 @@ TEST(EvictionStress, TinyPoolBitIdenticalToAllHotOracle) {
           << "call " << call;
     }
     ASSERT_EQ(got.num_matches, want.num_matches) << "call " << call;
-    ASSERT_EQ(got.used_second_pass, want.used_second_pass);
     evictions_seen = cold_index.buffer_manager()->stats().evictions;
   }
   // The schedule actually exercised eviction pressure, massively.
