@@ -28,7 +28,8 @@ int Run() {
   std::printf("=== §3.3 compression ratios (bits per tuple) ===\n\n");
   core::Database db;
   bench::CheckOk(bench::OpenBenchDatabase(&db), "open database");
-  std::string dir = bench::BenchDir() + "/full";
+  // The column files sit in the base segment's own directory.
+  const std::string dir = db.Acquire()->segments[0].seg->dir();
 
   const ColumnInfo columns[] = {
       {"TD.docid raw", ir::kDocidRawFile, 32.0},

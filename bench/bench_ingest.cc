@@ -3,16 +3,18 @@
 //
 //   1. Quiescent baseline — ranked-query p50/p99 against the freshly
 //      opened database (one identity-map segment, no delta, no deletes).
-//   2. Ingest throughput — AddDocument docs/sec into the delta write
-//      buffer, each add publishing a new snapshot.
+//   2. Ingest throughput — acknowledged AddDocument docs/sec from one
+//      writer into the delta write buffer, each add logged (group commit)
+//      and publishing a new snapshot.
 //   3. Merge interference — the gated phase: query latency measured while
 //      a background merge compacts the delta into a new compressed
 //      segment. Queries run against the sealed delta + old segments the
 //      whole time (snapshot pinning; no read ever blocks on the merge).
 //
-//   4. WAL durability cost (DESIGN.md §13) — ingest docs/sec with the WAL
-//      off (the volatile pre-§13 tier), fsync-per-write, and group commit,
-//      concurrent writers in every mode. Group commit's claim is that one
+//   4. WAL durability cost (DESIGN.md §13) — ingest docs/sec into an
+//      in-memory database (the no-durability baseline) and into on-disk
+//      ones logging fsync-per-write and group-committed, concurrent
+//      writers in every mode. Group commit's claim is that one
 //      fsync amortizes over a batch of acknowledged writes, so its
 //      throughput must sit far above fsync-per-write whenever fsync has a
 //      real cost.
@@ -126,18 +128,17 @@ struct WalModeResult {
 };
 
 // Ingests `docs` documents from `threads` concurrent writers into a fresh
-// on-disk database under the given WAL configuration. Every add is an
-// acknowledged write: in the durable modes the measured docs/sec includes
-// the covering fsync (or the group-commit wait for one).
+// database under the given WAL mode; an empty `dir` opens it in memory,
+// with no WAL. Every add is an acknowledged write: on disk the measured
+// docs/sec includes the covering fsync (or the group-commit wait for one).
 WalModeResult MeasureWalMode(const std::string& dir,
-                             const ir::CorpusOptions& corpus, bool enabled,
+                             const ir::CorpusOptions& corpus,
                              storage::WalSyncMode mode, uint32_t docs,
                              uint32_t threads, uint64_t seed) {
-  std::filesystem::remove_all(dir);
+  if (!dir.empty()) std::filesystem::remove_all(dir);
   core::DatabaseOptions opts;
   opts.dir = dir;
   opts.corpus = corpus;
-  opts.storage.wal.enabled = enabled;
   opts.storage.wal.mode = mode;
   core::Database db;
   bench::CheckOk(db.Open(opts), "open wal-mode database");
@@ -177,10 +178,8 @@ int Run() {
   opts.corpus.num_docs = std::min(opts.corpus.num_docs, 20000u);
   opts.corpus.num_topics = 20;
   opts.corpus.relevant_docs_per_topic = 60;
-  // Phases 1-3 measure read/merge interference, not durability: the WAL is
-  // explicitly off so their numbers stay comparable with earlier baselines.
-  // Phase 4 measures exactly the cost switching it on adds.
-  opts.storage.wal.enabled = false;
+  // Phases 1-3 run with the WAL group-committing, as every on-disk
+  // database does; phase 4 isolates what it costs.
   core::Database db;
   bench::CheckOk(db.Open(opts), "open database");
 
@@ -253,7 +252,7 @@ int Run() {
   std::vector<double> post_lat =
       MeasureLatencies(db, queries, quiescent_samples);
 
-  // ---- 4. WAL durability cost: off vs fsync-per-write vs group commit. --
+  // ---- 4. WAL durability cost: in memory vs fsync vs group commit. ----
   const double fsync_probe_us = FsyncProbeMicros(bench::BenchDir());
   ir::CorpusOptions wal_corpus = opts.corpus;
   wal_corpus.num_docs = 2000;  // small base: this phase times adds, not opens
@@ -264,14 +263,14 @@ int Run() {
   const uint32_t wal_threads = 16;
   const uint32_t wal_docs = tiny ? 800 : 3200;
   const uint64_t wal_seed = 0xDA7A10ull;
-  const WalModeResult wal_off = MeasureWalMode(
-      bench::BenchDir() + "/ingest_wal_off", wal_corpus, /*enabled=*/false,
-      storage::WalSyncMode::kGroupCommit, wal_docs, wal_threads, wal_seed);
+  const WalModeResult wal_off =
+      MeasureWalMode("", wal_corpus, storage::WalSyncMode::kGroupCommit,
+                     wal_docs, wal_threads, wal_seed);
   const WalModeResult wal_fsync = MeasureWalMode(
-      bench::BenchDir() + "/ingest_wal_fsync", wal_corpus, /*enabled=*/true,
+      bench::BenchDir() + "/ingest_wal_fsync", wal_corpus,
       storage::WalSyncMode::kFsyncPerWrite, wal_docs, wal_threads, wal_seed);
   const WalModeResult wal_group = MeasureWalMode(
-      bench::BenchDir() + "/ingest_wal_group", wal_corpus, /*enabled=*/true,
+      bench::BenchDir() + "/ingest_wal_group", wal_corpus,
       storage::WalSyncMode::kGroupCommit, wal_docs, wal_threads, wal_seed);
   const double wal_ratio = wal_fsync.docs_per_sec > 0.0
                                ? wal_group.docs_per_sec / wal_fsync.docs_per_sec
@@ -281,8 +280,9 @@ int Run() {
       "ingest",
       "Live-update interference + WAL durability cost: ranked-query "
       "p50/p99 quiescent vs delta-resident vs during a background merge vs "
-      "post-merge, ingest docs/sec, and acknowledged-write throughput with "
-      "the WAL off / fsync-per-write / group-committed. Gated values: every "
+      "post-merge (WAL group-committing throughout), ingest docs/sec, and "
+      "acknowledged-write throughput in memory (no WAL) / fsync-per-write / "
+      "group-committed. Gated values: every "
       "merge commits, during-merge p50 within 2x of quiescent "
       "(self-disabled under 4 cores) and group-commit >= 5x "
       "fsync-per-write (self-disabled under 4 cores -- one core serializes "
@@ -327,7 +327,7 @@ int Run() {
         .Set("fsyncs", r.fsyncs)
         .Set("batch_max", r.batch_max);
   };
-  add_wal("off (volatile)", "wal_off", wal_off);
+  add_wal("off (in memory)", "wal_off", wal_off);
   add_wal("fsync-per-write", "wal_fsync_per_write", wal_fsync);
   add_wal("group commit", "wal_group_commit", wal_group);
   wal_table.Print();

@@ -155,8 +155,9 @@ int Run() {
       "  BM25TCMQ8  0.5490  cold 118ms  hot  28ms\n");
 
   // On-disk score-column footprint: quantization is the cheapest way to
-  // store materialized scores (the paper's Quant.8-bit row).
-  const std::string dir = bench::BenchDir() + "/full";
+  // store materialized scores (the paper's Quant.8-bit row). The columns
+  // sit in the base segment's own directory.
+  const std::string dir = db.Acquire()->segments[0].seg->dir();
   const uint64_t f32_bytes = FileBytes(dir + "/" + ir::kScoreF32File);
   const uint64_t q8_bytes = FileBytes(dir + "/" + ir::kScoreQ8File);
   std::printf("\nscore column footprint: f32 %s, q8 %s (%.2fx)\n",

@@ -1,8 +1,8 @@
 // The engine facade the benches (and any embedder) program against: Open
 // generates the deterministic corpus and stands up the segmented index
-// (ir::SnapshotManager) over it — building or reusing the compressed base
-// segment under options.dir — and Search runs one query against the
-// current snapshot.
+// (ir::SnapshotManager) over it — building seg_0 under options.dir on the
+// first open, adopting the manifest on every reopen — and Search runs one
+// query against the current snapshot.
 //
 // This is the API seam between the retrieval model (ir/) and the relational
 // executor (vec/): later layers (storage/ buffer manager, dist/ partitions)
@@ -29,9 +29,11 @@
 namespace x100ir::core {
 
 struct DatabaseOptions {
-  // Index directory. Column files are written here on first build and
-  // reused when the corpus fingerprint matches. Empty = in-memory only
-  // (the storage-era RunTypes then report FailedPrecondition).
+  // Database directory: MANIFEST, the WAL files and one seg_<id>/
+  // directory per segment. The first open builds seg_0 here; a reopen
+  // adopts the manifest when its corpus fingerprint matches. Empty =
+  // in-memory only (the storage-era RunTypes then report
+  // FailedPrecondition).
   std::string dir;
   ir::CorpusOptions corpus;
   // Buffer pool / page size / simulated-disk model for the storage runs.
@@ -46,15 +48,15 @@ class Database {
   Database& operator=(const Database&) = delete;
 
   // Generates the corpus and opens the segmented index over it (adopting a
-  // valid manifest under options.dir, else building or reusing the base
-  // segment). Safe to call again (rebuilds against the new options).
+  // valid manifest under options.dir, else building seg_0). Safe to call
+  // again (rebuilds against the new options).
   Status Open(const DatabaseOptions& options);
 
   // Opens over a caller-built corpus instead of generating one — the
   // dist/ path: a cluster node adopts its doc-partition slice
   // (Corpus::FromDocTerms over a contiguous global-docid range) and gets
-  // the same build-or-reuse, segmented-index, private-buffer-pool stack a
-  // generated database gets. The corpus is moved in; the on-disk reuse
+  // the same build-or-adopt, segmented-index, private-buffer-pool stack a
+  // generated database gets. The corpus is moved in; the manifest's reuse
   // check keys on its content fingerprint, so a reopened node only
   // rebuilds when its slice actually changed.
   Status OpenWithCorpus(ir::Corpus corpus, const std::string& dir,
@@ -98,8 +100,8 @@ class Database {
   storage::BufferStats buffer_stats() const {
     return has_storage() ? manager_->pool()->stats() : storage::BufferStats{};
   }
-  // Write-path durability counters (DESIGN.md §13). All-zero when the WAL
-  // is off or the database is in-memory.
+  // Write-path durability counters (DESIGN.md §13). All-zero for an
+  // in-memory database.
   storage::WalStats wal_stats() const {
     return manager_ != nullptr ? manager_->wal_stats() : storage::WalStats{};
   }

@@ -167,10 +167,11 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  // Partitions `corpus` and opens the nodes, building (or
-  // fingerprint-reusing) each partition index under dir/part<i> in
-  // parallel. Empty dir = fully in-memory nodes (no storage runs). The
-  // corpus is only read during Open; the cluster keeps no reference.
+  // Partitions `corpus` and opens the nodes in parallel, each a database
+  // under dir/part<i> that builds its partition's seg_0 on the first open
+  // and adopts its manifest on a reopen of the same slice. Empty dir =
+  // fully in-memory nodes (no storage runs). The corpus is only read
+  // during Open; the cluster keeps no reference.
   Status Open(const ir::Corpus& corpus, const std::string& dir,
               const ClusterOptions& opts);
 

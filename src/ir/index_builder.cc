@@ -9,10 +9,11 @@
 #include <utility>
 
 #include "common/string_util.h"
-#include "common/timer.h"
 #include "compress/pfor.h"
 #include "compress/pfor_delta.h"
 #include "ir/bm25.h"
+#include "storage/crash_point.h"
+#include "storage/file.h"
 
 namespace x100ir::ir {
 namespace {
@@ -20,17 +21,10 @@ namespace {
 Status WriteColumnFile(const std::string& path, uint32_t encoding,
                        uint64_t value_count, const void* payload,
                        size_t payload_bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return IOError("cannot create " + path);
   ColumnFileHeader hdr;
   hdr.encoding = encoding;
   hdr.value_count = value_count;
-  bool ok = std::fwrite(&hdr, sizeof(hdr), 1, f) == 1;
-  ok = ok && (payload_bytes == 0 ||
-              std::fwrite(payload, payload_bytes, 1, f) == 1);
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) return IOError("short write to " + path);
-  return OkStatus();
+  return storage::WriteFile(path, &hdr, sizeof(hdr), payload, payload_bytes);
 }
 
 Status ReadColumnFile(const std::string& path, uint32_t expected_encoding,
@@ -60,37 +54,25 @@ Status ReadColumnFile(const std::string& path, uint32_t expected_encoding,
   return OkStatus();
 }
 
-// index.meta match is all-or-nothing: any mismatch (fingerprint, counts,
-// version) means rebuild.
-bool MetaMatches(const std::string& path, uint64_t fingerprint,
-                 uint64_t num_postings, uint32_t num_docs,
-                 uint32_t vocab_size) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  IndexMetaHeader meta;
-  const bool read_ok = std::fread(&meta, sizeof(meta), 1, f) == 1;
-  std::fclose(f);
-  return read_ok && meta.magic == IndexMetaHeader::kMagic &&
-         meta.version == IndexMetaHeader::kVersion &&
-         meta.corpus_fingerprint == fingerprint &&
-         meta.num_postings == num_postings && meta.num_docs == num_docs &&
-         meta.vocab_size == vocab_size;
-}
-
-Status WriteMeta(const std::string& path, uint64_t fingerprint,
-                 uint64_t num_postings, uint32_t num_docs,
-                 uint32_t vocab_size) {
-  IndexMetaHeader meta;
-  meta.corpus_fingerprint = fingerprint;
-  meta.num_postings = num_postings;
-  meta.num_docs = num_docs;
-  meta.vocab_size = vocab_size;
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return IOError("cannot create " + path);
-  bool ok = std::fwrite(&meta, sizeof(meta), 1, f) == 1;
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) return IOError("short write to " + path);
-  return OkStatus();
+// The T table of `corpus` — per-term df, max tf (the MaxScore bound
+// ingredient), idf and posting range in (term, docid) order: the counting
+// pass of a build.
+std::vector<TermInfo> TermTable(const Corpus& corpus) {
+  std::vector<TermInfo> terms(corpus.vocab_size());
+  for (uint32_t d = 0; d < corpus.num_docs(); ++d) {
+    for (const DocTerm& p : corpus.doc(d)) {
+      TermInfo& info = terms[p.term];
+      ++info.doc_freq;
+      info.max_tf = std::max(info.max_tf, p.tf);
+    }
+  }
+  uint64_t start = 0;
+  for (TermInfo& t : terms) {
+    t.posting_start = start;
+    start += t.doc_freq;
+    t.idf = Bm25Idf(corpus.num_docs(), t.doc_freq);
+  }
+  return terms;
 }
 
 // The T table packed as kTermRecordBytes-byte records (index_meta.h): the
@@ -157,7 +139,7 @@ Status MakeBlockSource(std::vector<uint8_t> block,
 
 }  // namespace
 
-Status InvertedIndex::TryLoadColumns(const std::string& dir) {
+Status InvertedIndex::LoadColumns(const std::string& dir) {
   // BlockVectorSource::Create deep-validates the payloads, so a corrupt
   // file fails loudly here and the caller falls back to a rebuild. A valid
   // block of the wrong scheme is refused the same way: the skip cursors
@@ -191,24 +173,9 @@ Status InvertedIndex::TryLoadColumns(const std::string& dir) {
   return OkStatus();
 }
 
-bool InvertedIndex::SideTablesMatch(const std::string& dir) const {
-  std::vector<uint8_t> payload;
-  uint64_t count = 0;
-  if (!ReadColumnFile(dir + "/" + kTermsFile, ColumnFileHeader::kOpaque,
-                      &count, &payload)
-           .ok() ||
-      count != terms_.size() || payload != PackTerms(terms_)) {
-    return false;
-  }
-  if (!ReadColumnFile(dir + "/" + kDoclenFile, ColumnFileHeader::kRawI32,
-                      &count, &payload)
-           .ok() ||
-      count != doc_lens_.size() ||
-      payload.size() != doc_lens_.size() * sizeof(int32_t) ||
-      std::memcmp(payload.data(), doc_lens_.data(), payload.size()) != 0) {
-    return false;
-  }
-  return true;
+bool InvertedIndex::SideTablesMatch(const Corpus& corpus) const {
+  return doc_lens_ == corpus.doc_lens() &&
+         PackTerms(terms_) == PackTerms(TermTable(corpus));
 }
 
 Status InvertedIndex::LoadSideTables(const std::string& dir) {
@@ -291,7 +258,6 @@ Status InvertedIndex::LoadBlockMax(const std::string& dir) {
 }
 
 Status InvertedIndex::EncodeAndPersist(const std::string& dir,
-                                       uint64_t corpus_fingerprint,
                                        const std::vector<int32_t>& docid_col,
                                        const std::vector<int32_t>& tf_col) {
   const uint64_t n = docid_col.size();
@@ -314,6 +280,8 @@ Status InvertedIndex::EncodeAndPersist(const std::string& dir,
                                               &tf_block, &tf_stats));
 
   if (!dir.empty()) {
+    // After a simulated crash nothing reaches disk, not even the directory.
+    if (storage::CrashedNow()) return IOError("simulated crash");
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     if (ec) return IOError("cannot create index dir " + dir);
@@ -342,11 +310,15 @@ Status InvertedIndex::EncodeAndPersist(const std::string& dir,
     X100IR_RETURN_IF_ERROR(WriteColumnFile(
         dir + "/" + kBlockMaxFile, ColumnFileHeader::kOpaque,
         blockmax_.size(), blockmax_bytes.data(), blockmax_bytes.size()));
-    // Meta last: a torn run leaves columns without meta, which reads as
-    // "rebuild" next time instead of "trust stale files".
-    X100IR_RETURN_IF_ERROR(WriteMeta(dir + "/" + kIndexMetaFile,
-                                     corpus_fingerprint, n, num_docs_,
-                                     vocab_size()));
+    // Meta last: a torn run leaves columns without meta, which fails
+    // LoadFromDir instead of serving stale files.
+    IndexMetaHeader meta;
+    meta.num_postings = n;
+    meta.num_docs = num_docs_;
+    meta.vocab_size = vocab_size();
+    X100IR_RETURN_IF_ERROR(storage::WriteFile(dir + "/" + kIndexMetaFile,
+                                              &meta, sizeof(meta), nullptr,
+                                              0));
   }
 
   X100IR_RETURN_IF_ERROR(
@@ -403,42 +375,11 @@ Status InvertedIndex::MaterializeScores(
 }
 
 Status InvertedIndex::AttachStorage(const std::string& dir,
-                                    const storage::StorageOptions* owned,
-                                    const StorageBinding* shared) {
-  storage_.reset();
-  auto st = std::make_unique<IndexStorage>();
-  if (shared != nullptr) {
-    if (shared->pool == nullptr) {
-      return InvalidArgument("storage binding without a pool");
-    }
-    st->pool = shared->pool;
-    st->file_id_base = shared->file_id_base;
-  } else {
-    st->disk = storage::SimulatedDisk(owned->disk);
-    st->owned_pool = std::make_unique<storage::BufferManager>(
-        owned->pool_bytes, &st->disk, owned->page_bytes, owned->shards);
-    st->owned_pool->set_retry_policy(owned->retry);
-    st->pool = st->owned_pool.get();
-  }
-  storage_ = std::move(st);
-  Status opened = OpenColumns(dir, storage_->pool, storage_->file_id_base);
-  if (!opened.ok()) {
-    if (shared != nullptr) {
-      // A shared pool outlives this attach attempt: drop whatever ids the
-      // partial open registered so the pool never dangles on closed files.
-      for (uint32_t i = 0; i < IndexStorage::kFilesPerIndex; ++i) {
-        Status unused = shared->pool->UnregisterFile(shared->file_id_base + i);
-        (void)unused;
-      }
-    }
-    storage_.reset();
-  }
-  return opened;
-}
-
-Status InvertedIndex::OpenColumns(const std::string& dir,
-                                  storage::BufferManager* pool,
-                                  uint32_t file_id_base) {
+                                    const StorageBinding& binding) {
+  DetachStorage();
+  storage_ = std::make_unique<IndexStorage>();
+  storage_->pool = binding.pool;
+  storage_->file_id_base = binding.file_id_base;
   IndexStorage* st = storage_.get();
   struct ColumnSpec {
     storage::ColumnReader* reader;
@@ -452,24 +393,28 @@ Status InvertedIndex::OpenColumns(const std::string& dir,
       {&st->score_f32, kScoreF32File},
       {&st->score_q8, kScoreQ8File},
   };
-  uint32_t file_id = file_id_base;
+  uint32_t file_id = binding.file_id_base;
+  Status opened;
   for (const ColumnSpec& spec : specs) {
-    X100IR_RETURN_IF_ERROR(
-        spec.reader->Open(dir + "/" + spec.file, file_id++, pool));
-    if (spec.reader->value_count() != num_postings_) {
-      return Internal(StrFormat("%s holds %llu values, expected %llu",
-                                spec.file,
-                                static_cast<unsigned long long>(
-                                    spec.reader->value_count()),
-                                static_cast<unsigned long long>(
-                                    num_postings_)));
+    opened = spec.reader->Open(dir + "/" + spec.file, file_id++, binding.pool);
+    if (opened.ok() && spec.reader->value_count() != num_postings_) {
+      opened = Internal(StrFormat(
+          "%s holds %llu values, expected %llu", spec.file,
+          static_cast<unsigned long long>(spec.reader->value_count()),
+          static_cast<unsigned long long>(num_postings_)));
+    }
+    if (!opened.ok()) {
+      // The pool outlives this attempt: drop whatever ids the partial open
+      // registered so it never dangles on closed files.
+      DetachStorage();
+      return opened;
     }
   }
   return OkStatus();
 }
 
-void InvertedIndex::DetachSharedStorage() {
-  if (storage_ == nullptr || storage_->owned_pool != nullptr) return;
+void InvertedIndex::DetachStorage() {
+  if (storage_ == nullptr) return;
   for (uint32_t i = 0; i < IndexStorage::kFilesPerIndex; ++i) {
     Status unused =
         storage_->pool->UnregisterFile(storage_->file_id_base + i);
@@ -487,32 +432,16 @@ Status InvertedIndex::EvictAll() const {
 
 Status InvertedIndex::BuildFromCorpus(const Corpus& corpus,
                                       const std::string& dir,
-                                      BuildStats* stats,
-                                      const storage::StorageOptions& storage) {
-  return BuildImpl(corpus, dir, stats, &storage, nullptr);
-}
-
-Status InvertedIndex::BuildFromCorpusShared(const Corpus& corpus,
-                                            const std::string& dir,
-                                            BuildStats* stats,
-                                            const StorageBinding& binding) {
-  return BuildImpl(corpus, dir, stats, nullptr, &binding);
-}
-
-Status InvertedIndex::BuildImpl(const Corpus& corpus, const std::string& dir,
-                                BuildStats* stats,
-                                const storage::StorageOptions* owned,
-                                const StorageBinding* shared) {
-  if (stats == nullptr) return InvalidArgument("null build stats");
-  *stats = BuildStats();
+                                      const StorageBinding& binding) {
   if (corpus.num_postings() == 0) {
     return InvalidArgument("corpus has no postings");
   }
   if (corpus.num_postings() > UINT32_MAX) {
     return InvalidArgument("TD table exceeds one block (2^32 postings)");
   }
-  WallTimer timer;
-
+  if (!dir.empty() && binding.pool == nullptr) {
+    return InvalidArgument("an on-disk index needs a buffer pool");
+  }
   num_docs_ = corpus.num_docs();
   num_postings_ = corpus.num_postings();
   avg_doc_len_ = corpus.avg_doc_len();
@@ -520,71 +449,34 @@ Status InvertedIndex::BuildImpl(const Corpus& corpus, const std::string& dir,
   min_doc_len_ = doc_lens_.empty()
                      ? 0
                      : *std::min_element(doc_lens_.begin(), doc_lens_.end());
+  terms_ = TermTable(corpus);
 
-  // Counting sort into (term, docid) order: df histogram, prefix sums,
-  // then one sequential pass over the documents (docids ascend within each
-  // term's range because docs are visited in docid order). The same pass
-  // collects per-term max tf (the MaxScore bound ingredient), so it is
-  // available even when the encoded columns are reused from disk.
-  const uint32_t vocab = corpus.vocab_size();
-  terms_.assign(vocab, TermInfo());
+  // Counting sort into (term, docid) order: the T table's prefix sums
+  // place each term's range, then one sequential pass over the documents
+  // fills it (docids ascend within each term's range because docs are
+  // visited in docid order).
+  std::vector<int32_t> docid_col(num_postings_);
+  std::vector<int32_t> tf_col(num_postings_);
+  std::vector<uint64_t> fill(terms_.size());
+  for (size_t t = 0; t < terms_.size(); ++t) {
+    fill[t] = terms_[t].posting_start;
+  }
   for (uint32_t d = 0; d < num_docs_; ++d) {
     for (const DocTerm& p : corpus.doc(d)) {
-      TermInfo& info = terms_[p.term];
-      ++info.doc_freq;
-      info.max_tf = std::max(info.max_tf, p.tf);
+      const uint64_t pos = fill[p.term]++;
+      docid_col[pos] = static_cast<int32_t>(d);
+      tf_col[pos] = p.tf;
     }
   }
-  uint64_t start = 0;
-  for (uint32_t t = 0; t < vocab; ++t) {
-    terms_[t].posting_start = start;
-    start += terms_[t].doc_freq;
-    terms_[t].idf = Bm25Idf(num_docs_, terms_[t].doc_freq);
-  }
-
-  // Reuse check before materializing the TD columns: a fingerprint match
-  // makes the counting sort + encode (the expensive part, ~8 bytes/posting
-  // of scratch) unnecessary, so don't pay for it on every reopen. Reuse
-  // requires *every* persisted column to load and validate — the storage
-  // attach revalidates the raw and score files against their exact
-  // expected sizes, so a torn write to any of them (truncation at any
-  // offset) reads as "rebuild", never as "serve garbage".
-  const uint64_t fingerprint = corpus.Fingerprint();
-  if (!dir.empty() &&
-      MetaMatches(dir + "/" + kIndexMetaFile, fingerprint, num_postings_,
-                  num_docs_, vocab_size()) &&
-      SideTablesMatch(dir) && TryLoadColumns(dir).ok() &&
-      LoadBlockMax(dir).ok() && AttachStorage(dir, owned, shared).ok()) {
-    stats->reused_files = true;
-  } else {
-    storage_.reset();
-    std::vector<int32_t> docid_col(num_postings_);
-    std::vector<int32_t> tf_col(num_postings_);
-    std::vector<uint64_t> fill(vocab);
-    for (uint32_t t = 0; t < vocab; ++t) fill[t] = terms_[t].posting_start;
-    for (uint32_t d = 0; d < num_docs_; ++d) {
-      for (const DocTerm& p : corpus.doc(d)) {
-        const uint64_t pos = fill[p.term]++;
-        docid_col[pos] = static_cast<int32_t>(d);
-        tf_col[pos] = p.tf;
-      }
-    }
-    X100IR_RETURN_IF_ERROR(
-        EncodeAndPersist(dir, fingerprint, docid_col, tf_col));
-    // A fresh build must attach cleanly — failure here is a real error,
-    // not a rebuild trigger.
-    if (!dir.empty()) {
-      X100IR_RETURN_IF_ERROR(AttachStorage(dir, owned, shared));
-    }
-  }
-  stats->num_postings = num_postings_;
-  stats->build_seconds = timer.ElapsedSeconds();
-  return OkStatus();
+  X100IR_RETURN_IF_ERROR(EncodeAndPersist(dir, docid_col, tf_col));
+  return dir.empty() ? OkStatus() : AttachStorage(dir, binding);
 }
 
 Status InvertedIndex::LoadFromDir(const std::string& dir,
                                   const StorageBinding& binding) {
-  if (dir.empty()) return InvalidArgument("LoadFromDir needs a directory");
+  if (dir.empty() || binding.pool == nullptr) {
+    return InvalidArgument("LoadFromDir needs a directory and a pool");
+  }
   std::FILE* f = std::fopen((dir + "/" + kIndexMetaFile).c_str(), "rb");
   if (f == nullptr) return NotFound("no index.meta under " + dir);
   IndexMetaHeader meta;
@@ -623,9 +515,9 @@ Status InvertedIndex::LoadFromDir(const std::string& dir,
   if (expect_start != num_postings_) {
     return Internal("terms file df sum disagrees with index.meta");
   }
-  X100IR_RETURN_IF_ERROR(TryLoadColumns(dir));
+  X100IR_RETURN_IF_ERROR(LoadColumns(dir));
   X100IR_RETURN_IF_ERROR(LoadBlockMax(dir));
-  return AttachStorage(dir, nullptr, &binding);
+  return AttachStorage(dir, binding);
 }
 
 Status InvertedIndex::DecodePostings(uint32_t term,

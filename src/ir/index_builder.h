@@ -9,9 +9,10 @@
 // (4 bytes/doc; the gather in the BM25 score operator wants O(1) access).
 //
 // With a non-empty directory, BuildFromCorpus persists the columns (raw +
-// compressed + index.meta) and on the next open reuses the compressed
-// files when the corpus fingerprint matches — Database::Open's
-// build-or-reuse contract.
+// compressed + score + side tables + index.meta) and opens them through
+// the caller's buffer pool; LoadFromDir opens such a directory again.
+// Whether to build or load is the SnapshotManager's decision (its manifest
+// is the only reuse check), never the index's.
 #ifndef X100IR_IR_INDEX_BUILDER_H_
 #define X100IR_IR_INDEX_BUILDER_H_
 
@@ -28,10 +29,10 @@
 
 namespace x100ir::ir {
 
-// Binding of an index onto a *shared* buffer pool: the segmented database
-// opens every segment's columns through one pool (one memory budget, one
-// simulated disk) instead of a pool per index. `file_id_base` is the first
-// of kFilesPerIndex consecutive pool file ids reserved for this index;
+// Binding of an index onto the caller's buffer pool: the segmented
+// database opens every segment's columns through one pool (one memory
+// budget, one simulated disk). `file_id_base` is the first of
+// kFilesPerIndex consecutive pool file ids reserved for this index;
 // segment retirement evicts exactly those ids.
 struct StorageBinding {
   storage::BufferManager* pool = nullptr;  // borrowed, outlives the index
@@ -39,18 +40,14 @@ struct StorageBinding {
 };
 
 // The storage-backed face of the index (Table 2 runs): every persisted
-// column opened through a buffer pool over a simulated disk — a private
-// pool when the index was built standalone (the monolithic path), or the
-// database-wide shared pool when built under a StorageBinding. Absent (and
-// the storage-era RunTypes unavailable) for in-memory-only indexes.
+// column opened through the bound buffer pool. Absent (and the
+// storage-era RunTypes unavailable) for in-memory-only indexes.
 struct IndexStorage {
   // Pool file ids an index consumes, starting at file_id_base: six live
   // columns plus headroom so per-segment bases can stay a fixed stride.
   static constexpr uint32_t kFilesPerIndex = 8;
 
-  storage::SimulatedDisk disk;  // meaningful only when the pool is owned
-  std::unique_ptr<storage::BufferManager> owned_pool;
-  storage::BufferManager* pool = nullptr;  // owned_pool.get() or external
+  storage::BufferManager* pool = nullptr;  // borrowed
   uint32_t file_id_base = 0;
   storage::ColumnReader docid_raw;
   storage::ColumnReader tf_raw;
@@ -62,30 +59,25 @@ struct IndexStorage {
 
 class InvertedIndex {
  public:
-  // Builds (or reloads, see above) the index. `dir` empty = in-memory only.
-  // The corpus must outlive the index (doclen and stats are shared).
-  // With a directory, every persisted column (raw, compressed, and the
-  // materialized f32/q8 score columns) is additionally opened through a
-  // buffer pool configured by `storage` — any open/validation failure
-  // (torn writes included) falls back to a clean rebuild.
-  Status BuildFromCorpus(const Corpus& corpus, const std::string& dir,
-                         BuildStats* stats,
-                         const storage::StorageOptions& storage = {});
+  // Builds the index from `corpus`. `dir` empty = in-memory only (the
+  // binding is then unused). With a directory (created if absent), every
+  // column — raw, compressed, the materialized f32/q8 scores, the side
+  // tables and index.meta last — is written there and opened through
+  // `binding`'s pool, which must be set.
+  Status BuildFromCorpus(const Corpus& corpus, const std::string& dir = "",
+                         const StorageBinding& binding = {});
 
-  // Same build-or-reuse contract, but the columns open through a shared
-  // pool instead of a private one — the segmented database's path, one
-  // pool across all segments. `dir` empty still means in-memory only (the
-  // binding is then unused).
-  Status BuildFromCorpusShared(const Corpus& corpus, const std::string& dir,
-                               BuildStats* stats,
-                               const StorageBinding& binding);
-
-  // Opens a v3 index directory without a corpus: side tables (terms,
-  // doclens) come off disk, postings from the compressed columns, storage
-  // through the shared binding. Any missing/torn/version-mismatched file
+  // Opens a directory BuildFromCorpus wrote, without a corpus: side tables
+  // (terms, doclens) come off disk, postings from the compressed columns,
+  // storage through the binding. Any missing/torn/version-mismatched file
   // is an error — the caller (Segment::Load on a manifest reopen) treats
   // it as "fall back to a rebuild", never "serve garbage".
   Status LoadFromDir(const std::string& dir, const StorageBinding& binding);
+
+  // True when the loaded side tables (terms, doclens) are exactly the ones
+  // BuildFromCorpus(corpus) computes: seg_0 still indexes the database's
+  // corpus, and a torn terms or doclen file reads as a mismatch.
+  bool SideTablesMatch(const Corpus& corpus) const;
 
   uint32_t num_docs() const { return num_docs_; }
   uint32_t vocab_size() const {
@@ -102,7 +94,7 @@ class InvertedIndex {
   // Per-128-window block-max metadata over the whole TD table, one entry
   // per window of the docid/tf columns (Block-Max MaxScore, DESIGN.md
   // §12). Built alongside the columns and persisted (kBlockMaxFile);
-  // always populated, for in-memory, rebuilt, and reused/loaded indexes.
+  // always populated, for built and loaded indexes.
   const std::vector<BlockMaxEntry>& block_max() const { return blockmax_; }
 
   // Whole-TD-table columns; slice with [term(t).posting_start,
@@ -140,12 +132,12 @@ class InvertedIndex {
   // storage or with pins outstanding.
   Status EvictAll() const;
 
-  // For a shared-pool index: drops this index's pages and file-id
-  // registrations from the pool, then closes the readers. Must be called
-  // before a shared-pool index dies (Segment's destructor does) — without
-  // it the pool would keep id→File bindings to closed files. No-op for
-  // owned or absent storage.
-  void DetachSharedStorage();
+  // Drops this index's pages and file-id registrations from the pool,
+  // then closes the readers. Must be called before an index with storage
+  // dies while its pool lives on (Segment's destructor does) — without it
+  // the pool would keep id→File bindings to closed files. No-op without
+  // storage.
+  void DetachStorage();
 
   // Build-time BM25 parameters baked into the materialized score columns
   // (the TCM/TCMQ8 runs score with these).
@@ -153,31 +145,19 @@ class InvertedIndex {
   static constexpr float kMaterializedB = 0.75f;
 
  private:
-  // The build-or-reuse engine behind both public build entry points:
-  // exactly one of `owned` / `shared` is non-null and decides how storage
-  // attaches.
-  Status BuildImpl(const Corpus& corpus, const std::string& dir,
-                   BuildStats* stats, const storage::StorageOptions* owned,
-                   const StorageBinding* shared);
-  // Loads the compressed column files from a fingerprint-matched dir; any
-  // failure (missing, truncated, corrupt, or a docid column that is not
-  // PFOR-DELTA / tf column that is not patched PFOR) means "rebuild", not
-  // "error".
-  Status TryLoadColumns(const std::string& dir);
-  // True when the persisted side tables byte-match the corpus-derived
-  // terms_/doc_lens_ — reuse must reject a torn terms or doclen file the
-  // same way it rejects a torn column.
-  bool SideTablesMatch(const std::string& dir) const;
+  // Loads the compressed column files; any failure (missing, truncated,
+  // corrupt, or a docid column that is not PFOR-DELTA / tf column that is
+  // not patched PFOR) fails the load.
+  Status LoadColumns(const std::string& dir);
   // Reads the side tables into terms_/doc_lens_ (the corpus-free path).
   Status LoadSideTables(const std::string& dir);
   // Fills blockmax_ from the TD columns (every build path).
   void ComputeBlockMax(const std::vector<int32_t>& docid_col,
                        const std::vector<int32_t>& tf_col);
-  // Reads kBlockMaxFile into blockmax_ with structural validation; any
-  // failure means "rebuild" on the reuse path and a hard error on
-  // LoadFromDir — v4 directories must carry a sane block-max table.
+  // Reads kBlockMaxFile into blockmax_ with structural validation; a
+  // missing or insane block-max table fails the load.
   Status LoadBlockMax(const std::string& dir);
-  Status EncodeAndPersist(const std::string& dir, uint64_t corpus_fingerprint,
+  Status EncodeAndPersist(const std::string& dir,
                           const std::vector<int32_t>& docid_col,
                           const std::vector<int32_t>& tf_col);
   // Computes the per-posting BM25 score column (build-time parameters) and
@@ -185,14 +165,9 @@ class InvertedIndex {
   Status MaterializeScores(const std::string& dir,
                            const std::vector<int32_t>& docid_col,
                            const std::vector<int32_t>& tf_col) const;
-  // Opens every persisted column through a fresh private pool (`owned`) or
-  // the database-wide one (`shared`); failure = rebuild.
-  Status AttachStorage(const std::string& dir,
-                       const storage::StorageOptions* owned,
-                       const StorageBinding* shared);
-  // Opens the six column readers through `pool` at `file_id_base`.
-  Status OpenColumns(const std::string& dir, storage::BufferManager* pool,
-                     uint32_t file_id_base);
+  // Opens the six column readers through the binding's pool; on failure
+  // unregisters whatever ids the partial open took.
+  Status AttachStorage(const std::string& dir, const StorageBinding& binding);
 
   uint32_t num_docs_ = 0;
   uint64_t num_postings_ = 0;

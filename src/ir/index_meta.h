@@ -10,9 +10,11 @@
 //   T         — per-term posting range [start, start + count) into TD,
 //               document frequency (== count) and precomputed BM25 idf
 //
-// On disk each column is one file under the index directory (named below,
-// shared with the storage/ benches); `index.meta` carries the corpus
-// fingerprint that gates reuse. The builder lives in index_builder.h.
+// On disk each column is one file under its segment's directory
+// `seg_<id>/` (named below, shared with the storage/ benches), and
+// `index.meta` records the table sizes. The manifest at the database root
+// lists the segments and carries the corpus fingerprint that gates reuse.
+// The builder lives in index_builder.h.
 #ifndef X100IR_IR_INDEX_META_H_
 #define X100IR_IR_INDEX_META_H_
 
@@ -20,7 +22,7 @@
 
 namespace x100ir::ir {
 
-// Column file names under the index directory. "raw" files are plain int32
+// Column file names under a segment directory. "raw" files are plain int32
 // arrays behind a ColumnFileHeader; "pfor*" files hold one compressed block
 // (compress/codec.h) behind the same header; the score files carry the
 // materialized per-posting BM25 contributions (f32, and 8-bit quantized
@@ -43,10 +45,11 @@ inline constexpr char kDoclenFile[] = "d_doclen.col";
 // encoding kOpaque). Windows are positional — they span term boundaries,
 // which only over-estimates any single term's bound and stays sound.
 inline constexpr char kBlockMaxFile[] = "td_blockmax.col";
-// Per-segment local→global docid map (absent for the base segment, whose
-// map is the identity), and the segment-set manifest at the database root.
-// The manifest is written to kManifestTmpFile and renamed into place —
-// the atomic commit point of a merge (DESIGN.md §10).
+// Per-segment local→global docid map (absent for seg_0, which indexes the
+// database's corpus under the identity map), and the segment-set manifest
+// at the database root. The manifest is written to kManifestTmpFile and
+// renamed into place — the atomic commit point of a first open and of a
+// merge (DESIGN.md §10).
 inline constexpr char kSegmentMetaFile[] = "segment.meta";
 inline constexpr char kManifestFile[] = "MANIFEST";
 inline constexpr char kManifestTmpFile[] = "MANIFEST.tmp";
@@ -83,9 +86,8 @@ struct Q8Params {
 };
 static_assert(sizeof(Q8Params) == 16, "packed q8 params");
 
-// index.meta payload: identifies which corpus the column files were built
-// from. Everything else (term ranges, doclens, idf) is recomputed from the
-// corpus, which is itself deterministic.
+// index.meta payload: the TD table's sizes, which a load cross-checks
+// against the side tables and the columns.
 struct IndexMetaHeader {
   static constexpr uint32_t kMagic = 0x5844584D;  // "XDXM"
   // v2: the index directory additionally carries the materialized score
@@ -93,13 +95,13 @@ struct IndexMetaHeader {
   // tables (kTermsFile/kDoclenFile), making the directory loadable without
   // the corpus — what Segment::Load needs on a manifest reopen. v4: plus
   // the block-max side table (kBlockMaxFile) behind Block-Max MaxScore.
-  // Bumping makes every older directory read as "rebuild", never as
-  // "reuse with files missing".
-  static constexpr uint32_t kVersion = 4;
+  // v5: no corpus fingerprint (the manifest's gates reuse). Bumping
+  // makes every older directory fail to load, never load with files
+  // missing.
+  static constexpr uint32_t kVersion = 5;
 
   uint32_t magic = kMagic;
   uint32_t version = kVersion;
-  uint64_t corpus_fingerprint = 0;
   uint64_t num_postings = 0;
   uint32_t num_docs = 0;
   uint32_t vocab_size = 0;
@@ -128,9 +130,10 @@ struct SegmentMetaHeader {
 // MANIFEST payload: the committed segment set. Header, then per segment a
 // ManifestSegment followed by its tombstone bitmap words (usually zero of
 // them — a merge purges tombstones; only deletes that landed *during* the
-// merge are re-applied to the new segment and persisted here). The
-// manifest is the last file written (tmp + rename): a directory with
-// columns but no manifest and no index.meta reads as "rebuild".
+// merge are re-applied to the new segment and persisted here). A fresh
+// open writes the epoch-0 manifest, listing seg_0, before the WAL opens;
+// every reopen adopts it. The manifest is the last file written (tmp +
+// rename): a directory without a usable one is rebuilt from the corpus.
 struct ManifestHeader {
   static constexpr uint32_t kMagic = 0x464E4D58;  // "XMNF"
   static constexpr uint32_t kVersion = 1;
@@ -188,8 +191,8 @@ struct TermInfo {
 struct BuildStats {
   uint64_t num_postings = 0;
   double build_seconds = 0.0;
-  // True when the compressed column files on disk matched the corpus
-  // fingerprint and were loaded instead of re-encoded.
+  // True when Open adopted a manifest and loaded every segment it lists
+  // instead of building seg_0 from the corpus.
   bool reused_files = false;
 };
 

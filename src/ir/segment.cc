@@ -9,25 +9,10 @@
 #include "common/string_util.h"
 #include "ir/index_meta.h"
 #include "storage/crash_point.h"
+#include "storage/file.h"
 
 namespace x100ir::ir {
 namespace {
-
-Status WriteSegmentMeta(const std::string& path, uint32_t seg_id,
-                        const std::vector<int32_t>& global_docids) {
-  SegmentMetaHeader hdr;
-  hdr.seg_id = seg_id;
-  hdr.num_docs = static_cast<uint32_t>(global_docids.size());
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return IOError("cannot create " + path);
-  bool ok = std::fwrite(&hdr, sizeof(hdr), 1, f) == 1;
-  ok = ok && (global_docids.empty() ||
-              std::fwrite(global_docids.data(),
-                          global_docids.size() * sizeof(int32_t), 1, f) == 1);
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) return IOError("short write to " + path);
-  return OkStatus();
-}
 
 Status ReadSegmentMeta(const std::string& path, uint32_t expect_seg_id,
                        uint32_t expect_num_docs,
@@ -57,18 +42,15 @@ Status ReadSegmentMeta(const std::string& path, uint32_t expect_seg_id,
 
 }  // namespace
 
-Status Segment::OpenBase(const Corpus* corpus, const std::string& dir,
-                         BuildStats* stats, const StorageBinding& binding,
-                         std::unique_ptr<Segment>* out) {
-  if (corpus == nullptr) return InvalidArgument("base segment needs a corpus");
+Status Segment::Build(const Corpus* corpus, const std::string& dir,
+                      const StorageBinding& binding,
+                      std::unique_ptr<Segment>* out) {
+  if (corpus == nullptr) return InvalidArgument("seg_0 needs a corpus");
   auto seg = std::unique_ptr<Segment>(new Segment());
-  seg->seg_id_ = 0;
   seg->dir_ = dir;
   seg->file_id_base_ = binding.file_id_base;
-  seg->base_layout_ = true;
-  seg->base_corpus_ = corpus;
-  X100IR_RETURN_IF_ERROR(
-      seg->index_.BuildFromCorpusShared(*corpus, dir, stats, binding));
+  seg->forward_ = corpus;
+  X100IR_RETURN_IF_ERROR(seg->index_.BuildFromCorpus(*corpus, dir, binding));
   *out = std::move(seg);
   return OkStatus();
 }
@@ -80,9 +62,6 @@ Status Segment::Build(std::vector<std::vector<DocTerm>> docs,
   if (docs.size() != global_docids.size()) {
     return InvalidArgument("segment build: docs / docid map size mismatch");
   }
-  // A simulated crash freezes the disk: the background merge must not keep
-  // materializing column files after the power cut.
-  if (storage::CrashedNow()) return IOError("simulated crash");
   for (size_t i = 1; i < global_docids.size(); ++i) {
     if (global_docids[i] <= global_docids[i - 1]) {
       return InvalidArgument(
@@ -93,21 +72,20 @@ Status Segment::Build(std::vector<std::vector<DocTerm>> docs,
   seg->seg_id_ = seg_id;
   seg->dir_ = dir;
   seg->file_id_base_ = binding.file_id_base;
-  seg->owned_corpus_ = std::make_unique<Corpus>();
-  X100IR_RETURN_IF_ERROR(Corpus::FromDocTerms(std::move(docs), vocab_size,
-                                              seg->owned_corpus_.get()));
-  if (!dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec) return IOError("cannot create segment dir " + dir);
-  }
-  BuildStats stats;
-  X100IR_RETURN_IF_ERROR(seg->index_.BuildFromCorpusShared(
-      *seg->owned_corpus_, dir, &stats, binding));
+  seg->owned_ = std::make_unique<Corpus>();
+  X100IR_RETURN_IF_ERROR(
+      Corpus::FromDocTerms(std::move(docs), vocab_size, seg->owned_.get()));
+  seg->forward_ = seg->owned_.get();
+  X100IR_RETURN_IF_ERROR(
+      seg->index_.BuildFromCorpus(*seg->owned_, dir, binding));
   seg->docid_map_ = std::move(global_docids);
   if (!dir.empty()) {
-    X100IR_RETURN_IF_ERROR(WriteSegmentMeta(dir + "/" + kSegmentMetaFile,
-                                            seg_id, seg->docid_map_));
+    SegmentMetaHeader hdr;
+    hdr.seg_id = seg_id;
+    hdr.num_docs = static_cast<uint32_t>(seg->docid_map_.size());
+    X100IR_RETURN_IF_ERROR(storage::WriteFile(
+        dir + "/" + kSegmentMetaFile, &hdr, sizeof(hdr),
+        seg->docid_map_.data(), seg->docid_map_.size() * sizeof(int32_t)));
   }
   *out = std::move(seg);
   return OkStatus();
@@ -115,7 +93,7 @@ Status Segment::Build(std::vector<std::vector<DocTerm>> docs,
 
 Status Segment::Load(const std::string& dir, const StorageBinding& binding,
                      uint32_t seg_id, uint32_t expect_num_docs,
-                     std::unique_ptr<Segment>* out) {
+                     const Corpus* corpus, std::unique_ptr<Segment>* out) {
   auto seg = std::unique_ptr<Segment>(new Segment());
   seg->seg_id_ = seg_id;
   seg->dir_ = dir;
@@ -125,6 +103,14 @@ Status Segment::Load(const std::string& dir, const StorageBinding& binding,
     return IOError(StrFormat("segment %u holds %u docs, manifest says %u",
                              seg_id, seg->index_.num_docs(),
                              expect_num_docs));
+  }
+  if (seg_id == 0) {
+    if (corpus == nullptr || !seg->index_.SideTablesMatch(*corpus)) {
+      return IOError("seg_0 does not index the database's corpus");
+    }
+    seg->forward_ = corpus;
+    *out = std::move(seg);
+    return OkStatus();
   }
   X100IR_RETURN_IF_ERROR(ReadSegmentMeta(dir + "/" + kSegmentMetaFile, seg_id,
                                          expect_num_docs, &seg->docid_map_));
@@ -145,12 +131,13 @@ Status Segment::Load(const std::string& dir, const StorageBinding& binding,
       docs[docids[i]].push_back({t, tfs[i]});
     }
   }
-  seg->owned_corpus_ = std::make_unique<Corpus>();
+  seg->owned_ = std::make_unique<Corpus>();
   X100IR_RETURN_IF_ERROR(Corpus::FromDocTerms(
-      std::move(docs), seg->index_.vocab_size(), seg->owned_corpus_.get()));
-  if (seg->owned_corpus_->doc_lens() != seg->index_.doc_lens()) {
+      std::move(docs), seg->index_.vocab_size(), seg->owned_.get()));
+  if (seg->owned_->doc_lens() != seg->index_.doc_lens()) {
     return IOError("segment postings disagree with the doclen column");
   }
+  seg->forward_ = seg->owned_.get();
   *out = std::move(seg);
   return OkStatus();
 }
@@ -170,24 +157,13 @@ Segment::~Segment() {
   // Order matters: drop the pages and id→File bindings from the shared
   // pool first (closing files out from under registered ids would leave
   // the pool dangling), then the files themselves can go.
-  index_.DetachSharedStorage();
+  index_.DetachStorage();
   if (!retire_.load(std::memory_order_acquire) || dir_.empty()) return;
   // After a simulated crash nothing touches disk — not even retirement.
   // Leftover files of never-committed segments are swept on the next Open.
   if (storage::CrashedNow()) return;
   std::error_code ec;
-  if (base_layout_) {
-    // The base segment shares the database root with the manifest — delete
-    // exactly its own files, never the directory.
-    for (const char* name :
-         {kDocidRawFile, kDocidCompressedFile, kTfRawFile, kTfCompressedFile,
-          kScoreF32File, kScoreQ8File, kTermsFile, kDoclenFile,
-          kIndexMetaFile}) {
-      std::filesystem::remove(dir_ + "/" + name, ec);
-    }
-  } else {
-    std::filesystem::remove_all(dir_, ec);
-  }
+  std::filesystem::remove_all(dir_, ec);
 }
 
 }  // namespace x100ir::ir

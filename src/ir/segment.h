@@ -1,28 +1,29 @@
 // One immutable segment of the segmented index (DESIGN.md §10): a compressed
 // InvertedIndex over a subset of the global document space, plus the
-// local→global docid map that places it there.
+// local→global docid map that places it there. On disk every segment has
+// its own directory, dir/seg_<id>/.
 //
-// Three ways a segment comes to exist:
-//   OpenBase — the database's original corpus-built index (segment 0). Its
-//     column files sit flat at the database root — the exact layout every
-//     pre-segmentation test and bench knows — and its docid map is the
-//     identity.
-//   Build    — a merge's output: forward documents (already normalized) are
-//     compacted into a fresh compressed index under its own directory, and
-//     the strictly-increasing global docid list is persisted as
-//     segment.meta. The segment owns the Corpus it was built from, which
-//     doubles as its forward store for later merges and delete accounting.
-//   Load     — a manifest reopen: the index loads corpus-free from its v3
-//     side tables, the docid map from segment.meta, and the forward store
-//     is reconstructed by inverting the postings (terms ascending, so each
-//     rebuilt document comes out normalized).
+// Two ways a segment comes to exist:
+//   Build — a fresh compressed index from forward documents. seg_0, built
+//     at a database's first open, indexes the database's corpus, borrows
+//     it as its forward store, and maps docids by the identity. A merge's
+//     output owns the Corpus compacted from its inputs' live documents
+//     (already normalized), which is its forward store for later merges
+//     and delete accounting, and persists its strictly-increasing global
+//     docid list as segment.meta.
+//   Load  — a manifest reopen: the index loads from its side tables and
+//     columns. seg_0 borrows the corpus again once its side tables match
+//     the corpus's. A merged segment reads its docid map from segment.meta
+//     and reconstructs its forward store by inverting the postings (terms
+//     ascending, so each rebuilt document comes out normalized).
 //
 // Retirement: after a merge commits, the SnapshotManager marks replaced
 // segments retire-on-release and drops its reference; in-flight snapshots
 // keep them alive (shared_ptr refcount = the pin count). The LAST release
 // runs the destructor, which detaches the segment's pages and file ids
 // from the shared buffer pool (BufferManager::EvictFile semantics — exactly
-// the dead pages drop, hot segments stay hot) and then deletes its files.
+// the dead pages drop, hot segments stay hot) and then removes its
+// directory.
 #ifndef X100IR_IR_SEGMENT_H_
 #define X100IR_IR_SEGMENT_H_
 
@@ -40,11 +41,12 @@ namespace x100ir::ir {
 
 class Segment {
  public:
-  // Builds or reuses the base index at the database root. `corpus` is
-  // borrowed and must outlive the segment. Empty dir = in-memory segment.
-  static Status OpenBase(const Corpus* corpus, const std::string& dir,
-                         BuildStats* stats, const StorageBinding& binding,
-                         std::unique_ptr<Segment>* out);
+  // Builds seg_0 under `dir` from the database's corpus, borrowed as the
+  // forward store (it must outlive the segment); the docid map is the
+  // identity. Empty dir = in-memory segment.
+  static Status Build(const Corpus* corpus, const std::string& dir,
+                      const StorageBinding& binding,
+                      std::unique_ptr<Segment>* out);
 
   // Builds a merged segment under `dir` (created if absent) from forward
   // documents; `global_docids` (strictly increasing, parallel to `docs`)
@@ -54,12 +56,13 @@ class Segment {
                       const std::string& dir, const StorageBinding& binding,
                       uint32_t seg_id, std::unique_ptr<Segment>* out);
 
-  // Reopens a merged segment directory without a corpus. Any
-  // missing/torn/mismatched file is an error; the caller falls back to a
-  // clean rebuild.
+  // Reopens segment `seg_id` from `dir`. `corpus` is the database's; only
+  // seg_0 uses it, as the table its side tables must match and as its
+  // forward store. Any missing/torn/mismatched file is an error; the
+  // caller rebuilds.
   static Status Load(const std::string& dir, const StorageBinding& binding,
                      uint32_t seg_id, uint32_t expect_num_docs,
-                     std::unique_ptr<Segment>* out);
+                     const Corpus* corpus, std::unique_ptr<Segment>* out);
 
   ~Segment();
   Segment(const Segment&) = delete;
@@ -71,8 +74,8 @@ class Segment {
   uint32_t file_id_base() const { return file_id_base_; }
   const InvertedIndex& index() const { return index_; }
 
-  // Identity for the base segment; strictly increasing in `local` always,
-  // so local result order IS global result order.
+  // Identity for seg_0; strictly increasing in `local` always, so local
+  // result order IS global result order.
   bool identity_map() const { return docid_map_.empty(); }
   int32_t GlobalOf(int32_t local) const {
     return docid_map_.empty() ? local : docid_map_[local];
@@ -87,16 +90,12 @@ class Segment {
 
   // Forward store: doc `local`'s normalized term list and length.
   const std::vector<DocTerm>& doc(uint32_t local) const {
-    return base_corpus_ != nullptr ? base_corpus_->doc(local)
-                                   : owned_corpus_->doc(local);
+    return forward_->doc(local);
   }
-  int32_t doc_len(uint32_t local) const {
-    return base_corpus_ != nullptr ? base_corpus_->doc_len(local)
-                                   : owned_corpus_->doc_len(local);
-  }
+  int32_t doc_len(uint32_t local) const { return forward_->doc_len(local); }
 
-  // Arms file deletion on destruction (called by the merge that replaced
-  // this segment, after the manifest no longer references it).
+  // Arms directory removal on destruction (called by the merge that
+  // replaced this segment, after the manifest no longer references it).
   void set_retire_on_release() {
     retire_.store(true, std::memory_order_release);
   }
@@ -107,12 +106,11 @@ class Segment {
   uint32_t seg_id_ = 0;
   std::string dir_;
   uint32_t file_id_base_ = 0;
-  bool base_layout_ = false;  // files flat at the database root
   std::atomic<bool> retire_{false};
 
-  const Corpus* base_corpus_ = nullptr;      // OpenBase: borrowed
-  std::unique_ptr<Corpus> owned_corpus_;     // Build/Load: owned
-  std::vector<int32_t> docid_map_;           // empty = identity
+  const Corpus* forward_ = nullptr;       // the corpus (seg_0) or owned_
+  std::unique_ptr<Corpus> owned_;         // merged segments' forward store
+  std::vector<int32_t> docid_map_;        // empty = identity
   InvertedIndex index_;
 };
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "common/timer.h"
 #include "ir/index_meta.h"
 #include "storage/crash_point.h"
 #include "storage/wal.h"
@@ -40,9 +41,7 @@ std::string SegDir(const std::string& root, uint32_t seg_id) {
 // manifest commit (or between commit and retirement) leaves behind. Safe
 // because every committed segment is listed in the manifest by definition,
 // and seg-id reuse after a crashed merge overwrites rather than trips. The
-// clean rebuild passes no live ids; the base segment's column files sit in
-// `root` itself and stay, for the fresh open to reuse or rebuild through
-// the normal fingerprint check.
+// clean rebuild passes no live ids, so seg_0 goes too.
 void SweepSegmentDirs(const std::string& root,
                       const std::vector<uint32_t>& live_ids) {
   namespace fs = std::filesystem;
@@ -85,9 +84,11 @@ Status SnapshotManager::Open(const Corpus* corpus, const std::string& dir,
                              BuildStats* stats) {
   if (corpus == nullptr) return InvalidArgument("snapshot manager needs a corpus");
   if (stats == nullptr) return InvalidArgument("null build stats");
+  if (!dir.empty() && !storage.wal.enabled) {
+    return InvalidArgument("an on-disk database always keeps a WAL");
+  }
   corpus_ = corpus;
   dir_ = dir;
-  storage_opts_ = storage;
   if (!dir_.empty()) {
     disk_ = std::make_unique<storage::SimulatedDisk>(storage.disk);
     pool_ = std::make_unique<storage::BufferManager>(
@@ -96,6 +97,8 @@ Status SnapshotManager::Open(const Corpus* corpus, const std::string& dir,
   }
 
   std::lock_guard<std::mutex> lock(mu_);
+  WallTimer timer;
+  *stats = BuildStats();
   Status adopted = dir_.empty() ? NotFound("in-memory database")
                                 : TryLoadManifest(stats);
   if (adopted.ok()) {
@@ -107,44 +110,39 @@ Status SnapshotManager::Open(const Corpus* corpus, const std::string& dir,
     }
     SweepSegmentDirs(dir_, live_ids);
   } else {
-    // No manifest (fresh/legacy directory) or an unusable one (torn swap,
-    // corpus mismatch, torn segment): clean rebuild from the corpus. The
+    // No usable manifest (a fresh directory, a torn swap, a corpus
+    // mismatch, a torn merged segment): clean rebuild from the corpus. The
     // corpus is generative, so this loses nothing that was ever merged
     // under a *valid* manifest — only state the torn write already lost.
-    // An *unusable* (vs merely absent) manifest also invalidates the WAL:
-    // its records were framed against state the rebuild does not restore.
+    // The WAL goes too: its records were framed against state the rebuild
+    // does not restore. seg_0's manifest is committed before the WAL
+    // opens, so a log never exists without one.
     if (!dir_.empty()) {
       std::error_code ec;
       std::filesystem::remove(dir_ + "/" + kManifestFile, ec);
       SweepSegmentDirs(dir_, {});
-      if (adopted.code() != StatusCode::kNotFound) {
-        storage::Wal::RemoveFiles(dir_);
-      }
+      storage::Wal::RemoveFiles(dir_);
     }
-    segments_.clear();
-    std::unique_ptr<Segment> base;
-    X100IR_RETURN_IF_ERROR(
-        Segment::OpenBase(corpus_, dir_, stats, BindingFor(0), &base));
-    segments_.push_back({std::shared_ptr<Segment>(std::move(base)), nullptr});
+    *stats = BuildStats();
+    std::unique_ptr<Segment> seg0;
+    X100IR_RETURN_IF_ERROR(Segment::Build(
+        corpus_, dir_.empty() ? "" : SegDir(dir_, 0), BindingFor(0), &seg0));
+    stats->num_postings = seg0->index().num_postings();
+    segments_.assign(1, {std::shared_ptr<Segment>(std::move(seg0)), nullptr});
     epoch_ = 0;
     next_seg_id_ = 1;
     next_docid_ = static_cast<int32_t>(corpus_->num_docs());
-    live_num_docs_ = corpus_->num_docs();
-    live_total_len_ = 0;
-    for (int32_t len : corpus_->doc_lens()) {
-      live_total_len_ += static_cast<uint64_t>(len);
-    }
-    live_df_.assign(corpus_->vocab_size(), 0);
-    const InvertedIndex& idx = segments_[0].seg->index();
-    for (uint32_t t = 0; t < idx.vocab_size(); ++t) {
-      live_df_[t] = idx.term(t).doc_freq;
+    RecountLiveStatsLocked();
+    if (!dir_.empty()) {
+      X100IR_RETURN_IF_ERROR(WriteManifestLocked(segments_, epoch_));
     }
   }
+  stats->build_seconds = timer.ElapsedSeconds();
   deltas_.assign(
       1, {std::make_shared<DeltaSegment>(corpus_->vocab_size(), next_docid_),
           0, nullptr});
   merge_deletes_.clear();
-  if (!dir_.empty() && storage.wal.enabled) {
+  if (!dir_.empty()) {
     wal_ = std::make_unique<storage::Wal>();
     X100IR_RETURN_IF_ERROR(
         wal_->Open(dir_, corpus_->Fingerprint(), storage.wal));
@@ -253,23 +251,26 @@ Status SnapshotManager::TryLoadManifest(BuildStats* stats) {
   std::vector<Snapshot::SegmentRead> segs;
   int32_t max_global = -1;
   uint32_t max_seg_id = 0;
+  stats->reused_files = true;
   for (uint32_t i = 0; i < hdr.num_segments; ++i) {
     const ManifestSegment& e = entries[i];
-    std::unique_ptr<Segment> seg;
-    if (e.seg_id == 0) {
-      if (e.num_docs != corpus_->num_docs()) {
-        return IOError("manifest base segment disagrees with the corpus");
-      }
-      X100IR_RETURN_IF_ERROR(
-          Segment::OpenBase(corpus_, dir_, stats, BindingFor(0), &seg));
-    } else {
-      X100IR_RETURN_IF_ERROR(Segment::Load(SegDir(dir_, e.seg_id),
-                                           BindingFor(e.seg_id), e.seg_id,
-                                           e.num_docs, &seg));
-      // A manifest-loaded reuse is a reuse for reporting purposes.
-      stats->reused_files = true;
-      stats->num_postings += seg->index().num_postings();
+    if (e.seg_id == 0 && e.num_docs != corpus_->num_docs()) {
+      return IOError("manifest seg_0 disagrees with the corpus");
     }
+    const std::string seg_dir = SegDir(dir_, e.seg_id);
+    std::unique_ptr<Segment> seg;
+    Status loaded = Segment::Load(seg_dir, BindingFor(e.seg_id), e.seg_id,
+                                  e.num_docs, corpus_, &seg);
+    if (!loaded.ok() && e.seg_id == 0) {
+      // seg_0 is a function of the corpus: rebuild it in place. The
+      // manifest's tombstones and the WAL stay valid against it.
+      std::error_code ec;
+      std::filesystem::remove_all(seg_dir, ec);
+      loaded = Segment::Build(corpus_, seg_dir, BindingFor(0), &seg);
+      stats->reused_files = false;
+    }
+    X100IR_RETURN_IF_ERROR(loaded);
+    stats->num_postings += seg->index().num_postings();
     max_seg_id = std::max(max_seg_id, e.seg_id);
     if (seg->num_docs() > 0) {
       max_global = std::max(max_global,
@@ -309,8 +310,19 @@ void SnapshotManager::RecountLiveStatsLocked() {
   live_total_len_ = 0;
   live_df_.assign(corpus_->vocab_size(), 0);
   for (const Snapshot::SegmentRead& sr : segments_) {
-    const uint64_t* bits =
-        sr.tombstones != nullptr ? sr.tombstones->data() : nullptr;
+    if (sr.tombstones == nullptr) {
+      // Every document is live: the index's own tables hold the counts.
+      const InvertedIndex& idx = sr.seg->index();
+      live_num_docs_ += idx.num_docs();
+      for (int32_t len : idx.doc_lens()) {
+        live_total_len_ += static_cast<uint64_t>(len);
+      }
+      for (uint32_t t = 0; t < idx.vocab_size(); ++t) {
+        live_df_[t] += idx.term(t).doc_freq;
+      }
+      continue;
+    }
+    const uint64_t* bits = sr.tombstones->data();
     for (uint32_t local = 0; local < sr.seg->num_docs(); ++local) {
       if (TombstoneTest(bits, static_cast<int32_t>(local))) continue;
       ++live_num_docs_;
@@ -519,20 +531,13 @@ Status SnapshotManager::DeleteDocument(int32_t docid) {
     X100IR_RETURN_IF_ERROR(FindDeleteTargetLocked(docid, &target));
     ApplyDeleteLocked(target, docid);
     if (wal_ != nullptr) {
-      // The WAL is the durability story for every delete — including
-      // segment docs, whose tombstones replay onto the adopted manifest —
-      // so the per-delete manifest rewrite the volatile era needed is gone.
+      // The WAL is the durability story for every delete, segment docs
+      // included: their tombstones replay onto the adopted manifest.
       const std::vector<uint8_t> payload = storage::Wal::EncodeDocid(docid);
       persisted =
           wal_->Append(storage::WalRecordType::kDeleteDocument,
                        payload.data(), static_cast<uint32_t>(payload.size()),
                        &lsn);
-    } else if (!target.in_delta && !dir_.empty()) {
-      // No WAL: deletes of persisted documents are made durable the old
-      // way, re-writing the manifest. A failure leaves the in-memory
-      // delete applied and reports the error — the reopen then
-      // resurrects, it never loses.
-      persisted = WriteManifestLocked(segments_, epoch_);
     }
     PublishLocked();
   }

@@ -42,8 +42,15 @@
 // reopen replays the log against the adopted manifest and reconstructs the
 // exact acknowledged pre-crash state. StartMerge writes a DeltaSealed
 // record and rotates the log; the merge commit appends MergeCommitted
-// after the manifest rename and drops the now-redundant files. A torn or
-// mismatched manifest (or any torn segment under it) falls back to a clean
+// after the manifest rename and drops the now-redundant files.
+//
+// One on-disk layout, one reopen path: every segment lives in
+// dir/seg_<id>/, seg_0 included. A fresh Open builds seg_0 from the corpus
+// and commits the epoch-0 manifest before the WAL opens; every reopen
+// adopts the manifest, loads each segment it lists and replays the WAL. A
+// seg_0 that fails to load is rebuilt from the corpus in place, keeping
+// the manifest's tombstones and the log. A missing, torn or mismatched
+// manifest (or a torn merged segment under it) falls back to a clean
 // rebuild from the corpus and discards the log — WAL records are only
 // meaningful against the manifest they were written with.
 #ifndef X100IR_IR_SNAPSHOT_H_
@@ -107,10 +114,11 @@ class SnapshotManager {
   SnapshotManager(const SnapshotManager&) = delete;
   SnapshotManager& operator=(const SnapshotManager&) = delete;
 
-  // Opens the segmented index: adopts a valid manifest under `dir` (v3
-  // reopen), else builds-or-reuses the base segment from the corpus
-  // (legacy layout, epoch 0). `corpus` is borrowed and must outlive the
-  // manager. Empty dir = fully in-memory (no manifest, no storage runs).
+  // Opens the segmented index under `dir` along the one reopen path above
+  // (a usable manifest is the only reuse check). `corpus` is borrowed and
+  // must outlive the manager. Empty dir = fully in-memory (seg_0 in
+  // memory, no manifest, no WAL, no storage runs); on disk
+  // `storage.wal.enabled` must be true, else InvalidArgument.
   Status Open(const Corpus* corpus, const std::string& dir,
               const storage::StorageOptions& storage, BuildStats* stats);
 
@@ -140,7 +148,7 @@ class SnapshotManager {
   storage::BufferManager* pool() const { return pool_.get(); }
   const storage::SimulatedDisk* disk() const { return disk_.get(); }
 
-  // Write-path durability counters (zeros when the WAL is off/in-memory).
+  // Write-path durability counters (zeros for an in-memory database).
   storage::WalStats wal_stats() const;
 
  private:
@@ -165,7 +173,7 @@ class SnapshotManager {
 
   StorageBinding BindingFor(uint32_t seg_id) const;
   // Rebuilds live num_docs/total_len/df from the current segment set and
-  // tombstones (manifest reopen).
+  // tombstones (Open).
   void RecountLiveStatsLocked();
   // Freezes the live counters into a CollectionStats (exactly the numbers
   // a fresh monolithic build over the live corpus would compute).
@@ -191,9 +199,9 @@ class SnapshotManager {
   void ApplyDeleteLocked(const DeleteTarget& target, int32_t docid);
   // Replays the opened WAL against the adopted state (Open only).
   Status ReplayWalLocked();
-  // Adopts dir_'s manifest: loads the listed segments and tombstones.
-  // NotFound when no manifest exists; any other failure means the caller
-  // should fall back to a clean rebuild.
+  // Adopts dir_'s manifest: loads the listed segments (rebuilding a seg_0
+  // that fails to load) and tombstones. Any failure, NotFound when no
+  // manifest exists, means the caller falls back to a clean rebuild.
   Status TryLoadManifest(BuildStats* stats);
   // The background compaction body (runs on merge_pool_).
   void RunMerge(MergeInput input);
@@ -207,13 +215,12 @@ class SnapshotManager {
 
   const Corpus* corpus_ = nullptr;
   std::string dir_;
-  storage::StorageOptions storage_opts_;
   // Declaration order is destruction order in reverse: merge_pool_ (last)
   // joins the background merge first, then snapshots/segments release and
   // detach from pool_, then pool_/disk_ die.
   std::unique_ptr<storage::SimulatedDisk> disk_;
   std::unique_ptr<storage::BufferManager> pool_;
-  // Null when durability is off (in-memory database or wal.enabled=false).
+  // Null for an in-memory database.
   // Appends happen under mu_; Sync (the fsync wait) deliberately outside.
   std::unique_ptr<storage::Wal> wal_;
 

@@ -4,12 +4,14 @@
 // MANIFEST.tmp is complete but before the rename, and so on. Test code arms
 // a site with a 1-based countdown; the countdown-th time execution reaches
 // that site the singleton flips to "crashed" and every durable-write path
-// in the process refuses to touch disk from then on (wal.cc, the manifest
-// writer, the segment builder, and segment retirement all check
-// CrashPoint::IsCrashed()). The net effect is exactly a power cut at that
-// instant: bytes already written stay, nothing later is written — including
-// by destructors — so a test can destroy the Database object and reopen
-// against the on-disk state the "crash" left behind.
+// in the process refuses to touch disk from then on. The paths that check
+// CrashPoint::IsCrashed(): wal.cc, the manifest writer, storage::WriteFile
+// (the one writer of column files, index.meta and segment.meta), the
+// index builder before it creates a directory, and segment retirement.
+// The net effect is exactly a power cut at that instant: bytes already
+// written stay, nothing later is written — including by destructors — so
+// a test can destroy the Database object and reopen against the on-disk
+// state the "crash" left behind.
 //
 // A site can also be held: the next thread to reach it parks there until
 // the test releases it, so a test can act while a background operation sits
@@ -47,10 +49,12 @@ enum class CrashSite : uint32_t {
   // The merged segment's column files are complete on disk, manifest not
   // yet written — the segment exists but nothing references it.
   kMergeAfterSegmentBuild,
-  // MANIFEST.tmp fully written, rename not yet issued.
+  // MANIFEST.tmp fully written, rename not yet issued (a merge commit, or
+  // a first open's epoch-0 manifest).
   kManifestAfterTmpWrite,
   // rename(MANIFEST.tmp, MANIFEST) returned — the commit point passed,
-  // post-commit cleanup (MergeCommitted record, WAL truncation) pending.
+  // post-commit cleanup (MergeCommitted record, WAL truncation; at a first
+  // open, the WAL's creation) pending.
   kManifestAfterRename,
   kNumSites,
 };

@@ -5,7 +5,21 @@
 #include <cerrno>
 #include <utility>
 
+#include "storage/crash_point.h"
+
 namespace x100ir::storage {
+
+Status WriteFile(const std::string& path, const void* head, size_t head_bytes,
+                 const void* body, size_t body_bytes) {
+  if (CrashedNow()) return IOError("simulated crash");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return IOError("cannot create " + path);
+  bool ok = head_bytes == 0 || std::fwrite(head, head_bytes, 1, f) == 1;
+  ok = ok && (body_bytes == 0 || std::fwrite(body, body_bytes, 1, f) == 1);
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) return IOError("short write to " + path);
+  return OkStatus();
+}
 
 File& File::operator=(File&& o) noexcept {
   if (this != &o) {

@@ -2,7 +2,8 @@
 // OS. Everything above it (buffer manager, column readers) deals in byte
 // ranges, so the real-I/O seam stays one class wide and the simulated disk
 // cost model (buffer_manager.h) can charge deterministic latencies
-// independent of what the host filesystem actually does.
+// independent of what the host filesystem actually does. WriteFile is the
+// write side for index and segment files.
 #ifndef X100IR_STORAGE_FILE_H_
 #define X100IR_STORAGE_FILE_H_
 
@@ -13,6 +14,13 @@
 #include "common/status.h"
 
 namespace x100ir::storage {
+
+// Creates (or truncates) `path` and writes `head` then `body` (either may
+// be empty) — the one writer of index and segment files: column files,
+// index.meta and segment.meta. Once a kill point has fired
+// (crash_point.h) it refuses with IOError and creates nothing.
+Status WriteFile(const std::string& path, const void* head, size_t head_bytes,
+                 const void* body, size_t body_bytes);
 
 class File {
  public:

@@ -16,6 +16,12 @@ namespace x100ir::storage {
 
 namespace fs = std::filesystem;
 
+// Group-commit batching window: before flushing, a leader with other Sync
+// calls already in flight sleeps this long so concurrent appenders can
+// join the batch (the commit-siblings heuristic); a lone serial writer
+// never pays it.
+constexpr auto kGroupWindow = std::chrono::microseconds(150);
+
 uint32_t Crc32(const void* data, size_t len) {
   static const auto table = [] {
     std::array<uint32_t, 256> t{};
@@ -379,10 +385,8 @@ Status Wal::Sync(uint64_t lsn) {
     // fsync covers them all. A lone writer sees sync_pending_ == 1 and
     // proceeds immediately: serial latency is never taxed for a batch that
     // cannot form.
-    if (options_.group_window_us > 0 &&
-        sync_pending_.load(std::memory_order_relaxed) > 1) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.group_window_us));
+    if (sync_pending_.load(std::memory_order_relaxed) > 1) {
+      std::this_thread::sleep_for(kGroupWindow);
     }
 
     uint64_t target_lsn = 0;

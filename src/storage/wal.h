@@ -31,14 +31,14 @@
 // Group commit. Append (cheap: fwrite + fflush under the append mutex)
 // assigns a monotonically increasing LSN; Sync(lsn) blocks until an fsync
 // covers it. In kGroupCommit mode one waiter becomes the flush leader;
-// when other Sync calls are already in flight it waits a bounded window
-// (the commit-siblings heuristic — a lone writer skips it) so the batch
-// can fill, then fsyncs *everything appended so far* without holding the
-// append mutex — concurrent writers keep appending into the next batch —
-// and wakes every waiter the batch covered: one fsync amortized over the
-// whole batch.
+// when other Sync calls are already in flight it waits a bounded 150 µs
+// window (the commit-siblings heuristic — a lone writer skips it) so the
+// batch can fill, then fsyncs *everything appended so far* without
+// holding the append mutex — concurrent writers keep appending into the
+// next batch — and wakes every waiter the batch covered: one fsync
+// amortized over the whole batch.
 // kFsyncPerWrite serializes an fsync per Sync call (the bench baseline).
-// "Off" is represented by not constructing a Wal at all.
+// Every on-disk database keeps a Wal; an in-memory one has none.
 //
 // Crash simulation: every durable step consults storage/crash_point.h, so
 // the recovery battery can kill the process model between any append,
@@ -69,15 +69,11 @@ enum class WalSyncMode : uint8_t {
 };
 
 struct WalOptions {
-  // Whether on-disk databases keep a WAL at all. Off = the pre-§13
-  // volatile delta tier (benches use it to isolate WAL cost).
+  // Must stay true: an on-disk database always keeps a WAL, and opening
+  // one with false fails InvalidArgument. The field remains only so that
+  // callers which set it keep compiling.
   bool enabled = true;
   WalSyncMode mode = WalSyncMode::kGroupCommit;
-  // Group-commit batching window: before flushing, the leader sleeps this
-  // long so concurrent appenders can join the batch — but only when other
-  // Sync calls are already in flight (the commit-siblings heuristic), so a
-  // lone serial writer never pays it. 0 disables the window.
-  uint32_t group_window_us = 150;
 };
 
 enum class WalRecordType : uint32_t {

@@ -743,8 +743,7 @@ TEST(FrontDoor, EdgeRequestsGetOneAnswerOnEveryReadPath) {
                                     8, &corpus)
                   .ok());
   ir::InvertedIndex index;
-  ir::BuildStats bstats;
-  ASSERT_TRUE(index.BuildFromCorpus(corpus, "", &bstats).ok());
+  ASSERT_TRUE(index.BuildFromCorpus(corpus).ok());
   const ir::SearchEngine engine(&index);
   // Table 1's hand-built baselines take a bare k, no run type: they must
   // answer as the engine's kBm25 run does.

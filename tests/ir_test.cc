@@ -216,9 +216,8 @@ TEST(QueryGen, TinyVocabularyTerminates) {
 TEST(Index, PostingsRoundTripAgainstCorpus) {
   Corpus corpus = GoldenCorpus();
   InvertedIndex index;
-  BuildStats stats;
-  ASSERT_TRUE(index.BuildFromCorpus(corpus, "", &stats).ok());
-  ASSERT_EQ(stats.num_postings, corpus.num_postings());
+  ASSERT_TRUE(index.BuildFromCorpus(corpus).ok());
+  ASSERT_EQ(index.num_postings(), corpus.num_postings());
   ASSERT_EQ(index.num_docs(), corpus.num_docs());
 
   // Term 2 appears in docs 0 (tf 2), 1 (tf 1), 3 (tf 4), 6 (tf 1),
@@ -247,44 +246,48 @@ TEST(Index, PostingsRoundTripAgainstCorpus) {
   }
 }
 
+// A database's first open writes seg_0's columns; a reopen adopts them
+// through the manifest; another corpus rebuilds.
 TEST(Index, PersistsAndReusesColumnFiles) {
-  const std::string dir = TempIndexDir("reuse");
-  std::filesystem::remove_all(dir);
+  core::DatabaseOptions dopts;
+  dopts.corpus = SmallGeneratedOptions();
+  dopts.dir = TempIndexDir("reuse");
+  std::filesystem::remove_all(dopts.dir);
+  const std::string seg0 = dopts.dir + "/seg_0/";
 
-  Corpus corpus;
-  ASSERT_TRUE(Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
-
-  InvertedIndex first;
-  BuildStats stats;
-  ASSERT_TRUE(first.BuildFromCorpus(corpus, dir, &stats).ok());
-  EXPECT_FALSE(stats.reused_files);
-  EXPECT_EQ(stats.num_postings, corpus.num_postings());
-  for (const char* f : {kDocidRawFile, kDocidCompressedFile, kTfRawFile,
-                        kTfCompressedFile, kIndexMetaFile}) {
-    EXPECT_TRUE(std::filesystem::exists(dir + "/" + f)) << f;
-  }
-  // Compression earns its keep on the synthetic collection.
-  EXPECT_LT(std::filesystem::file_size(dir + "/" + kDocidCompressedFile),
-            std::filesystem::file_size(dir + "/" + kDocidRawFile) / 2);
-
-  InvertedIndex second;
-  ASSERT_TRUE(second.BuildFromCorpus(corpus, dir, &stats).ok());
-  EXPECT_TRUE(stats.reused_files);
   std::vector<int32_t> a, b;
-  ASSERT_TRUE(first.DecodePostings(50, &a, nullptr).ok());
-  ASSERT_TRUE(second.DecodePostings(50, &b, nullptr).ok());
-  EXPECT_EQ(a, b);
+  {
+    core::Database db;
+    ASSERT_TRUE(db.Open(dopts).ok());
+    EXPECT_FALSE(db.build_stats().reused_files);
+    EXPECT_EQ(db.build_stats().num_postings, db.corpus().num_postings());
+    for (const char* f : {kDocidRawFile, kDocidCompressedFile, kTfRawFile,
+                          kTfCompressedFile, kIndexMetaFile}) {
+      EXPECT_TRUE(std::filesystem::exists(seg0 + f)) << f;
+    }
+    // Compression earns its keep on the synthetic collection.
+    EXPECT_LT(std::filesystem::file_size(seg0 + kDocidCompressedFile),
+              std::filesystem::file_size(seg0 + kDocidRawFile) / 2);
+    ASSERT_TRUE(db.index()->DecodePostings(50, &a, nullptr).ok());
+  }
+
+  {
+    core::Database db;
+    ASSERT_TRUE(db.Open(dopts).ok());
+    EXPECT_TRUE(db.build_stats().reused_files);
+    EXPECT_EQ(db.build_stats().num_postings, db.corpus().num_postings());
+    ASSERT_TRUE(db.index()->DecodePostings(50, &b, nullptr).ok());
+    EXPECT_EQ(a, b);
+  }
 
   // A different corpus fingerprint must not reuse the files.
-  CorpusOptions other_opts = SmallGeneratedOptions();
-  other_opts.seed = 99;
-  Corpus other;
-  ASSERT_TRUE(Corpus::Generate(other_opts, &other).ok());
-  InvertedIndex third;
-  ASSERT_TRUE(third.BuildFromCorpus(other, dir, &stats).ok());
-  EXPECT_FALSE(stats.reused_files);
+  dopts.corpus.seed = 99;
+  core::Database other;
+  ASSERT_TRUE(other.Open(dopts).ok());
+  EXPECT_FALSE(other.build_stats().reused_files);
+  EXPECT_EQ(other.index()->num_postings(), other.corpus().num_postings());
 
-  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(dopts.dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,8 +298,7 @@ class GoldenSearchTest : public ::testing::Test {
  protected:
   void SetUp() override {
     corpus_ = GoldenCorpus();
-    BuildStats stats;
-    ASSERT_TRUE(index_.BuildFromCorpus(corpus_, "", &stats).ok());
+    ASSERT_TRUE(index_.BuildFromCorpus(corpus_).ok());
     engine_.set_index(&index_);
   }
 
@@ -582,8 +584,7 @@ TEST(Search, UnknownTermsGetCleanEmptyResults) {
   ASSERT_TRUE(
       Corpus::FromDocuments({{0, 1, 1}, {1, 2}, {0, 2}}, 5, &corpus).ok());
   InvertedIndex index;
-  BuildStats stats;
-  ASSERT_TRUE(index.BuildFromCorpus(corpus, "", &stats).ok());
+  ASSERT_TRUE(index.BuildFromCorpus(corpus).ok());
   SearchEngine engine(&index);
 
   SearchOptions opts;
@@ -687,8 +688,7 @@ TEST(Database, MaxScorePrunesAndAgreesOnGeneratedCorpus) {
 TEST(CustomEngine, BaselinesAgreeWithDbmsBm25) {
   Corpus corpus = GoldenCorpus();
   InvertedIndex index;
-  BuildStats stats;
-  ASSERT_TRUE(index.BuildFromCorpus(corpus, "", &stats).ok());
+  ASSERT_TRUE(index.BuildFromCorpus(corpus).ok());
   SearchEngine engine(&index);
   CustomIrEngine custom;
   ASSERT_TRUE(custom.Load(&index).ok());
@@ -808,8 +808,7 @@ TEST(BlockMax, PersistedBoundsDominateTrueContributions) {
   Corpus corpus;
   ASSERT_TRUE(Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
   InvertedIndex index;
-  BuildStats stats;
-  ASSERT_TRUE(index.BuildFromCorpus(corpus, "", &stats).ok());
+  ASSERT_TRUE(index.BuildFromCorpus(corpus).ok());
   CheckBlockMaxSound(index);
 
   // Hostile boundaries: num_postings % 128 in {0, 1, 127} — full last
@@ -817,54 +816,60 @@ TEST(BlockMax, PersistedBoundsDominateTrueContributions) {
   for (uint32_t n : {256u, 1u, 127u, 129u, 383u}) {
     Corpus tiny = UnitPostingCorpus(n);
     InvertedIndex idx;
-    ASSERT_TRUE(idx.BuildFromCorpus(tiny, "", &stats).ok());
+    ASSERT_TRUE(idx.BuildFromCorpus(tiny).ok());
     ASSERT_EQ(idx.num_postings(), n);
     CheckBlockMaxSound(idx);
   }
 }
 
 TEST(BlockMax, TableRoundTripsThroughReuseAndRejectsCorruption) {
-  const std::string dir = TempIndexDir("blockmax_reuse");
-  std::filesystem::remove_all(dir);
-  Corpus corpus;
-  ASSERT_TRUE(Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
+  core::DatabaseOptions dopts;
+  dopts.corpus = SmallGeneratedOptions();
+  dopts.dir = TempIndexDir("blockmax_reuse");
+  std::filesystem::remove_all(dopts.dir);
+  const std::string table = dopts.dir + "/seg_0/" + kBlockMaxFile;
 
-  InvertedIndex first;
-  BuildStats stats;
-  ASSERT_TRUE(first.BuildFromCorpus(corpus, dir, &stats).ok());
-  ASSERT_FALSE(stats.reused_files);
-  ASSERT_TRUE(std::filesystem::exists(dir + "/" + kBlockMaxFile));
+  std::vector<BlockMaxEntry> built;
+  {
+    core::Database db;
+    ASSERT_TRUE(db.Open(dopts).ok());
+    ASSERT_FALSE(db.build_stats().reused_files);
+    ASSERT_TRUE(std::filesystem::exists(table));
+    built = db.index()->block_max();
+  }
 
   // Reuse loads the table off disk, identically.
-  InvertedIndex second;
-  ASSERT_TRUE(second.BuildFromCorpus(corpus, dir, &stats).ok());
-  ASSERT_TRUE(stats.reused_files);
-  ASSERT_EQ(first.block_max().size(), second.block_max().size());
-  for (size_t w = 0; w < first.block_max().size(); ++w) {
-    EXPECT_EQ(first.block_max()[w].max_tf, second.block_max()[w].max_tf);
-    EXPECT_EQ(first.block_max()[w].min_doclen,
-              second.block_max()[w].min_doclen);
-    EXPECT_EQ(first.block_max()[w].ub, second.block_max()[w].ub);
+  {
+    core::Database db;
+    ASSERT_TRUE(db.Open(dopts).ok());
+    ASSERT_TRUE(db.build_stats().reused_files);
+    const std::vector<BlockMaxEntry>& loaded = db.index()->block_max();
+    ASSERT_EQ(built.size(), loaded.size());
+    for (size_t w = 0; w < built.size(); ++w) {
+      EXPECT_EQ(built[w].max_tf, loaded[w].max_tf);
+      EXPECT_EQ(built[w].min_doclen, loaded[w].min_doclen);
+      EXPECT_EQ(built[w].ub, loaded[w].ub);
+    }
+    CheckBlockMaxSound(*db.index());
   }
-  CheckBlockMaxSound(second);
 
   // A missing table must force a rebuild (which recreates it)...
-  std::filesystem::remove(dir + "/" + kBlockMaxFile);
-  InvertedIndex third;
-  ASSERT_TRUE(third.BuildFromCorpus(corpus, dir, &stats).ok());
-  EXPECT_FALSE(stats.reused_files);
-  EXPECT_TRUE(std::filesystem::exists(dir + "/" + kBlockMaxFile));
+  std::filesystem::remove(table);
+  {
+    core::Database db;
+    ASSERT_TRUE(db.Open(dopts).ok());
+    EXPECT_FALSE(db.build_stats().reused_files);
+    EXPECT_TRUE(std::filesystem::exists(table));
+  }
 
   // ...and so must a truncated one.
-  std::filesystem::resize_file(
-      dir + "/" + kBlockMaxFile,
-      std::filesystem::file_size(dir + "/" + kBlockMaxFile) / 2);
-  InvertedIndex fourth;
-  ASSERT_TRUE(fourth.BuildFromCorpus(corpus, dir, &stats).ok());
-  EXPECT_FALSE(stats.reused_files);
-  CheckBlockMaxSound(fourth);
+  std::filesystem::resize_file(table, std::filesystem::file_size(table) / 2);
+  core::Database db;
+  ASSERT_TRUE(db.Open(dopts).ok());
+  EXPECT_FALSE(db.build_stats().reused_files);
+  CheckBlockMaxSound(*db.index());
 
-  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(dopts.dir);
 }
 
 TEST(Database, BlockMaxSkipsWindowsAndAgreesWithOracle) {
@@ -931,8 +936,7 @@ TEST(Database, BlockMaxSkipsProvablyWeakWindows) {
   Corpus corpus;
   ASSERT_TRUE(Corpus::FromDocuments(docs, next_filler, &corpus).ok());
   InvertedIndex index;
-  BuildStats stats;
-  ASSERT_TRUE(index.BuildFromCorpus(corpus, "", &stats).ok());
+  ASSERT_TRUE(index.BuildFromCorpus(corpus).ok());
   SearchEngine engine(&index);
 
   Query q;
@@ -994,8 +998,7 @@ TEST(FusedScore, BitsEqualMapBm25OnEveryIndexWindow) {
   Corpus corpus;
   ASSERT_TRUE(Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
   InvertedIndex index;
-  BuildStats stats;
-  ASSERT_TRUE(index.BuildFromCorpus(corpus, "", &stats).ok());
+  ASSERT_TRUE(index.BuildFromCorpus(corpus).ok());
   const compress::BlockDecoder* dec = index.tf_decoder();
   ASSERT_EQ(dec->scheme(), compress::Scheme::kPfor);
   ASSERT_FALSE(dec->naive_layout());

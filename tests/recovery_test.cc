@@ -32,9 +32,12 @@
 #include "core/database.h"
 #include "ir/collection_stats.h"
 #include "ir/delta_segment.h"
+#include "ir/index_meta.h"
 #include "ir/snapshot.h"
 #include "storage/crash_point.h"
 #include "storage/wal.h"
+
+#include "test_util.h"
 
 namespace x100ir::ir {
 namespace {
@@ -81,7 +84,6 @@ core::DatabaseOptions DiskOptions(
   core::DatabaseOptions dopts;
   dopts.dir = dir;
   dopts.corpus = TinyGenerated();
-  dopts.storage.wal.enabled = true;
   dopts.storage.wal.mode = mode;
   return dopts;
 }
@@ -607,28 +609,144 @@ TEST(GroupCommit, FsyncPerWriteModeAlsoRecovers) {
   EXPECT_EQ(DumpState(reopened), dump);
 }
 
-TEST(WalDisabled, RestoresVolatileDeltaSemantics) {
-  const std::string dir = FreshDir("off");
+// ---------------------------------------------------------------------------
+// First open: seg_0 and its manifest commit before the WAL exists.
+// ---------------------------------------------------------------------------
+
+TEST(FirstOpen, LeavesOnlyManifestWalAndSeg0) {
+  const std::string dir = FreshDir("layout");
   CrashPoint::Instance().Reset();
-  std::string dump_before_adds;
+  core::Database db;
+  ASSERT_TRUE(db.Open(DiskOptions(dir)).ok());
+  std::set<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("wal_", 0) == 0 && entry.is_regular_file()) {
+      names.insert("wal_*.log");
+    } else {
+      names.insert(name);
+    }
+  }
+  EXPECT_EQ(names, (std::set<std::string>{"MANIFEST", "seg_0", "wal_*.log"}));
+  EXPECT_TRUE(fs::is_directory(dir + "/seg_0"));
+  // The epoch-0 manifest: its header and seg_0's entry, no tombstones.
+  EXPECT_EQ(fs::file_size(dir + "/" + kManifestFile),
+            sizeof(ManifestHeader) + sizeof(ManifestSegment));
+}
+
+// A crash around the epoch-0 manifest's commit fails the first Open; the
+// reopen finds either no manifest (rebuild) or the committed one (adopt)
+// and in both cases serves the corpus alone and takes writes.
+TEST(FirstOpen, KillPointsYieldTheCorpusOnlyState) {
+  std::string corpus_only;
+  {
+    CrashPoint::Instance().Reset();
+    core::Database db;
+    ASSERT_TRUE(db.Open(DiskOptions(FreshDir("oracle"))).ok());
+    corpus_only = DumpState(db);
+  }
+  for (CrashSite site : {CrashSite::kManifestAfterTmpWrite,
+                         CrashSite::kManifestAfterRename}) {
+    const std::string ctx = storage::CrashSiteName(site);
+    const std::string dir = FreshDir(ctx);
+    CrashPoint::Instance().Reset();
+    CrashPoint::Instance().Arm(site, 1);
+    {
+      core::Database db;
+      EXPECT_EQ(db.Open(DiskOptions(dir)).code(), StatusCode::kIOError)
+          << ctx;
+    }
+    EXPECT_TRUE(CrashPoint::Instance().IsCrashed()) << ctx;
+    CrashPoint::Instance().Reset();
+
+    core::Database reopened;
+    ASSERT_TRUE(reopened.Open(DiskOptions(dir)).ok()) << ctx;
+    EXPECT_EQ(DumpState(reopened), corpus_only) << ctx;
+    EXPECT_EQ(reopened.epoch(), 0u) << ctx;
+    int32_t docid = -1;
+    ASSERT_TRUE(reopened.AddDocument(DetDoc(1), &docid).ok()) << ctx;
+    EXPECT_EQ(docid, 80) << ctx;
+  }
+}
+
+// seg_0 torn under a manifest that carries tombstones on it, with
+// acknowledged adds and deletes in the WAL behind it: the reopen rebuilds
+// seg_0 from the corpus in place and keeps the tombstones and the log.
+TEST(FirstOpen, TornSeg0RebuildsAndKeepsEveryAcknowledgedWrite) {
+  const std::string dir = FreshDir("torn_seg0");
+  CrashPoint::Instance().Reset();
   {
     core::Database db;
-    core::DatabaseOptions dopts = DiskOptions(dir);
-    dopts.storage.wal.enabled = false;
-    ASSERT_TRUE(db.Open(dopts).ok());
-    dump_before_adds = DumpState(db);
-    for (uint64_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(db.Open(DiskOptions(dir)).ok());
+  }
+  // Tombstone seg_0's docs 3 and 17 in the epoch-0 manifest.
+  const std::string manifest = dir + "/" + kManifestFile;
+  ManifestHeader hdr;
+  ManifestSegment entry;
+  {
+    std::FILE* f = std::fopen(manifest.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fread(&hdr, sizeof(hdr), 1, f), 1u);
+    ASSERT_EQ(std::fread(&entry, sizeof(entry), 1, f), 1u);
+    std::fclose(f);
+  }
+  ASSERT_EQ(hdr.num_segments, 1u);
+  ASSERT_EQ(entry.seg_id, 0u);
+  std::vector<uint64_t> words(entry.num_docs / 64 + 1, 0);
+  words[0] |= (1ull << 3) | (1ull << 17);
+  entry.num_tombstone_words = static_cast<uint32_t>(words.size());
+  {
+    std::FILE* f = std::fopen(manifest.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(&hdr, sizeof(hdr), 1, f), 1u);
+    ASSERT_EQ(std::fwrite(&entry, sizeof(entry), 1, f), 1u);
+    ASSERT_EQ(std::fwrite(words.data(), words.size() * sizeof(uint64_t), 1, f),
+              1u);
+    ASSERT_EQ(std::fclose(f), 0);
+  }
+
+  std::string dump;
+  {
+    core::Database db;
+    ASSERT_TRUE(db.Open(DiskOptions(dir)).ok());
+    ASSERT_TRUE(db.build_stats().reused_files);
+    for (uint64_t i = 0; i < 3; ++i) {
       ASSERT_TRUE(db.AddDocument(DetDoc(i), nullptr).ok());
     }
-    EXPECT_EQ(db.wal_stats().appends, 0u);
+    ASSERT_TRUE(db.DeleteDocument(5).ok());   // seg_0 doc
+    ASSERT_TRUE(db.DeleteDocument(81).ok());  // delta doc
+    const std::set<int32_t> live = LiveDocids(db);
+    for (int32_t gone : {3, 5, 17, 81}) EXPECT_EQ(live.count(gone), 0u);
+    EXPECT_EQ(live.count(82), 1u);
+    dump = DumpState(db);
   }
-  core::Database reopened;
-  core::DatabaseOptions dopts = DiskOptions(dir);
-  dopts.storage.wal.enabled = false;
-  ASSERT_TRUE(reopened.Open(dopts).ok());
-  // The pre-§13 contract, kept for benches isolating WAL cost: delta
-  // documents are volatile and a reopen sheds them.
-  EXPECT_EQ(DumpState(reopened), dump_before_adds);
+
+  const std::string column = dir + "/seg_0/" + kDocidCompressedFile;
+  fs::resize_file(column, fs::file_size(column) / 2);
+  core::Database db;
+  ASSERT_TRUE(db.Open(DiskOptions(dir)).ok());
+  EXPECT_FALSE(db.build_stats().reused_files);
+  EXPECT_EQ(DumpState(db), dump);
+  EXPECT_EQ(db.DeleteDocument(3).code(), StatusCode::kNotFound);
+  EXPECT_EQ(db.DeleteDocument(81).code(), StatusCode::kNotFound);
+  EXPECT_TRUE(db.AddDocument(DetDoc(9), nullptr).ok());
+}
+
+// Once a kill point fires, every index and segment file write refuses: a
+// build into a fresh directory fails and leaves nothing on disk.
+TEST(CrashedWrites, IndexBuildRefusesAndCreatesNothing) {
+  Corpus corpus;
+  ASSERT_TRUE(Corpus::Generate(TinyGenerated(), &corpus).ok());
+  const std::string dir = FreshDir("index");
+  CrashPoint::Instance().Reset();
+  CrashPoint::Instance().Arm(CrashSite::kWalAfterAppend, 1);
+  ASSERT_TRUE(storage::CrashReached(CrashSite::kWalAfterAppend));
+  PooledIndex pooled;
+  EXPECT_EQ(pooled.Build(corpus, dir).code(), StatusCode::kIOError);
+  EXPECT_FALSE(fs::exists(dir));
+  CrashPoint::Instance().Reset();
+  // The same build succeeds once the process model is alive again.
+  EXPECT_TRUE(pooled.Build(corpus, dir).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -683,6 +801,16 @@ TEST(WalUnits, SealIsIdempotent) {
   EXPECT_EQ(delta.num_docs(), 1u);
   EXPECT_EQ(delta.Add({{2, 1}}, &id).code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(delta.doc_len(0), 3);
+}
+
+TEST(WalUnits, OnDiskOpenRequiresTheWal) {
+  core::DatabaseOptions dopts = DiskOptions(FreshDir("no_wal"));
+  dopts.storage.wal.enabled = false;
+  core::Database db;
+  EXPECT_EQ(db.Open(dopts).code(), StatusCode::kInvalidArgument);
+  // In memory there is nothing to log: the field is ignored.
+  dopts.dir.clear();
+  EXPECT_TRUE(db.Open(dopts).ok());
 }
 
 TEST(WalUnits, TornManifestWipesTheLogAndFallsBackClean) {

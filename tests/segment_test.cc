@@ -482,8 +482,8 @@ TEST(SegmentTest, ReplacedSegmentRetiresOnLastSnapshotRelease) {
       db.index()->storage()->docid_compressed.file_id();
   storage::BufferManager* pool = db.index()->buffer_manager();
   EXPECT_GT(pool->ResidentPagesOfFile(base_file), 0u);
-  const std::string base_meta = dopts.dir + "/" + kIndexMetaFile;
-  ASSERT_TRUE(std::filesystem::exists(base_meta));
+  const std::string seg0 = dopts.dir + "/seg_0";
+  ASSERT_TRUE(std::filesystem::exists(seg0 + "/" + kIndexMetaFile));
 
   Rng rng(59);
   for (int i = 0; i < 40; ++i) {
@@ -495,16 +495,16 @@ TEST(SegmentTest, ReplacedSegmentRetiresOnLastSnapshotRelease) {
 
   // The commit replaced the base segment, but `pin` still holds it: its
   // files and pool pages must survive — a pinned reader may touch them.
-  EXPECT_TRUE(std::filesystem::exists(base_meta));
+  EXPECT_TRUE(std::filesystem::exists(seg0 + "/" + kIndexMetaFile));
   EXPECT_GT(pool->ResidentPagesOfFile(base_file), 0u);
   ASSERT_TRUE(
       SearchSnapshot(*pin, queries[0], RunType::kBm25TC, opts, &r).ok());
 
-  // Last pin out: the base segment's root-layout files are deleted and
+  // Last pin out: the base segment's directory, seg_0/, is removed and
   // exactly its pages drop from the shared pool; the merged segment (and
   // the manifest) are untouched.
   pin.reset();
-  EXPECT_FALSE(std::filesystem::exists(base_meta));
+  EXPECT_FALSE(std::filesystem::exists(seg0));
   EXPECT_EQ(pool->ResidentPagesOfFile(base_file), 0u);
   EXPECT_TRUE(std::filesystem::exists(dopts.dir + "/" + kManifestFile));
   EXPECT_TRUE(std::filesystem::exists(dopts.dir + "/seg_1/" +
@@ -542,8 +542,8 @@ TEST(SegmentTest, ManifestReopenAdoptsMergedStateAndDeletes) {
       model.Delete(d);
     }
     ASSERT_TRUE(db.Merge().ok());
-    // A post-merge delete on a persisted segment doc must rewrite the
-    // manifest — it has to survive the reopen below.
+    // A post-merge delete on a persisted segment doc is logged — it has
+    // to survive the reopen below.
     ASSERT_TRUE(db.DeleteDocument(77).ok());
     model.Delete(77);
   }  // close: joins the merge pool, releases every snapshot

@@ -729,7 +729,6 @@ TEST(ServerTest, StatsSurfaceWalCounters) {
   core::DatabaseOptions dopts;
   dopts.dir = FreshDir("wal_stats");
   dopts.corpus = SmallCorpus();
-  dopts.storage.wal.enabled = true;
   core::Database db;
   ASSERT_TRUE(db.Open(dopts).ok());
   ASSERT_TRUE(db.AddDocument({1, 2, 2, 7}, nullptr).ok());

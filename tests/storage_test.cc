@@ -761,10 +761,9 @@ std::string FreshDir(const char* name) {
 
 TEST(IndexStorageTest, MaterializedScoresMatchRecomputationAndQ8Bound) {
   const ir::Corpus corpus = GoldenCorpus();
-  const std::string dir = FreshDir("materialize");
-  ir::InvertedIndex index;
-  ir::BuildStats stats;
-  ASSERT_TRUE(index.BuildFromCorpus(corpus, dir, &stats).ok());
+  PooledIndex pooled;
+  ASSERT_TRUE(pooled.Build(corpus, FreshDir("materialize")).ok());
+  const ir::InvertedIndex& index = pooled.index;
   ASSERT_TRUE(index.has_storage());
   ir::IndexStorage* st = index.storage();
   const uint64_t n = index.num_postings();
@@ -794,77 +793,91 @@ TEST(IndexStorageTest, MaterializedScoresMatchRecomputationAndQ8Bound) {
   }
 }
 
+// Every truncation of every seg_0 file (empty, one byte, mid-file, one
+// byte short) fails seg_0's load under the manifest, and the reopen
+// rebuilds it from the corpus: correct postings, never garbage.
 TEST(IndexStorageTest, TornWritesTriggerRebuildNeverGarbage) {
-  const ir::Corpus corpus = GoldenCorpus();
   const std::string dir = FreshDir("torn");
-  ir::InvertedIndex index;
-  ir::BuildStats stats;
-  ASSERT_TRUE(index.BuildFromCorpus(corpus, dir, &stats).ok());
-  EXPECT_FALSE(stats.reused_files);
-  ASSERT_TRUE(index.BuildFromCorpus(corpus, dir, &stats).ok());
-  EXPECT_TRUE(stats.reused_files);
+  const std::string seg0 = dir + "/seg_0";
+  const auto open = [&dir](core::Database* db) {
+    return db->OpenWithCorpus(GoldenCorpus(), dir, StorageOptions());
+  };
+  for (const bool reused : {false, true}) {
+    core::Database db;
+    ASSERT_TRUE(open(&db).ok());
+    EXPECT_EQ(db.build_stats().reused_files, reused);
+  }
 
-  const char* files[] = {ir::kDocidRawFile,        ir::kTfRawFile,
-                         ir::kDocidCompressedFile, ir::kTfCompressedFile,
-                         ir::kScoreF32File,        ir::kScoreQ8File,
-                         ir::kIndexMetaFile};
-  for (const char* file : files) {
-    const std::string path = dir + "/" + file;
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(seg0)) {
+    files.push_back(entry.path().filename().string());
+  }
+  // Six TD columns, the block-max table, T, D.doclen and index.meta; the
+  // identity docid map needs no segment.meta.
+  ASSERT_EQ(files.size(), 10u);
+  ir::Query q;
+  q.terms = {2};
+  for (const std::string& file : files) {
+    const std::string path = seg0 + "/" + file;
     const uint64_t size = std::filesystem::file_size(path);
-    // Hostile truncation offsets: empty, one byte, mid-file, size - 1.
     for (uint64_t cut : {uint64_t{0}, uint64_t{1}, size / 2, size - 1}) {
       std::filesystem::resize_file(path, cut);
-      ir::InvertedIndex reopened;
-      ASSERT_TRUE(reopened.BuildFromCorpus(corpus, dir, &stats).ok())
+      core::Database db;
+      ASSERT_TRUE(open(&db).ok()) << file << " cut at " << cut;
+      EXPECT_FALSE(db.build_stats().reused_files)
           << file << " cut at " << cut;
-      EXPECT_FALSE(stats.reused_files) << file << " cut at " << cut;
-      ASSERT_TRUE(reopened.has_storage());
-      // The rebuilt index serves correct data.
+      ASSERT_TRUE(db.has_storage());
+      // The rebuilt segment serves correct data, from memory and the pool.
       std::vector<int32_t> docids;
-      ASSERT_TRUE(reopened.DecodePostings(2, &docids, nullptr).ok());
+      ASSERT_TRUE(db.index()->DecodePostings(2, &docids, nullptr).ok());
       EXPECT_EQ(docids, (std::vector<int32_t>{0, 1, 3, 6, 7}));
+      ir::SearchResult r;
+      ASSERT_TRUE(db.Search(q, ir::RunType::kBm25TC, {}, &r).ok());
+      EXPECT_EQ(std::set<int32_t>(r.docids.begin(), r.docids.end()),
+                (std::set<int32_t>{0, 1, 3, 6, 7}))
+          << file << " cut at " << cut;
     }
   }
   // After all that torture a clean reopen reuses again.
-  ASSERT_TRUE(index.BuildFromCorpus(corpus, dir, &stats).ok());
-  EXPECT_TRUE(stats.reused_files);
+  core::Database db;
+  ASSERT_TRUE(open(&db).ok());
+  EXPECT_TRUE(db.build_stats().reused_files);
 }
 
 // A compressed column file holding a valid block of the wrong scheme —
 // right value count, clean header — must never be served: the skip
 // cursors need PFOR-DELTA docid windows (BoolAND and ranked BM25 would
-// fail) and the fused scorer needs patched-PFOR tf windows. Reuse rebuilds
-// the directory; a corpus-free LoadFromDir (the manifest reopen path)
-// refuses it.
+// fail) and the fused scorer needs patched-PFOR tf windows. LoadFromDir
+// refuses it, so a reopen rebuilds seg_0.
 TEST(IndexStorageTest, WrongSchemeColumnsRebuildNeverServe) {
-  ir::CorpusOptions copts = SmallGeneratedOptions();
-  copts.num_docs = 600;
-  copts.vocab_size = 900;
-  copts.num_topics = 6;
-  copts.relevant_docs_per_topic = 30;
+  core::DatabaseOptions dopts;
+  dopts.corpus = SmallGeneratedOptions();
+  dopts.corpus.num_docs = 600;
+  dopts.corpus.vocab_size = 900;
+  dopts.corpus.num_topics = 6;
+  dopts.corpus.relevant_docs_per_topic = 30;
+  dopts.dir = FreshDir("scheme");
+  const std::string seg0 = dopts.dir + "/seg_0";
   ir::Corpus corpus;
-  ASSERT_TRUE(ir::Corpus::Generate(copts, &corpus).ok());
-  const std::string dir = FreshDir("scheme");
-  ir::InvertedIndex index;
-  ir::BuildStats stats;
-  ASSERT_TRUE(index.BuildFromCorpus(corpus, dir, &stats).ok());
+  ASSERT_TRUE(ir::Corpus::Generate(dopts.corpus, &corpus).ok());
   std::vector<int32_t> docid_col, tf_col;  // the TD table, term order
-  for (uint32_t t = 0; t < index.vocab_size(); ++t) {
-    std::vector<int32_t> d, f;
-    ASSERT_TRUE(index.DecodePostings(t, &d, &f).ok());
-    docid_col.insert(docid_col.end(), d.begin(), d.end());
-    tf_col.insert(tf_col.end(), f.begin(), f.end());
+  {
+    core::Database db;
+    ASSERT_TRUE(db.Open(dopts).ok());
+    const ir::InvertedIndex& index = *db.index();
+    for (uint32_t t = 0; t < index.vocab_size(); ++t) {
+      std::vector<int32_t> d, f;
+      ASSERT_TRUE(index.DecodePostings(t, &d, &f).ok());
+      docid_col.insert(docid_col.end(), d.begin(), d.end());
+      tf_col.insert(tf_col.end(), f.begin(), f.end());
+    }
   }
   const uint32_t n = static_cast<uint32_t>(docid_col.size());
 
-  // LoadFromDir through a shared pool: OK on the intact directory.
-  SimulatedDisk disk;
-  BufferManager pool(4u << 20, &disk, 4096);
-  const auto load_ok = [&] {
-    ir::InvertedIndex loaded;
-    const bool ok = loaded.LoadFromDir(dir, {&pool, 0}).ok();
-    loaded.DetachSharedStorage();
-    return ok;
+  // LoadFromDir through a private pool: OK on the intact directory.
+  const auto load_ok = [&seg0] {
+    PooledIndex loaded;
+    return loaded.Load(seg0).ok();
   };
   ASSERT_TRUE(load_ok());
 
@@ -903,16 +916,16 @@ TEST(IndexStorageTest, WrongSchemeColumnsRebuildNeverServe) {
     ASSERT_TRUE(enc.ok()) << what;
     const std::vector<uint8_t> bytes = ColumnFileBytes(
         ir::ColumnFileHeader::kCompressedBlock, n, block.data(), block.size());
-    std::FILE* f = std::fopen((dir + "/" + c.file).c_str(), "wb");
+    std::FILE* f = std::fopen((seg0 + "/" + c.file).c_str(), "wb");
     ASSERT_NE(f, nullptr);
     ASSERT_EQ(std::fwrite(bytes.data(), bytes.size(), 1, f), 1u);
     ASSERT_EQ(std::fclose(f), 0);
 
     EXPECT_FALSE(load_ok()) << what;
-    ir::InvertedIndex reopened;
-    ASSERT_TRUE(reopened.BuildFromCorpus(corpus, dir, &stats).ok()) << what;
-    EXPECT_FALSE(stats.reused_files) << what;
-    ir::SearchEngine engine(&reopened);
+    core::Database db;
+    ASSERT_TRUE(db.Open(dopts).ok()) << what;
+    EXPECT_FALSE(db.build_stats().reused_files) << what;
+    ir::SearchEngine engine(db.index());
     ir::SearchOptions opts;
     ir::SearchOptions exact;
     exact.maxscore_bm25 = false;
@@ -942,10 +955,9 @@ TEST(IndexStorageTest, WrongSchemeColumnsRebuildNeverServe) {
 // the reference.
 TEST(RunTypes, AllSevenExecuteAndRankedRunsMatchOracle) {
   const ir::Corpus corpus = GoldenCorpus();
-  const std::string dir = FreshDir("runtypes");
-  ir::InvertedIndex index;
-  ir::BuildStats bstats;
-  ASSERT_TRUE(index.BuildFromCorpus(corpus, dir, &bstats).ok());
+  PooledIndex pooled;
+  ASSERT_TRUE(pooled.Build(corpus, FreshDir("runtypes")).ok());
+  const ir::InvertedIndex& index = pooled.index;
   ir::SearchEngine engine(&index);
 
   ir::Query q;
@@ -988,11 +1000,9 @@ TEST(RunTypes, AllSevenExecuteAndRankedRunsMatchOracle) {
 TEST(RunTypes, Q8TopKOverlapAtLeast19Of20) {
   ir::Corpus corpus;
   ASSERT_TRUE(ir::Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
-  const std::string dir = FreshDir("q8overlap");
-  ir::InvertedIndex index;
-  ir::BuildStats bstats;
-  ASSERT_TRUE(index.BuildFromCorpus(corpus, dir, &bstats).ok());
-  ir::SearchEngine engine(&index);
+  PooledIndex pooled;
+  ASSERT_TRUE(pooled.Build(corpus, FreshDir("q8overlap")).ok());
+  ir::SearchEngine engine(&pooled.index);
 
   ir::QueryGenOptions qopts;
   qopts.num_eval_queries = 10;
@@ -1017,10 +1027,9 @@ TEST(RunTypes, Q8TopKOverlapAtLeast19Of20) {
 TEST(RunTypes, SecondPassValueColumnFailureFailsTheQuery) {
   ir::Corpus corpus;
   ASSERT_TRUE(ir::Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
-  const std::string dir = FreshDir("pass2fault");
-  ir::InvertedIndex index;
-  ir::BuildStats bstats;
-  ASSERT_TRUE(index.BuildFromCorpus(corpus, dir, &bstats).ok());
+  PooledIndex pooled;
+  ASSERT_TRUE(pooled.Build(corpus, FreshDir("pass2fault")).ok());
+  const ir::InvertedIndex& index = pooled.index;
   ir::SearchEngine engine(&index);
   BufferManager* pool = index.buffer_manager();
   ir::IndexStorage* st = index.storage();
@@ -1142,13 +1151,11 @@ bool SameExecStats(const vec::ExecStats& a, const vec::ExecStats& b) {
 TEST(RunTypes, ConcurrentStorageRunsReportTheirSerialExecStats) {
   ir::Corpus corpus;
   ASSERT_TRUE(ir::Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
-  const std::string dir = FreshDir("concurrent_stats");
-  ir::InvertedIndex index;
-  ir::BuildStats bstats;
   StorageOptions sopts;
   sopts.page_bytes = 4096;
-  ASSERT_TRUE(index.BuildFromCorpus(corpus, dir, &bstats, sopts).ok());
-  const ir::SearchEngine engine(&index);
+  PooledIndex pooled(sopts);
+  ASSERT_TRUE(pooled.Build(corpus, FreshDir("concurrent_stats")).ok());
+  const ir::SearchEngine engine(&pooled.index);
   ir::QueryGenOptions qopts;
   qopts.num_efficiency_queries = 100;
   ir::QueryGenerator gen(corpus, qopts);
@@ -1194,8 +1201,7 @@ TEST(RunTypes, ConcurrentStorageRunsReportTheirSerialExecStats) {
 TEST(RunTypes, StorageRunsFailCleanlyWithoutDirectory) {
   const ir::Corpus corpus = GoldenCorpus();
   ir::InvertedIndex index;
-  ir::BuildStats bstats;
-  ASSERT_TRUE(index.BuildFromCorpus(corpus, "", &bstats).ok());
+  ASSERT_TRUE(index.BuildFromCorpus(corpus).ok());
   EXPECT_FALSE(index.has_storage());
   EXPECT_FALSE(index.EvictAll().ok());
   ir::SearchEngine engine(&index);
@@ -1214,12 +1220,11 @@ TEST(RunTypes, StorageRunsFailCleanlyWithoutDirectory) {
 TEST(ColdRuns, IoChargesAreDeterministicAndVanishWhenHot) {
   ir::Corpus corpus;
   ASSERT_TRUE(ir::Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
-  const std::string dir = FreshDir("coldhot");
-  ir::InvertedIndex index;
-  ir::BuildStats bstats;
   StorageOptions sopts;
   sopts.page_bytes = 4096;
-  ASSERT_TRUE(index.BuildFromCorpus(corpus, dir, &bstats, sopts).ok());
+  PooledIndex pooled(sopts);
+  ASSERT_TRUE(pooled.Build(corpus, FreshDir("coldhot")).ok());
+  const ir::InvertedIndex& index = pooled.index;
   ir::SearchEngine engine(&index);
   ir::Query q;
   q.terms = {5, 40, 200};
@@ -1264,6 +1269,52 @@ TEST(DatabaseStorage, SurfacesBufferStatsAndEvictAll) {
   EXPECT_GT(r.stats.windows_decoded, 0u);
 }
 
+// A never-merged database reopens along the manifest path (seg_0 loaded,
+// not rebuilt) and answers exactly as before it closed: every efficiency
+// query, all seven RunTypes, same docids, score bits and match counts.
+TEST(DatabaseStorage, ReopenedNeverMergedDatabaseAnswersBitIdentically) {
+  core::DatabaseOptions dopts;
+  dopts.corpus = SmallGeneratedOptions();
+  dopts.dir = FreshDir("reopen");
+  dopts.storage.page_bytes = 4096;
+  std::vector<ir::Query> queries;
+  const auto run_all = [&queries](const core::Database& db,
+                                  std::vector<ir::SearchResult>* out) {
+    for (const ir::Query& q : queries) {
+      for (ir::RunType type : ir::AllRunTypes()) {
+        out->emplace_back();
+        ASSERT_TRUE(db.Search(q, type, {}, &out->back()).ok())
+            << ir::RunTypeName(type);
+      }
+    }
+  };
+  std::vector<ir::SearchResult> before, after;
+  {
+    core::Database db;
+    ASSERT_TRUE(db.Open(dopts).ok());
+    ASSERT_FALSE(db.build_stats().reused_files);
+    queries = ir::QueryGenerator(db.corpus(), ir::QueryGenOptions())
+                  .EfficiencyQueries();
+    ASSERT_FALSE(queries.empty());
+    run_all(db, &before);
+  }
+  core::Database db;
+  ASSERT_TRUE(db.Open(dopts).ok());
+  ASSERT_TRUE(db.build_stats().reused_files);
+  run_all(db, &after);
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < after.size(); ++i) {
+    const ir::RunType type = ir::AllRunTypes()[i % ir::AllRunTypes().size()];
+    const std::string what = std::string(ir::RunTypeName(type)) + " query " +
+                             std::to_string(i / ir::AllRunTypes().size());
+    ASSERT_EQ(after[i].docids, before[i].docids) << what;
+    ASSERT_EQ(ScoreBits(after[i].scores), ScoreBits(before[i].scores))
+        << what;
+    ASSERT_EQ(after[i].num_matches, before[i].num_matches) << what;
+  }
+  std::filesystem::remove_all(dopts.dir);
+}
+
 // ---------------------------------------------------------------------------
 // Randomized eviction-schedule stress: 10K mixed Search() calls at a tiny
 // page budget must be bit-identical to the all-hot oracle (pool = ∞).
@@ -1280,23 +1331,22 @@ TEST(EvictionStress, TinyPoolBitIdenticalToAllHotOracle) {
   const std::string dir = FreshDir("stress");
 
   // All-hot oracle: pool big enough to never evict.
-  ir::InvertedIndex hot_index;
-  ir::BuildStats bstats;
   StorageOptions hot_opts;
   hot_opts.pool_bytes = 1ull << 30;
   hot_opts.page_bytes = 4096;
-  ASSERT_TRUE(
-      hot_index.BuildFromCorpus(corpus, dir, &bstats, hot_opts).ok());
+  PooledIndex hot_pooled(hot_opts);
+  ASSERT_TRUE(hot_pooled.Build(corpus, dir).ok());
+  const ir::InvertedIndex& hot_index = hot_pooled.index;
 
   // Stressed pool: 6 KB across 512-byte pages — far below any query's
-  // working set, so the schedule constantly evicts mid-query.
-  ir::InvertedIndex cold_index;
+  // working set, so the schedule constantly evicts mid-query. It loads
+  // the directory the oracle built.
   StorageOptions tiny_opts;
   tiny_opts.pool_bytes = 6 * 1024;
   tiny_opts.page_bytes = 512;
-  ASSERT_TRUE(
-      cold_index.BuildFromCorpus(corpus, dir, &bstats, tiny_opts).ok());
-  EXPECT_TRUE(bstats.reused_files);
+  PooledIndex cold_pooled(tiny_opts);
+  ASSERT_TRUE(cold_pooled.Load(dir).ok());
+  const ir::InvertedIndex& cold_index = cold_pooled.index;
 
   ir::SearchEngine hot(&hot_index), cold(&cold_index);
   const ir::RunType types[] = {ir::RunType::kBm25T, ir::RunType::kBm25TC,

@@ -8,11 +8,36 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "compress/unpack.h"
+#include "ir/corpus.h"
+#include "ir/index_builder.h"
+#include "storage/buffer_manager.h"
 
 namespace x100ir {
+
+// An index with its own buffer pool over a simulated disk, for tests that
+// drive an on-disk index below the database. Build writes `dir` and opens
+// it through the pool; Load reopens a directory a Build wrote.
+struct PooledIndex {
+  explicit PooledIndex(const storage::StorageOptions& opts = {})
+      : disk(opts.disk),
+        pool(opts.pool_bytes, &disk, opts.page_bytes, opts.shards) {}
+
+  Status Build(const ir::Corpus& corpus, const std::string& dir) {
+    return index.BuildFromCorpus(corpus, dir, {&pool, 0});
+  }
+  Status Load(const std::string& dir) {
+    return index.LoadFromDir(dir, {&pool, 0});
+  }
+
+  storage::SimulatedDisk disk;
+  storage::BufferManager pool;
+  ir::InvertedIndex index;  // declared last: dies before its pool
+};
 
 // Restores the process-wide SIMD unpack toggle even when an assertion
 // bails out of a test.
