@@ -11,6 +11,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/fork_join.h"
 #include "common/shared_theta.h"
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -121,57 +122,41 @@ Status Cluster::Open(const ir::Corpus& corpus, const std::string& dir,
                                  static_cast<double>(opened_end);
 
   // Stand the nodes up in parallel: slicing the corpus is cheap, but each
-  // node's index build (first open) is the full encode pipeline.
+  // node's index build (first open) is the full encode pipeline. Every
+  // node builds even when another fails, and the lowest failing node is
+  // the one reported.
   nodes_.resize(opts.num_partitions);
-  std::vector<Status> status(opts.num_partitions);
-  {
-    ThreadPool build_pool(std::min<uint32_t>(
-        opts.num_partitions,
-        std::max(1u, std::thread::hardware_concurrency())));
-    std::mutex mu;
-    std::condition_variable cv;
-    uint32_t pending = opts.num_partitions;
-    for (uint32_t p = 0; p < opts.num_partitions; ++p) {
-      build_pool.Submit([&, p] {
-        auto node = std::make_unique<Node>();
-        node->id = p;
-        node->base = static_cast<int32_t>(part_begin(p));
-        node->speed_factor =
-            opts.speed_factors.empty() ? 1.0 : opts.speed_factors[p];
-        const uint32_t begin = part_begin(p);
-        const uint32_t end = part_begin(p + 1);
-        std::vector<std::vector<ir::DocTerm>> slice(end - begin);
-        for (uint32_t d = begin; d < end; ++d) {
-          slice[d - begin] = corpus.doc(d);
-        }
-        ir::Corpus part;
-        Status s = ir::Corpus::FromDocTerms(std::move(slice),
-                                            corpus.vocab_size(), &part);
-        if (s.ok()) {
-          const std::string node_dir =
-              dir.empty() ? std::string() : StrFormat("%s/part%u", dir.c_str(), p);
-          s = node->db.OpenWithCorpus(std::move(part), node_dir,
-                                      opts.storage);
-        }
-        if (s.ok()) {
-          node->exec =
-              std::make_unique<ThreadPool>(std::max(1u, opts.cores_per_node));
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        status[p] = std::move(s);
-        nodes_[p] = std::move(node);
-        if (--pending == 0) cv.notify_all();
-      });
+  Status built = ForkJoin(opts.num_partitions, [&](size_t p) {
+    auto node = std::make_unique<Node>();
+    node->id = static_cast<uint32_t>(p);
+    node->base = static_cast<int32_t>(part_begin(node->id));
+    node->speed_factor =
+        opts.speed_factors.empty() ? 1.0 : opts.speed_factors[p];
+    const uint32_t begin = part_begin(node->id);
+    const uint32_t end = part_begin(node->id + 1);
+    std::vector<std::vector<ir::DocTerm>> slice(end - begin);
+    for (uint32_t d = begin; d < end; ++d) slice[d - begin] = corpus.doc(d);
+    ir::Corpus part;
+    Status s =
+        ir::Corpus::FromDocTerms(std::move(slice), corpus.vocab_size(), &part);
+    if (s.ok()) {
+      const std::string node_dir =
+          dir.empty() ? std::string()
+                      : StrFormat("%s/part%u", dir.c_str(), node->id);
+      s = node->db.OpenWithCorpus(std::move(part), node_dir, opts.storage);
     }
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return pending == 0; });
-  }
-  for (uint32_t p = 0; p < opts.num_partitions; ++p) {
-    if (!status[p].ok()) {
-      nodes_.clear();
-      return Status(status[p].code(),
-                    StrFormat("node %u: %s", p, status[p].message().c_str()));
+    if (!s.ok()) {
+      return Status(s.code(),
+                    StrFormat("node %zu: %s", p, s.message().c_str()));
     }
+    node->exec =
+        std::make_unique<ThreadPool>(std::max(1u, opts.cores_per_node));
+    nodes_[p] = std::move(node);
+    return OkStatus();
+  });
+  if (!built.ok()) {
+    nodes_.clear();
+    return built;
   }
   open_ = true;
   return OkStatus();
@@ -221,6 +206,7 @@ Status Cluster::Search(const ir::Query& query, ir::RunType type,
   *out = DistResult();
   const uint32_t n = num_nodes();
   out->shard_status.resize(n);
+  out->shard_engine_ms.assign(n, 0.0);
   out->shard_service_ms.assign(n, 0.0);
 
   WallTimer timer;
@@ -266,6 +252,7 @@ Status Cluster::Search(const ir::Query& query, ir::RunType type,
   for (uint32_t i = 0; i < n; ++i) {
     if (out->shard_status[i].ok()) {
       ++out->shards_ok;
+      out->shard_engine_ms[i] = shard_results[i].TotalSeconds() * 1e3;
     } else {
       ++out->shards_failed;
       if (first_error.ok()) first_error = out->shard_status[i];

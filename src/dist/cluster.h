@@ -121,9 +121,13 @@ struct DistResult {
   uint32_t shards_failed = 0;
   std::vector<Status> shard_status;  // per node, in node order
 
-  // Simulated per-shard service times (stretch + straggle; zero for
-  // faulted shards), and the query's reported latency: scatter-gather
-  // wall time plus the network charge.
+  // Per shard, in node order, zero for failed shards: the measured engine
+  // time (SearchResult::TotalSeconds, what the service model stretches),
+  // and the simulated service time (engine time × service_scale × the
+  // node's speed factor when the model is on, plus any straggle). Then the
+  // query's reported latency: scatter-gather wall time plus the network
+  // charge.
+  std::vector<double> shard_engine_ms;
   std::vector<double> shard_service_ms;
   double latency_ms = 0.0;
 };

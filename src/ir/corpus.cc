@@ -1,47 +1,69 @@
 // Corpus generator. Sampling is deliberately boring and fully deterministic:
-// Zipf via binary search on a precomputed CDF, log-normal via Box-Muller on
-// Rng draws, per-document tf counting via sort (no unordered containers —
-// their iteration order is implementation-defined and would leak into the
-// generated stream).
+// Zipf by table-guided inversion of a precomputed CDF, log-normal via
+// Box-Muller on Rng draws, per-document tf counting via sort (no unordered
+// containers — their iteration order is implementation-defined and would
+// leak into the generated stream). Generate runs in three phases: every
+// Rng draw in one sequential pass, the per-document sorts split over a few
+// threads, and the exact-size documents filled on the calling thread.
 #include "ir/corpus.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 
+#include "common/fork_join.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 
 namespace x100ir::ir {
 namespace {
 
-// Bump when the generated stream changes shape: the fingerprint guards
-// on-disk index reuse, so a generator change must invalidate old files.
+// Bump when the generated stream changes shape: the fingerprint guards the
+// manifest and the WAL header (DESIGN.md §10.4, §13.2), so a generator
+// change must invalidate the files an older stream wrote.
 constexpr uint64_t kGeneratorVersion = 1;
 
 // Zipf over term ids 0..vocab-1 (id = rank - 1, so id 0 is the most
-// frequent term): P(id) ∝ 1 / (id + 1)^s. CDF + binary search keeps a draw
-// O(log vocab) and platform-stable.
+// frequent term): P(id) ∝ 1 / (id + 1)^s, drawn by inverting the CDF.
+//
+// A guide table makes the inversion O(1) expected: guide_[j] is the first
+// id whose CDF value exceeds j / kGuide, so a draw u in bucket
+// j = floor(u * kGuide) starts there and steps forward while cdf_[i] <= u.
+// That is exactly the id std::upper_bound(cdf_, u) finds (clamped to the
+// last id), for every u: u is a multiple of 2^-53 and the bucket edges are
+// binary fractions, so u * kGuide and j / kGuide are exact and no draw can
+// land in a different bucket or compare differently.
 class ZipfSampler {
  public:
-  ZipfSampler(uint32_t vocab, double s) : cdf_(vocab) {
+  ZipfSampler(uint32_t vocab, double s) : cdf_(vocab), guide_(kGuide) {
     double total = 0.0;
     for (uint32_t i = 0; i < vocab; ++i) {
       total += 1.0 / std::pow(static_cast<double>(i + 1), s);
       cdf_[i] = total;
     }
     for (auto& c : cdf_) c /= total;
+    for (uint32_t j = 0; j < kGuide; ++j) {
+      const double edge = static_cast<double>(j) / kGuide;
+      guide_[j] = std::min<uint32_t>(
+          static_cast<uint32_t>(
+              std::upper_bound(cdf_.begin(), cdf_.end(), edge) -
+              cdf_.begin()),
+          vocab - 1);
+    }
   }
 
   uint32_t Draw(Rng* rng) const {
     const double u = rng->NextDouble();
-    const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
-    return it == cdf_.end() ? static_cast<uint32_t>(cdf_.size() - 1)
-                            : static_cast<uint32_t>(it - cdf_.begin());
+    const uint32_t last = static_cast<uint32_t>(cdf_.size() - 1);
+    uint32_t i = guide_[static_cast<uint32_t>(u * kGuide)];
+    while (i < last && cdf_[i] <= u) ++i;
+    return i;
   }
 
  private:
+  static constexpr uint32_t kGuide = 1u << 16;
   std::vector<double> cdf_;
+  std::vector<uint32_t> guide_;
 };
 
 // Standard normal via Box-Muller. u1 is shifted off zero so log(u1) is
@@ -155,18 +177,24 @@ Status Corpus::Generate(const CorpusOptions& opts, Corpus* out) {
     std::sort(rel.begin(), rel.end());
   }
 
-  // Documents: length from the log-normal, then `len` term draws — from the
-  // owning topic's term set with probability topical_mass for planted docs,
-  // from the global Zipf otherwise. tf counting via sort+run-length.
-  out->docs_.resize(opts.num_docs);
+  // Documents, phase 1: length from the log-normal, then `len` term draws —
+  // from the owning topic's term set with probability topical_mass for
+  // planted docs, from the global Zipf otherwise. One sequential pass makes
+  // every Rng draw, in stream order, into one flat array; doc d's draws are
+  // draws[start[d], start[d + 1]), reserved at the log-normal's mean
+  // length so the array rarely reallocates.
+  const uint32_t n = opts.num_docs;
+  std::vector<uint64_t> start(n + 1, 0);
   std::vector<uint32_t> draws;
-  for (uint32_t d = 0; d < opts.num_docs; ++d) {
+  draws.reserve(static_cast<size_t>(
+      n * std::exp(opts.doclen_mu +
+                   0.5 * opts.doclen_sigma * opts.doclen_sigma)));
+  for (uint32_t d = 0; d < n; ++d) {
     const double raw =
         std::exp(opts.doclen_mu + opts.doclen_sigma * NextNormal(&rng));
     const uint32_t len = std::max<uint32_t>(
         1, static_cast<uint32_t>(std::lround(raw)));
-    draws.clear();
-    draws.reserve(len);
+    start[d] = draws.size();
     const int32_t topic = doc_topic[d];
     for (uint32_t i = 0; i < len; ++i) {
       if (topic >= 0 && rng.NextBernoulli(opts.topical_mass)) {
@@ -176,11 +204,39 @@ Status Corpus::Generate(const CorpusOptions& opts, Corpus* out) {
         draws.push_back(zipf.Draw(&rng));
       }
     }
-    std::sort(draws.begin(), draws.end());
+  }
+  start[n] = draws.size();
+
+  // Phase 2: sort each document's draws in place and count its distinct
+  // terms, contiguous document ranges on up to kSortJobs threads. Draws are
+  // already made, so the split cannot change the stream.
+  constexpr uint32_t kSortJobs = 4;
+  std::vector<uint32_t> distinct(n, 0);
+  X100IR_RETURN_IF_ERROR(ForkJoin(kSortJobs, [&](size_t job) {
+    const uint32_t lo = static_cast<uint32_t>(uint64_t{n} * job / kSortJobs);
+    const uint32_t hi =
+        static_cast<uint32_t>(uint64_t{n} * (job + 1) / kSortJobs);
+    for (uint32_t d = lo; d < hi; ++d) {
+      uint32_t* first = draws.data() + start[d];
+      uint32_t* last = draws.data() + start[d + 1];
+      std::sort(first, last);
+      uint32_t runs = 1;  // every document has at least one draw
+      for (const uint32_t* p = first + 1; p < last; ++p) runs += p[0] != p[-1];
+      distinct[d] = runs;
+    }
+    return OkStatus();
+  }));
+
+  // Phase 3: each document allocated at its exact distinct-term count, on
+  // the calling thread so that the long-lived vectors come from its malloc
+  // arena, then filled by run-length counting of its sorted draws.
+  out->docs_.resize(n);
+  for (uint32_t d = 0; d < n; ++d) {
     auto& doc = out->docs_[d];
-    for (size_t i = 0; i < draws.size();) {
-      size_t j = i;
-      while (j < draws.size() && draws[j] == draws[i]) ++j;
+    doc.reserve(distinct[d]);
+    for (uint64_t i = start[d]; i < start[d + 1];) {
+      uint64_t j = i;
+      while (j < start[d + 1] && draws[j] == draws[i]) ++j;
       doc.push_back({draws[i], static_cast<int32_t>(j - i)});
       i = j;
     }
@@ -266,9 +322,10 @@ uint64_t Corpus::Fingerprint() const {
   // Content hash over the full term stream, not just the options: it
   // distinguishes hand-built corpora the options can't, and it catches
   // generator drift (libm last-ulp differences between platforms can shift
-  // a Zipf/Box-Muller draw), so stale on-disk columns can never
-  // fingerprint-match a subtly different corpus. One linear pass, ~ms at
-  // bench scale — noise next to generation itself.
+  // a Zipf/Box-Muller draw), so a stale manifest can never
+  // fingerprint-match a subtly different corpus. One linear pass: ~19 ms
+  // at default scale against ~0.4 s of generation, which is why
+  // SnapshotManager hashes once per Open and keeps the value.
   h = FnvMix(h, num_postings_);
   for (const auto& doc : docs_) {
     h = FnvMix(h, doc.size());

@@ -8,9 +8,10 @@
 // fully determines the corpus on a given platform, and the stream is
 // stable across platforms up to libm last-ulp differences (pow/exp/cos in
 // the samplers). Fingerprint() hashes the actual term stream — not just
-// the options — so on-disk index reuse stays safe even if two platforms
-// ever disagree. The corpus lives in memory as per-document (term, tf)
-// lists; the inverted index (index_builder.h) is built from it.
+// the options — so manifest reuse stays safe even if two platforms ever
+// disagree. The corpus lives in memory as per-document (term, tf) lists,
+// each allocated at its exact size; the inverted index (index_builder.h)
+// is built from it.
 #ifndef X100IR_IR_CORPUS_H_
 #define X100IR_IR_CORPUS_H_
 
@@ -97,9 +98,10 @@ class Corpus {
     return relevant_docs_[t];
   }
 
-  // A stable fingerprint of the generator inputs (options + generator
-  // version), used by the index builder to decide whether on-disk column
-  // files belong to this corpus.
+  // A stable fingerprint of the generated stream (every posting, the
+  // options and the generator version). The manifest and the WAL header
+  // carry it, so a reopen adopts on-disk state only for the corpus that
+  // wrote it.
   uint64_t Fingerprint() const;
 
  private:

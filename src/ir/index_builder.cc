@@ -5,9 +5,12 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <iterator>
 #include <limits>
 #include <utility>
 
+#include "common/fork_join.h"
 #include "common/string_util.h"
 #include "compress/pfor.h"
 #include "compress/pfor_delta.h"
@@ -119,6 +122,12 @@ std::vector<uint8_t> PackBlockMax(const std::vector<BlockMaxEntry>& entries) {
     p += kBlockMaxRecordBytes;
   }
   return bytes;
+}
+
+// ForkJoin's thread cap for a build mode: every core for an Open's build,
+// the calling thread alone for a merge's.
+uint32_t MaxThreads(BuildMode mode) {
+  return mode == BuildMode::kConcurrent ? UINT32_MAX : 1;
 }
 
 Status MakeBlockSource(std::vector<uint8_t> block,
@@ -259,71 +268,97 @@ Status InvertedIndex::LoadBlockMax(const std::string& dir) {
 
 Status InvertedIndex::EncodeAndPersist(const std::string& dir,
                                        const std::vector<int32_t>& docid_col,
-                                       const std::vector<int32_t>& tf_col) {
+                                       const std::vector<int32_t>& tf_col,
+                                       BuildMode mode) {
   const uint64_t n = docid_col.size();
-  // Block-max metadata rides along every build (in-memory, persisted, and
-  // segment/merge builds all funnel through here).
-  ComputeBlockMax(docid_col, tf_col);
-  // Docid deltas keep FOR base 0 (force_base): within a posting
-  // list deltas are small positives, and the one large negative delta at
-  // each term boundary becomes an exception instead of dragging the frame
-  // base down for the whole block.
-  compress::EncodeOptions docid_opts;
-  docid_opts.force_base = true;
-  std::vector<uint8_t> docid_block, tf_block;
-  compress::BlockStats docid_stats, tf_stats;
-  X100IR_RETURN_IF_ERROR(compress::PforDeltaEncode(
-      docid_col.data(), static_cast<uint32_t>(n), docid_opts, &docid_block,
-      &docid_stats));
-  X100IR_RETURN_IF_ERROR(compress::PforEncode(tf_col.data(),
-                                              static_cast<uint32_t>(n), {},
-                                              &tf_block, &tf_stats));
-
-  if (!dir.empty()) {
+  const bool persist = !dir.empty();
+  if (persist) {
     // After a simulated crash nothing reaches disk, not even the directory.
     if (storage::CrashedNow()) return IOError("simulated crash");
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     if (ec) return IOError("cannot create index dir " + dir);
-    X100IR_RETURN_IF_ERROR(WriteColumnFile(
-        dir + "/" + kDocidRawFile, ColumnFileHeader::kRawI32, n,
-        docid_col.data(), docid_col.size() * sizeof(int32_t)));
-    X100IR_RETURN_IF_ERROR(WriteColumnFile(
-        dir + "/" + kTfRawFile, ColumnFileHeader::kRawI32, n, tf_col.data(),
-        tf_col.size() * sizeof(int32_t)));
-    X100IR_RETURN_IF_ERROR(WriteColumnFile(
-        dir + "/" + kDocidCompressedFile, ColumnFileHeader::kCompressedBlock,
-        n, docid_block.data(), docid_block.size()));
-    X100IR_RETURN_IF_ERROR(WriteColumnFile(
-        dir + "/" + kTfCompressedFile, ColumnFileHeader::kCompressedBlock, n,
-        tf_block.data(), tf_block.size()));
-    X100IR_RETURN_IF_ERROR(MaterializeScores(dir, docid_col, tf_col));
-    // Side tables, so the directory is loadable without the corpus.
-    const std::vector<uint8_t> term_bytes = PackTerms(terms_);
-    X100IR_RETURN_IF_ERROR(WriteColumnFile(
-        dir + "/" + kTermsFile, ColumnFileHeader::kOpaque, terms_.size(),
-        term_bytes.data(), term_bytes.size()));
-    X100IR_RETURN_IF_ERROR(WriteColumnFile(
-        dir + "/" + kDoclenFile, ColumnFileHeader::kRawI32, doc_lens_.size(),
-        doc_lens_.data(), doc_lens_.size() * sizeof(int32_t)));
-    const std::vector<uint8_t> blockmax_bytes = PackBlockMax(blockmax_);
-    X100IR_RETURN_IF_ERROR(WriteColumnFile(
-        dir + "/" + kBlockMaxFile, ColumnFileHeader::kOpaque,
-        blockmax_.size(), blockmax_bytes.data(), blockmax_bytes.size()));
-    // Meta last: a torn run leaves columns without meta, which fails
-    // LoadFromDir instead of serving stale files.
-    IndexMetaHeader meta;
-    meta.num_postings = n;
-    meta.num_docs = num_docs_;
-    meta.vocab_size = vocab_size();
-    X100IR_RETURN_IF_ERROR(storage::WriteFile(dir + "/" + kIndexMetaFile,
-                                              &meta, sizeof(meta), nullptr,
-                                              0));
   }
-
-  X100IR_RETURN_IF_ERROR(
-      MakeBlockSource(std::move(docid_block), &docid_source_, n, "docid"));
-  return MakeBlockSource(std::move(tf_block), &tf_source_, n, "tf");
+  // Four independent jobs, each owning its own outputs: every column file
+  // but index.meta, the block sources and blockmax_. Each reads only the TD
+  // columns and tables that are complete before the first job starts.
+  const std::function<Status()> jobs[] = {
+      // Docid deltas keep FOR base 0 (force_base): within a posting list
+      // deltas are small positives, and the one large negative delta at
+      // each term boundary becomes an exception instead of dragging the
+      // frame base down for the whole block.
+      [&] {
+        compress::EncodeOptions opts;
+        opts.force_base = true;
+        std::vector<uint8_t> block;
+        compress::BlockStats stats;
+        X100IR_RETURN_IF_ERROR(compress::PforDeltaEncode(
+            docid_col.data(), static_cast<uint32_t>(n), opts, &block,
+            &stats));
+        if (persist) {
+          X100IR_RETURN_IF_ERROR(WriteColumnFile(
+              dir + "/" + kDocidCompressedFile,
+              ColumnFileHeader::kCompressedBlock, n, block.data(),
+              block.size()));
+        }
+        return MakeBlockSource(std::move(block), &docid_source_, n, "docid");
+      },
+      [&] {
+        std::vector<uint8_t> block;
+        compress::BlockStats stats;
+        X100IR_RETURN_IF_ERROR(compress::PforEncode(
+            tf_col.data(), static_cast<uint32_t>(n), {}, &block, &stats));
+        if (persist) {
+          X100IR_RETURN_IF_ERROR(WriteColumnFile(
+              dir + "/" + kTfCompressedFile,
+              ColumnFileHeader::kCompressedBlock, n, block.data(),
+              block.size()));
+        }
+        return MakeBlockSource(std::move(block), &tf_source_, n, "tf");
+      },
+      // Block-max metadata rides along every build (in-memory, persisted,
+      // seg_0 and merged). With a directory the raw columns and the side
+      // tables follow, so the directory is loadable without the corpus.
+      [&] {
+        ComputeBlockMax(docid_col, tf_col);
+        if (!persist) return OkStatus();
+        X100IR_RETURN_IF_ERROR(WriteColumnFile(
+            dir + "/" + kDocidRawFile, ColumnFileHeader::kRawI32, n,
+            docid_col.data(), docid_col.size() * sizeof(int32_t)));
+        X100IR_RETURN_IF_ERROR(WriteColumnFile(
+            dir + "/" + kTfRawFile, ColumnFileHeader::kRawI32, n,
+            tf_col.data(), tf_col.size() * sizeof(int32_t)));
+        const std::vector<uint8_t> term_bytes = PackTerms(terms_);
+        X100IR_RETURN_IF_ERROR(WriteColumnFile(
+            dir + "/" + kTermsFile, ColumnFileHeader::kOpaque, terms_.size(),
+            term_bytes.data(), term_bytes.size()));
+        X100IR_RETURN_IF_ERROR(WriteColumnFile(
+            dir + "/" + kDoclenFile, ColumnFileHeader::kRawI32,
+            doc_lens_.size(), doc_lens_.data(),
+            doc_lens_.size() * sizeof(int32_t)));
+        const std::vector<uint8_t> blockmax_bytes = PackBlockMax(blockmax_);
+        return WriteColumnFile(dir + "/" + kBlockMaxFile,
+                               ColumnFileHeader::kOpaque, blockmax_.size(),
+                               blockmax_bytes.data(), blockmax_bytes.size());
+      },
+      [&] {
+        return persist ? MaterializeScores(dir, docid_col, tf_col)
+                       : OkStatus();
+      },
+  };
+  X100IR_RETURN_IF_ERROR(ForkJoin(
+      std::size(jobs), [&](size_t i) { return jobs[i](); },
+      MaxThreads(mode)));
+  if (!persist) return OkStatus();
+  // Meta last, after every job has joined: a torn or failed run leaves
+  // columns without meta, which fails LoadFromDir instead of serving stale
+  // files.
+  IndexMetaHeader meta;
+  meta.num_postings = n;
+  meta.num_docs = num_docs_;
+  meta.vocab_size = vocab_size();
+  return storage::WriteFile(dir + "/" + kIndexMetaFile, &meta, sizeof(meta),
+                            nullptr, 0);
 }
 
 // The materialized score columns (DESIGN.md §8.4): score[p] is posting p's
@@ -432,7 +467,8 @@ Status InvertedIndex::EvictAll() const {
 
 Status InvertedIndex::BuildFromCorpus(const Corpus& corpus,
                                       const std::string& dir,
-                                      const StorageBinding& binding) {
+                                      const StorageBinding& binding,
+                                      BuildMode mode) {
   if (corpus.num_postings() == 0) {
     return InvalidArgument("corpus has no postings");
   }
@@ -451,24 +487,52 @@ Status InvertedIndex::BuildFromCorpus(const Corpus& corpus,
                      : *std::min_element(doc_lens_.begin(), doc_lens_.end());
   terms_ = TermTable(corpus);
 
-  // Counting sort into (term, docid) order: the T table's prefix sums
-  // place each term's range, then one sequential pass over the documents
-  // fills it (docids ascend within each term's range because docs are
-  // visited in docid order).
-  std::vector<int32_t> docid_col(num_postings_);
-  std::vector<int32_t> tf_col(num_postings_);
-  std::vector<uint64_t> fill(terms_.size());
+  // Counting sort into (term, docid) order over kInvertJobs contiguous
+  // document ranges. The T table's prefix sums place each term's range;
+  // within it, each document range's postings follow those of every
+  // earlier range, and each range visits its documents in docid order, so
+  // docids ascend within each term's range exactly as one sequential pass
+  // would place them. First count each range's postings per term, then
+  // turn the counts into the range's first slots, then fill.
+  constexpr uint32_t kInvertJobs = 4;
+  const uint32_t max_threads = MaxThreads(mode);
+  const auto range_begin = [this](size_t r) {
+    return static_cast<uint32_t>(uint64_t{num_docs_} * r / kInvertJobs);
+  };
+  std::vector<std::vector<uint64_t>> fill(
+      kInvertJobs, std::vector<uint64_t>(terms_.size(), 0));
+  X100IR_RETURN_IF_ERROR(ForkJoin(
+      kInvertJobs,
+      [&](size_t r) {
+        for (uint32_t d = range_begin(r); d < range_begin(r + 1); ++d) {
+          for (const DocTerm& p : corpus.doc(d)) ++fill[r][p.term];
+        }
+        return OkStatus();
+      },
+      max_threads));
   for (size_t t = 0; t < terms_.size(); ++t) {
-    fill[t] = terms_[t].posting_start;
-  }
-  for (uint32_t d = 0; d < num_docs_; ++d) {
-    for (const DocTerm& p : corpus.doc(d)) {
-      const uint64_t pos = fill[p.term]++;
-      docid_col[pos] = static_cast<int32_t>(d);
-      tf_col[pos] = p.tf;
+    uint64_t next = terms_[t].posting_start;
+    for (std::vector<uint64_t>& range : fill) {
+      next += std::exchange(range[t], next);
     }
   }
-  X100IR_RETURN_IF_ERROR(EncodeAndPersist(dir, docid_col, tf_col));
+  std::vector<int32_t> docid_col(num_postings_);
+  std::vector<int32_t> tf_col(num_postings_);
+  X100IR_RETURN_IF_ERROR(ForkJoin(
+      kInvertJobs,
+      [&](size_t r) {
+        std::vector<uint64_t>& next = fill[r];
+        for (uint32_t d = range_begin(r); d < range_begin(r + 1); ++d) {
+          for (const DocTerm& p : corpus.doc(d)) {
+            const uint64_t pos = next[p.term]++;
+            docid_col[pos] = static_cast<int32_t>(d);
+            tf_col[pos] = p.tf;
+          }
+        }
+        return OkStatus();
+      },
+      max_threads));
+  X100IR_RETURN_IF_ERROR(EncodeAndPersist(dir, docid_col, tf_col, mode));
   return dir.empty() ? OkStatus() : AttachStorage(dir, binding);
 }
 

@@ -57,15 +57,26 @@ struct IndexStorage {
   storage::ColumnReader score_q8;
 };
 
+// How a build runs its independent column jobs (the docid encode, the tf
+// encode, block-max with the raw columns and side tables, the score
+// columns; DESIGN.md §6.4). Both write the same bytes. kConcurrent spreads
+// them over the host's cores and is for a build an Open waits on (seg_0);
+// kInline runs them one after another on the calling thread and is for a
+// build beside live traffic (a merge), where each encoder's transient
+// int64 copy of a collection-sized column would otherwise pile up.
+enum class BuildMode { kInline, kConcurrent };
+
 class InvertedIndex {
  public:
   // Builds the index from `corpus`. `dir` empty = in-memory only (the
   // binding is then unused). With a directory (created if absent), every
   // column — raw, compressed, the materialized f32/q8 scores, the side
   // tables and index.meta last — is written there and opened through
-  // `binding`'s pool, which must be set.
+  // `binding`'s pool, which must be set. A failing job fails the build with
+  // its own status, and index.meta is then not written.
   Status BuildFromCorpus(const Corpus& corpus, const std::string& dir = "",
-                         const StorageBinding& binding = {});
+                         const StorageBinding& binding = {},
+                         BuildMode mode = BuildMode::kInline);
 
   // Opens a directory BuildFromCorpus wrote, without a corpus: side tables
   // (terms, doclens) come off disk, postings from the compressed columns,
@@ -159,7 +170,7 @@ class InvertedIndex {
   Status LoadBlockMax(const std::string& dir);
   Status EncodeAndPersist(const std::string& dir,
                           const std::vector<int32_t>& docid_col,
-                          const std::vector<int32_t>& tf_col);
+                          const std::vector<int32_t>& tf_col, BuildMode mode);
   // Computes the per-posting BM25 score column (build-time parameters) and
   // writes the f32 + quantized files.
   Status MaterializeScores(const std::string& dir,

@@ -50,7 +50,8 @@ Status Segment::Build(const Corpus* corpus, const std::string& dir,
   seg->dir_ = dir;
   seg->file_id_base_ = binding.file_id_base;
   seg->forward_ = corpus;
-  X100IR_RETURN_IF_ERROR(seg->index_.BuildFromCorpus(*corpus, dir, binding));
+  X100IR_RETURN_IF_ERROR(seg->index_.BuildFromCorpus(
+      *corpus, dir, binding, BuildMode::kConcurrent));
   *out = std::move(seg);
   return OkStatus();
 }

@@ -43,14 +43,17 @@ class Segment {
  public:
   // Builds seg_0 under `dir` from the database's corpus, borrowed as the
   // forward store (it must outlive the segment); the docid map is the
-  // identity. Empty dir = in-memory segment.
+  // identity. Empty dir = in-memory segment. An Open waits on this build,
+  // so its column jobs run concurrently (BuildMode::kConcurrent).
   static Status Build(const Corpus* corpus, const std::string& dir,
                       const StorageBinding& binding,
                       std::unique_ptr<Segment>* out);
 
   // Builds a merged segment under `dir` (created if absent) from forward
   // documents; `global_docids` (strictly increasing, parallel to `docs`)
-  // becomes the docid map. Empty dir = in-memory segment.
+  // becomes the docid map. Empty dir = in-memory segment. A merge runs
+  // beside live traffic, so its column jobs run inline on the calling
+  // thread (BuildMode::kInline) and it starts no thread.
   static Status Build(std::vector<std::vector<DocTerm>> docs,
                       std::vector<int32_t> global_docids, uint32_t vocab_size,
                       const std::string& dir, const StorageBinding& binding,

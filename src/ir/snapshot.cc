@@ -90,6 +90,7 @@ Status SnapshotManager::Open(const Corpus* corpus, const std::string& dir,
   corpus_ = corpus;
   dir_ = dir;
   if (!dir_.empty()) {
+    corpus_fingerprint_ = corpus_->Fingerprint();
     disk_ = std::make_unique<storage::SimulatedDisk>(storage.disk);
     pool_ = std::make_unique<storage::BufferManager>(
         storage.pool_bytes, disk_.get(), storage.page_bytes, storage.shards);
@@ -145,7 +146,7 @@ Status SnapshotManager::Open(const Corpus* corpus, const std::string& dir,
   if (!dir_.empty()) {
     wal_ = std::make_unique<storage::Wal>();
     X100IR_RETURN_IF_ERROR(
-        wal_->Open(dir_, corpus_->Fingerprint(), storage.wal));
+        wal_->Open(dir_, corpus_fingerprint_, storage.wal));
     X100IR_RETURN_IF_ERROR(ReplayWalLocked());
   }
   PublishLocked();
@@ -226,7 +227,7 @@ Status SnapshotManager::TryLoadManifest(BuildStats* stats) {
   bool ok = std::fread(&hdr, sizeof(hdr), 1, f) == 1;
   ok = ok && hdr.magic == ManifestHeader::kMagic &&
        hdr.version == ManifestHeader::kVersion &&
-       hdr.corpus_fingerprint == corpus_->Fingerprint() &&
+       hdr.corpus_fingerprint == corpus_fingerprint_ &&
        hdr.num_segments <= 1u << 20;
   std::vector<ManifestSegment> entries;
   std::vector<std::vector<uint64_t>> tomb_words;
@@ -555,7 +556,7 @@ Status SnapshotManager::WriteManifestLocked(
   const std::string tmp = dir_ + "/" + kManifestTmpFile;
   const std::string path = dir_ + "/" + kManifestFile;
   ManifestHeader hdr;
-  hdr.corpus_fingerprint = corpus_->Fingerprint();
+  hdr.corpus_fingerprint = corpus_fingerprint_;
   hdr.epoch = epoch;
   hdr.num_segments = static_cast<uint32_t>(segments.size());
   hdr.next_seg_id = next_seg_id_;

@@ -215,6 +215,10 @@ class SnapshotManager {
 
   const Corpus* corpus_ = nullptr;
   std::string dir_;
+  // corpus_->Fingerprint(), hashed once per on-disk Open (a full pass over
+  // the postings) for the manifest check, every manifest write and the WAL
+  // header; a merge commit writes it while holding mu_.
+  uint64_t corpus_fingerprint_ = 0;
   // Declaration order is destruction order in reverse: merge_pool_ (last)
   // joins the background merge first, then snapshots/segments release and
   // detach from pool_, then pool_/disk_ die.

@@ -132,8 +132,8 @@ Status ColumnReader::PinWithRetry(PinnedPage* pin, uint64_t page_no) {
   }
 }
 
-Status ColumnReader::FetchBytes(uint64_t offset, uint64_t len,
-                                uint8_t* dst) {
+template <typename Fn>
+Status ColumnReader::VisitBytes(uint64_t offset, uint64_t len, Fn&& fn) {
   if (offset + len > file_size_) {
     return InvalidArgument("column byte range out of bounds");
   }
@@ -144,12 +144,19 @@ Status ColumnReader::FetchBytes(uint64_t offset, uint64_t len,
     PinnedPage pin;
     X100IR_RETURN_IF_ERROR(PinWithRetry(&pin, page_no));
     const uint64_t take = std::min<uint64_t>(len, pin.len() - in_page);
-    std::memcpy(dst, pin.data() + in_page, take);
-    dst += take;
+    fn(pin.data() + in_page, take);
     offset += take;
     len -= take;
   }
   return OkStatus();
+}
+
+Status ColumnReader::FetchBytes(uint64_t offset, uint64_t len,
+                                uint8_t* dst) {
+  return VisitBytes(offset, len, [&dst](const uint8_t* bytes, uint64_t n) {
+    std::memcpy(dst, bytes, n);
+    dst += n;
+  });
 }
 
 uint32_t ColumnReader::num_windows() const {
@@ -238,15 +245,18 @@ Status ColumnReader::ReadF32(uint64_t pos, uint32_t len, float* dst) {
   if (encoding_ != ColumnFileHeader::kQuantU8) {
     return Internal("ReadF32 on a non-float column");
   }
-  // Local staging (not a member buffer): concurrent ReadF32 calls on the
-  // shared reader must not stomp each other's bytes.
-  std::vector<uint8_t> bytes(len);
-  X100IR_RETURN_IF_ERROR(
-      FetchBytes(payload_offset_ + pos, len, bytes.data()));
-  for (uint32_t i = 0; i < len; ++i) {
-    dst[i] = q8_bias_ + q8_scale_ * static_cast<float>(bytes[i]);
-  }
-  return OkStatus();
+  // Dequantized straight out of each pinned page: no staging buffer, so no
+  // read of any length allocates, concurrent ReadF32 calls on the shared
+  // reader share nothing, and the pages pinned are exactly FetchBytes's.
+  const float bias = q8_bias_;
+  const float scale = q8_scale_;
+  return VisitBytes(payload_offset_ + pos, len,
+                    [&dst, bias, scale](const uint8_t* q, uint64_t n) {
+                      for (uint64_t i = 0; i < n; ++i) {
+                        dst[i] = bias + scale * static_cast<float>(q[i]);
+                      }
+                      dst += n;
+                    });
 }
 
 // ---------------------------------------------------------------------------

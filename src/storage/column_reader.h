@@ -29,7 +29,7 @@
 // the windows they load.
 //
 // Transient page faults (storage/fault_injection.h) are retried here, in
-// FetchBytes — the single funnel every byte passes through — with a
+// VisitBytes — the single funnel every byte passes through — with a
 // classified retry loop: Unavailable retries up to RetryPolicy::budget
 // with doubling backoff charged to the simulated disk; any other failure
 // (torn read -> IOError, pool exhaustion) propagates unchanged.
@@ -88,8 +88,12 @@ class ColumnReader {
   uint32_t file_id() const { return file_id_; }
 
  private:
-  // Copies file bytes [offset, offset + len) out of pinned pages,
-  // retrying transient faults per the pool's RetryPolicy.
+  // Hands file bytes [offset, offset + len) to fn(bytes, n) one pinned
+  // page's share at a time, in order, retrying transient faults per the
+  // pool's RetryPolicy.
+  template <typename Fn>
+  Status VisitBytes(uint64_t offset, uint64_t len, Fn&& fn);
+  // VisitBytes copying the bytes out to dst.
   Status FetchBytes(uint64_t offset, uint64_t len, uint8_t* dst);
 
   // One pin attempt with the classified retry loop around it.

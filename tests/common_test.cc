@@ -1,6 +1,6 @@
 // Tests for the common support layer: Rng determinism + Fork, deadlines,
-// the worker pool, branch-predictor simulation, string/table formatting,
-// Status, timers, perf counters.
+// the worker pool, fork-join, branch-predictor simulation, string/table
+// formatting, Status, timers, perf counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 
 #include "common/branch_sim.h"
 #include "common/deadline.h"
+#include "common/fork_join.h"
 #include "common/perf_counters.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -191,6 +192,72 @@ TEST(ThreadPool, ZeroThreadsClampsToOne) {
   pool.Submit([&ran] { ran.store(true); });
   pool.Shutdown();
   EXPECT_TRUE(ran.load());
+}
+
+TEST(ForkJoin, NoJobsIsOk) {
+  bool called = false;
+  EXPECT_TRUE(ForkJoin(0, [&called](size_t) {
+                called = true;
+                return OkStatus();
+              }).ok());
+  EXPECT_FALSE(called);
+}
+
+TEST(ForkJoin, OneJobRunsOnTheCallingThread) {
+  std::thread::id ran_on;
+  EXPECT_TRUE(ForkJoin(1, [&ran_on](size_t) {
+                ran_on = std::this_thread::get_id();
+                return OkStatus();
+              }).ok());
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ForkJoin, EveryJobRunsExactlyOnce) {
+  constexpr size_t kJobs = 200;
+  std::vector<std::atomic<int>> runs(kJobs);
+  EXPECT_TRUE(ForkJoin(kJobs, [&runs](size_t i) {
+                runs[i].fetch_add(1);
+                return OkStatus();
+              }).ok());
+  for (size_t i = 0; i < kJobs; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
+}
+
+TEST(ForkJoin, MaxThreadsOneRunsEveryJobInline) {
+  std::vector<std::thread::id> ran_on(8);
+  EXPECT_TRUE(ForkJoin(
+                  ran_on.size(),
+                  [&ran_on](size_t i) {
+                    ran_on[i] = std::this_thread::get_id();
+                    return OkStatus();
+                  },
+                  1)
+                  .ok());
+  for (const std::thread::id& id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+TEST(ForkJoin, ReturnsLowestIndexFailureAndSkipsNothing) {
+  constexpr size_t kJobs = 64;
+  // Job 0 fails at once and job 40 fails too; the jobs after either still
+  // run, and the status is job 0's whichever thread finishes first.
+  for (const uint32_t max_threads : {1u, 4u}) {
+    std::vector<std::atomic<int>> runs(kJobs);
+    const Status s = ForkJoin(
+        kJobs,
+        [&runs](size_t i) {
+          runs[i].fetch_add(1);
+          if (i == 0) return InvalidArgument("job 0");
+          if (i == 40) return Internal("job 40");
+          return OkStatus();
+        },
+        max_threads);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << max_threads;
+    EXPECT_EQ(s.message(), "job 0") << max_threads;
+    for (size_t i = 0; i < kJobs; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "job " << i << ", " << max_threads;
+    }
+  }
 }
 
 TEST(BranchSim, AllTakenIsNearlyPerfect) {

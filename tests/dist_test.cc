@@ -544,9 +544,16 @@ TEST(ServiceModel, StretchFollowsSpeedFactorsAndWarmUpDoesNot) {
   DistSearchOptions dopts;
   DistResult r;
   ASSERT_TRUE(cluster.Search(q, RunType::kBm25, dopts, &r).ok());
-  // The slow node's simulated service time scales with its factor, and
-  // the scatter-gather latency is bounded below by the slowest shard.
-  EXPECT_GT(r.shard_service_ms[1], r.shard_service_ms[0]);
+  // Each shard's simulated service time is its own measured engine time
+  // stretched by the service scale and its node's speed factor (the model,
+  // not a race between two shards' wall times), and the scatter-gather
+  // latency is bounded below by the slowest shard.
+  for (uint32_t i = 0; i < 2; ++i) {
+    const double modeled =
+        r.shard_engine_ms[i] * copts.service_scale * copts.speed_factors[i];
+    EXPECT_GT(r.shard_engine_ms[i], 0.0) << i;
+    EXPECT_NEAR(r.shard_service_ms[i], modeled, 1e-12 * modeled) << i;
+  }
   EXPECT_GE(r.latency_ms, r.shard_service_ms[1] * 0.5);
 }
 

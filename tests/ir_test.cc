@@ -11,6 +11,9 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -26,8 +29,10 @@
 #include "ir/metrics.h"
 #include "ir/query_gen.h"
 #include "ir/search_engine.h"
+#include "ir/segment.h"
 #include "ir/tf_window_score.h"
 #include "ir/topk.h"
+#include "storage/buffer_manager.h"
 
 #include "reference.h"
 #include "test_util.h"
@@ -144,6 +149,75 @@ TEST(Corpus, RejectsInconsistentOptions) {
   EXPECT_FALSE(Corpus::FromDocuments({{}}, 10, &c).ok());       // empty doc
 }
 
+// Corpus::Generate against the sequential generator oracle (reference.h),
+// document by document.
+void ExpectGenerateMatchesReference(const CorpusOptions& opts) {
+  Corpus corpus;
+  ASSERT_TRUE(Corpus::Generate(opts, &corpus).ok());
+  const ReferenceCorpus ref = ReferenceCorpus::Generate(opts);
+  ASSERT_EQ(corpus.num_docs(), ref.docs.size());
+  for (uint32_t d = 0; d < corpus.num_docs(); ++d) {
+    const std::vector<DocTerm>& doc = corpus.doc(d);
+    ASSERT_EQ(doc.size(), ref.docs[d].size()) << "doc " << d;
+    int32_t len = 0;
+    for (size_t i = 0; i < doc.size(); ++i) {
+      ASSERT_EQ(doc[i].term, ref.docs[d][i].term) << "doc " << d;
+      ASSERT_EQ(doc[i].tf, ref.docs[d][i].tf) << "doc " << d;
+      len += ref.docs[d][i].tf;
+    }
+    ASSERT_EQ(corpus.doc_len(d), len) << "doc " << d;
+  }
+  ASSERT_EQ(corpus.num_topics(), ref.topic_terms.size());
+  for (uint32_t t = 0; t < corpus.num_topics(); ++t) {
+    EXPECT_EQ(corpus.topic_terms(t), ref.topic_terms[t]) << "topic " << t;
+    EXPECT_EQ(corpus.relevant_docs(t), ref.relevant_docs[t]) << "topic " << t;
+  }
+  EXPECT_EQ(corpus.Fingerprint(), ref.fingerprint);
+}
+
+TEST(Corpus, GenerateMatchesSequentialReference) {
+  CorpusOptions tiny;  // the benchmark's tiny corpus
+  tiny.num_docs = 4000;
+  tiny.vocab_size = 6000;
+  tiny.num_topics = 20;
+  tiny.relevant_docs_per_topic = 40;
+  {
+    SCOPED_TRACE("tiny");
+    ExpectGenerateMatchesReference(tiny);
+  }
+  {
+    // The full 40,000-term CDF: 1.31M Zipf draws, about 20 in each of the
+    // sampler's 2^16 guide buckets and at least 4, so every bucket is
+    // drawn from.
+    SCOPED_TRACE("full vocabulary");
+    CorpusOptions full;
+    full.num_docs = 10000;
+    ASSERT_EQ(full.vocab_size, 40000u);
+    ExpectGenerateMatchesReference(full);
+  }
+  {
+    SCOPED_TRACE("no topics");
+    CorpusOptions opts = tiny;
+    opts.num_topics = 0;
+    ExpectGenerateMatchesReference(opts);
+  }
+  // At either end NextBernoulli makes no draw of its own.
+  for (const double mass : {0.0, 1.0}) {
+    SCOPED_TRACE(mass);
+    CorpusOptions opts = tiny;
+    opts.topical_mass = mass;
+    ExpectGenerateMatchesReference(opts);
+  }
+}
+
+TEST(Corpus, GeneratedDocumentsHoldNoSlack) {
+  Corpus corpus;
+  ASSERT_TRUE(Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
+  for (uint32_t d = 0; d < corpus.num_docs(); ++d) {
+    ASSERT_EQ(corpus.doc(d).capacity(), corpus.doc(d).size()) << "doc " << d;
+  }
+}
+
 TEST(QueryGen, EvalQueriesComeFromTopics) {
   Corpus corpus;
   ASSERT_TRUE(Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
@@ -248,6 +322,68 @@ TEST(Index, PostingsRoundTripAgainstCorpus) {
 
 // A database's first open writes seg_0's columns; a reopen adopts them
 // through the manifest; another corpus rebuilds.
+std::vector<char> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// seg_0's build runs its column jobs concurrently, a merge's build runs the
+// same jobs inline: for the same documents both write the same bytes, in
+// every one of the ten index files.
+TEST(Index, ConcurrentAndInlineBuildsWriteIdenticalFiles) {
+  Corpus corpus;
+  ASSERT_TRUE(Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
+  const std::string seg0_dir = TempIndexDir("build_concurrent");
+  const std::string merged_dir = TempIndexDir("build_inline");
+  std::filesystem::remove_all(seg0_dir);
+  std::filesystem::remove_all(merged_dir);
+  storage::SimulatedDisk disk;
+  storage::BufferManager pool(64ull << 20, &disk);
+  std::unique_ptr<Segment> seg0, merged;
+  ASSERT_TRUE(Segment::Build(&corpus, seg0_dir, {&pool, 0}, &seg0).ok());
+  std::vector<std::vector<DocTerm>> docs;
+  std::vector<int32_t> globals;
+  for (uint32_t d = 0; d < corpus.num_docs(); ++d) {
+    docs.push_back(corpus.doc(d));
+    globals.push_back(static_cast<int32_t>(d));
+  }
+  ASSERT_TRUE(Segment::Build(std::move(docs), std::move(globals),
+                             corpus.vocab_size(), merged_dir,
+                             {&pool, IndexStorage::kFilesPerIndex}, 1, &merged)
+                  .ok());
+  for (const char* file :
+       {kIndexMetaFile, kDocidRawFile, kTfRawFile, kDocidCompressedFile,
+        kTfCompressedFile, kScoreF32File, kScoreQ8File, kTermsFile,
+        kDoclenFile, kBlockMaxFile}) {
+    const std::vector<char> built = FileBytes(seg0_dir + "/" + file);
+    EXPECT_FALSE(built.empty()) << file;
+    EXPECT_TRUE(built == FileBytes(merged_dir + "/" + file)) << file;
+  }
+}
+
+// A job that fails fails the build with its own status, skips no other
+// job, and leaves no index.meta behind, in either build mode.
+TEST(Index, FailingJobFailsTheBuildAndWritesNoMeta) {
+  Corpus corpus;
+  ASSERT_TRUE(Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
+  for (const BuildMode mode : {BuildMode::kInline, BuildMode::kConcurrent}) {
+    const std::string dir = TempIndexDir("failing_job");
+    std::filesystem::remove_all(dir);
+    // A directory where the docid job's compressed file goes: its write
+    // fails, whatever the user's permissions.
+    std::filesystem::create_directories(dir + "/" + kDocidCompressedFile);
+    storage::SimulatedDisk disk;
+    storage::BufferManager pool(64ull << 20, &disk);
+    InvertedIndex index;
+    const Status s = index.BuildFromCorpus(corpus, dir, {&pool, 0}, mode);
+    EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+    EXPECT_NE(s.message().find(kDocidCompressedFile), std::string::npos)
+        << s.ToString();
+    EXPECT_FALSE(std::filesystem::exists(dir + "/" + kIndexMetaFile));
+    EXPECT_TRUE(std::filesystem::exists(dir + "/" + kScoreQ8File));
+  }
+}
+
 TEST(Index, PersistsAndReusesColumnFiles) {
   core::DatabaseOptions dopts;
   dopts.corpus = SmallGeneratedOptions();

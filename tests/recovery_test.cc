@@ -733,7 +733,8 @@ TEST(FirstOpen, TornSeg0RebuildsAndKeepsEveryAcknowledgedWrite) {
 }
 
 // Once a kill point fires, every index and segment file write refuses: a
-// build into a fresh directory fails and leaves nothing on disk.
+// build into a fresh directory fails and leaves nothing on disk, whether
+// its column jobs run inline (a merge) or concurrently (seg_0).
 TEST(CrashedWrites, IndexBuildRefusesAndCreatesNothing) {
   Corpus corpus;
   ASSERT_TRUE(Corpus::Generate(TinyGenerated(), &corpus).ok());
@@ -743,6 +744,11 @@ TEST(CrashedWrites, IndexBuildRefusesAndCreatesNothing) {
   ASSERT_TRUE(storage::CrashReached(CrashSite::kWalAfterAppend));
   PooledIndex pooled;
   EXPECT_EQ(pooled.Build(corpus, dir).code(), StatusCode::kIOError);
+  EXPECT_EQ(pooled.index
+                .BuildFromCorpus(corpus, dir, {&pooled.pool, 0},
+                                 BuildMode::kConcurrent)
+                .code(),
+            StatusCode::kIOError);
   EXPECT_FALSE(fs::exists(dir));
   CrashPoint::Instance().Reset();
   // The same build succeeds once the process model is alive again.

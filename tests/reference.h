@@ -15,14 +15,20 @@
 // score bits, num_matches) on a monolithic index, a segmented snapshot
 // with tombstones and a delta, and an N-way cluster. MaxScore and the
 // storage runs add in other orders and are compared within a tolerance.
+//
+// The file also holds the generator oracle, ReferenceCorpus::Generate (see
+// there).
 #ifndef X100IR_TESTS_REFERENCE_H_
 #define X100IR_TESTS_REFERENCE_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "ir/bm25.h"
 #include "ir/corpus.h"
 #include "ir/query_gen.h"
@@ -125,6 +131,138 @@ class Reference {
   std::vector<int32_t> lens_;
   std::vector<uint32_t> df_;
   double avg_doc_len_ = 0.0;
+};
+
+// The generator oracle: Corpus::Generate (generator version 1) written as
+// one sequential pass. Each document's draws are made, sorted and
+// run-length counted before the next document's first draw; a Zipf draw is
+// a binary search over the CDF (std::upper_bound); each document grows by
+// push_back. It shares no code with the generator, so Corpus::Generate
+// must match it document by document, in topics and qrels, and in
+// Fingerprint(), which `fingerprint` recomputes the way corpus.cc hashes.
+// Options must be valid (Corpus::Generate's checks are not repeated).
+struct ReferenceCorpus {
+  std::vector<std::vector<ir::DocTerm>> docs;
+  std::vector<std::vector<uint32_t>> topic_terms;
+  std::vector<std::vector<int32_t>> relevant_docs;
+  uint64_t fingerprint = 0;
+
+  static ReferenceCorpus Generate(const ir::CorpusOptions& opts) {
+    ReferenceCorpus out;
+    Rng rng(opts.seed);
+    std::vector<double> cdf(opts.vocab_size);
+    double total = 0.0;
+    for (uint32_t i = 0; i < opts.vocab_size; ++i) {
+      total += 1.0 / std::pow(static_cast<double>(i + 1), opts.zipf_s);
+      cdf[i] = total;
+    }
+    for (double& c : cdf) c /= total;
+
+    out.topic_terms.resize(opts.num_topics);
+    out.relevant_docs.resize(opts.num_topics);
+    std::vector<int32_t> doc_topic(opts.num_docs, -1);
+    for (uint32_t t = 0; t < opts.num_topics; ++t) {
+      std::vector<uint32_t>& terms = out.topic_terms[t];
+      while (terms.size() < opts.terms_per_topic) {
+        const uint32_t v =
+            opts.topic_rank_min +
+            static_cast<uint32_t>(rng.NextBounded(opts.topic_rank_max -
+                                                  opts.topic_rank_min));
+        if (std::find(terms.begin(), terms.end(), v) == terms.end()) {
+          terms.push_back(v);
+        }
+      }
+      std::sort(terms.begin(), terms.end());
+      std::vector<int32_t>& rel = out.relevant_docs[t];
+      while (rel.size() < opts.relevant_docs_per_topic) {
+        const uint32_t d =
+            static_cast<uint32_t>(rng.NextBounded(opts.num_docs));
+        if (doc_topic[d] < 0) {
+          doc_topic[d] = static_cast<int32_t>(t);
+          rel.push_back(static_cast<int32_t>(d));
+        }
+      }
+      std::sort(rel.begin(), rel.end());
+    }
+
+    out.docs.resize(opts.num_docs);
+    std::vector<uint32_t> draws;
+    for (uint32_t d = 0; d < opts.num_docs; ++d) {
+      // Box-Muller, u1 shifted off zero.
+      const double u1 =
+          (static_cast<double>(rng.Next() >> 11) + 0.5) / 9007199254740992.0;
+      const double u2 = rng.NextDouble();
+      const double normal = std::sqrt(-2.0 * std::log(u1)) *
+                            std::cos(2.0 * 3.14159265358979323846 * u2);
+      const uint32_t len = std::max<uint32_t>(
+          1, static_cast<uint32_t>(std::lround(
+                 std::exp(opts.doclen_mu + opts.doclen_sigma * normal))));
+      draws.clear();
+      const int32_t topic = doc_topic[d];
+      for (uint32_t i = 0; i < len; ++i) {
+        if (topic >= 0 && rng.NextBernoulli(opts.topical_mass)) {
+          const std::vector<uint32_t>& terms =
+              out.topic_terms[static_cast<uint32_t>(topic)];
+          draws.push_back(terms[rng.NextBounded(terms.size())]);
+        } else {
+          const double u = rng.NextDouble();
+          const auto it = std::upper_bound(cdf.begin(), cdf.end(), u);
+          draws.push_back(static_cast<uint32_t>(
+              it == cdf.end() ? cdf.size() - 1 : it - cdf.begin()));
+        }
+      }
+      std::sort(draws.begin(), draws.end());
+      for (size_t i = 0; i < draws.size();) {
+        size_t j = i;
+        while (j < draws.size() && draws[j] == draws[i]) ++j;
+        out.docs[d].push_back({draws[i], static_cast<int32_t>(j - i)});
+        i = j;
+      }
+    }
+    out.fingerprint = FingerprintOf(out.docs, opts);
+    return out;
+  }
+
+ private:
+  static uint64_t FingerprintOf(
+      const std::vector<std::vector<ir::DocTerm>>& docs,
+      const ir::CorpusOptions& o) {
+    uint64_t h = 0xCBF29CE484222325ull;
+    const auto mix = [&h](uint64_t v) {
+      h ^= v;
+      h *= 0x100000001B3ull;
+    };
+    const auto mix_double = [&mix](double d) {
+      uint64_t bits;
+      std::memcpy(&bits, &d, sizeof(bits));
+      mix(bits);
+    };
+    mix(1);  // generator version
+    mix(0);  // generated, not hand-built
+    uint64_t postings = 0;
+    for (const auto& doc : docs) postings += doc.size();
+    mix(postings);
+    for (const auto& doc : docs) {
+      mix(doc.size());
+      for (const ir::DocTerm& p : doc) {
+        mix((static_cast<uint64_t>(p.term) << 32) |
+            static_cast<uint32_t>(p.tf));
+      }
+    }
+    mix(o.num_docs);
+    mix(o.vocab_size);
+    mix_double(o.zipf_s);
+    mix_double(o.doclen_mu);
+    mix_double(o.doclen_sigma);
+    mix(o.num_topics);
+    mix(o.terms_per_topic);
+    mix(o.relevant_docs_per_topic);
+    mix_double(o.topical_mass);
+    mix(o.topic_rank_min);
+    mix(o.topic_rank_max);
+    mix(o.seed);
+    return h;
+  }
 };
 
 }  // namespace x100ir
