@@ -1,22 +1,33 @@
 // Reproduces the §3.3 compression claims: "we were able to reduce the sizes
 // of the docid and tf columns ... from 32 to 11.98 and 8.13 bits per tuple,
-// respectively", using PFOR-DELTA (8-bit codewords) for the partially
-// ordered docid column and PFOR (8-bit) for the small tf values.
+// respectively", using PFOR-DELTA for the partially ordered docid column and
+// PFOR for the small tf values.
 //
-// Also measures the whole-index footprint (the paper's distributed setup
-// relied on the compressed 10GB index fitting in RAM) and a PDICT ablation.
+// Reports through bench::Record: bits per posting of every TD column of the
+// base segment (GATE docid/tf/q8 bits per posting and the TD I/O-volume
+// ratio, bounded in bench/gates.txt), the encode throughput of the docid and
+// tf columns (best of kEncodeRepeats, re-encoding the raw columns exactly as
+// a build does, checked byte for byte against the stored blocks), and a
+// PDICT ablation on tf.
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
+#include "common/timer.h"
 #include "compress/pdict.h"
+#include "compress/pfor.h"
+#include "compress/pfor_delta.h"
 #include "ir/index_meta.h"
 #include "storage/column_reader.h"
 
 namespace x100ir {
 namespace {
+
+constexpr int kEncodeRepeats = 5;
 
 struct ColumnInfo {
   const char* label;
@@ -24,18 +35,87 @@ struct ColumnInfo {
   double paper_bits;  // 0 = not reported
 };
 
+uint64_t FileBytes(const std::string& path) {
+  storage::File f;
+  bench::CheckOk(storage::File::OpenReadOnly(path, &f), "open file");
+  uint64_t size = 0;
+  bench::CheckOk(f.Size(&size), "size");
+  return size;
+}
+
+// The raw int32 column `file` of `dir`.
+std::vector<int32_t> ReadRawColumn(const std::string& dir, const char* file,
+                                   uint32_t file_id,
+                                   storage::BufferManager* bm) {
+  storage::ColumnReader reader;
+  bench::CheckOk(reader.Open(dir + "/" + file, file_id, bm), "open column");
+  std::vector<int32_t> values(reader.value_count());
+  bench::CheckOk(reader.Read(0, static_cast<uint32_t>(values.size()),
+                             values.data()),
+                 "read column");
+  return values;
+}
+
+// The block stored in compressed column file `file` of `dir`.
+std::vector<uint8_t> ReadStoredBlock(const std::string& dir,
+                                     const char* file) {
+  const std::string path = dir + "/" + file;
+  storage::File f;
+  bench::CheckOk(storage::File::OpenReadOnly(path, &f), "open block");
+  const uint64_t bytes = FileBytes(path) - sizeof(ir::ColumnFileHeader);
+  std::vector<uint8_t> block(bytes);
+  bench::CheckOk(f.ReadAt(sizeof(ir::ColumnFileHeader), bytes, block.data()),
+                 "read block");
+  return block;
+}
+
+// Encodes `values` kEncodeRepeats times and records the best time; returns
+// whether the block equals `stored`.
+template <typename Encode>
+bool TimeEncode(const char* name, const std::vector<int32_t>& values,
+                const std::vector<uint8_t>& stored, Encode encode,
+                bench::Record* record) {
+  double best_s = 1e30;
+  std::vector<uint8_t> block;
+  for (int r = 0; r < kEncodeRepeats; ++r) {
+    std::vector<uint8_t> out;
+    WallTimer t;
+    bench::CheckOk(encode(values, &out), name);
+    best_s = std::min(best_s, t.ElapsedSeconds());
+    block = std::move(out);
+  }
+  const double mvalues_s =
+      static_cast<double>(values.size()) / best_s / 1e6;
+  std::printf("encode %-24s %8.1f ms  %8.1f M values/s  (best of %d)\n",
+              name, best_s * 1e3, mvalues_s, kEncodeRepeats);
+  record->AddRow(std::string("encode ") + name)
+      .Set("values", static_cast<double>(values.size()))
+      .Set("best_ms", best_s * 1e3)
+      .Set("mvalues_per_s", mvalues_s)
+      .Set("repeats", kEncodeRepeats);
+  return block == stored;
+}
+
 int Run() {
+  bench::Record record(
+      "compression_ratio",
+      "Section 3.3 bits per posting of the base segment's TD columns, the "
+      "docid and tf encode throughput (best of 5), and a PDICT ablation "
+      "on tf");
   std::printf("=== §3.3 compression ratios (bits per tuple) ===\n\n");
   core::Database db;
   bench::CheckOk(bench::OpenBenchDatabase(&db), "open database");
   // The column files sit in the base segment's own directory.
-  const std::string dir = db.Acquire()->segments[0].seg->dir();
+  const auto snap = db.Acquire();
+  const std::string dir = snap->segments[0].seg->dir();
+  const double postings =
+      static_cast<double>(snap->segments[0].seg->index().num_postings());
 
   const ColumnInfo columns[] = {
       {"TD.docid raw", ir::kDocidRawFile, 32.0},
-      {"TD.docid PFOR-DELTA(8)", ir::kDocidCompressedFile, 11.98},
+      {"TD.docid PFOR-DELTA", ir::kDocidCompressedFile, 11.98},
       {"TD.tf raw", ir::kTfRawFile, 32.0},
-      {"TD.tf PFOR(8)", ir::kTfCompressedFile, 8.13},
+      {"TD.tf PFOR", ir::kTfCompressedFile, 8.13},
       {"TD.score f32 (materialized)", ir::kScoreF32File, 32.0},
       {"TD.score quantized 8-bit", ir::kScoreQ8File, 0.0},
   };
@@ -43,64 +123,83 @@ int Run() {
   TablePrinter table({"column", "bits/tuple", "file size", "paper"});
   storage::SimulatedDisk disk;
   storage::BufferManager bm(1ull << 30, &disk);
-  uint32_t file_id = 100;
-  uint64_t raw_bytes = 0, compressed_bytes = 0;
-  for (const auto& info : columns) {
-    storage::ColumnReader reader;
-    bench::CheckOk(reader.Open(dir + "/" + std::string(info.file), file_id++,
-                               &bm),
-                   "open column");
-    uint64_t size = 0;
-    {
-      storage::File f;
-      bench::CheckOk(
-          storage::File::OpenReadOnly(dir + "/" + std::string(info.file), &f),
-          "open file");
-      bench::CheckOk(f.Size(&size), "size");
-    }
-    double bits = 8.0 * static_cast<double>(size) /
-                  static_cast<double>(reader.value_count());
+  for (const ColumnInfo& info : columns) {
+    const uint64_t size = FileBytes(dir + "/" + info.file);
+    const double bits = 8.0 * static_cast<double>(size) / postings;
     table.AddRow({info.label, StrFormat("%.2f", bits), HumanBytes(size),
                   info.paper_bits > 0 ? StrFormat("%.2f", info.paper_bits)
                                       : std::string("-")});
-    if (std::string(info.file).find("raw") != std::string::npos &&
-        std::string(info.label).find("score") == std::string::npos) {
-      raw_bytes += size;
-    }
-    if (std::string(info.file).find("pfor") != std::string::npos) {
-      compressed_bytes += size;
-    }
+    record.AddRow(info.label)
+        .Set("bits_per_posting", bits)
+        .Set("bytes", static_cast<double>(size))
+        .Set("paper_bits", info.paper_bits);
   }
   table.Print();
+  const auto bits_of = [&](const char* file) {
+    return 8.0 * static_cast<double>(FileBytes(dir + "/" + file)) / postings;
+  };
+  const double raw_bytes = static_cast<double>(
+      FileBytes(dir + "/" + ir::kDocidRawFile) +
+      FileBytes(dir + "/" + ir::kTfRawFile));
+  const double compressed_bytes = static_cast<double>(
+      FileBytes(dir + "/" + ir::kDocidCompressedFile) +
+      FileBytes(dir + "/" + ir::kTfCompressedFile));
   std::printf(
       "\nTD table I/O volume: raw %s vs compressed %s (%.2fx) — this is the "
       "ratio that shrinks the cold-run times in Table 2 and lets the "
-      "distributed index stay in RAM (§3.4).\n",
-      HumanBytes(raw_bytes).c_str(), HumanBytes(compressed_bytes).c_str(),
-      static_cast<double>(raw_bytes) /
-          static_cast<double>(compressed_bytes));
+      "distributed index stay in RAM (§3.4).\n\n",
+      HumanBytes(static_cast<uint64_t>(raw_bytes)).c_str(),
+      HumanBytes(static_cast<uint64_t>(compressed_bytes)).c_str(),
+      raw_bytes / compressed_bytes);
+
+  // Encode throughput over the raw columns, with the build's options.
+  const std::vector<int32_t> docids =
+      ReadRawColumn(dir, ir::kDocidRawFile, 100, &bm);
+  const std::vector<int32_t> tfs = ReadRawColumn(dir, ir::kTfRawFile, 101, &bm);
+  const bool docid_match = TimeEncode(
+      "docid PFOR-DELTA", docids,
+      ReadStoredBlock(dir, ir::kDocidCompressedFile),
+      [](const std::vector<int32_t>& v, std::vector<uint8_t>* out) {
+        compress::EncodeOptions opts;
+        opts.force_base = true;
+        return compress::PforDeltaEncode(
+            v.data(), static_cast<uint32_t>(v.size()), opts, out, nullptr);
+      },
+      &record);
+  const bool tf_match = TimeEncode(
+      "tf PFOR", tfs, ReadStoredBlock(dir, ir::kTfCompressedFile),
+      [](const std::vector<int32_t>& v, std::vector<uint8_t>* out) {
+        return compress::PforEncode(v.data(), static_cast<uint32_t>(v.size()),
+                                    {}, out, nullptr);
+      },
+      &record);
 
   // PDICT ablation on the tf column (frequency-skewed small integers).
   {
-    storage::ColumnReader tf;
-    bench::CheckOk(tf.Open(dir + "/" + std::string(ir::kTfRawFile), 999, &bm),
-                   "open tf");
-    uint32_t n = static_cast<uint32_t>(
-        std::min<uint64_t>(tf.value_count(), 1u << 20));
-    std::vector<int32_t> values(n);
-    bench::CheckOk(tf.Read(0, n, values.data()), "read tf");
+    const uint32_t n = static_cast<uint32_t>(
+        std::min<size_t>(tfs.size(), 1u << 20));
     std::vector<uint8_t> block;
     compress::BlockStats stats;
-    bench::CheckOk(
-        compress::PdictEncode(values.data(), n, {}, &block, &stats),
-        "pdict encode");
+    bench::CheckOk(compress::PdictEncode(tfs.data(), n, {}, &block, &stats),
+                   "pdict encode");
     std::printf(
         "\nPDICT ablation on tf (%u values): %.2f bits/tuple at dictionary "
         "width b=%d, %u exceptions — PFOR wins on tf because the values are "
-        "already tiny integers.\n",
+        "already tiny integers.\n\n",
         n, stats.BitsPerValue(), stats.bit_width, stats.n_exceptions);
+    record.AddRow("TD.tf PDICT ablation")
+        .Set("values", n)
+        .Set("bits_per_posting", stats.BitsPerValue())
+        .Set("bit_width", stats.bit_width)
+        .Set("exceptions", stats.n_exceptions);
   }
-  return 0;
+
+  record.Gate("docid_bits_per_posting", bits_of(ir::kDocidCompressedFile));
+  record.Gate("tf_bits_per_posting", bits_of(ir::kTfCompressedFile));
+  record.Gate("q8_bits_per_posting", bits_of(ir::kScoreQ8File));
+  record.Gate("td_io_volume_ratio", raw_bytes / compressed_bytes);
+  record.Gate("encoded_blocks_match_files", docid_match && tf_match ? 1 : 0);
+  return record.Finish();
 }
 
 }  // namespace

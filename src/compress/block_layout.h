@@ -1,5 +1,15 @@
 // Internal block wire format + the shared block builder used by the three
 // encoders (pfor.cc, pfor_delta.cc, pdict.cc). Not part of the public API.
+//
+// The builder streams: a scheme front end hands it a WindowSource that
+// recomputes one 128-value window's symbols on demand, and BuildBlock makes
+// two passes over the windows — a layout pass that fills the entry points
+// and counts exceptions, then, after allocating the block once at its exact
+// size, an emit pass that writes codewords and exception records in place.
+// Width selection is a pass of its own that histograms symbols without
+// storing them. An encode therefore holds its input, its output block, the
+// entry points and a few fixed window buffers (PDICT adds its dictionary
+// maps) — nothing else grows with n.
 #ifndef X100IR_COMPRESS_BLOCK_LAYOUT_H_
 #define X100IR_COMPRESS_BLOCK_LAYOUT_H_
 
@@ -62,6 +72,13 @@ static_assert(sizeof(ExceptionRecord) == 8, "packed exception layout");
 
 inline constexpr uint8_t kFlagNaiveLayout = 1;
 
+// Windows in a block of n values, ceil(n / kEntryPointStride), summed in 64
+// bits so that n near 2^32 does not wrap.
+inline uint32_t WindowCount(uint32_t n) {
+  return static_cast<uint32_t>((uint64_t{n} + kEntryPointStride - 1) /
+                               kEntryPointStride);
+}
+
 // Bytes occupied by a window of `wn` packed codewords at width b, padded to
 // 4-byte alignment so raw (dense) windows interleave cleanly in the same
 // payload section. Full windows occupy exactly 16*b bytes (128*b bits).
@@ -78,34 +95,51 @@ inline bool DenseWins(uint32_t wn, int b, size_t nexc) {
   return 4u * wn < WindowBytes(wn, b) + sizeof(ExceptionRecord) * nexc;
 }
 
-// Everything BuildBlock needs, pre-transformed by the scheme encoder:
+// A scheme front end's column, one window at a time. Fill(w, wn, ...)
+// writes window w's wn values (block positions w * kEntryPointStride
+// onwards) into fixed buffers of kEntryPointStride entries:
 //   syms[i]     — the codeword-domain symbol (value-base, delta-base, or
 //                 dictionary code; any value outside [0, max_code] marks a
 //                 natural exception; pdict uses -1 for out-of-dict),
-//   payloads[i] — the 32-bit value to store in the exceptions section if
-//                 position i ends up an exception (raw value or raw delta).
+//   payloads[i] — the 32-bit value to store if slot i ends up an exception
+//                 or the window is stored dense (raw value or raw delta),
+// and returns the running value before the window (PFOR-DELTA's entry-point
+// value base; 0 for the other schemes). The builder calls it once per
+// window per pass, in ascending window order, so a source recomputes its
+// symbols from the input instead of storing them. Every call for window w
+// must fill the same values: the emit pass writes exactly the exceptions
+// and payload bytes the layout pass sized the block for.
+class WindowSource {
+ public:
+  virtual int32_t Fill(uint32_t w, uint32_t wn, int64_t* syms,
+                       int32_t* payloads) = 0;
+};
+
+// Everything BuildBlock needs besides the windows themselves.
 struct BlockBuildInput {
   Scheme scheme = Scheme::kPfor;
   int bit_width = 0;  // resolved, 1..kMaxBitWidth
   bool naive_layout = false;
   int32_t base = 0;
   uint32_t n = 0;
-  const int64_t* syms = nullptr;
-  const int32_t* payloads = nullptr;
-  // Per-window running bases (PFOR-DELTA); nullptr = all zero.
-  const int32_t* window_value_bases = nullptr;
+  WindowSource* source = nullptr;
   // Padded dictionary of (1 << bit_width) int32 entries (PDICT only).
   const int32_t* dict = nullptr;
   uint32_t dict_count = 0;
 };
 
+// Builds the block in two passes over in.source (layout, then emit). Every
+// header offset and the block size are computed in 64 bits: a block that
+// would exceed 4 GiB is InvalidArgument, refused before anything is
+// allocated or the source is read when even its smallest possible layout
+// (every window packed, no exceptions) does not fit.
 Status BuildBlock(const BlockBuildInput& in, std::vector<uint8_t>* out,
                   BlockStats* stats);
 
-// Auto width selection: minimizes estimated bytes (codewords plus
-// sizeof(ExceptionRecord) per natural exception; compulsory exceptions and
-// dense-window savings are ignored in the estimate).
-int ChooseBitWidth(const int64_t* syms, uint32_t n, bool naive_layout);
+// Auto width selection over one pass of `source`: minimizes estimated bytes
+// (codewords plus sizeof(ExceptionRecord) per natural exception; compulsory
+// exceptions and dense-window savings are ignored in the estimate).
+int ChooseBitWidth(WindowSource* source, uint32_t n, bool naive_layout);
 
 }  // namespace x100ir::compress::internal
 

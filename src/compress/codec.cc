@@ -1,6 +1,6 @@
 // Shared block builder + BlockDecoder (LOOP1/LOOP2 patched decode, naive
 // sentinel decode, dense-window escape, entry-point range decode). See
-// codec.h for the format.
+// codec.h for the format and block_layout.h for the streaming builder.
 #include "compress/codec.h"
 
 #include <algorithm>
@@ -44,20 +44,36 @@ inline uint32_t ReadCode(const uint8_t* src, uint64_t index, int b) {
   return static_cast<uint32_t>((word >> (bit & 7)) & mask);
 }
 
-inline void WriteCode(uint8_t* dst, uint64_t index, int b, uint32_t code) {
-  const uint64_t bit = index * static_cast<uint64_t>(b);
-  const uint64_t mask = (1ull << b) - 1;
-  uint64_t word;
-  std::memcpy(&word, dst + (bit >> 3), sizeof(word));
-  word |= (static_cast<uint64_t>(code) & mask) << (bit & 7);
-  std::memcpy(dst + (bit >> 3), &word, sizeof(word));
+// Packs codes[0..wn) (each below 2^b) LSB-first at b bits each, writing
+// exactly ceil(wn * b / 8) bytes from dst — never past the window's
+// WindowBytes. The accumulator holds fewer than 32 pending bits before each
+// add, so with b <= 30 it never overflows its 64 bits.
+inline void PackWindow(const uint32_t* codes, uint32_t wn, int b,
+                       uint8_t* dst) {
+  uint64_t acc = 0;
+  int pending = 0;
+  for (uint32_t i = 0; i < wn; ++i) {
+    acc |= static_cast<uint64_t>(codes[i]) << pending;
+    pending += b;
+    if (pending >= 32) {
+      const uint32_t word = static_cast<uint32_t>(acc);
+      std::memcpy(dst, &word, sizeof(word));
+      dst += sizeof(word);
+      acc >>= 32;
+      pending -= 32;
+    }
+  }
+  for (; pending > 0; pending -= 8) {
+    *dst++ = static_cast<uint8_t>(acc);
+    acc >>= 8;
+  }
 }
 
 // LOOP1 kernels live in unpack.h / simd_unpack.cc: per-width scalar
 // templates plus SIMD shuffle kernels for b in {4, 8, 16}, resolved at
 // runtime through internal::GetUnpackAdd / GetUnpackDict.
 
-inline uint32_t Align8(uint32_t x) { return (x + 7u) & ~7u; }
+inline uint64_t Align8(uint64_t x) { return (x + 7u) & ~uint64_t{7}; }
 
 // LOOP3: in-place prefix sum seeded from `acc`; returns the running value
 // so DecodeAll can carry it across batches.
@@ -69,28 +85,81 @@ inline int32_t PrefixSumInPlace(int32_t* dst, uint32_t n, int32_t acc) {
   return acc;
 }
 
+// Bits needed to store symbol u (at least 1), in constant time.
+inline int SymbolBits(uint64_t u) {
+  return u == 0 ? 1 : 64 - __builtin_clzll(u);
+}
+
+// One window of the column as the builder sees it: the source's symbols and
+// payloads plus the window's exception slots. Fixed size — the only
+// per-window state an encode holds.
+struct Window {
+  int64_t syms[kEntryPointStride];
+  int32_t payloads[kEntryPointStride];
+  uint32_t exc[kEntryPointStride];  // window-relative slots, ascending
+  uint32_t n_exc = 0;
+  uint32_t n_natural = 0;
+};
+
+// Fills win->exc with the window's exception slots. Naive layout: every
+// symbol outside [0, max_normal]. Patched layout: those natural exceptions
+// plus compulsory ones wherever the gap between two consecutive exceptions
+// exceeds the largest link (max_gap = 2^b). Each slot is taken at most
+// once, so a window never holds more than wn exceptions.
+void FindExceptions(Window* win, uint32_t wn, int64_t max_normal,
+                    uint32_t max_gap, bool naive_layout) {
+  win->n_exc = 0;
+  win->n_natural = 0;
+  for (uint32_t i = 0; i < wn; ++i) {
+    const int64_t s = win->syms[i];
+    if (s >= 0 && s <= max_normal) continue;
+    ++win->n_natural;
+    if (!naive_layout && win->n_exc > 0) {
+      uint32_t prev = win->exc[win->n_exc - 1];
+      while (i - prev > max_gap) {
+        prev += max_gap;
+        win->exc[win->n_exc++] = prev;  // compulsory exception
+      }
+    }
+    win->exc[win->n_exc++] = i;
+  }
+}
+
+// Block bytes for a layout: header, entry points and dictionary up to
+// `code_offset`, then the payloads, the 8-aligned exception records and
+// the pad.
+uint64_t BlockBytes(uint64_t code_offset, uint64_t payload_bytes,
+                    uint64_t n_exceptions) {
+  return Align8(code_offset + payload_bytes) +
+         sizeof(ExceptionRecord) * n_exceptions + kBlockPadBytes;
+}
+
 }  // namespace
 
 namespace internal {
 
-int ChooseBitWidth(const int64_t* syms, uint32_t n, bool naive_layout) {
+int ChooseBitWidth(WindowSource* source, uint32_t n, bool naive_layout) {
   if (n == 0) return 1;
   // hist[k]: symbols needing exactly k bits; eq_all_ones[k]: symbols equal
   // to 2^k - 1 (the naive sentinel at width k, hence exceptions there).
   uint64_t hist[33] = {0};
   uint64_t eq_all_ones[33] = {0};
-  for (uint32_t i = 0; i < n; ++i) {
-    const int64_t s = syms[i];
-    if (s < 0 || s > 0x7FFFFFFFll) {
-      hist[32]++;  // never encodable
-      continue;
+  int64_t syms[kEntryPointStride];
+  int32_t payloads[kEntryPointStride];
+  const uint32_t entry_count = WindowCount(n);
+  for (uint32_t w = 0; w < entry_count; ++w) {
+    const uint32_t wn = std::min(kEntryPointStride, n - w * kEntryPointStride);
+    source->Fill(w, wn, syms, payloads);
+    for (uint32_t i = 0; i < wn; ++i) {
+      const int64_t s = syms[i];
+      if (s < 0 || s > 0x7FFFFFFFll) {
+        hist[32]++;  // never encodable
+        continue;
+      }
+      const int bits = SymbolBits(static_cast<uint64_t>(s));
+      hist[bits]++;
+      if (s == (1ll << bits) - 1) eq_all_ones[bits]++;
     }
-    int bits = 0;
-    uint64_t u = static_cast<uint64_t>(s);
-    while (u >> bits) ++bits;
-    if (bits == 0) bits = 1;
-    hist[bits]++;
-    if (s == (1ll << bits) - 1) eq_all_ones[bits]++;
   }
   // suffix[k] = symbols needing more than k bits.
   uint64_t suffix[34] = {0};
@@ -117,8 +186,8 @@ Status BuildBlock(const BlockBuildInput& in, std::vector<uint8_t>* out,
   if (in.bit_width < 1 || in.bit_width > kMaxBitWidth) {
     return InvalidArgument("bit_width must be in [1, 30]");
   }
-  if (in.n > 0 && (in.syms == nullptr || in.payloads == nullptr)) {
-    return InvalidArgument("null input arrays");
+  if (in.n > 0 && in.source == nullptr) {
+    return InvalidArgument("null window source");
   }
 
   const int b = in.bit_width;
@@ -128,90 +197,57 @@ Status BuildBlock(const BlockBuildInput& in, std::vector<uint8_t>* out,
   // Patched links store (gap - 1); the largest representable gap.
   const uint32_t max_gap = 1u << b;
 
-  const uint32_t entry_count =
-      (in.n + kEntryPointStride - 1) / kEntryPointStride;
+  const uint32_t entry_count = WindowCount(in.n);
+  const uint32_t tail = in.n % kEntryPointStride;
+  const uint64_t dict_bytes =
+      in.dict != nullptr ? (uint64_t{4} << b) : 0;  // padded to 1 << b
+  const uint64_t entries_offset = sizeof(BlockHeader);
+  const uint64_t entries_bytes = sizeof(EntryPoint) * uint64_t{entry_count};
+  const uint64_t code_offset = entries_offset + entries_bytes + dict_bytes;
+  // Every offset in the header and the entry points lies inside the block,
+  // so a block that fits 32 bits has offsets that do. A dense window is
+  // never smaller than its packed form, so every window packed with no
+  // exceptions is the smallest layout: refuse before reading a window when
+  // even that does not fit.
+  const uint64_t min_payload =
+      uint64_t{in.n / kEntryPointStride} * WindowBytes(kEntryPointStride, b) +
+      (tail > 0 ? WindowBytes(tail, b) : 0);
+  if (BlockBytes(code_offset, min_payload, 0) > UINT32_MAX) {
+    return InvalidArgument("block would exceed 4 GiB");
+  }
+
+  // ---- Layout pass: entry points, exception and dense-window counts ----
   std::vector<EntryPoint> entries(entry_count);
-  std::vector<uint32_t> codes(in.n, 0);
-  std::vector<ExceptionRecord> exc_records;
-  std::vector<uint32_t> window_exc;  // scratch: window-relative slots
+  Window win;
+  uint64_t n_exceptions = 0;
   uint64_t n_compulsory = 0;
   uint32_t n_dense = 0;
-  uint32_t payload_off = 0;
-
+  uint64_t payload_off = 0;
   for (uint32_t w = 0; w < entry_count; ++w) {
-    const uint32_t begin = w * kEntryPointStride;
-    const uint32_t wn = std::min(kEntryPointStride, in.n - begin);
+    const uint32_t wn =
+        std::min(kEntryPointStride, in.n - w * kEntryPointStride);
     EntryPoint& ep = entries[w];
-    ep.exc_start = static_cast<uint32_t>(exc_records.size());
+    ep.value_base = in.source->Fill(w, wn, win.syms, win.payloads);
+    ep.exc_start = static_cast<uint32_t>(n_exceptions);
     ep.first_exc = kNoException;
-    ep.value_base =
-        in.window_value_bases != nullptr ? in.window_value_bases[w] : 0;
-    ep.payload_off = payload_off;
-
-    if (in.naive_layout) {
-      for (uint32_t i = 0; i < wn; ++i) {
-        const int64_t s = in.syms[begin + i];
-        if (s < 0 || s > max_normal) {
-          codes[begin + i] = static_cast<uint32_t>(mask);
-          exc_records.push_back({in.payloads[begin + i], begin + i});
-          if (ep.first_exc == kNoException) ep.first_exc = i;
-        } else {
-          codes[begin + i] = static_cast<uint32_t>(s);
-        }
-      }
-      payload_off += WindowBytes(wn, b);
-      continue;
-    }
-
-    // Patched layout: collect natural exceptions, then force compulsory
-    // ones wherever the gap between two consecutive exceptions exceeds the
-    // largest link (2^b).
-    window_exc.clear();
-    uint64_t naturals = 0;
-    for (uint32_t i = 0; i < wn; ++i) {
-      const int64_t s = in.syms[begin + i];
-      const bool natural = s < 0 || s > max_normal;
-      if (!natural) {
-        codes[begin + i] = static_cast<uint32_t>(s);
-        continue;
-      }
-      ++naturals;
-      if (!window_exc.empty()) {
-        uint32_t prev = window_exc.back();
-        while (i - prev > max_gap) {
-          prev += max_gap;
-          window_exc.push_back(prev);  // compulsory exception
-        }
-      }
-      window_exc.push_back(i);
-    }
-
-    // Dense escape: when the patched form would be no smaller than raw
-    // values, store the window raw — smaller, and decode is a memcpy.
-    if (DenseWins(wn, b, window_exc.size())) {
+    ep.payload_off = static_cast<uint32_t>(payload_off);
+    FindExceptions(&win, wn, max_normal, max_gap, in.naive_layout);
+    // Dense escape (patched layout only): when the patched form would be
+    // no smaller than raw values, store the window raw — smaller, and
+    // decode is a memcpy.
+    if (!in.naive_layout && DenseWins(wn, b, win.n_exc)) {
       ep.first_exc = kDenseWindow;
       payload_off += 4 * wn;
       ++n_dense;
       continue;
     }
-
-    n_compulsory += window_exc.size() - naturals;
-    for (size_t k = 0; k < window_exc.size(); ++k) {
-      const uint32_t pos = window_exc[k];
-      // Link to the next exception; the last link is never followed.
-      const uint32_t link =
-          k + 1 < window_exc.size() ? window_exc[k + 1] - pos - 1 : 0;
-      codes[begin + pos] = link;
-      exc_records.push_back({in.payloads[begin + pos], begin + pos});
-    }
-    if (!window_exc.empty()) ep.first_exc = window_exc[0];
+    if (win.n_exc > 0) ep.first_exc = win.exc[0];
+    n_exceptions += win.n_exc;
+    n_compulsory += win.n_exc - win.n_natural;
     payload_off += WindowBytes(wn, b);
   }
-
-  // ---- Layout ----
-  const uint32_t payload_bytes = payload_off;
-  const uint32_t dict_bytes =
-      in.dict != nullptr ? (4u << b) : 0;  // padded to 1 << b entries
+  const uint64_t total = BlockBytes(code_offset, payload_off, n_exceptions);
+  if (total > UINT32_MAX) return InvalidArgument("block would exceed 4 GiB");
 
   BlockHeader hdr;
   std::memset(&hdr, 0, sizeof(hdr));
@@ -221,55 +257,62 @@ Status BuildBlock(const BlockBuildInput& in, std::vector<uint8_t>* out,
   hdr.flags = in.naive_layout ? kFlagNaiveLayout : 0;
   hdr.n = in.n;
   hdr.base = in.base;
-  hdr.n_exceptions = static_cast<uint32_t>(exc_records.size());
+  hdr.n_exceptions = static_cast<uint32_t>(n_exceptions);
   hdr.dict_count = in.dict_count;
   hdr.entry_count = entry_count;
-  const uint32_t entries_offset = sizeof(BlockHeader);
-  const uint32_t entries_bytes =
-      entry_count * static_cast<uint32_t>(sizeof(EntryPoint));
-  hdr.dict_offset = in.dict != nullptr ? entries_offset + entries_bytes : 0;
-  hdr.code_offset = entries_offset + entries_bytes + dict_bytes;
-  hdr.exc_offset = Align8(hdr.code_offset + payload_bytes);
+  hdr.dict_offset =
+      in.dict != nullptr ? static_cast<uint32_t>(entries_offset + entries_bytes)
+                         : 0;
+  hdr.code_offset = static_cast<uint32_t>(code_offset);
+  hdr.exc_offset = static_cast<uint32_t>(Align8(code_offset + payload_off));
 
-  const size_t total = hdr.exc_offset +
-                       sizeof(ExceptionRecord) * exc_records.size() +
-                       kBlockPadBytes;
+  // ---- One allocation at the exact size ----
   out->assign(total, 0);
   uint8_t* base_ptr = out->data();
   std::memcpy(base_ptr, &hdr, sizeof(hdr));
   if (entry_count > 0) {
-    std::memcpy(base_ptr + entries_offset, entries.data(),
-                entries.size() * sizeof(EntryPoint));
+    std::memcpy(base_ptr + entries_offset, entries.data(), entries_bytes);
   }
   if (in.dict != nullptr) {
     std::memcpy(base_ptr + hdr.dict_offset, in.dict, dict_bytes);
   }
-  // Write window payloads. WriteCode's 8-byte read-modify-write only sets
-  // its own bit range and writes neighbouring bytes back unchanged, so the
-  // spill past a window's payload is harmless; exception records are copied
-  // afterwards because the last window's spill can reach into their space.
+
+  // ---- Emit pass: codewords and exception records in place ----
   uint8_t* payload_ptr = base_ptr + hdr.code_offset;
+  uint8_t* exc_ptr = base_ptr + hdr.exc_offset;
+  uint32_t codes[kEntryPointStride];
   for (uint32_t w = 0; w < entry_count; ++w) {
     const uint32_t begin = w * kEntryPointStride;
     const uint32_t wn = std::min(kEntryPointStride, in.n - begin);
-    uint8_t* wptr = payload_ptr + entries[w].payload_off;
-    if (entries[w].first_exc == kDenseWindow) {
-      std::memcpy(wptr, in.payloads + begin, 4ull * wn);
-    } else {
-      for (uint32_t i = 0; i < wn; ++i) {
-        WriteCode(wptr, i, b, codes[begin + i]);
-      }
+    const EntryPoint& ep = entries[w];
+    in.source->Fill(w, wn, win.syms, win.payloads);
+    uint8_t* wptr = payload_ptr + ep.payload_off;
+    if (ep.first_exc == kDenseWindow) {
+      std::memcpy(wptr, win.payloads, 4ull * wn);
+      continue;
     }
-  }
-  if (!exc_records.empty()) {
-    std::memcpy(base_ptr + hdr.exc_offset, exc_records.data(),
-                exc_records.size() * sizeof(ExceptionRecord));
+    FindExceptions(&win, wn, max_normal, max_gap, in.naive_layout);
+    for (uint32_t i = 0; i < wn; ++i) {
+      codes[i] = static_cast<uint32_t>(win.syms[i]);
+    }
+    // Exception slots carry the sentinel (naive) or the link to the next
+    // exception (patched; the last link is never followed).
+    for (uint32_t k = 0; k < win.n_exc; ++k) {
+      const uint32_t pos = win.exc[k];
+      codes[pos] = in.naive_layout ? static_cast<uint32_t>(mask)
+                   : k + 1 < win.n_exc ? win.exc[k + 1] - pos - 1
+                                       : 0;
+      const ExceptionRecord rec{win.payloads[pos], begin + pos};
+      std::memcpy(exc_ptr + sizeof(ExceptionRecord) * (ep.exc_start + k),
+                  &rec, sizeof(rec));
+    }
+    PackWindow(codes, wn, b, wptr);
   }
 
   if (stats != nullptr) {
     stats->n = in.n;
     stats->bit_width = b;
-    stats->n_exceptions = static_cast<uint32_t>(exc_records.size());
+    stats->n_exceptions = static_cast<uint32_t>(n_exceptions);
     stats->n_compulsory_exceptions = static_cast<uint32_t>(n_compulsory);
     stats->n_dense_windows = n_dense;
     stats->compressed_bytes = total;

@@ -31,6 +31,13 @@
 //     codeword as an exception sentinel and tests it per value — the
 //     if-then-else decoder whose branch-miss collapse Figure 3 plots.
 //
+// The encoders (pfor.h, pfor_delta.h, pdict.h) stream: each builds its block
+// in two passes over 128-value windows — a layout pass for the entry points
+// and exception counts, then an emit pass into the block allocated once at
+// its exact size — and never widens its column, so an encode holds its
+// input, its output and a few fixed window buffers (block_layout.h). A
+// block is at most 4 GiB; a larger one is refused with InvalidArgument.
+//
 // The format assumes a little-endian host (x86/ARM); headers and codewords
 // are stored in host byte order.
 #ifndef X100IR_COMPRESS_CODEC_H_

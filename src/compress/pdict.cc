@@ -7,6 +7,34 @@
 #include "compress/block_layout.h"
 
 namespace x100ir::compress {
+namespace {
+
+// PDICT's windows: symbol = the value's dictionary code, or -1 outside the
+// dictionary; an exception stores the raw value. Looked up again on every
+// pass instead of kept as an n-sized code array.
+class PdictWindows final : public internal::WindowSource {
+ public:
+  PdictWindows(const int32_t* values,
+               const std::unordered_map<int32_t, uint32_t>* code_of)
+      : values_(values), code_of_(code_of) {}
+
+  int32_t Fill(uint32_t w, uint32_t wn, int64_t* syms,
+               int32_t* payloads) override {
+    const int32_t* v = values_ + w * kEntryPointStride;
+    for (uint32_t i = 0; i < wn; ++i) {
+      const auto it = code_of_->find(v[i]);
+      syms[i] = it != code_of_->end() ? static_cast<int64_t>(it->second) : -1;
+      payloads[i] = v[i];
+    }
+    return 0;
+  }
+
+ private:
+  const int32_t* values_;
+  const std::unordered_map<int32_t, uint32_t>* code_of_;
+};
+
+}  // namespace
 
 Status PdictEncode(const int32_t* values, uint32_t n,
                    const EncodeOptions& opts, std::vector<uint8_t>* out,
@@ -61,20 +89,14 @@ Status PdictEncode(const int32_t* values, uint32_t n,
   std::vector<int32_t> padded_dict(static_cast<size_t>(1ull << b), 0);
   std::copy(dict_values.begin(), dict_values.end(), padded_dict.begin());
 
-  std::vector<int64_t> syms(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    auto it = code_of.find(values[i]);
-    syms[i] = it != code_of.end() ? static_cast<int64_t>(it->second) : -1;
-  }
-
+  PdictWindows windows(values, &code_of);
   internal::BlockBuildInput in;
   in.scheme = Scheme::kPdict;
   in.bit_width = b;
   in.naive_layout = false;
   in.base = 0;
   in.n = n;
-  in.syms = syms.data();
-  in.payloads = values;  // exceptions store the raw value
+  in.source = &windows;
   in.dict = padded_dict.data();
   in.dict_count = static_cast<uint32_t>(dict_count);
   return internal::BuildBlock(in, out, stats);

@@ -5,6 +5,31 @@
 #include "compress/block_layout.h"
 
 namespace x100ir::compress {
+namespace {
+
+// PFOR's windows: symbol = value - base, and an exception stores the raw
+// value.
+class PforWindows final : public internal::WindowSource {
+ public:
+  PforWindows(const int32_t* values, int32_t base)
+      : values_(values), base_(base) {}
+
+  int32_t Fill(uint32_t w, uint32_t wn, int64_t* syms,
+               int32_t* payloads) override {
+    const int32_t* v = values_ + w * kEntryPointStride;
+    for (uint32_t i = 0; i < wn; ++i) {
+      syms[i] = static_cast<int64_t>(v[i]) - base_;
+      payloads[i] = v[i];
+    }
+    return 0;
+  }
+
+ private:
+  const int32_t* values_;
+  int32_t base_;
+};
+
+}  // namespace
 
 Status PforEncode(const int32_t* values, uint32_t n,
                   const EncodeOptions& opts, std::vector<uint8_t>* out,
@@ -15,15 +40,11 @@ Status PforEncode(const int32_t* values, uint32_t n,
   if (!opts.force_base && n > 0) {
     base = *std::min_element(values, values + n);
   }
-
-  std::vector<int64_t> syms(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    syms[i] = static_cast<int64_t>(values[i]) - base;
-  }
+  PforWindows windows(values, base);
 
   int b = opts.bit_width;
   if (b == 0) {
-    b = internal::ChooseBitWidth(syms.data(), n, opts.naive_layout);
+    b = internal::ChooseBitWidth(&windows, n, opts.naive_layout);
   }
 
   internal::BlockBuildInput in;
@@ -32,8 +53,7 @@ Status PforEncode(const int32_t* values, uint32_t n,
   in.naive_layout = opts.naive_layout;
   in.base = base;
   in.n = n;
-  in.syms = syms.data();
-  in.payloads = values;  // exceptions store the raw value
+  in.source = &windows;
   return internal::BuildBlock(in, out, stats);
 }
 

@@ -21,13 +21,23 @@
 namespace x100ir::ir {
 namespace {
 
-Status WriteColumnFile(const std::string& path, uint32_t encoding,
-                       uint64_t value_count, const void* payload,
-                       size_t payload_bytes) {
+// Opens a column file for streaming: creates it and appends its header.
+Status OpenColumnFile(const std::string& path, uint32_t encoding,
+                      uint64_t value_count, storage::FileWriter* writer) {
   ColumnFileHeader hdr;
   hdr.encoding = encoding;
   hdr.value_count = value_count;
-  return storage::WriteFile(path, &hdr, sizeof(hdr), payload, payload_bytes);
+  X100IR_RETURN_IF_ERROR(writer->Open(path));
+  return writer->Append(&hdr, sizeof(hdr));
+}
+
+Status WriteColumnFile(const std::string& path, uint32_t encoding,
+                       uint64_t value_count, const void* payload,
+                       size_t payload_bytes) {
+  storage::FileWriter writer;
+  X100IR_RETURN_IF_ERROR(OpenColumnFile(path, encoding, value_count, &writer));
+  X100IR_RETURN_IF_ERROR(writer.Append(payload, payload_bytes));
+  return writer.Close();
 }
 
 Status ReadColumnFile(const std::string& path, uint32_t expected_encoding,
@@ -367,46 +377,84 @@ Status InvertedIndex::EncodeAndPersist(const std::string& dir,
 // scan. The quantized twin stores q = round((score - bias) / scale) with
 // scale spanning [min, max] of the column across the full u8 range —
 // per-score error is at most scale/2.
+//
+// Both columns stream out in chunks of kScoreChunk postings, so no n-sized
+// score array exists: one pass finds the [min, max] that Q8 needs, a
+// second recomputes each chunk's scores — the same Bm25One call in the
+// same order, hence the same bits — and appends the chunk to both files.
 Status InvertedIndex::MaterializeScores(
     const std::string& dir, const std::vector<int32_t>& docid_col,
     const std::vector<int32_t>& tf_col) const {
+  constexpr uint64_t kScoreChunk = 16384;
   const uint64_t n = docid_col.size();
-  std::vector<float> scores(n);
   const float inv_avgdl =
       avg_doc_len_ > 0.0 ? static_cast<float>(1.0 / avg_doc_len_) : 0.0f;
-  for (uint32_t t = 0; t < vocab_size(); ++t) {
-    const TermInfo& info = terms_[t];
-    for (uint64_t p = info.posting_start;
-         p < info.posting_start + info.doc_freq; ++p) {
-      scores[p] = Bm25One(info.idf, static_cast<float>(tf_col[p]),
-                          static_cast<float>(doc_lens_[docid_col[p]]),
-                          kMaterializedK1, kMaterializedB, inv_avgdl);
+  std::vector<float> scores(std::min(n, kScoreChunk));
+  // Scores the postings chunk by chunk into scores[0..len) and calls
+  // emit(first, len) after each chunk. The term ranges tile the postings in
+  // order, so the term cursor only walks forward.
+  const auto for_each_chunk = [&](const auto& emit) -> Status {
+    uint32_t t = 0;
+    for (uint64_t first = 0; first < n; first += kScoreChunk) {
+      const uint64_t end = std::min(n, first + kScoreChunk);
+      for (uint64_t p = first; p < end;) {
+        while (terms_[t].posting_start + terms_[t].doc_freq <= p) ++t;
+        const TermInfo& info = terms_[t];
+        const uint64_t stop =
+            std::min(end, info.posting_start + info.doc_freq);
+        for (; p < stop; ++p) {
+          scores[p - first] =
+              Bm25One(info.idf, static_cast<float>(tf_col[p]),
+                      static_cast<float>(doc_lens_[docid_col[p]]),
+                      kMaterializedK1, kMaterializedB, inv_avgdl);
+        }
+      }
+      X100IR_RETURN_IF_ERROR(emit(first, end - first));
     }
-  }
-  X100IR_RETURN_IF_ERROR(WriteColumnFile(
-      dir + "/" + kScoreF32File, ColumnFileHeader::kRawF32, n, scores.data(),
-      scores.size() * sizeof(float)));
+    return OkStatus();
+  };
 
+  // Pass 1: the first smallest and last largest score, as minmax_element
+  // over the whole column would pick them.
   float lo = 0.0f, hi = 0.0f;
-  if (n > 0) {
-    const auto [mn, mx] = std::minmax_element(scores.begin(), scores.end());
-    lo = *mn;
-    hi = *mx;
-  }
+  const auto widen_range = [&](uint64_t first, uint64_t len) {
+    if (first == 0) lo = hi = scores[0];
+    for (uint64_t i = 0; i < len; ++i) {
+      if (scores[i] < lo) lo = scores[i];
+      if (!(scores[i] < hi)) hi = scores[i];
+    }
+    return OkStatus();
+  };
+  X100IR_RETURN_IF_ERROR(for_each_chunk(widen_range));
   Q8Params params;
   params.bias = lo;
   params.scale = hi > lo ? (hi - lo) / 255.0f : 1.0f;
-  std::vector<uint8_t> q8(sizeof(Q8Params) + n);
-  std::memcpy(q8.data(), &params, sizeof(params));
   const float inv_scale = 1.0f / params.scale;
-  for (uint64_t p = 0; p < n; ++p) {
-    const float q = std::nearbyint((scores[p] - params.bias) * inv_scale);
-    q8[sizeof(Q8Params) + p] = static_cast<uint8_t>(
-        q < 0.0f ? 0.0f : (q > 255.0f ? 255.0f : q));
-  }
-  return WriteColumnFile(dir + "/" + kScoreQ8File,
-                         ColumnFileHeader::kQuantU8, n, q8.data(),
-                         q8.size());
+
+  // Pass 2: both files, chunk by chunk.
+  storage::FileWriter f32, q8;
+  X100IR_RETURN_IF_ERROR(OpenColumnFile(dir + "/" + kScoreF32File,
+                                        ColumnFileHeader::kRawF32, n, &f32));
+  X100IR_RETURN_IF_ERROR(OpenColumnFile(dir + "/" + kScoreQ8File,
+                                        ColumnFileHeader::kQuantU8, n, &q8));
+  X100IR_RETURN_IF_ERROR(q8.Append(&params, sizeof(params)));
+  std::vector<uint8_t> codes(scores.size());
+  const auto append_chunk = [&](uint64_t, uint64_t len) -> Status {
+    for (uint64_t i = 0; i < len; ++i) {
+      const float q = std::nearbyint((scores[i] - params.bias) * inv_scale);
+      codes[i] = static_cast<uint8_t>(q < 0.0f ? 0.0f
+                                               : (q > 255.0f ? 255.0f : q));
+    }
+    X100IR_RETURN_IF_ERROR(f32.Append(scores.data(), len * sizeof(float)));
+    X100IR_RETURN_IF_ERROR(q8.Append(codes.data(), len));
+    if (storage::CrashReached(storage::CrashSite::kScoresAfterChunk)) {
+      return IOError("simulated crash");
+    }
+    return OkStatus();
+  };
+  X100IR_RETURN_IF_ERROR(for_each_chunk(append_chunk));
+  X100IR_RETURN_IF_ERROR(f32.Close());
+  return q8.Close();
 }
 
 Status InvertedIndex::AttachStorage(const std::string& dir,

@@ -115,20 +115,32 @@ Status Segment::Load(const std::string& dir, const StorageBinding& binding,
   }
   X100IR_RETURN_IF_ERROR(ReadSegmentMeta(dir + "/" + kSegmentMetaFile, seg_id,
                                          expect_num_docs, &seg->docid_map_));
-  // Reconstruct the forward store by inverting the postings. Terms ascend
-  // in the outer loop, so each rebuilt document is normalized by
+  // Reconstruct the forward store by inverting the postings: one pass over
+  // the docid column counts each document's terms, so every document is
+  // allocated at its exact size before a second pass fills it. Terms
+  // ascend in the outer loop, so each rebuilt document is normalized by
   // construction; the doclens FromDocTerms recomputes are cross-checked
   // against the persisted doclen column below.
   const uint32_t n = seg->index_.num_docs();
-  std::vector<std::vector<DocTerm>> docs(n);
+  const uint32_t vocab = seg->index_.vocab_size();
+  std::vector<uint32_t> doc_terms(n, 0);
   std::vector<int32_t> docids, tfs;
-  for (uint32_t t = 0; t < seg->index_.vocab_size(); ++t) {
+  for (uint32_t t = 0; t < vocab; ++t) {
+    if (seg->index_.term(t).doc_freq == 0) continue;
+    X100IR_RETURN_IF_ERROR(seg->index_.DecodePostings(t, &docids, nullptr));
+    for (const int32_t d : docids) {
+      if (d < 0 || static_cast<uint32_t>(d) >= n) {
+        return IOError("segment postings reference an out-of-range docid");
+      }
+      ++doc_terms[d];
+    }
+  }
+  std::vector<std::vector<DocTerm>> docs(n);
+  for (uint32_t d = 0; d < n; ++d) docs[d].reserve(doc_terms[d]);
+  for (uint32_t t = 0; t < vocab; ++t) {
     if (seg->index_.term(t).doc_freq == 0) continue;
     X100IR_RETURN_IF_ERROR(seg->index_.DecodePostings(t, &docids, &tfs));
     for (size_t i = 0; i < docids.size(); ++i) {
-      if (docids[i] < 0 || static_cast<uint32_t>(docids[i]) >= n) {
-        return IOError("segment postings reference an out-of-range docid");
-      }
       docs[docids[i]].push_back({t, tfs[i]});
     }
   }

@@ -5,9 +5,10 @@
 // a site with a 1-based countdown; the countdown-th time execution reaches
 // that site the singleton flips to "crashed" and every durable-write path
 // in the process refuses to touch disk from then on. The paths that check
-// CrashPoint::IsCrashed(): wal.cc, the manifest writer, storage::WriteFile
-// (the one writer of column files, index.meta and segment.meta), the
-// index builder before it creates a directory, and segment retirement.
+// CrashPoint::IsCrashed(): wal.cc, the manifest writer, storage::FileWriter
+// (the one writer of column files, index.meta and segment.meta; it checks
+// at Open and at every Append), the index builder before it creates a
+// directory, and segment retirement.
 // The net effect is exactly a power cut at that instant: bytes already
 // written stay, nothing later is written — including by destructors — so
 // a test can destroy the Database object and reopen against the on-disk
@@ -56,6 +57,10 @@ enum class CrashSite : uint32_t {
   // post-commit cleanup (MergeCommitted record, WAL truncation; at a first
   // open, the WAL's creation) pending.
   kManifestAfterRename,
+  // An index build appended one chunk of postings to both score column
+  // files; the rest of those columns and index.meta are not written yet.
+  // Hit once per chunk, in every on-disk build (seg_0 and merges).
+  kScoresAfterChunk,
   kNumSites,
 };
 
@@ -68,6 +73,7 @@ inline const char* CrashSiteName(CrashSite s) {
     case CrashSite::kMergeAfterSegmentBuild: return "merge_after_segment_build";
     case CrashSite::kManifestAfterTmpWrite: return "manifest_after_tmp_write";
     case CrashSite::kManifestAfterRename: return "manifest_after_rename";
+    case CrashSite::kScoresAfterChunk: return "scores_after_chunk";
     case CrashSite::kNumSites: break;
   }
   return "unknown";

@@ -1,5 +1,6 @@
 #include "storage/file.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -9,16 +10,51 @@
 
 namespace x100ir::storage {
 
+FileWriter::~FileWriter() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Status FileWriter::Open(const std::string& path) {
+  if (fd_ >= 0) return Internal("writer already open on " + path_);
+  if (CrashedNow()) return IOError("simulated crash");
+  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd_ < 0) return IOError("cannot create " + path);
+  path_ = path;
+  return OkStatus();
+}
+
+Status FileWriter::Append(const void* data, size_t bytes) {
+  if (fd_ < 0) return Internal("writer not open");
+  if (CrashedNow()) return IOError("simulated crash");
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  while (bytes > 0) {
+    const ssize_t n = ::write(fd_, p, bytes);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return IOError("short write to " + path_);
+    }
+    p += n;
+    bytes -= static_cast<size_t>(n);
+  }
+  return OkStatus();
+}
+
+Status FileWriter::Close() {
+  if (fd_ < 0) return Internal("writer not open");
+  const bool closed = ::close(fd_) == 0;
+  fd_ = -1;
+  if (CrashedNow()) return IOError("simulated crash");
+  if (!closed) return IOError("cannot close " + path_);
+  return OkStatus();
+}
+
 Status WriteFile(const std::string& path, const void* head, size_t head_bytes,
                  const void* body, size_t body_bytes) {
-  if (CrashedNow()) return IOError("simulated crash");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return IOError("cannot create " + path);
-  bool ok = head_bytes == 0 || std::fwrite(head, head_bytes, 1, f) == 1;
-  ok = ok && (body_bytes == 0 || std::fwrite(body, body_bytes, 1, f) == 1);
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) return IOError("short write to " + path);
-  return OkStatus();
+  FileWriter writer;
+  X100IR_RETURN_IF_ERROR(writer.Open(path));
+  X100IR_RETURN_IF_ERROR(writer.Append(head, head_bytes));
+  X100IR_RETURN_IF_ERROR(writer.Append(body, body_bytes));
+  return writer.Close();
 }
 
 File& File::operator=(File&& o) noexcept {

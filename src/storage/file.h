@@ -2,8 +2,8 @@
 // OS. Everything above it (buffer manager, column readers) deals in byte
 // ranges, so the real-I/O seam stays one class wide and the simulated disk
 // cost model (buffer_manager.h) can charge deterministic latencies
-// independent of what the host filesystem actually does. WriteFile is the
-// write side for index and segment files.
+// independent of what the host filesystem actually does. FileWriter is the
+// write side for index and segment files, and WriteFile its one-shot form.
 #ifndef X100IR_STORAGE_FILE_H_
 #define X100IR_STORAGE_FILE_H_
 
@@ -15,10 +15,32 @@
 
 namespace x100ir::storage {
 
+// The one writer of index and segment files — column files, index.meta and
+// segment.meta — for builds that stream a file out in pieces. Open creates
+// (or truncates) the file; each Append goes straight to the file with
+// write(2), holding no user-space buffer between calls, so after a kill
+// point fires (crash_point.h) no byte appended later reaches the file.
+// Open, Append and Close refuse with IOError once a kill point has fired:
+// Open then creates nothing, and Close still releases the descriptor. The
+// destructor closes an open file without reporting.
+class FileWriter {
+ public:
+  FileWriter() = default;
+  ~FileWriter();
+  FileWriter(const FileWriter&) = delete;
+  FileWriter& operator=(const FileWriter&) = delete;
+
+  Status Open(const std::string& path);
+  Status Append(const void* data, size_t bytes);
+  Status Close();
+
+ private:
+  int fd_ = -1;
+  std::string path_;
+};
+
 // Creates (or truncates) `path` and writes `head` then `body` (either may
-// be empty) — the one writer of index and segment files: column files,
-// index.meta and segment.meta. Once a kill point has fired
-// (crash_point.h) it refuses with IOError and creates nothing.
+// be empty): Open, two Appends and Close on a FileWriter.
 Status WriteFile(const std::string& path, const void* head, size_t head_bytes,
                  const void* body, size_t body_bytes);
 

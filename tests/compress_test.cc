@@ -1,11 +1,17 @@
 // Round-trip and range-decode tests for the PFOR / PFOR-DELTA / PDICT block
-// codecs across bit widths, exception rates, and awkward block lengths.
+// codecs across bit widths, exception rates, and awkward block lengths; the
+// streaming encoders' byte identity with the array-based oracle
+// (reference.h) and their memory bound, measured by a counting allocator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <new>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -18,10 +24,94 @@
 #include "compress/pfor.h"
 #include "compress/pfor_delta.h"
 
+#include "reference.h"
 #include "test_util.h"
+
+// ---------------------------------------------------------------------------
+// The counting allocator behind the memory-bound tests. The replaced global
+// operator new prefixes every block with its size and the CountingScope
+// generation it was allocated under (0 outside any scope); operator delete
+// subtracts a block only if it was allocated under the scope still active.
+// So a scope's peak is the most bytes that allocations made inside it held
+// at once, unaffected by blocks from before it.
+// ---------------------------------------------------------------------------
+namespace {
+
+std::atomic<uint64_t> g_alloc_generation{0};  // 0: not counting
+std::atomic<int64_t> g_alloc_live{0};
+std::atomic<int64_t> g_alloc_peak{0};
+constexpr size_t kAllocHeader = 16;  // keeps malloc's 16-byte alignment
+
+void* CountedNew(size_t bytes) {
+  auto* hdr = static_cast<uint64_t*>(std::malloc(bytes + kAllocHeader));
+  if (hdr == nullptr) throw std::bad_alloc();
+  const uint64_t gen = g_alloc_generation.load(std::memory_order_relaxed);
+  hdr[0] = bytes;
+  hdr[1] = gen;
+  if (gen != 0) {
+    const int64_t live =
+        g_alloc_live.fetch_add(static_cast<int64_t>(bytes)) +
+        static_cast<int64_t>(bytes);
+    int64_t peak = g_alloc_peak.load();
+    while (live > peak && !g_alloc_peak.compare_exchange_weak(peak, live)) {
+    }
+  }
+  return hdr + 2;
+}
+
+void CountedDelete(void* p) noexcept {
+  if (p == nullptr) return;
+  uint64_t* hdr = static_cast<uint64_t*>(p) - 2;
+  const uint64_t gen = g_alloc_generation.load(std::memory_order_relaxed);
+  if (gen != 0 && hdr[1] == gen) {
+    g_alloc_live.fetch_sub(static_cast<int64_t>(hdr[0]));
+  }
+  std::free(hdr);
+}
+
+}  // namespace
+
+void* operator new(size_t bytes) { return CountedNew(bytes); }
+void* operator new[](size_t bytes) { return CountedNew(bytes); }
+void* operator new(size_t bytes, const std::nothrow_t&) noexcept {
+  try {
+    return CountedNew(bytes);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](size_t bytes, const std::nothrow_t& tag) noexcept {
+  return operator new(bytes, tag);
+}
+void operator delete(void* p) noexcept { CountedDelete(p); }
+void operator delete[](void* p) noexcept { CountedDelete(p); }
+void operator delete(void* p, size_t) noexcept { CountedDelete(p); }
+void operator delete[](void* p, size_t) noexcept { CountedDelete(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  CountedDelete(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  CountedDelete(p);
+}
 
 namespace x100ir::compress {
 namespace {
+
+// Counts the heap bytes allocated inside its lifetime (one scope at a time).
+class CountingScope {
+ public:
+  CountingScope() {
+    static uint64_t generations = 0;
+    g_alloc_live.store(0);
+    g_alloc_peak.store(0);
+    g_alloc_generation.store(++generations);
+  }
+  ~CountingScope() { g_alloc_generation.store(0); }
+  CountingScope(const CountingScope&) = delete;
+  CountingScope& operator=(const CountingScope&) = delete;
+
+  int64_t peak() const { return g_alloc_peak.load(); }
+};
 
 std::vector<int32_t> MakeData(uint32_t n, int bits, double exc_rate,
                               uint64_t seed) {
@@ -1174,6 +1264,317 @@ TEST(SkipCursor, InitRejectsBadRangesAndSchemes) {
   // Probing past everything exhausts the cursor cleanly.
   EXPECT_FALSE(cur.SkipTo(values[899] + 1));
   EXPECT_TRUE(cur.AtEnd());
+}
+
+// ---------------------------------------------------------------------------
+// The streaming encoders against the array-based oracle (reference.h).
+// ---------------------------------------------------------------------------
+
+using Encoder = Status (*)(const int32_t*, uint32_t, const EncodeOptions&,
+                           std::vector<uint8_t>*, BlockStats*);
+
+struct SchemeEncoders {
+  const char* name;
+  Encoder streaming;
+  Encoder oracle;
+  bool delta;     // values are a running sum of the generated deltas
+  bool for_base;  // the scheme has a frame-of-reference base to force
+};
+
+const SchemeEncoders kPforEncoders{"pfor", PforEncode,
+                                   ReferenceCodec::PforEncode, false, true};
+const SchemeEncoders kPforDeltaEncoders{
+    "pfor_delta", PforDeltaEncode, ReferenceCodec::PforDeltaEncode, true,
+    true};
+const SchemeEncoders kPdictEncoders{"pdict", PdictEncode,
+                                    ReferenceCodec::PdictEncode, false, false};
+
+// An outlier: INT32_MIN, INT32_MAX, a negative value or one far past `bits`.
+int32_t Outlier(Rng* rng, int bits) {
+  switch (rng->NextBounded(4)) {
+    case 0:
+      return std::numeric_limits<int32_t>::min();
+    case 1:
+      return std::numeric_limits<int32_t>::max();
+    case 2:
+      return -1 - static_cast<int32_t>(rng->NextBounded(1u << 20));
+    default:
+      return (1 << bits) + static_cast<int32_t>(rng->NextBounded(1u << 24));
+  }
+}
+
+// `bits`-bit values with a share `rate` of outliers.
+std::vector<int32_t> OracleValues(uint32_t n, int bits, double rate,
+                                  uint64_t seed) {
+  Rng rng(seed);
+  std::vector<int32_t> v(n);
+  for (int32_t& x : v) {
+    x = rng.NextBernoulli(rate)
+            ? Outlier(&rng, bits)
+            : static_cast<int32_t>(rng.NextBounded(1u << bits));
+  }
+  return v;
+}
+
+// Values whose deltas are `bits`-bit with a share `rate` of outlier deltas,
+// every delta within 32 bits (an outlier that would leave int32 is
+// reflected, or dropped to 0 when the reflection does not fit either).
+std::vector<int32_t> OracleDeltaValues(uint32_t n, int bits, double rate,
+                                       uint64_t seed) {
+  Rng rng(seed);
+  std::vector<int32_t> v(n);
+  const auto fits = [](int64_t x) {
+    return x >= std::numeric_limits<int32_t>::min() &&
+           x <= std::numeric_limits<int32_t>::max();
+  };
+  int64_t cur = 0;
+  for (int32_t& x : v) {
+    const int64_t d = rng.NextBernoulli(rate)
+                          ? Outlier(&rng, bits)
+                          : static_cast<int64_t>(rng.NextBounded(1u << bits));
+    if (fits(cur + d)) {
+      cur += d;
+    } else if (fits(cur - d) && fits(-d)) {
+      cur -= d;
+    }
+    x = static_cast<int32_t>(cur);
+  }
+  return v;
+}
+
+// Both encoders agree on the Status code, and on success on every block
+// byte and every BlockStats field.
+void ExpectMatchesOracle(const SchemeEncoders& enc,
+                         const std::vector<int32_t>& values,
+                         const EncodeOptions& opts, const std::string& ctx) {
+  std::vector<uint8_t> got, want;
+  BlockStats got_stats, want_stats;
+  const uint32_t n = static_cast<uint32_t>(values.size());
+  const Status g = enc.streaming(values.data(), n, opts, &got, &got_stats);
+  const Status w = enc.oracle(values.data(), n, opts, &want, &want_stats);
+  ASSERT_EQ(g.code(), w.code()) << ctx << ": " << g.ToString() << " vs "
+                                << w.ToString();
+  if (!w.ok()) return;
+  ASSERT_TRUE(got == want) << ctx << ": block bytes differ ("
+                           << got.size() << " vs " << want.size() << ")";
+  EXPECT_EQ(got_stats.n, want_stats.n) << ctx;
+  EXPECT_EQ(got_stats.bit_width, want_stats.bit_width) << ctx;
+  EXPECT_EQ(got_stats.n_exceptions, want_stats.n_exceptions) << ctx;
+  EXPECT_EQ(got_stats.n_compulsory_exceptions,
+            want_stats.n_compulsory_exceptions)
+      << ctx;
+  EXPECT_EQ(got_stats.n_dense_windows, want_stats.n_dense_windows) << ctx;
+  EXPECT_EQ(got_stats.compressed_bytes, want_stats.compressed_bytes) << ctx;
+}
+
+// Every option combination of one scheme over one length: the given widths
+// (0 = automatic), patched and naive layouts, with and without force_base
+// where the scheme has a base, the given exception rates, and 1-bit and
+// 7-bit value ranges (sparse outliers at 1 bit force compulsory exceptions
+// at b = 1-3; dense ones turn windows dense).
+void SweepAgainstOracle(const SchemeEncoders& enc, uint32_t n,
+                        const std::vector<int>& widths,
+                        const std::vector<double>& rates) {
+  uint64_t seed = 1;
+  for (const int bits : {1, 7}) {
+    for (const double rate : rates) {
+      const std::vector<int32_t> values =
+          enc.delta ? OracleDeltaValues(n, bits, rate, ++seed)
+                : OracleValues(n, bits, rate, ++seed);
+      for (const int width : widths) {
+        for (const bool naive : {false, true}) {
+          for (const bool force_base : {false, true}) {
+            if (force_base && !enc.for_base) continue;
+            EncodeOptions opts;
+            opts.bit_width = width;
+            opts.naive_layout = naive;
+            opts.force_base = force_base;
+            ExpectMatchesOracle(
+                enc, values, opts,
+                std::string(enc.name) + " n=" + std::to_string(n) +
+                    " bits=" + std::to_string(bits) +
+                    " rate=" + std::to_string(rate) +
+                    " b=" + std::to_string(width) +
+                    (naive ? " naive" : "") + (force_base ? " base0" : ""));
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Short blocks sweep the automatic width and every forced one (plus 31, a
+// refusal) at exception rates from 0 to 100%; the long block, 1024 windows
+// and a one-value tail, a spread of widths at a sparse and a dense rate.
+std::vector<int> AllWidths() {
+  std::vector<int> widths;
+  for (int b = 0; b <= kMaxBitWidth + 1; ++b) widths.push_back(b);
+  return widths;
+}
+const std::vector<int> kLongBlockWidths = {0, 1, 2, 3, 8, 13, 30};
+const std::vector<double> kAllRates = {0.0, 0.01, 0.1, 0.5, 1.0};
+const std::vector<double> kLongBlockRates = {0.01, 0.5};
+constexpr uint32_t kShortLengths[] = {0, 1, 127, 128, 129, 1000};
+constexpr uint32_t kLongLength = 131073;
+
+TEST(EncoderOracle, PforBlocksAreByteIdentical) {
+  for (const uint32_t n : kShortLengths) {
+    SweepAgainstOracle(kPforEncoders, n, AllWidths(), kAllRates);
+  }
+  SweepAgainstOracle(kPforEncoders, kLongLength, kLongBlockWidths,
+                     kLongBlockRates);
+}
+
+TEST(EncoderOracle, PforDeltaBlocksAreByteIdentical) {
+  for (const uint32_t n : kShortLengths) {
+    SweepAgainstOracle(kPforDeltaEncoders, n, AllWidths(), kAllRates);
+  }
+  SweepAgainstOracle(kPforDeltaEncoders, kLongLength, kLongBlockWidths,
+                     kLongBlockRates);
+}
+
+// PDICT's widths stop at kMaxDictBitWidth; the wider ones and the naive
+// layout are refused by both encoders alike.
+TEST(EncoderOracle, PdictBlocksAreByteIdentical) {
+  for (const uint32_t n : kShortLengths) {
+    SweepAgainstOracle(kPdictEncoders, n, AllWidths(), kAllRates);
+  }
+  SweepAgainstOracle(kPdictEncoders, kLongLength, {0, 1, 2, 3, 8, 13},
+                     kLongBlockRates);
+}
+
+TEST(EncoderOracle, PforDeltaRefusesDeltasWiderThan32Bits) {
+  const std::vector<int32_t> unsorted = {
+      0, std::numeric_limits<int32_t>::max(),
+      std::numeric_limits<int32_t>::min(), 5};
+  for (const bool force_base : {false, true}) {
+    EncodeOptions opts;
+    opts.force_base = force_base;
+    ExpectMatchesOracle(kPforDeltaEncoders, unsorted, opts, "unsorted");
+    std::vector<uint8_t> block;
+    EXPECT_EQ(PforDeltaEncode(unsorted.data(), 4, opts, &block, nullptr)
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+// The window-source seam on its own: a block whose smallest layout (every
+// window packed at b = 30, no exceptions) passes 4 GiB is refused before
+// the builder allocates anything or reads a single window.
+class CountingSource final : public internal::WindowSource {
+ public:
+  int32_t Fill(uint32_t, uint32_t wn, int64_t* syms,
+               int32_t* payloads) override {
+    ++calls;
+    std::fill(syms, syms + wn, 0);
+    std::fill(payloads, payloads + wn, 0);
+    return 0;
+  }
+  int calls = 0;
+};
+
+TEST(BlockBuilder, RefusesBlocksPast4GiBBeforeReadingAWindow) {
+  CountingSource source;
+  internal::BlockBuildInput in;
+  in.bit_width = 30;
+  in.n = std::numeric_limits<uint32_t>::max();
+  in.source = &source;
+  std::vector<uint8_t> out;
+  BlockStats stats;
+  {
+    CountingScope scope;
+    EXPECT_EQ(internal::BuildBlock(in, &out, &stats).code(),
+              StatusCode::kInvalidArgument);
+    // Only the Status message: the 512 MiB of entry points that a build
+    // of 2^32 - 1 values starts with were never allocated.
+    EXPECT_LT(scope.peak(), 1024);
+  }
+  EXPECT_EQ(source.calls, 0);
+  EXPECT_TRUE(out.empty());
+
+  // The same seam builds an ordinary block, reading each window once per
+  // pass (layout, then emit).
+  in.n = 1000;
+  ASSERT_TRUE(internal::BuildBlock(in, &out, &stats).ok());
+  EXPECT_EQ(source.calls, 2 * 8);
+  EXPECT_EQ(stats.n, 1000u);
+}
+
+// ---------------------------------------------------------------------------
+// Memory bound: an encode holds its output block, its entry points and a
+// few fixed window buffers — no n-sized scratch.
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kWindowScratchBytes = 64 << 10;
+
+// Peak bytes `encode` allocates beyond its output block and entry points.
+int64_t ScratchPeak(Encoder encode, const std::vector<int32_t>& values,
+                    const EncodeOptions& opts) {
+  std::vector<uint8_t> block;
+  int64_t peak = 0;
+  {
+    CountingScope scope;
+    const Status s = encode(values.data(),
+                            static_cast<uint32_t>(values.size()), opts,
+                            &block, nullptr);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    peak = scope.peak();
+  }
+  const int64_t entries = static_cast<int64_t>(
+      (values.size() + kEntryPointStride - 1) / kEntryPointStride *
+      sizeof(internal::EntryPoint));
+  return peak - static_cast<int64_t>(block.size()) - entries;
+}
+
+TEST(EncoderMemory, PforAndPforDeltaHoldNoColumnSizedScratch) {
+  constexpr uint32_t kN = 1u << 20;
+  const std::vector<int32_t> tf = MakeData(kN, 3, 0.05, 41);
+  const std::vector<int32_t> docids = MakeSorted(kN, 43, 3000);
+  EncodeOptions base0;
+  base0.force_base = true;
+  struct Case {
+    const char* name;
+    Encoder streaming;
+    Encoder oracle;
+    const std::vector<int32_t>* values;
+    EncodeOptions opts;
+  };
+  const Case cases[] = {
+      {"pfor", PforEncode, ReferenceCodec::PforEncode, &tf, {}},
+      {"pfor_delta", PforDeltaEncode, ReferenceCodec::PforDeltaEncode,
+       &docids, base0},
+  };
+  for (const Case& c : cases) {
+    EXPECT_LE(ScratchPeak(c.streaming, *c.values, c.opts),
+              kWindowScratchBytes)
+        << c.name;
+    // The allocator sees the oracle's n-sized symbol and codeword arrays
+    // (8 + 4 bytes per value), so the bound above is not vacuous.
+    EXPECT_GT(ScratchPeak(c.oracle, *c.values, c.opts), int64_t{12} << 20)
+        << c.name;
+  }
+}
+
+TEST(EncoderMemory, PdictHoldsNoColumnSizedScratch) {
+  // 256 dictionary values and a 1% tail of 64 others at b = 8: the
+  // dictionary maps stay small, so anything near the 8 MB a symbol array
+  // of 1M values takes would show.
+  constexpr uint32_t kN = 1u << 20;
+  Rng rng(47);
+  std::vector<int32_t> values(kN);
+  for (int32_t& v : values) {
+    v = rng.NextBernoulli(0.01)
+            ? 1000000 + static_cast<int32_t>(rng.NextBounded(64))
+            : static_cast<int32_t>(rng.NextBounded(256)) * 977;
+  }
+  EncodeOptions opts;
+  opts.bit_width = 8;
+  constexpr int64_t kDictionaryMapBytes = 64 << 10;
+  EXPECT_LE(ScratchPeak(PdictEncode, values, opts),
+            kWindowScratchBytes + kDictionaryMapBytes);
+  EXPECT_GT(ScratchPeak(ReferenceCodec::PdictEncode, values, opts),
+            int64_t{8} << 20);
 }
 
 }  // namespace

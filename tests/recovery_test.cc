@@ -35,6 +35,7 @@
 #include "ir/index_meta.h"
 #include "ir/snapshot.h"
 #include "storage/crash_point.h"
+#include "storage/file.h"
 #include "storage/wal.h"
 
 #include "test_util.h"
@@ -184,7 +185,7 @@ constexpr CrashSite kAllSites[] = {
     CrashSite::kWalAfterAppend,         CrashSite::kWalAfterFsync,
     CrashSite::kWalAfterRotate,         CrashSite::kWalBeforeDropFile,
     CrashSite::kMergeAfterSegmentBuild, CrashSite::kManifestAfterTmpWrite,
-    CrashSite::kManifestAfterRename,
+    CrashSite::kManifestAfterRename,    CrashSite::kScoresAfterChunk,
 };
 
 void RunKillPointBattery(const Scenario& sc) {
@@ -753,6 +754,64 @@ TEST(CrashedWrites, IndexBuildRefusesAndCreatesNothing) {
   CrashPoint::Instance().Reset();
   // The same build succeeds once the process model is alive again.
   EXPECT_TRUE(pooled.Build(corpus, dir).ok());
+}
+
+// A kill point that fires between two Appends: the writer refuses the next
+// Append and the Close, the file keeps exactly the bytes appended before
+// the crash, and a later Open creates nothing.
+TEST(CrashedWrites, FileWriterKeepsOnlyBytesAppendedBeforeTheCrash) {
+  const std::string dir = FreshDir("writer");
+  fs::create_directories(dir);
+  CrashPoint::Instance().Reset();
+  storage::FileWriter writer;
+  ASSERT_TRUE(writer.Open(dir + "/f").ok());
+  ASSERT_TRUE(writer.Append("before", 6).ok());
+  CrashPoint::Instance().Arm(CrashSite::kWalAfterAppend, 1);
+  ASSERT_TRUE(storage::CrashReached(CrashSite::kWalAfterAppend));
+  EXPECT_EQ(writer.Append("after", 5).code(), StatusCode::kIOError);
+  EXPECT_EQ(writer.Close().code(), StatusCode::kIOError);
+  storage::FileWriter late;
+  EXPECT_EQ(late.Open(dir + "/g").code(), StatusCode::kIOError);
+  CrashPoint::Instance().Reset();
+  EXPECT_FALSE(fs::exists(dir + "/g"));
+  std::FILE* f = std::fopen((dir + "/f").c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  char buf[16] = {};
+  const size_t got = std::fread(buf, 1, sizeof(buf), f);
+  std::fclose(f);
+  EXPECT_EQ(std::string(buf, got), "before");
+}
+
+// A kill point that fires while the score columns stream (after their first
+// chunk) fails the build, leaves those columns cut short and writes no
+// index.meta, so the directory never loads — with the column jobs inline (a
+// merge) or concurrent (seg_0).
+TEST(CrashedWrites, BuildCrashedWhileScoresStreamWritesNoIndexMeta) {
+  CorpusOptions opts = TinyGenerated();
+  opts.num_docs = 3000;
+  Corpus corpus;
+  ASSERT_TRUE(Corpus::Generate(opts, &corpus).ok());
+  ASSERT_GT(corpus.num_postings(), 2u * 16384u);  // several score chunks
+  for (const BuildMode mode : {BuildMode::kInline, BuildMode::kConcurrent}) {
+    const std::string dir =
+        FreshDir(mode == BuildMode::kInline ? "inline" : "concurrent");
+    CrashPoint::Instance().Reset();
+    CrashPoint::Instance().Arm(CrashSite::kScoresAfterChunk, 1);
+    PooledIndex pooled;
+    EXPECT_EQ(pooled.index
+                  .BuildFromCorpus(corpus, dir, {&pooled.pool, 0}, mode)
+                  .code(),
+              StatusCode::kIOError);
+    EXPECT_TRUE(CrashPoint::Instance().IsCrashed());
+    CrashPoint::Instance().Reset();
+    EXPECT_FALSE(fs::exists(dir + "/" + kIndexMetaFile));
+    const uint64_t f32_bytes = fs::file_size(dir + "/" + kScoreF32File);
+    EXPECT_GT(f32_bytes, sizeof(ColumnFileHeader));
+    EXPECT_LT(f32_bytes, sizeof(ColumnFileHeader) +
+                             corpus.num_postings() * sizeof(float));
+    PooledIndex reload;
+    EXPECT_FALSE(reload.Load(dir).ok());
+  }
 }
 
 // ---------------------------------------------------------------------------

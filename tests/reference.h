@@ -16,8 +16,8 @@
 // with tombstones and a delta, and an N-way cluster. MaxScore and the
 // storage runs add in other orders and are compared within a tolerance.
 //
-// The file also holds the generator oracle, ReferenceCorpus::Generate (see
-// there).
+// The file also holds the generator oracle, ReferenceCorpus::Generate, and
+// the encoder oracle, ReferenceCodec (see there).
 #ifndef X100IR_TESTS_REFERENCE_H_
 #define X100IR_TESTS_REFERENCE_H_
 
@@ -25,10 +25,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
+#include "compress/block_layout.h"
+#include "compress/codec.h"
 #include "ir/bm25.h"
 #include "ir/corpus.h"
 #include "ir/query_gen.h"
@@ -262,6 +266,337 @@ struct ReferenceCorpus {
     mix(o.topic_rank_max);
     mix(o.seed);
     return h;
+  }
+};
+
+// The encoder oracle: the array-based block builder and scheme front ends
+// that the streaming ones replaced, kept as they were. Each front end widens
+// its column into an n-sized symbol array, the builder holds an n-sized
+// codeword array and grows its exception records by push_back, and the
+// codewords are written by 8-byte read-modify-writes. The encoders in
+// compress/ must produce the same block bytes and BlockStats for every
+// input and option, and refuse the same inputs.
+struct ReferenceCodec {
+  using BlockStats = compress::BlockStats;
+  using EncodeOptions = compress::EncodeOptions;
+  using Scheme = compress::Scheme;
+
+  struct BlockInput {
+    Scheme scheme = Scheme::kPfor;
+    int bit_width = 0;
+    bool naive_layout = false;
+    int32_t base = 0;
+    uint32_t n = 0;
+    const int64_t* syms = nullptr;
+    const int32_t* payloads = nullptr;
+    const int32_t* window_value_bases = nullptr;  // nullptr = all zero
+    const int32_t* dict = nullptr;                // PDICT: 1 << b entries
+    uint32_t dict_count = 0;
+  };
+
+  static int ChooseBitWidth(const int64_t* syms, uint32_t n,
+                            bool naive_layout) {
+    if (n == 0) return 1;
+    uint64_t hist[33] = {0};
+    uint64_t eq_all_ones[33] = {0};
+    for (uint32_t i = 0; i < n; ++i) {
+      const int64_t s = syms[i];
+      if (s < 0 || s > 0x7FFFFFFFll) {
+        hist[32]++;
+        continue;
+      }
+      int bits = 0;
+      uint64_t u = static_cast<uint64_t>(s);
+      while (u >> bits) ++bits;
+      if (bits == 0) bits = 1;
+      hist[bits]++;
+      if (s == (1ll << bits) - 1) eq_all_ones[bits]++;
+    }
+    uint64_t suffix[34] = {0};
+    for (int k = 31; k >= 0; --k) suffix[k] = suffix[k + 1] + hist[k + 1];
+    int best_b = 1;
+    uint64_t best_bytes = ~0ull;
+    for (int b = 1; b <= compress::kMaxBitWidth; ++b) {
+      uint64_t exc = suffix[b];
+      if (naive_layout) exc += eq_all_ones[b];
+      const uint64_t bytes = (static_cast<uint64_t>(n) * b + 7) / 8 +
+                             sizeof(compress::internal::ExceptionRecord) * exc;
+      if (bytes < best_bytes) {
+        best_bytes = bytes;
+        best_b = b;
+      }
+    }
+    return best_b;
+  }
+
+  static Status BuildBlock(const BlockInput& in, std::vector<uint8_t>* out,
+                           BlockStats* stats) {
+    using namespace compress::internal;
+    constexpr uint32_t kStride = compress::kEntryPointStride;
+    if (out == nullptr) return InvalidArgument("null output");
+    if (in.bit_width < 1 || in.bit_width > compress::kMaxBitWidth) {
+      return InvalidArgument("bit_width must be in [1, 30]");
+    }
+    if (in.n > 0 && (in.syms == nullptr || in.payloads == nullptr)) {
+      return InvalidArgument("null input arrays");
+    }
+    const int b = in.bit_width;
+    const int64_t mask = (1ll << b) - 1;
+    const int64_t max_normal = in.naive_layout ? mask - 1 : mask;
+    const uint32_t max_gap = 1u << b;
+    const uint32_t entry_count = (in.n + kStride - 1) / kStride;
+    std::vector<EntryPoint> entries(entry_count);
+    std::vector<uint32_t> codes(in.n, 0);
+    std::vector<ExceptionRecord> exc_records;
+    std::vector<uint32_t> window_exc;
+    uint64_t n_compulsory = 0;
+    uint32_t n_dense = 0;
+    uint32_t payload_off = 0;
+    for (uint32_t w = 0; w < entry_count; ++w) {
+      const uint32_t begin = w * kStride;
+      const uint32_t wn = std::min(kStride, in.n - begin);
+      EntryPoint& ep = entries[w];
+      ep.exc_start = static_cast<uint32_t>(exc_records.size());
+      ep.first_exc = kNoException;
+      ep.value_base =
+          in.window_value_bases != nullptr ? in.window_value_bases[w] : 0;
+      ep.payload_off = payload_off;
+      if (in.naive_layout) {
+        for (uint32_t i = 0; i < wn; ++i) {
+          const int64_t s = in.syms[begin + i];
+          if (s < 0 || s > max_normal) {
+            codes[begin + i] = static_cast<uint32_t>(mask);
+            exc_records.push_back({in.payloads[begin + i], begin + i});
+            if (ep.first_exc == kNoException) ep.first_exc = i;
+          } else {
+            codes[begin + i] = static_cast<uint32_t>(s);
+          }
+        }
+        payload_off += WindowBytes(wn, b);
+        continue;
+      }
+      window_exc.clear();
+      uint64_t naturals = 0;
+      for (uint32_t i = 0; i < wn; ++i) {
+        const int64_t s = in.syms[begin + i];
+        if (s >= 0 && s <= max_normal) {
+          codes[begin + i] = static_cast<uint32_t>(s);
+          continue;
+        }
+        ++naturals;
+        if (!window_exc.empty()) {
+          uint32_t prev = window_exc.back();
+          while (i - prev > max_gap) {
+            prev += max_gap;
+            window_exc.push_back(prev);
+          }
+        }
+        window_exc.push_back(i);
+      }
+      if (DenseWins(wn, b, window_exc.size())) {
+        ep.first_exc = kDenseWindow;
+        payload_off += 4 * wn;
+        ++n_dense;
+        continue;
+      }
+      n_compulsory += window_exc.size() - naturals;
+      for (size_t k = 0; k < window_exc.size(); ++k) {
+        const uint32_t pos = window_exc[k];
+        codes[begin + pos] =
+            k + 1 < window_exc.size() ? window_exc[k + 1] - pos - 1 : 0;
+        exc_records.push_back({in.payloads[begin + pos], begin + pos});
+      }
+      if (!window_exc.empty()) ep.first_exc = window_exc[0];
+      payload_off += WindowBytes(wn, b);
+    }
+
+    const uint32_t dict_bytes = in.dict != nullptr ? (4u << b) : 0;
+    BlockHeader hdr;
+    std::memset(&hdr, 0, sizeof(hdr));
+    hdr.magic = kBlockMagic;
+    hdr.scheme = static_cast<uint8_t>(in.scheme);
+    hdr.bit_width = static_cast<uint8_t>(b);
+    hdr.flags = in.naive_layout ? kFlagNaiveLayout : 0;
+    hdr.n = in.n;
+    hdr.base = in.base;
+    hdr.n_exceptions = static_cast<uint32_t>(exc_records.size());
+    hdr.dict_count = in.dict_count;
+    hdr.entry_count = entry_count;
+    const uint32_t entries_offset = sizeof(BlockHeader);
+    const uint32_t entries_bytes =
+        entry_count * static_cast<uint32_t>(sizeof(EntryPoint));
+    hdr.dict_offset = in.dict != nullptr ? entries_offset + entries_bytes : 0;
+    hdr.code_offset = entries_offset + entries_bytes + dict_bytes;
+    hdr.exc_offset = (hdr.code_offset + payload_off + 7u) & ~7u;
+    const size_t total = hdr.exc_offset +
+                         sizeof(ExceptionRecord) * exc_records.size() +
+                         kBlockPadBytes;
+    out->assign(total, 0);
+    uint8_t* base_ptr = out->data();
+    std::memcpy(base_ptr, &hdr, sizeof(hdr));
+    if (entry_count > 0) {
+      std::memcpy(base_ptr + entries_offset, entries.data(),
+                  entries.size() * sizeof(EntryPoint));
+    }
+    if (in.dict != nullptr) {
+      std::memcpy(base_ptr + hdr.dict_offset, in.dict, dict_bytes);
+    }
+    uint8_t* payload_ptr = base_ptr + hdr.code_offset;
+    for (uint32_t w = 0; w < entry_count; ++w) {
+      const uint32_t begin = w * kStride;
+      const uint32_t wn = std::min(kStride, in.n - begin);
+      uint8_t* wptr = payload_ptr + entries[w].payload_off;
+      if (entries[w].first_exc == kDenseWindow) {
+        std::memcpy(wptr, in.payloads + begin, 4ull * wn);
+        continue;
+      }
+      for (uint32_t i = 0; i < wn; ++i) {
+        // 8-byte read-modify-write: sets only this codeword's bits.
+        const uint64_t bit = uint64_t{i} * static_cast<uint64_t>(b);
+        uint64_t word;
+        std::memcpy(&word, wptr + (bit >> 3), sizeof(word));
+        word |= (static_cast<uint64_t>(codes[begin + i]) &
+                 static_cast<uint64_t>(mask))
+                << (bit & 7);
+        std::memcpy(wptr + (bit >> 3), &word, sizeof(word));
+      }
+    }
+    if (!exc_records.empty()) {
+      std::memcpy(base_ptr + hdr.exc_offset, exc_records.data(),
+                  exc_records.size() * sizeof(ExceptionRecord));
+    }
+    if (stats != nullptr) {
+      stats->n = in.n;
+      stats->bit_width = b;
+      stats->n_exceptions = static_cast<uint32_t>(exc_records.size());
+      stats->n_compulsory_exceptions = static_cast<uint32_t>(n_compulsory);
+      stats->n_dense_windows = n_dense;
+      stats->compressed_bytes = total;
+    }
+    return OkStatus();
+  }
+
+  static Status PforEncode(const int32_t* values, uint32_t n,
+                           const EncodeOptions& opts,
+                           std::vector<uint8_t>* out, BlockStats* stats) {
+    if (n > 0 && values == nullptr) return InvalidArgument("null values");
+    int32_t base = 0;
+    if (!opts.force_base && n > 0) {
+      base = *std::min_element(values, values + n);
+    }
+    std::vector<int64_t> syms(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      syms[i] = static_cast<int64_t>(values[i]) - base;
+    }
+    int b = opts.bit_width;
+    if (b == 0) b = ChooseBitWidth(syms.data(), n, opts.naive_layout);
+    BlockInput in;
+    in.scheme = Scheme::kPfor;
+    in.bit_width = b;
+    in.naive_layout = opts.naive_layout;
+    in.base = base;
+    in.n = n;
+    in.syms = syms.data();
+    in.payloads = values;
+    return BuildBlock(in, out, stats);
+  }
+
+  static Status PforDeltaEncode(const int32_t* values, uint32_t n,
+                                const EncodeOptions& opts,
+                                std::vector<uint8_t>* out, BlockStats* stats) {
+    if (n > 0 && values == nullptr) return InvalidArgument("null values");
+    std::vector<int32_t> deltas(n);
+    int32_t prev = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+      const int64_t d = static_cast<int64_t>(values[i]) - prev;
+      if (d < INT32_MIN || d > INT32_MAX) {
+        return InvalidArgument("delta exceeds 32 bits (unsorted input?)");
+      }
+      deltas[i] = static_cast<int32_t>(d);
+      prev = values[i];
+    }
+    int32_t base = 0;
+    if (!opts.force_base && n > 0) {
+      base = *std::min_element(deltas.begin(), deltas.end());
+    }
+    std::vector<int64_t> syms(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      syms[i] = static_cast<int64_t>(deltas[i]) - base;
+    }
+    int b = opts.bit_width;
+    if (b == 0) b = ChooseBitWidth(syms.data(), n, opts.naive_layout);
+    constexpr uint32_t kStride = compress::kEntryPointStride;
+    const uint32_t entry_count = (n + kStride - 1) / kStride;
+    std::vector<int32_t> window_bases(entry_count);
+    for (uint32_t w = 0; w < entry_count; ++w) {
+      window_bases[w] = w == 0 ? 0 : values[w * kStride - 1];
+    }
+    BlockInput in;
+    in.scheme = Scheme::kPforDelta;
+    in.bit_width = b;
+    in.naive_layout = opts.naive_layout;
+    in.base = base;
+    in.n = n;
+    in.syms = syms.data();
+    in.payloads = deltas.data();
+    in.window_value_bases = window_bases.data();
+    return BuildBlock(in, out, stats);
+  }
+
+  static Status PdictEncode(const int32_t* values, uint32_t n,
+                            const EncodeOptions& opts,
+                            std::vector<uint8_t>* out, BlockStats* stats) {
+    if (n > 0 && values == nullptr) return InvalidArgument("null values");
+    if (opts.naive_layout) {
+      return InvalidArgument("naive layout is not supported for PDICT");
+    }
+    if (opts.bit_width < 0 || opts.bit_width > compress::kMaxDictBitWidth) {
+      return InvalidArgument("pdict bit_width must be in [0, 20]");
+    }
+    std::unordered_map<int32_t, uint32_t> freq;
+    for (uint32_t i = 0; i < n; ++i) ++freq[values[i]];
+    std::vector<std::pair<int32_t, uint32_t>> candidates(freq.begin(),
+                                                         freq.end());
+    std::sort(candidates.begin(), candidates.end(),
+              [](const auto& a, const auto& b) {
+                return a.second != b.second ? a.second > b.second
+                                            : a.first < b.first;
+              });
+    int b = opts.bit_width;
+    if (b == 0) {
+      b = 1;
+      while (b < compress::kMaxDictBitWidth &&
+             (1ull << b) < candidates.size()) {
+        ++b;
+      }
+    }
+    const size_t dict_count =
+        std::min(candidates.size(), static_cast<size_t>(1ull << b));
+    std::vector<int32_t> dict_values(dict_count);
+    for (size_t i = 0; i < dict_count; ++i) {
+      dict_values[i] = candidates[i].first;
+    }
+    std::sort(dict_values.begin(), dict_values.end());
+    std::unordered_map<int32_t, uint32_t> code_of;
+    for (size_t i = 0; i < dict_values.size(); ++i) {
+      code_of.emplace(dict_values[i], static_cast<uint32_t>(i));
+    }
+    std::vector<int32_t> padded_dict(static_cast<size_t>(1ull << b), 0);
+    std::copy(dict_values.begin(), dict_values.end(), padded_dict.begin());
+    std::vector<int64_t> syms(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      const auto it = code_of.find(values[i]);
+      syms[i] = it != code_of.end() ? static_cast<int64_t>(it->second) : -1;
+    }
+    BlockInput in;
+    in.scheme = Scheme::kPdict;
+    in.bit_width = b;
+    in.n = n;
+    in.syms = syms.data();
+    in.payloads = values;
+    in.dict = padded_dict.data();
+    in.dict_count = static_cast<uint32_t>(dict_count);
+    return BuildBlock(in, out, stats);
   }
 };
 

@@ -564,6 +564,42 @@ TEST(SegmentTest, ManifestReopenAdoptsMergedStateAndDeletes) {
   EXPECT_EQ(docid, static_cast<int32_t>(model.docs.size()));
 }
 
+// A manifest reopen rebuilds a merged segment's forward store from its
+// postings; every document is allocated at its exact size, as the corpus
+// generator's are (Corpus.GeneratedDocumentsHoldNoSlack).
+TEST(SegmentTest, ReopenedMergedForwardStoreHoldsNoSlack) {
+  core::DatabaseOptions dopts;
+  dopts.corpus = TinyGenerated();
+  dopts.dir = FreshDir("db");
+  dopts.storage.page_bytes = 4096;
+  {
+    core::Database db;
+    ASSERT_TRUE(db.Open(dopts).ok());
+    Rng rng(71);
+    for (int i = 0; i < 60; ++i) {
+      ASSERT_TRUE(
+          db.AddDocument(RandomDoc(&rng, db.corpus().vocab_size()), nullptr)
+              .ok());
+    }
+    ASSERT_TRUE(db.DeleteDocument(9).ok());
+    ASSERT_TRUE(db.Merge().ok());
+  }
+  core::Database db;
+  ASSERT_TRUE(db.Open(dopts).ok());
+  ASSERT_TRUE(db.build_stats().reused_files);
+  const auto snap = db.Acquire();
+  uint32_t merged_docs = 0;
+  for (const Snapshot::SegmentRead& read : snap->segments) {
+    if (read.seg->seg_id() == 0) continue;
+    for (uint32_t d = 0; d < read.seg->num_docs(); ++d) {
+      ASSERT_EQ(read.seg->doc(d).capacity(), read.seg->doc(d).size())
+          << "segment " << read.seg->seg_id() << " doc " << d;
+    }
+    merged_docs += read.seg->num_docs();
+  }
+  EXPECT_EQ(merged_docs, 400u + 60u - 1u);
+}
+
 TEST(SegmentTest, TornManifestFallsBackToCleanRebuild) {
   core::DatabaseOptions dopts;
   dopts.corpus = TinyGenerated();
