@@ -8,8 +8,8 @@
       (X100IR_BENCH_DIR defaults to BUILD_DIR/bench_data) and checks each.
 
 Prints PASS, FAIL or DISABLED for every gate. Exits 1 when a gate fails,
-when a gate it needs is missing from the output, or when a bench exits
-non-zero.
+when a gate it needs is missing from the output, when a bench exits
+non-zero, or when a bench binary is missing from BUILD_DIR.
 """
 import operator
 import os
@@ -92,8 +92,12 @@ def run_all(build_dir, bounds):
     summary = []
     for bench in dict.fromkeys(b[0] for b in bounds):
         print("=== bench_%s ===" % bench, flush=True)
-        run = subprocess.run([os.path.join(build_dir, "bench_" + bench)],
-                             env=env, stdout=subprocess.PIPE, text=True)
+        binary = os.path.join(build_dir, "bench_" + bench)
+        if not os.path.isfile(binary):
+            summary.append(("FAIL", "%s: not built" % bench))
+            continue
+        run = subprocess.run([binary], env=env, stdout=subprocess.PIPE,
+                             text=True)
         sys.stdout.write(run.stdout)
         if run.returncode != 0:
             summary.append(("FAIL", "%s: exited with status %d" %

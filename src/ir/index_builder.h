@@ -60,10 +60,10 @@ struct IndexStorage {
 // How a build runs its independent column jobs (the docid encode, the tf
 // encode, block-max with the raw columns and side tables, the score
 // columns; DESIGN.md §6.4). Both write the same bytes. kConcurrent spreads
-// them over the host's cores and is for a build an Open waits on (seg_0);
-// kInline runs them one after another on the calling thread and is for a
-// build beside live traffic (a merge), where each encoder's transient
-// int64 copy of a collection-sized column would otherwise pile up.
+// them over the host's cores and is for a build an Open waits on (seg_0),
+// which may use every core; kInline runs them one after another on the
+// calling thread and is for a build beside live traffic (a merge), which
+// starts no thread.
 enum class BuildMode { kInline, kConcurrent };
 
 class InvertedIndex {

@@ -42,23 +42,24 @@
 //
 // The posting backend (MemPostings, PoolPostings) supplies:
 //
-//   Cursor    compress::SortedRangeCursor's interface — AtEnd, position,
-//             value, SkipTo, CurrentWindowIndex, SkipCurrentWindowBlockMax,
-//             CurrentRunView, AdvanceTo, stats — over one term's docids.
-//   Values    a per-term value reader; windows_decoded() feeds
+//   Source    the window source its columns are read through
+//             (compress/skip_cursor.h). Every docid stream and probe is a
+//             compress::SortedCursor<Source>, every per-term value reader a
+//             compress::WindowCache<Source>, whose windows_loaded() feeds
 //             tf_windows_decoded.
+//   docid_windows(), value_windows()   the sources of the docid column and
+//             the value column (tf or scores).
 //   index(), model(), Idf(term)     the scoring statistics the bounds and
 //             the scores follow (ScoreModel).
-//   InitCursor(cursor, info, offset), InitValues(values)
 //   ScoreWindow(idf, values, run_view, doclen_scratch, out, stats)
 //             scores the run's in-range slots out[lo..hi); false fails the
 //             query with error().
 //   ProbeScore(idf, values, position, docid)   one posting's contribution.
-//   failed(), error()   the backend's failure latch. A backend whose
-//             cursors can fail (a pool read) ends the failing term's stream
-//             and latches the status; the executor returns it at the next
-//             vector boundary and at exit. The in-memory backend's failed()
-//             is a constant false, so its loops carry no status checks.
+//   failed(), error()   the backend's failure latch. A source that can fail
+//             (a pool read) ends the failing term's stream and latches the
+//             status; the executor returns it at the next vector boundary
+//             and at exit. The in-memory backend's failed() is a constant
+//             false, so its loops carry no status checks.
 #ifndef X100IR_IR_MAXSCORE_H_
 #define X100IR_IR_MAXSCORE_H_
 
@@ -111,7 +112,7 @@ struct MsTerm {
   // current buffer's first posting — what a demotion hands the probe
   // cursor as its resume offset (re-covering at most one buffered vector,
   // which forward-only SkipTo crosses for free).
-  typename Postings::Cursor stream;
+  compress::SortedCursor<typename Postings::Source> stream;
   uint64_t vec_start = 0;
   std::vector<int32_t> docids;
   std::vector<float> scores;
@@ -122,8 +123,8 @@ struct MsTerm {
   // re-covered by the probe cursor, never lost), and the value reader
   // probe completion scores with.
   bool demoted = false;
-  typename Postings::Cursor probe;
-  typename Postings::Values values;
+  compress::SortedCursor<typename Postings::Source> probe;
+  compress::WindowCache<typename Postings::Source> values;
 };
 
 template <class Postings>
@@ -131,7 +132,7 @@ Status SearchBm25MaxScore(Postings& postings,
                           const std::vector<uint32_t>& terms,
                           const SearchOptions& opts, SearchResult* result) {
   using Term = MsTerm<Postings>;
-  using RunView = compress::SortedRangeCursor::RunView;
+  using RunView = compress::RunView;
   const InvertedIndex& index = postings.index();
   vec::ExecContext ctx;
   ctx.vector_size = opts.vector_size;
@@ -153,7 +154,8 @@ Status SearchBm25MaxScore(Postings& postings,
   // steady query stream allocates nothing here after warm-up. The pool
   // never shrinks — states[0..m) is this query's slice; every per-query
   // field (voff/vlen/demoted/vec_start included) is re-initialized below,
-  // and cursor Init fully resets position and skip stats.
+  // and a cursor's or value cache's Init fully resets its position, cached
+  // window and counters.
   static thread_local std::vector<Term> states_pool;
   static thread_local std::vector<uint32_t> order;
   static thread_local std::vector<float> prefix;
@@ -174,8 +176,10 @@ Status SearchBm25MaxScore(Postings& postings,
     ts.vlen = 0;
     ts.vec_start = 0;
     ts.demoted = false;
-    X100IR_RETURN_IF_ERROR(postings.InitCursor(&ts.stream, info, 0));
-    postings.InitValues(&ts.values);
+    X100IR_RETURN_IF_ERROR(ts.stream.Init(postings.docid_windows(),
+                                          info.posting_start,
+                                          info.posting_start + info.doc_freq));
+    ts.values.Init(postings.value_windows());
     if (!solo_only) {
       const uint32_t cap = vsize + compress::kEntryPointStride;
       ts.docids.resize(cap);
@@ -283,7 +287,7 @@ Status SearchBm25MaxScore(Postings& postings,
       Term& ts = states[i];
       AddSkipStats(ts.stream.stats(), &ctx.stats);
       if (ts.demoted) AddSkipStats(ts.probe.stats(), &ctx.stats);
-      ctx.stats.tf_windows_decoded += ts.values.windows_decoded();
+      ctx.stats.tf_windows_decoded += ts.values.windows_loaded();
     }
     result->stats = ctx.stats;
   };
@@ -348,10 +352,10 @@ Status SearchBm25MaxScore(Postings& postings,
       // SkipTo crosses the already-consumed prefix for free, and anything
       // block-max skipping dropped before this point is provably below θ
       // (see the soundness note above).
-      const uint64_t consumed = ts.vec_start - ts.posting_start;
+      const uint64_t end = ts.posting_start + ts.df;
       X100IR_RETURN_IF_ERROR(
-          postings.InitCursor(&ts.probe, index.term(ts.term), consumed));
-      const uint64_t remaining = ts.df - consumed;
+          ts.probe.Init(postings.docid_windows(), ts.vec_start, end));
+      const uint64_t remaining = end - ts.vec_start;
       ctx.stats.vectors_pruned += (remaining + vsize - 1) / vsize;
       ts.voff = ts.vlen = 0;  // drop the read-ahead tail; probes re-cover it
       ++ness;

@@ -51,11 +51,11 @@ vec::OperatorPtr MakeTermScan(const InvertedIndex& index,
 // windows scored straight from the packed tf payload by the fused
 // decode→score kernel (tf_window_score.h) — the tf codewords go to BM25
 // contributions without materializing a tf vector — and probes completed
-// from TfWindowReader's raw tfs.
+// from the term's cached tf window.
 class MemPostings {
  public:
-  using Cursor = compress::SortedRangeCursor;
-  using Values = TfWindowReader;
+  using Source = compress::ResidentWindows;
+  using Values = compress::WindowCache<Source>;
 
   MemPostings(const InvertedIndex& index, const SearchOptions& opts)
       : index_(index),
@@ -74,12 +74,8 @@ class MemPostings {
   const ScoreModel& model() const { return model_; }
   float Idf(uint32_t term) const { return EffectiveIdf(opts_, index_, term); }
 
-  Status InitCursor(Cursor* cursor, const TermInfo& info,
-                    uint64_t offset) const {
-    return cursor->Init(index_.docid_decoder(), info.posting_start + offset,
-                        info.posting_start + info.doc_freq);
-  }
-  void InitValues(Values* tfs) const { tfs->Init(index_.tf_source()); }
+  Source docid_windows() const { return index_.docid_decoder(); }
+  Source value_windows() const { return tf_dec_; }
 
   // Scores the decoded docid window behind `rv` into out[0..rv.win_len)
   // straight from the packed tf payload; dl is doclen staging.
@@ -87,7 +83,7 @@ class MemPostings {
   // writes one), so every window is fusable: a kernel refusal is a broken
   // index invariant and fails the query rather than falling back to
   // another scorer.
-  bool ScoreWindow(float idf, Values& /*tfs*/, const Cursor::RunView& rv,
+  bool ScoreWindow(float idf, Values& /*tfs*/, const compress::RunView& rv,
                    int32_t* dl, float* out, vec::ExecStats* stats) const {
     GatherI32(doclens_, rv.vals, rv.win_len, dl);
     if (!FusedScoreTfWindow(tf_dec_->WindowViewOf(rv.win_index), dl,
@@ -100,7 +96,9 @@ class MemPostings {
   }
 
   float ProbeScore(float idf, Values& tfs, uint64_t pos, int32_t d) const {
-    return Bm25One(idf, static_cast<float>(tfs.TfAt(pos)),
+    tfs.Load(static_cast<uint32_t>(pos / compress::kEntryPointStride));
+    const int32_t tf = tfs.i32()[pos % compress::kEntryPointStride];
+    return Bm25One(idf, static_cast<float>(tf),
                    static_cast<float>(doclens_[d]), model_.k1, model_.b,
                    model_.inv_avgdl);
   }

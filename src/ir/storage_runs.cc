@@ -18,7 +18,6 @@
 // (InvertedIndex::kMaterialized*), not opts.bm25, and bound with the same
 // (a bound computed under other stats than the scores would not be one);
 // the q8 bounds add half a quantization step.
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -34,75 +33,16 @@
 namespace x100ir::ir {
 namespace {
 
-// One term's value column (tf, or f32/q8 scores), read a 128-value window
-// at a time through the pool and cached: the window the stream scores,
-// then the windows probe completion reads. A failed read is written to the
-// query's latch and reported as false.
-class ValueWindows {
- public:
-  void Init(storage::ColumnReader* col, Status* latch) {
-    col_ = col;
-    latch_ = latch;
-    win_ = kNoWindow;
-    windows_decoded_ = 0;
-  }
-
-  // Loads window w; false (status latched) on a pool error.
-  bool Load(uint32_t w) {
-    if (w == win_) return true;
-    const uint64_t base = static_cast<uint64_t>(w) * kStride;
-    uint32_t len = static_cast<uint32_t>(
-        std::min<uint64_t>(kStride, col_->value_count() - base));
-    Status s;
-    switch (col_->encoding()) {
-      case ColumnFileHeader::kCompressedBlock:
-        s = col_->DecodeWindow(w, vals_.tf, &len);
-        break;
-      case ColumnFileHeader::kRawI32:
-        s = col_->Read(base, len, vals_.tf);
-        break;
-      default:  // f32 or q8 scores
-        s = col_->ReadF32(base, len, vals_.score);
-        break;
-    }
-    if (!s.ok()) {
-      if (latch_->ok()) *latch_ = std::move(s);
-      return false;
-    }
-    win_ = w;
-    ++windows_decoded_;
-    return true;
-  }
-
-  // Values of the loaded window.
-  const int32_t* tf() const { return vals_.tf; }
-  const float* score() const { return vals_.score; }
-
-  uint64_t windows_decoded() const { return windows_decoded_; }
-
- private:
-  static constexpr uint32_t kStride = compress::kEntryPointStride;
-  static constexpr uint32_t kNoWindow = 0xFFFFFFFFu;
-
-  storage::ColumnReader* col_ = nullptr;
-  Status* latch_ = nullptr;
-  uint32_t win_ = kNoWindow;
-  union {
-    int32_t tf[kStride];
-    float score[kStride];
-  } vals_;
-  uint64_t windows_decoded_ = 0;
-};
-
 // The pool-served posting backend of the MaxScore executor. Every cursor
-// and value reader of one query shares the backend's failure latch: a pool
-// error ends the failing term's stream, and the executor returns the
-// latched status at the next vector boundary (or at once, when a window
-// it is scoring cannot be read).
+// and value reader of one query reads through a storage::PoolWindows
+// source and shares the backend's failure latch: a pool error ends the
+// failing term's stream, and the executor returns the latched status at
+// the next vector boundary (or at once, when a window it is scoring cannot
+// be read).
 class PoolPostings {
  public:
-  using Cursor = storage::SortedColumnCursor;
-  using Values = ValueWindows;
+  using Source = storage::PoolWindows;
+  using Values = compress::WindowCache<Source>;
 
   PoolPostings(RunType type, const InvertedIndex& index,
                const SearchOptions& opts)
@@ -144,25 +84,22 @@ class PoolPostings {
                          : EffectiveIdf(opts_, index_, term);
   }
 
-  Status InitCursor(Cursor* cursor, const TermInfo& info, uint64_t offset) {
-    return cursor->Init(docid_, info.posting_start + offset,
-                        info.posting_start + info.doc_freq, &latch_);
-  }
-  void InitValues(Values* values) { values->Init(value_, &latch_); }
+  Source docid_windows() { return Source(docid_, &latch_); }
+  Source value_windows() { return Source(value_, &latch_); }
 
   // Scores the run's in-range slots out[lo..hi) from the value column's
   // window. An empty run is a cursor that just failed: nothing to score.
-  bool ScoreWindow(float idf, Values& values, const Cursor::RunView& rv,
+  bool ScoreWindow(float idf, Values& values, const compress::RunView& rv,
                    int32_t* dl, float* out, vec::ExecStats* stats) {
     const uint32_t n = rv.hi - rv.lo;
     if (n == 0) return true;
     if (!values.Load(rv.win_index)) return false;
     if (materialized_) {
-      std::memcpy(out + rv.lo, values.score() + rv.lo, sizeof(float) * n);
+      std::memcpy(out + rv.lo, values.f32() + rv.lo, sizeof(float) * n);
       return true;
     }
     GatherI32(doclens_, rv.vals + rv.lo, n, dl + rv.lo);
-    MapBm25(n, out + rv.lo, values.tf() + rv.lo, dl + rv.lo, idf, model_.k1,
+    MapBm25(n, out + rv.lo, values.i32() + rv.lo, dl + rv.lo, idf, model_.k1,
             model_.b, model_.inv_avgdl);
     ++stats->primitive_calls;
     return true;
@@ -170,12 +107,11 @@ class PoolPostings {
 
   // A failed read contributes nothing; the latch fails the query.
   float ProbeScore(float idf, Values& values, uint64_t pos, int32_t d) {
-    const uint32_t w = static_cast<uint32_t>(pos / compress::kEntryPointStride);
-    if (!values.Load(w)) return 0.0f;
-    const uint64_t slot = pos - static_cast<uint64_t>(w) *
-                                    compress::kEntryPointStride;
-    if (materialized_) return values.score()[slot];
-    return Bm25One(idf, static_cast<float>(values.tf()[slot]),
+    constexpr uint32_t kStride = compress::kEntryPointStride;
+    if (!values.Load(static_cast<uint32_t>(pos / kStride))) return 0.0f;
+    const uint64_t slot = pos % kStride;
+    if (materialized_) return values.f32()[slot];
+    return Bm25One(idf, static_cast<float>(values.i32()[slot]),
                    static_cast<float>(doclens_[d]), model_.k1, model_.b,
                    model_.inv_avgdl);
   }

@@ -159,19 +159,8 @@ Status ColumnReader::FetchBytes(uint64_t offset, uint64_t len,
   });
 }
 
-uint32_t ColumnReader::num_windows() const {
-  return static_cast<uint32_t>(
-      (value_count_ + compress::kEntryPointStride - 1) /
-      compress::kEntryPointStride);
-}
-
 int32_t ColumnReader::WindowValueBase(uint32_t w) const {
   return decoder_.WindowValueBase(w);
-}
-
-bool ColumnReader::WindowIsDelta() const {
-  return is_compressed() &&
-         decoder_.scheme() == compress::Scheme::kPforDelta;
 }
 
 Status ColumnReader::DecodeWindow(uint32_t w, int32_t* dst, uint32_t* wn) {
@@ -260,172 +249,54 @@ Status ColumnReader::ReadF32(uint64_t pos, uint32_t len, float* dst) {
 }
 
 // ---------------------------------------------------------------------------
-// SortedColumnCursor
+// PoolWindows
 // ---------------------------------------------------------------------------
 
-Status SortedColumnCursor::Init(ColumnReader* col, uint64_t begin,
-                                uint64_t end, Status* latch) {
-  if (col == nullptr) return InvalidArgument("null column reader");
-  if (latch == nullptr) return InvalidArgument("null failure latch");
-  if (begin > end || end > col->value_count()) {
-    return InvalidArgument("cursor range out of bounds");
-  }
-  compressed_ = col->is_compressed();
-  if (compressed_ && !col->WindowIsDelta()) {
+Status PoolWindows::CheckSorted() const {
+  if (col_ == nullptr) return InvalidArgument("null column reader");
+  if (latch_ == nullptr) return InvalidArgument("null failure latch");
+  if (col_->is_compressed() &&
+      col_->decoder_.scheme() != compress::Scheme::kPforDelta) {
     return InvalidArgument(
         "sorted cursor needs window value bases (PFOR-DELTA)");
   }
-  col_ = col;
-  latch_ = latch;
-  end_ = end;
-  pos_ = begin;
-  win_ = kNoWindow;
-  stats_ = compress::SkipStats();
   return OkStatus();
 }
 
-void SortedColumnCursor::Fail(Status s) {
+uint32_t PoolWindows::window_count() const {
+  return static_cast<uint32_t>(
+      (col_->value_count() + compress::kEntryPointStride - 1) /
+      compress::kEntryPointStride);
+}
+
+bool PoolWindows::Latch(Status s) {
+  if (s.ok()) return true;
   if (latch_->ok()) *latch_ = std::move(s);
-  pos_ = end_;
-}
-
-bool SortedColumnCursor::EnsureWindow() {
-  const uint32_t w = static_cast<uint32_t>(pos_ / kStride);
-  if (w == win_) return true;
-  const uint64_t base = static_cast<uint64_t>(w) * kStride;
-  uint32_t len = static_cast<uint32_t>(
-      std::min<uint64_t>(kStride, col_->value_count() - base));
-  Status s = compressed_ ? col_->DecodeWindow(w, win_vals_, &len)
-                         : col_->Read(base, len, win_vals_);
-  if (!s.ok()) {
-    Fail(std::move(s));
-    return false;
-  }
-  win_ = w;
-  win_base_ = base;
-  win_len_ = len;
-  ++stats_.windows_decoded;
-  return true;
-}
-
-bool SortedColumnCursor::WindowMax(uint32_t w, int32_t* out) {
-  if (compressed_) {
-    *out = col_->WindowValueBase(w + 1);
-    return true;
-  }
-  if (w == win_) {
-    *out = win_vals_[kStride - 1];
-    return true;
-  }
-  Status s = col_->Read(static_cast<uint64_t>(w + 1) * kStride - 1, 1, out);
-  if (!s.ok()) {
-    Fail(std::move(s));
-    return false;
-  }
-  return true;
-}
-
-int32_t SortedColumnCursor::value() {
-  if (!EnsureWindow()) return 0;
-  return win_vals_[pos_ - win_base_];
-}
-
-bool SortedColumnCursor::SkipCurrentWindowBlockMax() {
-  const uint32_t w = CurrentWindowIndex();
-  if (win_ != w) ++stats_.windows_blockmax_skipped;
-  pos_ = std::min<uint64_t>(end_, static_cast<uint64_t>(w + 1) * kStride);
-  return pos_ < end_;
-}
-
-SortedColumnCursor::RunView SortedColumnCursor::CurrentRunView() {
-  RunView rv;
-  rv.vals = win_vals_;
-  if (!EnsureWindow()) {
-    rv.win_base = end_;  // empty run at the end: lo == hi == 0
-    return rv;
-  }
-  rv.win_index = win_;
-  rv.win_base = win_base_;
-  rv.win_len = win_len_;
-  rv.lo = static_cast<uint32_t>(pos_ - win_base_);
-  rv.hi = static_cast<uint32_t>(
-      std::min<uint64_t>(end_, win_base_ + win_len_) - win_base_);
-  return rv;
-}
-
-// Same window decisions and counters as compress::SortedRangeCursor::SkipTo
-// (which the tests pin this against): windows with a successor entry point
-// expose their max without decoding; the window containing end - 1 — or
-// the column's final window — has no trusted max and is always decoded as
-// a candidate rather than skipped. The first window whose max reaches the
-// target is found by galloping from the cursor's window and then binary
-// search; the answer is the one SortedRangeCursor's binary search finds,
-// and on a raw column the gallop keeps the point reads near the cursor.
-bool SortedColumnCursor::SkipTo(int32_t target) {
-  ++stats_.skip_calls;
-  while (!AtEnd()) {
-    const uint32_t w_from = static_cast<uint32_t>(pos_ / kStride);
-    const uint32_t w_last = static_cast<uint32_t>((end_ - 1) / kStride);
-    const uint32_t full_end = std::min(static_cast<uint32_t>(end_ / kStride),
-                                       col_->num_windows() - 1);
-    // The answer lies in [lo, hi]; hi == full_end means "no full-info
-    // window reaches the target".
-    uint32_t lo = w_from;
-    uint32_t hi = std::max(w_from, full_end);
-    int32_t max = 0;
-    for (uint32_t step = 1; lo < hi; step *= 2) {
-      const uint32_t probe = std::min(hi - 1, lo + step - 1);
-      if (!WindowMax(probe, &max)) return false;
-      if (max >= target) {
-        hi = probe;
-        break;
-      }
-      lo = probe + 1;
-    }
-    while (lo < hi) {
-      const uint32_t mid = lo + (hi - lo) / 2;
-      if (!WindowMax(mid, &max)) return false;
-      if (max >= target) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    uint32_t cand = lo;
-    if (cand >= full_end) {
-      if (full_end > w_last) {
-        // The jump to end passes windows w_from..w_last undecoded; they
-        // count as skipped, exactly as in SortedRangeCursor::SkipTo.
-        stats_.windows_skipped +=
-            w_last - w_from + 1 - (win_ == w_from ? 1 : 0);
-        pos_ = end_;
-        return false;
-      }
-      cand = w_last;
-    }
-    if (cand > w_from) {
-      stats_.windows_skipped += cand - w_from - (win_ == w_from ? 1 : 0);
-      pos_ = static_cast<uint64_t>(cand) * kStride;
-    }
-    if (!EnsureWindow()) return false;
-    const uint64_t cap = std::min<uint64_t>(end_, win_base_ + win_len_);
-    uint32_t s = static_cast<uint32_t>(pos_ - win_base_);
-    uint32_t e = static_cast<uint32_t>(cap - win_base_);
-    while (s < e) {
-      const uint32_t m = s + (e - s) / 2;
-      if (win_vals_[m] >= target) {
-        e = m;
-      } else {
-        s = m + 1;
-      }
-    }
-    if (win_base_ + s < cap) {
-      pos_ = win_base_ + s;
-      return true;
-    }
-    pos_ = cap;
-  }
   return false;
+}
+
+bool PoolWindows::WindowMax(uint32_t w, int32_t* max) {
+  if (col_->is_compressed()) {
+    *max = col_->WindowValueBase(w + 1);
+    return true;
+  }
+  return Latch(col_->Read(
+      static_cast<uint64_t>(w + 1) * compress::kEntryPointStride - 1, 1,
+      max));
+}
+
+bool PoolWindows::Load(uint32_t w, compress::WindowValues* dst) {
+  const uint64_t base = static_cast<uint64_t>(w) * compress::kEntryPointStride;
+  uint32_t len = static_cast<uint32_t>(std::min<uint64_t>(
+      compress::kEntryPointStride, col_->value_count() - base));
+  switch (col_->encoding()) {
+    case ColumnFileHeader::kCompressedBlock:
+      return Latch(col_->DecodeWindow(w, dst->i32, &len));
+    case ColumnFileHeader::kRawI32:
+      return Latch(col_->Read(base, len, dst->i32));
+    default:  // f32 or q8 scores
+      return Latch(col_->ReadF32(base, len, dst->f32));
+  }
 }
 
 }  // namespace x100ir::storage

@@ -24,9 +24,9 @@
 // by every concurrent query — Read/ReadF32/DecodeWindow keep all mutable
 // state on the caller's stack and go through the thread-safe buffer pool,
 // so they may race freely; the reader itself is immutable. Window counts
-// belong to the query: SortedColumnCursor (per-query state — create one
-// per query, never share it) and the storage runs' value readers count
-// the windows they load.
+// belong to the query: the cursors and window caches over PoolWindows
+// (per-query state — create them per query, never share them) count the
+// windows they load.
 //
 // Transient page faults (storage/fault_injection.h) are retried here, in
 // VisitBytes — the single funnel every byte passes through — with a
@@ -36,7 +36,6 @@
 #ifndef X100IR_STORAGE_COLUMN_READER_H_
 #define X100IR_STORAGE_COLUMN_READER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -75,12 +74,9 @@ class ColumnReader {
   Status Read(uint64_t pos, uint32_t len, int32_t* dst);
   Status ReadF32(uint64_t pos, uint32_t len, float* dst);
 
-  // Window interface (skip cursors) over 128-value windows. num_windows()
-  // holds for every encoding, the rest for compressed columns only. `dst`
+  // Window interface of compressed columns over 128-value windows. `dst`
   // must hold kEntryPointStride values; *wn receives the window's length.
-  uint32_t num_windows() const;
   int32_t WindowValueBase(uint32_t w) const;
-  bool WindowIsDelta() const;  // value bases meaningful (PFOR-DELTA)
   Status DecodeWindow(uint32_t w, int32_t* dst, uint32_t* wn);
 
   // The pool id this column was opened under — what EvictFile /
@@ -98,6 +94,8 @@ class ColumnReader {
 
   // One pin attempt with the classified retry loop around it.
   Status PinWithRetry(PinnedPage* pin, uint64_t page_no);
+
+  friend class PoolWindows;  // reads the block scheme
 
   File file_;
   uint32_t file_id_ = 0;
@@ -118,78 +116,45 @@ class ColumnReader {
   compress::BlockDecoder decoder_;
 };
 
-// Forward cursor over a *sorted* sub-range [begin, end) of an i32 column —
-// the storage twin of compress::SortedRangeCursor with the same interface
-// (value / SkipTo / the window API), the same boundary rules and the same
-// three window counters, pinned against it by tests — so the Block-Max
-// MaxScore executor (ir/maxscore.h) drives either one. Values come through
-// the pool, a 128-value window at a time:
+// The window source (compress/skip_cursor.h) over a pool-served column:
+// compress::SortedCursor<PoolWindows> is the storage runs' docid cursor and
+// compress::WindowCache<PoolWindows> their per-term value reader. Windows
+// come through the pool a 128-value window at a time:
 //
 //   compressed — a window's max is the next entry point's resident value
 //     base, so SkipTo's window search reads no payload and only the one
 //     candidate window is fetched + decoded;
-//   raw        — no window metadata exists, so SkipTo reads each window
-//     max it tests with a point read (page-granular through the pool),
-//     galloping forward from the cursor so near targets touch near pages,
-//     then reads the one candidate window. It lands on the same windows.
+//   raw        — no window metadata exists, so a window max is a point
+//     read (page-granular through the pool); the cursor's gallop keeps
+//     those reads near its position;
+//   f32 / q8   — score windows, read (and dequantized) for a value cache.
 //
 // Failure: any access may fault a page in, and a pool error (a torn read,
 // a pool smaller than the pinned working set) must never become a wrong
-// result. The accessors mirror the in-memory cursor and return no Status,
-// so the first error is written to the borrowed `latch` and ends the
-// cursor: it reports AtEnd, SkipTo returns false and CurrentRunView an
-// empty run (lo == hi). The caller checks the latch.
-class SortedColumnCursor {
+// result. The first error is written to the borrowed `latch`, and the
+// access reports false: a cursor ends (AtEnd, SkipTo false, an empty
+// CurrentRunView) and a cache holds no window. The caller checks the
+// latch; one latch may be shared by every source of one query.
+class PoolWindows {
  public:
-  using RunView = compress::SortedRangeCursor::RunView;
+  PoolWindows() = default;
+  // The reader and the latch must outlive the source.
+  PoolWindows(ColumnReader* col, Status* latch) : col_(col), latch_(latch) {}
 
-  // The reader and the latch must outlive the cursor; [begin, end) values
-  // nondecreasing. A latch may be shared by every cursor of one query.
-  Status Init(ColumnReader* col, uint64_t begin, uint64_t end,
-              Status* latch);
-
-  bool AtEnd() const { return pos_ >= end_; }
-  uint64_t position() const { return pos_; }
-  const compress::SkipStats& stats() const { return stats_; }
-
-  // Current value; requires !AtEnd(). 0 if the window fetch fails.
-  int32_t value();
-
-  // compress::SortedRangeCursor's window API, same contracts.
-  uint32_t CurrentWindowIndex() const {
-    return static_cast<uint32_t>(pos_ / kStride);
-  }
-  bool SkipCurrentWindowBlockMax();
-  RunView CurrentRunView();
-  void AdvanceTo(uint64_t pos) {
-    pos_ = std::max(pos_, std::min(pos, end_));
-  }
-
-  // Advances to the first position >= the current one whose value is >=
-  // target (nondecreasing targets); false when the cursor reaches the end
-  // or fails.
-  bool SkipTo(int32_t target);
+  // Rejects a null reader or latch, and a compressed block that is not
+  // PFOR-DELTA (its value bases are no window maxima).
+  Status CheckSorted() const;
+  uint64_t size() const { return col_->value_count(); }
+  uint32_t window_count() const;
+  bool WindowMax(uint32_t w, int32_t* max);
+  bool Load(uint32_t w, compress::WindowValues* dst);
 
  private:
-  static constexpr uint32_t kStride = compress::kEntryPointStride;
-  static constexpr uint32_t kNoWindow = 0xFFFFFFFFu;
-
-  // Loads the window containing pos_; false after a latched failure.
-  bool EnsureWindow();
-  // *out = the last value of window w (w below SkipTo's full_end); false
-  // after a latched failure.
-  bool WindowMax(uint32_t w, int32_t* out);
-  void Fail(Status s);
+  // True for OK; else latches the first error and returns false.
+  bool Latch(Status s);
 
   ColumnReader* col_ = nullptr;
   Status* latch_ = nullptr;
-  uint64_t end_ = 0, pos_ = 0;
-  bool compressed_ = false;
-  uint32_t win_ = kNoWindow;
-  uint64_t win_base_ = 0;
-  uint32_t win_len_ = 0;
-  int32_t win_vals_[kStride];
-  compress::SkipStats stats_;
 };
 
 }  // namespace x100ir::storage

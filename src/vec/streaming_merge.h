@@ -52,9 +52,10 @@ inline uint32_t GallopLowerBound(const int32_t* v, uint32_t lo, uint32_t n,
 }
 
 // A sorted i32 stream with value-based skipping — what the streaming join
-// drives. Implementations: ir::DocidSkipCursor (compressed posting slice
-// via compress::SortedRangeCursor) and MemSkipCursor below (raw arrays;
-// tests and the custom-engine baselines).
+// drives. Implementations: ir::DocidSkipCursor (a compressed posting
+// slice, through the skip cursor over its resident block,
+// compress/skip_cursor.h) and MemSkipCursor below (raw arrays; tests and
+// the custom-engine baselines).
 class SkipCursor {
  public:
   virtual ~SkipCursor() = default;

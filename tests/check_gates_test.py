@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Tests bench/check_gates.py on synthetic bench output; runs no bench."""
+import contextlib
+import io
 import os
 import sys
+import tempfile
 import unittest
+from unittest import mock
 
 sys.dont_write_bytecode = True  # keep bench/ free of __pycache__
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -90,6 +94,17 @@ class CheckGatesTest(unittest.TestCase):
             check_gates.load_bounds("demo ratio ~ 1\n")
         with self.assertRaises(ValueError):
             check_gates.load_bounds("demo ratio <\n")
+
+    def test_a_missing_bench_binary_fails_without_running(self):
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as build_dir, \
+                contextlib.redirect_stdout(out), \
+                mock.patch.object(check_gates.subprocess, "run",
+                                  side_effect=AssertionError("ran a bench")):
+            ok = check_gates.run_all(build_dir, BOUNDS)
+        self.assertFalse(ok)
+        self.assertIn("FAIL     demo: not built", out.getvalue())
+        self.assertIn("FAIL     other: not built", out.getvalue())
 
     def test_committed_bounds_parse(self):
         with open(check_gates.BOUNDS) as f:

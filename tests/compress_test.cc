@@ -1,12 +1,15 @@
 // Round-trip and range-decode tests for the PFOR / PFOR-DELTA / PDICT block
 // codecs across bit widths, exception rates, and awkward block lengths; the
-// streaming encoders' byte identity with the array-based oracle
-// (reference.h) and their memory bound, measured by a counting allocator.
+// skip cursor over resident blocks, and its counter partition over every
+// window source; the streaming encoders' byte identity with the
+// array-based oracle (reference.h) and their memory bound, measured by a
+// counting allocator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -23,6 +26,9 @@
 #include "compress/unpack.h"
 #include "compress/pfor.h"
 #include "compress/pfor_delta.h"
+#include "ir/index_meta.h"
+#include "storage/buffer_manager.h"
+#include "storage/column_reader.h"
 
 #include "reference.h"
 #include "test_util.h"
@@ -1166,25 +1172,18 @@ TEST(SkipCursor, SkipsWindowsWithoutDecodingThem) {
   }
   EXPECT_EQ(cur.stats().windows_decoded, 3u);
   EXPECT_GT(cur.stats().windows_skipped, 90u);
-  EXPECT_EQ(cur.stats().skip_calls, 3u);
 }
 
-TEST(Codec, SkipStatsPartitionExact) {
-  // Counter-drift audit (DESIGN.md §12.4): randomly mixed driving — value
-  // skips (SkipTo, including the probe-past-everything exhaust path),
-  // Block-Max window rejects, and bulk run decodes — over hostile sub-range
-  // boundaries. At exhaustion, windows_decoded + windows_skipped +
-  // windows_blockmax_skipped must equal the number of 128-value windows
-  // overlapping [begin, end) exactly. No single counter is monotone in how
-  // aggressively the driver skips; only the partition is invariant.
-  const auto values = MakeSorted(5 * 128 + 57, 0xBEEF, 40);
+// Drives a SortedCursor<Source> over hostile sub-ranges of `values` with a
+// seeded random mix of value skips (SkipTo, including the
+// probe-past-everything exhaust path), Block-Max window rejects and bulk
+// run loads until it exhausts, and checks that its three window counters
+// partition the windows overlapping the range.
+template <class Source>
+void CheckSkipStatsPartition(const Source& src,
+                             const std::vector<int32_t>& values,
+                             const char* what) {
   const uint32_t n = static_cast<uint32_t>(values.size());
-  EncodeOptions opts;
-  opts.force_base = true;
-  std::vector<uint8_t> block;
-  ASSERT_TRUE(PforDeltaEncode(values.data(), n, opts, &block, nullptr).ok());
-  BlockDecoder dec;
-  ASSERT_TRUE(dec.Init(block.data(), block.size()).ok());
   const uint32_t ranges[][2] = {{0, n},         {1, n - 1}, {127, 129},
                                 {128, 256},     {130, 131}, {3, 128 * 4 + 1},
                                 {128 * 2, n}};
@@ -1192,8 +1191,8 @@ TEST(Codec, SkipStatsPartitionExact) {
   for (const auto& range : ranges) {
     const uint32_t begin = range[0], end = range[1];
     for (int rep = 0; rep < 16; ++rep) {
-      SortedRangeCursor cur;
-      ASSERT_TRUE(cur.Init(&dec, begin, end).ok());
+      SortedCursor<Source> cur;
+      ASSERT_TRUE(cur.Init(src, begin, end).ok());
       int32_t probe = values[begin];
       while (!cur.AtEnd()) {
         switch (rng.NextBounded(3)) {
@@ -1202,7 +1201,7 @@ TEST(Codec, SkipStatsPartitionExact) {
             break;
           case 1: {
             const auto rv = cur.CurrentRunView();
-            ASSERT_LT(rv.lo, rv.hi);
+            ASSERT_LT(rv.lo, rv.hi) << what;
             probe = std::max(probe, rv.vals[rv.hi - 1]);
             cur.AdvanceTo(rv.win_base + rv.hi);
             break;
@@ -1217,17 +1216,75 @@ TEST(Codec, SkipStatsPartitionExact) {
           }
         }
       }
-      const auto& st = cur.stats();
+      const SkipStats st = cur.stats();
       const uint64_t overlapped = (end - 1) / 128 - begin / 128 + 1;
       ASSERT_EQ(st.windows_decoded + st.windows_skipped +
                     st.windows_blockmax_skipped,
                 overlapped)
-          << "range [" << begin << "," << end << ") rep " << rep
+          << what << " range [" << begin << "," << end << ") rep " << rep
           << " decoded=" << st.windows_decoded
           << " skipped=" << st.windows_skipped
           << " blockmax=" << st.windows_blockmax_skipped;
     }
   }
+}
+
+// A column file (ir/index_meta.h layout) under the test temp dir.
+std::string WriteColumnFile(const char* name, uint32_t encoding, uint64_t n,
+                            const void* payload, size_t payload_bytes) {
+  ir::ColumnFileHeader hdr;
+  hdr.encoding = encoding;
+  hdr.value_count = n;
+  const std::string path =
+      ::testing::TempDir() + "/x100ir_compress_" + name + ".col";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  EXPECT_EQ(std::fwrite(&hdr, sizeof(hdr), 1, f), 1u);
+  EXPECT_EQ(std::fwrite(payload, payload_bytes, 1, f), 1u);
+  std::fclose(f);
+  return path;
+}
+
+TEST(Codec, SkipStatsPartitionExact) {
+  // Counter-drift audit (DESIGN.md §12.4): at exhaustion,
+  // windows_decoded + windows_skipped + windows_blockmax_skipped must equal
+  // the number of 128-value windows overlapping [begin, end) exactly, for
+  // the resident source and for both pool-served sources (a compressed and
+  // a raw column file of the same values). No single counter is monotone
+  // in how aggressively the driver skips; only the partition is invariant.
+  const auto values = MakeSorted(5 * 128 + 57, 0xBEEF, 40);
+  const uint32_t n = static_cast<uint32_t>(values.size());
+  EncodeOptions opts;
+  opts.force_base = true;
+  std::vector<uint8_t> block;
+  ASSERT_TRUE(PforDeltaEncode(values.data(), n, opts, &block, nullptr).ok());
+  BlockDecoder dec;
+  ASSERT_TRUE(dec.Init(block.data(), block.size()).ok());
+  CheckSkipStatsPartition(ResidentWindows(&dec), values, "resident");
+  if (HasFatalFailure()) return;
+
+  storage::SimulatedDisk disk;
+  storage::BufferManager bm(1ull << 30, &disk, 512);
+  storage::ColumnReader compressed, raw;
+  ASSERT_TRUE(compressed
+                  .Open(WriteColumnFile(
+                            "partition_pfd",
+                            ir::ColumnFileHeader::kCompressedBlock, n,
+                            block.data(), block.size()),
+                        1, &bm)
+                  .ok());
+  ASSERT_TRUE(raw.Open(WriteColumnFile("partition_raw",
+                                       ir::ColumnFileHeader::kRawI32, n,
+                                       values.data(), 4ull * n),
+                       2, &bm)
+                  .ok());
+  Status latch;
+  CheckSkipStatsPartition(storage::PoolWindows(&compressed, &latch), values,
+                          "pool compressed");
+  if (HasFatalFailure()) return;
+  CheckSkipStatsPartition(storage::PoolWindows(&raw, &latch), values,
+                          "pool raw");
+  EXPECT_TRUE(latch.ok()) << latch.ToString();
 }
 
 TEST(SkipCursor, InitRejectsBadRangesAndSchemes) {

@@ -16,8 +16,9 @@
 // with tombstones and a delta, and an N-way cluster. MaxScore and the
 // storage runs add in other orders and are compared within a tolerance.
 //
-// The file also holds the generator oracle, ReferenceCorpus::Generate, and
-// the encoder oracle, ReferenceCodec (see there).
+// The file also holds the generator oracle, ReferenceCorpus::Generate, the
+// encoder oracle, ReferenceCodec, and the skip-cursor oracle,
+// ReferenceSkipCursor (see there).
 #ifndef X100IR_TESTS_REFERENCE_H_
 #define X100IR_TESTS_REFERENCE_H_
 
@@ -33,6 +34,7 @@
 #include "common/status.h"
 #include "compress/block_layout.h"
 #include "compress/codec.h"
+#include "compress/skip_cursor.h"
 #include "ir/bm25.h"
 #include "ir/corpus.h"
 #include "ir/query_gen.h"
@@ -598,6 +600,207 @@ struct ReferenceCodec {
     in.dict_count = static_cast<uint32_t>(dict_count);
     return BuildBlock(in, out, stats);
   }
+};
+
+// The skip-cursor oracle: the resident-block cursor that preceded the one
+// compress::SortedCursor template, kept as it was apart from its name and
+// a SkipTo call counter nothing read. It binary-searches the entry points'
+// value bases over the whole candidate span. Every SortedCursor source —
+// resident, pool-compressed, pool-raw — must land where it lands after
+// every step, with the same RunViews and window counters.
+class ReferenceSkipCursor {
+ public:
+  ReferenceSkipCursor() = default;
+
+  // The decoder (and its block) must outlive the cursor. Values at
+  // positions [begin, end) must be nondecreasing — the caller's contract,
+  // true for any single term's slice of TD.docid.
+  Status Init(const compress::BlockDecoder* dec, uint64_t begin,
+              uint64_t end) {
+    if (dec == nullptr) return InvalidArgument("null decoder");
+    if (dec->scheme() != compress::Scheme::kPforDelta) {
+      return InvalidArgument(
+          "skip cursor needs window value bases (PFOR-DELTA)");
+    }
+    if (begin > end || end > dec->n()) {
+      return InvalidArgument("cursor range out of bounds");
+    }
+    dec_ = dec;
+    begin_ = begin;
+    end_ = end;
+    pos_ = begin;
+    win_ = kNoWindow;
+    stats_ = compress::SkipStats();
+    return OkStatus();
+  }
+
+  bool AtEnd() const { return pos_ >= end_; }
+  uint64_t position() const { return pos_; }
+  const compress::SkipStats& stats() const { return stats_; }
+
+  // Current value; requires !AtEnd(). Decodes the containing window on
+  // first access (lazily, so a cursor that is only ever skipped past a
+  // window never pays for it).
+  int32_t value() {
+    EnsureWindow();
+    return win_vals_[pos_ - win_base_];
+  }
+
+  // Advances one position; returns false at end.
+  bool Next() { return ++pos_ < end_; }
+
+  // --- Window-granular bulk access (Block-Max MaxScore, DESIGN.md §12) ---
+
+  // Index of the window containing the cursor; requires !AtEnd().
+  uint32_t CurrentWindowIndex() const {
+    return static_cast<uint32_t>(pos_ / compress::kEntryPointStride);
+  }
+
+  // Jumps past the current window without decoding it — the Block-Max
+  // reject, taken when the caller's per-window score upper bound cannot
+  // beat θ. Counted as blockmax-skipped unless the window is already
+  // decoded (then windows_decoded already owns it; each window lands in
+  // exactly one counter). Returns false when the cursor exhausts.
+  bool SkipCurrentWindowBlockMax() {
+    const uint32_t w = CurrentWindowIndex();
+    if (win_ != w) ++stats_.windows_blockmax_skipped;
+    pos_ = std::min<uint64_t>(
+        end_, static_cast<uint64_t>(w + 1) * compress::kEntryPointStride);
+    return pos_ < end_;
+  }
+
+  // One decoded window's in-range slice: vals[lo..hi) are the values at
+  // block-absolute positions [win_base + lo, win_base + hi), all >= the
+  // cursor position and < end.
+  struct RunView {
+    const int32_t* vals = nullptr;  // the full decoded window
+    uint32_t win_index = 0;
+    uint64_t win_base = 0;  // block-absolute position of vals[0]
+    uint32_t win_len = 0;   // decoded values (may extend past the range)
+    uint32_t lo = 0;        // first in-range slot (== pos - win_base)
+    uint32_t hi = 0;        // one past the last in-range slot
+  };
+
+  // Decodes (if needed) the window containing the cursor and returns its
+  // in-range slice; requires !AtEnd(). The pointer stays valid until the
+  // cursor decodes another window.
+  RunView CurrentRunView() {
+    EnsureWindow();
+    RunView rv;
+    rv.vals = win_vals_;
+    rv.win_index = win_;
+    rv.win_base = win_base_;
+    rv.win_len = win_len_;
+    rv.lo = static_cast<uint32_t>(pos_ - win_base_);
+    rv.hi = static_cast<uint32_t>(
+        std::min<uint64_t>(end_, win_base_ + win_len_) - win_base_);
+    return rv;
+  }
+
+  // Forward-only positional advance (to the end of a consumed run); moves
+  // to min(pos, end) and never backwards.
+  void AdvanceTo(uint64_t pos) {
+    pos_ = std::max(pos_, std::min(pos, end_));
+  }
+
+  // Advances to the first position >= the current one whose value is
+  // >= target; returns false (cursor at end) when no such position exists.
+  // Probes must be nondecreasing across calls.
+  bool SkipTo(int32_t target) {
+    while (!AtEnd()) {
+      constexpr uint32_t kStride = compress::kEntryPointStride;
+      const uint32_t w_from = static_cast<uint32_t>(pos_ / kStride);
+      const uint32_t w_last = static_cast<uint32_t>((end_ - 1) / kStride);
+      // Windows x < full_end have their last value in-range AND stored in
+      // the next entry point: f(x) = WindowValueBase(x + 1) is the window
+      // max without decoding. The block's final window has no successor
+      // entry, so it is excluded even when the range covers it exactly.
+      const uint32_t full_end =
+          std::min(static_cast<uint32_t>(end_ / kStride),
+                   dec_->entry_count() - 1);
+      uint32_t lo = w_from;
+      uint32_t hi = std::max(w_from, full_end);
+      while (lo < hi) {
+        const uint32_t mid = lo + (hi - lo) / 2;
+        if (dec_->WindowValueBase(mid + 1) >= target) {
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      uint32_t cand = lo;
+      if (cand >= full_end) {
+        // Every full-info window tops out below target. If the range ends
+        // with a window whose max is unknown (partial coverage or the
+        // block's final window), that window is the last candidate;
+        // otherwise the range holds no value >= target.
+        if (full_end > w_last) {
+          // The jump to end passes windows w_from..w_last without decoding
+          // them; they must still land in the skip count or the partition
+          // invariant (SkipStats comment) would leak exactly this branch.
+          stats_.windows_skipped +=
+              w_last - w_from + 1 - (win_ == w_from ? 1 : 0);
+          pos_ = end_;
+          return false;
+        }
+        cand = w_last;
+      }
+      if (cand > w_from) {
+        stats_.windows_skipped +=
+            cand - w_from - (win_ == w_from ? 1 : 0);
+        pos_ = static_cast<uint64_t>(cand) * kStride;
+      }
+      EnsureWindow();
+      // Lower bound within the window's in-range tail [pos_, cap).
+      const uint64_t cap = std::min<uint64_t>(end_, win_base_ + win_len_);
+      uint32_t s = static_cast<uint32_t>(pos_ - win_base_);
+      uint32_t e = static_cast<uint32_t>(cap - win_base_);
+      while (s < e) {
+        const uint32_t m = s + (e - s) / 2;
+        if (win_vals_[m] >= target) {
+          e = m;
+        } else {
+          s = m + 1;
+        }
+      }
+      if (win_base_ + s < cap) {
+        pos_ = win_base_ + s;
+        return true;
+      }
+      // Only reachable when cand was the unknown-max trailing window and
+      // its in-range values all fall below target: exhaust it and let the
+      // loop observe AtEnd.
+      pos_ = cap;
+    }
+    return false;
+  }
+
+ private:
+  static constexpr uint32_t kNoWindow = 0xFFFFFFFFu;
+
+  void EnsureWindow() {
+    const uint32_t w =
+        static_cast<uint32_t>(pos_ / compress::kEntryPointStride);
+    if (w == win_) return;
+    win_ = w;
+    win_base_ = static_cast<uint64_t>(w) * compress::kEntryPointStride;
+    win_len_ = static_cast<uint32_t>(
+        std::min<uint64_t>(compress::kEntryPointStride, dec_->n() - win_base_));
+    dec_->Decode(static_cast<uint32_t>(win_base_), win_len_, win_vals_);
+    ++stats_.windows_decoded;
+  }
+
+  const compress::BlockDecoder* dec_ = nullptr;
+  uint64_t begin_ = 0;
+  uint64_t end_ = 0;
+  uint64_t pos_ = 0;
+
+  uint32_t win_ = kNoWindow;  // index of the decoded window, or kNoWindow
+  uint64_t win_base_ = 0;
+  uint32_t win_len_ = 0;
+  int32_t win_vals_[compress::kEntryPointStride];
+
+  compress::SkipStats stats_;
 };
 
 }  // namespace x100ir

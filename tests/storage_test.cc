@@ -2,9 +2,10 @@
 // refcount invariants, eviction-under-pressure never touching pinned
 // pages, exact stats counters, EvictAll cold-pool semantics; ColumnReader
 // round trips for every encoding plus window-granular compressed reads
-// against the resident BlockDecoder as oracle; SortedColumnCursor vs
-// compress::SortedRangeCursor across hostile block boundaries, window API
-// and counters included; torn-write safety of Database::Open over every
+// against the resident BlockDecoder as oracle; the skip cursor over the
+// resident and both pool-served window sources vs the oracle cursor
+// (reference.h) across hostile block boundaries, window API and counters
+// included; torn-write safety of Database::Open over every
 // persisted file; wrong-scheme column files rebuilt at load, never served;
 // all seven RunTypes end-to-end with ranked runs pinned against the
 // reference evaluator (reference.h); BM25T/TC bit-identical to in-memory
@@ -444,14 +445,16 @@ TEST(ColumnReader, CompressedMatchesResidentDecoderAcrossBoundaries) {
     ASSERT_TRUE(col.Open(path, 1, &bm).ok());
     ASSERT_EQ(col.value_count(), n);
     ASSERT_TRUE(col.is_compressed());
-    ASSERT_TRUE(col.WindowIsDelta());
+    Status latch;
+    const PoolWindows windows(&col, &latch);
+    ASSERT_TRUE(windows.CheckSorted().ok());
 
     std::vector<int32_t> full(n);
     ASSERT_TRUE(col.Read(0, n, full.data()).ok());
     EXPECT_EQ(full, values) << "n=" << n;
     EXPECT_GT(bm.stats().misses, 0u);  // window payloads came through the pool
     // Window value bases match the resident decoder's.
-    for (uint32_t w = 0; w < col.num_windows(); ++w) {
+    for (uint32_t w = 0; w < windows.window_count(); ++w) {
       EXPECT_EQ(col.WindowValueBase(w), oracle.WindowValueBase(w));
     }
     // Random sub-ranges, including window-interior ones.
@@ -530,15 +533,17 @@ TEST(ColumnReader, RejectsTruncationBadMagicAndBadParams) {
 }
 
 // ---------------------------------------------------------------------------
-// SortedColumnCursor
+// The skip cursor over pool-served window sources
 // ---------------------------------------------------------------------------
 
-// The storage cursor must land where the in-memory one does after every
-// step — SkipTo probes and the window API the MaxScore executor drives —
-// with the same RunViews and the same three window counters, on a
-// compressed and on a raw column alike.
-void ExpectSameRun(const compress::SortedRangeCursor::RunView& a,
-                   const compress::SortedRangeCursor::RunView& b) {
+using PoolCursor = compress::SortedCursor<PoolWindows>;
+
+// Every cursor must land where the oracle does after every step — SkipTo
+// probes and the window API the MaxScore executor drives — with the same
+// RunViews and the same three window counters, over the resident block
+// and over a compressed and a raw column file alike.
+void ExpectSameRun(const compress::RunView& a,
+                   const ReferenceSkipCursor::RunView& b) {
   ASSERT_EQ(a.win_index, b.win_index);
   ASSERT_EQ(a.win_base, b.win_base);
   ASSERT_EQ(a.win_len, b.win_len);
@@ -548,13 +553,13 @@ void ExpectSameRun(const compress::SortedRangeCursor::RunView& a,
                            sizeof(int32_t) * (a.hi - a.lo)));
 }
 
-void ExpectSameCursor(SortedColumnCursor& cold,
-                      compress::SortedRangeCursor& oracle) {
-  ASSERT_EQ(cold.AtEnd(), oracle.AtEnd());
-  ASSERT_EQ(cold.position(), oracle.position());
-  ASSERT_EQ(cold.stats().windows_decoded, oracle.stats().windows_decoded);
-  ASSERT_EQ(cold.stats().windows_skipped, oracle.stats().windows_skipped);
-  ASSERT_EQ(cold.stats().windows_blockmax_skipped,
+template <class Cursor>
+void ExpectSameCursor(const Cursor& cursor, const ReferenceSkipCursor& oracle) {
+  ASSERT_EQ(cursor.AtEnd(), oracle.AtEnd());
+  ASSERT_EQ(cursor.position(), oracle.position());
+  ASSERT_EQ(cursor.stats().windows_decoded, oracle.stats().windows_decoded);
+  ASSERT_EQ(cursor.stats().windows_skipped, oracle.stats().windows_skipped);
+  ASSERT_EQ(cursor.stats().windows_blockmax_skipped,
             oracle.stats().windows_blockmax_skipped);
 }
 
@@ -595,62 +600,72 @@ TEST(SortedColumnCursor, MatchesSortedRangeCursorOracle) {
       {128, 1152}};
   for (const auto& [begin, end] : ranges) {
     for (uint64_t probe_seed = 0; probe_seed < 3; ++probe_seed) {
-      compress::SortedRangeCursor oracle;
+      ReferenceSkipCursor oracle;
       ASSERT_TRUE(oracle.Init(&resident, begin, end).ok());
       Status latch;
-      SortedColumnCursor cold, cold_raw;
-      ASSERT_TRUE(cold.Init(&compressed, begin, end, &latch).ok());
-      ASSERT_TRUE(cold_raw.Init(&raw, begin, end, &latch).ok());
+      compress::SortedRangeCursor mem;
+      PoolCursor cold, cold_raw;
+      ASSERT_TRUE(mem.Init(&resident, begin, end).ok());
+      ASSERT_TRUE(cold.Init(PoolWindows(&compressed, &latch), begin, end)
+                      .ok());
+      ASSERT_TRUE(cold_raw.Init(PoolWindows(&raw, &latch), begin, end).ok());
       Rng prng(900 + probe_seed);
       int32_t target =
           begin < values.size()
               ? values[begin] - 1 +
                     static_cast<int32_t>(prng.NextBounded(3))
               : 0;
+      // Applies one step to every cursor under test.
+      const auto each = [&](auto&& step) {
+        step(mem);
+        step(cold);
+        step(cold_raw);
+      };
       for (int step = 0; step < 40 && !oracle.AtEnd(); ++step) {
         // A seeded mix of the steps the executor takes: value probes,
         // block-max window skips, and a consumed window run.
         const uint32_t op = static_cast<uint32_t>(prng.NextBounded(4));
         if (op == 0) {
-          ASSERT_EQ(cold.CurrentWindowIndex(), oracle.CurrentWindowIndex());
-          ASSERT_EQ(cold_raw.CurrentWindowIndex(),
-                    oracle.CurrentWindowIndex());
+          const uint32_t w = oracle.CurrentWindowIndex();
           const bool more = oracle.SkipCurrentWindowBlockMax();
-          ASSERT_EQ(cold.SkipCurrentWindowBlockMax(), more);
-          ASSERT_EQ(cold_raw.SkipCurrentWindowBlockMax(), more);
+          each([&](auto& c) {
+            ASSERT_EQ(c.CurrentWindowIndex(), w);
+            ASSERT_EQ(c.SkipCurrentWindowBlockMax(), more);
+          });
         } else if (op == 1) {
-          const compress::SortedRangeCursor::RunView want =
-              oracle.CurrentRunView();
-          ExpectSameRun(cold.CurrentRunView(), want);
-          ExpectSameRun(cold_raw.CurrentRunView(), want);
+          const ReferenceSkipCursor::RunView want = oracle.CurrentRunView();
           const uint64_t to = want.win_base + want.hi;
           oracle.AdvanceTo(to);
-          cold.AdvanceTo(to);
-          cold_raw.AdvanceTo(to);
+          each([&](auto& c) {
+            ExpectSameRun(c.CurrentRunView(), want);
+            c.AdvanceTo(to);
+          });
         } else {
           const bool found_oracle = oracle.SkipTo(target);
-          ASSERT_EQ(cold.SkipTo(target), found_oracle)
-              << "target=" << target;
-          ASSERT_EQ(cold_raw.SkipTo(target), found_oracle)
-              << "target=" << target;
+          each([&](auto& c) {
+            ASSERT_EQ(c.SkipTo(target), found_oracle) << "target=" << target;
+            if (found_oracle) {
+              ASSERT_EQ(c.value(), oracle.value());
+            }
+          });
           if (found_oracle) {
-            ASSERT_EQ(cold.value(), oracle.value());
-            ASSERT_EQ(cold_raw.value(), oracle.value());
             target =
                 oracle.value() + static_cast<int32_t>(prng.NextBounded(30));
           }
         }
-        ExpectSameCursor(cold, oracle);
-        ExpectSameCursor(cold_raw, oracle);
+        if (HasFatalFailure()) return;
+        each([&](auto& c) { ExpectSameCursor(c, oracle); });
+        if (HasFatalFailure()) return;
       }
       // A probe past every value: the windows the jump to end passes
       // count as skipped in every cursor.
       const int32_t past_end = std::numeric_limits<int32_t>::max();
       const bool found_oracle = oracle.SkipTo(past_end);
-      ASSERT_EQ(cold.SkipTo(past_end), found_oracle);
-      ASSERT_EQ(cold_raw.SkipTo(past_end), found_oracle);
-      ExpectSameCursor(cold, oracle);
-      ExpectSameCursor(cold_raw, oracle);
+      each([&](auto& c) {
+        ASSERT_EQ(c.SkipTo(past_end), found_oracle);
+        ExpectSameCursor(c, oracle);
+      });
+      if (HasFatalFailure()) return;
       ASSERT_TRUE(latch.ok()) << latch.ToString();
     }
   }
@@ -677,8 +692,8 @@ TEST(SortedColumnCursor, SkipsWindowsWithoutFetching) {
   ColumnReader col;
   ASSERT_TRUE(col.Open(path, 1, &bm).ok());
   Status latch;
-  SortedColumnCursor cursor;
-  ASSERT_TRUE(cursor.Init(&col, 0, values.size(), &latch).ok());
+  PoolCursor cursor;
+  ASSERT_TRUE(cursor.Init(PoolWindows(&col, &latch), 0, values.size()).ok());
   ASSERT_TRUE(cursor.SkipTo(values[128 * 35]));
   EXPECT_EQ(cursor.position(), 128u * 35);
   EXPECT_GE(cursor.stats().windows_skipped, 30u);
@@ -703,15 +718,16 @@ TEST(SortedColumnCursor, PoolFailureLatchesAndEndsTheCursor) {
   ColumnReader col;
   ASSERT_TRUE(col.Open(path, 1, &bm).ok());
   Status latch;
-  SortedColumnCursor cursor;
-  ASSERT_TRUE(cursor.Init(&col, 0, values.size(), &latch).ok());
-  const SortedColumnCursor::RunView rv = cursor.CurrentRunView();
+  PoolCursor cursor;
+  ASSERT_TRUE(cursor.Init(PoolWindows(&col, &latch), 0, values.size()).ok());
+  const compress::RunView rv = cursor.CurrentRunView();
   EXPECT_EQ(rv.lo, rv.hi);  // an empty run, not zeros
   EXPECT_TRUE(cursor.AtEnd());
   EXPECT_EQ(latch.code(), StatusCode::kResourceExhausted);
-  SortedColumnCursor probe;
+  PoolCursor probe;
   Status probe_latch;
-  ASSERT_TRUE(probe.Init(&col, 0, values.size(), &probe_latch).ok());
+  ASSERT_TRUE(
+      probe.Init(PoolWindows(&col, &probe_latch), 0, values.size()).ok());
   EXPECT_FALSE(probe.SkipTo(4000));
   EXPECT_TRUE(probe.AtEnd());
   EXPECT_EQ(probe_latch.code(), StatusCode::kResourceExhausted);
@@ -1075,9 +1091,10 @@ TEST(RunTypes, SecondPassValueColumnFailureFailsTheQuery) {
 
 // BM25T and BM25TC run the in-memory BM25 run's executor over pool-served
 // columns, scoring with kernels whose bits are pinned equal to the fused
-// one, so they must return its docids, score bits and match counts: on a
-// fresh database, and on a segmented one that scores under live statistics
-// through tombstones (a merged segment with deletes, plus a delta).
+// one, so they must return its docids, score bits and match counts, and
+// its window and probe counters: on a fresh database, and on a segmented
+// one that scores under live statistics through tombstones (a merged
+// segment with deletes, plus a delta).
 TEST(RunTypes, Bm25TAndTCBitIdenticalToInMemoryBm25) {
   core::DatabaseOptions dopts;
   dopts.corpus = SmallGeneratedOptions();
@@ -1105,6 +1122,18 @@ TEST(RunTypes, Bm25TAndTCBitIdenticalToInMemoryBm25) {
           ASSERT_EQ(got.docids, want.docids) << what;
           ASSERT_EQ(ScoreBits(got.scores), ScoreBits(want.scores)) << what;
           ASSERT_EQ(got.num_matches, want.num_matches) << what;
+          // The resident, pool-compressed (TC) and pool-raw (T) docid
+          // sources make the same window decisions through the executor.
+          ASSERT_EQ(got.stats.windows_decoded, want.stats.windows_decoded)
+              << what;
+          ASSERT_EQ(got.stats.windows_skipped, want.stats.windows_skipped)
+              << what;
+          ASSERT_EQ(got.stats.windows_blockmax_skipped,
+                    want.stats.windows_blockmax_skipped)
+              << what;
+          ASSERT_EQ(got.stats.docs_probed, want.stats.docs_probed) << what;
+          ASSERT_EQ(got.stats.vectors_pruned, want.stats.vectors_pruned)
+              << what;
         }
       }
     }
