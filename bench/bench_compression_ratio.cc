@@ -45,10 +45,9 @@ uint64_t FileBytes(const std::string& path) {
 
 // The raw int32 column `file` of `dir`.
 std::vector<int32_t> ReadRawColumn(const std::string& dir, const char* file,
-                                   uint32_t file_id,
                                    storage::BufferManager* bm) {
   storage::ColumnReader reader;
-  bench::CheckOk(reader.Open(dir + "/" + file, file_id, bm), "open column");
+  bench::CheckOk(reader.Open(dir + "/" + file, bm), "open column");
   std::vector<int32_t> values(reader.value_count());
   bench::CheckOk(reader.Read(0, static_cast<uint32_t>(values.size()),
                              values.data()),
@@ -154,8 +153,8 @@ int Run() {
 
   // Encode throughput over the raw columns, with the build's options.
   const std::vector<int32_t> docids =
-      ReadRawColumn(dir, ir::kDocidRawFile, 100, &bm);
-  const std::vector<int32_t> tfs = ReadRawColumn(dir, ir::kTfRawFile, 101, &bm);
+      ReadRawColumn(dir, ir::kDocidRawFile, &bm);
+  const std::vector<int32_t> tfs = ReadRawColumn(dir, ir::kTfRawFile, &bm);
   const bool docid_match = TimeEncode(
       "docid PFOR-DELTA", docids,
       ReadStoredBlock(dir, ir::kDocidCompressedFile),

@@ -458,11 +458,9 @@ Status InvertedIndex::MaterializeScores(
 }
 
 Status InvertedIndex::AttachStorage(const std::string& dir,
-                                    const StorageBinding& binding) {
-  DetachStorage();
+                                    storage::BufferManager* pool) {
   storage_ = std::make_unique<IndexStorage>();
-  storage_->pool = binding.pool;
-  storage_->file_id_base = binding.file_id_base;
+  storage_->pool = pool;
   IndexStorage* st = storage_.get();
   struct ColumnSpec {
     storage::ColumnReader* reader;
@@ -476,10 +474,9 @@ Status InvertedIndex::AttachStorage(const std::string& dir,
       {&st->score_f32, kScoreF32File},
       {&st->score_q8, kScoreQ8File},
   };
-  uint32_t file_id = binding.file_id_base;
   Status opened;
   for (const ColumnSpec& spec : specs) {
-    opened = spec.reader->Open(dir + "/" + spec.file, file_id++, binding.pool);
+    opened = spec.reader->Open(dir + "/" + spec.file, pool);
     if (opened.ok() && spec.reader->value_count() != num_postings_) {
       opened = Internal(StrFormat(
           "%s holds %llu values, expected %llu", spec.file,
@@ -487,23 +484,11 @@ Status InvertedIndex::AttachStorage(const std::string& dir,
           static_cast<unsigned long long>(num_postings_)));
     }
     if (!opened.ok()) {
-      // The pool outlives this attempt: drop whatever ids the partial open
-      // registered so it never dangles on closed files.
-      DetachStorage();
+      storage_.reset();
       return opened;
     }
   }
   return OkStatus();
-}
-
-void InvertedIndex::DetachStorage() {
-  if (storage_ == nullptr) return;
-  for (uint32_t i = 0; i < IndexStorage::kFilesPerIndex; ++i) {
-    Status unused =
-        storage_->pool->UnregisterFile(storage_->file_id_base + i);
-    (void)unused;
-  }
-  storage_.reset();
 }
 
 Status InvertedIndex::EvictAll() const {
@@ -515,7 +500,7 @@ Status InvertedIndex::EvictAll() const {
 
 Status InvertedIndex::BuildFromCorpus(const Corpus& corpus,
                                       const std::string& dir,
-                                      const StorageBinding& binding,
+                                      storage::BufferManager* pool,
                                       BuildMode mode) {
   if (corpus.num_postings() == 0) {
     return InvalidArgument("corpus has no postings");
@@ -523,7 +508,7 @@ Status InvertedIndex::BuildFromCorpus(const Corpus& corpus,
   if (corpus.num_postings() > UINT32_MAX) {
     return InvalidArgument("TD table exceeds one block (2^32 postings)");
   }
-  if (!dir.empty() && binding.pool == nullptr) {
+  if (!dir.empty() && pool == nullptr) {
     return InvalidArgument("an on-disk index needs a buffer pool");
   }
   num_docs_ = corpus.num_docs();
@@ -581,12 +566,12 @@ Status InvertedIndex::BuildFromCorpus(const Corpus& corpus,
       },
       max_threads));
   X100IR_RETURN_IF_ERROR(EncodeAndPersist(dir, docid_col, tf_col, mode));
-  return dir.empty() ? OkStatus() : AttachStorage(dir, binding);
+  return dir.empty() ? OkStatus() : AttachStorage(dir, pool);
 }
 
 Status InvertedIndex::LoadFromDir(const std::string& dir,
-                                  const StorageBinding& binding) {
-  if (dir.empty() || binding.pool == nullptr) {
+                                  storage::BufferManager* pool) {
+  if (dir.empty() || pool == nullptr) {
     return InvalidArgument("LoadFromDir needs a directory and a pool");
   }
   std::FILE* f = std::fopen((dir + "/" + kIndexMetaFile).c_str(), "rb");
@@ -629,7 +614,7 @@ Status InvertedIndex::LoadFromDir(const std::string& dir,
   }
   X100IR_RETURN_IF_ERROR(LoadColumns(dir));
   X100IR_RETURN_IF_ERROR(LoadBlockMax(dir));
-  return AttachStorage(dir, binding);
+  return AttachStorage(dir, pool);
 }
 
 Status InvertedIndex::DecodePostings(uint32_t term,

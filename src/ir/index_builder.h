@@ -29,26 +29,14 @@
 
 namespace x100ir::ir {
 
-// Binding of an index onto the caller's buffer pool: the segmented
-// database opens every segment's columns through one pool (one memory
-// budget, one simulated disk). `file_id_base` is the first of
-// kFilesPerIndex consecutive pool file ids reserved for this index;
-// segment retirement evicts exactly those ids.
-struct StorageBinding {
-  storage::BufferManager* pool = nullptr;  // borrowed, outlives the index
-  uint32_t file_id_base = 0;
-};
-
 // The storage-backed face of the index (Table 2 runs): every persisted
-// column opened through the bound buffer pool. Absent (and the
-// storage-era RunTypes unavailable) for in-memory-only indexes.
+// column opened through the caller's buffer pool — the segmented database
+// opens every segment's columns through one pool (one memory budget, one
+// simulated disk), each column under an id the pool issued at its open.
+// Absent (and the storage-era RunTypes unavailable) for in-memory-only
+// indexes. Dropping it closes the readers, which drop their pages.
 struct IndexStorage {
-  // Pool file ids an index consumes, starting at file_id_base: six live
-  // columns plus headroom so per-segment bases can stay a fixed stride.
-  static constexpr uint32_t kFilesPerIndex = 8;
-
-  storage::BufferManager* pool = nullptr;  // borrowed
-  uint32_t file_id_base = 0;
+  storage::BufferManager* pool = nullptr;  // borrowed, outlives the index
   storage::ColumnReader docid_raw;
   storage::ColumnReader tf_raw;
   storage::ColumnReader docid_compressed;
@@ -69,21 +57,22 @@ enum class BuildMode { kInline, kConcurrent };
 class InvertedIndex {
  public:
   // Builds the index from `corpus`. `dir` empty = in-memory only (the
-  // binding is then unused). With a directory (created if absent), every
+  // pool is then unused). With a directory (created if absent), every
   // column — raw, compressed, the materialized f32/q8 scores, the side
   // tables and index.meta last — is written there and opened through
-  // `binding`'s pool, which must be set. A failing job fails the build with
-  // its own status, and index.meta is then not written.
+  // `pool` (borrowed, must outlive the index), which must be set. A
+  // failing job fails the build with its own status, and index.meta is
+  // then not written.
   Status BuildFromCorpus(const Corpus& corpus, const std::string& dir = "",
-                         const StorageBinding& binding = {},
+                         storage::BufferManager* pool = nullptr,
                          BuildMode mode = BuildMode::kInline);
 
   // Opens a directory BuildFromCorpus wrote, without a corpus: side tables
   // (terms, doclens) come off disk, postings from the compressed columns,
-  // storage through the binding. Any missing/torn/version-mismatched file
-  // is an error — the caller (Segment::Load on a manifest reopen) treats
-  // it as "fall back to a rebuild", never "serve garbage".
-  Status LoadFromDir(const std::string& dir, const StorageBinding& binding);
+  // storage through `pool`. Any missing/torn/version-mismatched file is an
+  // error — the caller (Segment::Load on a manifest reopen) treats it as
+  // "fall back to a rebuild", never "serve garbage".
+  Status LoadFromDir(const std::string& dir, storage::BufferManager* pool);
 
   // True when the loaded side tables (terms, doclens) are exactly the ones
   // BuildFromCorpus(corpus) computes: seg_0 still indexes the database's
@@ -143,13 +132,6 @@ class InvertedIndex {
   // storage or with pins outstanding.
   Status EvictAll() const;
 
-  // Drops this index's pages and file-id registrations from the pool,
-  // then closes the readers. Must be called before an index with storage
-  // dies while its pool lives on (Segment's destructor does) — without it
-  // the pool would keep id→File bindings to closed files. No-op without
-  // storage.
-  void DetachStorage();
-
   // Build-time BM25 parameters baked into the materialized score columns
   // (the TCM/TCMQ8 runs score with these).
   static constexpr float kMaterializedK1 = 1.2f;
@@ -176,9 +158,9 @@ class InvertedIndex {
   Status MaterializeScores(const std::string& dir,
                            const std::vector<int32_t>& docid_col,
                            const std::vector<int32_t>& tf_col) const;
-  // Opens the six column readers through the binding's pool; on failure
-  // unregisters whatever ids the partial open took.
-  Status AttachStorage(const std::string& dir, const StorageBinding& binding);
+  // Opens the six column readers through `pool`; on failure closes
+  // whatever the partial open opened.
+  Status AttachStorage(const std::string& dir, storage::BufferManager* pool);
 
   uint32_t num_docs_ = 0;
   uint64_t num_postings_ = 0;

@@ -43,22 +43,21 @@ Status ReadSegmentMeta(const std::string& path, uint32_t expect_seg_id,
 }  // namespace
 
 Status Segment::Build(const Corpus* corpus, const std::string& dir,
-                      const StorageBinding& binding,
+                      storage::BufferManager* pool,
                       std::unique_ptr<Segment>* out) {
   if (corpus == nullptr) return InvalidArgument("seg_0 needs a corpus");
   auto seg = std::unique_ptr<Segment>(new Segment());
   seg->dir_ = dir;
-  seg->file_id_base_ = binding.file_id_base;
   seg->forward_ = corpus;
   X100IR_RETURN_IF_ERROR(seg->index_.BuildFromCorpus(
-      *corpus, dir, binding, BuildMode::kConcurrent));
+      *corpus, dir, pool, BuildMode::kConcurrent));
   *out = std::move(seg);
   return OkStatus();
 }
 
 Status Segment::Build(std::vector<std::vector<DocTerm>> docs,
                       std::vector<int32_t> global_docids, uint32_t vocab_size,
-                      const std::string& dir, const StorageBinding& binding,
+                      const std::string& dir, storage::BufferManager* pool,
                       uint32_t seg_id, std::unique_ptr<Segment>* out) {
   if (docs.size() != global_docids.size()) {
     return InvalidArgument("segment build: docs / docid map size mismatch");
@@ -72,13 +71,12 @@ Status Segment::Build(std::vector<std::vector<DocTerm>> docs,
   auto seg = std::unique_ptr<Segment>(new Segment());
   seg->seg_id_ = seg_id;
   seg->dir_ = dir;
-  seg->file_id_base_ = binding.file_id_base;
   seg->owned_ = std::make_unique<Corpus>();
   X100IR_RETURN_IF_ERROR(
       Corpus::FromDocTerms(std::move(docs), vocab_size, seg->owned_.get()));
   seg->forward_ = seg->owned_.get();
   X100IR_RETURN_IF_ERROR(
-      seg->index_.BuildFromCorpus(*seg->owned_, dir, binding));
+      seg->index_.BuildFromCorpus(*seg->owned_, dir, pool));
   seg->docid_map_ = std::move(global_docids);
   if (!dir.empty()) {
     SegmentMetaHeader hdr;
@@ -92,14 +90,13 @@ Status Segment::Build(std::vector<std::vector<DocTerm>> docs,
   return OkStatus();
 }
 
-Status Segment::Load(const std::string& dir, const StorageBinding& binding,
+Status Segment::Load(const std::string& dir, storage::BufferManager* pool,
                      uint32_t seg_id, uint32_t expect_num_docs,
                      const Corpus* corpus, std::unique_ptr<Segment>* out) {
   auto seg = std::unique_ptr<Segment>(new Segment());
   seg->seg_id_ = seg_id;
   seg->dir_ = dir;
-  seg->file_id_base_ = binding.file_id_base;
-  X100IR_RETURN_IF_ERROR(seg->index_.LoadFromDir(dir, binding));
+  X100IR_RETURN_IF_ERROR(seg->index_.LoadFromDir(dir, pool));
   if (seg->index_.num_docs() != expect_num_docs) {
     return IOError(StrFormat("segment %u holds %u docs, manifest says %u",
                              seg_id, seg->index_.num_docs(),
@@ -167,10 +164,6 @@ int32_t Segment::LocalOf(int32_t global) const {
 }
 
 Segment::~Segment() {
-  // Order matters: drop the pages and id→File bindings from the shared
-  // pool first (closing files out from under registered ids would leave
-  // the pool dangling), then the files themselves can go.
-  index_.DetachStorage();
   if (!retire_.load(std::memory_order_acquire) || dir_.empty()) return;
   // After a simulated crash nothing touches disk — not even retirement.
   // Leftover files of never-committed segments are swept on the next Open.

@@ -20,10 +20,10 @@
 // Retirement: after a merge commits, the SnapshotManager marks replaced
 // segments retire-on-release and drops its reference; in-flight snapshots
 // keep them alive (shared_ptr refcount = the pin count). The LAST release
-// runs the destructor, which detaches the segment's pages and file ids
-// from the shared buffer pool (BufferManager::EvictFile semantics — exactly
-// the dead pages drop, hot segments stay hot) and then removes its
-// directory.
+// runs the destructor, which removes the segment's directory; its column
+// readers then close and drop their own pages from the shared buffer pool
+// (BufferManager::EvictFile — exactly the dead pages drop, hot segments
+// stay hot).
 #ifndef X100IR_IR_SEGMENT_H_
 #define X100IR_IR_SEGMENT_H_
 
@@ -46,7 +46,7 @@ class Segment {
   // identity. Empty dir = in-memory segment. An Open waits on this build,
   // so its column jobs run concurrently (BuildMode::kConcurrent).
   static Status Build(const Corpus* corpus, const std::string& dir,
-                      const StorageBinding& binding,
+                      storage::BufferManager* pool,
                       std::unique_ptr<Segment>* out);
 
   // Builds a merged segment under `dir` (created if absent) from forward
@@ -56,14 +56,14 @@ class Segment {
   // thread (BuildMode::kInline) and it starts no thread.
   static Status Build(std::vector<std::vector<DocTerm>> docs,
                       std::vector<int32_t> global_docids, uint32_t vocab_size,
-                      const std::string& dir, const StorageBinding& binding,
+                      const std::string& dir, storage::BufferManager* pool,
                       uint32_t seg_id, std::unique_ptr<Segment>* out);
 
   // Reopens segment `seg_id` from `dir`. `corpus` is the database's; only
   // seg_0 uses it, as the table its side tables must match and as its
   // forward store. Any missing/torn/mismatched file is an error; the
   // caller rebuilds.
-  static Status Load(const std::string& dir, const StorageBinding& binding,
+  static Status Load(const std::string& dir, storage::BufferManager* pool,
                      uint32_t seg_id, uint32_t expect_num_docs,
                      const Corpus* corpus, std::unique_ptr<Segment>* out);
 
@@ -74,7 +74,6 @@ class Segment {
   uint32_t seg_id() const { return seg_id_; }
   uint32_t num_docs() const { return index_.num_docs(); }
   const std::string& dir() const { return dir_; }
-  uint32_t file_id_base() const { return file_id_base_; }
   const InvertedIndex& index() const { return index_; }
 
   // Identity for seg_0; strictly increasing in `local` always, so local
@@ -108,7 +107,6 @@ class Segment {
 
   uint32_t seg_id_ = 0;
   std::string dir_;
-  uint32_t file_id_base_ = 0;
   std::atomic<bool> retire_{false};
 
   const Corpus* forward_ = nullptr;       // the corpus (seg_0) or owned_

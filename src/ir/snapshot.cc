@@ -72,13 +72,6 @@ SnapshotManager::~SnapshotManager() {
   merge_pool_.Shutdown();
 }
 
-StorageBinding SnapshotManager::BindingFor(uint32_t seg_id) const {
-  StorageBinding b;
-  b.pool = pool_.get();
-  b.file_id_base = seg_id * IndexStorage::kFilesPerIndex;
-  return b;
-}
-
 Status SnapshotManager::Open(const Corpus* corpus, const std::string& dir,
                              const storage::StorageOptions& storage,
                              BuildStats* stats) {
@@ -127,7 +120,7 @@ Status SnapshotManager::Open(const Corpus* corpus, const std::string& dir,
     *stats = BuildStats();
     std::unique_ptr<Segment> seg0;
     X100IR_RETURN_IF_ERROR(Segment::Build(
-        corpus_, dir_.empty() ? "" : SegDir(dir_, 0), BindingFor(0), &seg0));
+        corpus_, dir_.empty() ? "" : SegDir(dir_, 0), pool_.get(), &seg0));
     stats->num_postings = seg0->index().num_postings();
     segments_.assign(1, {std::shared_ptr<Segment>(std::move(seg0)), nullptr});
     epoch_ = 0;
@@ -260,14 +253,14 @@ Status SnapshotManager::TryLoadManifest(BuildStats* stats) {
     }
     const std::string seg_dir = SegDir(dir_, e.seg_id);
     std::unique_ptr<Segment> seg;
-    Status loaded = Segment::Load(seg_dir, BindingFor(e.seg_id), e.seg_id,
+    Status loaded = Segment::Load(seg_dir, pool_.get(), e.seg_id,
                                   e.num_docs, corpus_, &seg);
     if (!loaded.ok() && e.seg_id == 0) {
       // seg_0 is a function of the corpus: rebuild it in place. The
       // manifest's tombstones and the WAL stay valid against it.
       std::error_code ec;
       std::filesystem::remove_all(seg_dir, ec);
-      loaded = Segment::Build(corpus_, seg_dir, BindingFor(0), &seg);
+      loaded = Segment::Build(corpus_, seg_dir, pool_.get(), &seg);
       stats->reused_files = false;
     }
     X100IR_RETURN_IF_ERROR(loaded);
@@ -349,6 +342,7 @@ std::shared_ptr<const CollectionStats> SnapshotManager::FreezeStatsLocked()
 void SnapshotManager::PublishLocked() {
   auto snap = std::make_shared<Snapshot>();
   snap->epoch = epoch_;
+  snap->has_storage = pool_ != nullptr;
   snap->segments = segments_;
   for (const Snapshot::DeltaRead& dr : deltas_) {
     const uint32_t visible = dr.delta->num_docs();
@@ -690,8 +684,7 @@ Status SnapshotManager::BuildMergedSegment(const MergeInput& input,
   std::unique_ptr<Segment> seg;
   X100IR_RETURN_IF_ERROR(Segment::Build(std::move(docs), std::move(globals),
                                         corpus_->vocab_size(), dir,
-                                        BindingFor(input.seg_id),
-                                        input.seg_id, &seg));
+                                        pool_.get(), input.seg_id, &seg));
   *out = std::shared_ptr<Segment>(std::move(seg));
   return OkStatus();
 }

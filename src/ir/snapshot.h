@@ -90,6 +90,10 @@ struct Snapshot {
   };
 
   uint64_t epoch = 0;
+  // The database has a buffer pool, so the storage runs may run: every
+  // segment's columns are pool-served. Not read off the segments — a
+  // merge may leave none.
+  bool has_storage = false;
   // Segments in ascending global-docid order, then deltas in ascending
   // base order — concatenating per-structure docid-ordered results yields
   // globally docid-ordered results.
@@ -171,7 +175,6 @@ class SnapshotManager {
     int32_t len = 0;
   };
 
-  StorageBinding BindingFor(uint32_t seg_id) const;
   // Rebuilds live num_docs/total_len/df from the current segment set and
   // tombstones (Open).
   void RecountLiveStatsLocked();

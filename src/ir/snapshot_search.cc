@@ -91,13 +91,10 @@ Status SearchSnapshot(const Snapshot& snap, const Query& query, RunType type,
   // "Unknown" means no live document of the read holds the term — the
   // rebuilt monolithic oracle would not have it at all. (A term whose only
   // occurrences are tombstoned counts as unknown too.)
-  bool has_storage = true;
-  for (const Snapshot::SegmentRead& sr : snap.segments) {
-    has_storage = has_storage && sr.seg->index().has_storage();
-  }
   Query prepared;
   X100IR_RETURN_IF_ERROR(PrepareQuery(
-      query, type, opts, static_cast<uint32_t>(stats->df.size()), has_storage,
+      query, type, opts, static_cast<uint32_t>(stats->df.size()),
+      snap.has_storage,
       [stats](uint32_t t) { return stats->df[t]; }, &prepared.terms));
   if (prepared.terms.empty()) {
     result->seconds = timer.ElapsedSeconds();

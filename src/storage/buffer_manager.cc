@@ -23,97 +23,49 @@ BufferManager::BufferManager(uint64_t pool_bytes, SimulatedDisk* disk,
   shards_[0]->budget += pool_bytes % shards;
 }
 
-Status BufferManager::RegisterFile(uint32_t file_id, const File* file) {
-  if (file == nullptr || !file->is_open()) {
-    return InvalidArgument("cannot register an unopened file");
+Status BufferManager::IssueFileId(uint32_t* file_id) {
+  const uint64_t id = next_file_id_.fetch_add(1, std::memory_order_relaxed);
+  if (id >= kMaxFileIds) {
+    return ResourceExhausted(StrFormat(
+        "buffer pool has issued all %llu file ids of its page key",
+        static_cast<unsigned long long>(kMaxFileIds)));
   }
-  if (file_id >= (1u << 24)) {
-    return InvalidArgument("file id too large for the page key");
-  }
-  std::lock_guard<std::mutex> files_lock(files_mu_);
-  if (files_.find(file_id) != files_.end()) {
-    // The id is being rebound (index rebuild): resident pages of the old
-    // file are stale and must be dropped — atomically across all shards,
-    // so no concurrent Pin can hit a stale frame mid-rebind. They must all
-    // be unpinned first: nobody can legitimately hold a pin into a file
-    // being replaced.
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(shards_.size());
-    for (auto& shard : shards_) locks.emplace_back(shard->mu);
-    Status dropped = DropFilePagesLocked(file_id);
-    if (!dropped.ok()) {
-      return FailedPrecondition("re-registering a file with pinned pages");
-    }
-  }
-  files_[file_id] = file;
-  return OkStatus();
-}
-
-Status BufferManager::DropFilePagesLocked(uint32_t file_id) {
-  for (auto& shard : shards_) {
-    for (const auto& [key, frame] : shard->frames) {
-      if ((key >> 40) == file_id && frame.refcount != 0) {
-        return FailedPrecondition(
-            StrFormat("evicting file %u with pinned pages", file_id));
-      }
-    }
-  }
-  for (auto& shard : shards_) {
-    for (auto fit = shard->frames.begin(); fit != shard->frames.end();) {
-      if ((fit->first >> 40) == file_id) {
-        if (fit->second.in_lru) shard->lru.erase(fit->second.lru_pos);
-        shard->resident_bytes -= fit->second.data.size();
-        fit = shard->frames.erase(fit);
-      } else {
-        ++fit;
-      }
-    }
-  }
+  *file_id = static_cast<uint32_t>(id);
   return OkStatus();
 }
 
 Status BufferManager::EvictFile(uint32_t file_id) {
-  std::lock_guard<std::mutex> files_lock(files_mu_);
-  if (files_.find(file_id) == files_.end()) {
-    return InvalidArgument(
-        StrFormat("evicting unregistered file id %u", file_id));
+  uint64_t pinned = 0;
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    for (auto fit = shard->frames.begin(); fit != shard->frames.end();) {
+      Frame& frame = fit->second;
+      if ((fit->first >> 40) != file_id) {
+        ++fit;
+      } else if (frame.refcount != 0) {
+        ++pinned;
+        ++fit;
+      } else {
+        shard->lru.erase(frame.lru_pos);
+        shard->resident_bytes -= frame.data.size();
+        fit = shard->frames.erase(fit);
+      }
+    }
   }
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (auto& shard : shards_) locks.emplace_back(shard->mu);
-  return DropFilePagesLocked(file_id);
-}
-
-Status BufferManager::UnregisterFile(uint32_t file_id) {
-  std::lock_guard<std::mutex> files_lock(files_mu_);
-  auto fit = files_.find(file_id);
-  if (fit == files_.end()) {
-    return InvalidArgument(
-        StrFormat("unregistering unknown file id %u", file_id));
+  if (pinned != 0) {
+    return FailedPrecondition(
+        StrFormat("evicting file %u with %llu pinned pages", file_id,
+                  static_cast<unsigned long long>(pinned)));
   }
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (auto& shard : shards_) locks.emplace_back(shard->mu);
-  X100IR_RETURN_IF_ERROR(DropFilePagesLocked(file_id));
-  files_.erase(fit);
   return OkStatus();
 }
 
-Status BufferManager::Pin(uint32_t file_id, uint64_t page_no,
-                          const uint8_t** data, uint32_t* len) {
+Status BufferManager::Pin(const File& file, uint32_t file_id,
+                          uint64_t page_no, const uint8_t** data,
+                          uint32_t* len) {
   if (data == nullptr || len == nullptr) {
     return InvalidArgument("null pin output");
   }
-  const File* file = nullptr;
-  {
-    std::lock_guard<std::mutex> files_lock(files_mu_);
-    auto fit = files_.find(file_id);
-    if (fit == files_.end()) {
-      return InvalidArgument(StrFormat("unregistered file id %u", file_id));
-    }
-    file = fit->second;
-  }
-
   const uint64_t key = Key(file_id, page_no);
   Shard& shard = ShardOf(key);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -122,14 +74,7 @@ Status BufferManager::Pin(uint32_t file_id, uint64_t page_no,
   if (it != shard.frames.end()) {
     Frame& frame = it->second;
     ++shard.stats.hits;
-    if (frame.refcount == 0) {
-      if (frame.in_lru) {
-        shard.lru.erase(frame.lru_pos);
-        frame.in_lru = false;
-      }
-      ++shard.pinned_pages;
-    }
-    ++frame.refcount;
+    if (frame.refcount++ == 0) ++shard.pinned_pages;
     *data = frame.data.data();
     *len = static_cast<uint32_t>(frame.data.size());
     return OkStatus();
@@ -139,7 +84,7 @@ Status BufferManager::Pin(uint32_t file_id, uint64_t page_no,
   // is held across the read — a second thread pinning the *same* page must
   // wait for the fetch anyway, and other shards proceed unblocked.
   uint64_t file_size = 0;
-  X100IR_RETURN_IF_ERROR(file->Size(&file_size));
+  X100IR_RETURN_IF_ERROR(file.Size(&file_size));
   const uint64_t off = page_no * static_cast<uint64_t>(page_bytes_);
   if (off >= file_size) {
     return InvalidArgument(
@@ -150,17 +95,22 @@ Status BufferManager::Pin(uint32_t file_id, uint64_t page_no,
       std::min<uint64_t>(page_bytes_, file_size - off));
 
   while (shard.resident_bytes + page_len > shard.budget) {
-    if (shard.lru.empty()) {
+    // The victim is the least recently unpinned frame: the first unpinned
+    // one from the front.
+    auto victim = std::find_if(
+        shard.lru.begin(), shard.lru.end(), [&shard](uint64_t k) {
+          return shard.frames.find(k)->second.refcount == 0;
+        });
+    if (victim == shard.lru.end()) {
       return ResourceExhausted(StrFormat(
           "buffer pool shard exhausted: %llu bytes resident are all pinned, "
           "%u more needed (shard budget %llu)",
           static_cast<unsigned long long>(shard.resident_bytes), page_len,
           static_cast<unsigned long long>(shard.budget)));
     }
-    const uint64_t victim = shard.lru.front();
-    shard.lru.pop_front();
-    auto vit = shard.frames.find(victim);
+    auto vit = shard.frames.find(*victim);
     shard.resident_bytes -= vit->second.data.size();
+    shard.lru.erase(victim);
     shard.frames.erase(vit);
     ++shard.stats.evictions;
   }
@@ -192,7 +142,7 @@ Status BufferManager::Pin(uint32_t file_id, uint64_t page_no,
 
   Frame& frame = shard.frames[key];
   frame.data.resize(page_len);
-  Status read = file->ReadAt(off, page_len, frame.data.data());
+  Status read = file.ReadAt(off, page_len, frame.data.data());
   if (!read.ok()) {
     // Drop the half-built frame: leaving it resident would make the next
     // Pin a "hit" on never-filled bytes.
@@ -204,7 +154,7 @@ Status BufferManager::Pin(uint32_t file_id, uint64_t page_no,
   shard.stats.bytes_fetched += page_len;
   shard.resident_bytes += page_len;
   frame.refcount = 1;
-  frame.in_lru = false;
+  frame.lru_pos = shard.lru.insert(shard.lru.end(), key);
   ++shard.pinned_pages;
   *data = frame.data.data();
   *len = page_len;
@@ -224,8 +174,7 @@ void BufferManager::Unpin(uint32_t file_id, uint64_t page_no) {
   Frame& frame = it->second;
   if (--frame.refcount == 0) {
     --shard.pinned_pages;
-    frame.lru_pos = shard.lru.insert(shard.lru.end(), it->first);
-    frame.in_lru = true;
+    shard.lru.splice(shard.lru.end(), shard.lru, frame.lru_pos);
   }
 }
 

@@ -2,19 +2,23 @@
 // fixed-budget buffer pool of file pages with pin/unpin refcounts and LRU
 // eviction, fed by a deterministic simulated-disk cost model.
 //
-// Pages are fixed-size byte ranges of registered files (the last page of a
-// file may be short). A Pin either hits a resident frame or fetches the
-// page — charging the simulated disk one positioned read (seek + transfer)
-// and evicting unpinned LRU frames until the fetch fits the budget. Pinned
-// frames are never evicted; when everything resident is pinned and the
-// budget is exhausted, Pin reports ResourceExhausted ("pool smaller than
-// the pinned working set") instead of over-allocating, which the ablation
-// bench surfaces as its smallest-pool row.
+// Pages are fixed-size byte ranges of files (the last page of a file may be
+// short). The pool keeps no file registry: each open file takes an id from
+// IssueFileId, never reused within the pool, and its reader passes its own
+// File with that id to every Pin. A Pin either hits a resident frame or
+// fetches the page — charging the simulated disk one positioned read (seek
+// + transfer) and evicting unpinned LRU frames until the fetch fits the
+// budget. Pinned frames are never evicted; when everything resident is
+// pinned and the budget is exhausted, Pin reports ResourceExhausted ("pool
+// smaller than the pinned working set") instead of over-allocating, which
+// the ablation bench surfaces as its smallest-pool row.
 //
 // Concurrency (DESIGN.md §9.2): the pool is lock-striped into `shards`
 // partitions, each with its own mutex, frame map, LRU list, byte budget
 // (pool_bytes / shards) and stats — concurrent queries pinning different
-// pages contend only when they hash to the same shard. With shards == 1
+// pages contend only when they hash to the same shard, and a Pin or Unpin
+// takes no other lock. Every resident frame keeps one LRU node from fetch
+// to eviction, so neither a hit nor an unpin allocates. With shards == 1
 // (the default, and what the deterministic Table 2 runs use) behavior is
 // byte-identical to the pre-striping pool, just mutex-protected. Frame
 // data pointers stay valid for exactly the pin's lifetime: frames live in
@@ -158,18 +162,23 @@ class BufferManager {
   BufferManager(uint64_t pool_bytes, SimulatedDisk* disk,
                 uint32_t page_bytes = 256u << 10, uint32_t shards = 1);
 
-  // Registers `file` (borrowed, must outlive the manager) under a
-  // caller-chosen id. Re-registering an id drops its resident pages (the
-  // backing file changed, e.g. an index rebuild); fails FailedPrecondition
-  // if any of them is pinned — by this or any other thread.
-  Status RegisterFile(uint32_t file_id, const File* file);
+  // The page key keeps a file id in its top 24 bits.
+  static constexpr uint64_t kMaxFileIds = 1ull << 24;
 
-  // Pins page `page_no` of `file_id`; *data/*len describe the frame and
-  // stay valid until the matching Unpin. Pins nest (refcount). Thread-safe;
-  // an injected fault surfaces as Unavailable (transient) or IOError
-  // (torn, permanent) and the frame never enters the pool.
-  Status Pin(uint32_t file_id, uint64_t page_no, const uint8_t** data,
-             uint32_t* len);
+  // Issues the id one open file's pages go under. An id is never issued
+  // twice by one pool, so no page of a closed file can be hit under a later
+  // file's id. ResourceExhausted once kMaxFileIds ids have been issued.
+  // Thread-safe.
+  Status IssueFileId(uint32_t* file_id);
+
+  // Pins page `page_no` of `file`, whose pages go under `file_id` (issued
+  // by this pool for that file); *data/*len describe the frame and stay
+  // valid until the matching Unpin. Pins nest (refcount). Only a miss reads
+  // `file`. Thread-safe: a hit takes its shard's mutex and allocates
+  // nothing. An injected fault surfaces as Unavailable (transient) or
+  // IOError (torn, permanent) and the frame never enters the pool.
+  Status Pin(const File& file, uint32_t file_id, uint64_t page_no,
+             const uint8_t** data, uint32_t* len);
   void Unpin(uint32_t file_id, uint64_t page_no);
 
   // Drops every resident page — the Table 2 cold-run reset. Locks all
@@ -178,17 +187,13 @@ class BufferManager {
   // cold run with pins outstanding is a caller bug, not a colder cache.
   Status EvictAll();
 
-  // Drops exactly `file_id`'s resident pages (segment retirement, per-run
-  // cold resets) and leaves every other file's pages hot. Refuses
-  // (FailedPrecondition) while any page of *that file* is pinned; other
-  // files' pins don't block it. InvalidArgument for an unregistered id.
-  // Like EvictAll, the drops are not counted as pressure `evictions`.
+  // Drops `file_id`'s unpinned resident pages and leaves every other
+  // file's pages hot: per-run cold resets, and a closing reader's drop.
+  // FailedPrecondition when any page of *that file* is pinned; such a page
+  // stays resident until its Unpin and then ages out of the LRU like any
+  // other. Like EvictAll, the drops are not counted as pressure
+  // `evictions`.
   Status EvictFile(uint32_t file_id);
-
-  // EvictFile plus removal of the id→File binding — the pool holds no
-  // trace of the file afterwards. A retired segment calls this before
-  // closing its files so the pool never dangles on a dead File.
-  Status UnregisterFile(uint32_t file_id);
 
   // Aggregated snapshot (per-shard-consistent). By value: there is no
   // single stats object once the pool is striped.
@@ -223,15 +228,18 @@ class BufferManager {
   struct Frame {
     std::vector<uint8_t> data;
     uint32_t refcount = 0;
-    std::list<uint64_t>::iterator lru_pos;  // valid iff refcount == 0
-    bool in_lru = false;
+    // This frame's node in its shard's LRU list, from fetch to eviction.
+    std::list<uint64_t>::iterator lru_pos;
   };
 
   // One lock stripe: a self-contained pool partition.
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<uint64_t, Frame> frames;
-    std::list<uint64_t> lru;  // front = coldest unpinned page
+    // Every resident frame's key; unpinned frames in the order of their
+    // last unpin, front = coldest. Pinned frames sit wherever they were
+    // and eviction skips them.
+    std::list<uint64_t> lru;
     uint64_t budget = 0;
     uint64_t resident_bytes = 0;
     uint64_t pinned_pages = 0;
@@ -241,10 +249,6 @@ class BufferManager {
   static uint64_t Key(uint32_t file_id, uint64_t page_no) {
     return (static_cast<uint64_t>(file_id) << 40) | page_no;
   }
-
-  // Drops `file_id`'s frames across all shards, or refuses if any is
-  // pinned. Caller must hold files_mu_ and every shard mutex (ascending).
-  Status DropFilePagesLocked(uint32_t file_id);
 
   Shard& ShardOf(uint64_t key) {
     // SplitMix64 finalizer: adjacent pages of one file spread across
@@ -260,12 +264,11 @@ class BufferManager {
   SimulatedDisk* disk_;
   RetryPolicy retry_;
   std::atomic<FaultPlan*> fault_plan_{nullptr};
+  std::atomic<uint64_t> next_file_id_{0};
 
-  // Lock order (§9.2): files_mu_ before any shard mutex; shard mutexes
-  // only ever held together in ascending index order (EvictAll,
-  // RegisterFile); nothing below storage/ is called with a lock held.
-  mutable std::mutex files_mu_;
-  std::unordered_map<uint32_t, const File*> files_;
+  // Lock order (§9.2): shard mutexes are only ever held together in
+  // ascending index order (EvictAll); nothing below storage/ is called
+  // with a lock held.
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
@@ -290,9 +293,10 @@ class PinnedPage {
     return *this;
   }
 
-  Status Acquire(BufferManager* bm, uint32_t file_id, uint64_t page_no) {
+  Status Acquire(BufferManager* bm, const File& file, uint32_t file_id,
+                 uint64_t page_no) {
     Release();
-    X100IR_RETURN_IF_ERROR(bm->Pin(file_id, page_no, &data_, &len_));
+    X100IR_RETURN_IF_ERROR(bm->Pin(file, file_id, page_no, &data_, &len_));
     bm_ = bm;
     file_id_ = file_id;
     page_no_ = page_no;

@@ -13,8 +13,12 @@ namespace x100ir::storage {
 using ir::ColumnFileHeader;
 using ir::Q8Params;
 
-Status ColumnReader::Open(const std::string& path, uint32_t file_id,
-                          BufferManager* bm) {
+ColumnReader::~ColumnReader() {
+  // A page still pinned stays until its Unpin; its id is never issued again.
+  if (bm_ != nullptr) (void)bm_->EvictFile(file_id_);
+}
+
+Status ColumnReader::Open(const std::string& path, BufferManager* bm) {
   if (bm == nullptr) return InvalidArgument("null buffer manager");
   X100IR_RETURN_IF_ERROR(File::OpenReadOnly(path, &file_));
   X100IR_RETURN_IF_ERROR(file_.Size(&file_size_));
@@ -106,9 +110,9 @@ Status ColumnReader::Open(const std::string& path, uint32_t file_id,
       return IOError(StrFormat("unknown column encoding %u", encoding_));
   }
 
-  file_id_ = file_id;
+  X100IR_RETURN_IF_ERROR(bm->IssueFileId(&file_id_));
   bm_ = bm;
-  return bm_->RegisterFile(file_id_, &file_);
+  return OkStatus();
 }
 
 bool ColumnReader::is_compressed() const {
@@ -125,7 +129,7 @@ Status ColumnReader::PinWithRetry(PinnedPage* pin, uint64_t page_no) {
   const RetryPolicy& retry = bm_->retry_policy();
   double backoff = retry.backoff_seconds;
   for (uint32_t attempt = 0;; ++attempt) {
-    Status s = pin->Acquire(bm_, file_id_, page_no);
+    Status s = pin->Acquire(bm_, file_, file_id_, page_no);
     if (s.ok() || !IsTransient(s) || attempt >= retry.budget) return s;
     if (bm_->disk() != nullptr) bm_->disk()->ChargeLatency(backoff);
     backoff *= 2.0;

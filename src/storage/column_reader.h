@@ -51,13 +51,16 @@ namespace x100ir::storage {
 class ColumnReader {
  public:
   ColumnReader() = default;
+  // Drops the column's pages from the pool (BufferManager::EvictFile).
+  ~ColumnReader();
   ColumnReader(const ColumnReader&) = delete;
   ColumnReader& operator=(const ColumnReader&) = delete;
 
-  // Opens and validates `path`, registers it with `bm` (borrowed, must
-  // outlive the reader) under `file_id`. Header/metadata reads happen
-  // directly (open-time cost, not charged to the query-time disk model).
-  Status Open(const std::string& path, uint32_t file_id, BufferManager* bm);
+  // Opens and validates `path` and takes a fresh file id from `bm`
+  // (borrowed, must outlive the reader); every page read goes through the
+  // pool under that id. Header/metadata reads happen directly (open-time
+  // cost, not charged to the query-time disk model).
+  Status Open(const std::string& path, BufferManager* bm);
 
   uint64_t value_count() const { return value_count_; }
   uint32_t encoding() const { return encoding_; }
@@ -79,8 +82,8 @@ class ColumnReader {
   int32_t WindowValueBase(uint32_t w) const;
   Status DecodeWindow(uint32_t w, int32_t* dst, uint32_t* wn);
 
-  // The pool id this column was opened under — what EvictFile /
-  // UnregisterFile take for per-column cold resets and retirement.
+  // The id the pool issued this column at Open — what EvictFile takes for
+  // per-column cold resets.
   uint32_t file_id() const { return file_id_; }
 
  private:

@@ -7,13 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <new>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -30,94 +27,12 @@
 #include "storage/buffer_manager.h"
 #include "storage/column_reader.h"
 
+#include "counting_allocator.h"
 #include "reference.h"
 #include "test_util.h"
 
-// ---------------------------------------------------------------------------
-// The counting allocator behind the memory-bound tests. The replaced global
-// operator new prefixes every block with its size and the CountingScope
-// generation it was allocated under (0 outside any scope); operator delete
-// subtracts a block only if it was allocated under the scope still active.
-// So a scope's peak is the most bytes that allocations made inside it held
-// at once, unaffected by blocks from before it.
-// ---------------------------------------------------------------------------
-namespace {
-
-std::atomic<uint64_t> g_alloc_generation{0};  // 0: not counting
-std::atomic<int64_t> g_alloc_live{0};
-std::atomic<int64_t> g_alloc_peak{0};
-constexpr size_t kAllocHeader = 16;  // keeps malloc's 16-byte alignment
-
-void* CountedNew(size_t bytes) {
-  auto* hdr = static_cast<uint64_t*>(std::malloc(bytes + kAllocHeader));
-  if (hdr == nullptr) throw std::bad_alloc();
-  const uint64_t gen = g_alloc_generation.load(std::memory_order_relaxed);
-  hdr[0] = bytes;
-  hdr[1] = gen;
-  if (gen != 0) {
-    const int64_t live =
-        g_alloc_live.fetch_add(static_cast<int64_t>(bytes)) +
-        static_cast<int64_t>(bytes);
-    int64_t peak = g_alloc_peak.load();
-    while (live > peak && !g_alloc_peak.compare_exchange_weak(peak, live)) {
-    }
-  }
-  return hdr + 2;
-}
-
-void CountedDelete(void* p) noexcept {
-  if (p == nullptr) return;
-  uint64_t* hdr = static_cast<uint64_t*>(p) - 2;
-  const uint64_t gen = g_alloc_generation.load(std::memory_order_relaxed);
-  if (gen != 0 && hdr[1] == gen) {
-    g_alloc_live.fetch_sub(static_cast<int64_t>(hdr[0]));
-  }
-  std::free(hdr);
-}
-
-}  // namespace
-
-void* operator new(size_t bytes) { return CountedNew(bytes); }
-void* operator new[](size_t bytes) { return CountedNew(bytes); }
-void* operator new(size_t bytes, const std::nothrow_t&) noexcept {
-  try {
-    return CountedNew(bytes);
-  } catch (const std::bad_alloc&) {
-    return nullptr;
-  }
-}
-void* operator new[](size_t bytes, const std::nothrow_t& tag) noexcept {
-  return operator new(bytes, tag);
-}
-void operator delete(void* p) noexcept { CountedDelete(p); }
-void operator delete[](void* p) noexcept { CountedDelete(p); }
-void operator delete(void* p, size_t) noexcept { CountedDelete(p); }
-void operator delete[](void* p, size_t) noexcept { CountedDelete(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  CountedDelete(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  CountedDelete(p);
-}
-
 namespace x100ir::compress {
 namespace {
-
-// Counts the heap bytes allocated inside its lifetime (one scope at a time).
-class CountingScope {
- public:
-  CountingScope() {
-    static uint64_t generations = 0;
-    g_alloc_live.store(0);
-    g_alloc_peak.store(0);
-    g_alloc_generation.store(++generations);
-  }
-  ~CountingScope() { g_alloc_generation.store(0); }
-  CountingScope(const CountingScope&) = delete;
-  CountingScope& operator=(const CountingScope&) = delete;
-
-  int64_t peak() const { return g_alloc_peak.load(); }
-};
 
 std::vector<int32_t> MakeData(uint32_t n, int bits, double exc_rate,
                               uint64_t seed) {
@@ -1271,12 +1186,12 @@ TEST(Codec, SkipStatsPartitionExact) {
                             "partition_pfd",
                             ir::ColumnFileHeader::kCompressedBlock, n,
                             block.data(), block.size()),
-                        1, &bm)
+                        &bm)
                   .ok());
   ASSERT_TRUE(raw.Open(WriteColumnFile("partition_raw",
                                        ir::ColumnFileHeader::kRawI32, n,
                                        values.data(), 4ull * n),
-                       2, &bm)
+                       &bm)
                   .ok());
   Status latch;
   CheckSkipStatsPartition(storage::PoolWindows(&compressed, &latch), values,

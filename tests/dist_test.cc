@@ -774,6 +774,18 @@ TEST(FrontDoor, EdgeRequestsGetOneAnswerOnEveryReadPath) {
   ASSERT_NE(snap->segments[0].tombstones, nullptr);
   ASSERT_EQ(snap->deltas.size(), 1u);
 
+  // Every document deleted, merged down to no segment, then one add: still
+  // an in-memory database, however few segments a merge leaves.
+  core::Database emptied;
+  ASSERT_TRUE(
+      emptied.OpenWithCorpus(corpus, "", storage::StorageOptions()).ok());
+  for (uint32_t d = 0; d < corpus.num_docs(); ++d) {
+    ASSERT_TRUE(emptied.DeleteDocument(static_cast<int32_t>(d)).ok());
+  }
+  ASSERT_TRUE(emptied.Merge().ok());
+  ASSERT_TRUE(emptied.AddDocument({1, 2, 2}, nullptr).ok());
+  ASSERT_TRUE(emptied.Acquire()->segments.empty());
+
   Cluster cluster;
   ASSERT_TRUE(cluster.Open(corpus, "", InMemoryCluster(2)).ok());
 
@@ -802,7 +814,7 @@ TEST(FrontDoor, EdgeRequestsGetOneAnswerOnEveryReadPath) {
     opts.k = e.k;
     DistSearchOptions dopts;
     dopts.search = opts;
-    SearchResult r_engine, r_snap, r_db;
+    SearchResult r_engine, r_snap, r_db, r_emptied;
     DistResult r_dist;
     const Status want = engine.Search(q, e.run, opts, &r_engine);
     EXPECT_EQ(want.code(), e.code) << e.name << ": " << want.ToString();
@@ -810,6 +822,7 @@ TEST(FrontDoor, EdgeRequestsGetOneAnswerOnEveryReadPath) {
         {want, &r_engine},
         {ir::SearchSnapshot(*snap, q, e.run, opts, &r_snap), &r_snap},
         {db.Search(q, e.run, opts, &r_db), &r_db},
+        {emptied.Search(q, e.run, opts, &r_emptied), &r_emptied},
         {cluster.Search(q, e.run, dopts, &r_dist), &r_dist.merged},
     };
     for (size_t p = 0; p < paths.size(); ++p) {

@@ -340,7 +340,7 @@ TEST(Index, ConcurrentAndInlineBuildsWriteIdenticalFiles) {
   storage::SimulatedDisk disk;
   storage::BufferManager pool(64ull << 20, &disk);
   std::unique_ptr<Segment> seg0, merged;
-  ASSERT_TRUE(Segment::Build(&corpus, seg0_dir, {&pool, 0}, &seg0).ok());
+  ASSERT_TRUE(Segment::Build(&corpus, seg0_dir, &pool, &seg0).ok());
   std::vector<std::vector<DocTerm>> docs;
   std::vector<int32_t> globals;
   for (uint32_t d = 0; d < corpus.num_docs(); ++d) {
@@ -348,8 +348,8 @@ TEST(Index, ConcurrentAndInlineBuildsWriteIdenticalFiles) {
     globals.push_back(static_cast<int32_t>(d));
   }
   ASSERT_TRUE(Segment::Build(std::move(docs), std::move(globals),
-                             corpus.vocab_size(), merged_dir,
-                             {&pool, IndexStorage::kFilesPerIndex}, 1, &merged)
+                             corpus.vocab_size(), merged_dir, &pool, 1,
+                             &merged)
                   .ok());
   for (const char* file :
        {kIndexMetaFile, kDocidRawFile, kTfRawFile, kDocidCompressedFile,
@@ -375,7 +375,7 @@ TEST(Index, FailingJobFailsTheBuildAndWritesNoMeta) {
     storage::SimulatedDisk disk;
     storage::BufferManager pool(64ull << 20, &disk);
     InvertedIndex index;
-    const Status s = index.BuildFromCorpus(corpus, dir, {&pool, 0}, mode);
+    const Status s = index.BuildFromCorpus(corpus, dir, &pool, mode);
     EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
     EXPECT_NE(s.message().find(kDocidCompressedFile), std::string::npos)
         << s.ToString();

@@ -746,7 +746,7 @@ TEST(CrashedWrites, IndexBuildRefusesAndCreatesNothing) {
   PooledIndex pooled;
   EXPECT_EQ(pooled.Build(corpus, dir).code(), StatusCode::kIOError);
   EXPECT_EQ(pooled.index
-                .BuildFromCorpus(corpus, dir, {&pooled.pool, 0},
+                .BuildFromCorpus(corpus, dir, &pooled.pool,
                                  BuildMode::kConcurrent)
                 .code(),
             StatusCode::kIOError);
@@ -799,7 +799,7 @@ TEST(CrashedWrites, BuildCrashedWhileScoresStreamWritesNoIndexMeta) {
     CrashPoint::Instance().Arm(CrashSite::kScoresAfterChunk, 1);
     PooledIndex pooled;
     EXPECT_EQ(pooled.index
-                  .BuildFromCorpus(corpus, dir, {&pooled.pool, 0}, mode)
+                  .BuildFromCorpus(corpus, dir, &pooled.pool, mode)
                   .code(),
               StatusCode::kIOError);
     EXPECT_TRUE(CrashPoint::Instance().IsCrashed());

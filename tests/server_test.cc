@@ -178,7 +178,8 @@ TEST(StripedPool, ConcurrentPinsKeepExactAggregateCounters) {
   // share of the 64 pages.
   storage::BufferManager bm(256ull * kPage, &disk, kPage, /*shards=*/4);
   ASSERT_EQ(bm.shards(), 4u);
-  ASSERT_TRUE(bm.RegisterFile(1, &file).ok());
+  uint32_t id = 0;
+  ASSERT_TRUE(bm.IssueFileId(&id).ok());
 
   constexpr int kThreads = 8;
   constexpr int kItersPerThread = 2000;
@@ -192,7 +193,7 @@ TEST(StripedPool, ConcurrentPinsKeepExactAggregateCounters) {
         const uint64_t page = rng.NextBounded(64);
         const uint8_t* data = nullptr;
         uint32_t len = 0;
-        if (!bm.Pin(1, page, &data, &len).ok()) {
+        if (!bm.Pin(file, id, page, &data, &len).ok()) {
           errors.fetch_add(1);
           continue;
         }
@@ -203,7 +204,7 @@ TEST(StripedPool, ConcurrentPinsKeepExactAggregateCounters) {
             data[i % kPage] != static_cast<uint8_t>((off * 131 + 7) & 0xFF)) {
           byte_mismatches.fetch_add(1);
         }
-        bm.Unpin(1, page);
+        bm.Unpin(id, page);
       }
     });
   }
@@ -235,17 +236,18 @@ TEST(StripedPool, EvictAllRefusesWhilePinnedFromAnotherThread) {
   ASSERT_TRUE(storage::File::OpenReadOnly(path, &file).ok());
   storage::SimulatedDisk disk;
   storage::BufferManager bm(8ull * kPage, &disk, kPage, /*shards=*/2);
-  ASSERT_TRUE(bm.RegisterFile(1, &file).ok());
+  uint32_t id = 0;
+  ASSERT_TRUE(bm.IssueFileId(&id).ok());
 
   // A second thread pins a page and holds it until released.
   std::atomic<bool> pinned{false}, release{false};
   std::thread holder([&] {
     const uint8_t* data = nullptr;
     uint32_t len = 0;
-    ASSERT_TRUE(bm.Pin(1, 3, &data, &len).ok());
+    ASSERT_TRUE(bm.Pin(file, id, 3, &data, &len).ok());
     pinned.store(true);
     while (!release.load()) std::this_thread::yield();
-    bm.Unpin(1, 3);
+    bm.Unpin(id, 3);
   });
   while (!pinned.load()) std::this_thread::yield();
 

@@ -12,7 +12,8 @@
 // BM25 on fresh and segmented databases; exact per-query window counters
 // under concurrency; the quantization error bound; and a seeded
 // eviction-schedule stress whose results must be bit-identical to an
-// all-hot pool.
+// all-hot pool. A counting allocator (counting_allocator.h) pins the pool's
+// hit path to no heap allocation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,6 +43,7 @@
 #include "storage/column_reader.h"
 #include "storage/file.h"
 
+#include "counting_allocator.h"
 #include "reference.h"
 #include "test_util.h"
 
@@ -131,10 +133,11 @@ class BufferManagerTest : public ::testing::Test {
     ASSERT_TRUE(File::OpenReadOnly(path_, &file_).ok());
     bm_ = std::make_unique<BufferManager>(pool_pages * page_bytes, &disk_,
                                           page_bytes);
-    ASSERT_TRUE(bm_->RegisterFile(7, &file_).ok());
+    ASSERT_TRUE(bm_->IssueFileId(&id_).ok());
   }
 
   uint32_t page_bytes_ = 4096;
+  uint32_t id_ = 0;
   std::vector<uint8_t> bytes_;
   std::string path_;
   File file_;
@@ -146,31 +149,31 @@ TEST_F(BufferManagerTest, MissThenHitServesCorrectBytes) {
   Open();
   const uint8_t* data = nullptr;
   uint32_t len = 0;
-  ASSERT_TRUE(bm_->Pin(7, 2, &data, &len).ok());
+  ASSERT_TRUE(bm_->Pin(file_, id_, 2, &data, &len).ok());
   EXPECT_EQ(len, page_bytes_);
   EXPECT_EQ(0, std::memcmp(data, bytes_.data() + 2 * page_bytes_,
                            page_bytes_));
   EXPECT_EQ(bm_->stats().misses, 1u);
   EXPECT_EQ(bm_->stats().hits, 0u);
-  bm_->Unpin(7, 2);
-  ASSERT_TRUE(bm_->Pin(7, 2, &data, &len).ok());
+  bm_->Unpin(id_, 2);
+  ASSERT_TRUE(bm_->Pin(file_, id_, 2, &data, &len).ok());
   EXPECT_EQ(bm_->stats().hits, 1u);
   EXPECT_EQ(bm_->stats().misses, 1u);
-  bm_->Unpin(7, 2);
+  bm_->Unpin(id_, 2);
 }
 
 TEST_F(BufferManagerTest, PinsNestByRefcount) {
   Open();
   const uint8_t* data = nullptr;
   uint32_t len = 0;
-  ASSERT_TRUE(bm_->Pin(7, 0, &data, &len).ok());
-  ASSERT_TRUE(bm_->Pin(7, 0, &data, &len).ok());
+  ASSERT_TRUE(bm_->Pin(file_, id_, 0, &data, &len).ok());
+  ASSERT_TRUE(bm_->Pin(file_, id_, 0, &data, &len).ok());
   EXPECT_EQ(bm_->pinned_pages(), 1u);
-  bm_->Unpin(7, 0);
+  bm_->Unpin(id_, 0);
   // Still pinned once: EvictAll must refuse.
   EXPECT_FALSE(bm_->EvictAll().ok());
   EXPECT_EQ(bm_->pinned_pages(), 1u);
-  bm_->Unpin(7, 0);
+  bm_->Unpin(id_, 0);
   EXPECT_EQ(bm_->pinned_pages(), 0u);
   EXPECT_TRUE(bm_->EvictAll().ok());
 }
@@ -179,13 +182,13 @@ TEST_F(BufferManagerTest, EvictionUnderPressureNeverEvictsPinned) {
   Open(/*pool_pages=*/3);
   const uint8_t* pinned = nullptr;
   uint32_t len = 0;
-  ASSERT_TRUE(bm_->Pin(7, 5, &pinned, &len).ok());
+  ASSERT_TRUE(bm_->Pin(file_, id_, 5, &pinned, &len).ok());
   // Stream every other page through the 2 remaining frames.
   const uint8_t* data = nullptr;
   for (uint64_t p = 0; p < 16; ++p) {
     if (p == 5) continue;
-    ASSERT_TRUE(bm_->Pin(7, p, &data, &len).ok());
-    bm_->Unpin(7, p);
+    ASSERT_TRUE(bm_->Pin(file_, id_, p, &data, &len).ok());
+    bm_->Unpin(id_, p);
   }
   EXPECT_GT(bm_->stats().evictions, 0u);
   // The pinned frame was never evicted: its bytes are still valid and
@@ -193,25 +196,25 @@ TEST_F(BufferManagerTest, EvictionUnderPressureNeverEvictsPinned) {
   EXPECT_EQ(0, std::memcmp(pinned, bytes_.data() + 5 * page_bytes_,
                            page_bytes_));
   const uint64_t hits_before = bm_->stats().hits;
-  ASSERT_TRUE(bm_->Pin(7, 5, &data, &len).ok());
+  ASSERT_TRUE(bm_->Pin(file_, id_, 5, &data, &len).ok());
   EXPECT_EQ(bm_->stats().hits, hits_before + 1);
-  bm_->Unpin(7, 5);
-  bm_->Unpin(7, 5);
+  bm_->Unpin(id_, 5);
+  bm_->Unpin(id_, 5);
 }
 
 TEST_F(BufferManagerTest, ExhaustedWhenEverythingIsPinned) {
   Open(/*pool_pages=*/2);
   const uint8_t* data = nullptr;
   uint32_t len = 0;
-  ASSERT_TRUE(bm_->Pin(7, 0, &data, &len).ok());
-  ASSERT_TRUE(bm_->Pin(7, 1, &data, &len).ok());
-  Status s = bm_->Pin(7, 2, &data, &len);
+  ASSERT_TRUE(bm_->Pin(file_, id_, 0, &data, &len).ok());
+  ASSERT_TRUE(bm_->Pin(file_, id_, 1, &data, &len).ok());
+  Status s = bm_->Pin(file_, id_, 2, &data, &len);
   EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
   // Releasing one page makes room again.
-  bm_->Unpin(7, 0);
-  ASSERT_TRUE(bm_->Pin(7, 2, &data, &len).ok());
-  bm_->Unpin(7, 1);
-  bm_->Unpin(7, 2);
+  bm_->Unpin(id_, 0);
+  ASSERT_TRUE(bm_->Pin(file_, id_, 2, &data, &len).ok());
+  bm_->Unpin(id_, 1);
+  bm_->Unpin(id_, 2);
 }
 
 TEST_F(BufferManagerTest, EvictAllLeavesAFullyColdPool) {
@@ -219,8 +222,8 @@ TEST_F(BufferManagerTest, EvictAllLeavesAFullyColdPool) {
   const uint8_t* data = nullptr;
   uint32_t len = 0;
   for (uint64_t p = 0; p < 3; ++p) {
-    ASSERT_TRUE(bm_->Pin(7, p, &data, &len).ok());
-    bm_->Unpin(7, p);
+    ASSERT_TRUE(bm_->Pin(file_, id_, p, &data, &len).ok());
+    bm_->Unpin(id_, p);
   }
   EXPECT_GT(bm_->resident_bytes(), 0u);
   ASSERT_TRUE(bm_->EvictAll().ok());
@@ -229,8 +232,8 @@ TEST_F(BufferManagerTest, EvictAllLeavesAFullyColdPool) {
   // Every page faults back in.
   const uint64_t misses_before = bm_->stats().misses;
   for (uint64_t p = 0; p < 3; ++p) {
-    ASSERT_TRUE(bm_->Pin(7, p, &data, &len).ok());
-    bm_->Unpin(7, p);
+    ASSERT_TRUE(bm_->Pin(file_, id_, p, &data, &len).ok());
+    bm_->Unpin(id_, p);
   }
   EXPECT_EQ(bm_->stats().misses, misses_before + 3);
 }
@@ -240,16 +243,16 @@ TEST_F(BufferManagerTest, StatsCountersExact) {
   const uint8_t* data = nullptr;
   uint32_t len = 0;
   // Script: miss 0, miss 1, hit 1, miss 2 (evicts 0), miss 0 (evicts 1).
-  ASSERT_TRUE(bm_->Pin(7, 0, &data, &len).ok());
-  bm_->Unpin(7, 0);
-  ASSERT_TRUE(bm_->Pin(7, 1, &data, &len).ok());
-  bm_->Unpin(7, 1);
-  ASSERT_TRUE(bm_->Pin(7, 1, &data, &len).ok());
-  bm_->Unpin(7, 1);
-  ASSERT_TRUE(bm_->Pin(7, 2, &data, &len).ok());
-  bm_->Unpin(7, 2);
-  ASSERT_TRUE(bm_->Pin(7, 0, &data, &len).ok());
-  bm_->Unpin(7, 0);
+  ASSERT_TRUE(bm_->Pin(file_, id_, 0, &data, &len).ok());
+  bm_->Unpin(id_, 0);
+  ASSERT_TRUE(bm_->Pin(file_, id_, 1, &data, &len).ok());
+  bm_->Unpin(id_, 1);
+  ASSERT_TRUE(bm_->Pin(file_, id_, 1, &data, &len).ok());
+  bm_->Unpin(id_, 1);
+  ASSERT_TRUE(bm_->Pin(file_, id_, 2, &data, &len).ok());
+  bm_->Unpin(id_, 2);
+  ASSERT_TRUE(bm_->Pin(file_, id_, 0, &data, &len).ok());
+  bm_->Unpin(id_, 0);
   EXPECT_EQ(bm_->stats().misses, 4u);
   EXPECT_EQ(bm_->stats().hits, 1u);
   EXPECT_EQ(bm_->stats().evictions, 2u);
@@ -263,23 +266,110 @@ TEST_F(BufferManagerTest, LruEvictsColdestUnpinnedPage) {
   Open(/*pool_pages=*/2);
   const uint8_t* data = nullptr;
   uint32_t len = 0;
-  ASSERT_TRUE(bm_->Pin(7, 0, &data, &len).ok());
-  bm_->Unpin(7, 0);
-  ASSERT_TRUE(bm_->Pin(7, 1, &data, &len).ok());
-  bm_->Unpin(7, 1);
+  ASSERT_TRUE(bm_->Pin(file_, id_, 0, &data, &len).ok());
+  bm_->Unpin(id_, 0);
+  ASSERT_TRUE(bm_->Pin(file_, id_, 1, &data, &len).ok());
+  bm_->Unpin(id_, 1);
   // Touch 0 again: 1 becomes the LRU victim.
-  ASSERT_TRUE(bm_->Pin(7, 0, &data, &len).ok());
-  bm_->Unpin(7, 0);
-  ASSERT_TRUE(bm_->Pin(7, 2, &data, &len).ok());
-  bm_->Unpin(7, 2);
+  ASSERT_TRUE(bm_->Pin(file_, id_, 0, &data, &len).ok());
+  bm_->Unpin(id_, 0);
+  ASSERT_TRUE(bm_->Pin(file_, id_, 2, &data, &len).ok());
+  bm_->Unpin(id_, 2);
   const uint64_t hits_before = bm_->stats().hits;
-  ASSERT_TRUE(bm_->Pin(7, 0, &data, &len).ok());  // still resident
-  bm_->Unpin(7, 0);
+  ASSERT_TRUE(bm_->Pin(file_, id_, 0, &data, &len).ok());  // still resident
+  bm_->Unpin(id_, 0);
   EXPECT_EQ(bm_->stats().hits, hits_before + 1);
   const uint64_t misses_before = bm_->stats().misses;
-  ASSERT_TRUE(bm_->Pin(7, 1, &data, &len).ok());  // was evicted
-  bm_->Unpin(7, 1);
+  ASSERT_TRUE(bm_->Pin(file_, id_, 1, &data, &len).ok());  // was evicted
+  bm_->Unpin(id_, 1);
   EXPECT_EQ(bm_->stats().misses, misses_before + 1);
+}
+
+// Every resident frame keeps one LRU node for its whole life: a pinned
+// frame stays in the list and eviction skips it, so the victim is still the
+// least recently unpinned frame. Eight single-page "files" (page 0 of the
+// fixture file under eight ids) make each page's residency visible without
+// touching it.
+TEST_F(BufferManagerTest, VictimIsTheLeastRecentlyUnpinnedFrame) {
+  Open(/*pool_pages=*/3);
+  uint32_t ids[8];
+  for (uint32_t& id : ids) ASSERT_TRUE(bm_->IssueFileId(&id).ok());
+  const uint8_t* data = nullptr;
+  uint32_t len = 0;
+  const auto pin = [&](int page) {
+    return bm_->Pin(file_, ids[page], 0, &data, &len).ok();
+  };
+  const auto unpin = [&](int page) { bm_->Unpin(ids[page], 0); };
+  const auto resident = [&] {
+    std::string pages;
+    for (int page = 0; page < 8; ++page) {
+      if (bm_->ResidentPagesOfFile(ids[page]) != 0) {
+        pages += static_cast<char>('A' + page);
+      }
+    }
+    return pages;
+  };
+
+  ASSERT_TRUE(pin(0));  // A is fetched first and stays pinned
+  ASSERT_TRUE(pin(1));
+  unpin(1);
+  ASSERT_TRUE(pin(2));
+  unpin(2);
+  ASSERT_TRUE(pin(1));  // a hit on B: unpinned order C, B
+  unpin(1);
+  ASSERT_TRUE(pin(3));  // D evicts C, skipping the pinned A
+  EXPECT_EQ(resident(), "ABD");
+  unpin(3);             // B, D
+  ASSERT_TRUE(pin(0));  // a nested pin of A: still pinned after its unpin
+  unpin(0);
+  ASSERT_TRUE(pin(4));  // E evicts B
+  unpin(4);             // D, E
+  EXPECT_EQ(resident(), "ADE");
+  unpin(0);             // A's last unpin: D, E, A
+  ASSERT_TRUE(pin(5));  // F evicts D
+  unpin(5);
+  EXPECT_EQ(resident(), "AEF");
+  ASSERT_TRUE(pin(6));  // G evicts E
+  unpin(6);
+  EXPECT_EQ(resident(), "AFG");
+  ASSERT_TRUE(pin(7));  // H evicts A, unpinned before F and G
+  unpin(7);
+  EXPECT_EQ(resident(), "FGH");
+  EXPECT_EQ(bm_->stats().evictions, 5u);
+  EXPECT_EQ(bm_->stats().hits, 2u);
+  EXPECT_EQ(bm_->stats().misses, 8u);
+  EXPECT_EQ(bm_->pinned_pages(), 0u);
+}
+
+// Once its pages are resident, pinning and unpinning them allocates
+// nothing: a hit finds the frame, and the last unpin moves the frame's own
+// LRU node.
+TEST_F(BufferManagerTest, PinningResidentPagesAllocatesNothing) {
+  Open(/*pool_pages=*/16);
+  const uint8_t* data = nullptr;
+  uint32_t len = 0;
+  for (uint64_t p = 0; p < 16; ++p) {
+    ASSERT_TRUE(bm_->Pin(file_, id_, p, &data, &len).ok());
+    bm_->Unpin(id_, p);
+  }
+  bool all_ok = true;
+  int64_t peak = 0;
+  {
+    CountingScope scope;
+    for (int round = 0; round < 4; ++round) {
+      for (uint64_t p = 0; p < 16; ++p) {
+        all_ok = bm_->Pin(file_, id_, p, &data, &len).ok() && all_ok;
+        all_ok = bm_->Pin(file_, id_, p, &data, &len).ok() && all_ok;
+        bm_->Unpin(id_, p);
+        bm_->Unpin(id_, p);
+      }
+    }
+    peak = scope.peak();
+  }
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(peak, 0);
+  EXPECT_EQ(bm_->stats().misses, 16u);
+  EXPECT_EQ(bm_->stats().hits, 4u * 16 * 2);
 }
 
 TEST_F(BufferManagerTest, ShortLastPageAndBounds) {
@@ -289,15 +379,15 @@ TEST_F(BufferManagerTest, ShortLastPageAndBounds) {
   const std::string path = WriteFile("bm_odd", odd);
   File f;
   ASSERT_TRUE(File::OpenReadOnly(path, &f).ok());
-  ASSERT_TRUE(bm_->RegisterFile(8, &f).ok());
+  uint32_t other_id = 0;
+  ASSERT_TRUE(bm_->IssueFileId(&other_id).ok());
   const uint8_t* data = nullptr;
   uint32_t len = 0;
-  ASSERT_TRUE(bm_->Pin(8, 1, &data, &len).ok());
+  ASSERT_TRUE(bm_->Pin(f, other_id, 1, &data, &len).ok());
   EXPECT_EQ(len, 1000u);
   EXPECT_EQ(0, std::memcmp(data, odd.data() + 4096, 1000));
-  bm_->Unpin(8, 1);
-  EXPECT_FALSE(bm_->Pin(8, 2, &data, &len).ok());   // past EOF
-  EXPECT_FALSE(bm_->Pin(99, 0, &data, &len).ok());  // unregistered
+  bm_->Unpin(other_id, 1);
+  EXPECT_FALSE(bm_->Pin(f, other_id, 2, &data, &len).ok());  // past EOF
 }
 
 TEST_F(BufferManagerTest, EvictFileDropsExactlyThatFilesPages) {
@@ -308,69 +398,65 @@ TEST_F(BufferManagerTest, EvictFileDropsExactlyThatFilesPages) {
   const std::string path = WriteFile("bm_other", other);
   File f;
   ASSERT_TRUE(File::OpenReadOnly(path, &f).ok());
-  ASSERT_TRUE(bm_->RegisterFile(8, &f).ok());
+  uint32_t other_id = 0;
+  ASSERT_TRUE(bm_->IssueFileId(&other_id).ok());
 
   const uint8_t* data = nullptr;
   uint32_t len = 0;
   for (uint64_t p = 0; p < 3; ++p) {
-    ASSERT_TRUE(bm_->Pin(7, p, &data, &len).ok());
-    bm_->Unpin(7, p);
+    ASSERT_TRUE(bm_->Pin(file_, id_, p, &data, &len).ok());
+    bm_->Unpin(id_, p);
   }
   for (uint64_t p = 0; p < 2; ++p) {
-    ASSERT_TRUE(bm_->Pin(8, p, &data, &len).ok());
-    bm_->Unpin(8, p);
+    ASSERT_TRUE(bm_->Pin(f, other_id, p, &data, &len).ok());
+    bm_->Unpin(other_id, p);
   }
-  EXPECT_EQ(bm_->ResidentPagesOfFile(7), 3u);
-  EXPECT_EQ(bm_->ResidentPagesOfFile(8), 2u);
+  EXPECT_EQ(bm_->ResidentPagesOfFile(id_), 3u);
+  EXPECT_EQ(bm_->ResidentPagesOfFile(other_id), 2u);
   EXPECT_EQ(bm_->stats().misses, 5u);
 
-  ASSERT_TRUE(bm_->EvictFile(7).ok());
-  EXPECT_EQ(bm_->ResidentPagesOfFile(7), 0u);
-  EXPECT_EQ(bm_->ResidentPagesOfFile(8), 2u);
+  ASSERT_TRUE(bm_->EvictFile(id_).ok());
+  EXPECT_EQ(bm_->ResidentPagesOfFile(id_), 0u);
+  EXPECT_EQ(bm_->ResidentPagesOfFile(other_id), 2u);
   EXPECT_EQ(bm_->resident_pages(), 2u);
   // Targeted drops are not pressure evictions: the counter is untouched.
   EXPECT_EQ(bm_->stats().evictions, 0u);
 
   // File 7 re-pins miss (its pages are gone); file 8 stayed hot.
-  ASSERT_TRUE(bm_->Pin(7, 0, &data, &len).ok());
-  bm_->Unpin(7, 0);
+  ASSERT_TRUE(bm_->Pin(file_, id_, 0, &data, &len).ok());
+  bm_->Unpin(id_, 0);
   EXPECT_EQ(bm_->stats().misses, 6u);
-  ASSERT_TRUE(bm_->Pin(8, 0, &data, &len).ok());
-  bm_->Unpin(8, 0);
+  ASSERT_TRUE(bm_->Pin(f, other_id, 0, &data, &len).ok());
+  bm_->Unpin(other_id, 0);
   EXPECT_EQ(bm_->stats().hits, 1u);
 }
 
-TEST_F(BufferManagerTest, EvictFileRefusesPinsAndRejectsUnknownIds) {
+TEST_F(BufferManagerTest, EvictFileRefusesWhileThatFileIsPinned) {
   Open(/*pool_pages=*/8);
   const auto other = PatternBytes(4 * page_bytes_);
   const std::string path = WriteFile("bm_other2", other);
   File f;
   ASSERT_TRUE(File::OpenReadOnly(path, &f).ok());
-  ASSERT_TRUE(bm_->RegisterFile(8, &f).ok());
+  uint32_t other_id = 0;
+  ASSERT_TRUE(bm_->IssueFileId(&other_id).ok());
+  EXPECT_NE(other_id, id_);
 
   const uint8_t* data = nullptr;
   uint32_t len = 0;
-  ASSERT_TRUE(bm_->Pin(7, 1, &data, &len).ok());
+  ASSERT_TRUE(bm_->Pin(file_, id_, 1, &data, &len).ok());
   // A pinned page in THIS file blocks its eviction...
-  EXPECT_EQ(bm_->EvictFile(7).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(bm_->ResidentPagesOfFile(7), 1u);
+  EXPECT_EQ(bm_->EvictFile(id_).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(bm_->ResidentPagesOfFile(id_), 1u);
   // ...but not another file's (per-file granularity is the whole point:
-  // retiring a dead segment must not wait for unrelated readers).
-  ASSERT_TRUE(bm_->Pin(8, 0, &data, &len).ok());
-  bm_->Unpin(8, 0);
-  EXPECT_TRUE(bm_->EvictFile(8).ok());
-  EXPECT_EQ(bm_->ResidentPagesOfFile(8), 0u);
+  // a cold reset of one column must not wait for unrelated readers).
+  ASSERT_TRUE(bm_->Pin(f, other_id, 0, &data, &len).ok());
+  bm_->Unpin(other_id, 0);
+  EXPECT_TRUE(bm_->EvictFile(other_id).ok());
+  EXPECT_EQ(bm_->ResidentPagesOfFile(other_id), 0u);
 
-  bm_->Unpin(7, 1);
-  EXPECT_TRUE(bm_->EvictFile(7).ok());
-  EXPECT_EQ(bm_->EvictFile(99).code(), StatusCode::kInvalidArgument);
-
-  // UnregisterFile = EvictFile + drop the binding: later pins must fail
-  // rather than resurrect the file.
-  ASSERT_TRUE(bm_->UnregisterFile(8).ok());
-  EXPECT_EQ(bm_->ResidentPagesOfFile(8), 0u);
-  EXPECT_FALSE(bm_->Pin(8, 0, &data, &len).ok());
-  EXPECT_EQ(bm_->EvictFile(8).code(), StatusCode::kInvalidArgument);
+  bm_->Unpin(id_, 1);
+  EXPECT_TRUE(bm_->EvictFile(id_).ok());
+  EXPECT_EQ(bm_->resident_pages(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -404,7 +490,7 @@ TEST(ColumnReader, RawI32RoundTripAcrossPageSizes) {
     SimulatedDisk disk;
     BufferManager bm(1ull << 30, &disk, page_bytes);
     ColumnReader col;
-    ASSERT_TRUE(col.Open(path, 1, &bm).ok());
+    ASSERT_TRUE(col.Open(path, &bm).ok());
     EXPECT_EQ(col.value_count(), values.size());
     std::vector<int32_t> out(values.size());
     ASSERT_TRUE(col.Read(0, values.size(), out.data()).ok());
@@ -442,7 +528,7 @@ TEST(ColumnReader, CompressedMatchesResidentDecoderAcrossBoundaries) {
     SimulatedDisk disk;
     BufferManager bm(1ull << 30, &disk, 512);
     ColumnReader col;
-    ASSERT_TRUE(col.Open(path, 1, &bm).ok());
+    ASSERT_TRUE(col.Open(path, &bm).ok());
     ASSERT_EQ(col.value_count(), n);
     ASSERT_TRUE(col.is_compressed());
     Status latch;
@@ -486,7 +572,7 @@ TEST(ColumnReader, Q8RoundTripAndParams) {
   SimulatedDisk disk;
   BufferManager bm(1ull << 30, &disk, 4096);
   ColumnReader col;
-  ASSERT_TRUE(col.Open(path, 1, &bm).ok());
+  ASSERT_TRUE(col.Open(path, &bm).ok());
   EXPECT_FLOAT_EQ(col.q8_scale(), 0.5f);
   EXPECT_FLOAT_EQ(col.q8_bias(), -3.0f);
   std::vector<float> out(n);
@@ -509,16 +595,16 @@ TEST(ColumnReader, RejectsTruncationBadMagicAndBadParams) {
                      good.size() - 1}) {
     std::vector<uint8_t> torn(good.begin(), good.begin() + cut);
     ColumnReader col;
-    EXPECT_FALSE(col.Open(WriteFile("col_torn", torn), 1, &bm).ok())
+    EXPECT_FALSE(col.Open(WriteFile("col_torn", torn), &bm).ok())
         << "cut=" << cut;
   }
   std::vector<uint8_t> grown = good;
   grown.push_back(0);
   ColumnReader col;
-  EXPECT_FALSE(col.Open(WriteFile("col_grown", grown), 1, &bm).ok());
+  EXPECT_FALSE(col.Open(WriteFile("col_grown", grown), &bm).ok());
   std::vector<uint8_t> bad_magic = good;
   bad_magic[0] ^= 0xFF;
-  EXPECT_FALSE(col.Open(WriteFile("col_magic", bad_magic), 1, &bm).ok());
+  EXPECT_FALSE(col.Open(WriteFile("col_magic", bad_magic), &bm).ok());
   // Quantized column with a degenerate scale.
   ir::Q8Params params;
   params.scale = 0.0f;
@@ -528,8 +614,87 @@ TEST(ColumnReader, RejectsTruncationBadMagicAndBadParams) {
                                   ColumnFileBytes(
                                       ir::ColumnFileHeader::kQuantU8, 4,
                                       payload.data(), payload.size())),
-                        1, &bm)
+                        &bm)
                    .ok());
+}
+
+// A reader that closes while one of its pages is pinned drops its other
+// pages; the pinned one stays under an id the pool never issues again, so
+// a second reader over the same file misses on every page, and the pin's
+// Unpin still finds its frame.
+TEST(ColumnReader, CloseWhilePinnedLeavesNoFrameAnotherReaderCanHit) {
+  std::vector<int32_t> values(3000);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<int32_t>(i * 5);
+  }
+  const auto bytes = ColumnFileBytes(ir::ColumnFileHeader::kRawI32,
+                                     values.size(), values.data(),
+                                     values.size() * 4);
+  const std::string path = WriteFile("close_pinned", bytes);
+  SimulatedDisk disk;
+  BufferManager bm(1ull << 30, &disk, 1024);
+  File file;
+  ASSERT_TRUE(File::OpenReadOnly(path, &file).ok());
+  std::vector<int32_t> out(values.size());
+  auto first = std::make_unique<ColumnReader>();
+  ASSERT_TRUE(first->Open(path, &bm).ok());
+  ASSERT_TRUE(first->Read(0, values.size(), out.data()).ok());
+  const uint32_t first_id = first->file_id();
+  const uint64_t pages = bm.ResidentPagesOfFile(first_id);
+  ASSERT_EQ(pages, (bytes.size() + 1023) / 1024);
+  const uint8_t* data = nullptr;
+  uint32_t len = 0;
+  ASSERT_TRUE(bm.Pin(file, first_id, 1, &data, &len).ok());
+
+  first.reset();
+  EXPECT_EQ(bm.ResidentPagesOfFile(first_id), 1u);
+  EXPECT_EQ(bm.pinned_pages(), 1u);
+
+  ColumnReader second;
+  ASSERT_TRUE(second.Open(path, &bm).ok());
+  EXPECT_NE(second.file_id(), first_id);
+  const BufferStats before = bm.stats();
+  ASSERT_TRUE(second.Read(0, values.size(), out.data()).ok());
+  EXPECT_EQ(out, values);
+  EXPECT_EQ(bm.stats().hits, before.hits);
+  EXPECT_EQ(bm.stats().misses, before.misses + pages);
+
+  ASSERT_EQ(len, 1024u);
+  EXPECT_EQ(0, std::memcmp(data, bytes.data() + 1024, len));
+  bm.Unpin(first_id, 1);
+  EXPECT_EQ(bm.pinned_pages(), 0u);
+  // Unpinned, it is an ordinary frame that a drop of its id removes.
+  EXPECT_TRUE(bm.EvictFile(first_id).ok());
+  EXPECT_EQ(bm.ResidentPagesOfFile(first_id), 0u);
+  EXPECT_EQ(bm.ResidentPagesOfFile(second.file_id()), pages);
+}
+
+// The page key holds 2^24 file ids and the pool never reissues one: once
+// every id is out, an open fails rather than share another file's pages.
+TEST(ColumnReader, OpenFailsOnceThePoolHasIssuedEveryFileId) {
+  std::vector<int32_t> values(100, 7);
+  const std::string path = WriteFile(
+      "ids_out", ColumnFileBytes(ir::ColumnFileHeader::kRawI32,
+                                 values.size(), values.data(),
+                                 values.size() * 4));
+  SimulatedDisk disk;
+  BufferManager bm(1ull << 30, &disk, 4096);
+  ColumnReader first;
+  ASSERT_TRUE(first.Open(path, &bm).ok());
+  EXPECT_EQ(first.file_id(), 0u);
+  uint32_t id = 0;
+  bool all_ok = true;
+  for (uint64_t i = 1; i < BufferManager::kMaxFileIds; ++i) {
+    all_ok = bm.IssueFileId(&id).ok() && all_ok;
+  }
+  ASSERT_TRUE(all_ok);
+  EXPECT_EQ(id, BufferManager::kMaxFileIds - 1);
+  ColumnReader last;
+  EXPECT_EQ(last.Open(path, &bm).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(bm.IssueFileId(&id).code(), StatusCode::kResourceExhausted);
+  std::vector<int32_t> out(values.size());
+  ASSERT_TRUE(first.Read(0, values.size(), out.data()).ok());
+  EXPECT_EQ(out, values);
 }
 
 // ---------------------------------------------------------------------------
@@ -589,8 +754,8 @@ TEST(SortedColumnCursor, MatchesSortedRangeCursorOracle) {
   SimulatedDisk disk;
   BufferManager bm(1ull << 30, &disk, 512);
   ColumnReader compressed, raw;
-  ASSERT_TRUE(compressed.Open(path, 1, &bm).ok());
-  ASSERT_TRUE(raw.Open(raw_path, 2, &bm).ok());
+  ASSERT_TRUE(compressed.Open(path, &bm).ok());
+  ASSERT_TRUE(raw.Open(raw_path, &bm).ok());
 
   // Sub-ranges crossing window boundaries, incl. the block's tail window,
   // and 8 whole windows ending inside the block (SkipTo past their end
@@ -690,7 +855,7 @@ TEST(SortedColumnCursor, SkipsWindowsWithoutFetching) {
   SimulatedDisk disk;
   BufferManager bm(1ull << 30, &disk, 4096);
   ColumnReader col;
-  ASSERT_TRUE(col.Open(path, 1, &bm).ok());
+  ASSERT_TRUE(col.Open(path, &bm).ok());
   Status latch;
   PoolCursor cursor;
   ASSERT_TRUE(cursor.Init(PoolWindows(&col, &latch), 0, values.size()).ok());
@@ -716,7 +881,7 @@ TEST(SortedColumnCursor, PoolFailureLatchesAndEndsTheCursor) {
   SimulatedDisk disk;
   BufferManager bm(1024, &disk, 4096);
   ColumnReader col;
-  ASSERT_TRUE(col.Open(path, 1, &bm).ok());
+  ASSERT_TRUE(col.Open(path, &bm).ok());
   Status latch;
   PoolCursor cursor;
   ASSERT_TRUE(cursor.Init(PoolWindows(&col, &latch), 0, values.size()).ok());
@@ -731,6 +896,62 @@ TEST(SortedColumnCursor, PoolFailureLatchesAndEndsTheCursor) {
   EXPECT_FALSE(probe.SkipTo(4000));
   EXPECT_TRUE(probe.AtEnd());
   EXPECT_EQ(probe_latch.code(), StatusCode::kResourceExhausted);
+}
+
+// Which pages a raw cursor's SkipTo pins: a raw column has no window
+// metadata, so each window max the gallop and binary search test is a point
+// read of one page. Values equal positions, and 512-byte pages behind the
+// 16-byte header put window w's max on page w + 1 and a load of window w on
+// pages w and w + 1. A 1-shard pool that never evicts turns every pin into
+// a hit or a miss.
+TEST(SortedColumnCursor, RawCursorPinsThePagesItsSearchTests) {
+  std::vector<int32_t> values(40 * 128);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<int32_t>(i);
+  }
+  const std::string path = WriteFile(
+      "pins_raw", ColumnFileBytes(ir::ColumnFileHeader::kRawI32,
+                                  values.size(), values.data(),
+                                  values.size() * 4));
+  SimulatedDisk disk;
+  BufferManager bm(1ull << 30, &disk, 512);
+  ColumnReader col;
+  ASSERT_TRUE(col.Open(path, &bm).ok());
+  Status latch;
+  PoolCursor cursor;
+  ASSERT_TRUE(cursor.Init(PoolWindows(&col, &latch), 0, values.size()).ok());
+  struct Step {
+    int32_t target;
+    uint64_t pins;    // hits + misses after the step
+    uint64_t misses;
+  };
+  const Step steps[] = {
+      // Gallop probe 0 (page 1) reaches the target; load 0 (pages 0, 1).
+      {0, 3, 2},
+      // Probe 0 is loaded, probe 2 (page 3) reaches 300, binary search
+      // tests 1 (page 2); load 2 (pages 2, 3).
+      {300, 7, 4},
+      // Same window: no pin.
+      {301, 7, 4},
+      // Gallop probes 2 (loaded), 4, 8, 16, 32 (pages 5, 9, 17, 33), then
+      // binary search 24, 20, 22, 23 (pages 25, 21, 23, 24); load 23
+      // (pages 23, 24).
+      {3000, 17, 12},
+      // Probes 25, 29, 37, 38 (pages 26, 30, 38, 39) all fall short, so the
+      // final window, whose max is unknown, is the candidate; load 39
+      // (pages 39, 40).
+      {5119, 23, 17},
+      // Past every value: the loaded final window answers.
+      {std::numeric_limits<int32_t>::max(), 23, 17},
+  };
+  for (const Step& step : steps) {
+    cursor.SkipTo(step.target);
+    const BufferStats stats = bm.stats();
+    EXPECT_EQ(stats.hits + stats.misses, step.pins) << step.target;
+    EXPECT_EQ(stats.misses, step.misses) << step.target;
+  }
+  EXPECT_TRUE(cursor.AtEnd());
+  EXPECT_TRUE(latch.ok()) << latch.ToString();
 }
 
 // ---------------------------------------------------------------------------

@@ -28,10 +28,10 @@ struct PooledIndex {
         pool(opts.pool_bytes, &disk, opts.page_bytes, opts.shards) {}
 
   Status Build(const ir::Corpus& corpus, const std::string& dir) {
-    return index.BuildFromCorpus(corpus, dir, {&pool, 0});
+    return index.BuildFromCorpus(corpus, dir, &pool);
   }
   Status Load(const std::string& dir) {
-    return index.LoadFromDir(dir, {&pool, 0});
+    return index.LoadFromDir(dir, &pool);
   }
 
   storage::SimulatedDisk disk;
