@@ -5,10 +5,11 @@
 //
 // Reports through bench::Record: bits per posting of every TD column of the
 // base segment (GATE docid/tf/q8 bits per posting and the TD I/O-volume
-// ratio, bounded in bench/gates.txt), the encode throughput of the docid and
-// tf columns (best of kEncodeRepeats, re-encoding the raw columns exactly as
-// a build does, checked byte for byte against the stored blocks), and a
-// PDICT ablation on tf.
+// ratio, bounded in bench/gates.txt), the number of windows the docid and
+// tf blocks store at each width, the encode throughput of the docid and tf
+// columns (best of kEncodeRepeats, re-encoding the raw columns exactly as a
+// build does, checked byte for byte against the stored blocks), and a PDICT
+// ablation on tf.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -18,6 +19,7 @@
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
+#include "compress/codec.h"
 #include "compress/pdict.h"
 #include "compress/pfor.h"
 #include "compress/pfor_delta.h"
@@ -66,6 +68,28 @@ std::vector<uint8_t> ReadStoredBlock(const std::string& dir,
   bench::CheckOk(f.ReadAt(sizeof(ir::ColumnFileHeader), bytes, block.data()),
                  "read block");
   return block;
+}
+
+// Records how many of `block`'s windows are stored at each width, and dense.
+void RecordWindowWidths(const char* label, const std::vector<uint8_t>& block,
+                        bench::Record* record) {
+  compress::BlockDecoder dec;
+  bench::CheckOk(dec.Init(block.data(), block.size()), "init block");
+  uint32_t windows[compress::kMaxBitWidth + 1] = {0};  // [0]: dense
+  for (uint32_t w = 0; w < dec.entry_count(); ++w) {
+    ++windows[dec.WindowBitWidth(w)];
+  }
+  std::printf("%-20s windows by width:", label);
+  bench::Record::Row& row =
+      record->AddRow(std::string(label) + " windows by width")
+          .Set("windows", dec.entry_count())
+          .Set("dense", windows[0]);
+  for (int b = 1; b <= compress::kMaxBitWidth; ++b) {
+    if (windows[b] == 0) continue;
+    std::printf(" b%d=%u", b, windows[b]);
+    row.Set("b" + std::to_string(b), windows[b]);
+  }
+  std::printf(" dense=%u\n", windows[0]);
 }
 
 // Encodes `values` kEncodeRepeats times and records the best time; returns
@@ -151,13 +175,20 @@ int Run() {
       HumanBytes(static_cast<uint64_t>(compressed_bytes)).c_str(),
       raw_bytes / compressed_bytes);
 
+  const std::vector<uint8_t> docid_block =
+      ReadStoredBlock(dir, ir::kDocidCompressedFile);
+  const std::vector<uint8_t> tf_block =
+      ReadStoredBlock(dir, ir::kTfCompressedFile);
+  RecordWindowWidths("TD.docid PFOR-DELTA", docid_block, &record);
+  RecordWindowWidths("TD.tf PFOR", tf_block, &record);
+  std::printf("\n");
+
   // Encode throughput over the raw columns, with the build's options.
   const std::vector<int32_t> docids =
       ReadRawColumn(dir, ir::kDocidRawFile, &bm);
   const std::vector<int32_t> tfs = ReadRawColumn(dir, ir::kTfRawFile, &bm);
   const bool docid_match = TimeEncode(
-      "docid PFOR-DELTA", docids,
-      ReadStoredBlock(dir, ir::kDocidCompressedFile),
+      "docid PFOR-DELTA", docids, docid_block,
       [](const std::vector<int32_t>& v, std::vector<uint8_t>* out) {
         compress::EncodeOptions opts;
         opts.force_base = true;
@@ -166,7 +197,7 @@ int Run() {
       },
       &record);
   const bool tf_match = TimeEncode(
-      "tf PFOR", tfs, ReadStoredBlock(dir, ir::kTfCompressedFile),
+      "tf PFOR", tfs, tf_block,
       [](const std::vector<int32_t>& v, std::vector<uint8_t>* out) {
         return compress::PforEncode(v.data(), static_cast<uint32_t>(v.size()),
                                     {}, out, nullptr);

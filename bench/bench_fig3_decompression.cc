@@ -11,10 +11,15 @@
 // kernel permits, otherwise from a deterministic 2-bit-saturating-counter
 // predictor simulation on the decoder's actual branch trace (DESIGN.md §3.5).
 //
-// The shape is gated through bench/gates.txt on three bandwidth ratios.
-// Sanitizer instrumentation dilutes the collapse, so a sanitized build
-// reports "GATE sanitized 1" and is held to that file's looser bounds.
+// The shape is gated through bench/gates.txt on three bandwidth ratios of
+// the 0% and 50% points, timed again after the sweep with the two points
+// alternating within each repeat, so host drift over the seconds the sweep
+// takes lands on both sides of a ratio alike. Sanitizer instrumentation
+// dilutes the collapse, so a sanitized build reports "GATE sanitized 1" and
+// is held to that file's looser bounds.
+#include <algorithm>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #ifdef __GLIBC__
@@ -73,20 +78,49 @@ std::vector<int32_t> MakeData(double exc_rate, uint64_t seed) {
   return values;
 }
 
-// Measures decode wall time over all blocks, repeated; returns GB/s of
-// decoded output.
+using Blocks = std::vector<std::vector<uint8_t>>;
+
+// One exception rate's blocks in both layouts, and the best bandwidth each
+// decoder has reached on them.
+struct GatePoint {
+  Blocks naive_blocks;
+  Blocks patched_blocks;
+  double naive_gb_s = 0.0;
+  double patched_gb_s = 0.0;
+};
+
+// Decodes every block once; returns GB/s of decoded output.
 template <typename DecodeFn>
-double MeasureBandwidth(const std::vector<std::vector<uint8_t>>& blocks,
-                        std::vector<int32_t>* out, DecodeFn&& decode) {
+double PassBandwidth(const Blocks& blocks, std::vector<int32_t>* out,
+                     DecodeFn&& decode) {
+  WallTimer timer;
+  for (const auto& block : blocks) decode(block, out->data());
+  const double seconds = timer.ElapsedSeconds();
+  const double bytes = static_cast<double>(blocks.size()) * kValuesPerBlock * 4;
+  return bytes / seconds / 1e9;
+}
+
+// The best of kRepeats passes.
+template <typename DecodeFn>
+double MeasureBandwidth(const Blocks& blocks, std::vector<int32_t>* out,
+                        DecodeFn&& decode) {
   double best = 0.0;
   for (int r = 0; r < kRepeats; ++r) {
-    WallTimer timer;
-    for (const auto& block : blocks) decode(block, out->data());
-    double seconds = timer.ElapsedSeconds();
-    double bytes = static_cast<double>(blocks.size()) * kValuesPerBlock * 4;
-    best = std::max(best, bytes / seconds / 1e9);
+    best = std::max(best, PassBandwidth(blocks, out, decode));
   }
   return best;
+}
+
+void NaiveDecode(const std::vector<uint8_t>& block, int32_t* dst) {
+  compress::BlockDecoder dec;
+  dec.Init(block.data(), block.size());
+  dec.DecodeNaive(dst);
+}
+
+void PatchedDecode(const std::vector<uint8_t>& block, int32_t* dst) {
+  compress::BlockDecoder dec;
+  dec.Init(block.data(), block.size());
+  dec.DecodeAll(dst);
 }
 
 int Run() {
@@ -114,11 +148,12 @@ int Run() {
                           0.4, 0.5,  0.6,  0.7,  0.8, 0.9, 1.0};
   std::vector<SweepPoint> points;
   std::vector<int32_t> out(kValuesPerBlock);  // every decode's output
+  GatePoint gate_lo, gate_mid;  // the 0% and 50% blocks, kept for the gates
 
   for (double rate : rates) {
     // Encode the same data in both layouts.
-    std::vector<std::vector<uint8_t>> naive_blocks(kBlocks);
-    std::vector<std::vector<uint8_t>> patched_blocks(kBlocks);
+    Blocks naive_blocks(kBlocks);
+    Blocks patched_blocks(kBlocks);
     uint64_t total_exc = 0;
     for (int b = 0; b < kBlocks; ++b) {
       auto values = MakeData(rate, 42 + static_cast<uint64_t>(b));
@@ -150,31 +185,19 @@ int Run() {
     p.actual_rate = static_cast<double>(total_exc) /
                     (static_cast<double>(kBlocks) * kValuesPerBlock);
 
-    auto naive_decode = [](const std::vector<uint8_t>& block, int32_t* dst) {
-      compress::BlockDecoder dec;
-      dec.Init(block.data(), block.size());
-      dec.DecodeNaive(dst);
-    };
-    auto patched_decode = [](const std::vector<uint8_t>& block,
-                             int32_t* dst) {
-      compress::BlockDecoder dec;
-      dec.Init(block.data(), block.size());
-      dec.DecodeAll(dst);
-    };
-
     if (hw) {
       PerfReading reading;
       counters.Start();
-      p.naive_gb_s = MeasureBandwidth(naive_blocks, &out, naive_decode);
+      p.naive_gb_s = MeasureBandwidth(naive_blocks, &out, NaiveDecode);
       counters.Stop(&reading);
       p.naive_bmr = reading.BranchMissRate();
       counters.Start();
-      p.patched_gb_s = MeasureBandwidth(patched_blocks, &out, patched_decode);
+      p.patched_gb_s = MeasureBandwidth(patched_blocks, &out, PatchedDecode);
       counters.Stop(&reading);
       p.patched_bmr = reading.BranchMissRate();
     } else {
-      p.naive_gb_s = MeasureBandwidth(naive_blocks, &out, naive_decode);
-      p.patched_gb_s = MeasureBandwidth(patched_blocks, &out, patched_decode);
+      p.naive_gb_s = MeasureBandwidth(naive_blocks, &out, NaiveDecode);
+      p.patched_gb_s = MeasureBandwidth(patched_blocks, &out, PatchedDecode);
       // Simulated BMR over *all* decoder branches (like a hardware
       // counter): per-value loop-back branches (highly predictable) plus
       // the data-dependent ones.
@@ -213,6 +236,23 @@ int Run() {
       p.patched_bmr = patched_sim.MissRatePercent();
     }
     points.push_back(p);
+    if (rate == 0.0 || rate == 0.5) {
+      GatePoint& gp = rate == 0.0 ? gate_lo : gate_mid;
+      gp.naive_blocks = std::move(naive_blocks);
+      gp.patched_blocks = std::move(patched_blocks);
+    }
+  }
+
+  // The gates' points: each repeat decodes the 0% blocks and then the 50%
+  // ones, in both layouts, and each point keeps its best pass.
+  for (int r = 0; r < kRepeats; ++r) {
+    for (GatePoint* gp : {&gate_lo, &gate_mid}) {
+      gp->naive_gb_s = std::max(
+          gp->naive_gb_s, PassBandwidth(gp->naive_blocks, &out, NaiveDecode));
+      gp->patched_gb_s =
+          std::max(gp->patched_gb_s,
+                   PassBandwidth(gp->patched_blocks, &out, PatchedDecode));
+    }
   }
 
   bench::Record record(
@@ -224,7 +264,6 @@ int Run() {
   TablePrinter table({"exc.rate", "NAIVE BW (GB/s)", "PFOR BW (GB/s)",
                       "NAIVE BMR (%)", "PFOR BMR (%)"});
   const SweepPoint* lo = nullptr;
-  const SweepPoint* mid = nullptr;
   for (const auto& p : points) {
     table.AddRow({StrFormat("%.2f", p.actual_rate),
                   StrFormat("%.2f", p.naive_gb_s),
@@ -238,9 +277,18 @@ int Run() {
         .Set("naive_bmr_pct", p.naive_bmr)
         .Set("pfor_bmr_pct", p.patched_bmr);
     if (p.requested_rate == 0.0) lo = &p;
-    if (p.requested_rate == 0.5) mid = &p;
   }
   table.Print();
+  std::printf(
+      "\ngate points, 0%% and 50%% exceptions timed alternately (best of "
+      "%d): NAIVE %.2f / %.2f GB/s, PFOR %.2f / %.2f GB/s\n",
+      kRepeats, gate_lo.naive_gb_s, gate_mid.naive_gb_s,
+      gate_lo.patched_gb_s, gate_mid.patched_gb_s);
+  record.AddRow("gate_points")
+      .Set("naive_gbps_0", gate_lo.naive_gb_s)
+      .Set("naive_gbps_50", gate_mid.naive_gb_s)
+      .Set("pfor_gbps_0", gate_lo.patched_gb_s)
+      .Set("pfor_gbps_50", gate_mid.patched_gb_s);
 
   std::printf(
       "\nshape: NAIVE bandwidth collapses at 50%% exceptions (paper: "
@@ -248,9 +296,11 @@ int Run() {
       "~3.5 GB/s on 2006 hardware).\n\n",
       lo->patched_gb_s);
   record.Gate("sanitized", kSanitized ? 1 : 0);
-  record.Gate("naive_bw_50_vs_0", mid->naive_gb_s / lo->naive_gb_s);
-  record.Gate("pfor_bw_50_vs_0", mid->patched_gb_s / lo->patched_gb_s);
-  record.Gate("pfor_vs_naive_bw_50", mid->patched_gb_s / mid->naive_gb_s);
+  record.Gate("naive_bw_50_vs_0", gate_mid.naive_gb_s / gate_lo.naive_gb_s);
+  record.Gate("pfor_bw_50_vs_0",
+              gate_mid.patched_gb_s / gate_lo.patched_gb_s);
+  record.Gate("pfor_vs_naive_bw_50",
+              gate_mid.patched_gb_s / gate_mid.naive_gb_s);
   return record.Finish();
 }
 

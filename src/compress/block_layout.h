@@ -3,13 +3,12 @@
 //
 // The builder streams: a scheme front end hands it a WindowSource that
 // recomputes one 128-value window's symbols on demand, and BuildBlock makes
-// two passes over the windows — a layout pass that fills the entry points
-// and counts exceptions, then, after allocating the block once at its exact
-// size, an emit pass that writes codewords and exception records in place.
-// Width selection is a pass of its own that histograms symbols without
-// storing them. An encode therefore holds its input, its output block, the
-// entry points and a few fixed window buffers (PDICT adds its dictionary
-// maps) — nothing else grows with n.
+// two passes over the windows — a layout pass that picks each window's
+// width, fills the entry points and counts exceptions, then, after
+// allocating the block once at its exact size, an emit pass that writes
+// codewords and exception records in place. An encode therefore holds its
+// input, its output block, the entry points and a few fixed window buffers
+// (PDICT adds its dictionary maps) — nothing else grows with n.
 #ifndef X100IR_COMPRESS_BLOCK_LAYOUT_H_
 #define X100IR_COMPRESS_BLOCK_LAYOUT_H_
 
@@ -21,8 +20,7 @@
 
 namespace x100ir::compress::internal {
 
-inline constexpr uint32_t kBlockMagic = 0x58314330;  // "0C1X" on LE disk
-inline constexpr uint32_t kNoException = 0xFFFFFFFFu;
+inline constexpr uint32_t kBlockMagic = 0x58314331;  // "1C1X" on LE disk
 // Trailing slack so LOOP1's unaligned 64-bit loads on the last codewords
 // never read past the buffer.
 inline constexpr uint32_t kBlockPadBytes = 8;
@@ -30,7 +28,7 @@ inline constexpr uint32_t kBlockPadBytes = 8;
 struct BlockHeader {
   uint32_t magic;
   uint8_t scheme;
-  uint8_t bit_width;
+  uint8_t bit_width;  // bounds every window's width; PDICT: sizes the dict
   uint8_t flags;  // bit 0: naive layout
   uint8_t reserved;
   uint32_t n;
@@ -44,13 +42,18 @@ struct BlockHeader {
 };
 static_assert(sizeof(BlockHeader) == 40, "packed header layout");
 
-// first_exc == kDenseWindow marks a window stored raw (see EntryPoint).
-inline constexpr uint32_t kDenseWindow = 0xFFFFFFFEu;
+// EntryPoint::first_exc markers: a window with no exception, and a window
+// stored raw (dense).
+inline constexpr uint8_t kNoException = 0xFF;
+inline constexpr uint8_t kDenseWindow = 0xFE;
 
 struct EntryPoint {
   uint32_t exc_start;    // index of this window's first exception record
-  uint32_t first_exc;    // in-window slot of the first exception,
+  uint8_t first_exc;     // in-window slot of the first exception,
                          // kNoException, or kDenseWindow
+  uint8_t bit_width;     // this window's codeword width, 1..header width;
+                         // 0 for a dense window
+  uint16_t reserved;     // 0
   int32_t value_base;    // running value before the window (PFOR-DELTA)
   uint32_t payload_off;  // window payload, bytes from code_offset: packed
                          // codewords, or raw int32 values (dense)
@@ -87,7 +90,7 @@ inline uint32_t WindowBytes(uint32_t wn, int b) {
 }
 
 // A window is stored dense (raw int32 payload, no codewords, no exception
-// records) whenever that is no larger than the patched form — the
+// records) whenever that is smaller than the patched form — the
 // "compression must never lose to raw" rule applied per window. Decode-side
 // a dense window is a memcpy, so bandwidth degrades toward memcpy speed —
 // not toward zero — as the exception rate climbs.
@@ -118,28 +121,32 @@ class WindowSource {
 // Everything BuildBlock needs besides the windows themselves.
 struct BlockBuildInput {
   Scheme scheme = Scheme::kPfor;
-  int bit_width = 0;  // resolved, 1..kMaxBitWidth
+  // 1..max_bit_width packs every window at that width; 0 gives each window
+  // its own cheapest width (see BuildBlock).
+  int bit_width = 0;
+  // The widest a window may be. PDICT: the dictionary's width.
+  int max_bit_width = kMaxBitWidth;
   bool naive_layout = false;
   int32_t base = 0;
   uint32_t n = 0;
   WindowSource* source = nullptr;
-  // Padded dictionary of (1 << bit_width) int32 entries (PDICT only).
+  // Padded dictionary of (1 << max_bit_width) int32 entries (PDICT only).
   const int32_t* dict = nullptr;
   uint32_t dict_count = 0;
 };
 
-// Builds the block in two passes over in.source (layout, then emit). Every
+// Builds the block in two passes over in.source (layout, then emit). With
+// in.bit_width == 0 the layout pass gives each window the width in
+// [1, max_bit_width] whose stored bytes — packed codewords plus one record
+// per natural or compulsory exception — are fewest, the wider width on a
+// tie, and stores the window dense when raw values are smaller. The
+// header width is the widest window's (the dictionary's for PDICT). Every
 // header offset and the block size are computed in 64 bits: a block that
 // would exceed 4 GiB is InvalidArgument, refused before anything is
 // allocated or the source is read when even its smallest possible layout
 // (every window packed, no exceptions) does not fit.
 Status BuildBlock(const BlockBuildInput& in, std::vector<uint8_t>* out,
                   BlockStats* stats);
-
-// Auto width selection over one pass of `source`: minimizes estimated bytes
-// (codewords plus sizeof(ExceptionRecord) per natural exception; compulsory
-// exceptions and dense-window savings are ignored in the estimate).
-int ChooseBitWidth(WindowSource* source, uint32_t n, bool naive_layout);
 
 }  // namespace x100ir::compress::internal
 

@@ -76,18 +76,21 @@ inline void PackWindow(const uint32_t* codes, uint32_t wn, int b,
 inline uint64_t Align8(uint64_t x) { return (x + 7u) & ~uint64_t{7}; }
 
 // LOOP3: in-place prefix sum seeded from `acc`; returns the running value
-// so DecodeAll can carry it across batches.
+// so DecodeAll can carry it across batches. The sum is unsigned, so a
+// corrupt block's deltas wrap like the LOOP1 add instead of overflowing.
 inline int32_t PrefixSumInPlace(int32_t* dst, uint32_t n, int32_t acc) {
+  uint32_t sum = static_cast<uint32_t>(acc);
   for (uint32_t i = 0; i < n; ++i) {
-    acc += dst[i];
-    dst[i] = acc;
+    sum += static_cast<uint32_t>(dst[i]);
+    dst[i] = static_cast<int32_t>(sum);
   }
-  return acc;
+  return static_cast<int32_t>(sum);
 }
 
-// Bits needed to store symbol u (at least 1), in constant time.
-inline int SymbolBits(uint64_t u) {
-  return u == 0 ? 1 : 64 - __builtin_clzll(u);
+// Bits needed to store symbol s: 1..31 for a symbol in [0, 2^31), and 32 —
+// wider than any codeword — for the rest. One count-leading-zeros.
+inline int SymbolBits(int64_t s) {
+  return std::min(64 - __builtin_clzll(static_cast<uint64_t>(s) | 1), 32);
 }
 
 // One window of the column as the builder sees it: the source's symbols and
@@ -101,13 +104,15 @@ struct Window {
   uint32_t n_natural = 0;
 };
 
-// Fills win->exc with the window's exception slots. Naive layout: every
-// symbol outside [0, max_normal]. Patched layout: those natural exceptions
-// plus compulsory ones wherever the gap between two consecutive exceptions
-// exceeds the largest link (max_gap = 2^b). Each slot is taken at most
-// once, so a window never holds more than wn exceptions.
-void FindExceptions(Window* win, uint32_t wn, int64_t max_normal,
-                    uint32_t max_gap, bool naive_layout) {
+// Fills win->exc with the window's exception slots at width b. Naive
+// layout: every symbol outside [0, 2^b - 2] (the all-ones codeword is the
+// sentinel). Patched layout: every symbol outside [0, 2^b - 1], plus
+// compulsory exceptions wherever the gap between two consecutive exceptions
+// exceeds the largest link, 2^b. Each slot is taken at most once, so a
+// window never holds more than wn exceptions.
+void FindExceptions(Window* win, uint32_t wn, int b, bool naive_layout) {
+  const int64_t max_normal = (1ll << b) - (naive_layout ? 2 : 1);
+  const uint32_t max_gap = 1u << b;
   win->n_exc = 0;
   win->n_natural = 0;
   for (uint32_t i = 0; i < wn; ++i) {
@@ -125,6 +130,53 @@ void FindExceptions(Window* win, uint32_t wn, int64_t max_normal,
   }
 }
 
+// A link reaches 2^b slots, and two exceptions in one window are at most
+// kEntryPointStride - 1 apart, so from this width up no window needs a
+// compulsory exception.
+constexpr int kNoCompulsoryWidth = 7;
+static_assert((1u << kNoCompulsoryWidth) >= kEntryPointStride - 1,
+              "a link at kNoCompulsoryWidth spans any in-window gap");
+
+// The width in [1, max_b] at which window `win` stores fewest bytes: its
+// packed codewords plus one record per exception, natural or compulsory.
+// A histogram of symbol bit lengths gives the natural exceptions at every
+// width as suffix sums; compulsory ones are counted, by listing the
+// window's exceptions, only below kNoCompulsoryWidth and only where the
+// natural count alone still beats the best width so far. Ties go to the
+// wider width, which patches fewer exceptions. Overwrites win's exception
+// slots; the caller lists them again at the chosen width.
+int ChooseWindowWidth(Window* win, uint32_t wn, int max_b, bool naive_layout) {
+  // hist[k]: symbols needing exactly k bits; all_ones[k]: symbols equal to
+  // 2^k - 1, the naive sentinel at width k and so an exception there.
+  uint32_t hist[33] = {0};
+  uint32_t all_ones[33] = {0};
+  for (uint32_t i = 0; i < wn; ++i) {
+    const int k = SymbolBits(win->syms[i]);
+    ++hist[k];
+    if (naive_layout && win->syms[i] == (1ll << k) - 1) ++all_ones[k];
+  }
+  uint32_t above = 0;  // symbols needing more than b bits
+  for (int k = max_b + 1; k <= 32; ++k) above += hist[k];
+  uint64_t best_bytes = UINT64_MAX;
+  int best_b = max_b;
+  for (int b = max_b; b >= 1; --b) {
+    const uint32_t natural = above + (naive_layout ? all_ones[b] : 0);
+    uint64_t bytes =
+        WindowBytes(wn, b) + uint64_t{sizeof(ExceptionRecord)} * natural;
+    if (!naive_layout && b < kNoCompulsoryWidth && natural > 1 &&
+        bytes < best_bytes) {
+      FindExceptions(win, wn, b, /*naive_layout=*/false);
+      bytes += sizeof(ExceptionRecord) * (win->n_exc - win->n_natural);
+    }
+    if (bytes < best_bytes) {
+      best_bytes = bytes;
+      best_b = b;
+    }
+    above += hist[b];
+  }
+  return best_b;
+}
+
 // Block bytes for a layout: header, entry points and dictionary up to
 // `code_offset`, then the payloads, the 8-aligned exception records and
 // the pad.
@@ -138,91 +190,46 @@ uint64_t BlockBytes(uint64_t code_offset, uint64_t payload_bytes,
 
 namespace internal {
 
-int ChooseBitWidth(WindowSource* source, uint32_t n, bool naive_layout) {
-  if (n == 0) return 1;
-  // hist[k]: symbols needing exactly k bits; eq_all_ones[k]: symbols equal
-  // to 2^k - 1 (the naive sentinel at width k, hence exceptions there).
-  uint64_t hist[33] = {0};
-  uint64_t eq_all_ones[33] = {0};
-  int64_t syms[kEntryPointStride];
-  int32_t payloads[kEntryPointStride];
-  const uint32_t entry_count = WindowCount(n);
-  for (uint32_t w = 0; w < entry_count; ++w) {
-    const uint32_t wn = std::min(kEntryPointStride, n - w * kEntryPointStride);
-    source->Fill(w, wn, syms, payloads);
-    for (uint32_t i = 0; i < wn; ++i) {
-      const int64_t s = syms[i];
-      if (s < 0 || s > 0x7FFFFFFFll) {
-        hist[32]++;  // never encodable
-        continue;
-      }
-      const int bits = SymbolBits(static_cast<uint64_t>(s));
-      hist[bits]++;
-      if (s == (1ll << bits) - 1) eq_all_ones[bits]++;
-    }
-  }
-  // suffix[k] = symbols needing more than k bits.
-  uint64_t suffix[34] = {0};
-  for (int k = 31; k >= 0; --k) suffix[k] = suffix[k + 1] + hist[k + 1];
-
-  int best_b = 1;
-  uint64_t best_bytes = ~0ull;
-  for (int b = 1; b <= kMaxBitWidth; ++b) {
-    uint64_t exc = suffix[b];
-    if (naive_layout) exc += eq_all_ones[b];
-    const uint64_t bytes = (static_cast<uint64_t>(n) * b + 7) / 8 +
-                           sizeof(ExceptionRecord) * exc;
-    if (bytes < best_bytes) {
-      best_bytes = bytes;
-      best_b = b;
-    }
-  }
-  return best_b;
-}
-
 Status BuildBlock(const BlockBuildInput& in, std::vector<uint8_t>* out,
                   BlockStats* stats) {
   if (out == nullptr) return InvalidArgument("null output");
-  if (in.bit_width < 1 || in.bit_width > kMaxBitWidth) {
-    return InvalidArgument("bit_width must be in [1, 30]");
+  if (in.max_bit_width < 1 || in.max_bit_width > kMaxBitWidth ||
+      in.bit_width < 0 || in.bit_width > in.max_bit_width) {
+    return InvalidArgument("bit_width must be in [0, 30]");
   }
   if (in.n > 0 && in.source == nullptr) {
     return InvalidArgument("null window source");
   }
 
-  const int b = in.bit_width;
-  const int64_t mask = (1ll << b) - 1;
-  // Naive layout reserves the all-ones codeword as the exception sentinel.
-  const int64_t max_normal = in.naive_layout ? mask - 1 : mask;
-  // Patched links store (gap - 1); the largest representable gap.
-  const uint32_t max_gap = 1u << b;
-
   const uint32_t entry_count = WindowCount(in.n);
   const uint32_t tail = in.n % kEntryPointStride;
   const uint64_t dict_bytes =
-      in.dict != nullptr ? (uint64_t{4} << b) : 0;  // padded to 1 << b
+      in.dict != nullptr ? (uint64_t{4} << in.max_bit_width) : 0;
   const uint64_t entries_offset = sizeof(BlockHeader);
   const uint64_t entries_bytes = sizeof(EntryPoint) * uint64_t{entry_count};
   const uint64_t code_offset = entries_offset + entries_bytes + dict_bytes;
   // Every offset in the header and the entry points lies inside the block,
   // so a block that fits 32 bits has offsets that do. A dense window is
-  // never smaller than its packed form, so every window packed with no
-  // exceptions is the smallest layout: refuse before reading a window when
-  // even that does not fit.
+  // never smaller than its packed form, so every window packed at the
+  // narrowest width it may take, with no exceptions, is the smallest
+  // layout: refuse before reading a window when even that does not fit.
+  const int min_b = in.bit_width > 0 ? in.bit_width : 1;
   const uint64_t min_payload =
-      uint64_t{in.n / kEntryPointStride} * WindowBytes(kEntryPointStride, b) +
-      (tail > 0 ? WindowBytes(tail, b) : 0);
+      uint64_t{in.n / kEntryPointStride} *
+          WindowBytes(kEntryPointStride, min_b) +
+      (tail > 0 ? WindowBytes(tail, min_b) : 0);
   if (BlockBytes(code_offset, min_payload, 0) > UINT32_MAX) {
     return InvalidArgument("block would exceed 4 GiB");
   }
 
-  // ---- Layout pass: entry points, exception and dense-window counts ----
+  // ---- Layout pass: widths, entry points, exception and dense counts ----
   std::vector<EntryPoint> entries(entry_count);
   Window win;
   uint64_t n_exceptions = 0;
   uint64_t n_compulsory = 0;
   uint32_t n_dense = 0;
   uint64_t payload_off = 0;
+  int header_b = in.dict != nullptr ? in.max_bit_width : min_b;
   for (uint32_t w = 0; w < entry_count; ++w) {
     const uint32_t wn =
         std::min(kEntryPointStride, in.n - w * kEntryPointStride);
@@ -230,18 +237,26 @@ Status BuildBlock(const BlockBuildInput& in, std::vector<uint8_t>* out,
     ep.value_base = in.source->Fill(w, wn, win.syms, win.payloads);
     ep.exc_start = static_cast<uint32_t>(n_exceptions);
     ep.first_exc = kNoException;
+    ep.bit_width = 0;
+    ep.reserved = 0;
     ep.payload_off = static_cast<uint32_t>(payload_off);
-    FindExceptions(&win, wn, max_normal, max_gap, in.naive_layout);
+    const int b = in.bit_width > 0 ? in.bit_width
+                                   : ChooseWindowWidth(&win, wn,
+                                                       in.max_bit_width,
+                                                       in.naive_layout);
+    FindExceptions(&win, wn, b, in.naive_layout);
     // Dense escape (patched layout only): when the patched form would be
-    // no smaller than raw values, store the window raw — smaller, and
-    // decode is a memcpy.
+    // larger than raw values, store the window raw — smaller, and decode is
+    // a memcpy.
     if (!in.naive_layout && DenseWins(wn, b, win.n_exc)) {
       ep.first_exc = kDenseWindow;
       payload_off += 4 * wn;
       ++n_dense;
       continue;
     }
-    if (win.n_exc > 0) ep.first_exc = win.exc[0];
+    ep.bit_width = static_cast<uint8_t>(b);
+    if (win.n_exc > 0) ep.first_exc = static_cast<uint8_t>(win.exc[0]);
+    header_b = std::max(header_b, b);
     n_exceptions += win.n_exc;
     n_compulsory += win.n_exc - win.n_natural;
     payload_off += WindowBytes(wn, b);
@@ -253,7 +268,7 @@ Status BuildBlock(const BlockBuildInput& in, std::vector<uint8_t>* out,
   std::memset(&hdr, 0, sizeof(hdr));
   hdr.magic = kBlockMagic;
   hdr.scheme = static_cast<uint8_t>(in.scheme);
-  hdr.bit_width = static_cast<uint8_t>(b);
+  hdr.bit_width = static_cast<uint8_t>(header_b);
   hdr.flags = in.naive_layout ? kFlagNaiveLayout : 0;
   hdr.n = in.n;
   hdr.base = in.base;
@@ -291,7 +306,8 @@ Status BuildBlock(const BlockBuildInput& in, std::vector<uint8_t>* out,
       std::memcpy(wptr, win.payloads, 4ull * wn);
       continue;
     }
-    FindExceptions(&win, wn, max_normal, max_gap, in.naive_layout);
+    const int b = ep.bit_width;
+    FindExceptions(&win, wn, b, in.naive_layout);
     for (uint32_t i = 0; i < wn; ++i) {
       codes[i] = static_cast<uint32_t>(win.syms[i]);
     }
@@ -299,7 +315,7 @@ Status BuildBlock(const BlockBuildInput& in, std::vector<uint8_t>* out,
     // exception (patched; the last link is never followed).
     for (uint32_t k = 0; k < win.n_exc; ++k) {
       const uint32_t pos = win.exc[k];
-      codes[pos] = in.naive_layout ? static_cast<uint32_t>(mask)
+      codes[pos] = in.naive_layout ? (1u << b) - 1
                    : k + 1 < win.n_exc ? win.exc[k + 1] - pos - 1
                                        : 0;
       const ExceptionRecord rec{win.payloads[pos], begin + pos};
@@ -311,7 +327,7 @@ Status BuildBlock(const BlockBuildInput& in, std::vector<uint8_t>* out,
 
   if (stats != nullptr) {
     stats->n = in.n;
-    stats->bit_width = b;
+    stats->bit_width = header_b;
     stats->n_exceptions = static_cast<uint32_t>(n_exceptions);
     stats->n_compulsory_exceptions = static_cast<uint32_t>(n_compulsory);
     stats->n_dense_windows = n_dense;
@@ -425,15 +441,17 @@ Status BlockDecoder::InitInternal(const uint8_t* data, size_t size,
   }
 
   // Structural check of the entry points (O(entry_count), cheap relative
-  // to any decode): exception starts monotone, and payload offsets exactly
-  // canonical — each window's payload immediately follows the previous
-  // one's, which also guarantees the contiguity DecodeAll's batched LOOP1
-  // relies on. Exception record *positions* are not scanned here — that is
-  // O(n_exceptions); call Validate() before decoding blocks from untrusted
-  // sources.
-  const uint32_t payload_bytes = hdr.exc_offset - hdr.code_offset;
+  // to any decode): exception starts monotone; every packed window's width
+  // in [1, header width] — a wider one would index the LOOP1 kernel table
+  // out of bounds, and under PDICT gather past the dictionary — and a dense
+  // window's 0; and payload offsets exactly canonical — each window's
+  // payload immediately follows the previous one's, which also guarantees
+  // the contiguity DecodeAll's batched LOOP1 relies on. Exception record
+  // *positions* are not scanned here — that is O(n_exceptions); call
+  // Validate() before decoding blocks from untrusted sources.
+  const uint64_t payload_bytes = hdr.exc_offset - hdr.code_offset;
   uint32_t prev_exc = 0;
-  uint32_t expected_off = 0;
+  uint64_t expected_off = 0;
   for (uint32_t w = 0; w < entry_count_; ++w) {
     const Entry ep = EntryAt(w);
     const uint32_t wn = WindowLen(w);
@@ -444,14 +462,17 @@ Status BlockDecoder::InitInternal(const uint8_t* data, size_t size,
     if (ep.payload_off != expected_off) {
       return InvalidArgument("non-canonical window payload offset");
     }
-    expected_off += ep.first_exc == kDenseWindow
-                        ? 4 * wn
-                        : WindowBytes(wn, bit_width_);
+    const bool dense = ep.first_exc == kDenseWindow;
+    if (dense ? ep.bit_width != 0
+              : ep.bit_width < 1 || ep.bit_width > bit_width_) {
+      return InvalidArgument("bad window bit width");
+    }
+    if (ep.reserved != 0) return InvalidArgument("bad entry point");
+    expected_off += dense ? 4 * wn : WindowBytes(wn, ep.bit_width);
     if (expected_off > payload_bytes) {
       return InvalidArgument("window payload out of bounds");
     }
-    if (ep.first_exc != kNoException && ep.first_exc != kDenseWindow &&
-        ep.first_exc >= wn) {
+    if (!dense && ep.first_exc != kNoException && ep.first_exc >= wn) {
       return InvalidArgument("bad first exception slot");
     }
   }
@@ -464,7 +485,6 @@ Status BlockDecoder::Validate() const {
     return Internal("payload not resident (metadata-only init)");
   }
   const auto* exc = reinterpret_cast<const ExceptionRecord*>(exceptions_);
-  const uint32_t sentinel = (1u << bit_width_) - 1;
   for (uint32_t w = 0; w < entry_count_; ++w) {
     Entry ep;
     const uint32_t nexc = ExceptionsInWindow(w, &ep);
@@ -483,9 +503,10 @@ Status BlockDecoder::Validate() const {
     // section.
     if (naive_layout_) {
       const uint8_t* src = codes_ + ep.payload_off;
+      const uint32_t sentinel = (1u << ep.bit_width) - 1;
       uint32_t sentinels = 0;
       for (uint32_t i = 0; i < wn; ++i) {
-        if (ReadCode(src, i, bit_width_) == sentinel) ++sentinels;
+        if (ReadCode(src, i, ep.bit_width) == sentinel) ++sentinels;
       }
       if (sentinels != nexc) {
         return InvalidArgument("sentinel count does not match records");
@@ -499,6 +520,10 @@ int32_t BlockDecoder::WindowValueBase(uint32_t w) const {
   return EntryAt(w).value_base;
 }
 
+int BlockDecoder::WindowBitWidth(uint32_t w) const {
+  return EntryAt(w).bit_width;
+}
+
 WindowExtent BlockDecoder::WindowExtentOf(uint32_t w) const {
   Entry ep;
   const uint32_t nexc = ExceptionsInWindow(w, &ep);
@@ -507,7 +532,7 @@ WindowExtent BlockDecoder::WindowExtentOf(uint32_t w) const {
   ext.payload_offset = code_offset_ + ep.payload_off;
   ext.payload_bytes = ep.first_exc == kDenseWindow
                           ? 4 * wn
-                          : WindowBytes(wn, bit_width_);
+                          : WindowBytes(wn, ep.bit_width);
   ext.exc_offset = exc_offset_ +
                    static_cast<uint64_t>(ep.exc_start) *
                        sizeof(ExceptionRecord);
@@ -526,7 +551,7 @@ WindowView BlockDecoder::WindowViewOf(uint32_t w) const {
              static_cast<size_t>(ep.exc_start) * sizeof(ExceptionRecord);
   view.begin = w * kEntryPointStride;
   view.len = WindowLen(w);
-  view.bit_width = bit_width_;
+  view.bit_width = ep.bit_width;
   view.base = base_;
   view.dense = ep.first_exc == kDenseWindow;
   if (view.dense) view.exc_count = 0;
@@ -543,9 +568,9 @@ void BlockDecoder::DecodeWindowDetached(uint32_t w, const uint8_t* payload,
     std::memcpy(dst, payload, 4ull * wn);
   } else {
     if (scheme_ == Scheme::kPdict) {
-      internal::GetUnpackDict(bit_width_)(payload, wn, dict_, dst);
+      internal::GetUnpackDict(ep.bit_width)(payload, wn, dict_, dst);
     } else {
-      internal::GetUnpackAdd(bit_width_)(payload, wn, base_, dst);
+      internal::GetUnpackAdd(ep.bit_width)(payload, wn, base_, dst);
     }
     // LOOP2 from the caller's record buffer. Unlike the resident path —
     // whose record positions Validate() vets once per block — these records
@@ -565,10 +590,11 @@ void BlockDecoder::DecodeWindowDetached(uint32_t w, const uint8_t* payload,
 }
 
 BlockDecoder::Entry BlockDecoder::EntryAt(uint32_t w) const {
-  EntryPoint ep;
+  static_assert(sizeof(Entry) == sizeof(EntryPoint), "entry mirrors format");
+  Entry ep;
   std::memcpy(&ep, entries_ + static_cast<size_t>(w) * sizeof(EntryPoint),
               sizeof(ep));
-  return Entry{ep.exc_start, ep.first_exc, ep.value_base, ep.payload_off};
+  return ep;
 }
 
 uint32_t BlockDecoder::WindowLen(uint32_t w) const {
@@ -595,9 +621,9 @@ void BlockDecoder::DecodeWindow(uint32_t w, int32_t* dst) const {
     // LOOP1: branch-free unpack (exception slots decode to garbage links;
     // LOOP2 overwrites them).
     if (scheme_ == Scheme::kPdict) {
-      internal::GetUnpackDict(bit_width_)(src, wn, dict_, dst);
+      internal::GetUnpackDict(ep.bit_width)(src, wn, dict_, dst);
     } else {
-      internal::GetUnpackAdd(bit_width_)(src, wn, base_, dst);
+      internal::GetUnpackAdd(ep.bit_width)(src, wn, base_, dst);
     }
     // LOOP2: patch exceptions from the materialized records — sequential
     // reads, scattered stores, no data-dependent branches.
@@ -619,10 +645,10 @@ void BlockDecoder::DecodeWindowNaive(uint32_t w, int32_t* dst) const {
   Entry ep = EntryAt(w);
   const uint8_t* src = codes_ + ep.payload_off;
   const auto* excv = reinterpret_cast<const ExceptionRecord*>(exceptions_);
-  const uint32_t sentinel = (1u << bit_width_) - 1;
+  const int b = ep.bit_width;
+  const uint32_t sentinel = (1u << b) - 1;
   uint32_t j = ep.exc_start;
   uint64_t bit = 0;
-  const int b = bit_width_;
   for (uint32_t i = 0; i < wn; ++i, bit += b) {
     uint64_t word;
     std::memcpy(&word, src + (bit >> 3), sizeof(word));
@@ -634,7 +660,7 @@ void BlockDecoder::DecodeWindowNaive(uint32_t w, int32_t* dst) const {
       dst[i] = excv[j].value;
       ++j;
     } else {
-      dst[i] = base_ + static_cast<int32_t>(code);
+      dst[i] = static_cast<int32_t>(static_cast<uint32_t>(base_) + code);
     }
   }
   if (scheme_ == Scheme::kPforDelta) {
@@ -659,16 +685,23 @@ void BlockDecoder::DecodeAll(int32_t* out) const {
   }
 
   const bool dict_scheme = scheme_ == Scheme::kPdict;
-  const auto unpack_add = internal::GetUnpackAdd(bit_width_);
-  const auto unpack_dict = internal::GetUnpackDict(bit_width_);
   const auto patch = internal::GetPatch();
   int32_t delta_acc = 0;
+  // LOOP1 over `count` values of width b from src.
+  const auto unpack = [&](int b, const uint8_t* src, uint32_t count,
+                          int32_t* dst) {
+    if (dict_scheme) {
+      internal::GetUnpackDict(b)(src, count, dict_, dst);
+    } else {
+      internal::GetUnpackAdd(b)(src, count, base_, dst);
+    }
+  };
 
   // Process kBatchWindows windows per batch: LOOP1 unpacks the batch (a few
   // KB — stays in L1), LOOP2 patches the still-hot batch, LOOP3 prefix-sums
-  // it. When no window in the batch is dense, their payloads are one
-  // contiguous bitstream (full windows occupy exactly 16 * b bytes), so
-  // LOOP1 is a single call.
+  // it. When the batch's windows share one width and none is dense, their
+  // payloads are one contiguous bitstream (full windows occupy exactly
+  // 16 * b bytes), so LOOP1 is a single call.
   for (uint32_t w0 = 0; w0 < entry_count_; w0 += kBatchWindows) {
     const uint32_t nlanes = std::min(kBatchWindows, entry_count_ - w0);
     const uint32_t begin = w0 * kEntryPointStride;
@@ -676,23 +709,21 @@ void BlockDecoder::DecodeAll(int32_t* out) const {
     int32_t* batch_dst = out + begin;
 
     Entry eps[kBatchWindows];
-    bool any_dense = false;
+    bool one_width = true;
     for (uint32_t l = 0; l < nlanes; ++l) {
       eps[l] = EntryAt(w0 + l);
-      any_dense = any_dense || eps[l].first_exc == kDenseWindow;
+      // A dense window's width is 0, never a packed window's.
+      one_width = one_width && eps[l].bit_width == eps[0].bit_width;
     }
+    one_width = one_width && eps[0].first_exc != kDenseWindow;
     const uint32_t exc_hi = w0 + nlanes < entry_count_
                                 ? EntryAt(w0 + nlanes).exc_start
                                 : n_exceptions_;
 
-    if (!any_dense) {
+    if (one_width) {
       // LOOP1 over the whole batch at once.
-      const uint8_t* batch_src = codes_ + eps[0].payload_off;
-      if (dict_scheme) {
-        unpack_dict(batch_src, batch_n, dict_, batch_dst);
-      } else {
-        unpack_add(batch_src, batch_n, base_, batch_dst);
-      }
+      unpack(eps[0].bit_width, codes_ + eps[0].payload_off, batch_n,
+             batch_dst);
       // LOOP2: one flat run over the batch's slice of the exception
       // records. One sequential 8-byte load and one scattered store per
       // exception — no data-dependent branches, no pointer chase.
@@ -700,8 +731,8 @@ void BlockDecoder::DecodeAll(int32_t* out) const {
                               sizeof(ExceptionRecord),
             exc_hi - eps[0].exc_start, 0, out);
     } else {
-      // Mixed batch: per window, memcpy dense payloads, unpack + patch the
-      // rest.
+      // Mixed batch: per window, memcpy dense payloads, unpack the rest at
+      // their own widths and patch them.
       for (uint32_t l = 0; l < nlanes; ++l) {
         const uint32_t wbegin = (w0 + l) * kEntryPointStride;
         const uint32_t wn = std::min(kEntryPointStride, n_ - wbegin);
@@ -711,11 +742,7 @@ void BlockDecoder::DecodeAll(int32_t* out) const {
           std::memcpy(dst, src, 4ull * wn);
           continue;
         }
-        if (dict_scheme) {
-          unpack_dict(src, wn, dict_, dst);
-        } else {
-          unpack_add(src, wn, base_, dst);
-        }
+        unpack(eps[l].bit_width, src, wn, dst);
         const uint32_t wexc_hi =
             l + 1 < nlanes ? eps[l + 1].exc_start : exc_hi;
         patch(exceptions_ + static_cast<size_t>(eps[l].exc_start) *
@@ -779,7 +806,6 @@ void BlockDecoder::ExceptionMask(std::vector<bool>* mask) const {
   assert(!meta_only_ && "payload not resident (metadata-only init)");
   mask->assign(n_, false);
   if (meta_only_) return;
-  const uint32_t sentinel = (1u << bit_width_) - 1;
   for (uint32_t w = 0; w < entry_count_; ++w) {
     const uint32_t begin = w * kEntryPointStride;
     const uint32_t wn = WindowLen(w);
@@ -787,8 +813,9 @@ void BlockDecoder::ExceptionMask(std::vector<bool>* mask) const {
     const uint32_t nexc = ExceptionsInWindow(w, &ep);
     const uint8_t* src = codes_ + ep.payload_off;
     if (naive_layout_) {
+      const uint32_t sentinel = (1u << ep.bit_width) - 1;
       for (uint32_t i = 0; i < wn; ++i) {
-        if (ReadCode(src, i, bit_width_) == sentinel) {
+        if (ReadCode(src, i, ep.bit_width) == sentinel) {
           (*mask)[begin + i] = true;
         }
       }
@@ -801,7 +828,7 @@ void BlockDecoder::ExceptionMask(std::vector<bool>* mask) const {
       uint32_t cur = ep.first_exc;
       for (uint32_t k = 0; k < nexc && cur < wn; ++k) {
         (*mask)[begin + cur] = true;
-        cur += ReadCode(src, cur, bit_width_) + 1;
+        cur += ReadCode(src, cur, ep.bit_width) + 1;
       }
     }
   }

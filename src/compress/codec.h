@@ -6,9 +6,10 @@
 //   [header | entry points | dictionary (PDICT) | window payloads |
 //    exception records | pad]
 //
-// Codewords are b-bit, bit-packed per 128-value window (kEntryPointStride).
-// Each window's payload starts 4-byte aligned at its entry point's offset,
-// so Decode(pos, len) can jump to any window without scanning — the
+// Codewords are bit-packed per 128-value window (kEntryPointStride), each
+// window at its own width b, which its entry point records. Each window's
+// payload starts 4-byte aligned at its entry point's offset, so
+// Decode(pos, len) can jump to any window without scanning — the
 // fine-granularity skipping used when merging inverted lists. Values that
 // don't fit b bits are *exceptions*: their codeword slot stores the paper's
 // linked exception list (distance to the next exception in the window), and
@@ -23,7 +24,7 @@
 //          path, so patching pipelines instead of pointer-chasing.
 //
 // Two escape hatches complete the scheme:
-//   - dense windows: when the patched form of a window would be no smaller
+//   - dense windows: when the patched form of a window would be larger
 //     than raw (high exception density), the encoder stores the 128 values
 //     raw and decode is a memcpy — bandwidth degrades toward memcpy speed
 //     as the exception rate climbs, never toward zero;
@@ -70,8 +71,8 @@ enum class Scheme : uint8_t {
 };
 
 struct EncodeOptions {
-  // Codeword width in bits (1..kMaxBitWidth). 0 = choose automatically by
-  // minimizing estimated compressed size.
+  // Codeword width in bits (1..kMaxBitWidth), forced on every window. 0 =
+  // each window takes the width at which it stores fewest bytes.
   int bit_width = 0;
 
   // Use the branchy sentinel layout instead of patching (Figure 3 baseline).
@@ -86,6 +87,8 @@ struct EncodeOptions {
 
 struct BlockStats {
   uint32_t n = 0;
+  // The header width: the widest window's (the forced width when one is
+  // given; PDICT: the dictionary's width).
   int bit_width = 0;
   // Total exceptions stored, including compulsory ones (values that fit b
   // bits but were forced into the exception list to keep a link
@@ -131,7 +134,7 @@ struct WindowView {
   uint32_t exc_count = 0;
   uint32_t begin = 0;  // block-absolute index of the window's first value
   uint32_t len = 0;    // values in the window (<= kEntryPointStride)
-  int bit_width = 0;
+  int bit_width = 0;   // the window's codeword width; 0 when dense
   int32_t base = 0;    // FOR base added to every unpacked codeword
   bool dense = false;
 };
@@ -169,6 +172,9 @@ class BlockDecoder {
   // Byte extents of window w's decode inputs (w < entry_count()).
   WindowExtent WindowExtentOf(uint32_t w) const;
 
+  // Window w's codeword width (w < entry_count()); 0 for a dense window.
+  int WindowBitWidth(uint32_t w) const;
+
   // Resident-pointer view of window w for fused decode→transform kernels.
   // Requires a full Init (asserts / returns an empty view after InitMeta)
   // and the patched layout; exception positions must have been vetted by
@@ -193,6 +199,8 @@ class BlockDecoder {
 
   uint32_t n() const { return n_; }
   Scheme scheme() const { return scheme_; }
+  // The header width, which bounds every window's (PDICT: the dictionary's
+  // width).
   int bit_width() const { return bit_width_; }
   bool naive_layout() const { return naive_layout_; }
   int32_t base() const { return base_; }
@@ -229,9 +237,12 @@ class BlockDecoder {
   void ExceptionMask(std::vector<bool>* mask) const;
 
  private:
+  // An entry point (internal::EntryPoint) as the decode paths read it.
   struct Entry {
     uint32_t exc_start;
-    uint32_t first_exc;
+    uint8_t first_exc;
+    uint8_t bit_width;
+    uint16_t reserved;
     int32_t value_base;
     uint32_t payload_off;
   };

@@ -84,15 +84,16 @@ Status PdictEncode(const int32_t* values, uint32_t n,
   }
 
   // LOOP1 gathers dict[code] for *every* slot, including exception slots
-  // whose codeword is a link — pad the stored dictionary to 2^b entries so
-  // those gathers stay in bounds.
+  // whose codeword is a link — pad the stored dictionary to 2^b entries and
+  // keep every window at most b bits wide so those gathers stay in bounds.
   std::vector<int32_t> padded_dict(static_cast<size_t>(1ull << b), 0);
   std::copy(dict_values.begin(), dict_values.end(), padded_dict.begin());
 
   PdictWindows windows(values, &code_of);
   internal::BlockBuildInput in;
   in.scheme = Scheme::kPdict;
-  in.bit_width = b;
+  in.bit_width = opts.bit_width;
+  in.max_bit_width = b;
   in.naive_layout = false;
   in.base = 0;
   in.n = n;

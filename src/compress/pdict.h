@@ -13,10 +13,12 @@
 
 namespace x100ir::compress {
 
-// Encodes values[0..n). With opts.bit_width == 0 the width is the smallest
-// covering all distinct values (capped at kMaxDictBitWidth); with a given
-// width the 2^b most frequent values form the dictionary and the rest
-// become exceptions. naive_layout is not supported for PDICT.
+// Encodes values[0..n). With opts.bit_width == 0 the dictionary's width is
+// the smallest covering all distinct values (capped at kMaxDictBitWidth)
+// and each window takes the width, up to the dictionary's, at which it
+// stores fewest bytes; with a given width every window has it, the 2^b most
+// frequent values form the dictionary and the rest become exceptions.
+// naive_layout is not supported for PDICT.
 Status PdictEncode(const int32_t* values, uint32_t n,
                    const EncodeOptions& opts, std::vector<uint8_t>* out,
                    BlockStats* stats);

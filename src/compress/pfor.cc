@@ -42,14 +42,9 @@ Status PforEncode(const int32_t* values, uint32_t n,
   }
   PforWindows windows(values, base);
 
-  int b = opts.bit_width;
-  if (b == 0) {
-    b = internal::ChooseBitWidth(&windows, n, opts.naive_layout);
-  }
-
   internal::BlockBuildInput in;
   in.scheme = Scheme::kPfor;
-  in.bit_width = b;
+  in.bit_width = opts.bit_width;
   in.naive_layout = opts.naive_layout;
   in.base = base;
   in.n = n;

@@ -14,7 +14,8 @@
 namespace x100ir::compress {
 
 // Encodes values[0..n) into a self-describing block. With
-// opts.bit_width == 0 the width is chosen to minimize estimated block size.
+// opts.bit_width == 0 each window takes the width at which it stores fewest
+// bytes.
 Status PforEncode(const int32_t* values, uint32_t n, const EncodeOptions& opts,
                   std::vector<uint8_t>* out, BlockStats* stats);
 

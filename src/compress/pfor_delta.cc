@@ -61,14 +61,9 @@ Status PforDeltaEncode(const int32_t* values, uint32_t n,
       opts.force_base || n == 0 ? 0 : static_cast<int32_t>(min_delta);
   PforDeltaWindows windows(values, base);
 
-  int b = opts.bit_width;
-  if (b == 0) {
-    b = internal::ChooseBitWidth(&windows, n, opts.naive_layout);
-  }
-
   internal::BlockBuildInput in;
   in.scheme = Scheme::kPforDelta;
-  in.bit_width = b;
+  in.bit_width = opts.bit_width;
   in.naive_layout = opts.naive_layout;
   in.base = base;
   in.n = n;

@@ -15,7 +15,8 @@ namespace x100ir::compress {
 
 // Encodes values[0..n). Deltas (values[i] - values[i-1], with values[-1]
 // taken as 0) must be representable in 32 bits — always true for sorted
-// input. opts.bit_width == 0 auto-selects on the delta distribution.
+// input. With opts.bit_width == 0 each window takes the width at which its
+// deltas store fewest bytes.
 Status PforDeltaEncode(const int32_t* values, uint32_t n,
                        const EncodeOptions& opts, std::vector<uint8_t>* out,
                        BlockStats* stats);

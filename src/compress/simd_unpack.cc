@@ -188,7 +188,12 @@ __attribute__((target("ssse3"))) void UnpackAdd4Sse(const uint8_t* src,
 // 16-byte loads — the group start and byte (4b)>>3 — are stacked into one
 // 256-bit register so lane l's codeword dword is reachable by the in-lane
 // vpshufb (source index <= 15 for every b <= 30); a per-lane variable
-// right shift + mask then isolates the codeword. Widths b >= 26 can
+// right shift + mask then isolates the codeword. Widths b <= 8 keep a
+// group in its first 8 bytes, so one 8-byte load broadcast to both halves
+// serves every lane: it reads 8 bytes past the group start instead of
+// (4b)>>3 + 16, which lets every group of a window run here instead of
+// leaving the last ones to the scalar tail (at b = 1 the two loads fit only
+// 9 of a window's 16 groups in its payload plus slack). Widths b >= 26 can
 // straddle the shuffled dword (shift + b > 32): a second shuffle fetches
 // the spill byte and a variable left shift ORs the missing high bits in.
 // ---------------------------------------------------------------------------
@@ -198,12 +203,14 @@ __attribute__((target("avx2"))) inline __m128i LoadU128(const uint8_t* p) {
 }
 
 // Per-lane layout constants for one 8-value group at width B. Lanes 0..3
-// shuffle from the low 16-byte load, lanes 4..7 from the high load at byte
-// (4B)>>3; Off() is the byte offset *within the lane's half*.
+// shuffle from the low half, lanes 4..7 from the high half: the 16-byte
+// load at byte (4B)>>3, or for a narrow width the same 8 bytes as the low
+// half. Off() is the byte offset *within the lane's half*.
 template <int B>
 struct Avx2Lane {
+  static constexpr bool kNarrow = B <= 8;
   static constexpr int Off(int l) {
-    return l < 4 ? (l * B) >> 3 : ((l * B) >> 3) - ((4 * B) >> 3);
+    return l < 4 || kNarrow ? (l * B) >> 3 : ((l * B) >> 3) - ((4 * B) >> 3);
   }
   static constexpr int Shift(int l) { return (l * B) & 7; }
   // True when the codeword straddles its shuffled dword (only b >= 26).
@@ -229,6 +236,8 @@ __attribute__((target("avx2"))) void UnpackAddAvx2(const uint8_t* src,
                                                    int32_t* out) {
   static_assert(B >= 1 && B <= kMaxBitWidth, "width out of range");
   constexpr uint32_t kHoff = (4 * B) >> 3;
+  // Bytes a group's loads read from its start.
+  constexpr uint32_t kReach = Avx2Lane<B>::kNarrow ? 8 : kHoff + 16;
   const __m256i shuf = _mm256_setr_epi8(
       X100IR_AVX2_LANE(0), X100IR_AVX2_LANE(1), X100IR_AVX2_LANE(2),
       X100IR_AVX2_LANE(3), X100IR_AVX2_LANE(4), X100IR_AVX2_LANE(5),
@@ -239,22 +248,29 @@ __attribute__((target("avx2"))) void UnpackAddAvx2(const uint8_t* src,
       Avx2Lane<B>::Shift(6), Avx2Lane<B>::Shift(7));
   const __m256i mask = _mm256_set1_epi32(static_cast<int32_t>((1u << B) - 1));
   const __m256i vbase = _mm256_set1_epi32(base);
-  // Bound full groups so the 16-byte loads stay inside the bytes the scalar
-  // kernel may touch: the codewords plus the guaranteed kBlockPadBytes of
-  // slack. Group g's furthest load ends at byte g*B + kHoff + 16.
+  // Bound full groups so the loads stay inside the bytes the scalar kernel
+  // may touch: the codewords plus the guaranteed kBlockPadBytes of slack.
+  // Group g's furthest load ends at byte g*B + kReach.
   const uint64_t readable =
       (static_cast<uint64_t>(n) * B + 7) / 8 + kBlockPadBytes;
   uint64_t groups = n / 8;
-  if (readable < kHoff + 16) {
+  if (readable < kReach) {
     groups = 0;
   } else {
-    const uint64_t fit = (readable - kHoff - 16) / B + 1;
+    const uint64_t fit = (readable - kReach) / B + 1;
     if (fit < groups) groups = fit;
   }
   uint32_t i = 0;
   for (uint64_t g = 0; g < groups; ++g, i += 8) {
     const uint8_t* p = src + static_cast<size_t>(g) * B;
-    const __m256i v = _mm256_set_m128i(LoadU128(p + kHoff), LoadU128(p));
+    __m256i v;
+    if constexpr (Avx2Lane<B>::kNarrow) {
+      int64_t word;
+      std::memcpy(&word, p, sizeof(word));
+      v = _mm256_set1_epi64x(word);
+    } else {
+      v = _mm256_set_m128i(LoadU128(p + kHoff), LoadU128(p));
+    }
     __m256i w = _mm256_srlv_epi32(_mm256_shuffle_epi8(v, shuf), shifts);
     if constexpr (B >= 26) {
       const __m256i spill_shuf = _mm256_setr_epi8(

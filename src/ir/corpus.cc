@@ -181,14 +181,22 @@ Status Corpus::Generate(const CorpusOptions& opts, Corpus* out) {
   // from the owning topic's term set with probability topical_mass for
   // planted docs, from the global Zipf otherwise. One sequential pass makes
   // every Rng draw, in stream order, into one flat array; doc d's draws are
-  // draws[start[d], start[d + 1]), reserved at the log-normal's mean
-  // length so the array rarely reallocates.
+  // draws[start[d], start[d + 1]). A length is at most its log-normal draw
+  // plus 1 (rounding, and the floor of 1), so the array is reserved at the
+  // sum's mean plus six of its standard deviations, plus n: the summed
+  // lengths stay below that and the array is allocated once.
   const uint32_t n = opts.num_docs;
   std::vector<uint64_t> start(n + 1, 0);
   std::vector<uint32_t> draws;
-  draws.reserve(static_cast<size_t>(
-      n * std::exp(opts.doclen_mu +
-                   0.5 * opts.doclen_sigma * opts.doclen_sigma)));
+  {
+    const double var_factor =
+        std::exp(opts.doclen_sigma * opts.doclen_sigma);
+    const double mean = std::exp(opts.doclen_mu) * std::sqrt(var_factor);
+    const double sd = mean * std::sqrt(var_factor - 1.0);
+    const double bound =
+        n * (mean + 1.0) + 6.0 * std::sqrt(static_cast<double>(n)) * sd;
+    draws.reserve(static_cast<size_t>(bound));
+  }
   for (uint32_t d = 0; d < n; ++d) {
     const double raw =
         std::exp(opts.doclen_mu + opts.doclen_sigma * NextNormal(&rng));

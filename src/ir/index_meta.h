@@ -95,10 +95,11 @@ struct IndexMetaHeader {
   // tables (kTermsFile/kDoclenFile), making the directory loadable without
   // the corpus — what Segment::Load needs on a manifest reopen. v4: plus
   // the block-max side table (kBlockMaxFile) behind Block-Max MaxScore.
-  // v5: no corpus fingerprint (the manifest's gates reuse). Bumping
+  // v5: no corpus fingerprint (the manifest's gates reuse). v6: compressed
+  // blocks carry a bit width per window (a new block magic). Bumping
   // makes every older directory fail to load, never load with files
   // missing.
-  static constexpr uint32_t kVersion = 5;
+  static constexpr uint32_t kVersion = 6;
 
   uint32_t magic = kMagic;
   uint32_t version = kVersion;

@@ -54,15 +54,18 @@ __attribute__((target("avx2"))) inline __m128i FusedLoadU128(
 }
 
 // True fusion: unpack 8 b-bit codewords into a YMM register (the same
-// two-load + in-lane-shuffle + variable-shift scheme as UnpackAddAvx2 in
-// simd_unpack.cc, but with the shuffle/shift controls built at runtime —
-// one window amortizes the ~30 scalar setup ops over up to 16 groups),
-// convert to float, and apply the BM25 map before anything is stored. The
-// tf vector never exists in memory.
+// load + in-lane-shuffle + variable-shift scheme as UnpackAddAvx2 in
+// simd_unpack.cc, one broadcast 8-byte load for b <= 8 and two 16-byte
+// loads above, but with the shuffle/shift controls built at runtime — one
+// window amortizes the ~30 scalar setup ops over up to 16 groups), convert
+// to float, and apply the BM25 map before anything is stored. The tf vector
+// never exists in memory.
 __attribute__((target("avx2"))) void Avx2UnpackScore(
     const uint8_t* src, uint32_t n, int b, int32_t base,
     const int32_t* doclens, float w, float c0, float c1, float* out) {
-  const uint32_t hoff = (4u * static_cast<uint32_t>(b)) >> 3;
+  const bool narrow = b <= 8;
+  const uint32_t hoff = narrow ? 0 : (4u * static_cast<uint32_t>(b)) >> 3;
+  const uint32_t reach = narrow ? 8 : hoff + 16;  // bytes a group reads
 
   alignas(32) int8_t shuf_b[32];
   alignas(32) int8_t spill_b[32];
@@ -98,24 +101,30 @@ __attribute__((target("avx2"))) void Avx2UnpackScore(
   const __m256 vc0 = _mm256_set1_ps(c0);
   const __m256 vc1 = _mm256_set1_ps(c1);
 
-  // Same over-read guard as the LOOP1 kernels: a group's second 16-byte
-  // load starts at byte g*b + hoff; bound it to the window payload plus
-  // the block's trailing slack.
+  // Same over-read guard as the LOOP1 kernels: a group's loads end at byte
+  // g*b + reach; bound them to the window payload plus the block's
+  // trailing slack.
   const uint32_t readable =
       (n * static_cast<uint32_t>(b) + 7u) / 8u +
       compress::internal::kBlockPadBytes;
   uint32_t groups = n / 8u;
   const uint32_t fit =
-      readable >= hoff + 16u
-          ? (readable - hoff - 16u) / static_cast<uint32_t>(b) + 1u
+      readable >= reach
+          ? (readable - reach) / static_cast<uint32_t>(b) + 1u
           : 0u;
   if (groups > fit) groups = fit;
 
   uint32_t i = 0;
   for (uint32_t g = 0; g < groups; ++g, i += 8) {
     const uint8_t* p = src + static_cast<size_t>(g) * static_cast<size_t>(b);
-    const __m256i v =
-        _mm256_set_m128i(FusedLoadU128(p + hoff), FusedLoadU128(p));
+    __m256i v;
+    if (narrow) {
+      int64_t word;
+      std::memcpy(&word, p, sizeof(word));
+      v = _mm256_set1_epi64x(word);
+    } else {
+      v = _mm256_set_m128i(FusedLoadU128(p + hoff), FusedLoadU128(p));
+    }
     __m256i codes = _mm256_srlv_epi32(_mm256_shuffle_epi8(v, vshuf), vrsh);
     if (any_spill) {
       codes = _mm256_or_si256(

@@ -1549,5 +1549,298 @@ TEST(EncoderMemory, PdictHoldsNoColumnSizedScratch) {
             int64_t{8} << 20);
 }
 
+
+// ---------------------------------------------------------------------------
+// Block decoder fuzzer: seeded mutations of valid blocks. A mutant is
+// rejected by Init or Validate, or decodes through DecodeAll and a
+// Decode(pos, len) per window; and, on its own, it is rejected by InitMeta
+// on its metadata prefix, or every window decodes with DecodeWindowDetached
+// from copies of its bytes. Every buffer is an exact-size heap allocation,
+// so under ASan (the sanitize CI job, both dispatch legs) a read or write
+// past any of them fails the test.
+// ---------------------------------------------------------------------------
+
+struct FuzzSeed {
+  std::string name;
+  std::vector<uint8_t> block;
+  BlockStats stats;
+};
+
+// Fills window w of `v` (kEntryPointStride values from w * stride) by f(i).
+template <typename F>
+void FillWindow(std::vector<int32_t>* v, uint32_t w, F f) {
+  const uint32_t begin = w * kEntryPointStride;
+  for (uint32_t i = 0; begin + i < v->size() && i < kEntryPointStride; ++i) {
+    (*v)[begin + i] = f(i);
+  }
+}
+
+// Blocks whose windows differ in width, with dense windows, compulsory
+// exceptions and a short last window among them, in every scheme.
+std::vector<FuzzSeed> FuzzSeeds() {
+  Rng rng(0xF5EED);
+  std::vector<FuzzSeed> seeds;
+  const auto add = [&](const std::string& name, Encoder encode,
+                       const std::vector<int32_t>& values,
+                       const EncodeOptions& opts) {
+    FuzzSeed seed{name, {}, {}};
+    EXPECT_TRUE(encode(values.data(), static_cast<uint32_t>(values.size()),
+                       opts, &seed.block, &seed.stats)
+                    .ok())
+        << name;
+    seeds.push_back(std::move(seed));
+  };
+
+  // PFOR, base 0: a 1-bit window whose two negative values sit 3 apart
+  // (one compulsory exception at b = 1), a 12-bit window with outliers, a
+  // dense window of random int32s, a 5-bit window, a 20-bit window with
+  // wide outliers, and a 1-value last window.
+  std::vector<int32_t> pfor(5 * kEntryPointStride + 1);
+  FillWindow(&pfor, 0, [](uint32_t i) {
+    return i == 10 || i == 13 ? -5 : static_cast<int32_t>(i % 2);
+  });
+  FillWindow(&pfor, 1, [&](uint32_t i) {
+    return i % 50 == 7 ? 1 << 20
+                       : static_cast<int32_t>(rng.NextBounded(1u << 12));
+  });
+  FillWindow(&pfor, 2, [&](uint32_t) {
+    return static_cast<int32_t>(static_cast<uint32_t>(rng.Next()));
+  });
+  FillWindow(&pfor, 3, [&](uint32_t) {
+    return static_cast<int32_t>(rng.NextBounded(32));
+  });
+  FillWindow(&pfor, 4, [&](uint32_t) {
+    return rng.NextBernoulli(0.1)
+               ? 1 << 28
+               : static_cast<int32_t>(rng.NextBounded(1u << 20));
+  });
+  pfor.back() = 7;
+  EncodeOptions base0;
+  base0.force_base = true;
+  add("pfor", PforEncode, pfor, base0);
+  EncodeOptions naive = base0;
+  naive.naive_layout = true;
+  add("pfor naive", PforEncode, pfor, naive);
+
+  // PFOR-DELTA, base 0: unit gaps with one large jump, gaps up to 2^9, a
+  // dense window of deltas alternating +-2^30, and a 37-value last window.
+  std::vector<int32_t> deltas(3 * kEntryPointStride + 37);
+  FillWindow(&deltas, 0, [](uint32_t i) { return i == 70 ? 1 << 20 : 1; });
+  FillWindow(&deltas, 1, [&](uint32_t) {
+    return static_cast<int32_t>(rng.NextBounded(1u << 9));
+  });
+  FillWindow(&deltas, 2,
+             [](uint32_t i) { return i % 2 == 0 ? 1 << 30 : -(1 << 30); });
+  FillWindow(&deltas, 3, [&](uint32_t) {
+    return static_cast<int32_t>(rng.NextBounded(16));
+  });
+  std::vector<int32_t> docids(deltas.size());
+  int32_t cur = 0;
+  for (size_t i = 0; i < deltas.size(); ++i) docids[i] = cur += deltas[i];
+  add("pfor_delta", PforDeltaEncode, docids, base0);
+
+  // PDICT over 200 values coded by rank: a window of codes 0-3 with a few
+  // high codes (a 2-bit window with exceptions), a window over every code,
+  // a 5-bit window, and a 1-value last window.
+  std::vector<int32_t> dict(3 * kEntryPointStride + 1);
+  FillWindow(&dict, 0, [&](uint32_t i) {
+    return 3 * static_cast<int32_t>(i % 41 == 5 ? 150 + i % 7
+                                                : rng.NextBounded(4));
+  });
+  FillWindow(&dict, 1, [](uint32_t i) {
+    return 3 * static_cast<int32_t>((i * 37) % 200);
+  });
+  FillWindow(&dict, 2, [&](uint32_t) {
+    return 3 * static_cast<int32_t>(rng.NextBounded(32));
+  });
+  dict.back() = 3 * 199;
+  add("pdict", PdictEncode, dict, {});
+  // PDICT at a forced 3-bit width: a window of the 8 dictionary values, a
+  // dense window of values outside it, and a 30-value last window. Its 12
+  // payload bytes leave the block 4 bytes of alignment slack, so the last
+  // window read one bit wider still fits the payload section and only the
+  // width check keeps its codes inside the 8-entry dictionary.
+  std::vector<int32_t> dict3(2 * kEntryPointStride + 30);
+  FillWindow(&dict3, 0, [](uint32_t i) { return static_cast<int32_t>(i % 8); });
+  FillWindow(&dict3, 1,
+             [](uint32_t i) { return 100 + static_cast<int32_t>(i); });
+  FillWindow(&dict3, 2, [](uint32_t i) { return static_cast<int32_t>(i % 9); });
+  EncodeOptions width3;
+  width3.bit_width = 3;
+  add("pdict b3", PdictEncode, dict3, width3);
+  return seeds;
+}
+
+// One mutation of `block`, described by the seed's own layout: a header or
+// entry-point field set to a boundary value, a random byte in the metadata,
+// the payloads or the exception records, or a truncation.
+void Mutate(const internal::BlockHeader& hdr, Rng* rng,
+            std::vector<uint8_t>* block) {
+  const size_t size = block->size();
+  const auto overwrite = [&](size_t lo, size_t hi) {
+    hi = std::min(hi, size);
+    if (lo >= hi) return;
+    (*block)[lo + rng->NextBounded(hi - lo)] =
+        static_cast<uint8_t>(rng->NextBounded(256));
+  };
+  switch (rng->NextBounded(5)) {
+    case 0: {
+      // A field, as {offset, bytes}: every header field, or one entry
+      // point's exc_start, first_exc, bit_width, value_base or payload_off.
+      static constexpr uint8_t kHeaderFields[][2] = {
+          {0, 4},  {4, 1},  {5, 1},  {6, 1},  {8, 4},  {12, 4}, {16, 4},
+          {20, 4}, {24, 4}, {28, 4}, {32, 4}, {36, 4}};
+      static constexpr uint8_t kEntryFields[][2] = {
+          {0, 4}, {4, 1}, {5, 1}, {8, 4}, {12, 4}};
+      size_t off, bytes;
+      if (hdr.entry_count == 0 || rng->NextBounded(3) == 0) {
+        const auto& f = kHeaderFields[rng->NextBounded(12)];
+        off = f[0];
+        bytes = f[1];
+      } else {
+        const auto& f = kEntryFields[rng->NextBounded(5)];
+        off = sizeof(internal::BlockHeader) +
+              sizeof(internal::EntryPoint) *
+                  rng->NextBounded(hdr.entry_count) +
+              f[0];
+        bytes = f[1];
+      }
+      if (off + bytes > size) return;
+      uint32_t old = 0;
+      std::memcpy(&old, block->data() + off, bytes);
+      const uint32_t b = hdr.bit_width;
+      const uint32_t values[] = {
+          0,      1,          2,           b - 1,   b,       b + 1,
+          30,     31,         32,          127,     128,     0xFE,
+          0xFF,   0xFFFF,     0x7FFFFFFFu, ~0u,     old - 1, old + 1,
+          static_cast<uint32_t>(rng->Next())};
+      const uint32_t v = values[rng->NextBounded(std::size(values))];
+      std::memcpy(block->data() + off, &v, bytes);  // little-endian
+      return;
+    }
+    case 1:  // header, entry points, dictionary
+      overwrite(0, hdr.code_offset);
+      return;
+    case 2:
+      overwrite(hdr.code_offset, hdr.exc_offset);
+      return;
+    case 3:
+      overwrite(hdr.exc_offset,
+                hdr.exc_offset + sizeof(internal::ExceptionRecord) *
+                                     size_t{hdr.n_exceptions});
+      return;
+    default:
+      block->resize(rng->NextBounded(size));
+      return;
+  }
+}
+
+// The resident paths. Returns whether Init and Validate accepted `block`.
+bool DecodeResident(const std::vector<uint8_t>& block) {
+  BlockDecoder dec;
+  if (!dec.Init(block.data(), block.size()).ok() || !dec.Validate().ok()) {
+    return false;
+  }
+  std::vector<int32_t> all(dec.n());
+  dec.DecodeAll(all.data());
+  std::vector<int32_t> window(kEntryPointStride);
+  for (uint32_t w = 0; w < dec.entry_count(); ++w) {
+    dec.Decode(w * kEntryPointStride, kEntryPointStride, window.data());
+  }
+  std::vector<bool> mask;
+  dec.ExceptionMask(&mask);
+  return true;
+}
+
+// The storage path: InitMeta on the metadata prefix, then each window from
+// copies of its payload (plus the kernels' 8-byte slack) and its exception
+// records. Returns whether InitMeta accepted `block`.
+bool DecodeDetached(const std::vector<uint8_t>& block) {
+  size_t prefix_len = block.size();
+  if (block.size() >= sizeof(internal::BlockHeader)) {
+    internal::BlockHeader hdr;
+    std::memcpy(&hdr, block.data(), sizeof(hdr));
+    prefix_len = std::min<size_t>(hdr.code_offset, block.size());
+  }
+  const std::vector<uint8_t> prefix(block.begin(),
+                                    block.begin() + prefix_len);
+  BlockDecoder dec;
+  if (!dec.InitMeta(prefix.data(), prefix.size(), block.size()).ok()) {
+    return false;
+  }
+  for (uint32_t w = 0; w < dec.entry_count(); ++w) {
+    const WindowExtent ext = dec.WindowExtentOf(w);
+    // InitMeta vouches that every extent lies inside the block.
+    EXPECT_LE(ext.payload_offset + ext.payload_bytes, block.size());
+    EXPECT_LE(ext.exc_offset + 8ull * ext.exc_count, block.size());
+    if (ext.payload_offset + ext.payload_bytes > block.size() ||
+        ext.exc_offset + 8ull * ext.exc_count > block.size()) {
+      return true;
+    }
+    std::vector<uint8_t> payload(ext.payload_bytes + internal::kBlockPadBytes);
+    std::copy_n(block.begin() + ext.payload_offset, ext.payload_bytes,
+                payload.begin());
+    const std::vector<uint8_t> exc(
+        block.begin() + ext.exc_offset,
+        block.begin() + ext.exc_offset + 8ull * ext.exc_count);
+    std::vector<int32_t> dst(std::min<uint64_t>(
+        kEntryPointStride, dec.n() - uint64_t{w} * kEntryPointStride));
+    dec.DecodeWindowDetached(w, payload.data(), exc.data(), dst.data());
+  }
+  return true;
+}
+
+TEST(BlockFuzzer, MutantsAreRejectedOrDecodeInBounds) {
+  const std::vector<FuzzSeed> seeds = FuzzSeeds();
+  // The seeds hold what the fuzzer is meant to start from.
+  uint32_t dense = 0, compulsory = 0, mixed = 0, short_tail = 0;
+  for (const FuzzSeed& seed : seeds) {
+    BlockDecoder dec;
+    ASSERT_TRUE(dec.Init(seed.block.data(), seed.block.size()).ok())
+        << seed.name;
+    ASSERT_TRUE(dec.Validate().ok()) << seed.name;
+    std::vector<bool> widths(kMaxBitWidth + 1);
+    for (uint32_t w = 0; w < dec.entry_count(); ++w) {
+      widths[dec.WindowBitWidth(w)] = true;
+    }
+    dense += widths[0] ? 1 : 0;
+    mixed += std::count(widths.begin() + 1, widths.end(), true) > 1 ? 1 : 0;
+    short_tail += dec.n() % kEntryPointStride != 0 ? 1 : 0;
+    compulsory += seed.stats.n_compulsory_exceptions > 0 ? 1 : 0;
+  }
+  EXPECT_GE(dense, 3u);
+  EXPECT_GE(mixed, 4u);
+  EXPECT_GE(compulsory, 1u);
+  EXPECT_EQ(short_tail, seeds.size());
+
+  constexpr int kMutantsPerSeed = 2000;
+  Rng rng(0xB10CF022ull);
+  uint64_t resident_ok = 0, detached_ok = 0, rejected = 0;
+  for (const FuzzSeed& seed : seeds) {
+    internal::BlockHeader hdr;
+    std::memcpy(&hdr, seed.block.data(), sizeof(hdr));
+    for (int trial = 0; trial < kMutantsPerSeed; ++trial) {
+      std::vector<uint8_t> mutated = seed.block;
+      const int mutations = 1 + static_cast<int>(rng.NextBounded(3));
+      for (int m = 0; m < mutations; ++m) Mutate(hdr, &rng, &mutated);
+      // Reallocated at its exact size, so a truncation leaves no capacity
+      // behind the last byte for a stray read to land in.
+      const std::vector<uint8_t> mutant(mutated.begin(), mutated.end());
+      const bool resident = DecodeResident(mutant);
+      const bool detached = DecodeDetached(mutant);
+      resident_ok += resident ? 1 : 0;
+      detached_ok += detached ? 1 : 0;
+      rejected += !resident && !detached ? 1 : 0;
+      if (HasFailure()) {
+        FAIL() << seed.name << " trial " << trial;
+      }
+    }
+  }
+  // Neither outcome is vacuous: mutants of both kinds occur.
+  EXPECT_GT(resident_ok, 0u);
+  EXPECT_GT(detached_ok, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
 }  // namespace
 }  // namespace x100ir::compress

@@ -22,6 +22,8 @@ namespace {
 std::atomic<uint64_t> g_alloc_generation{0};  // 0: not counting
 std::atomic<int64_t> g_alloc_live{0};
 std::atomic<int64_t> g_alloc_peak{0};
+std::atomic<uint64_t> g_alloc_large_bytes{UINT64_MAX};
+std::atomic<int64_t> g_alloc_large{0};  // allocations of >= large bytes
 constexpr size_t kAllocHeader = 16;  // keeps malloc's 16-byte alignment
 
 void* CountedNew(size_t bytes) {
@@ -36,6 +38,9 @@ void* CountedNew(size_t bytes) {
         static_cast<int64_t>(bytes);
     int64_t peak = g_alloc_peak.load();
     while (live > peak && !g_alloc_peak.compare_exchange_weak(peak, live)) {
+    }
+    if (bytes >= g_alloc_large_bytes.load(std::memory_order_relaxed)) {
+      g_alloc_large.fetch_add(1);
     }
   }
   return hdr + 2;
@@ -78,13 +83,16 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 
 namespace x100ir {
 
-// Counts the heap bytes allocated inside its lifetime (one scope at a time).
+// Counts the heap bytes allocated inside its lifetime (one scope at a time),
+// and the allocations of at least `large_bytes` each.
 class CountingScope {
  public:
-  CountingScope() {
+  explicit CountingScope(uint64_t large_bytes = UINT64_MAX) {
     static uint64_t generations = 0;
     g_alloc_live.store(0);
     g_alloc_peak.store(0);
+    g_alloc_large_bytes.store(large_bytes);
+    g_alloc_large.store(0);
     g_alloc_generation.store(++generations);
   }
   ~CountingScope() { g_alloc_generation.store(0); }
@@ -92,6 +100,7 @@ class CountingScope {
   CountingScope& operator=(const CountingScope&) = delete;
 
   int64_t peak() const { return g_alloc_peak.load(); }
+  int64_t large_allocations() const { return g_alloc_large.load(); }
 };
 
 }  // namespace x100ir

@@ -34,6 +34,7 @@
 #include "ir/topk.h"
 #include "storage/buffer_manager.h"
 
+#include "counting_allocator.h"
 #include "reference.h"
 #include "test_util.h"
 
@@ -173,6 +174,35 @@ void ExpectGenerateMatchesReference(const CorpusOptions& opts) {
     EXPECT_EQ(corpus.relevant_docs(t), ref.relevant_docs[t]) << "topic " << t;
   }
   EXPECT_EQ(corpus.Fingerprint(), ref.fingerprint);
+}
+
+// The draw array is reserved once, at a bound the summed document lengths
+// stay under. The bench's tiny corpus options at seed 1 draw 676,673 terms
+// where the log-normal mean predicts 672,697, so a reservation at the mean
+// would reallocate, doubling the array's memory near the end of the pass.
+TEST(Corpus, GenerateAllocatesItsDrawArrayOnce) {
+  CorpusOptions opts;
+  opts.num_docs = 4000;
+  opts.vocab_size = 6000;
+  opts.num_topics = 20;
+  opts.relevant_docs_per_topic = 40;
+  opts.seed = 1;
+  const double mean_draws =
+      opts.num_docs *
+      std::exp(opts.doclen_mu + 0.5 * opts.doclen_sigma * opts.doclen_sigma);
+  // Only the draw array comes near half its own size: the Zipf
+  // sampler's guide table is 256 KiB, the CDF 48 KB.
+  const auto array_bytes =
+      static_cast<uint64_t>(sizeof(uint32_t) * mean_draws);
+  Corpus corpus;
+  {
+    CountingScope scope(array_bytes / 2);
+    ASSERT_TRUE(Corpus::Generate(opts, &corpus).ok());
+    EXPECT_EQ(scope.large_allocations(), 1);
+  }
+  uint64_t draws = 0;
+  for (uint32_t d = 0; d < corpus.num_docs(); ++d) draws += corpus.doc_len(d);
+  EXPECT_GT(static_cast<double>(draws), mean_draws);
 }
 
 TEST(Corpus, GenerateMatchesSequentialReference) {

@@ -272,11 +272,12 @@ struct ReferenceCorpus {
 };
 
 // The encoder oracle: the array-based block builder and scheme front ends
-// that the streaming ones replaced, kept as they were. Each front end widens
-// its column into an n-sized symbol array, the builder holds an n-sized
-// codeword array and grows its exception records by push_back, and the
-// codewords are written by 8-byte read-modify-writes. The encoders in
-// compress/ must produce the same block bytes and BlockStats for every
+// that the streaming ones replaced. Each front end widens its column into
+// an n-sized symbol array, the builder holds an n-sized codeword array and
+// grows its exception records by push_back, and the codewords are written
+// by 8-byte read-modify-writes. A window's width is chosen by brute force:
+// every width's exceptions are listed and its bytes counted. The encoders
+// in compress/ must produce the same block bytes and BlockStats for every
 // input and option, and refuse the same inputs.
 struct ReferenceCodec {
   using BlockStats = compress::BlockStats;
@@ -285,50 +286,44 @@ struct ReferenceCodec {
 
   struct BlockInput {
     Scheme scheme = Scheme::kPfor;
-    int bit_width = 0;
+    int bit_width = 0;  // forced on every window; 0 = per window
+    int max_bit_width = compress::kMaxBitWidth;
     bool naive_layout = false;
     int32_t base = 0;
     uint32_t n = 0;
     const int64_t* syms = nullptr;
     const int32_t* payloads = nullptr;
     const int32_t* window_value_bases = nullptr;  // nullptr = all zero
-    const int32_t* dict = nullptr;                // PDICT: 1 << b entries
+    const int32_t* dict = nullptr;  // PDICT: 1 << max_bit_width entries
     uint32_t dict_count = 0;
   };
 
-  static int ChooseBitWidth(const int64_t* syms, uint32_t n,
-                            bool naive_layout) {
-    if (n == 0) return 1;
-    uint64_t hist[33] = {0};
-    uint64_t eq_all_ones[33] = {0};
-    for (uint32_t i = 0; i < n; ++i) {
-      const int64_t s = syms[i];
-      if (s < 0 || s > 0x7FFFFFFFll) {
-        hist[32]++;
-        continue;
+  // The exception slots of the wn symbols at syms at width b: naive, every
+  // symbol outside [0, 2^b - 2]; patched, every symbol outside
+  // [0, 2^b - 1] plus a compulsory slot wherever two exceptions lie more
+  // than 2^b apart. *naturals counts the former.
+  static std::vector<uint32_t> WindowExceptions(const int64_t* syms,
+                                                uint32_t wn, int b,
+                                                bool naive_layout,
+                                                uint64_t* naturals) {
+    const int64_t mask = (1ll << b) - 1;
+    const int64_t max_normal = naive_layout ? mask - 1 : mask;
+    const uint32_t max_gap = 1u << b;
+    std::vector<uint32_t> exc;
+    *naturals = 0;
+    for (uint32_t i = 0; i < wn; ++i) {
+      if (syms[i] >= 0 && syms[i] <= max_normal) continue;
+      ++*naturals;
+      if (!naive_layout && !exc.empty()) {
+        uint32_t prev = exc.back();
+        while (i - prev > max_gap) {
+          prev += max_gap;
+          exc.push_back(prev);
+        }
       }
-      int bits = 0;
-      uint64_t u = static_cast<uint64_t>(s);
-      while (u >> bits) ++bits;
-      if (bits == 0) bits = 1;
-      hist[bits]++;
-      if (s == (1ll << bits) - 1) eq_all_ones[bits]++;
+      exc.push_back(i);
     }
-    uint64_t suffix[34] = {0};
-    for (int k = 31; k >= 0; --k) suffix[k] = suffix[k + 1] + hist[k + 1];
-    int best_b = 1;
-    uint64_t best_bytes = ~0ull;
-    for (int b = 1; b <= compress::kMaxBitWidth; ++b) {
-      uint64_t exc = suffix[b];
-      if (naive_layout) exc += eq_all_ones[b];
-      const uint64_t bytes = (static_cast<uint64_t>(n) * b + 7) / 8 +
-                             sizeof(compress::internal::ExceptionRecord) * exc;
-      if (bytes < best_bytes) {
-        best_bytes = bytes;
-        best_b = b;
-      }
-    }
-    return best_b;
+    return exc;
   }
 
   static Status BuildBlock(const BlockInput& in, std::vector<uint8_t>* out,
@@ -336,88 +331,91 @@ struct ReferenceCodec {
     using namespace compress::internal;
     constexpr uint32_t kStride = compress::kEntryPointStride;
     if (out == nullptr) return InvalidArgument("null output");
-    if (in.bit_width < 1 || in.bit_width > compress::kMaxBitWidth) {
-      return InvalidArgument("bit_width must be in [1, 30]");
+    if (in.max_bit_width < 1 || in.max_bit_width > compress::kMaxBitWidth ||
+        in.bit_width < 0 || in.bit_width > in.max_bit_width) {
+      return InvalidArgument("bit_width must be in [0, 30]");
     }
     if (in.n > 0 && (in.syms == nullptr || in.payloads == nullptr)) {
       return InvalidArgument("null input arrays");
     }
-    const int b = in.bit_width;
-    const int64_t mask = (1ll << b) - 1;
-    const int64_t max_normal = in.naive_layout ? mask - 1 : mask;
-    const uint32_t max_gap = 1u << b;
     const uint32_t entry_count = (in.n + kStride - 1) / kStride;
     std::vector<EntryPoint> entries(entry_count);
     std::vector<uint32_t> codes(in.n, 0);
     std::vector<ExceptionRecord> exc_records;
-    std::vector<uint32_t> window_exc;
     uint64_t n_compulsory = 0;
     uint32_t n_dense = 0;
     uint32_t payload_off = 0;
+    int header_b = in.dict != nullptr ? in.max_bit_width
+                   : in.bit_width > 0 ? in.bit_width
+                                      : 1;
     for (uint32_t w = 0; w < entry_count; ++w) {
       const uint32_t begin = w * kStride;
       const uint32_t wn = std::min(kStride, in.n - begin);
       EntryPoint& ep = entries[w];
       ep.exc_start = static_cast<uint32_t>(exc_records.size());
       ep.first_exc = kNoException;
+      ep.bit_width = 0;
+      ep.reserved = 0;
       ep.value_base =
           in.window_value_bases != nullptr ? in.window_value_bases[w] : 0;
       ep.payload_off = payload_off;
-      if (in.naive_layout) {
-        for (uint32_t i = 0; i < wn; ++i) {
-          const int64_t s = in.syms[begin + i];
-          if (s < 0 || s > max_normal) {
-            codes[begin + i] = static_cast<uint32_t>(mask);
-            exc_records.push_back({in.payloads[begin + i], begin + i});
-            if (ep.first_exc == kNoException) ep.first_exc = i;
-          } else {
-            codes[begin + i] = static_cast<uint32_t>(s);
+      // Every width's exact stored bytes; the cheapest wins, the wider on
+      // a tie.
+      int b = in.bit_width;
+      if (b == 0) {
+        uint64_t best_bytes = ~0ull;
+        for (int c = 1; c <= in.max_bit_width; ++c) {
+          uint64_t naturals = 0;
+          const uint64_t bytes =
+              WindowBytes(wn, c) +
+              sizeof(ExceptionRecord) *
+                  WindowExceptions(in.syms + begin, wn, c, in.naive_layout,
+                                   &naturals)
+                      .size();
+          if (bytes <= best_bytes) {
+            best_bytes = bytes;
+            b = c;
           }
         }
-        payload_off += WindowBytes(wn, b);
-        continue;
       }
-      window_exc.clear();
       uint64_t naturals = 0;
-      for (uint32_t i = 0; i < wn; ++i) {
-        const int64_t s = in.syms[begin + i];
-        if (s >= 0 && s <= max_normal) {
-          codes[begin + i] = static_cast<uint32_t>(s);
-          continue;
-        }
-        ++naturals;
-        if (!window_exc.empty()) {
-          uint32_t prev = window_exc.back();
-          while (i - prev > max_gap) {
-            prev += max_gap;
-            window_exc.push_back(prev);
-          }
-        }
-        window_exc.push_back(i);
-      }
-      if (DenseWins(wn, b, window_exc.size())) {
+      const std::vector<uint32_t> window_exc = WindowExceptions(
+          in.syms + begin, wn, b, in.naive_layout, &naturals);
+      if (!in.naive_layout &&
+          4u * wn < WindowBytes(wn, b) +
+                         sizeof(ExceptionRecord) * window_exc.size()) {
         ep.first_exc = kDenseWindow;
         payload_off += 4 * wn;
         ++n_dense;
         continue;
       }
+      ep.bit_width = static_cast<uint8_t>(b);
+      header_b = std::max(header_b, b);
+      for (uint32_t i = 0; i < wn; ++i) {
+        codes[begin + i] = static_cast<uint32_t>(in.syms[begin + i]);
+      }
       n_compulsory += window_exc.size() - naturals;
       for (size_t k = 0; k < window_exc.size(); ++k) {
         const uint32_t pos = window_exc[k];
-        codes[begin + pos] =
-            k + 1 < window_exc.size() ? window_exc[k + 1] - pos - 1 : 0;
+        codes[begin + pos] = in.naive_layout ? (1u << b) - 1
+                             : k + 1 < window_exc.size()
+                                 ? window_exc[k + 1] - pos - 1
+                                 : 0;
         exc_records.push_back({in.payloads[begin + pos], begin + pos});
       }
-      if (!window_exc.empty()) ep.first_exc = window_exc[0];
+      if (!window_exc.empty()) {
+        ep.first_exc = static_cast<uint8_t>(window_exc[0]);
+      }
       payload_off += WindowBytes(wn, b);
     }
 
-    const uint32_t dict_bytes = in.dict != nullptr ? (4u << b) : 0;
+    const uint32_t dict_bytes =
+        in.dict != nullptr ? (4u << in.max_bit_width) : 0;
     BlockHeader hdr;
     std::memset(&hdr, 0, sizeof(hdr));
     hdr.magic = kBlockMagic;
     hdr.scheme = static_cast<uint8_t>(in.scheme);
-    hdr.bit_width = static_cast<uint8_t>(b);
+    hdr.bit_width = static_cast<uint8_t>(header_b);
     hdr.flags = in.naive_layout ? kFlagNaiveLayout : 0;
     hdr.n = in.n;
     hdr.base = in.base;
@@ -452,13 +450,14 @@ struct ReferenceCodec {
         std::memcpy(wptr, in.payloads + begin, 4ull * wn);
         continue;
       }
+      const int b = entries[w].bit_width;
       for (uint32_t i = 0; i < wn; ++i) {
         // 8-byte read-modify-write: sets only this codeword's bits.
         const uint64_t bit = uint64_t{i} * static_cast<uint64_t>(b);
         uint64_t word;
         std::memcpy(&word, wptr + (bit >> 3), sizeof(word));
         word |= (static_cast<uint64_t>(codes[begin + i]) &
-                 static_cast<uint64_t>(mask))
+                 ((uint64_t{1} << b) - 1))
                 << (bit & 7);
         std::memcpy(wptr + (bit >> 3), &word, sizeof(word));
       }
@@ -469,7 +468,7 @@ struct ReferenceCodec {
     }
     if (stats != nullptr) {
       stats->n = in.n;
-      stats->bit_width = b;
+      stats->bit_width = header_b;
       stats->n_exceptions = static_cast<uint32_t>(exc_records.size());
       stats->n_compulsory_exceptions = static_cast<uint32_t>(n_compulsory);
       stats->n_dense_windows = n_dense;
@@ -490,11 +489,9 @@ struct ReferenceCodec {
     for (uint32_t i = 0; i < n; ++i) {
       syms[i] = static_cast<int64_t>(values[i]) - base;
     }
-    int b = opts.bit_width;
-    if (b == 0) b = ChooseBitWidth(syms.data(), n, opts.naive_layout);
     BlockInput in;
     in.scheme = Scheme::kPfor;
-    in.bit_width = b;
+    in.bit_width = opts.bit_width;
     in.naive_layout = opts.naive_layout;
     in.base = base;
     in.n = n;
@@ -525,8 +522,6 @@ struct ReferenceCodec {
     for (uint32_t i = 0; i < n; ++i) {
       syms[i] = static_cast<int64_t>(deltas[i]) - base;
     }
-    int b = opts.bit_width;
-    if (b == 0) b = ChooseBitWidth(syms.data(), n, opts.naive_layout);
     constexpr uint32_t kStride = compress::kEntryPointStride;
     const uint32_t entry_count = (n + kStride - 1) / kStride;
     std::vector<int32_t> window_bases(entry_count);
@@ -535,7 +530,7 @@ struct ReferenceCodec {
     }
     BlockInput in;
     in.scheme = Scheme::kPforDelta;
-    in.bit_width = b;
+    in.bit_width = opts.bit_width;
     in.naive_layout = opts.naive_layout;
     in.base = base;
     in.n = n;
@@ -592,7 +587,8 @@ struct ReferenceCodec {
     }
     BlockInput in;
     in.scheme = Scheme::kPdict;
-    in.bit_width = b;
+    in.bit_width = opts.bit_width;
+    in.max_bit_width = b;
     in.n = n;
     in.syms = syms.data();
     in.payloads = values;
