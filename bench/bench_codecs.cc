@@ -56,9 +56,42 @@ void BM_PforDecode(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
   state.SetBytesProcessed(state.iterations() * kN * 4);
+  // Seconds per 128-value window, printed with an SI prefix (n = ns).
+  state.counters["per_window"] = benchmark::Counter(
+      static_cast<double>(kN / kEntryPointStride),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
 }
+// Widths 9-15 are where the TD docid column and the forward store's term
+// column keep most of their windows (DESIGN.md §12.2).
 BENCHMARK(BM_PforDecode)
-    ->ArgsProduct({{4, 8, 16}, {0, 1, 10, 50}});
+    ->ArgsProduct({{4, 8, 16}, {0, 1, 10, 50}})
+    ->ArgsProduct({{9, 10, 11, 12, 13, 14, 15}, {0}});
+
+// The same decode over 64 windows whose block and output stay in cache:
+// at 1M values the output's stores bound every width alike, here the LOOP1
+// kernel does.
+void BM_PforDecodeResident(benchmark::State& state) {
+  constexpr uint32_t kValues = 64 * kEntryPointStride;
+  const int bits = static_cast<int>(state.range(0));
+  auto values = DataWithRate(bits, 0.0, 43);
+  EncodeOptions opts;
+  opts.bit_width = bits;
+  std::vector<uint8_t> block;
+  PforEncode(values.data(), kValues, opts, &block, nullptr);
+  BlockDecoder dec;
+  dec.Init(block.data(), block.size());
+  std::vector<int32_t> out(kValues);
+  for (auto _ : state) {
+    dec.DecodeAll(out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["per_window"] = benchmark::Counter(
+      static_cast<double>(kValues / kEntryPointStride),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PforDecodeResident)->DenseRange(4, 16);
 
 void BM_PforDecodeNaive(benchmark::State& state) {
   const int bits = static_cast<int>(state.range(0));

@@ -6,10 +6,11 @@
 // Reports through bench::Record: bits per posting of every TD column of the
 // base segment (GATE docid/tf/q8 bits per posting and the TD I/O-volume
 // ratio, bounded in bench/gates.txt), the number of windows the docid and
-// tf blocks store at each width, the encode throughput of the docid and tf
-// columns (best of kEncodeRepeats, re-encoding the raw columns exactly as a
-// build does, checked byte for byte against the stored blocks), and a PDICT
-// ablation on tf.
+// tf blocks store at each width, the corpus's forward store in bits per
+// posting (GATE forward_bits_per_posting), the encode throughput of the
+// docid and tf columns (best of kEncodeRepeats, re-encoding the raw columns
+// exactly as a build does, checked byte for byte against the stored
+// blocks), and a PDICT ablation on tf.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -122,9 +123,9 @@ bool TimeEncode(const char* name, const std::vector<int32_t>& values,
 int Run() {
   bench::Record record(
       "compression_ratio",
-      "Section 3.3 bits per posting of the base segment's TD columns, the "
-      "docid and tf encode throughput (best of 5), and a PDICT ablation "
-      "on tf");
+      "Section 3.3 bits per posting of the base segment's TD columns and "
+      "of the corpus's forward store, the docid and tf encode throughput "
+      "(best of 5), and a PDICT ablation on tf");
   std::printf("=== §3.3 compression ratios (bits per tuple) ===\n\n");
   core::Database db;
   bench::CheckOk(bench::OpenBenchDatabase(&db), "open database");
@@ -181,6 +182,27 @@ int Run() {
       ReadStoredBlock(dir, ir::kTfCompressedFile);
   RecordWindowWidths("TD.docid PFOR-DELTA", docid_block, &record);
   RecordWindowWidths("TD.tf PFOR", tf_block, &record);
+
+  // The forward store (the DT table, DESIGN.md §3.1): the corpus's own
+  // term and tf blocks, per posting.
+  const ir::Corpus& corpus = db.corpus();
+  const ir::Corpus::StoreBytes store = corpus.store_bytes();
+  const double corpus_postings = static_cast<double>(corpus.num_postings());
+  const double forward_term_bits =
+      8.0 * static_cast<double>(store.terms) / corpus_postings;
+  const double forward_tf_bits =
+      8.0 * static_cast<double>(store.tfs) / corpus_postings;
+  std::printf(
+      "\nDT forward store: term PFOR-DELTA %.2f + tf PFOR %.2f = %.2f bits "
+      "per posting (%s, raw (term, tf) pairs %s)\n",
+      forward_term_bits, forward_tf_bits, forward_term_bits + forward_tf_bits,
+      HumanBytes(store.terms + store.tfs).c_str(),
+      HumanBytes(corpus.num_postings() * sizeof(ir::DocTerm)).c_str());
+  record.AddRow("DT forward store")
+      .Set("term_bits_per_posting", forward_term_bits)
+      .Set("tf_bits_per_posting", forward_tf_bits)
+      .Set("bits_per_posting", forward_term_bits + forward_tf_bits)
+      .Set("bytes", static_cast<double>(store.terms + store.tfs));
   std::printf("\n");
 
   // Encode throughput over the raw columns, with the build's options.
@@ -229,6 +251,7 @@ int Run() {
   record.Gate("q8_bits_per_posting", bits_of(ir::kScoreQ8File));
   record.Gate("td_io_volume_ratio", raw_bytes / compressed_bytes);
   record.Gate("encoded_blocks_match_files", docid_match && tf_match ? 1 : 0);
+  record.Gate("forward_bits_per_posting", forward_term_bits + forward_tf_bits);
   return record.Finish();
 }
 

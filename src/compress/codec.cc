@@ -4,8 +4,10 @@
 #include "compress/codec.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 #include "compress/block_layout.h"
 #include "compress/unpack.h"
@@ -44,12 +46,57 @@ inline uint32_t ReadCode(const uint8_t* src, uint64_t index, int b) {
   return static_cast<uint32_t>((word >> (bit & 7)) & mask);
 }
 
+// Packs `groups` groups of 8 codes at width B, as PackWindow below does. A
+// group is exactly B bytes, so each one starts byte-aligned, and with B a
+// constant the unrolled accumulator's stores resolve at compile time.
+template <int B>
+void PackGroups(const uint32_t* codes, uint32_t groups, uint8_t* dst) {
+  for (uint32_t g = 0; g < groups; ++g, codes += 8) {
+    uint64_t acc = 0;
+    int pending = 0;
+#pragma GCC unroll 8
+    for (int i = 0; i < 8; ++i) {
+      acc |= static_cast<uint64_t>(codes[i]) << pending;
+      pending += B;
+      if (pending >= 32) {
+        const uint32_t word = static_cast<uint32_t>(acc);
+        std::memcpy(dst, &word, sizeof(word));
+        dst += sizeof(word);
+        acc >>= 32;
+        pending -= 32;
+      }
+    }
+    for (; pending > 0; pending -= 8) {
+      *dst++ = static_cast<uint8_t>(acc);
+      acc >>= 8;
+    }
+  }
+}
+
+using PackGroupsFn = void (*)(const uint32_t*, uint32_t, uint8_t*);
+
+template <std::size_t... I>
+constexpr std::array<PackGroupsFn, sizeof...(I)> MakePackGroups(
+    std::index_sequence<I...>) {
+  return {{&PackGroups<static_cast<int>(I) + 1>...}};
+}
+
+// kPackGroups[b - 1] packs whole groups at width b.
+constexpr auto kPackGroups =
+    MakePackGroups(std::make_index_sequence<kMaxBitWidth>{});
+
 // Packs codes[0..wn) (each below 2^b) LSB-first at b bits each, writing
 // exactly ceil(wn * b / 8) bytes from dst — never past the window's
-// WindowBytes. The accumulator holds fewer than 32 pending bits before each
-// add, so with b <= 30 it never overflows its 64 bits.
+// WindowBytes: whole groups of 8 through kPackGroups, the rest (a block's
+// last window) here. The accumulator holds fewer than 32 pending bits
+// before each add, so with b <= 30 it never overflows its 64 bits.
 inline void PackWindow(const uint32_t* codes, uint32_t wn, int b,
                        uint8_t* dst) {
+  const uint32_t groups = wn / 8;
+  kPackGroups[b - 1](codes, groups, dst);
+  codes += 8 * groups;
+  dst += static_cast<size_t>(groups) * b;
+  wn -= 8 * groups;
   uint64_t acc = 0;
   int pending = 0;
   for (uint32_t i = 0; i < wn; ++i) {
@@ -143,17 +190,37 @@ static_assert((1u << kNoCompulsoryWidth) >= kEntryPointStride - 1,
 // width as suffix sums; compulsory ones are counted, by listing the
 // window's exceptions, only below kNoCompulsoryWidth and only where the
 // natural count alone still beats the best width so far. Ties go to the
-// wider width, which patches fewer exceptions. Overwrites win's exception
-// slots; the caller lists them again at the chosen width.
-int ChooseWindowWidth(Window* win, uint32_t wn, int max_b, bool naive_layout) {
+// wider width, which patches fewer exceptions. *natural_at_best gets the
+// chosen width's natural exception count. Overwrites win's exception
+// slots; the caller lists them again at the chosen width when it needs them.
+int ChooseWindowWidth(Window* win, uint32_t wn, int max_b, bool naive_layout,
+                      uint32_t* natural_at_best) {
   // hist[k]: symbols needing exactly k bits; all_ones[k]: symbols equal to
   // 2^k - 1, the naive sentinel at width k and so an exception there.
   uint32_t hist[33] = {0};
   uint32_t all_ones[33] = {0};
-  for (uint32_t i = 0; i < wn; ++i) {
-    const int k = SymbolBits(win->syms[i]);
-    ++hist[k];
-    if (naive_layout && win->syms[i] == (1ll << k) - 1) ++all_ones[k];
+  if (naive_layout) {
+    for (uint32_t i = 0; i < wn; ++i) {
+      const int k = SymbolBits(win->syms[i]);
+      ++hist[k];
+      if (win->syms[i] == (1ll << k) - 1) ++all_ones[k];
+    }
+  } else {
+    // One histogram per residue of i mod 4: neighbouring symbols mostly
+    // need the same bits, and a single counter would make each increment
+    // wait on the one before.
+    uint32_t part[4][33] = {};
+    uint32_t i = 0;
+    for (; i + 4 <= wn; i += 4) {
+      ++part[0][SymbolBits(win->syms[i])];
+      ++part[1][SymbolBits(win->syms[i + 1])];
+      ++part[2][SymbolBits(win->syms[i + 2])];
+      ++part[3][SymbolBits(win->syms[i + 3])];
+    }
+    for (; i < wn; ++i) ++part[0][SymbolBits(win->syms[i])];
+    for (int k = 0; k <= 32; ++k) {
+      hist[k] = part[0][k] + part[1][k] + part[2][k] + part[3][k];
+    }
   }
   uint32_t above = 0;  // symbols needing more than b bits
   for (int k = max_b + 1; k <= 32; ++k) above += hist[k];
@@ -171,6 +238,7 @@ int ChooseWindowWidth(Window* win, uint32_t wn, int max_b, bool naive_layout) {
     if (bytes < best_bytes) {
       best_bytes = bytes;
       best_b = b;
+      *natural_at_best = natural;
     }
     above += hist[b];
   }
@@ -240,11 +308,26 @@ Status BuildBlock(const BlockBuildInput& in, std::vector<uint8_t>* out,
     ep.bit_width = 0;
     ep.reserved = 0;
     ep.payload_off = static_cast<uint32_t>(payload_off);
-    const int b = in.bit_width > 0 ? in.bit_width
-                                   : ChooseWindowWidth(&win, wn,
-                                                       in.max_bit_width,
-                                                       in.naive_layout);
-    FindExceptions(&win, wn, b, in.naive_layout);
+    int b = in.bit_width;
+    uint32_t natural = 0;
+    if (b == 0) {
+      b = ChooseWindowWidth(&win, wn, in.max_bit_width, in.naive_layout,
+                            &natural);
+    }
+    if (in.bit_width == 0 && !in.naive_layout && b >= kNoCompulsoryWidth) {
+      // No compulsory exception at this width, so the width choice counted
+      // them all; this pass needs only their count and the first slot (as
+      // unsigned, a negative symbol lies above max_normal too).
+      win.n_exc = win.n_natural = natural;
+      if (natural > 0) {
+        const uint64_t max_normal = (uint64_t{1} << b) - 1;
+        uint32_t i = 0;
+        while (static_cast<uint64_t>(win.syms[i]) <= max_normal) ++i;
+        win.exc[0] = i;
+      }
+    } else {
+      FindExceptions(&win, wn, b, in.naive_layout);
+    }
     // Dense escape (patched layout only): when the patched form would be
     // larger than raw values, store the window raw — smaller, and decode is
     // a memcpy.

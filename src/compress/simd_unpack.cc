@@ -188,14 +188,16 @@ __attribute__((target("ssse3"))) void UnpackAdd4Sse(const uint8_t* src,
 // 16-byte loads — the group start and byte (4b)>>3 — are stacked into one
 // 256-bit register so lane l's codeword dword is reachable by the in-lane
 // vpshufb (source index <= 15 for every b <= 30); a per-lane variable
-// right shift + mask then isolates the codeword. Widths b <= 8 keep a
-// group in its first 8 bytes, so one 8-byte load broadcast to both halves
-// serves every lane: it reads 8 bytes past the group start instead of
-// (4b)>>3 + 16, which lets every group of a window run here instead of
-// leaving the last ones to the scalar tail (at b = 1 the two loads fit only
-// 9 of a window's 16 groups in its payload plus slack). Widths b >= 26 can
-// straddle the shuffled dword (shift + b > 32): a second shuffle fetches
-// the spill byte and a variable left shift ORs the missing high bits in.
+// right shift + mask then isolates the codeword. A group that fits one
+// load needs only that load, broadcast to both halves: widths b <= 8 keep
+// a group in its first 8 bytes and load 8, widths 9..16 in its first 16
+// and load 16. Either reads fewer bytes past the group start than the two
+// loads' (4b)>>3 + 16, which lets every group of a full window run here
+// instead of leaving the last ones to the scalar tail (at b = 1 the two
+// loads fit only 9 of a window's 16 groups in its payload plus slack, at
+// b = 9..15 15 of 16). Widths b >= 26 can straddle the shuffled dword
+// (shift + b > 32): a second shuffle fetches the spill byte and a variable
+// left shift ORs the missing high bits in.
 // ---------------------------------------------------------------------------
 
 __attribute__((target("avx2"))) inline __m128i LoadU128(const uint8_t* p) {
@@ -204,13 +206,22 @@ __attribute__((target("avx2"))) inline __m128i LoadU128(const uint8_t* p) {
 
 // Per-lane layout constants for one 8-value group at width B. Lanes 0..3
 // shuffle from the low half, lanes 4..7 from the high half: the 16-byte
-// load at byte (4B)>>3, or for a narrow width the same 8 bytes as the low
-// half. Off() is the byte offset *within the lane's half*.
+// load at byte (4B)>>3, or for a width whose group fits one load the same
+// bytes as the low half. Off() is the byte offset *within the lane's half*.
 template <int B>
 struct Avx2Lane {
+  // The group's B bytes fit one 8-byte load / one 16-byte load.
   static constexpr bool kNarrow = B <= 8;
+  static constexpr bool kOneLoad = B <= 16;
   static constexpr int Off(int l) {
-    return l < 4 || kNarrow ? (l * B) >> 3 : ((l * B) >> 3) - ((4 * B) >> 3);
+    return l < 4 || kOneLoad ? (l * B) >> 3
+                             : ((l * B) >> 3) - ((4 * B) >> 3);
+  }
+  // Control byte k of lane l's dword. Only the last lanes at b = 15, 16
+  // reach past the 16-byte half; those bytes lie past the group, so they
+  // zero-fill (0x80) and the mask drops them.
+  static constexpr char Byte(int l, int k) {
+    return static_cast<char>(Off(l) + k < 16 ? Off(l) + k : -128);
   }
   static constexpr int Shift(int l) { return (l * B) & 7; }
   // True when the codeword straddles its shuffled dword (only b >= 26).
@@ -220,11 +231,9 @@ struct Avx2Lane {
 // Four vpshufb control bytes selecting lane l's dword (bytes Off..Off+3 of
 // its half), and the spill-byte control (byte Off+4 into the lane's low
 // byte, or 0x80 = zero-fill for lanes that don't straddle).
-#define X100IR_AVX2_LANE(l)                           \
-  static_cast<char>(Avx2Lane<B>::Off(l)),             \
-      static_cast<char>(Avx2Lane<B>::Off(l) + 1),     \
-      static_cast<char>(Avx2Lane<B>::Off(l) + 2),     \
-      static_cast<char>(Avx2Lane<B>::Off(l) + 3)
+#define X100IR_AVX2_LANE(l)                                          \
+  Avx2Lane<B>::Byte(l, 0), Avx2Lane<B>::Byte(l, 1),                  \
+      Avx2Lane<B>::Byte(l, 2), Avx2Lane<B>::Byte(l, 3)
 #define X100IR_AVX2_SPILL(l)                                         \
   static_cast<char>(Avx2Lane<B>::Spill(l) ? Avx2Lane<B>::Off(l) + 4  \
                                           : -128),                   \
@@ -237,7 +246,8 @@ __attribute__((target("avx2"))) void UnpackAddAvx2(const uint8_t* src,
   static_assert(B >= 1 && B <= kMaxBitWidth, "width out of range");
   constexpr uint32_t kHoff = (4 * B) >> 3;
   // Bytes a group's loads read from its start.
-  constexpr uint32_t kReach = Avx2Lane<B>::kNarrow ? 8 : kHoff + 16;
+  constexpr uint32_t kReach =
+      Avx2Lane<B>::kNarrow ? 8 : (Avx2Lane<B>::kOneLoad ? 16 : kHoff + 16);
   const __m256i shuf = _mm256_setr_epi8(
       X100IR_AVX2_LANE(0), X100IR_AVX2_LANE(1), X100IR_AVX2_LANE(2),
       X100IR_AVX2_LANE(3), X100IR_AVX2_LANE(4), X100IR_AVX2_LANE(5),
@@ -268,6 +278,8 @@ __attribute__((target("avx2"))) void UnpackAddAvx2(const uint8_t* src,
       int64_t word;
       std::memcpy(&word, p, sizeof(word));
       v = _mm256_set1_epi64x(word);
+    } else if constexpr (Avx2Lane<B>::kOneLoad) {
+      v = _mm256_broadcastsi128_si256(LoadU128(p));
     } else {
       v = _mm256_set_m128i(LoadU128(p + kHoff), LoadU128(p));
     }

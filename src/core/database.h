@@ -54,7 +54,7 @@ class Database {
 
   // Opens over a caller-built corpus instead of generating one — the
   // dist/ path: a cluster node adopts its doc-partition slice
-  // (Corpus::FromDocTerms over a contiguous global-docid range) and gets
+  // (Corpus::Slice over a contiguous global-docid range) and gets
   // the same build-or-adopt, segmented-index, private-buffer-pool stack a
   // generated database gets. The corpus is moved in; the manifest's reuse
   // check keys on its content fingerprint, so a reopened node only

@@ -112,19 +112,20 @@ Status Cluster::Open(const ir::Corpus& corpus, const std::string& dir,
   stats_.num_docs = opened_end;
   stats_.df.assign(corpus.vocab_size(), 0);
   uint64_t total_len = 0;
-  for (uint32_t d = 0; d < opened_end; ++d) {
-    total_len += static_cast<uint64_t>(corpus.doc_len(d));
-    for (const ir::DocTerm& p : corpus.doc(d)) ++stats_.df[p.term];
-  }
+  corpus.ForEachDoc(0, opened_end,
+                    [&](uint32_t d, const ir::DocTerm* doc, uint32_t n) {
+                      total_len += static_cast<uint64_t>(corpus.doc_len(d));
+                      for (uint32_t i = 0; i < n; ++i) ++stats_.df[doc[i].term];
+                    });
   stats_.avg_doc_len = opened_end == 0
                            ? 0.0
                            : static_cast<double>(total_len) /
                                  static_cast<double>(opened_end);
 
-  // Stand the nodes up in parallel: slicing the corpus is cheap, but each
-  // node's index build (first open) is the full encode pipeline. Every
-  // node builds even when another fails, and the lowest failing node is
-  // the one reported.
+  // Stand the nodes up in parallel: a node's slice shares the corpus's
+  // compressed chunks, but each node's index build (first open) is the
+  // full encode pipeline. Every node builds even when another fails, and
+  // the lowest failing node is the one reported.
   nodes_.resize(opts.num_partitions);
   Status built = ForkJoin(opts.num_partitions, [&](size_t p) {
     auto node = std::make_unique<Node>();
@@ -132,13 +133,9 @@ Status Cluster::Open(const ir::Corpus& corpus, const std::string& dir,
     node->base = static_cast<int32_t>(part_begin(node->id));
     node->speed_factor =
         opts.speed_factors.empty() ? 1.0 : opts.speed_factors[p];
-    const uint32_t begin = part_begin(node->id);
-    const uint32_t end = part_begin(node->id + 1);
-    std::vector<std::vector<ir::DocTerm>> slice(end - begin);
-    for (uint32_t d = begin; d < end; ++d) slice[d - begin] = corpus.doc(d);
     ir::Corpus part;
-    Status s =
-        ir::Corpus::FromDocTerms(std::move(slice), corpus.vocab_size(), &part);
+    Status s = corpus.Slice(part_begin(node->id), part_begin(node->id + 1),
+                            &part);
     if (s.ok()) {
       const std::string node_dir =
           dir.empty() ? std::string()

@@ -174,8 +174,9 @@ class Cluster {
   // Partitions `corpus` and opens the nodes in parallel, each a database
   // under dir/part<i> that builds its partition's seg_0 on the first open
   // and adopts its manifest on a reopen of the same slice. Empty dir =
-  // fully in-memory nodes (no storage runs). The corpus is only read
-  // during Open; the cluster keeps no reference.
+  // fully in-memory nodes (no storage runs). Each node's corpus is a slice
+  // sharing `corpus`'s compressed chunks (Corpus::Slice); the cluster keeps
+  // no reference to `corpus` itself.
   Status Open(const ir::Corpus& corpus, const std::string& dir,
               const ClusterOptions& opts);
 

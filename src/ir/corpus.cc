@@ -2,9 +2,10 @@
 // Zipf by table-guided inversion of a precomputed CDF, log-normal via
 // Box-Muller on Rng draws, per-document tf counting via sort (no unordered
 // containers — their iteration order is implementation-defined and would
-// leak into the generated stream). Generate runs in three phases: every
-// Rng draw in one sequential pass, the per-document sorts split over a few
-// threads, and the exact-size documents filled on the calling thread.
+// leak into the generated stream). Generate runs in two phases: every Rng
+// draw in one sequential pass, then one job per chunk that sorts its
+// documents' draws, run-length counts them into chunk-sized staging and
+// encodes the chunk.
 #include "ir/corpus.h"
 
 #include <algorithm>
@@ -14,6 +15,8 @@
 #include "common/fork_join.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "compress/pfor.h"
+#include "compress/pfor_delta.h"
 
 namespace x100ir::ir {
 namespace {
@@ -102,30 +105,89 @@ uint64_t FnvMixDouble(uint64_t h, double d) {
   return FnvMix(h, bits);
 }
 
+// Encodes one chunk from its staged columns: `starts` holds each
+// document's first posting and the chunk's posting count last.
+Status EncodeChunk(const int32_t* terms, const int32_t* tfs,
+                   std::vector<uint32_t> starts,
+                   std::shared_ptr<const internal::CorpusChunk>* out) {
+  auto chunk = std::make_shared<internal::CorpusChunk>();
+  const uint32_t n = starts.back();
+  // Term ids ascend within a document, so their deltas are small
+  // positives; FOR base 0 makes the one negative delta at each document
+  // boundary an exception instead of dragging every window's base down,
+  // as in the TD docid column.
+  compress::EncodeOptions term_opts;
+  term_opts.force_base = true;
+  X100IR_RETURN_IF_ERROR(compress::PforDeltaEncode(
+      terms, n, term_opts, &chunk->term_block, nullptr));
+  X100IR_RETURN_IF_ERROR(
+      compress::PforEncode(tfs, n, {}, &chunk->tf_block, nullptr));
+  X100IR_RETURN_IF_ERROR(
+      chunk->terms.Init(chunk->term_block.data(), chunk->term_block.size()));
+  X100IR_RETURN_IF_ERROR(
+      chunk->tfs.Init(chunk->tf_block.data(), chunk->tf_block.size()));
+  chunk->starts = std::move(starts);
+  *out = std::move(chunk);
+  return OkStatus();
+}
+
+// Decodes postings [pos, pos + len) of `chunk` into out, one 128-value
+// window of each column at a time.
+void DecodePostings(const internal::CorpusChunk& chunk, uint32_t pos,
+                    uint32_t len, DocTerm* out) {
+  constexpr uint32_t kWindow = compress::kEntryPointStride;
+  int32_t terms[kWindow];
+  int32_t tfs[kWindow];
+  while (len > 0) {
+    const uint32_t piece = std::min(len, kWindow - pos % kWindow);
+    chunk.terms.Decode(pos, piece, terms);
+    chunk.tfs.Decode(pos, piece, tfs);
+    for (uint32_t i = 0; i < piece; ++i) {
+      out[i] = {static_cast<uint32_t>(terms[i]), tfs[i]};
+    }
+    out += piece;
+    pos += piece;
+    len -= piece;
+  }
+}
+
+// The options a hand-built corpus carries: defaults, its own size and
+// vocabulary, no topics.
+CorpusOptions HandBuiltOptions(uint32_t num_docs, uint32_t vocab_size) {
+  CorpusOptions opts;
+  opts.num_docs = num_docs;
+  opts.vocab_size = vocab_size;
+  opts.num_topics = 0;
+  return opts;
+}
+
 }  // namespace
 
-Status Corpus::Finalize() {
-  const uint32_t n = num_docs();
-  doc_lens_.assign(n, 0);
+void Corpus::Finalize() {
   num_postings_ = 0;
-  uint64_t total_len = 0;
-  for (uint32_t d = 0; d < n; ++d) {
-    int64_t len = 0;
-    for (const DocTerm& p : docs_[d]) len += p.tf;
-    doc_lens_[d] = static_cast<int32_t>(len);
-    total_len += static_cast<uint64_t>(len);
-    num_postings_ += docs_[d].size();
+  const uint32_t n = num_docs();
+  for (uint32_t d = 0; d < n;) {
+    uint32_t i = 0;
+    const internal::CorpusChunk& c = ChunkOf(d, &i);
+    const uint32_t in_chunk = std::min<uint32_t>(
+        n - d, static_cast<uint32_t>(c.starts.size() - 1) - i);
+    num_postings_ += c.starts[i + in_chunk] - c.starts[i];
+    d += in_chunk;
   }
+  uint64_t total_len = 0;
+  for (const int32_t len : doc_lens_) total_len += static_cast<uint64_t>(len);
   avg_doc_len_ = n == 0 ? 0.0
                         : static_cast<double>(total_len) /
                               static_cast<double>(n);
-  return OkStatus();
 }
 
 Status Corpus::Generate(const CorpusOptions& opts, Corpus* out) {
   if (out == nullptr) return InvalidArgument("null corpus output");
   if (opts.num_docs == 0 || opts.vocab_size == 0) {
     return InvalidArgument("corpus needs docs and a vocabulary");
+  }
+  if (opts.vocab_size > static_cast<uint32_t>(INT32_MAX)) {
+    return InvalidArgument("vocabulary exceeds 2^31 terms");
   }
   if (opts.zipf_s <= 0.0) return InvalidArgument("zipf_s must be positive");
   if (opts.topical_mass < 0.0 || opts.topical_mass > 1.0) {
@@ -215,112 +277,197 @@ Status Corpus::Generate(const CorpusOptions& opts, Corpus* out) {
   }
   start[n] = draws.size();
 
-  // Phase 2: sort each document's draws in place and count its distinct
-  // terms, contiguous document ranges on up to kSortJobs threads. Draws are
-  // already made, so the split cannot change the stream.
-  constexpr uint32_t kSortJobs = 4;
-  std::vector<uint32_t> distinct(n, 0);
-  X100IR_RETURN_IF_ERROR(ForkJoin(kSortJobs, [&](size_t job) {
-    const uint32_t lo = static_cast<uint32_t>(uint64_t{n} * job / kSortJobs);
-    const uint32_t hi =
-        static_cast<uint32_t>(uint64_t{n} * (job + 1) / kSortJobs);
+  // Phase 2: one job per chunk sorts each of its documents' draws in place,
+  // run-length counts them into staging sized exactly for the chunk, and
+  // encodes the chunk. Draws are already made, so the split cannot change
+  // the stream, and each job writes only its own chunk and doc lengths.
+  const uint32_t num_chunks = (n + kCorpusChunkDocs - 1) / kCorpusChunkDocs;
+  out->chunks_.resize(num_chunks);
+  out->doc_lens_.resize(n);
+  X100IR_RETURN_IF_ERROR(ForkJoin(num_chunks, [&](size_t c) {
+    const uint32_t lo = static_cast<uint32_t>(c) * kCorpusChunkDocs;
+    const uint32_t hi = std::min(n, lo + kCorpusChunkDocs);
+    uint64_t postings = 0;
     for (uint32_t d = lo; d < hi; ++d) {
       uint32_t* first = draws.data() + start[d];
       uint32_t* last = draws.data() + start[d + 1];
       std::sort(first, last);
       uint32_t runs = 1;  // every document has at least one draw
       for (const uint32_t* p = first + 1; p < last; ++p) runs += p[0] != p[-1];
-      distinct[d] = runs;
+      postings += runs;
+      out->doc_lens_[d] = static_cast<int32_t>(last - first);
     }
-    return OkStatus();
+    if (postings > UINT32_MAX) {
+      return InvalidArgument("a corpus chunk exceeds 2^32 postings");
+    }
+    std::vector<int32_t> terms(postings);
+    std::vector<int32_t> tfs(postings);
+    std::vector<uint32_t> starts(hi - lo + 1);
+    uint32_t pos = 0;
+    for (uint32_t d = lo; d < hi; ++d) {
+      starts[d - lo] = pos;
+      for (uint64_t i = start[d]; i < start[d + 1];) {
+        uint64_t j = i;
+        while (j < start[d + 1] && draws[j] == draws[i]) ++j;
+        terms[pos] = static_cast<int32_t>(draws[i]);
+        tfs[pos] = static_cast<int32_t>(j - i);
+        ++pos;
+        i = j;
+      }
+    }
+    starts[hi - lo] = pos;
+    return EncodeChunk(terms.data(), tfs.data(), std::move(starts),
+                       &out->chunks_[c]);
   }));
-
-  // Phase 3: each document allocated at its exact distinct-term count, on
-  // the calling thread so that the long-lived vectors come from its malloc
-  // arena, then filled by run-length counting of its sorted draws.
-  out->docs_.resize(n);
-  for (uint32_t d = 0; d < n; ++d) {
-    auto& doc = out->docs_[d];
-    doc.reserve(distinct[d]);
-    for (uint64_t i = start[d]; i < start[d + 1];) {
-      uint64_t j = i;
-      while (j < start[d + 1] && draws[j] == draws[i]) ++j;
-      doc.push_back({draws[i], static_cast<int32_t>(j - i)});
-      i = j;
-    }
-  }
-  return out->Finalize();
+  out->Finalize();
+  return OkStatus();
 }
 
 Status Corpus::FromDocuments(const std::vector<std::vector<uint32_t>>& docs,
                              uint32_t vocab_size, Corpus* out) {
   if (out == nullptr) return InvalidArgument("null corpus output");
-  if (docs.empty() || vocab_size == 0) {
-    return InvalidArgument("hand-built corpus needs docs and a vocabulary");
-  }
-  *out = Corpus();
-  out->hand_built_ = true;
-  out->options_ = CorpusOptions{};
-  out->options_.num_docs = static_cast<uint32_t>(docs.size());
-  out->options_.vocab_size = vocab_size;
-  out->options_.num_topics = 0;
-  out->docs_.resize(docs.size());
-  for (size_t d = 0; d < docs.size(); ++d) {
-    if (docs[d].empty()) {
-      return InvalidArgument(StrFormat("document %zu is empty", d));
-    }
-    std::vector<uint32_t> sorted = docs[d];
-    for (uint32_t term : sorted) {
-      if (term >= vocab_size) {
-        return InvalidArgument(
-            StrFormat("term %u outside vocabulary of %u", term, vocab_size));
-      }
-    }
+  CorpusWriter writer(vocab_size);
+  std::vector<uint32_t> sorted;
+  std::vector<DocTerm> doc;
+  for (const std::vector<uint32_t>& occurrences : docs) {
+    sorted = occurrences;
     std::sort(sorted.begin(), sorted.end());
-    auto& doc = out->docs_[d];
+    doc.clear();
     for (size_t i = 0; i < sorted.size();) {
       size_t j = i;
       while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
       doc.push_back({sorted[i], static_cast<int32_t>(j - i)});
       i = j;
     }
+    X100IR_RETURN_IF_ERROR(
+        writer.Add(doc.data(), static_cast<uint32_t>(doc.size())));
   }
-  return out->Finalize();
+  return writer.Finish(out);
 }
 
-Status Corpus::FromDocTerms(std::vector<std::vector<DocTerm>> docs,
+Status Corpus::FromDocTerms(const std::vector<std::vector<DocTerm>>& docs,
                             uint32_t vocab_size, Corpus* out) {
   if (out == nullptr) return InvalidArgument("null corpus output");
-  if (docs.empty() || vocab_size == 0) {
+  CorpusWriter writer(vocab_size);
+  for (const std::vector<DocTerm>& doc : docs) {
+    X100IR_RETURN_IF_ERROR(
+        writer.Add(doc.data(), static_cast<uint32_t>(doc.size())));
+  }
+  return writer.Finish(out);
+}
+
+Status Corpus::Slice(uint32_t begin, uint32_t end, Corpus* out) const {
+  if (out == nullptr) return InvalidArgument("null corpus output");
+  if (begin >= end || end > num_docs()) {
+    return InvalidArgument(StrFormat("slice [%u, %u) outside %u documents",
+                                     begin, end, num_docs()));
+  }
+  Corpus part;
+  part.hand_built_ = true;
+  part.options_ = HandBuiltOptions(end - begin, vocab_size());
+  const uint32_t p0 = first_ + begin;
+  const uint32_t p1 = first_ + end;
+  part.first_ = p0 % kCorpusChunkDocs;
+  part.chunks_.assign(chunks_.begin() + p0 / kCorpusChunkDocs,
+                      chunks_.begin() + (p1 - 1) / kCorpusChunkDocs + 1);
+  part.doc_lens_.assign(doc_lens_.begin() + begin, doc_lens_.begin() + end);
+  part.Finalize();
+  *out = std::move(part);
+  return OkStatus();
+}
+
+void Corpus::ReadDoc(uint32_t d, std::vector<DocTerm>* out) const {
+  uint32_t i = 0;
+  const internal::CorpusChunk& c = ChunkOf(d, &i);
+  out->resize(c.starts[i + 1] - c.starts[i]);
+  DecodePostings(c, c.starts[i], static_cast<uint32_t>(out->size()),
+                 out->data());
+}
+
+uint32_t Corpus::DecodeRun(uint32_t d, uint32_t end,
+                           std::vector<DocTerm>* slab) const {
+  // 16K postings (128 KB) per run: a pass over the whole corpus keeps its
+  // buffer in cache instead of staging a chunk.
+  constexpr uint32_t kSlabPostings = 16384;
+  uint32_t i = 0;
+  const internal::CorpusChunk& c = ChunkOf(d, &i);
+  const uint32_t* starts = c.starts.data();
+  const uint32_t last = static_cast<uint32_t>(std::min<uint64_t>(
+      uint64_t{i} + (end - d), c.starts.size() - 1));
+  // The first document past the slab, but at least one document.
+  const uint32_t* stop =
+      std::upper_bound(starts + i + 1, starts + last + 1,
+                       starts[i] + kSlabPostings) -
+      1;
+  if (stop == starts + i) stop = starts + i + 1;
+  const uint32_t len = *stop - starts[i];
+  if (slab->size() < len) slab->resize(len);
+  DecodePostings(c, starts[i], len, slab->data());
+  return d + static_cast<uint32_t>(stop - (starts + i));
+}
+
+Corpus::StoreBytes Corpus::store_bytes() const {
+  StoreBytes bytes;
+  for (const auto& chunk : chunks_) {
+    bytes.terms += chunk->term_block.size();
+    bytes.tfs += chunk->tf_block.size();
+  }
+  return bytes;
+}
+
+Status CorpusWriter::Add(const DocTerm* doc, uint32_t n) {
+  const uint32_t d = num_docs();
+  if (n == 0) return InvalidArgument(StrFormat("document %u is empty", d));
+  if (vocab_size_ > static_cast<uint32_t>(INT32_MAX)) {
+    return InvalidArgument("vocabulary exceeds 2^31 terms");
+  }
+  int64_t len = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (doc[i].term >= vocab_size_) {
+      return InvalidArgument(StrFormat("term %u outside vocabulary of %u",
+                                       doc[i].term, vocab_size_));
+    }
+    if (doc[i].tf <= 0 || (i > 0 && doc[i].term <= doc[i - 1].term)) {
+      return InvalidArgument(StrFormat("document %u is not normalized", d));
+    }
+    len += doc[i].tf;
+  }
+  if (uint64_t{terms_.size()} + n > UINT32_MAX) {
+    return InvalidArgument("a corpus chunk exceeds 2^32 postings");
+  }
+  for (uint32_t i = 0; i < n; ++i) {
+    terms_.push_back(static_cast<int32_t>(doc[i].term));
+    tfs_.push_back(doc[i].tf);
+  }
+  starts_.push_back(static_cast<uint32_t>(terms_.size()));
+  doc_lens_.push_back(static_cast<int32_t>(len));
+  return starts_.size() > kCorpusChunkDocs ? EncodeStaged() : OkStatus();
+}
+
+Status CorpusWriter::EncodeStaged() {
+  chunks_.emplace_back();
+  X100IR_RETURN_IF_ERROR(
+      EncodeChunk(terms_.data(), tfs_.data(), starts_, &chunks_.back()));
+  terms_.clear();
+  tfs_.clear();
+  starts_.assign(1, 0);
+  return OkStatus();
+}
+
+Status CorpusWriter::Finish(Corpus* out) {
+  if (out == nullptr) return InvalidArgument("null corpus output");
+  if (num_docs() == 0 || vocab_size_ == 0) {
     return InvalidArgument("hand-built corpus needs docs and a vocabulary");
   }
-  for (size_t d = 0; d < docs.size(); ++d) {
-    if (docs[d].empty()) {
-      return InvalidArgument(StrFormat("document %zu is empty", d));
-    }
-    uint32_t prev = 0;
-    bool first = true;
-    for (const DocTerm& p : docs[d]) {
-      if (p.term >= vocab_size) {
-        return InvalidArgument(StrFormat("term %u outside vocabulary of %u",
-                                         p.term, vocab_size));
-      }
-      if (p.tf <= 0 || (!first && p.term <= prev)) {
-        return InvalidArgument(
-            StrFormat("document %zu is not normalized", d));
-      }
-      prev = p.term;
-      first = false;
-    }
-  }
-  *out = Corpus();
-  out->hand_built_ = true;
-  out->options_ = CorpusOptions{};
-  out->options_.num_docs = static_cast<uint32_t>(docs.size());
-  out->options_.vocab_size = vocab_size;
-  out->options_.num_topics = 0;
-  out->docs_ = std::move(docs);
-  return out->Finalize();
+  if (starts_.size() > 1) X100IR_RETURN_IF_ERROR(EncodeStaged());
+  Corpus corpus;
+  corpus.hand_built_ = true;
+  corpus.options_ = HandBuiltOptions(num_docs(), vocab_size_);
+  corpus.chunks_ = std::move(chunks_);
+  corpus.doc_lens_ = std::move(doc_lens_);
+  corpus.Finalize();
+  *out = std::move(corpus);
+  return OkStatus();
 }
 
 uint64_t Corpus::Fingerprint() const {
@@ -331,17 +478,17 @@ uint64_t Corpus::Fingerprint() const {
   // distinguishes hand-built corpora the options can't, and it catches
   // generator drift (libm last-ulp differences between platforms can shift
   // a Zipf/Box-Muller draw), so a stale manifest can never
-  // fingerprint-match a subtly different corpus. One linear pass: ~19 ms
-  // at default scale against ~0.4 s of generation, which is why
+  // fingerprint-match a subtly different corpus. One decoding pass: ~33 ms
+  // at default scale against ~0.35 s of generation, which is why
   // SnapshotManager hashes once per Open and keeps the value.
   h = FnvMix(h, num_postings_);
-  for (const auto& doc : docs_) {
-    h = FnvMix(h, doc.size());
-    for (const DocTerm& p : doc) {
-      h = FnvMix(h, (static_cast<uint64_t>(p.term) << 32) |
-                        static_cast<uint32_t>(p.tf));
+  ForEachDoc(0, num_docs(), [&h](uint32_t, const DocTerm* doc, uint32_t n) {
+    h = FnvMix(h, n);
+    for (uint32_t i = 0; i < n; ++i) {
+      h = FnvMix(h, (static_cast<uint64_t>(doc[i].term) << 32) |
+                        static_cast<uint32_t>(doc[i].tf));
     }
-  }
+  });
   h = FnvMix(h, options_.num_docs);
   h = FnvMix(h, options_.vocab_size);
   h = FnvMixDouble(h, options_.zipf_s);

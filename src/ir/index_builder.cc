@@ -67,24 +67,31 @@ Status ReadColumnFile(const std::string& path, uint32_t expected_encoding,
   return OkStatus();
 }
 
+// Places each term's posting range in (term, docid) order and its idf,
+// from the df counts.
+void CompleteTermTable(uint32_t num_docs, std::vector<TermInfo>* terms) {
+  uint64_t start = 0;
+  for (TermInfo& t : *terms) {
+    t.posting_start = start;
+    start += t.doc_freq;
+    t.idf = Bm25Idf(num_docs, t.doc_freq);
+  }
+}
+
 // The T table of `corpus` — per-term df, max tf (the MaxScore bound
 // ingredient), idf and posting range in (term, docid) order: the counting
 // pass of a build.
 std::vector<TermInfo> TermTable(const Corpus& corpus) {
   std::vector<TermInfo> terms(corpus.vocab_size());
-  for (uint32_t d = 0; d < corpus.num_docs(); ++d) {
-    for (const DocTerm& p : corpus.doc(d)) {
-      TermInfo& info = terms[p.term];
-      ++info.doc_freq;
-      info.max_tf = std::max(info.max_tf, p.tf);
-    }
-  }
-  uint64_t start = 0;
-  for (TermInfo& t : terms) {
-    t.posting_start = start;
-    start += t.doc_freq;
-    t.idf = Bm25Idf(corpus.num_docs(), t.doc_freq);
-  }
+  corpus.ForEachDoc(0, corpus.num_docs(),
+                    [&terms](uint32_t, const DocTerm* doc, uint32_t n) {
+                      for (uint32_t i = 0; i < n; ++i) {
+                        TermInfo& info = terms[doc[i].term];
+                        ++info.doc_freq;
+                        info.max_tf = std::max(info.max_tf, doc[i].tf);
+                      }
+                    });
+  CompleteTermTable(corpus.num_docs(), &terms);
   return terms;
 }
 
@@ -508,17 +515,9 @@ Status InvertedIndex::BuildFromCorpus(const Corpus& corpus,
   if (corpus.num_postings() > UINT32_MAX) {
     return InvalidArgument("TD table exceeds one block (2^32 postings)");
   }
-  if (!dir.empty() && pool == nullptr) {
-    return InvalidArgument("an on-disk index needs a buffer pool");
-  }
-  num_docs_ = corpus.num_docs();
-  num_postings_ = corpus.num_postings();
-  avg_doc_len_ = corpus.avg_doc_len();
-  doc_lens_ = corpus.doc_lens();
-  min_doc_len_ = doc_lens_.empty()
-                     ? 0
-                     : *std::min_element(doc_lens_.begin(), doc_lens_.end());
-  terms_ = TermTable(corpus);
+  TdTable td;
+  td.terms = TermTable(corpus);
+  td.doc_lens = corpus.doc_lens();
 
   // Counting sort into (term, docid) order over kInvertJobs contiguous
   // document ranges. The T table's prefix sums place each term's range;
@@ -529,43 +528,92 @@ Status InvertedIndex::BuildFromCorpus(const Corpus& corpus,
   // turn the counts into the range's first slots, then fill.
   constexpr uint32_t kInvertJobs = 4;
   const uint32_t max_threads = MaxThreads(mode);
-  const auto range_begin = [this](size_t r) {
-    return static_cast<uint32_t>(uint64_t{num_docs_} * r / kInvertJobs);
+  const uint32_t num_docs = corpus.num_docs();
+  const auto range_begin = [num_docs](size_t r) {
+    return static_cast<uint32_t>(uint64_t{num_docs} * r / kInvertJobs);
   };
   std::vector<std::vector<uint64_t>> fill(
-      kInvertJobs, std::vector<uint64_t>(terms_.size(), 0));
+      kInvertJobs, std::vector<uint64_t>(td.terms.size(), 0));
   X100IR_RETURN_IF_ERROR(ForkJoin(
       kInvertJobs,
       [&](size_t r) {
-        for (uint32_t d = range_begin(r); d < range_begin(r + 1); ++d) {
-          for (const DocTerm& p : corpus.doc(d)) ++fill[r][p.term];
-        }
+        std::vector<uint64_t>& count = fill[r];
+        corpus.ForEachDoc(range_begin(r), range_begin(r + 1),
+                          [&count](uint32_t, const DocTerm* doc, uint32_t n) {
+                            for (uint32_t i = 0; i < n; ++i) {
+                              ++count[doc[i].term];
+                            }
+                          });
         return OkStatus();
       },
       max_threads));
-  for (size_t t = 0; t < terms_.size(); ++t) {
-    uint64_t next = terms_[t].posting_start;
+  for (size_t t = 0; t < td.terms.size(); ++t) {
+    uint64_t next = td.terms[t].posting_start;
     for (std::vector<uint64_t>& range : fill) {
       next += std::exchange(range[t], next);
     }
   }
-  std::vector<int32_t> docid_col(num_postings_);
-  std::vector<int32_t> tf_col(num_postings_);
+  td.docids.resize(corpus.num_postings());
+  td.tfs.resize(corpus.num_postings());
   X100IR_RETURN_IF_ERROR(ForkJoin(
       kInvertJobs,
       [&](size_t r) {
         std::vector<uint64_t>& next = fill[r];
-        for (uint32_t d = range_begin(r); d < range_begin(r + 1); ++d) {
-          for (const DocTerm& p : corpus.doc(d)) {
-            const uint64_t pos = next[p.term]++;
-            docid_col[pos] = static_cast<int32_t>(d);
-            tf_col[pos] = p.tf;
-          }
-        }
+        corpus.ForEachDoc(
+            range_begin(r), range_begin(r + 1),
+            [&](uint32_t d, const DocTerm* doc, uint32_t n) {
+              for (uint32_t i = 0; i < n; ++i) {
+                const uint64_t pos = next[doc[i].term]++;
+                td.docids[pos] = static_cast<int32_t>(d);
+                td.tfs[pos] = doc[i].tf;
+              }
+            });
         return OkStatus();
       },
       max_threads));
-  X100IR_RETURN_IF_ERROR(EncodeAndPersist(dir, docid_col, tf_col, mode));
+  fill.clear();
+  return BuildFromTd(std::move(td), dir, pool, mode);
+}
+
+// The derived stats exactly as Corpus::Finalize computes them (integer
+// total, one double division), so a built, merged or loaded segment scores
+// bit-identically to one built from the corpus.
+void InvertedIndex::ComputeDocLenStats() {
+  uint64_t total_len = 0;
+  for (const int32_t len : doc_lens_) total_len += static_cast<uint64_t>(len);
+  avg_doc_len_ = num_docs_ == 0 ? 0.0
+                                : static_cast<double>(total_len) /
+                                      static_cast<double>(num_docs_);
+  min_doc_len_ = doc_lens_.empty()
+                     ? 0
+                     : *std::min_element(doc_lens_.begin(), doc_lens_.end());
+}
+
+Status InvertedIndex::BuildFromTd(TdTable td, const std::string& dir,
+                                  storage::BufferManager* pool,
+                                  BuildMode mode) {
+  const uint64_t n = td.docids.size();
+  if (n == 0) return InvalidArgument("TD table has no postings");
+  if (n > UINT32_MAX) {
+    return InvalidArgument("TD table exceeds one block (2^32 postings)");
+  }
+  if (td.tfs.size() != n) {
+    return InvalidArgument("TD table docid and tf columns differ in length");
+  }
+  if (!dir.empty() && pool == nullptr) {
+    return InvalidArgument("an on-disk index needs a buffer pool");
+  }
+  num_docs_ = static_cast<uint32_t>(td.doc_lens.size());
+  num_postings_ = n;
+  doc_lens_ = std::move(td.doc_lens);
+  ComputeDocLenStats();
+  terms_ = std::move(td.terms);
+  CompleteTermTable(num_docs_, &terms_);
+  if (terms_.empty() ||
+      terms_.back().posting_start + terms_.back().doc_freq != n) {
+    return InvalidArgument("T table df sum disagrees with the TD table");
+  }
+  X100IR_RETURN_IF_ERROR(EncodeAndPersist(dir, td.docids, td.tfs, mode));
   return dir.empty() ? OkStatus() : AttachStorage(dir, pool);
 }
 
@@ -591,17 +639,7 @@ Status InvertedIndex::LoadFromDir(const std::string& dir,
       doc_lens_.size() != meta.num_docs) {
     return Internal("side tables disagree with index.meta");
   }
-  // Recompute the derived stats exactly the way Corpus::Finalize does
-  // (integer total, one double division) so a loaded segment scores
-  // bit-identically to one built from the corpus.
-  uint64_t total_len = 0;
-  for (int32_t len : doc_lens_) total_len += static_cast<uint64_t>(len);
-  avg_doc_len_ = num_docs_ == 0 ? 0.0
-                                : static_cast<double>(total_len) /
-                                      static_cast<double>(num_docs_);
-  min_doc_len_ = doc_lens_.empty()
-                     ? 0
-                     : *std::min_element(doc_lens_.begin(), doc_lens_.end());
+  ComputeDocLenStats();
   uint64_t expect_start = 0;
   for (const TermInfo& t : terms_) {
     if (t.posting_start != expect_start) {

@@ -54,6 +54,17 @@ struct IndexStorage {
 // starts no thread.
 enum class BuildMode { kInline, kConcurrent };
 
+// A TD table in (term, docid) order with what a build derives from it: the
+// output of a corpus inversion or of a merge's posting-list merge, and the
+// input of the build tail both share (DESIGN.md §6.4). The tail fills each
+// term's posting_start and idf.
+struct TdTable {
+  std::vector<TermInfo> terms;    // per term: doc_freq and max_tf
+  std::vector<int32_t> doc_lens;  // per docid
+  std::vector<int32_t> docids;    // term-major, docids ascending per term
+  std::vector<int32_t> tfs;       // parallel to docids
+};
+
 class InvertedIndex {
  public:
   // Builds the index from `corpus`. `dir` empty = in-memory only (the
@@ -66,6 +77,13 @@ class InvertedIndex {
   Status BuildFromCorpus(const Corpus& corpus, const std::string& dir = "",
                          storage::BufferManager* pool = nullptr,
                          BuildMode mode = BuildMode::kInline);
+
+  // The build tail BuildFromCorpus runs after its inversion, over a TD
+  // table built some other way (a merge's posting-list merge): the same
+  // files for the same table. `td.terms` spans the vocabulary and its
+  // doc_freqs sum to the posting count.
+  Status BuildFromTd(TdTable td, const std::string& dir,
+                     storage::BufferManager* pool, BuildMode mode);
 
   // Opens a directory BuildFromCorpus wrote, without a corpus: side tables
   // (terms, doclens) come off disk, postings from the compressed columns,
@@ -144,6 +162,8 @@ class InvertedIndex {
   Status LoadColumns(const std::string& dir);
   // Reads the side tables into terms_/doc_lens_ (the corpus-free path).
   Status LoadSideTables(const std::string& dir);
+  // Fills avg_doc_len_/min_doc_len_ from doc_lens_.
+  void ComputeDocLenStats();
   // Fills blockmax_ from the TD columns (every build path).
   void ComputeBlockMax(const std::vector<int32_t>& docid_col,
                        const std::vector<int32_t>& tf_col);

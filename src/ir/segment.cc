@@ -40,6 +40,77 @@ Status ReadSegmentMeta(const std::string& path, uint32_t expect_seg_id,
   return OkStatus();
 }
 
+// Rebuilds a merged segment's forward store from its TD columns, one chunk
+// of documents at a time, with raw staging for one chunk. One pass over the
+// docid column counts each document's terms, which places every document's
+// slots in its chunk. Each term keeps a cursor: a chunk takes over every
+// term's postings below the chunk's end, terms ascending, so each document
+// comes out normalized. Corrupt columns (a docid out of range or out of
+// order, a document without terms) fail the load.
+Status TransposeForwardStore(const InvertedIndex& index, Corpus* out) {
+  constexpr uint32_t kWindow = compress::kEntryPointStride;
+  const uint32_t n = index.num_docs();
+  const uint32_t vocab = index.vocab_size();
+  const uint64_t postings = index.num_postings();
+  int32_t docids[kWindow];
+  int32_t tfs[kWindow];
+  std::vector<uint32_t> counts(n, 0);
+  for (uint64_t pos = 0; pos < postings; pos += kWindow) {
+    const auto len = static_cast<uint32_t>(
+        std::min<uint64_t>(kWindow, postings - pos));
+    index.docid_source()->Read(pos, len, docids);
+    for (uint32_t i = 0; i < len; ++i) {
+      if (docids[i] < 0 || static_cast<uint32_t>(docids[i]) >= n) {
+        return IOError("segment postings reference an out-of-range docid");
+      }
+      ++counts[docids[i]];
+    }
+  }
+  // Per term, the next posting to take over and a lower bound on its
+  // docid: 0 until a chunk stops in front of it, then that docid.
+  std::vector<uint64_t> next(vocab);
+  for (uint32_t t = 0; t < vocab; ++t) next[t] = index.term(t).posting_start;
+  std::vector<int32_t> next_doc(vocab, 0);
+  CorpusWriter writer(vocab);
+  std::vector<uint32_t> slot;
+  std::vector<DocTerm> staged;
+  for (uint32_t lo = 0; lo < n; lo += kCorpusChunkDocs) {
+    const uint32_t hi = std::min(n, lo + kCorpusChunkDocs);
+    slot.assign(hi - lo + 1, 0);
+    for (uint32_t d = lo; d < hi; ++d) {
+      slot[d - lo + 1] = slot[d - lo] + counts[d];
+    }
+    staged.resize(slot[hi - lo]);
+    for (uint32_t t = 0; t < vocab; ++t) {
+      const TermInfo& info = index.term(t);
+      const uint64_t end = info.posting_start + info.doc_freq;
+      while (next_doc[t] < static_cast<int32_t>(hi) && next[t] < end) {
+        const uint64_t pos = next[t];
+        const auto len = static_cast<uint32_t>(
+            std::min<uint64_t>(end - pos, kWindow - pos % kWindow));
+        index.docid_source()->Read(pos, len, docids);
+        index.tf_source()->Read(pos, len, tfs);
+        uint32_t i = 0;
+        for (; i < len && docids[i] < static_cast<int32_t>(hi); ++i) {
+          if (docids[i] < static_cast<int32_t>(lo)) {
+            return IOError("segment postings are not in docid order");
+          }
+          staged[slot[docids[i] - lo]++] = {t, tfs[i]};
+        }
+        next[t] = pos + i;
+        if (i < len) next_doc[t] = docids[i];
+      }
+    }
+    // Every slot cursor now sits at its document's end.
+    const DocTerm* doc = staged.data();
+    for (uint32_t d = lo; d < hi; ++d) {
+      X100IR_RETURN_IF_ERROR(writer.Add(doc, counts[d]));
+      doc += counts[d];
+    }
+  }
+  return writer.Finish(out);
+}
+
 }  // namespace
 
 Status Segment::Build(const Corpus* corpus, const std::string& dir,
@@ -55,11 +126,12 @@ Status Segment::Build(const Corpus* corpus, const std::string& dir,
   return OkStatus();
 }
 
-Status Segment::Build(std::vector<std::vector<DocTerm>> docs,
-                      std::vector<int32_t> global_docids, uint32_t vocab_size,
+Status Segment::Build(TdTable td, Corpus forward,
+                      std::vector<int32_t> global_docids,
                       const std::string& dir, storage::BufferManager* pool,
                       uint32_t seg_id, std::unique_ptr<Segment>* out) {
-  if (docs.size() != global_docids.size()) {
+  if (forward.num_docs() != global_docids.size() ||
+      td.doc_lens.size() != global_docids.size()) {
     return InvalidArgument("segment build: docs / docid map size mismatch");
   }
   for (size_t i = 1; i < global_docids.size(); ++i) {
@@ -71,12 +143,10 @@ Status Segment::Build(std::vector<std::vector<DocTerm>> docs,
   auto seg = std::unique_ptr<Segment>(new Segment());
   seg->seg_id_ = seg_id;
   seg->dir_ = dir;
-  seg->owned_ = std::make_unique<Corpus>();
-  X100IR_RETURN_IF_ERROR(
-      Corpus::FromDocTerms(std::move(docs), vocab_size, seg->owned_.get()));
+  seg->owned_ = std::make_unique<Corpus>(std::move(forward));
   seg->forward_ = seg->owned_.get();
   X100IR_RETURN_IF_ERROR(
-      seg->index_.BuildFromCorpus(*seg->owned_, dir, pool));
+      seg->index_.BuildFromTd(std::move(td), dir, pool, BuildMode::kInline));
   seg->docid_map_ = std::move(global_docids);
   if (!dir.empty()) {
     SegmentMetaHeader hdr;
@@ -112,38 +182,8 @@ Status Segment::Load(const std::string& dir, storage::BufferManager* pool,
   }
   X100IR_RETURN_IF_ERROR(ReadSegmentMeta(dir + "/" + kSegmentMetaFile, seg_id,
                                          expect_num_docs, &seg->docid_map_));
-  // Reconstruct the forward store by inverting the postings: one pass over
-  // the docid column counts each document's terms, so every document is
-  // allocated at its exact size before a second pass fills it. Terms
-  // ascend in the outer loop, so each rebuilt document is normalized by
-  // construction; the doclens FromDocTerms recomputes are cross-checked
-  // against the persisted doclen column below.
-  const uint32_t n = seg->index_.num_docs();
-  const uint32_t vocab = seg->index_.vocab_size();
-  std::vector<uint32_t> doc_terms(n, 0);
-  std::vector<int32_t> docids, tfs;
-  for (uint32_t t = 0; t < vocab; ++t) {
-    if (seg->index_.term(t).doc_freq == 0) continue;
-    X100IR_RETURN_IF_ERROR(seg->index_.DecodePostings(t, &docids, nullptr));
-    for (const int32_t d : docids) {
-      if (d < 0 || static_cast<uint32_t>(d) >= n) {
-        return IOError("segment postings reference an out-of-range docid");
-      }
-      ++doc_terms[d];
-    }
-  }
-  std::vector<std::vector<DocTerm>> docs(n);
-  for (uint32_t d = 0; d < n; ++d) docs[d].reserve(doc_terms[d]);
-  for (uint32_t t = 0; t < vocab; ++t) {
-    if (seg->index_.term(t).doc_freq == 0) continue;
-    X100IR_RETURN_IF_ERROR(seg->index_.DecodePostings(t, &docids, &tfs));
-    for (size_t i = 0; i < docids.size(); ++i) {
-      docs[docids[i]].push_back({t, tfs[i]});
-    }
-  }
   seg->owned_ = std::make_unique<Corpus>();
-  X100IR_RETURN_IF_ERROR(Corpus::FromDocTerms(
-      std::move(docs), seg->index_.vocab_size(), seg->owned_.get()));
+  X100IR_RETURN_IF_ERROR(TransposeForwardStore(seg->index_, seg->owned_.get()));
   if (seg->owned_->doc_lens() != seg->index_.doc_lens()) {
     return IOError("segment postings disagree with the doclen column");
   }

@@ -3,19 +3,20 @@
 // local→global docid map that places it there. On disk every segment has
 // its own directory, dir/seg_<id>/.
 //
-// Two ways a segment comes to exist:
-//   Build — a fresh compressed index from forward documents. seg_0, built
-//     at a database's first open, indexes the database's corpus, borrows
-//     it as its forward store, and maps docids by the identity. A merge's
-//     output owns the Corpus compacted from its inputs' live documents
-//     (already normalized), which is its forward store for later merges
-//     and delete accounting, and persists its strictly-increasing global
-//     docid list as segment.meta.
+// Every segment has a forward store, a compressed Corpus of its documents
+// (DESIGN.md §3.1), which serves delete accounting and the merges'
+// forward copies. Two ways a segment comes to exist:
+//   Build — seg_0, built at a database's first open, inverts the
+//     database's corpus, borrows it as its forward store, and maps docids
+//     by the identity. A merge's output gets its TD table from the
+//     posting-list merge and owns the forward store the merge encoded from
+//     its inputs' live documents; it persists its strictly-increasing
+//     global docid list as segment.meta.
 //   Load  — a manifest reopen: the index loads from its side tables and
 //     columns. seg_0 borrows the corpus again once its side tables match
 //     the corpus's. A merged segment reads its docid map from segment.meta
-//     and reconstructs its forward store by inverting the postings (terms
-//     ascending, so each rebuilt document comes out normalized).
+//     and transposes its TD columns into a forward store, one chunk of
+//     documents at a time.
 //
 // Retirement: after a merge commits, the SnapshotManager marks replaced
 // segments retire-on-release and drops its reference; in-flight snapshots
@@ -49,13 +50,15 @@ class Segment {
                       storage::BufferManager* pool,
                       std::unique_ptr<Segment>* out);
 
-  // Builds a merged segment under `dir` (created if absent) from forward
-  // documents; `global_docids` (strictly increasing, parallel to `docs`)
-  // becomes the docid map. Empty dir = in-memory segment. A merge runs
-  // beside live traffic, so its column jobs run inline on the calling
-  // thread (BuildMode::kInline) and it starts no thread.
-  static Status Build(std::vector<std::vector<DocTerm>> docs,
-                      std::vector<int32_t> global_docids, uint32_t vocab_size,
+  // Builds a merged segment under `dir` (created if absent) from a
+  // posting-list merge: `td` over merged-local docids, `forward` holding
+  // the same documents in the same order, and `global_docids` (strictly
+  // increasing, one per document) as the docid map. Empty dir = in-memory
+  // segment. A merge runs beside live traffic, so its column jobs run
+  // inline on the calling thread (BuildMode::kInline) and it starts no
+  // thread.
+  static Status Build(TdTable td, Corpus forward,
+                      std::vector<int32_t> global_docids,
                       const std::string& dir, storage::BufferManager* pool,
                       uint32_t seg_id, std::unique_ptr<Segment>* out);
 
@@ -90,10 +93,8 @@ class Segment {
   // Local docid of `global`, or -1 when the segment doesn't hold it.
   int32_t LocalOf(int32_t global) const;
 
-  // Forward store: doc `local`'s normalized term list and length.
-  const std::vector<DocTerm>& doc(uint32_t local) const {
-    return forward_->doc(local);
-  }
+  // Forward store: the segment's documents by local docid.
+  const Corpus& forward() const { return *forward_; }
   int32_t doc_len(uint32_t local) const { return forward_->doc_len(local); }
 
   // Arms directory removal on destruction (called by the merge that

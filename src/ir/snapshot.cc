@@ -63,6 +63,42 @@ void SweepSegmentDirs(const std::string& root,
   }
 }
 
+// An input segment's TD columns read forward a window at a time: a merge
+// walks each term's postings in term order, so every window of both
+// columns is decoded once, not once for each term it holds.
+class TdWindows {
+ public:
+  explicit TdWindows(const InvertedIndex& index) : index_(&index) {}
+  const InvertedIndex& index() const { return *index_; }
+
+  // Calls fn(docid, tf) for postings [pos, end), in order.
+  template <typename Fn>
+  void ForEach(uint64_t pos, uint64_t end, Fn&& fn) {
+    constexpr uint32_t kWindow = compress::kEntryPointStride;
+    while (pos < end) {
+      const uint64_t w = pos / kWindow;
+      const uint64_t first = w * kWindow;
+      if (w != window_) {
+        const auto len = static_cast<uint32_t>(
+            std::min<uint64_t>(kWindow, index_->num_postings() - first));
+        index_->docid_decoder()->Decode(static_cast<uint32_t>(first), len,
+                                        docids_);
+        index_->tf_decoder()->Decode(static_cast<uint32_t>(first), len,
+                                     tfs_);
+        window_ = w;
+      }
+      const uint64_t stop = std::min(end, first + kWindow);
+      for (; pos < stop; ++pos) fn(docids_[pos - first], tfs_[pos - first]);
+    }
+  }
+
+ private:
+  const InvertedIndex* index_;
+  uint64_t window_ = UINT64_MAX;
+  int32_t docids_[compress::kEntryPointStride];
+  int32_t tfs_[compress::kEntryPointStride];
+};
+
 }  // namespace
 
 SnapshotManager::~SnapshotManager() {
@@ -317,12 +353,15 @@ void SnapshotManager::RecountLiveStatsLocked() {
       continue;
     }
     const uint64_t* bits = sr.tombstones->data();
-    for (uint32_t local = 0; local < sr.seg->num_docs(); ++local) {
-      if (TombstoneTest(bits, static_cast<int32_t>(local))) continue;
-      ++live_num_docs_;
-      live_total_len_ += static_cast<uint64_t>(sr.seg->doc_len(local));
-      for (const DocTerm& dt : sr.seg->doc(local)) ++live_df_[dt.term];
-    }
+    const Corpus& forward = sr.seg->forward();
+    forward.ForEachDoc(
+        0, forward.num_docs(),
+        [&](uint32_t local, const DocTerm* doc, uint32_t n) {
+          if (TombstoneTest(bits, static_cast<int32_t>(local))) return;
+          ++live_num_docs_;
+          live_total_len_ += static_cast<uint64_t>(forward.doc_len(local));
+          for (uint32_t i = 0; i < n; ++i) ++live_df_[doc[i].term];
+        });
   }
 }
 
@@ -472,8 +511,6 @@ Status SnapshotManager::FindDeleteTargetLocked(int32_t docid,
     target->in_delta = true;
     target->index = i;
     target->local = local;
-    target->doc = &sd.doc(local);
-    target->len = sd.doc_len(local);
     return OkStatus();
   }
   for (size_t i = 0; i < segments_.size(); ++i) {
@@ -488,8 +525,6 @@ Status SnapshotManager::FindDeleteTargetLocked(int32_t docid,
     target->in_delta = false;
     target->index = i;
     target->local = static_cast<uint32_t>(local);
-    target->doc = &sr.seg->doc(static_cast<uint32_t>(local));
-    target->len = sr.seg->doc_len(static_cast<uint32_t>(local));
     return OkStatus();
   }
   // Allocated range but between structures: the doc was merged away and
@@ -500,17 +535,23 @@ Status SnapshotManager::FindDeleteTargetLocked(int32_t docid,
 
 void SnapshotManager::ApplyDeleteLocked(const DeleteTarget& target,
                                         int32_t docid) {
+  std::vector<DocTerm> doc;
+  int32_t len = 0;
   if (target.in_delta) {
     Snapshot::DeltaRead& dr = deltas_[target.index];
     dr.tombstones =
         SetBitCow(dr.tombstones, target.local, dr.delta->num_docs());
+    doc = dr.delta->doc(target.local);
+    len = dr.delta->doc_len(target.local);
   } else {
     Snapshot::SegmentRead& sr = segments_[target.index];
     sr.tombstones = SetBitCow(sr.tombstones, target.local, sr.seg->num_docs());
+    sr.seg->forward().ReadDoc(target.local, &doc);
+    len = sr.seg->doc_len(target.local);
   }
   --live_num_docs_;
-  live_total_len_ -= static_cast<uint64_t>(target.len);
-  for (const DocTerm& dt : *target.doc) --live_df_[dt.term];
+  live_total_len_ -= static_cast<uint64_t>(len);
+  for (const DocTerm& dt : doc) --live_df_[dt.term];
   if (merge_running_ && docid < merge_cutoff_) {
     merge_deletes_.push_back(docid);
   }
@@ -651,40 +692,109 @@ Status SnapshotManager::Merge() {
 
 Status SnapshotManager::BuildMergedSegment(const MergeInput& input,
                                            std::shared_ptr<Segment>* out) {
-  // Gather every live input document in global docid order: segments come
-  // first (ascending bases, ascending within), then the sealed deltas —
-  // whose bases are by construction above every committed segment's
-  // globals.
-  std::vector<std::vector<DocTerm>> docs;
+  // Merged docids number every live input document in global docid order:
+  // segments first (ascending bases, ascending within), then the sealed
+  // deltas, whose bases are by construction above every committed
+  // segment's globals. remap[i][local] is input i's document's merged
+  // docid, -1 when it is tombstoned (segments, then deltas). The same pass
+  // encodes the merged forward store from the live documents, a chunk at a
+  // time, and sizes the TD table.
+  const uint32_t vocab = corpus_->vocab_size();
+  std::vector<std::vector<int32_t>> remap;
   std::vector<int32_t> globals;
+  TdTable td;
+  uint64_t postings = 0;
+  CorpusWriter forward(vocab);
+  Status added;
   for (const Snapshot::SegmentRead& sr : input.segments) {
     const uint64_t* bits =
         sr.tombstones != nullptr ? sr.tombstones->data() : nullptr;
-    for (uint32_t local = 0; local < sr.seg->num_docs(); ++local) {
-      if (TombstoneTest(bits, static_cast<int32_t>(local))) continue;
-      globals.push_back(sr.seg->GlobalOf(static_cast<int32_t>(local)));
-      docs.push_back(sr.seg->doc(local));
-    }
+    const Segment& seg = *sr.seg;
+    std::vector<int32_t>& map = remap.emplace_back(seg.num_docs(), -1);
+    seg.forward().ForEachDoc(
+        0, seg.num_docs(), [&](uint32_t local, const DocTerm* doc, uint32_t n) {
+          if (!added.ok() || TombstoneTest(bits, static_cast<int32_t>(local))) {
+            return;
+          }
+          map[local] = static_cast<int32_t>(globals.size());
+          globals.push_back(seg.GlobalOf(static_cast<int32_t>(local)));
+          td.doc_lens.push_back(seg.doc_len(local));
+          postings += n;
+          added = forward.Add(doc, n);
+        });
+    X100IR_RETURN_IF_ERROR(added);
   }
   for (const Snapshot::DeltaRead& dr : input.deltas) {
     const uint64_t* bits =
         dr.tombstones != nullptr ? dr.tombstones->data() : nullptr;
+    std::vector<int32_t>& map = remap.emplace_back(dr.visible, -1);
     for (uint32_t local = 0; local < dr.visible; ++local) {
       if (TombstoneTest(bits, static_cast<int32_t>(local))) continue;
+      const std::vector<DocTerm>& doc = dr.delta->doc(local);
+      map[local] = static_cast<int32_t>(globals.size());
       globals.push_back(dr.delta->base_docid() + static_cast<int32_t>(local));
-      docs.push_back(dr.delta->doc(local));
+      td.doc_lens.push_back(dr.delta->doc_len(local));
+      postings += doc.size();
+      X100IR_RETURN_IF_ERROR(
+          forward.Add(doc.data(), static_cast<uint32_t>(doc.size())));
     }
   }
-  if (docs.empty()) {
+  if (globals.empty()) {
     // Everything is deleted: the merge commits an empty segment set.
     out->reset();
     return OkStatus();
   }
+  Corpus merged_forward;
+  X100IR_RETURN_IF_ERROR(forward.Finish(&merged_forward));
+
+  // The posting-list merge: term by term, each segment's resident
+  // compressed postings, then each sealed delta's, with tombstoned
+  // documents dropped and docids remapped. Inputs follow in global order,
+  // so every term's merged docids ascend, as an inversion of the live
+  // documents would place them.
+  td.terms.assign(vocab, TermInfo());
+  td.docids.reserve(postings);
+  td.tfs.reserve(postings);
+  std::vector<TdWindows> columns;
+  for (const Snapshot::SegmentRead& sr : input.segments) {
+    columns.emplace_back(sr.seg->index());
+  }
+  std::vector<int32_t> docids, tfs;
+  for (uint32_t t = 0; t < vocab; ++t) {
+    TermInfo& info = td.terms[t];
+    const auto append = [&td, &info](const std::vector<int32_t>& map,
+                                     int32_t local, int32_t tf) {
+      const int32_t merged = map[local];
+      if (merged < 0) return;
+      td.docids.push_back(merged);
+      td.tfs.push_back(tf);
+      ++info.doc_freq;
+      info.max_tf = std::max(info.max_tf, tf);
+    };
+    size_t part = 0;
+    for (TdWindows& column : columns) {
+      const std::vector<int32_t>& map = remap[part++];
+      const TermInfo& range = column.index().term(t);
+      column.ForEach(range.posting_start,
+                     range.posting_start + range.doc_freq,
+                     [&](int32_t local, int32_t tf) { append(map, local, tf); });
+    }
+    for (const Snapshot::DeltaRead& dr : input.deltas) {
+      const std::vector<int32_t>& map = remap[part++];
+      dr.delta->CollectPostings(t, dr.visible, &docids, &tfs);
+      for (size_t i = 0; i < docids.size(); ++i) {
+        append(map, docids[i], tfs[i]);
+      }
+    }
+  }
+  remap.clear();
+
   const std::string dir = dir_.empty() ? "" : SegDir(dir_, input.seg_id);
   std::unique_ptr<Segment> seg;
-  X100IR_RETURN_IF_ERROR(Segment::Build(std::move(docs), std::move(globals),
-                                        corpus_->vocab_size(), dir,
-                                        pool_.get(), input.seg_id, &seg));
+  X100IR_RETURN_IF_ERROR(Segment::Build(std::move(td),
+                                        std::move(merged_forward),
+                                        std::move(globals), dir, pool_.get(),
+                                        input.seg_id, &seg));
   *out = std::shared_ptr<Segment>(std::move(seg));
   return OkStatus();
 }

@@ -171,8 +171,6 @@ class SnapshotManager {
     bool in_delta = false;  // deltas_[index], else segments_[index]
     size_t index = 0;
     uint32_t local = 0;  // structure-local docid
-    const std::vector<DocTerm>* doc = nullptr;
-    int32_t len = 0;
   };
 
   // Rebuilds live num_docs/total_len/df from the current segment set and
@@ -197,8 +195,9 @@ class SnapshotManager {
   // Resolves a docid to its owning structure. NotFound for never-allocated
   // or already-deleted docids.
   Status FindDeleteTargetLocked(int32_t docid, DeleteTarget* target) const;
-  // Tombstones a resolved target (stats + merge journal + epoch, no WAL,
-  // no manifest, no publish).
+  // Tombstones a resolved target and takes its document's terms out of the
+  // live stats, reading them from its structure's forward store (stats +
+  // merge journal + epoch, no WAL, no manifest, no publish).
   void ApplyDeleteLocked(const DeleteTarget& target, int32_t docid);
   // Replays the opened WAL against the adopted state (Open only).
   Status ReplayWalLocked();
@@ -208,6 +207,8 @@ class SnapshotManager {
   Status TryLoadManifest(BuildStats* stats);
   // The background compaction body (runs on merge_pool_).
   void RunMerge(MergeInput input);
+  // The posting-list merge (DESIGN.md §10.3): every live input document,
+  // in global docid order, into one segment; null when none is live.
   Status BuildMergedSegment(const MergeInput& input,
                             std::shared_ptr<Segment>* out);
   // *committed reports whether the merge passed its commit point (manifest

@@ -55,8 +55,9 @@ __attribute__((target("avx2"))) inline __m128i FusedLoadU128(
 
 // True fusion: unpack 8 b-bit codewords into a YMM register (the same
 // load + in-lane-shuffle + variable-shift scheme as UnpackAddAvx2 in
-// simd_unpack.cc, one broadcast 8-byte load for b <= 8 and two 16-byte
-// loads above, but with the shuffle/shift controls built at runtime — one
+// simd_unpack.cc, one broadcast 8-byte load for b <= 8, one broadcast
+// 16-byte load for b <= 16 and two 16-byte loads above, but with the
+// shuffle/shift controls built at runtime — one
 // window amortizes the ~30 scalar setup ops over up to 16 groups), convert
 // to float, and apply the BM25 map before anything is stored. The tf vector
 // never exists in memory.
@@ -64,8 +65,10 @@ __attribute__((target("avx2"))) void Avx2UnpackScore(
     const uint8_t* src, uint32_t n, int b, int32_t base,
     const int32_t* doclens, float w, float c0, float c1, float* out) {
   const bool narrow = b <= 8;
-  const uint32_t hoff = narrow ? 0 : (4u * static_cast<uint32_t>(b)) >> 3;
-  const uint32_t reach = narrow ? 8 : hoff + 16;  // bytes a group reads
+  const bool one_load = b <= 16;
+  const uint32_t hoff = one_load ? 0 : (4u * static_cast<uint32_t>(b)) >> 3;
+  // Bytes a group reads.
+  const uint32_t reach = narrow ? 8 : (one_load ? 16 : hoff + 16);
 
   alignas(32) int8_t shuf_b[32];
   alignas(32) int8_t spill_b[32];
@@ -76,7 +79,10 @@ __attribute__((target("avx2"))) void Avx2UnpackScore(
     const uint32_t bit = static_cast<uint32_t>(l) * static_cast<uint32_t>(b);
     const uint32_t off = l < 4 ? (bit >> 3) : (bit >> 3) - hoff;
     for (int k = 0; k < 4; ++k) {
-      shuf_b[4 * l + k] = static_cast<int8_t>(off + static_cast<uint32_t>(k));
+      // Past the 16-byte half only at b = 15, 16, where those bytes lie
+      // past the group: zero-fill.
+      const uint32_t byte = off + static_cast<uint32_t>(k);
+      shuf_b[4 * l + k] = byte < 16 ? static_cast<int8_t>(byte) : -128;
     }
     rsh[l] = static_cast<int32_t>(bit & 7u);
     lsh[l] = 32 - rsh[l];  // >= 32 shifts whole lanes to zero (vpsllvd)
@@ -122,6 +128,8 @@ __attribute__((target("avx2"))) void Avx2UnpackScore(
       int64_t word;
       std::memcpy(&word, p, sizeof(word));
       v = _mm256_set1_epi64x(word);
+    } else if (one_load) {
+      v = _mm256_broadcastsi128_si256(FusedLoadU128(p));
     } else {
       v = _mm256_set_m128i(FusedLoadU128(p + hoff), FusedLoadU128(p));
     }

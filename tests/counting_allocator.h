@@ -24,6 +24,7 @@ std::atomic<int64_t> g_alloc_live{0};
 std::atomic<int64_t> g_alloc_peak{0};
 std::atomic<uint64_t> g_alloc_large_bytes{UINT64_MAX};
 std::atomic<int64_t> g_alloc_large{0};  // allocations of >= large bytes
+std::atomic<int64_t> g_alloc_count{0};
 constexpr size_t kAllocHeader = 16;  // keeps malloc's 16-byte alignment
 
 void* CountedNew(size_t bytes) {
@@ -33,6 +34,7 @@ void* CountedNew(size_t bytes) {
   hdr[0] = bytes;
   hdr[1] = gen;
   if (gen != 0) {
+    g_alloc_count.fetch_add(1);
     const int64_t live =
         g_alloc_live.fetch_add(static_cast<int64_t>(bytes)) +
         static_cast<int64_t>(bytes);
@@ -84,7 +86,7 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace x100ir {
 
 // Counts the heap bytes allocated inside its lifetime (one scope at a time),
-// and the allocations of at least `large_bytes` each.
+// the allocations, and the allocations of at least `large_bytes` each.
 class CountingScope {
  public:
   explicit CountingScope(uint64_t large_bytes = UINT64_MAX) {
@@ -93,6 +95,7 @@ class CountingScope {
     g_alloc_peak.store(0);
     g_alloc_large_bytes.store(large_bytes);
     g_alloc_large.store(0);
+    g_alloc_count.store(0);
     g_alloc_generation.store(++generations);
   }
   ~CountingScope() { g_alloc_generation.store(0); }
@@ -101,6 +104,7 @@ class CountingScope {
 
   int64_t peak() const { return g_alloc_peak.load(); }
   int64_t large_allocations() const { return g_alloc_large.load(); }
+  int64_t allocations() const { return g_alloc_count.load(); }
 };
 
 }  // namespace x100ir

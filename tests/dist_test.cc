@@ -219,8 +219,10 @@ TEST(ClusterOpen, PartitionsAreContiguousAndStatsAreGlobal) {
     EXPECT_EQ(stats.avg_doc_len, corpus.avg_doc_len());
     ASSERT_EQ(stats.df.size(), corpus.vocab_size());
     std::vector<uint32_t> df(corpus.vocab_size(), 0);
+    std::vector<ir::DocTerm> doc;
     for (uint32_t d = 0; d < corpus.num_docs(); ++d) {
-      for (const ir::DocTerm& p : corpus.doc(d)) ++df[p.term];
+      corpus.ReadDoc(d, &doc);
+      for (const ir::DocTerm& p : doc) ++df[p.term];
     }
     EXPECT_EQ(stats.df, df);
   }

@@ -92,11 +92,14 @@ TEST(Corpus, GenerateIsDeterministicAndShaped) {
   ASSERT_EQ(a.num_docs(), opts.num_docs);
   ASSERT_EQ(a.num_postings(), b.num_postings());
   ASSERT_EQ(a.Fingerprint(), b.Fingerprint());
+  std::vector<DocTerm> doc_a, doc_b;
   for (uint32_t d = 0; d < a.num_docs(); d += 97) {
-    ASSERT_EQ(a.doc(d).size(), b.doc(d).size()) << d;
-    for (size_t i = 0; i < a.doc(d).size(); ++i) {
-      ASSERT_EQ(a.doc(d)[i].term, b.doc(d)[i].term);
-      ASSERT_EQ(a.doc(d)[i].tf, b.doc(d)[i].tf);
+    a.ReadDoc(d, &doc_a);
+    b.ReadDoc(d, &doc_b);
+    ASSERT_EQ(doc_a.size(), doc_b.size()) << d;
+    for (size_t i = 0; i < doc_a.size(); ++i) {
+      ASSERT_EQ(doc_a[i].term, doc_b[i].term);
+      ASSERT_EQ(doc_a[i].tf, doc_b[i].tf);
     }
   }
   // Log-normal(3.5, 0.5) has mean exp(3.5 + 0.125) ≈ 37.7.
@@ -115,11 +118,10 @@ TEST(Corpus, GenerateIsDeterministicAndShaped) {
   Corpus* c = &a;
   auto df_of = [c](uint32_t term) {
     uint32_t df = 0;
-    for (uint32_t d = 0; d < c->num_docs(); ++d) {
-      for (const DocTerm& p : c->doc(d)) {
-        if (p.term == term) ++df;
-      }
-    }
+    c->ForEachDoc(0, c->num_docs(),
+                  [&](uint32_t, const DocTerm* doc, uint32_t n) {
+                    for (uint32_t i = 0; i < n; ++i) df += doc[i].term == term;
+                  });
     return df;
   };
   EXPECT_GT(df_of(0), 10 * std::max<uint32_t>(1, df_of(1000)));
@@ -157,8 +159,9 @@ void ExpectGenerateMatchesReference(const CorpusOptions& opts) {
   ASSERT_TRUE(Corpus::Generate(opts, &corpus).ok());
   const ReferenceCorpus ref = ReferenceCorpus::Generate(opts);
   ASSERT_EQ(corpus.num_docs(), ref.docs.size());
+  std::vector<DocTerm> doc;
   for (uint32_t d = 0; d < corpus.num_docs(); ++d) {
-    const std::vector<DocTerm>& doc = corpus.doc(d);
+    corpus.ReadDoc(d, &doc);
     ASSERT_EQ(doc.size(), ref.docs[d].size()) << "doc " << d;
     int32_t len = 0;
     for (size_t i = 0; i < doc.size(); ++i) {
@@ -240,12 +243,67 @@ TEST(Corpus, GenerateMatchesSequentialReference) {
   }
 }
 
-TEST(Corpus, GeneratedDocumentsHoldNoSlack) {
+// The forward store allocates per chunk, not per document: generating a
+// corpus, slicing it and loading a merged segment's forward store each make
+// a bounded number of allocations for every kCorpusChunkDocs documents (a
+// store of per-document vectors makes at least one per document), and a
+// slice shares its parent's chunks.
+CorpusOptions FourChunkOptions() {
+  CorpusOptions opts = SmallGeneratedOptions();
+  opts.num_docs = 4 * kCorpusChunkDocs - 100;
+  opts.doclen_mu = 3.0;
+  return opts;
+}
+
+TEST(Corpus, GenerateAllocatesPerChunk) {
+  const CorpusOptions opts = FourChunkOptions();
   Corpus corpus;
-  ASSERT_TRUE(Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
-  for (uint32_t d = 0; d < corpus.num_docs(); ++d) {
-    ASSERT_EQ(corpus.doc(d).capacity(), corpus.doc(d).size()) << "doc " << d;
+  CountingScope scope;
+  ASSERT_TRUE(Corpus::Generate(opts, &corpus).ok());
+  EXPECT_LT(scope.allocations(), 200);
+  EXPECT_LT(scope.allocations(), opts.num_docs / 16);
+}
+
+TEST(Corpus, SliceSharesItsParentsChunks) {
+  Corpus corpus;
+  ASSERT_TRUE(Corpus::Generate(FourChunkOptions(), &corpus).ok());
+  const uint32_t begin = kCorpusChunkDocs / 2;
+  const uint32_t end = corpus.num_docs() - 7;
+  Corpus part;
+  {
+    CountingScope scope;
+    ASSERT_TRUE(corpus.Slice(begin, end, &part).ok());
+    // The chunk list and the doc lengths; no block is copied.
+    EXPECT_LE(scope.allocations(), 2);
+    EXPECT_LT(scope.peak(), static_cast<int64_t>(8 * (end - begin)));
   }
+  EXPECT_EQ(part.store_bytes().terms, corpus.store_bytes().terms);
+  EXPECT_EQ(part.store_bytes().tfs, corpus.store_bytes().tfs);
+}
+
+TEST(Corpus, MergedForwardStoreLoadsPerChunk) {
+  core::DatabaseOptions dopts;
+  dopts.corpus = FourChunkOptions();
+  dopts.dir = TempIndexDir("forward_load");
+  std::filesystem::remove_all(dopts.dir);
+  {
+    core::Database db;
+    ASSERT_TRUE(db.Open(dopts).ok());
+    ASSERT_TRUE(db.DeleteDocument(3).ok());
+    ASSERT_TRUE(db.Merge().ok());
+  }
+  const uint32_t live = dopts.corpus.num_docs - 1;
+  storage::SimulatedDisk disk;
+  storage::BufferManager pool(64ull << 20, &disk);
+  std::unique_ptr<Segment> seg;
+  {
+    CountingScope scope;
+    ASSERT_TRUE(
+        Segment::Load(dopts.dir + "/seg_1", &pool, 1, live, nullptr, &seg)
+            .ok());
+    EXPECT_LT(scope.allocations(), static_cast<int64_t>(live / 16));
+  }
+  EXPECT_EQ(seg->forward().num_docs(), live);
 }
 
 TEST(QueryGen, EvalQueriesComeFromTopics) {
@@ -337,14 +395,14 @@ TEST(Index, PostingsRoundTripAgainstCorpus) {
     ASSERT_TRUE(index.DecodePostings(t, &docids, &tfs).ok());
     std::vector<int32_t> want_docs;
     std::vector<int32_t> want_tfs;
-    for (uint32_t d = 0; d < corpus.num_docs(); ++d) {
-      for (const DocTerm& p : corpus.doc(d)) {
-        if (p.term == t) {
-          want_docs.push_back(static_cast<int32_t>(d));
-          want_tfs.push_back(p.tf);
-        }
-      }
-    }
+    corpus.ForEachDoc(0, corpus.num_docs(),
+                      [&](uint32_t d, const DocTerm* doc, uint32_t n) {
+                        for (uint32_t i = 0; i < n; ++i) {
+                          if (doc[i].term != t) continue;
+                          want_docs.push_back(static_cast<int32_t>(d));
+                          want_tfs.push_back(doc[i].tf);
+                        }
+                      });
     EXPECT_EQ(docids, want_docs) << "term " << t;
     EXPECT_EQ(tfs, want_tfs) << "term " << t;
   }
@@ -363,31 +421,28 @@ std::vector<char> FileBytes(const std::string& path) {
 TEST(Index, ConcurrentAndInlineBuildsWriteIdenticalFiles) {
   Corpus corpus;
   ASSERT_TRUE(Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
-  const std::string seg0_dir = TempIndexDir("build_concurrent");
-  const std::string merged_dir = TempIndexDir("build_inline");
-  std::filesystem::remove_all(seg0_dir);
-  std::filesystem::remove_all(merged_dir);
+  const std::string concurrent_dir = TempIndexDir("build_concurrent");
+  const std::string inline_dir = TempIndexDir("build_inline");
+  std::filesystem::remove_all(concurrent_dir);
+  std::filesystem::remove_all(inline_dir);
   storage::SimulatedDisk disk;
   storage::BufferManager pool(64ull << 20, &disk);
-  std::unique_ptr<Segment> seg0, merged;
-  ASSERT_TRUE(Segment::Build(&corpus, seg0_dir, &pool, &seg0).ok());
-  std::vector<std::vector<DocTerm>> docs;
-  std::vector<int32_t> globals;
-  for (uint32_t d = 0; d < corpus.num_docs(); ++d) {
-    docs.push_back(corpus.doc(d));
-    globals.push_back(static_cast<int32_t>(d));
-  }
-  ASSERT_TRUE(Segment::Build(std::move(docs), std::move(globals),
-                             corpus.vocab_size(), merged_dir, &pool, 1,
-                             &merged)
+  InvertedIndex concurrent, inline_built;
+  ASSERT_TRUE(concurrent
+                  .BuildFromCorpus(corpus, concurrent_dir, &pool,
+                                   BuildMode::kConcurrent)
+                  .ok());
+  ASSERT_TRUE(inline_built
+                  .BuildFromCorpus(corpus, inline_dir, &pool,
+                                   BuildMode::kInline)
                   .ok());
   for (const char* file :
        {kIndexMetaFile, kDocidRawFile, kTfRawFile, kDocidCompressedFile,
         kTfCompressedFile, kScoreF32File, kScoreQ8File, kTermsFile,
         kDoclenFile, kBlockMaxFile}) {
-    const std::vector<char> built = FileBytes(seg0_dir + "/" + file);
+    const std::vector<char> built = FileBytes(concurrent_dir + "/" + file);
     EXPECT_FALSE(built.empty()) << file;
-    EXPECT_TRUE(built == FileBytes(merged_dir + "/" + file)) << file;
+    EXPECT_TRUE(built == FileBytes(inline_dir + "/" + file)) << file;
   }
 }
 

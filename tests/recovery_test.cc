@@ -109,6 +109,7 @@ std::vector<uint32_t> DetDoc(uint64_t salt) {
 std::string DumpState(const core::Database& db) {
   std::shared_ptr<const Snapshot> snap = db.Acquire();
   std::map<int32_t, std::string> docs;
+  std::vector<DocTerm> doc;
   for (const Snapshot::SegmentRead& sr : snap->segments) {
     const uint64_t* bits =
         sr.tombstones != nullptr ? sr.tombstones->data() : nullptr;
@@ -116,7 +117,8 @@ std::string DumpState(const core::Database& db) {
       if (TombstoneTest(bits, static_cast<int32_t>(local))) continue;
       std::ostringstream d;
       d << "len=" << sr.seg->doc_len(local);
-      for (const DocTerm& dt : sr.seg->doc(local)) {
+      sr.seg->forward().ReadDoc(local, &doc);
+      for (const DocTerm& dt : doc) {
         d << " " << dt.term << ":" << dt.tf;
       }
       docs[sr.seg->GlobalOf(static_cast<int32_t>(local))] = d.str();

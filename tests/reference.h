@@ -72,7 +72,7 @@ class Reference {
     std::vector<Doc> docs(corpus.num_docs());
     for (uint32_t d = 0; d < corpus.num_docs(); ++d) {
       docs[d].docid = static_cast<int32_t>(d);
-      docs[d].terms = corpus.doc(d);
+      corpus.ReadDoc(d, &docs[d].terms);
     }
     return Reference(std::move(docs), corpus.vocab_size());
   }

@@ -118,7 +118,9 @@ struct LiveModel {
     vocab = corpus.vocab_size();
     docs.assign(corpus.num_docs(), {});
     dead.assign(corpus.num_docs(), 0);
-    for (uint32_t d = 0; d < corpus.num_docs(); ++d) docs[d] = corpus.doc(d);
+    for (uint32_t d = 0; d < corpus.num_docs(); ++d) {
+      corpus.ReadDoc(d, &docs[d]);
+    }
   }
   int32_t Add(const std::vector<uint32_t>& terms) {
     std::vector<uint32_t> sorted = terms;
@@ -564,40 +566,270 @@ TEST(SegmentTest, ManifestReopenAdoptsMergedStateAndDeletes) {
   EXPECT_EQ(docid, static_cast<int32_t>(model.docs.size()));
 }
 
-// A manifest reopen rebuilds a merged segment's forward store from its
-// postings; every document is allocated at its exact size, as the corpus
-// generator's are (Corpus.GeneratedDocumentsHoldNoSlack).
-TEST(SegmentTest, ReopenedMergedForwardStoreHoldsNoSlack) {
+// ---------------------------------------------------------------------------
+// Forward stores: every kind reads back its documents; a merge is a
+// posting-list merge that writes what a build writes; live df stays exact.
+// ---------------------------------------------------------------------------
+
+// `store` holds exactly `want`, read one document at a time, through the
+// visitor over the whole store and over a range starting inside a chunk.
+void ExpectForwardStoreHolds(const Corpus& store,
+                             const std::vector<std::vector<DocTerm>>& want) {
+  ASSERT_EQ(store.num_docs(), want.size());
+  uint64_t postings = 0;
+  std::vector<DocTerm> doc;
+  const auto equal = [](const DocTerm* got, uint32_t n,
+                        const std::vector<DocTerm>& expect) {
+    if (n != expect.size()) return false;
+    for (uint32_t i = 0; i < n; ++i) {
+      if (got[i].term != expect[i].term || got[i].tf != expect[i].tf) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (uint32_t d = 0; d < store.num_docs(); ++d) {
+    store.ReadDoc(d, &doc);
+    ASSERT_TRUE(equal(doc.data(), static_cast<uint32_t>(doc.size()), want[d]))
+        << "doc " << d;
+    ASSERT_EQ(store.doc_size(d), want[d].size()) << "doc " << d;
+    int32_t len = 0;
+    for (const DocTerm& p : want[d]) len += p.tf;
+    ASSERT_EQ(store.doc_len(d), len) << "doc " << d;
+    postings += want[d].size();
+  }
+  EXPECT_EQ(store.num_postings(), postings);
+  for (const uint32_t begin : {0u, store.num_docs() / 3}) {
+    uint32_t next = begin;
+    store.ForEachDoc(begin, store.num_docs(),
+                     [&](uint32_t d, const DocTerm* got, uint32_t n) {
+                       EXPECT_EQ(d, next);
+                       EXPECT_TRUE(equal(got, n, want[d])) << "doc " << d;
+                       ++next;
+                     });
+    EXPECT_EQ(next, store.num_docs());
+  }
+}
+
+TEST(ForwardStore, EveryKindReadsBackItsDocuments) {
+  // Over two chunks, so reads cross chunk boundaries.
+  CorpusOptions opts = TinyGenerated(kCorpusChunkDocs + 700);
+  const ReferenceCorpus ref = ReferenceCorpus::Generate(opts);
+  Corpus generated;
+  ASSERT_TRUE(Corpus::Generate(opts, &generated).ok());
+  {
+    SCOPED_TRACE("generated");
+    ExpectForwardStoreHolds(generated, ref.docs);
+  }
+  {
+    SCOPED_TRACE("FromDocTerms");
+    Corpus c;
+    ASSERT_TRUE(Corpus::FromDocTerms(ref.docs, opts.vocab_size, &c).ok());
+    ExpectForwardStoreHolds(c, ref.docs);
+    EXPECT_EQ(c.store_bytes().terms, generated.store_bytes().terms);
+  }
+  {
+    SCOPED_TRACE("FromDocuments");
+    std::vector<std::vector<uint32_t>> occurrences(ref.docs.size());
+    for (size_t d = 0; d < ref.docs.size(); ++d) {
+      // Occurrences in descending term order, so the build sorts them.
+      for (auto it = ref.docs[d].rbegin(); it != ref.docs[d].rend(); ++it) {
+        occurrences[d].insert(occurrences[d].end(),
+                              static_cast<size_t>(it->tf), it->term);
+      }
+    }
+    Corpus c;
+    ASSERT_TRUE(Corpus::FromDocuments(occurrences, opts.vocab_size, &c).ok());
+    ExpectForwardStoreHolds(c, ref.docs);
+  }
+  {
+    SCOPED_TRACE("sliced");
+    const uint32_t begin = kCorpusChunkDocs - 300;
+    const uint32_t end = generated.num_docs() - 50;
+    Corpus part;
+    ASSERT_TRUE(generated.Slice(begin, end, &part).ok());
+    ExpectForwardStoreHolds(
+        part, std::vector<std::vector<DocTerm>>(ref.docs.begin() + begin,
+                                                ref.docs.begin() + end));
+    // A slice hashes like the same documents built on their own.
+    Corpus copy;
+    ASSERT_TRUE(Corpus::FromDocTerms(
+                    std::vector<std::vector<DocTerm>>(
+                        ref.docs.begin() + begin, ref.docs.begin() + end),
+                    opts.vocab_size, &copy)
+                    .ok());
+    EXPECT_EQ(part.Fingerprint(), copy.Fingerprint());
+  }
+
   core::DatabaseOptions dopts;
-  dopts.corpus = TinyGenerated();
+  dopts.corpus = opts;
   dopts.dir = FreshDir("db");
   dopts.storage.page_bytes = 4096;
+  LiveModel model;
+  const auto live_docs = [&model] {
+    std::vector<std::vector<DocTerm>> docs;
+    for (size_t d = 0; d < model.docs.size(); ++d) {
+      if (!model.dead[d]) docs.push_back(model.docs[d]);
+    }
+    return docs;
+  };
+  const auto merged_store = [](const core::Database& db) -> const Corpus& {
+    return db.Acquire()->segments.at(0).seg->forward();
+  };
   {
     core::Database db;
     ASSERT_TRUE(db.Open(dopts).ok());
-    Rng rng(71);
-    for (int i = 0; i < 60; ++i) {
-      ASSERT_TRUE(
-          db.AddDocument(RandomDoc(&rng, db.corpus().vocab_size()), nullptr)
-              .ok());
+    model.InitFrom(db.corpus());
+    Rng rng(97);
+    for (int i = 0; i < 40; ++i) {
+      const std::vector<uint32_t> terms = RandomDoc(&rng, model.vocab);
+      ASSERT_TRUE(db.AddDocument(terms, nullptr).ok());
+      model.Add(terms);
     }
-    ASSERT_TRUE(db.DeleteDocument(9).ok());
+    const auto chunk = static_cast<int32_t>(kCorpusChunkDocs);
+    for (const int32_t d :
+         {0, 11, chunk + 5, static_cast<int32_t>(opts.num_docs) + 3}) {
+      ASSERT_TRUE(db.DeleteDocument(d).ok());
+      model.Delete(d);
+    }
     ASSERT_TRUE(db.Merge().ok());
+    SCOPED_TRACE("merged");
+    ExpectForwardStoreHolds(merged_store(db), live_docs());
   }
   core::Database db;
   ASSERT_TRUE(db.Open(dopts).ok());
   ASSERT_TRUE(db.build_stats().reused_files);
-  const auto snap = db.Acquire();
-  uint32_t merged_docs = 0;
-  for (const Snapshot::SegmentRead& read : snap->segments) {
-    if (read.seg->seg_id() == 0) continue;
-    for (uint32_t d = 0; d < read.seg->num_docs(); ++d) {
-      ASSERT_EQ(read.seg->doc(d).capacity(), read.seg->doc(d).size())
-          << "segment " << read.seg->seg_id() << " doc " << d;
+  SCOPED_TRACE("reopened");
+  ExpectForwardStoreHolds(merged_store(db), live_docs());
+}
+
+// Compares the ten index files of two segment directories byte for byte.
+void ExpectSameIndexFiles(const std::string& got_dir,
+                          const std::string& want_dir) {
+  const auto bytes = [](const std::string& path) {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    std::vector<char> out;
+    if (f == nullptr) return out;
+    char buf[1 << 14];
+    size_t got = 0;
+    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+      out.insert(out.end(), buf, buf + got);
     }
-    merged_docs += read.seg->num_docs();
+    std::fclose(f);
+    return out;
+  };
+  for (const char* file :
+       {kIndexMetaFile, kDocidRawFile, kTfRawFile, kDocidCompressedFile,
+        kTfCompressedFile, kScoreF32File, kScoreQ8File, kTermsFile,
+        kDoclenFile, kBlockMaxFile}) {
+    const std::vector<char> want = bytes(want_dir + "/" + file);
+    EXPECT_FALSE(want.empty()) << file;
+    EXPECT_TRUE(bytes(got_dir + "/" + file) == want) << file;
   }
-  EXPECT_EQ(merged_docs, 400u + 60u - 1u);
+}
+
+// Each merge's segment files equal those BuildFromCorpus writes over the
+// same live documents, with tombstones in seg_0, in a merged segment and
+// in the sealed deltas the merges compact.
+TEST(SegmentTest, PostingListMergeWritesTheFilesABuildWrites) {
+  core::DatabaseOptions dopts;
+  dopts.corpus = TinyGenerated();
+  dopts.dir = FreshDir("db");
+  dopts.storage.page_bytes = 4096;
+  core::Database db;
+  ASSERT_TRUE(db.Open(dopts).ok());
+  LiveModel model;
+  model.InitFrom(db.corpus());
+  Rng rng(83);
+  storage::SimulatedDisk disk;
+  storage::BufferManager pool(64ull << 20, &disk);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    std::vector<int32_t> added;
+    for (int i = 0; i < 30; ++i) {
+      const std::vector<uint32_t> terms = RandomDoc(&rng, model.vocab);
+      int32_t docid = -1;
+      ASSERT_TRUE(db.AddDocument(terms, &docid).ok());
+      EXPECT_EQ(docid, model.Add(terms));
+      added.push_back(docid);
+    }
+    // Two segment documents and two of the delta's.
+    for (const int32_t d : {5 + round, 170 + 9 * round, added[2], added[17]}) {
+      ASSERT_TRUE(db.DeleteDocument(d).ok());
+      model.Delete(d);
+    }
+    ASSERT_TRUE(db.Merge().ok());
+    std::vector<std::vector<DocTerm>> live;
+    for (size_t d = 0; d < model.docs.size(); ++d) {
+      if (!model.dead[d]) live.push_back(model.docs[d]);
+    }
+    Corpus corpus;
+    ASSERT_TRUE(Corpus::FromDocTerms(live, model.vocab, &corpus).ok());
+    const std::string built = FreshDir(round == 0 ? "built0" : "built1");
+    InvertedIndex index;
+    ASSERT_TRUE(index.BuildFromCorpus(corpus, built, &pool).ok());
+    const auto snap = db.Acquire();
+    ASSERT_EQ(snap->segments.size(), 1u);
+    EXPECT_EQ(snap->segments[0].seg->seg_id(),
+              static_cast<uint32_t>(round + 1));
+    ExpectSameIndexFiles(snap->segments[0].seg->dir(), built);
+  }
+}
+
+// The live stats after deletes in seg_0 and in a delta, a merge, deletes in
+// the merged segment and a reopen (which recounts through the forward
+// stores) equal a recount over the live documents.
+TEST(SegmentTest, LiveStatsEqualARecountAcrossMergeAndReopen) {
+  core::DatabaseOptions dopts;
+  dopts.corpus = TinyGenerated();
+  dopts.dir = FreshDir("db");
+  dopts.storage.page_bytes = 4096;
+  LiveModel model;
+  const auto expect_recount = [&model](const core::Database& db) {
+    std::vector<uint32_t> df(model.vocab, 0);
+    uint32_t live = 0;
+    uint64_t total_len = 0;
+    for (size_t d = 0; d < model.docs.size(); ++d) {
+      if (model.dead[d]) continue;
+      ++live;
+      for (const DocTerm& p : model.docs[d]) {
+        ++df[p.term];
+        total_len += static_cast<uint64_t>(p.tf);
+      }
+    }
+    const auto snap = db.Acquire();
+    EXPECT_EQ(snap->stats->num_docs, live);
+    EXPECT_EQ(snap->stats->avg_doc_len,
+              static_cast<double>(total_len) / static_cast<double>(live));
+    EXPECT_EQ(snap->stats->df, df);
+  };
+  {
+    core::Database db;
+    ASSERT_TRUE(db.Open(dopts).ok());
+    model.InitFrom(db.corpus());
+    Rng rng(89);
+    for (int i = 0; i < 25; ++i) {
+      const std::vector<uint32_t> terms = RandomDoc(&rng, model.vocab);
+      ASSERT_TRUE(db.AddDocument(terms, nullptr).ok());
+      model.Add(terms);
+    }
+    for (const int32_t d : {1, 222, 399, 404, 419}) {
+      ASSERT_TRUE(db.DeleteDocument(d).ok());
+      model.Delete(d);
+    }
+    expect_recount(db);
+    ASSERT_TRUE(db.Merge().ok());
+    expect_recount(db);
+    for (const int32_t d : {2, 300, 410}) {
+      ASSERT_TRUE(db.DeleteDocument(d).ok());
+      model.Delete(d);
+    }
+    expect_recount(db);
+  }
+  core::Database db;
+  ASSERT_TRUE(db.Open(dopts).ok());
+  ASSERT_TRUE(db.build_stats().reused_files);
+  expect_recount(db);
 }
 
 TEST(SegmentTest, TornManifestFallsBackToCleanRebuild) {
