@@ -11,7 +11,9 @@
 //     time (throughput) keeps improving.
 //   - Shared-θ vs independent top-k-then-merge: deterministic sequential
 //     scatter over the same batch in both modes; the gated counters show
-//     the global-threshold channel generating strictly fewer candidates.
+//     the global-threshold channel generating strictly fewer candidates,
+//     and sequential shared-θ scatter scoring about as many candidates as
+//     one engine over the whole collection.
 //
 // Substitutions (DESIGN.md §11.5): nodes are threads with private buffer
 // managers; the heterogeneous-LAN load imbalance is modeled by per-node
@@ -254,12 +256,28 @@ int Run() {
 
   // --- Shared-θ vs independent merge (deterministic, unstretched). ------
   // kBm25 MaxScore over the same 8-way split, sequential scatter so shard
-  // i always seeds from shards 0..i-1's published bound: the candidate
-  // counts are exact counters, not a race. Results merge identically in
-  // both modes (dist_test proves it rank-by-rank); what changes is work.
+  // i always seeds from the k-th best of shards 0..i-1 merged: the
+  // candidate counts are exact counters, not a race. Results merge
+  // identically in both modes (dist_test proves it rank-by-rank); what
+  // changes is work. The monolithic engine over the same queries is the
+  // yardstick: a shard seeded with the merged bound prunes where one
+  // engine would, so shared-θ scatter does about one engine's work.
   std::printf("\n-- Shared-theta pruning vs independent top-k merge --\n");
   uint64_t theta_indep_candidates = 0, theta_shared_candidates = 0;
   uint64_t theta_indep_pruned = 0, theta_shared_pruned = 0;
+  uint64_t theta_mono_candidates = 0;
+  {
+    ir::SearchResult r;
+    for (const auto& q : queries) {
+      bench::CheckOk(db.Search(q, ir::RunType::kBm25, ir::SearchOptions(), &r),
+                     "theta monolith search");
+      theta_mono_candidates += r.num_matches;
+    }
+  }
+  const auto theta_candidate_ratio = [&] {
+    return static_cast<double>(theta_shared_candidates) /
+           static_cast<double>(std::max<uint64_t>(1, theta_mono_candidates));
+  };
   {
     dist::Cluster cluster;
     dist::ClusterOptions copts;
@@ -285,11 +303,14 @@ int Run() {
   }
   std::printf(
       "  candidates scored: independent %llu, shared-theta %llu (-%.1f%%)\n"
+      "  one engine over the whole collection: %llu (shared-theta %.3fx)\n"
       "  posting vectors pruned: independent %llu, shared-theta %llu\n",
       static_cast<unsigned long long>(theta_indep_candidates),
       static_cast<unsigned long long>(theta_shared_candidates),
       100.0 * (1.0 - static_cast<double>(theta_shared_candidates) /
                          std::max<uint64_t>(1, theta_indep_candidates)),
+      static_cast<unsigned long long>(theta_mono_candidates),
+      theta_candidate_ratio(),
       static_cast<unsigned long long>(theta_indep_pruned),
       static_cast<unsigned long long>(theta_shared_pruned));
 
@@ -362,6 +383,7 @@ int Run() {
       .Set("queries", queries.size())
       .Set("independent_candidates", theta_indep_candidates)
       .Set("shared_candidates", theta_shared_candidates)
+      .Set("mono_candidates", theta_mono_candidates)
       .Set("independent_vectors_pruned", theta_indep_pruned)
       .Set("shared_vectors_pruned", theta_shared_pruned);
   record.Gate("speedup_gated",
@@ -373,6 +395,8 @@ int Run() {
   record.Gate("stream_errors", stream_errors);
   record.Gate("theta_indep_candidates", theta_indep_candidates);
   record.Gate("theta_shared_candidates", theta_shared_candidates);
+  record.Gate("theta_mono_candidates", theta_mono_candidates);
+  record.Gate("theta_shared_vs_mono_candidates", theta_candidate_ratio());
   return record.Finish();
 }
 

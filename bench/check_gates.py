@@ -3,9 +3,13 @@
 
   python3 bench/check_gates.py BENCH OUTPUT
       Checks one bench's saved output against its bounds.
-  python3 bench/check_gates.py --run BUILD_DIR
-      Runs every bench the bounds file names from BUILD_DIR at tiny scale
-      (X100IR_BENCH_DIR defaults to BUILD_DIR/bench_data) and checks each.
+  python3 bench/check_gates.py --run BUILD_DIR [--scale SCALE]
+      Runs every bench the bounds file names from BUILD_DIR at SCALE
+      (tiny, default or large; tiny when omitted) and checks each.
+      X100IR_BENCH_DIR defaults to BUILD_DIR/bench_data at tiny scale and
+      BUILD_DIR/bench_data_SCALE otherwise, so each scale keeps its indexes.
+      Some gates arm only at default scale and above (Table 1's MaxScore
+      parity, Table 3's modeled speedup).
 
 Prints PASS, FAIL or DISABLED for every gate. Exits 1 when a gate fails,
 when a gate it needs is missing from the output, when a bench exits
@@ -17,6 +21,7 @@ import subprocess
 import sys
 
 BOUNDS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "gates.txt")
+SCALES = ("tiny", "default", "large")
 OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
        ">=": operator.ge, "==": operator.eq}
 
@@ -85,10 +90,11 @@ def report(results):
     return all(verdict != "FAIL" for verdict, _ in results)
 
 
-def run_all(build_dir, bounds):
-    env = dict(os.environ, X100IR_BENCH_SCALE="tiny")
-    env.setdefault("X100IR_BENCH_DIR", os.path.join(build_dir, "bench_data"))
-    env.pop("X100IR_BENCH_JSON", None)  # a tiny run is never a baseline
+def run_all(build_dir, bounds, scale="tiny"):
+    env = dict(os.environ, X100IR_BENCH_SCALE=scale)
+    data = "bench_data" if scale == "tiny" else "bench_data_" + scale
+    env.setdefault("X100IR_BENCH_DIR", os.path.join(build_dir, data))
+    env.pop("X100IR_BENCH_JSON", None)  # a gate check is never a baseline
     summary = []
     for bench in dict.fromkeys(b[0] for b in bounds):
         print("=== bench_%s ===" % bench, flush=True)
@@ -110,8 +116,12 @@ def run_all(build_dir, bounds):
 def main(argv):
     with open(BOUNDS) as f:
         bounds = load_bounds(f.read())
+    scale = "tiny"
+    if len(argv) == 5 and argv[3] == "--scale" and argv[4] in SCALES:
+        scale = argv[4]
+        argv = argv[:3]
     if len(argv) == 3 and argv[1] == "--run":
-        ok = run_all(argv[2], bounds)
+        ok = run_all(argv[2], bounds, scale)
     elif len(argv) == 3 and not argv[1].startswith("-"):
         with open(argv[2]) as f:
             ok = report(check(argv[1], f.read(), bounds))

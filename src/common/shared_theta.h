@@ -6,7 +6,9 @@
 // lower bound on the global k-th best), and every shard reads the channel
 // at vector-batch boundaries to floor its MaxScore pruning threshold —
 // a late or slow shard prunes with the best bound any peer has proven,
-// instead of rediscovering it from -inf.
+// instead of rediscovering it from -inf. The gather (ir/gather.h) publishes
+// too: the k-th best of the shard results merged so far, which is at least
+// every bound those shards published.
 //
 // Memory-ordering argument: the channel carries no payload besides the
 // bound itself and the bound is monotone non-decreasing, so every access

@@ -218,12 +218,29 @@ Status Cluster::Search(const ir::Query& query, ir::RunType type,
   SharedTheta theta;
   SharedTheta* theta_ptr = opts.share_theta ? &theta : nullptr;
 
+  // Gather in global docid space, shards at their base offsets: shard
+  // scores pass through bit-exact, and the merge does not depend on shard
+  // completion order. The gather raises the θ channel to the k-th best of
+  // everything merged so far, so under sequential scatter shard i+1 starts
+  // from the merged k-th best of shards 0..i, not the best of their
+  // separate k-th bests. It writes a local result, which reaches `out`
+  // only when the query succeeds.
+  ir::SearchResult merged;
+  ir::Gather gather(type, opts.search.k, &merged, theta_ptr);
   std::vector<ir::SearchResult> shard_results(n);
+  const auto gather_shard = [&](uint32_t i) {
+    if (!out->shard_status[i].ok()) return;
+    out->shard_engine_ms[i] = shard_results[i].TotalSeconds() * 1e3;
+    const int32_t base = nodes_[i]->base;
+    gather.Add(std::move(shard_results[i]),
+               [base](int32_t d) { return base + d; });
+  };
   if (opts.sequential) {
     for (uint32_t i = 0; i < n; ++i) {
       RunShard(*nodes_[i], query, type, opts, dl, theta_ptr,
                /*stretch=*/true, &shard_results[i], &out->shard_status[i],
                &out->shard_service_ms[i]);
+      gather_shard(i);
     }
   } else {
     std::mutex mu;
@@ -243,13 +260,13 @@ Status Cluster::Search(const ir::Query& query, ir::RunType type,
     // sleep, so slowest-of-N is bounded by the deadline when one is set.
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return pending == 0; });
+    for (uint32_t i = 0; i < n; ++i) gather_shard(i);
   }
 
   Status first_error = OkStatus();
   for (uint32_t i = 0; i < n; ++i) {
     if (out->shard_status[i].ok()) {
       ++out->shards_ok;
-      out->shard_engine_ms[i] = shard_results[i].TotalSeconds() * 1e3;
     } else {
       ++out->shards_failed;
       if (first_error.ok()) first_error = out->shard_status[i];
@@ -260,18 +277,8 @@ Status Cluster::Search(const ir::Query& query, ir::RunType type,
     return first_error;
   }
   out->partial = out->shards_failed > 0;
-
-  // Gather in global docid space, shards at their base offsets: shard
-  // scores pass through bit-exact, and the merge does not depend on shard
-  // completion order.
-  ir::Gather gather(type, opts.search.k, &out->merged);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!out->shard_status[i].ok()) continue;
-    const int32_t base = nodes_[i]->base;
-    gather.Add(std::move(shard_results[i]),
-               [base](int32_t d) { return base + d; });
-  }
   gather.Finish();
+  out->merged = std::move(merged);
   out->merged.seconds = timer.ElapsedSeconds();
   out->latency_ms = out->merged.seconds * 1e3 + opts_.network_ms;
   return OkStatus();

@@ -83,10 +83,11 @@ struct DistSearchOptions {
   bool share_theta = false;
 
   // Scatter shards one at a time on the calling thread instead of
-  // through the node pools. Deterministic by construction — with
-  // share_theta every shard after the first starts from its predecessors'
-  // final published bound — so the θ-pruning tests and gates are
-  // reproducible counter comparisons, not races.
+  // through the node pools, gathering each shard as it returns.
+  // Deterministic by construction — with share_theta every shard after
+  // the first starts from the k-th best of its predecessors' results
+  // merged — so the θ-pruning tests and gates are reproducible counter
+  // comparisons, not races.
   bool sequential = false;
 
   // Whole-query deadline, propagated into every shard's engine and

@@ -21,14 +21,17 @@ Status DeltaSegment::Add(std::vector<DocTerm> doc, int32_t* global_docid) {
 
 void DeltaSegment::CollectPostings(uint32_t term, uint32_t visible,
                                    std::vector<int32_t>* local_idx,
-                                   std::vector<int32_t>* tfs) const {
+                                   std::vector<int32_t>* tfs,
+                                   std::vector<int32_t>* doc_lens) const {
   local_idx->clear();
   tfs->clear();
+  doc_lens->clear();
   std::shared_lock<std::shared_mutex> lock(mu_);
   for (const auto& [local, tf] : postings_[term]) {
     if (static_cast<uint32_t>(local) >= visible) break;  // index ascending
     local_idx->push_back(local);
     tfs->push_back(tf);
+    doc_lens->push_back(doc_lens_[local]);
   }
 }
 

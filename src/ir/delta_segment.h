@@ -74,11 +74,12 @@ class DeltaSegment {
   }
 
   // Copies term t's postings with doc index < visible out as parallel
-  // (delta-local doc index, tf) vectors, docids ascending. Overwrites the
-  // outputs.
+  // (delta-local doc index, tf, doc length) vectors, docids ascending, under
+  // one shared lock. Overwrites the outputs.
   void CollectPostings(uint32_t term, uint32_t visible,
                        std::vector<int32_t>* local_idx,
-                       std::vector<int32_t>* tfs) const;
+                       std::vector<int32_t>* tfs,
+                       std::vector<int32_t>* doc_lens) const;
 
   // Per-document forward access, valid for local < the visible count the
   // caller captured. The returned reference stays valid across concurrent

@@ -1,8 +1,9 @@
 // The one gather (DESIGN.md §10.2, §11.2): folds per-part results — the
 // segments and delta buffers of a snapshot, the shards of a cluster — into
-// one result in global docid space, never re-scoring: ranked runs take the
-// top k of the parts' top-k lists, boolean runs the first k of their
-// concatenated docid-ordered lists.
+// one result in global docid space, never re-scoring: ranked runs merge
+// each part's rank-sorted top-k list into a running top-k list as the part
+// arrives, boolean runs take the first k of their concatenated
+// docid-ordered lists.
 #ifndef X100IR_IR_GATHER_H_
 #define X100IR_IR_GATHER_H_
 
@@ -11,29 +12,22 @@
 #include <utility>
 #include <vector>
 
+#include "common/shared_theta.h"
 #include "ir/search_engine.h"
+#include "ir/topk.h"
 
 namespace x100ir::ir {
-
-struct RankedDoc {
-  float score;
-  int32_t docid;
-};
-
-// The engine's rank order: score descending, docid ascending on exact
-// float ties. Docids are unique, so it is a total order and a top-k under
-// it does not depend on arrival order.
-inline bool RankedBefore(const RankedDoc& a, const RankedDoc& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.docid < b.docid;
-}
 
 class Gather {
  public:
   // `out` must be freshly reset: it takes each part's accounting as the
-  // part arrives, and the merged docids and scores at Finish.
-  Gather(RunType type, uint32_t k, SearchResult* out)
-      : ranked_(IsRankedRun(type)), k_(k), out_(out) {}
+  // part arrives, and the merged docids and scores at Finish. `theta` is
+  // the read's shared θ channel, or null: once the running ranked list
+  // holds k entries, every Add raises it to the list's k-th score, a
+  // proven lower bound on the read's k-th best, so a part searched after
+  // this one prunes against everything merged so far.
+  Gather(RunType type, uint32_t k, SearchResult* out, SharedTheta* theta)
+      : ranked_(IsRankedRun(type)), k_(k), out_(out), theta_(theta) {}
 
   // Parts arrive in ascending global docid order, each mapped by a strictly
   // increasing `to_global`, so boolean lists concatenate docid-sorted and
@@ -44,44 +38,64 @@ class Gather {
     if (part.docids.empty()) return;
     for (int32_t& d : part.docids) d = to_global(d);
     if (docids_.empty()) {
+      // The first contributing part passes through: it is already in order.
       docids_ = std::move(part.docids);
       scores_ = std::move(part.scores);
+    } else if (ranked_) {
+      MergeRanked(part.docids, part.scores);
     } else {
       docids_.insert(docids_.end(), part.docids.begin(), part.docids.end());
       scores_.insert(scores_.end(), part.scores.begin(), part.scores.end());
     }
-    ++parts_;
+    if (ranked_ && theta_ != nullptr && docids_.size() >= k_) {
+      theta_->RaiseTo(scores_[k_ - 1]);
+    }
   }
 
-  // A single contributing part is already in order and passes through.
-  // A ranked merge is written to fresh k-sized vectors: callers keep
-  // results, and the concatenation can be many times k.
   void Finish() {
-    if (ranked_ && parts_ > 1) {
-      std::vector<RankedDoc> all(docids_.size());
-      for (size_t i = 0; i < all.size(); ++i) all[i] = {scores_[i], docids_[i]};
-      const size_t k = std::min<size_t>(k_, all.size());
-      std::partial_sort(all.begin(), all.begin() + k, all.end(), RankedBefore);
-      out_->docids.resize(k);
-      out_->scores.resize(k);
-      for (size_t i = 0; i < k; ++i) {
-        out_->docids[i] = all[i].docid;
-        out_->scores[i] = all[i].score;
-      }
-      return;
-    }
     if (docids_.size() > k_) docids_.resize(k_);  // boolean: the first k
     out_->docids = std::move(docids_);
     out_->scores = std::move(scores_);
   }
 
  private:
+  // One linear merge of two rank-sorted runs — the running list and the
+  // part — cut at k. Rank keys make the (score desc, docid asc) compare one
+  // integer compare; the scores themselves are copied, never decoded, so
+  // they pass through bit for bit. The merge writes into the spare vectors
+  // and swaps them in, so a gather allocates its spares once.
+  void MergeRanked(const std::vector<int32_t>& docids,
+                   const std::vector<float>& scores) {
+    const size_t na = docids_.size();
+    const size_t nb = docids.size();
+    const size_t n = std::min<size_t>(k_, na + nb);
+    spare_docids_.resize(n);
+    spare_scores_.resize(n);
+    size_t a = 0, b = 0;
+    for (size_t o = 0; o < n; ++o) {
+      const bool take_a =
+          b == nb || (a < na && RankKey(scores_[a], docids_[a]) >
+                                    RankKey(scores[b], docids[b]));
+      if (take_a) {
+        spare_docids_[o] = docids_[a];
+        spare_scores_[o] = scores_[a++];
+      } else {
+        spare_docids_[o] = docids[b];
+        spare_scores_[o] = scores[b++];
+      }
+    }
+    docids_.swap(spare_docids_);
+    scores_.swap(spare_scores_);
+  }
+
   const bool ranked_;
   const uint32_t k_;
   SearchResult* const out_;
+  SharedTheta* const theta_;
   std::vector<int32_t> docids_;
   std::vector<float> scores_;
-  uint32_t parts_ = 0;  // parts that contributed a docid
+  std::vector<int32_t> spare_docids_;
+  std::vector<float> spare_scores_;
 };
 
 }  // namespace x100ir::ir

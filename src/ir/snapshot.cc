@@ -759,7 +759,9 @@ Status SnapshotManager::BuildMergedSegment(const MergeInput& input,
   for (const Snapshot::SegmentRead& sr : input.segments) {
     columns.emplace_back(sr.seg->index());
   }
-  std::vector<int32_t> docids, tfs;
+  // The delta's per-posting lengths go unused: td.doc_lens took each live
+  // document's length once, above.
+  std::vector<int32_t> docids, tfs, lens;
   for (uint32_t t = 0; t < vocab; ++t) {
     TermInfo& info = td.terms[t];
     const auto append = [&td, &info](const std::vector<int32_t>& map,
@@ -781,7 +783,7 @@ Status SnapshotManager::BuildMergedSegment(const MergeInput& input,
     }
     for (const Snapshot::DeltaRead& dr : input.deltas) {
       const std::vector<int32_t>& map = remap[part++];
-      dr.delta->CollectPostings(t, dr.visible, &docids, &tfs);
+      dr.delta->CollectPostings(t, dr.visible, &docids, &tfs, &lens);
       for (size_t i = 0; i < docids.size(); ++i) {
         append(map, docids[i], tfs[i]);
       }

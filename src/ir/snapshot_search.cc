@@ -41,9 +41,9 @@ void EvalDelta(const Snapshot::DeltaRead& dr,
 
   std::vector<float> acc(dr.visible, 0.0f);
   std::vector<uint32_t> hit_terms(dr.visible, 0);
-  std::vector<int32_t> locals, tfs;
+  std::vector<int32_t> locals, tfs, lens;
   for (uint32_t t : terms) {  // ascending: the accumulation-order contract
-    dr.delta->CollectPostings(t, dr.visible, &locals, &tfs);
+    dr.delta->CollectPostings(t, dr.visible, &locals, &tfs, &lens);
     if (locals.empty()) continue;
     const float idf = Bm25Idf(stats.num_docs, stats.df[t]);
     for (size_t i = 0; i < locals.size(); ++i) {
@@ -52,8 +52,8 @@ void EvalDelta(const Snapshot::DeltaRead& dr,
       ++hit_terms[local];
       if (ranked_run) {
         acc[local] += Bm25One(idf, static_cast<float>(tfs[i]),
-                              static_cast<float>(dr.delta->doc_len(local)),
-                              opts.bm25.k1, opts.bm25.b, inv_avgdl);
+                              static_cast<float>(lens[i]), opts.bm25.k1,
+                              opts.bm25.b, inv_avgdl);
       }
     }
   }
@@ -104,8 +104,9 @@ Status SearchSnapshot(const Snapshot& snap, const Query& query, RunType type,
   // Segments ascend in global docid space and every delta base exceeds
   // every committed global, so the parts arrive in global docid order. A
   // segment's engine re-runs PrepareQuery against its own index, which on
-  // prepared terms only drops those the segment holds no postings for.
-  Gather gather(type, opts.k, result);
+  // prepared terms only drops those the segment holds no postings for. The
+  // gather raises the caller's θ channel, if any, as parts merge.
+  Gather gather(type, opts.k, result, opts.shared_theta);
   for (const Snapshot::SegmentRead& sr : snap.segments) {
     opts.tombstones =
         sr.tombstones != nullptr ? sr.tombstones->data() : nullptr;

@@ -1,7 +1,8 @@
 // Top-k selection for ranked runs, in two layers:
 //
-//   - TopK: a bounded min-heap of (score, docid). The weakest kept entry
-//     sits at the root, so the running admission threshold is O(1).
+//   - TopK: a bounded min-heap of rank keys (one uint64_t per entry, see
+//     RankKey). The weakest kept entry sits at the root, so admission is
+//     one integer compare and the running threshold is O(1).
 //   - TopKOperator: the plan root for ranked queries. It drains its child's
 //     (docid, score) stream, filtering each vector *branch-free* through
 //     SelectColVal (score >= threshold emits candidate positions with no
@@ -19,7 +20,9 @@
 #define X100IR_IR_TOPK_H_
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -27,57 +30,115 @@
 
 #include "common/status.h"
 #include "ir/collection_stats.h"
-#include "ir/gather.h"
 #include "vec/primitives.h"
 #include "vec/scan.h"
 
 namespace x100ir::ir {
 
+// The engine's rank order as one unsigned integer: a larger key ranks
+// first. The high word maps the score's float bits so that unsigned order is
+// float order (a negative has every bit flipped, a non-negative only its
+// sign bit); the low word is the docid XOR 0x7FFFFFFF, which turns int32
+// order into reversed unsigned order, so the lower docid gets the larger
+// key. Keys therefore order exactly as (score desc, docid asc) for every
+// finite score and every int32 docid. −0.0 is folded into +0.0 (x + 0.0f)
+// before mapping, so the two tie as they do under float compare, and a
+// −0.0 score decodes as +0.0; no ranked path produces one (idf > 0,
+// tf >= 1). NaN has no rank.
+inline uint64_t RankKey(float score, int32_t docid) {
+  const float folded = score + 0.0f;
+  uint32_t bits;
+  std::memcpy(&bits, &folded, sizeof(bits));
+  bits ^= (bits & 0x80000000u) != 0 ? 0xFFFFFFFFu : 0x80000000u;
+  return (static_cast<uint64_t>(bits) << 32) |
+         (static_cast<uint32_t>(docid) ^ 0x7FFFFFFFu);
+}
+
+inline float RankKeyScore(uint64_t key) {
+  uint32_t bits = static_cast<uint32_t>(key >> 32);
+  bits ^= (bits & 0x80000000u) != 0 ? 0x80000000u : 0xFFFFFFFFu;
+  float score;
+  std::memcpy(&score, &bits, sizeof(score));
+  return score;
+}
+
+inline int32_t RankKeyDocid(uint64_t key) {
+  return static_cast<int32_t>(static_cast<uint32_t>(key) ^ 0x7FFFFFFFu);
+}
+
 class TopK {
  public:
-  explicit TopK(uint32_t k) : k_(k) {}
-
-  uint32_t k() const { return k_; }
-  bool full() const { return entries_.size() >= k_; }
-
-  // Scores strictly below the threshold can never be admitted. Until the
-  // heap fills this is -inf (everything is a candidate).
-  float threshold() const {
-    return full() ? entries_.front().score
-                  : -std::numeric_limits<float>::infinity();
+  // k must be > 0 (PrepareQuery and TopKOperator::Open refuse 0). The heap
+  // reserves k entries up front, capped so that a huge k (k is unbounded,
+  // e.g. "every match") allocates only as the stream fills it.
+  explicit TopK(uint32_t k) : k_(k) {
+    heap_.reserve(std::min<uint32_t>(k, kReserveCap));
   }
 
+  uint32_t k() const { return k_; }
+  bool full() const { return heap_.size() >= k_; }
+
+  // Scores strictly below the threshold can never be admitted. Until the
+  // heap fills this is -inf (everything is a candidate). Cached whenever
+  // the root changes.
+  float threshold() const { return threshold_; }
+
   void Push(int32_t docid, float score) {
+    const uint64_t key = RankKey(score, docid);
     if (!full()) {
-      entries_.push_back({score, docid});
-      std::push_heap(entries_.begin(), entries_.end(), RankedBefore);
+      heap_.push_back(key);
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<uint64_t>());
+      if (full()) threshold_ = RankKeyScore(heap_.front());
       return;
     }
-    if (RankedBefore({score, docid}, entries_.front())) {
-      std::pop_heap(entries_.begin(), entries_.end(), RankedBefore);
-      entries_.back() = {score, docid};
-      std::push_heap(entries_.begin(), entries_.end(), RankedBefore);
+    if (key > heap_.front()) {
+      SiftDownFromRoot(key);
+      threshold_ = RankKeyScore(heap_.front());
     }
   }
 
   // Drains the heap in rank order (score desc, docid asc) and resets it.
   void FinishSorted(std::vector<int32_t>* docids,
                     std::vector<float>* scores) {
-    std::sort(entries_.begin(), entries_.end(), RankedBefore);
-    docids->resize(entries_.size());
-    scores->resize(entries_.size());
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      (*docids)[i] = entries_[i].docid;
-      (*scores)[i] = entries_[i].score;
+    std::sort(heap_.begin(), heap_.end());  // ascending: weakest first
+    const size_t n = heap_.size();
+    docids->resize(n);
+    scores->resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t key = heap_[n - 1 - i];
+      (*docids)[i] = RankKeyDocid(key);
+      (*scores)[i] = RankKeyScore(key);
     }
-    entries_.clear();
+    heap_.clear();
+    threshold_ = -std::numeric_limits<float>::infinity();
   }
 
  private:
+  static constexpr uint32_t kReserveCap = 4096;
+
+  // Replaces the root with `key` and restores the heap: the hole walks down
+  // along the smaller child until `key` fits. The layout is the standard
+  // library's (children of i at 2i+1 and 2i+2), so it composes with the
+  // std::push_heap that fills the heap.
+  void SiftDownFromRoot(uint64_t key) {
+    uint64_t* h = heap_.data();
+    const size_t n = heap_.size();
+    size_t i = 0;
+    for (;;) {
+      size_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && h[child + 1] < h[child]) ++child;
+      if (key <= h[child]) break;
+      h[i] = h[child];
+      i = child;
+    }
+    h[i] = key;
+  }
+
   uint32_t k_;
-  // A heap under RankedBefore (gather.h): the "largest" element under it is
-  // the weakest entry, which std::push_heap keeps at the root.
-  std::vector<RankedDoc> entries_;
+  // A min-heap of rank keys: the weakest kept entry is at the root.
+  std::vector<uint64_t> heap_;
+  float threshold_ = -std::numeric_limits<float>::infinity();
 };
 
 // Plan root for ranked runs. Child schema: (docid i32, score f32). Output:

@@ -106,6 +106,45 @@ class CheckGatesTest(unittest.TestCase):
         self.assertIn("FAIL     demo: not built", out.getvalue())
         self.assertIn("FAIL     other: not built", out.getvalue())
 
+    def test_run_passes_the_scale_and_a_per_scale_data_dir(self):
+        seen = []
+
+        def fake_run(cmd, env, **kwargs):
+            seen.append((os.path.basename(cmd[0]), env["X100IR_BENCH_SCALE"],
+                         env["X100IR_BENCH_DIR"]))
+            return mock.Mock(returncode=0, stdout=PASSING if "demo" in cmd[0]
+                             else "GATE ratio 7\n")
+
+        for scale, data in (("tiny", "bench_data"),
+                            ("default", "bench_data_default")):
+            seen.clear()
+            with tempfile.TemporaryDirectory() as build_dir, \
+                    contextlib.redirect_stdout(io.StringIO()), \
+                    mock.patch.dict(os.environ), \
+                    mock.patch.object(check_gates.subprocess, "run",
+                                      side_effect=fake_run):
+                os.environ.pop("X100IR_BENCH_DIR", None)
+                for bench in ("demo", "other"):
+                    open(os.path.join(build_dir, "bench_" + bench), "w").close()
+                self.assertTrue(check_gates.run_all(build_dir, BOUNDS, scale))
+                want = os.path.join(build_dir, data)
+            self.assertEqual(seen, [("bench_demo", scale, want),
+                                    ("bench_other", scale, want)])
+
+    def test_scale_argument(self):
+        calls = []
+        with mock.patch.object(check_gates, "run_all",
+                               side_effect=lambda *a: calls.append(a) or True):
+            self.assertEqual(check_gates.main(["x", "--run", "b"]), 0)
+            self.assertEqual(check_gates.main(
+                ["x", "--run", "b", "--scale", "default"]), 0)
+            with self.assertRaises(SystemExit):
+                check_gates.main(["x", "--run", "b", "--scale", "huge"])
+            with self.assertRaises(SystemExit):
+                check_gates.main(["x", "--run", "b", "--scale"])
+        self.assertEqual([(c[0], c[2]) for c in calls],
+                         [("b", "tiny"), ("b", "default")])
+
     def test_committed_bounds_parse(self):
         with open(check_gates.BOUNDS) as f:
             bounds = check_gates.load_bounds(f.read())

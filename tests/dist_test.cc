@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/shared_theta.h"
 #include "common/timer.h"
 #include "dist/cluster.h"
 #include "ir/custom_engine.h"
@@ -345,9 +346,10 @@ TEST(ClusterMerge, SingleNodeClusterIsBitwiseInAllModes) {
 // Shared-θ pruning proof
 // ---------------------------------------------------------------------------
 
-// Sequential scatter makes the θ protocol deterministic: shard i starts
-// from the final bound published by shards 0..i-1. Seeded shards demote
-// terms earlier and select harder, so across the batch the cluster
+// Sequential scatter makes the θ protocol deterministic: the gather merges
+// each shard as it returns and raises the channel to the k-th best of
+// shards 0..i-1 merged, so shard i starts from that bound. Seeded shards
+// demote terms earlier and select harder, so across the batch the cluster
 // generates strictly fewer candidates (num_matches counts exactly the
 // documents that survive into candidate vectors) — while merging to the
 // same rankings. This is the counter-level proof that θ sharing buys real
@@ -395,6 +397,46 @@ TEST(SharedThetaTest, SequentialSeedingPrunesStrictlyMoreCandidates) {
   // block-max-skips less. (Per query the counter can wobble — earlier
   // demotion also truncates essential streams — hence batch-level only.)
   EXPECT_GE(bmx_shared, bmx_indep);
+}
+
+// The floor the gather passes on is the merged k-th best, not the best of
+// the shards' separate k-th bests. The emulation below runs the latter
+// protocol: the nodes searched in turn with the cluster's stats and one
+// channel, each shard publishing only its own heap's bound. The merged
+// k-th of shards 0..i-1 is at least every bound they published, so the
+// cluster scores no more candidates per query and strictly fewer over the
+// batch, with rankings still the oracle's.
+TEST(SharedThetaTest, GatherFloorPrunesMoreThanPerShardBounds) {
+  Cluster cluster;
+  ASSERT_TRUE(cluster.Open(SharedCorpus(), "", InMemoryCluster(8)).ok());
+  const Reference& ref = SharedReference();
+  uint64_t cand_cluster = 0, cand_per_shard = 0;
+  for (const Query& q : TestQueries()) {
+    DistSearchOptions dopts;
+    dopts.sequential = true;
+    dopts.share_theta = true;
+    DistResult got;
+    ASSERT_TRUE(cluster.Search(q, RunType::kBm25, dopts, &got).ok());
+    const SearchResult expect =
+        ref.Search(q, RunType::kBm25, SearchOptions());
+    ExpectRankingsEquivalent(got.merged.docids, got.merged.scores,
+                             expect.docids, expect.scores, 1e-4f);
+
+    SharedTheta theta;
+    SearchOptions sopts = dopts.search;
+    sopts.global_stats = &cluster.collection_stats();
+    sopts.shared_theta = &theta;
+    uint64_t per_shard = 0;
+    for (uint32_t i = 0; i < cluster.num_nodes(); ++i) {
+      SearchResult r;
+      ASSERT_TRUE(cluster.node_db(i).Search(q, RunType::kBm25, sopts, &r).ok());
+      per_shard += r.num_matches;
+    }
+    EXPECT_LE(got.merged.num_matches, per_shard);
+    cand_cluster += got.merged.num_matches;
+    cand_per_shard += per_shard;
+  }
+  EXPECT_LT(cand_cluster, cand_per_shard);
 }
 
 // ---------------------------------------------------------------------------

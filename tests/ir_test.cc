@@ -10,9 +10,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -20,11 +22,13 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/shared_theta.h"
 #include "compress/pfor.h"
 #include "compress/unpack.h"
 #include "core/database.h"
 #include "ir/corpus.h"
 #include "ir/custom_engine.h"
+#include "ir/gather.h"
 #include "ir/index_builder.h"
 #include "ir/metrics.h"
 #include "ir/query_gen.h"
@@ -720,6 +724,158 @@ TEST(TopK, KLargerThanStreamReturnsEverythingRanked) {
   std::vector<float> scores;
   topk.FinishSorted(&docids, &scores);
   EXPECT_EQ(docids, (std::vector<int32_t>{1, 3}));
+}
+
+// Oracle for TopK and Gather: seeded streams of distinct docids (0 through
+// INT32_MAX) whose scores mix exact ties, negatives, ±0, subnormals and
+// ±FLT_MAX, checked against a std::sort under the comparator below.
+struct Scored {
+  int32_t docid;
+  float score;
+};
+
+bool OracleBefore(const Scored& a, const Scored& b) {
+  if (a.score != b.score) return a.score > b.score;
+  return a.docid < b.docid;
+}
+
+// TopK maps −0.0 to +0.0 (topk.h, RankKey); everything else round-trips.
+uint32_t FoldedBits(float s) { return ScoreBits({s + 0.0f})[0]; }
+
+float OracleScore(Rng& rng) {
+  static const float kPool[] = {
+      0.0f,
+      -0.0f,
+      1.0f,
+      -1.0f,
+      2.5f,
+      std::numeric_limits<float>::max(),
+      -std::numeric_limits<float>::max(),
+      std::numeric_limits<float>::min(),
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(),
+      3.0f * std::numeric_limits<float>::denorm_min(),
+  };
+  constexpr size_t kPoolSize = sizeof(kPool) / sizeof(kPool[0]);
+  if (rng.NextBernoulli(0.5)) return kPool[rng.NextBounded(kPoolSize)];
+  for (;;) {  // any finite float, subnormals included
+    const uint32_t bits = static_cast<uint32_t>(rng.Next());
+    float f;
+    std::memcpy(&f, &bits, sizeof(f));
+    if (std::isfinite(f)) return f;
+  }
+}
+
+// `n` entries with distinct docids in [lo, hi].
+std::vector<Scored> OracleStream(Rng& rng, size_t n, int64_t lo, int64_t hi) {
+  std::set<int64_t> used;
+  std::vector<Scored> out;
+  while (out.size() < n) {
+    const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
+    int64_t d = lo + static_cast<int64_t>(rng.NextBounded(span));
+    if (rng.NextBernoulli(0.1)) d = rng.NextBernoulli(0.5) ? lo : hi;
+    if (!used.insert(d).second) continue;
+    out.push_back({static_cast<int32_t>(d), OracleScore(rng)});
+  }
+  return out;
+}
+
+TEST(TopK, MatchesSortOracleOnTiesExtremesAndWideDocids) {
+  constexpr int64_t kMaxDocid = std::numeric_limits<int32_t>::max();
+  Rng rng(26);
+  for (const uint32_t k : {1u, 2u, 20u, 100u, 1000u}) {
+    for (const size_t n : {size_t{0}, size_t{k / 2}, size_t{k},
+                           size_t{3} * k + 7}) {
+      const std::vector<Scored> stream = OracleStream(rng, n, 0, kMaxDocid);
+      TopK topk(k);
+      std::vector<Scored> sorted;  // the prefix pushed so far, rank order
+      for (const Scored& e : stream) {
+        topk.Push(e.docid, e.score);
+        sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), e,
+                                       OracleBefore),
+                      e);
+        if (sorted.size() < k) {
+          ASSERT_EQ(topk.threshold(), -std::numeric_limits<float>::infinity());
+        } else {
+          ASSERT_EQ(FoldedBits(topk.threshold()),
+                    FoldedBits(sorted[k - 1].score))
+              << "k=" << k << " after " << sorted.size() << " pushes";
+        }
+      }
+      std::vector<Scored> expect = stream;
+      std::sort(expect.begin(), expect.end(), OracleBefore);
+      if (expect.size() > k) expect.resize(k);
+      std::vector<int32_t> docids;
+      std::vector<float> scores;
+      topk.FinishSorted(&docids, &scores);
+      ASSERT_EQ(docids.size(), expect.size()) << "k=" << k << " n=" << n;
+      for (size_t i = 0; i < expect.size(); ++i) {
+        EXPECT_EQ(docids[i], expect[i].docid) << "k=" << k << " rank " << i;
+        EXPECT_EQ(ScoreBits({scores[i]})[0], FoldedBits(expect[i].score))
+            << "k=" << k << " rank " << i;
+      }
+      // FinishSorted resets the heap.
+      EXPECT_FALSE(topk.full());
+      EXPECT_EQ(topk.threshold(), -std::numeric_limits<float>::infinity());
+    }
+  }
+}
+
+// Parts of 0..k entries, each rank-sorted over its own local docids and
+// mapped to a disjoint ascending global range, merged one at a time: the
+// result is the top k of their union, scores bit for bit (the gather never
+// decodes a score), the lower global docid winning cross-part ties; and the
+// θ channel reads the k-th best of everything merged so far.
+TEST(Gather, IncrementalMergeMatchesSortOfTheUnion) {
+  Rng rng(2026);
+  for (const uint32_t k : {1u, 2u, 20u, 100u, 1000u}) {
+    for (int round = 0; round < 6; ++round) {
+      const uint32_t num_parts = 1 + static_cast<uint32_t>(rng.NextBounded(6));
+      SearchResult merged;
+      SharedTheta theta;
+      Gather gather(RunType::kBm25, k, &merged, &theta);
+      std::vector<Scored> all;
+      int64_t base = 0;
+      for (uint32_t p = 0; p < num_parts; ++p) {
+        const int64_t width = 1 + static_cast<int64_t>(k) * 3;
+        const size_t n = static_cast<size_t>(rng.NextBounded(k + 1));
+        std::vector<Scored> part = OracleStream(rng, n, 0, width - 1);
+        std::sort(part.begin(), part.end(), OracleBefore);
+        SearchResult r;
+        r.num_matches = n;
+        for (const Scored& e : part) {
+          r.docids.push_back(e.docid);
+          r.scores.push_back(e.score);
+          all.push_back({static_cast<int32_t>(base + e.docid), e.score});
+        }
+        const int32_t offset = static_cast<int32_t>(base);
+        gather.Add(std::move(r), [offset](int32_t d) { return offset + d; });
+        base += width;
+        std::vector<Scored> so_far = all;
+        std::sort(so_far.begin(), so_far.end(), OracleBefore);
+        if (so_far.size() >= k) {
+          EXPECT_EQ(theta.Load(), so_far[k - 1].score)
+              << "k=" << k << " part " << p;
+        } else {
+          EXPECT_EQ(theta.Load(), -std::numeric_limits<float>::infinity());
+        }
+      }
+      gather.Finish();
+      std::sort(all.begin(), all.end(), OracleBefore);
+      EXPECT_EQ(merged.num_matches, all.size());
+      if (all.size() > k) all.resize(k);
+      ASSERT_EQ(merged.docids.size(), all.size()) << "k=" << k;
+      std::vector<int32_t> want_docids;
+      std::vector<float> want_scores;
+      for (const Scored& e : all) {
+        want_docids.push_back(e.docid);
+        want_scores.push_back(e.score);
+      }
+      EXPECT_EQ(merged.docids, want_docids) << "k=" << k;
+      EXPECT_EQ(ScoreBits(merged.scores), ScoreBits(want_scores))
+          << "k=" << k;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
