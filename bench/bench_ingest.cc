@@ -26,10 +26,13 @@
 //      median of the rounds' ratios.
 //
 // Gates (bench/gates.txt): all merge cycles commit, during-merge p50
-// within 2x of the quiescent p50, and group-commit ingest >= 3x
-// fsync-per-write. The two comparisons are host-relative, and both
-// self-disable where the host can't judge them: the interference gate
-// under 4 cores (the merge thread needs a core to hide on), the WAL gate
+// within 2x of the quiescent p50, the delta-resident p50 within a bound
+// of the post-merge p50 (the added documents read from the write buffer,
+// then merged into the segment with later ones), and group-commit ingest
+// >= 3x fsync-per-write. The comparisons are host-relative, and they
+// self-disable where the host can't judge them: the interference and
+// delta gates under 4 cores (the merge thread needs a core to hide on and
+// 50 merge-overlapped samples), the WAL gate
 // under 4 cores (writers must be able to append while the leader's fsync
 // is in flight; on one core their wake-ups serialize behind it) or when a
 // probe measures fsync below ~100us — on tmpfs/ramdisk CI an fsync is
@@ -267,6 +270,10 @@ int Run() {
   // overhead.
   std::vector<double> post_lat =
       MeasureLatencies(db, queries, quiescent_samples);
+  // What reading the write buffer costs over reading merged documents.
+  const double d_p50 = bench::Percentile(delta_lat, 0.50) * 1e3;
+  const double pm_p50 = bench::Percentile(post_lat, 0.50) * 1e3;
+  const double delta_ratio = pm_p50 > 0.0 ? d_p50 / pm_p50 : 0.0;
 
   // ---- 4. WAL durability cost: in memory vs fsync vs group commit. ----
   const double fsync_probe_us = FsyncProbeMicros(bench::BenchDir());
@@ -336,8 +343,9 @@ int Run() {
       "group-committed (the on-disk modes in alternating rounds, median "
       "round), each merge's seconds and forward-store bytes per posting. "
       "Gated values: every "
-      "merge commits, during-merge p50 within 2x of quiescent "
-      "(self-disabled under 4 cores) and the median round's group-commit "
+      "merge commits, during-merge p50 within 2x of quiescent and the "
+      "delta-resident p50 within a bound of post-merge "
+      "(both self-disabled under 4 cores) and the median round's group-commit "
       ">= 3x fsync-per-write (self-disabled under 4 cores -- one core "
       "serializes waiter wake-ups behind the flush leader -- or when an "
       "fsync probe reads < 100us -- tmpfs).");
@@ -414,6 +422,7 @@ int Run() {
   record.Gate("quiescent_p50_ms", q_p50);
   record.Gate("merge_p50_ms", m_p50);
   record.Gate("merge_p50_ratio", p50_ratio);
+  record.Gate("delta_vs_post_merge_p50", delta_ratio);
   record.Gate("ingest_docs_per_sec", docs_per_sec);
   record.Gate("merges_ok", merges_ok);
 

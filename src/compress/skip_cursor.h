@@ -3,13 +3,14 @@
 // loads only windows that can contain the probe, and one window cache for
 // a term's value column. Both read the column a 128-value window at a time
 // through a *window source*, which is all that differs between a resident
-// block and a pool-served file (DESIGN.md §7.1, §8.5).
+// block, a pool-served file and a plain array (DESIGN.md §7.1, §8.5).
 //
 // The trick is that the last value of a window inside a sorted range is its
 // max, and a source can tell it without loading the window: a PFOR-DELTA
 // entry point already stores the running value before its window
 // (value_base, needed by LOOP3's seeded prefix sum), so the max of window w
-// is WindowValueBase(w + 1); a raw column reads it with one point read.
+// is WindowValueBase(w + 1); a raw column or an array reads it with one
+// point read.
 // Over a sorted range those maxima are nondecreasing, which turns "first
 // window that can contain target" into a search over window maxima; only
 // the one candidate window is then loaded (128 values) and searched.
@@ -36,8 +37,8 @@
 //   CheckSorted()          non-OK when it cannot serve a sorted cursor.
 // WindowMax and Load return false when the source failed; it latches the
 // status where its owner reads it, and the cursor then ends. The resident
-// source never fails — both return a constant true, so after inlining the
-// in-memory loops carry no status checks.
+// and array sources never fail — both return a constant true, so after
+// inlining the in-memory loops carry no status checks.
 //
 // Cursors and caches are cheap to construct (a 128-value window buffer, no
 // allocation) and single-threaded like everything else in a plan.
@@ -46,6 +47,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 
 #include "common/status.h"
 #include "compress/codec.h"
@@ -115,6 +117,41 @@ class ResidentWindows {
 
  private:
   const BlockDecoder* dec_ = nullptr;
+};
+
+// The window source over a plain i32 array — a write buffer's postings,
+// copied out for one read (ir/delta_segment.h): a window max is a point
+// read and a load is a copy. The array must outlive every cursor or cache
+// over it.
+class ArrayWindows {
+ public:
+  ArrayWindows() = default;
+  ArrayWindows(const int32_t* values, uint64_t n) : values_(values), n_(n) {}
+
+  Status CheckSorted() const {
+    if (values_ == nullptr && n_ > 0) return InvalidArgument("null array");
+    return OkStatus();
+  }
+  uint64_t size() const { return n_; }
+  uint32_t window_count() const {
+    return static_cast<uint32_t>((n_ + kEntryPointStride - 1) /
+                                 kEntryPointStride);
+  }
+  bool WindowMax(uint32_t w, int32_t* max) const {
+    *max = values_[(static_cast<uint64_t>(w) + 1) * kEntryPointStride - 1];
+    return true;
+  }
+  bool Load(uint32_t w, WindowValues* dst) const {
+    const uint64_t base = static_cast<uint64_t>(w) * kEntryPointStride;
+    std::memcpy(dst->i32, values_ + base,
+                std::min<uint64_t>(kEntryPointStride, n_ - base) *
+                    sizeof(int32_t));
+    return true;
+  }
+
+ private:
+  const int32_t* values_ = nullptr;
+  uint64_t n_ = 0;
 };
 
 // The last window of a column loaded through `Source`, kept until another
@@ -374,8 +411,8 @@ class SortedCursor {
   uint64_t blockmax_skipped_ = 0;
 };
 
-// The cursor over a resident block — the streaming join's docid cursor
-// (ir::DocidSkipCursor) and the in-memory MaxScore backend's.
+// The cursor over a resident block — a segment's docid cursor, in the
+// streaming join and in the in-memory MaxScore backend.
 using SortedRangeCursor = SortedCursor<ResidentWindows>;
 
 }  // namespace x100ir::compress

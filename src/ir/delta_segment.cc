@@ -19,19 +19,26 @@ Status DeltaSegment::Add(std::vector<DocTerm> doc, int32_t* global_docid) {
   return OkStatus();
 }
 
-void DeltaSegment::CollectPostings(uint32_t term, uint32_t visible,
-                                   std::vector<int32_t>* local_idx,
-                                   std::vector<int32_t>* tfs,
-                                   std::vector<int32_t>* doc_lens) const {
-  local_idx->clear();
-  tfs->clear();
-  doc_lens->clear();
+void DeltaSegment::CollectPostings(const std::vector<uint32_t>& terms,
+                                   uint32_t visible, bool with_doc_lens,
+                                   DeltaPostings* out) const {
+  out->terms = terms;
+  out->begin.clear();
+  out->docids.clear();
+  out->tfs.clear();
+  out->doc_lens.clear();
   std::shared_lock<std::shared_mutex> lock(mu_);
-  for (const auto& [local, tf] : postings_[term]) {
-    if (static_cast<uint32_t>(local) >= visible) break;  // index ascending
-    local_idx->push_back(local);
-    tfs->push_back(tf);
-    doc_lens->push_back(doc_lens_[local]);
+  for (uint32_t t : terms) {
+    out->begin.push_back(static_cast<uint32_t>(out->docids.size()));
+    for (const auto& [local, tf] : postings_[t]) {
+      if (static_cast<uint32_t>(local) >= visible) break;  // index ascending
+      out->docids.push_back(local);
+      out->tfs.push_back(tf);
+    }
+  }
+  out->begin.push_back(static_cast<uint32_t>(out->docids.size()));
+  if (with_doc_lens) {
+    out->doc_lens.assign(doc_lens_.begin(), doc_lens_.begin() + visible);
   }
 }
 

@@ -9,13 +9,14 @@
 // have, which keeps cross-structure result merging a concatenation.
 //
 // Snapshot reads (visible-prefix semantics): a snapshot captures the
-// document count at acquire time and scans only postings whose doc index is
+// document count at acquire time and reads only postings whose doc index is
 // below it. Appends after the capture are invisible to that snapshot, so a
 // query sees one consistent document set without blocking writers for its
-// whole duration. Readers copy postings out under a shared lock (the
-// posting vectors reallocate under Add, so borrowed pointers would dangle);
-// the forward stores are deques, whose element references survive appends,
-// so per-doc accessors can return without copying.
+// whole duration. A read copies its terms' postings and the doc-length
+// prefix out under one shared lock (the vectors reallocate under Add, so
+// borrowed pointers would dangle) and runs the engine's plans over the copy
+// (ir/snapshot_search.cc); the forward documents live in a deque, whose
+// element references survive appends, so doc() returns without copying.
 //
 // Thread contract: Add under the writer lock; every accessor is safe
 // concurrently with Add. Seal() flips the buffer read-only (merge prep);
@@ -36,6 +37,18 @@
 #include "ir/corpus.h"
 
 namespace x100ir::ir {
+
+// One read's copy of a delta's visible postings for a sorted term list:
+// terms[i]'s postings are docids/tfs[begin[i], begin[i + 1]), delta-local
+// doc indexes ascending, and doc_lens holds the visible documents' lengths
+// by doc index (empty unless asked for).
+struct DeltaPostings {
+  std::vector<uint32_t> terms;
+  std::vector<uint32_t> begin;
+  std::vector<int32_t> docids;
+  std::vector<int32_t> tfs;
+  std::vector<int32_t> doc_lens;
+};
 
 class DeltaSegment {
  public:
@@ -73,17 +86,16 @@ class DeltaSegment {
     return sealed_;
   }
 
-  // Copies term t's postings with doc index < visible out as parallel
-  // (delta-local doc index, tf, doc length) vectors, docids ascending, under
-  // one shared lock. Overwrites the outputs.
-  void CollectPostings(uint32_t term, uint32_t visible,
-                       std::vector<int32_t>* local_idx,
-                       std::vector<int32_t>* tfs,
-                       std::vector<int32_t>* doc_lens) const;
+  // Copies the postings with doc index < visible of each of `terms`
+  // (sorted, below vocab_size()) and, when `with_doc_lens`, the first
+  // `visible` doc lengths into *out, under one shared lock. Overwrites *out
+  // and reuses its capacity.
+  void CollectPostings(const std::vector<uint32_t>& terms, uint32_t visible,
+                       bool with_doc_lens, DeltaPostings* out) const;
 
   // Per-document forward access, valid for local < the visible count the
-  // caller captured. The returned reference stays valid across concurrent
-  // Adds (deque-backed).
+  // caller captured. doc()'s reference stays valid across concurrent Adds
+  // (deque-backed).
   int32_t doc_len(uint32_t local) const {
     std::shared_lock<std::shared_mutex> lock(mu_);
     return doc_lens_[local];
@@ -101,9 +113,9 @@ class DeltaSegment {
   bool sealed_ = false;
   // Inverted: postings_[t] = (delta-local doc index, tf), index ascending.
   std::vector<std::vector<std::pair<int32_t, int32_t>>> postings_;
-  // Forward: deques so element references survive appends.
+  // Forward: a deque so element references survive appends.
   std::deque<std::vector<DocTerm>> docs_;
-  std::deque<int32_t> doc_lens_;
+  std::vector<int32_t> doc_lens_;
 };
 
 }  // namespace x100ir::ir

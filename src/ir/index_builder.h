@@ -121,7 +121,7 @@ class InvertedIndex {
   const vec::VectorSource* tf_source() const { return tf_source_.get(); }
 
   // Raw block decoders behind the columns, for skip-aware access
-  // (posting_cursor.h). Borrowed; valid as long as the index.
+  // (compress/skip_cursor.h). Borrowed; valid as long as the index.
   const compress::BlockDecoder* docid_decoder() const {
     return docid_source_->decoder();
   }

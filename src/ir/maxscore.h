@@ -75,11 +75,11 @@
 #include "ir/bm25.h"
 #include "ir/collection_stats.h"
 #include "ir/index_builder.h"
-#include "ir/posting_cursor.h"
 #include "ir/search_engine.h"
 #include "ir/topk.h"
 #include "vec/primitives.h"
 #include "vec/scan.h"
+#include "vec/streaming_merge.h"
 
 namespace x100ir::ir {
 
@@ -285,8 +285,8 @@ Status SearchBm25MaxScore(Postings& postings,
     result->num_matches = candidates;
     for (size_t i = 0; i < m; ++i) {
       Term& ts = states[i];
-      AddSkipStats(ts.stream.stats(), &ctx.stats);
-      if (ts.demoted) AddSkipStats(ts.probe.stats(), &ctx.stats);
+      vec::AddSkipStats(ts.stream.stats(), &ctx.stats);
+      if (ts.demoted) vec::AddSkipStats(ts.probe.stats(), &ctx.stats);
       ctx.stats.tf_windows_decoded += ts.values.windows_loaded();
     }
     result->stats = ctx.stats;

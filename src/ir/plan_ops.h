@@ -1,4 +1,4 @@
-// Engine-internal operators of the in-memory plans (search_engine.cc):
+// The engine's scan and join plans and their engine-internal operators:
 //
 //   Bm25ScoreOperator — per-term map: gathers doclen for the vector's
 //     docids and runs the fused MapBm25 kernel (ir/bm25.h), emitting
@@ -7,27 +7,34 @@
 //     vector-at-a-time: distinct docids (BoolOR) or per-docid score sums
 //     (the BM25 disjunction). Children decode lazily, so a union never
 //     materializes whole posting lists — constant memory per child.
-//   RunRankedUnion — the score-all ranked root over scored children,
-//     MergeUnion(sum scores) → TopK(k), drained into a SearchResult.
+//   SearchBool — BoolAND's rarest-first StreamingJoin, BoolOR's distinct
+//     MergeUnion over docid scans.
+//   SearchBm25 — the score-all ranked plan.
 //
-// Every operator here consumes and emits dense batches (vec/scan.h). They
-// serve the boolean OR run and kBm25's score-all union
-// (maxscore_bm25 = false); every other ranked run, the storage runs
-// included, runs the MaxScore executor (ir/maxscore.h). Not part of the
-// public API.
+// The plans are templates over per-term leaves (ir/posting_cursor.h): a
+// segment's columns or a write buffer's copy. A segment runs them for the
+// boolean runs and kBm25's score-all union (maxscore_bm25 = false), a
+// write buffer for every run; a segment's other ranked runs run the
+// MaxScore executor (ir/maxscore.h). Every operator here consumes and emits
+// dense batches (vec/scan.h). Not part of the public API.
 #ifndef X100IR_IR_PLAN_OPS_H_
 #define X100IR_IR_PLAN_OPS_H_
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/string_util.h"
+#include "compress/skip_cursor.h"
 #include "ir/bm25.h"
+#include "ir/posting_cursor.h"
 #include "ir/search_engine.h"
 #include "ir/topk.h"
+#include "vec/mem_source.h"
 #include "vec/scan.h"
+#include "vec/streaming_merge.h"
 #include "vec/vector.h"
 
 namespace x100ir::ir {
@@ -236,20 +243,129 @@ class MergeUnionOperator : public vec::Operator {
   vec::Batch batch_;
 };
 
-// The score-all ranked plan: MergeUnion(sum scores) over the scored
-// children (each emitting (docid i32, score f32)) → TopK(opts.k,
-// opts.tombstones), drained with a deadline checkpoint before every batch
-// (§9.3). Appends the ranked rows to result->docids/scores and sets
-// result->num_matches to the rows the top-k consumed, on every exit past
-// Open — a DeadlineExceeded result keeps its partial count. Execution
-// stats stay in *ctx; the caller accounts them.
-inline Status RunRankedUnion(vec::ExecContext* ctx,
-                             std::vector<vec::OperatorPtr> scored,
-                             const SearchOptions& opts,
-                             SearchResult* result) {
-  TopKOperator topk(ctx,
+// Leaf of the scan plans: one term's slice of the docid column, and of tf
+// when the run scores.
+template <class Leaves>
+vec::OperatorPtr MakeTermScan(const Leaves& leaves, vec::ExecContext* ctx,
+                              uint32_t term, bool with_tf) {
+  const TermRange r = leaves.Range(term);
+  vec::Schema schema;
+  schema.Add("docid", vec::TypeId::kI32);
+  if (with_tf) schema.Add("tf", vec::TypeId::kI32);
+  std::vector<vec::VectorSourcePtr> sources;
+  sources.push_back(std::make_unique<vec::SliceVectorSource>(
+      leaves.docids(), r.begin, r.len));
+  if (with_tf) {
+    sources.push_back(std::make_unique<vec::SliceVectorSource>(
+        leaves.tfs(), r.begin, r.len));
+  }
+  return std::make_unique<vec::ScanOperator>(ctx, std::move(schema),
+                                             std::move(sources));
+}
+
+// The boolean plans over `terms` (PrepareQuery's, every one with
+// postings): collects the first opts.k docids into result->docids and
+// counts every match in result->num_matches, dropping opts.tombstones.
+template <class Leaves>
+Status SearchBool(const Leaves& leaves, const std::vector<uint32_t>& terms,
+                  bool conjunctive, const SearchOptions& opts,
+                  SearchResult* result) {
+  vec::ExecContext ctx;
+  ctx.vector_size = opts.vector_size;
+  vec::OperatorPtr root;
+  if (conjunctive) {
+    // Streaming skip join: cursors rarest-first so the shortest list
+    // drives and the long lists are only probed (DESIGN.md §7.2).
+    std::vector<uint32_t> by_df = terms;
+    std::sort(by_df.begin(), by_df.end(), [&leaves](uint32_t a, uint32_t b) {
+      const uint32_t da = leaves.Range(a).len, db = leaves.Range(b).len;
+      return da != db ? da < db : a < b;
+    });
+    using Source = typename Leaves::Source;
+    std::vector<compress::SortedCursor<Source>> cursors(by_df.size());
+    for (size_t i = 0; i < by_df.size(); ++i) {
+      const TermRange r = leaves.Range(by_df[i]);
+      X100IR_RETURN_IF_ERROR(
+          cursors[i].Init(leaves.docid_windows(), r.begin, r.begin + r.len));
+    }
+    root = std::make_unique<vec::StreamingJoinOperator<Source>>(
+        &ctx, std::move(cursors));
+  } else {
+    std::vector<vec::OperatorPtr> children;
+    children.reserve(terms.size());
+    for (uint32_t t : terms) {
+      children.push_back(MakeTermScan(leaves, &ctx, t, /*with_tf=*/false));
+    }
+    root = std::make_unique<MergeUnionOperator>(&ctx, std::move(children),
+                                                /*sum_scores=*/false);
+  }
+  X100IR_RETURN_IF_ERROR(root->Open());
+  vec::Batch* b = nullptr;
+  for (;;) {
+    // Deadline checkpoint: once per batch (§9.3), so an expiring query
+    // surfaces within one vector's worth of work, with its partial stats.
+    if (opts.deadline != nullptr) {
+      Status live = opts.deadline->Check();
+      if (!live.ok()) {
+        root->Close();
+        result->stats = ctx.stats;
+        return live;
+      }
+    }
+    X100IR_RETURN_IF_ERROR(root->Next(&b));
+    if (b == nullptr) break;
+    const int32_t* docids = b->columns[0]->Data<int32_t>();
+    if (opts.tombstones == nullptr) {
+      result->num_matches += b->count;
+      const uint32_t room =
+          opts.k > result->docids.size()
+              ? opts.k - static_cast<uint32_t>(result->docids.size())
+              : 0;
+      const uint32_t take = std::min(room, b->count);
+      result->docids.insert(result->docids.end(), docids, docids + take);
+    } else {
+      // Segmented read with deletes: only live docids count toward
+      // num_matches and the k cap, so the result matches an index rebuilt
+      // without the deleted documents.
+      for (uint32_t i = 0; i < b->count; ++i) {
+        if (TombstoneTest(opts.tombstones, docids[i])) continue;
+        ++result->num_matches;
+        if (result->docids.size() < opts.k) {
+          result->docids.push_back(docids[i]);
+        }
+      }
+    }
+  }
+  root->Close();
+  result->stats = ctx.stats;
+  return OkStatus();
+}
+
+// The score-all ranked plan over `terms` (PrepareQuery's, every one with
+// postings): Scan(docid, tf) → Bm25Score per term, children in ascending
+// term order — the float addition order of every score sum — then
+// MergeUnion(sum scores) → TopK(opts.k, opts.tombstones), drained with a
+// deadline checkpoint before every batch (§9.3). Sets result->num_matches
+// to the rows the top-k consumed and result->stats on every exit past
+// Open — a DeadlineExceeded result keeps its partial accounting.
+template <class Leaves>
+Status SearchBm25(const Leaves& leaves, const std::vector<uint32_t>& terms,
+                  const SearchOptions& opts, SearchResult* result) {
+  vec::ExecContext ctx;
+  ctx.vector_size = opts.vector_size;
+  const double avgdl = leaves.avg_doc_len();
+  const float inv_avgdl =
+      avgdl > 0.0 ? static_cast<float>(1.0 / avgdl) : 0.0f;
+  std::vector<vec::OperatorPtr> scored;
+  scored.reserve(terms.size());
+  for (uint32_t t : terms) {
+    scored.push_back(std::make_unique<Bm25ScoreOperator>(
+        &ctx, MakeTermScan(leaves, &ctx, t, /*with_tf=*/true), leaves.Idf(t),
+        opts.bm25, leaves.doc_lens(), inv_avgdl));
+  }
+  TopKOperator topk(&ctx,
                     std::make_unique<MergeUnionOperator>(
-                        ctx, std::move(scored), /*sum_scores=*/true),
+                        &ctx, std::move(scored), /*sum_scores=*/true),
                     opts.k);
   topk.set_tombstones(opts.tombstones);
   X100IR_RETURN_IF_ERROR(topk.Open());
@@ -269,6 +385,7 @@ inline Status RunRankedUnion(vec::ExecContext* ctx,
   }
   result->num_matches = topk.rows_consumed();
   topk.Close();
+  result->stats = ctx.stats;
   return s;
 }
 

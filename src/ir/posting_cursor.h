@@ -1,57 +1,63 @@
-// Skip-aware access to one term's postings — the adapter between the
-// compressed TD.docid column (index_builder.h) and the streaming join:
-//
-//   DocidSkipCursor — vec::SkipCursor over the term's slice of TD.docid,
-//     backed by compress::SortedRangeCursor so SkipTo decodes only windows
-//     that can contain the probe. Decode/skip counters fold into the plan's
-//     ExecStats at Close.
-//
-// A per-query object over borrowed index state (the index must outlive
-// it), like SliceVectorSource.
+// Per-term posting leaves: what the scan and join plans (plan_ops.h) read a
+// structure's postings through, so a segment and a write buffer run the
+// same plans (DESIGN.md §6.2, §10.2). Leaves supply whole docid and tf
+// columns, which a plan slices at Range(t) for its scans; the docid
+// column's window source (`Source`, docid_windows()), which its skip
+// cursors search over Range(t); document lengths by structure-local docid;
+// and the BM25 statistics the scores follow (Idf(t), avg_doc_len()).
+// A segment's leaves are MemPostings (search_engine.cc), over its
+// compressed TD columns; a write buffer's are DeltaLeaves below. Plans ask
+// only for terms the read's PrepareQuery kept for the structure.
 #ifndef X100IR_IR_POSTING_CURSOR_H_
 #define X100IR_IR_POSTING_CURSOR_H_
 
+#include <algorithm>
 #include <cstdint>
 
-#include "common/status.h"
 #include "compress/skip_cursor.h"
-#include "ir/index_builder.h"
-#include "vec/streaming_merge.h"
+#include "ir/bm25.h"
+#include "ir/collection_stats.h"
+#include "ir/delta_segment.h"
+#include "vec/mem_source.h"
 
 namespace x100ir::ir {
 
-// Folds a skip cursor's window counters into a plan's ExecStats.
-inline void AddSkipStats(const compress::SkipStats& s, vec::ExecStats* out) {
-  out->windows_decoded += s.windows_decoded;
-  out->windows_skipped += s.windows_skipped;
-  out->windows_blockmax_skipped += s.windows_blockmax_skipped;
-}
+// One term's postings: positions [begin, begin + len) of the columns.
+struct TermRange {
+  uint64_t begin = 0;
+  uint32_t len = 0;
+};
 
-class DocidSkipCursor : public vec::SkipCursor {
+// A write buffer's postings, copied out for one read: vec::MemVectorSources
+// and compress::ArrayWindows over the copy, which must outlive every plan
+// built from them. `stats` is the read's collection model.
+class DeltaLeaves {
  public:
-  // Cursor over the postings of `term`.
-  Status Init(const InvertedIndex* index, uint32_t term) {
-    if (index == nullptr) return InvalidArgument("null index");
-    if (term >= index->vocab_size()) {
-      return InvalidArgument("term outside vocabulary");
-    }
-    const TermInfo& info = index->term(term);
-    return cursor_.Init(index->docid_decoder(), info.posting_start,
-                        info.posting_start + info.doc_freq);
-  }
+  using Source = compress::ArrayWindows;
 
-  bool AtEnd() override { return cursor_.AtEnd(); }
-  int32_t value() override { return cursor_.value(); }
-  uint64_t position() override { return cursor_.position(); }
-  bool Next() override { return cursor_.Next(); }
-  bool SkipTo(int32_t target) override { return cursor_.SkipTo(target); }
+  DeltaLeaves(const DeltaPostings& copy, const CollectionStats& stats)
+      : copy_(copy), stats_(stats), docids_(copy.docids), tfs_(copy.tfs) {}
 
-  void FoldStats(vec::ExecStats* stats) override {
-    AddSkipStats(cursor_.stats(), stats);
+  // t must be one of the copied terms.
+  TermRange Range(uint32_t t) const {
+    const size_t i =
+        std::lower_bound(copy_.terms.begin(), copy_.terms.end(), t) -
+        copy_.terms.begin();
+    return {copy_.begin[i], copy_.begin[i + 1] - copy_.begin[i]};
   }
+  const vec::VectorSource* docids() const { return &docids_; }
+  const vec::VectorSource* tfs() const { return &tfs_; }
+  Source docid_windows() const {
+    return Source(copy_.docids.data(), copy_.docids.size());
+  }
+  const int32_t* doc_lens() const { return copy_.doc_lens.data(); }
+  float Idf(uint32_t t) const { return Bm25Idf(stats_.num_docs, stats_.df[t]); }
+  double avg_doc_len() const { return stats_.avg_doc_len; }
 
  private:
-  compress::SortedRangeCursor cursor_;
+  const DeltaPostings& copy_;
+  const CollectionStats& stats_;
+  vec::MemVectorSource<int32_t> docids_, tfs_;
 };
 
 }  // namespace x100ir::ir

@@ -1,54 +1,29 @@
-// Plan construction for the in-memory runs: composition of vec/ operators
-// (Scan over SliceVectorSource windows of the compressed TD columns, the
-// streaming skip join for conjunctions, the score-all union of
-// ir/plan_ops.h) plus the in-memory posting backend of the Block-Max
-// MaxScore executor (ir/maxscore.h), which the storage runs
-// (storage_runs.cc) instantiate over pool-served columns.
+// The in-memory runs: the scan and join plans of ir/plan_ops.h and the
+// Block-Max MaxScore executor (ir/maxscore.h) over one in-memory posting
+// backend, MemPostings; the storage runs (storage_runs.cc) instantiate the
+// executor over pool-served columns.
 #include "ir/search_engine.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <utility>
+#include <vector>
 
 #include "common/timer.h"
+#include "compress/skip_cursor.h"
 #include "ir/bm25.h"
 #include "ir/maxscore.h"
 #include "ir/plan_ops.h"
 #include "ir/posting_cursor.h"
 #include "ir/request.h"
 #include "ir/tf_window_score.h"
-#include "ir/topk.h"
-#include "vec/mem_source.h"
-#include "vec/scan.h"
-#include "vec/streaming_merge.h"
 
 namespace x100ir::ir {
 namespace {
 
-// Leaf of every plan: a scan over one term's window of the compressed TD
-// columns (docid always, tf when the run scores).
-vec::OperatorPtr MakeTermScan(const InvertedIndex& index,
-                              vec::ExecContext* ctx, uint32_t term,
-                              bool with_tf) {
-  const TermInfo& info = index.term(term);
-  vec::Schema schema;
-  schema.Add("docid", vec::TypeId::kI32);
-  if (with_tf) schema.Add("tf", vec::TypeId::kI32);
-  std::vector<vec::VectorSourcePtr> sources;
-  sources.push_back(std::make_unique<vec::SliceVectorSource>(
-      index.docid_source(), info.posting_start, info.doc_freq));
-  if (with_tf) {
-    sources.push_back(std::make_unique<vec::SliceVectorSource>(
-        index.tf_source(), info.posting_start, info.doc_freq));
-  }
-  return std::make_unique<vec::ScanOperator>(ctx, std::move(schema),
-                                             std::move(sources));
-}
-
-// The in-memory posting backend of the Block-Max MaxScore executor
-// (maxscore.h): skip cursors over the resident PFOR-DELTA docid column,
-// windows scored straight from the packed tf payload by the fused
+// The in-memory posting backend: the leaves of the scan and join plans
+// (ir/posting_cursor.h) — slices of the index's compressed TD columns and
+// skip cursors over its resident docid block — and the MaxScore executor's
+// backend (maxscore.h): skip cursors over the resident PFOR-DELTA docid
+// column, windows scored straight from the packed tf payload by the fused
 // decode→score kernel (tf_window_score.h) — the tf codewords go to BM25
 // contributions without materializing a tf vector — and probes completed
 // from the term's cached tf window.
@@ -76,6 +51,15 @@ class MemPostings {
 
   Source docid_windows() const { return index_.docid_decoder(); }
   Source value_windows() const { return tf_dec_; }
+
+  TermRange Range(uint32_t t) const {
+    const TermInfo& info = index_.term(t);
+    return {info.posting_start, info.doc_freq};
+  }
+  const vec::VectorSource* docids() const { return index_.docid_source(); }
+  const vec::VectorSource* tfs() const { return index_.tf_source(); }
+  const int32_t* doc_lens() const { return doclens_; }
+  double avg_doc_len() const { return EffectiveAvgDocLen(opts_, index_); }
 
   // Scores the decoded docid window behind `rv` into out[0..rv.win_len)
   // straight from the packed tf payload; dl is doclen staging.
@@ -135,21 +119,19 @@ Status SearchEngine::Search(const Query& query, RunType type,
     return OkStatus();
   }
 
+  MemPostings postings(*index_, opts);
   Status s;
   switch (type) {
     case RunType::kBoolAnd:
-      s = SearchBool(terms, /*conjunctive=*/true, opts, result);
+      s = SearchBool(postings, terms, /*conjunctive=*/true, opts, result);
       break;
     case RunType::kBoolOr:
-      s = SearchBool(terms, /*conjunctive=*/false, opts, result);
+      s = SearchBool(postings, terms, /*conjunctive=*/false, opts, result);
       break;
     case RunType::kBm25:
-      if (opts.maxscore_bm25) {
-        MemPostings postings(*index_, opts);
-        s = SearchBm25MaxScore(postings, terms, opts, result);
-      } else {
-        s = SearchBm25(terms, opts, result);
-      }
+      s = opts.maxscore_bm25
+              ? SearchBm25MaxScore(postings, terms, opts, result)
+              : SearchBm25(postings, terms, opts, result);
       break;
     case RunType::kBm25T:
     case RunType::kBm25TC:
@@ -168,104 +150,6 @@ Status SearchEngine::Search(const Query& query, RunType type,
       return Internal("unreachable run type");
   }
   result->seconds = timer.ElapsedSeconds();
-  return s;
-}
-
-Status SearchEngine::SearchBool(const std::vector<uint32_t>& terms,
-                                bool conjunctive, const SearchOptions& opts,
-                                SearchResult* result) const {
-  vec::ExecContext ctx;
-  ctx.vector_size = opts.vector_size;
-  vec::OperatorPtr root;
-  if (conjunctive) {
-    // Streaming skip join: cursors rarest-first so the shortest list
-    // drives and the long lists are only probed (DESIGN.md §7.2).
-    std::vector<uint32_t> by_df = terms;
-    std::sort(by_df.begin(), by_df.end(), [this](uint32_t a, uint32_t b) {
-      if (index_->term(a).doc_freq != index_->term(b).doc_freq) {
-        return index_->term(a).doc_freq < index_->term(b).doc_freq;
-      }
-      return a < b;
-    });
-    std::vector<vec::SkipCursorPtr> cursors;
-    cursors.reserve(by_df.size());
-    for (uint32_t t : by_df) {
-      auto cursor = std::make_unique<DocidSkipCursor>();
-      X100IR_RETURN_IF_ERROR(cursor->Init(index_, t));
-      cursors.push_back(std::move(cursor));
-    }
-    root = std::make_unique<vec::StreamingJoinOperator>(
-        &ctx, std::move(cursors));
-  } else {
-    std::vector<vec::OperatorPtr> children;
-    children.reserve(terms.size());
-    for (uint32_t t : terms) {
-      children.push_back(MakeTermScan(*index_, &ctx, t, /*with_tf=*/false));
-    }
-    root = std::make_unique<MergeUnionOperator>(&ctx, std::move(children),
-                                                /*sum_scores=*/false);
-  }
-  X100IR_RETURN_IF_ERROR(root->Open());
-  vec::Batch* b = nullptr;
-  for (;;) {
-    // Deadline checkpoint: once per batch (§9.3), so an expiring query
-    // surfaces within one vector's worth of work, with its partial stats.
-    if (opts.deadline != nullptr) {
-      Status live = opts.deadline->Check();
-      if (!live.ok()) {
-        root->Close();
-        result->stats = ctx.stats;
-        return live;
-      }
-    }
-    X100IR_RETURN_IF_ERROR(root->Next(&b));
-    if (b == nullptr) break;
-    const int32_t* docids = b->columns[0]->Data<int32_t>();
-    if (opts.tombstones == nullptr) {
-      result->num_matches += b->count;
-      const uint32_t room =
-          opts.k > result->docids.size()
-              ? opts.k - static_cast<uint32_t>(result->docids.size())
-              : 0;
-      const uint32_t take = std::min(room, b->count);
-      result->docids.insert(result->docids.end(), docids, docids + take);
-    } else {
-      // Segmented read with deletes: only live docids count toward
-      // num_matches and the k cap, so the result matches an index rebuilt
-      // without the deleted documents.
-      for (uint32_t i = 0; i < b->count; ++i) {
-        if (TombstoneTest(opts.tombstones, docids[i])) continue;
-        ++result->num_matches;
-        if (result->docids.size() < opts.k) {
-          result->docids.push_back(docids[i]);
-        }
-      }
-    }
-  }
-  root->Close();
-  result->stats = ctx.stats;
-  return OkStatus();
-}
-
-Status SearchEngine::SearchBm25(const std::vector<uint32_t>& terms,
-                                const SearchOptions& opts,
-                                SearchResult* result) const {
-  vec::ExecContext ctx;
-  ctx.vector_size = opts.vector_size;
-  const double avgdl = EffectiveAvgDocLen(opts, *index_);
-  const float inv_avgdl =
-      avgdl > 0.0 ? static_cast<float>(1.0 / avgdl) : 0.0f;
-  const int32_t* doclens = index_->doc_lens().data();
-
-  std::vector<vec::OperatorPtr> scored;
-  scored.reserve(terms.size());
-  for (uint32_t t : terms) {
-    scored.push_back(std::make_unique<Bm25ScoreOperator>(
-        &ctx, MakeTermScan(*index_, &ctx, t, /*with_tf=*/true),
-        EffectiveIdf(opts, *index_, t), opts.bm25, doclens, inv_avgdl));
-  }
-  const Status s = RunRankedUnion(&ctx, std::move(scored), opts, result);
-  result->stats = ctx.stats;
   return s;
 }
 

@@ -2,10 +2,12 @@
 // configuration, SearchOptions carries the §4 demonstration knobs
 // (vector_size) and the retrieval model parameters, and SearchEngine lowers
 // a (query, run) pair onto a vec:: operator plan over the inverted index's
-// compressed posting columns.
+// compressed posting columns. The scan and join plans (ir/plan_ops.h) take
+// their per-term leaves from the caller, so a snapshot's write buffers run
+// them too (ir/snapshot_search.cc).
 //
 // Plan shapes (DESIGN.md §6.2):
-//   kBoolAnd — DocidSkipCursorₜ, rarest first
+//   kBoolAnd — SortedCursor<ResidentWindows>ₜ, rarest first
 //                                → StreamingJoin(leapfrog)      → collect
 //   kBoolOr  — Scan(docid)ₜ per term  → MergeUnion(distinct)    → collect
 //   kBm25    — Block-Max MaxScore (ir/maxscore.h) over the resident
@@ -128,8 +130,8 @@ struct SearchOptions {
   // deleted). Filtered in every path: boolean collect, union TopK drain,
   // and MaxScore candidates (the storage runs' too). Deleted docs are
   // excluded from results and from num_matches. (TombstoneTest lives in
-  // collection_stats.h.) SearchSnapshot sets it per segment, replacing any
-  // caller value.
+  // collection_stats.h.) SearchSnapshot sets it per segment and per delta,
+  // replacing any caller value.
   const uint64_t* tombstones = nullptr;
 
   // Distributed shared-θ channel (DESIGN.md §11.3), set by the dist/
@@ -233,10 +235,6 @@ class SearchEngine {
                 SearchResult* result) const;
 
  private:
-  Status SearchBool(const std::vector<uint32_t>& terms, bool conjunctive,
-                    const SearchOptions& opts, SearchResult* result) const;
-  Status SearchBm25(const std::vector<uint32_t>& terms,
-                    const SearchOptions& opts, SearchResult* result) const;
   // The storage-era runs (storage_runs.cc): BM25T/TC/TCM/TCMQ8, the
   // MaxScore executor over pool-served columns. Requires
   // index_->has_storage().

@@ -759,9 +759,10 @@ Status SnapshotManager::BuildMergedSegment(const MergeInput& input,
   for (const Snapshot::SegmentRead& sr : input.segments) {
     columns.emplace_back(sr.seg->index());
   }
-  // The delta's per-posting lengths go unused: td.doc_lens took each live
-  // document's length once, above.
-  std::vector<int32_t> docids, tfs, lens;
+  // One term's copy of a sealed delta's postings (td.doc_lens took each
+  // live document's length once, above).
+  std::vector<uint32_t> term(1);
+  DeltaPostings copy;
   for (uint32_t t = 0; t < vocab; ++t) {
     TermInfo& info = td.terms[t];
     const auto append = [&td, &info](const std::vector<int32_t>& map,
@@ -783,9 +784,11 @@ Status SnapshotManager::BuildMergedSegment(const MergeInput& input,
     }
     for (const Snapshot::DeltaRead& dr : input.deltas) {
       const std::vector<int32_t>& map = remap[part++];
-      dr.delta->CollectPostings(t, dr.visible, &docids, &tfs, &lens);
-      for (size_t i = 0; i < docids.size(); ++i) {
-        append(map, docids[i], tfs[i]);
+      term[0] = t;
+      dr.delta->CollectPostings(term, dr.visible, /*with_doc_lens=*/false,
+                                &copy);
+      for (size_t i = 0; i < copy.docids.size(); ++i) {
+        append(map, copy.docids[i], copy.tfs[i]);
       }
     }
   }

@@ -104,10 +104,10 @@ struct Snapshot {
 
 // Executes one query against a snapshot — the engine's one read path
 // (DESIGN.md §10.2): PrepareQuery, then every segment through the normal
-// SearchEngine and the delta buffers by exact scalar evaluation, merged by
-// one Gather in global docid space. Scores under `user_opts.global_stats`
-// when set, else the snapshot's live stats; `user_opts.tombstones` is
-// replaced per segment. Thread-safe.
+// SearchEngine and every delta buffer through the same scan and join plans
+// over its copied postings, merged by one Gather in global docid space.
+// Scores under `user_opts.global_stats` when set, else the snapshot's live
+// stats; `user_opts.tombstones` is replaced per part. Thread-safe.
 Status SearchSnapshot(const Snapshot& snap, const Query& query, RunType type,
                       const SearchOptions& user_opts, SearchResult* result);
 

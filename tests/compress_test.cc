@@ -13,6 +13,7 @@
 #include <limits>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -949,7 +950,8 @@ TEST(Codec, SimdDispatchReportsConsistently) {
 }
 
 // ---------------------------------------------------------------------------
-// SortedRangeCursor / SkipTo (PR 4): block-skipping scans.
+// SortedCursor / SkipTo: block-skipping scans, over the resident
+// block source and over the plain-array source a write buffer's read uses.
 // ---------------------------------------------------------------------------
 
 // Builds a TD.docid-shaped column: `runs` concatenated ascending runs whose
@@ -971,12 +973,13 @@ std::vector<int32_t> MakeRunColumn(const std::vector<uint32_t>& run_lens,
 
 // Drives one cursor over [begin, end) with an ascending probe list and
 // checks every landing against the linear-scan oracle on the full decode.
-void CheckCursorAgainstOracle(const BlockDecoder& dec,
+template <class Source>
+void CheckCursorAgainstOracle(const Source& src,
                               const std::vector<int32_t>& full,
                               uint64_t begin, uint64_t end,
                               const std::vector<int32_t>& probes) {
-  SortedRangeCursor cur;
-  ASSERT_TRUE(cur.Init(&dec, begin, end).ok());
+  SortedCursor<Source> cur;
+  ASSERT_TRUE(cur.Init(src, begin, end).ok());
   uint64_t opos = begin;
   for (int32_t t : probes) {
     while (opos < end && full[opos] < t) ++opos;
@@ -1004,6 +1007,27 @@ TEST(SkipCursor, AgreesWithOracleAcrossHostileBoundaries) {
   for (const auto& shape : shapes) {
     const auto values = MakeRunColumn(shape, 42 + shape[0]);
     const uint32_t n = static_cast<uint32_t>(values.size());
+    const auto check_runs = [&](const auto& src) {
+      uint64_t begin = 0;
+      for (uint32_t len : shape) {
+        const uint64_t end = begin + len;
+        // Probe script: every run value, its neighbors, and window-edge
+        // positions — ascending, as the merge-join contract requires.
+        std::vector<int32_t> probes;
+        for (uint64_t p = begin; p < end; ++p) {
+          probes.push_back(values[p] - 1);
+          probes.push_back(values[p]);
+          probes.push_back(values[p] + 1);
+        }
+        std::sort(probes.begin(), probes.end());
+        CheckCursorAgainstOracle(src, values, begin, end, probes);
+        // A second pass probing only past-the-end.
+        CheckCursorAgainstOracle(src, values, begin, end,
+                                 {values[end - 1], values[end - 1] + 1});
+        begin = end;
+      }
+    };
+    check_runs(ArrayWindows(values.data(), n));
     for (int b : {1, 7, 8, 16, 30}) {
       EncodeOptions opts;
       opts.bit_width = b;
@@ -1017,26 +1041,7 @@ TEST(SkipCursor, AgreesWithOracleAcrossHostileBoundaries) {
       std::vector<int32_t> out(n);
       dec.DecodeAll(out.data());
       ASSERT_EQ(out, values) << "b=" << b;
-
-      uint64_t begin = 0;
-      for (uint32_t len : shape) {
-        const uint64_t end = begin + len;
-        // Probe script: every run value, its neighbors, and window-edge
-        // positions — ascending, as the merge-join contract requires.
-        std::vector<int32_t> probes;
-        for (uint64_t p = begin; p < end; ++p) {
-          probes.push_back(values[p] - 1);
-          probes.push_back(values[p]);
-          probes.push_back(values[p] + 1);
-        }
-        std::sort(probes.begin(), probes.end());
-        CheckCursorAgainstOracle(dec, values, begin, end, probes);
-        // A second pass probing only past-the-end.
-        CheckCursorAgainstOracle(
-            dec, values, begin, end,
-            {values[end - 1], values[end - 1] + 1});
-        begin = end;
-      }
+      check_runs(ResidentWindows(&dec));
     }
   }
 }
@@ -1053,17 +1058,21 @@ TEST(SkipCursor, SequentialNextMatchesFullDecode) {
                   .ok());
   BlockDecoder dec;
   ASSERT_TRUE(dec.Init(block.data(), block.size()).ok());
-  SortedRangeCursor cur;
-  ASSERT_TRUE(cur.Init(&dec, 500, 800).ok());
-  for (uint64_t p = 500; p < 800; ++p) {
-    ASSERT_FALSE(cur.AtEnd());
-    ASSERT_EQ(cur.position(), p);
-    ASSERT_EQ(cur.value(), values[p]);
-    cur.Next();
-  }
-  ASSERT_TRUE(cur.AtEnd());
-  // Sequential reads decode each window exactly once.
-  EXPECT_EQ(cur.stats().windows_decoded, (800 + 127) / 128 - 500 / 128);
+  const auto check = [&](const auto& src) {
+    SortedCursor<std::decay_t<decltype(src)>> cur;
+    ASSERT_TRUE(cur.Init(src, 500, 800).ok());
+    for (uint64_t p = 500; p < 800; ++p) {
+      ASSERT_FALSE(cur.AtEnd());
+      ASSERT_EQ(cur.position(), p);
+      ASSERT_EQ(cur.value(), values[p]);
+      cur.Next();
+    }
+    ASSERT_TRUE(cur.AtEnd());
+    // Sequential reads decode each window exactly once.
+    EXPECT_EQ(cur.stats().windows_decoded, (800 + 127) / 128 - 500 / 128);
+  };
+  check(ResidentWindows(&dec));
+  check(ArrayWindows(values.data(), values.size()));
 }
 
 TEST(SkipCursor, SkipsWindowsWithoutDecodingThem) {
@@ -1079,14 +1088,18 @@ TEST(SkipCursor, SkipsWindowsWithoutDecodingThem) {
                   .ok());
   BlockDecoder dec;
   ASSERT_TRUE(dec.Init(block.data(), block.size()).ok());
-  SortedRangeCursor cur;
-  ASSERT_TRUE(cur.Init(&dec, 0, values.size()).ok());
-  for (uint64_t p : {4000ull, 8000ull, 12700ull}) {
-    ASSERT_TRUE(cur.SkipTo(values[p]));
-    EXPECT_EQ(cur.position(), p);
-  }
-  EXPECT_EQ(cur.stats().windows_decoded, 3u);
-  EXPECT_GT(cur.stats().windows_skipped, 90u);
+  const auto check = [&](const auto& src) {
+    SortedCursor<std::decay_t<decltype(src)>> cur;
+    ASSERT_TRUE(cur.Init(src, 0, values.size()).ok());
+    for (uint64_t p : {4000ull, 8000ull, 12700ull}) {
+      ASSERT_TRUE(cur.SkipTo(values[p]));
+      EXPECT_EQ(cur.position(), p);
+    }
+    EXPECT_EQ(cur.stats().windows_decoded, 3u);
+    EXPECT_GT(cur.stats().windows_skipped, 90u);
+  };
+  check(ResidentWindows(&dec));
+  check(ArrayWindows(values.data(), values.size()));
 }
 
 // Drives a SortedCursor<Source> over hostile sub-ranges of `values` with a
@@ -1164,9 +1177,10 @@ TEST(Codec, SkipStatsPartitionExact) {
   // Counter-drift audit (DESIGN.md §12.4): at exhaustion,
   // windows_decoded + windows_skipped + windows_blockmax_skipped must equal
   // the number of 128-value windows overlapping [begin, end) exactly, for
-  // the resident source and for both pool-served sources (a compressed and
-  // a raw column file of the same values). No single counter is monotone
-  // in how aggressively the driver skips; only the partition is invariant.
+  // the resident and array sources and for both pool-served sources (a
+  // compressed and a raw column file of the same values). No single
+  // counter is monotone in how aggressively the cursor's caller skips; only
+  // the partition is invariant.
   const auto values = MakeSorted(5 * 128 + 57, 0xBEEF, 40);
   const uint32_t n = static_cast<uint32_t>(values.size());
   EncodeOptions opts;
@@ -1176,6 +1190,8 @@ TEST(Codec, SkipStatsPartitionExact) {
   BlockDecoder dec;
   ASSERT_TRUE(dec.Init(block.data(), block.size()).ok());
   CheckSkipStatsPartition(ResidentWindows(&dec), values, "resident");
+  if (HasFatalFailure()) return;
+  CheckSkipStatsPartition(ArrayWindows(values.data(), n), values, "array");
   if (HasFatalFailure()) return;
 
   storage::SimulatedDisk disk;
@@ -1219,23 +1235,31 @@ TEST(SkipCursor, InitRejectsBadRangesAndSchemes) {
   EXPECT_FALSE(cur.Init(nullptr, 0, 0).ok());
   // PFOR blocks carry no window value bases: skipping would be wrong.
   EXPECT_FALSE(cur.Init(&pfor_dec, 0, 1000).ok());
-  EXPECT_FALSE(cur.Init(&delta_dec, 500, 400).ok());   // begin > end
-  EXPECT_FALSE(cur.Init(&delta_dec, 0, 1001).ok());    // past the block
-  ASSERT_TRUE(cur.Init(&delta_dec, 700, 700).ok());    // empty range is fine
-  EXPECT_TRUE(cur.AtEnd());
-  EXPECT_FALSE(cur.SkipTo(0));
+  SortedCursor<ArrayWindows> arr;
+  EXPECT_FALSE(arr.Init(ArrayWindows(nullptr, 5), 0, 0).ok());
+  const ArrayWindows array(values.data(), values.size());
 
-  // Probing below the current value never moves the cursor.
-  ASSERT_TRUE(cur.Init(&delta_dec, 200, 900).ok());
-  ASSERT_TRUE(cur.SkipTo(values[450]));
-  const uint64_t pos = cur.position();
-  ASSERT_TRUE(cur.SkipTo(values[450] - 3));
-  EXPECT_EQ(cur.position(), pos);
-  ASSERT_TRUE(cur.SkipTo(values[450]));
-  EXPECT_EQ(cur.position(), pos);
-  // Probing past everything exhausts the cursor cleanly.
-  EXPECT_FALSE(cur.SkipTo(values[899] + 1));
-  EXPECT_TRUE(cur.AtEnd());
+  const auto check = [&](auto& c, const auto& src) {
+    EXPECT_FALSE(c.Init(src, 500, 400).ok());  // begin > end
+    EXPECT_FALSE(c.Init(src, 0, 1001).ok());   // past the column
+    ASSERT_TRUE(c.Init(src, 700, 700).ok());   // empty range is fine
+    EXPECT_TRUE(c.AtEnd());
+    EXPECT_FALSE(c.SkipTo(0));
+
+    // Probing below the current value never moves the cursor.
+    ASSERT_TRUE(c.Init(src, 200, 900).ok());
+    ASSERT_TRUE(c.SkipTo(values[450]));
+    const uint64_t pos = c.position();
+    ASSERT_TRUE(c.SkipTo(values[450] - 3));
+    EXPECT_EQ(c.position(), pos);
+    ASSERT_TRUE(c.SkipTo(values[450]));
+    EXPECT_EQ(c.position(), pos);
+    // Probing past everything exhausts the cursor cleanly.
+    EXPECT_FALSE(c.SkipTo(values[899] + 1));
+    EXPECT_TRUE(c.AtEnd());
+  };
+  check(cur, ResidentWindows(&delta_dec));
+  check(arr, array);
 }
 
 // ---------------------------------------------------------------------------

@@ -1034,6 +1034,54 @@ TEST(SegmentTest, BlockMaxStaysSoundAcrossSealMergeAndDeletes) {
   std::filesystem::remove_all(dir);
 }
 
+// A write buffer runs the engine's own plans, so a delta-only read reports
+// its plan's work as a segment's read does — the union's scoring kernel
+// calls for kBm25, the join cursors' window loads for BoolAND — and still
+// matches the rebuilt monolith bit for bit, deletes in the delta included.
+TEST(SegmentTest, DeltaOnlyReadReportsItsPlansWork) {
+  core::DatabaseOptions dopts;
+  dopts.corpus = TinyGenerated();
+  core::Database db;
+  ASSERT_TRUE(db.Open(dopts).ok());
+  LiveModel model;
+  model.InitFrom(db.corpus());
+  for (int32_t d = 0; d < 400; ++d) {
+    ASSERT_TRUE(db.DeleteDocument(d).ok());
+    model.Delete(d);
+  }
+  ASSERT_TRUE(db.Merge().ok());
+  Rng rng(53);
+  std::vector<uint32_t> first_doc;
+  for (int i = 0; i < 300; ++i) {
+    const std::vector<uint32_t> terms = RandomDoc(&rng, model.vocab);
+    if (first_doc.empty()) first_doc = terms;
+    int32_t docid = -1;
+    ASSERT_TRUE(db.AddDocument(terms, &docid).ok());
+    EXPECT_EQ(docid, model.Add(terms));
+  }
+  for (int32_t d = 401; d < 700; d += 7) {
+    ASSERT_TRUE(db.DeleteDocument(d).ok());
+    model.Delete(d);
+  }
+  const auto snap = db.Acquire();
+  ASSERT_TRUE(snap->segments.empty());
+  ASSERT_EQ(snap->deltas.size(), 1u);
+  ExpectMatchesReference(db, model.Ref(), MakeQueries(db.corpus(), 25));
+
+  // Two terms of the first added document, which stays live.
+  Query q;
+  q.terms = {first_doc[0], first_doc[1]};
+  if (q.terms[0] == q.terms[1]) q.terms[1] = first_doc[2];
+  SearchOptions opts;
+  SearchResult r;
+  ASSERT_TRUE(db.Search(q, RunType::kBm25, opts, &r).ok());
+  EXPECT_GT(r.num_matches, 0u);
+  EXPECT_GT(r.stats.primitive_calls, 0u);
+  ASSERT_TRUE(db.Search(q, RunType::kBoolAnd, opts, &r).ok());
+  EXPECT_GT(r.num_matches, 0u);
+  EXPECT_GT(r.stats.windows_decoded, 0u);
+}
+
 // Every read goes through SearchSnapshot under the snapshot's live stats.
 // On a fresh database those equal the base index's build-time stats, so
 // Database::Search must return exactly what a lone engine over that index

@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "compress/pfor.h"
+#include "compress/skip_cursor.h"
 #include "ir/bm25.h"
 #include "vec/mem_source.h"
 #include "vec/primitives.h"
@@ -282,18 +283,27 @@ TEST(MergeJoin, GallopLowerBoundEdges) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming merge-join over skip cursors (PR 4)
+// Streaming merge-join over skip cursors, here over arrays
 // ---------------------------------------------------------------------------
 
+using ArrayJoin = StreamingJoinOperator<compress::ArrayWindows>;
+
+// The join over one SortedCursor<ArrayWindows> per list, as a write
+// buffer's BoolAND runs it.
 std::vector<int32_t> RunStreamingJoin(
-    const std::vector<std::vector<int32_t>>& lists, uint32_t vector_size) {
+    const std::vector<std::vector<int32_t>>& lists, uint32_t vector_size,
+    ExecStats* stats = nullptr) {
   ExecContext ctx;
   ctx.vector_size = vector_size;
-  std::vector<SkipCursorPtr> cursors;
-  for (const auto& l : lists) {
-    cursors.push_back(std::make_unique<MemSkipCursor>(l));
+  std::vector<ArrayJoin::Cursor> cursors(lists.size());
+  for (size_t i = 0; i < lists.size(); ++i) {
+    EXPECT_TRUE(cursors[i]
+                    .Init(compress::ArrayWindows(lists[i].data(),
+                                                 lists[i].size()),
+                          0, lists[i].size())
+                    .ok());
   }
-  StreamingJoinOperator join(&ctx, std::move(cursors));
+  ArrayJoin join(&ctx, std::move(cursors));
   EXPECT_TRUE(join.Open().ok());
   std::vector<int32_t> out;
   Batch* batch = nullptr;
@@ -304,6 +314,7 @@ std::vector<int32_t> RunStreamingJoin(
     out.insert(out.end(), d, d + batch->count);
   }
   join.Close();
+  if (stats != nullptr) *stats = ctx.stats;
   return out;
 }
 
@@ -333,8 +344,11 @@ TEST(StreamingMergeJoin, MatchesSetIntersectionOracle) {
       expected = std::move(next);
     }
     for (uint32_t vs : {1u, 7u, 1024u}) {
-      EXPECT_EQ(RunStreamingJoin(lists, vs), expected)
+      ExecStats stats;
+      EXPECT_EQ(RunStreamingJoin(lists, vs, &stats), expected)
           << "sizes[0]=" << c.sizes[0] << " vs=" << vs;
+      // The cursors' window counters reach the plan's stats at Close.
+      EXPECT_GT(stats.windows_decoded, 0u) << "vs=" << vs;
     }
   }
 }
@@ -346,8 +360,7 @@ TEST(StreamingMergeJoin, EmptyAndDisjointInputs) {
   EXPECT_TRUE(RunStreamingJoin({{2, 4, 6}, {1, 3, 5}}, 16).empty());
 
   ExecContext ctx;
-  std::vector<SkipCursorPtr> none;
-  StreamingJoinOperator join(&ctx, std::move(none));
+  ArrayJoin join(&ctx, {});
   EXPECT_FALSE(join.Open().ok());
 }
 
