@@ -183,6 +183,9 @@ int Run() {
 
   core::DatabaseOptions opts;
   opts.dir = bench::BenchDir() + "/ingest";
+  // A fresh database every run: reopening the last run's directory would
+  // start from its merged segment and WAL instead of the base corpus.
+  std::filesystem::remove_all(opts.dir);
   opts.corpus = bench::BenchCorpusOptions();
   opts.corpus.num_docs = std::min(opts.corpus.num_docs, 20000u);
   opts.corpus.num_topics = 20;

@@ -238,10 +238,14 @@ int Run() {
       "streaming conjunctive join with its window counters, and "
       "SIMD-vs-scalar LOOP1 unpack. ms are hot avg per query. The "
       "dbms_bm25_maxscore row is the Block-Max MaxScore hot path: "
-      "windows_blockmax_skipped counts 128-tf windows pruned by their "
-      "persisted (max_tf, min_doclen) bound without decoding, fused_windows "
-      "counts windows scored by the fused decode-to-score kernel (DESIGN.md "
-      "12).");
+      "windows_blockmax_skipped counts 128-posting windows pruned without "
+      "decoding by their score bound (the smaller of the (max_tf, "
+      "min_doclen) pair bound and the window's exact stored maximum, "
+      "against the other terms' ubs, minus those of essential terms with no "
+      "posting in the window), windows_decoded_per_query and "
+      "candidates_per_query (num_matches) what the survivors cost, "
+      "fused_windows counts windows scored by the fused decode-to-score "
+      "kernel (DESIGN.md 12).");
 
   ir::QueryGenOptions qopts = bench::BenchQueryOptions();
   ir::QueryGenerator gen(db.corpus(), qopts);
@@ -358,7 +362,12 @@ int Run() {
       .Set("vectors_pruned", bm25_ms.stats.vectors_pruned)
       .Set("docs_probed", bm25_ms.stats.docs_probed)
       .Set("windows_blockmax_skipped", bm25_ms.stats.windows_blockmax_skipped)
-      .Set("fused_windows", bm25_ms.stats.fused_windows);
+      .Set("fused_windows", bm25_ms.stats.fused_windows)
+      .Set("windows_decoded_per_query",
+           static_cast<double>(bm25_ms.stats.windows_decoded) /
+               static_cast<double>(queries.size()))
+      .Set("candidates_per_query", static_cast<double>(bm25_ms.matches) /
+                                       static_cast<double>(queries.size()));
   ranked.Print();
   // Block-Max skips must never change what the user sees: p@20 of the
   // Block-Max run has to match the score-all union oracle exactly.

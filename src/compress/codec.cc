@@ -125,13 +125,10 @@ inline uint64_t Align8(uint64_t x) { return (x + 7u) & ~uint64_t{7}; }
 // LOOP3: in-place prefix sum seeded from `acc`; returns the running value
 // so DecodeAll can carry it across batches. The sum is unsigned, so a
 // corrupt block's deltas wrap like the LOOP1 add instead of overflowing.
+// The kernel is dispatched like LOOP1 (unpack.h): AVX2 when enabled, the
+// scalar loop otherwise.
 inline int32_t PrefixSumInPlace(int32_t* dst, uint32_t n, int32_t acc) {
-  uint32_t sum = static_cast<uint32_t>(acc);
-  for (uint32_t i = 0; i < n; ++i) {
-    sum += static_cast<uint32_t>(dst[i]);
-    dst[i] = static_cast<int32_t>(sum);
-  }
-  return static_cast<int32_t>(sum);
+  return internal::GetPrefixSum()(dst, n, acc);
 }
 
 // Bits needed to store symbol s: 1..31 for a symbol in [0, 2^31), and 32 —

@@ -1,7 +1,8 @@
 // LOOP1 unpack kernels: the scalar per-width template table (the portable
 // ground truth), the SSE/NEON shuffle-table kernels for b in {4, 8, 16},
 // the generic AVX2 kernels for every b in [1, kMaxBitWidth], the LOOP2
-// exception-patch kernels, plus the runtime dispatch described in unpack.h.
+// exception-patch kernels, the LOOP3 prefix-sum and in-window lower-bound
+// kernels, plus the runtime dispatch described in unpack.h.
 #include "compress/unpack.h"
 
 #include <array>
@@ -379,6 +380,88 @@ __attribute__((target("avx2"))) void PatchAvx2(const uint8_t* recs,
 #endif  // X100IR_UNPACK_SSE
 
 // ---------------------------------------------------------------------------
+// LOOP3 prefix-sum kernels (PFOR-DELTA). The scalar loop is the ground
+// truth; the AVX2 variant sums 8 lanes in registers — two in-lane
+// shift-and-adds, the low half's total added to the high half, then the
+// running value broadcast from lane 7 — so the loop-carried chain is one
+// add and one permute per 8 values instead of one add per value. paddd
+// wraps like the scalar loop's uint32 sum.
+// ---------------------------------------------------------------------------
+
+int32_t PrefixSumScalar(int32_t* dst, uint32_t n, int32_t acc) {
+  uint32_t sum = static_cast<uint32_t>(acc);
+  for (uint32_t i = 0; i < n; ++i) {
+    sum += static_cast<uint32_t>(dst[i]);
+    dst[i] = static_cast<int32_t>(sum);
+  }
+  return static_cast<int32_t>(sum);
+}
+
+// In-window lower bound, scalar: the first slot in [from, end) whose value
+// is >= target, or end. vals[from..end) must be nondecreasing.
+uint32_t LowerBoundScalar(const int32_t* vals, uint32_t from, uint32_t end,
+                          int32_t target) {
+  while (from < end) {
+    const uint32_t m = from + (end - from) / 2;
+    if (vals[m] >= target) {
+      end = m;
+    } else {
+      from = m + 1;
+    }
+  }
+  return from;
+}
+
+#if defined(X100IR_UNPACK_SSE)
+
+__attribute__((target("avx2"))) int32_t PrefixSumAvx2(int32_t* dst,
+                                                     uint32_t n,
+                                                     int32_t acc) {
+  const __m256i last = _mm256_set1_epi32(7);
+  __m256i carry = _mm256_set1_epi32(acc);
+  uint32_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
+    x = _mm256_add_epi32(x, _mm256_slli_si256(x, 4));
+    x = _mm256_add_epi32(x, _mm256_slli_si256(x, 8));
+    // Lane 3's in-lane total, broadcast into the high half only.
+    const __m256i low_total = _mm256_shuffle_epi32(
+        _mm256_permute2x128_si256(x, x, 0x08), 0xFF);
+    x = _mm256_add_epi32(_mm256_add_epi32(x, low_total), carry);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), x);
+    carry = _mm256_permutevar8x32_epi32(x, last);
+  }
+  const int32_t sum = _mm256_cvtsi256_si32(carry);
+  return i < n ? PrefixSumScalar(dst + i, n - i, sum) : sum;
+}
+
+// In-window lower bound, AVX2: a forward scan from `from`, 8 slots per
+// compare, over 8-aligned groups (a window buffer holds kEntryPointStride
+// values, so no group reads past it). Lanes outside [from, end) are masked
+// off, so values before the cursor or past the range end — another term's
+// postings, or a partial window's stale tail — never match.
+__attribute__((target("avx2"))) uint32_t LowerBoundAvx2(const int32_t* vals,
+                                                       uint32_t from,
+                                                       uint32_t end,
+                                                       int32_t target) {
+  const __m256i t = _mm256_set1_epi32(target);
+  uint32_t g = from & ~7u;
+  uint32_t lanes = 0xFFu << (from - g);
+  for (; g < end; g += 8, lanes = 0xFFu) {
+    const __m256i x =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals + g));
+    const uint32_t below = static_cast<uint32_t>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(t, x))));
+    if (end - g < 8) lanes &= (1u << (end - g)) - 1;
+    const uint32_t hit = ~below & lanes & 0xFFu;
+    if (hit != 0) return g + static_cast<uint32_t>(__builtin_ctz(hit));
+  }
+  return end;
+}
+
+#endif  // X100IR_UNPACK_SSE
+
+// ---------------------------------------------------------------------------
 // NEON kernels (AArch64: NEON is architectural, no runtime check needed).
 // Same group structure as the SSE kernels: whole 16-byte groups, scalar
 // tail at a byte-aligned resume point.
@@ -550,6 +633,28 @@ PatchFn GetPatch() {
   }
 #endif
   return &PatchScalar;
+}
+
+PrefixSumFn ScalarPrefixSum() { return &PrefixSumScalar; }
+
+PrefixSumFn GetPrefixSum() {
+#if defined(X100IR_UNPACK_SSE)
+  if (g_simd_enabled && HostSimdLevel() == SimdLevel::kAvx2) {
+    return &PrefixSumAvx2;
+  }
+#endif
+  return &PrefixSumScalar;
+}
+
+LowerBoundFn ScalarLowerBound() { return &LowerBoundScalar; }
+
+LowerBoundFn GetLowerBound() {
+#if defined(X100IR_UNPACK_SSE)
+  if (g_simd_enabled && HostSimdLevel() == SimdLevel::kAvx2) {
+    return &LowerBoundAvx2;
+  }
+#endif
+  return &LowerBoundScalar;
 }
 
 const char* SimdLevelName(SimdLevel level) {

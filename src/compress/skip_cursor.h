@@ -13,7 +13,9 @@
 // point read.
 // Over a sorted range those maxima are nondecreasing, which turns "first
 // window that can contain target" into a search over window maxima; only
-// the one candidate window is then loaded (128 values) and searched.
+// the one candidate window is then loaded (128 values) and searched —
+// forward from the cursor's slot, 8 values per compare under AVX2, by
+// binary search in the scalar ground truth (unpack.h's GetLowerBound).
 // Windows the search jumps over are never touched — the paper's
 // fine-granularity skipping, upgraded from positional (Decode(pos, len)) to
 // value-based.
@@ -51,6 +53,7 @@
 
 #include "common/status.h"
 #include "compress/codec.h"
+#include "compress/unpack.h"
 
 namespace x100ir::compress {
 
@@ -224,6 +227,7 @@ class SortedCursor {
     pos_ = begin;
     skipped_ = 0;
     blockmax_skipped_ = 0;
+    lower_bound_ = internal::GetLowerBound();
     return OkStatus();
   }
 
@@ -265,6 +269,20 @@ class SortedCursor {
     if (win_.window() != w) ++blockmax_skipped_;
     pos_ = std::min<uint64_t>(end_, static_cast<uint64_t>(w + 1) * kStride);
     return pos_ < end_;
+  }
+
+  // The last value of the window containing the cursor, without loading
+  // it, when SkipTo's search could read it: the window lies wholly inside
+  // the range and is not the column's final one. False when the max is
+  // unknown, and when the source failed (the cursor then ends). Requires
+  // !AtEnd().
+  bool CurrentWindowMax(int32_t* max) {
+    const uint32_t w = CurrentWindowIndex();
+    if ((static_cast<uint64_t>(w) + 1) * kStride > end_ ||
+        w + 1 >= win_.source().window_count()) {
+      return false;
+    }
+    return WindowMax(w, max);
   }
 
   // Loads (if needed) the window containing the cursor and returns its
@@ -356,20 +374,14 @@ class SortedCursor {
         pos_ = static_cast<uint64_t>(cand) * kStride;
       }
       if (!EnsureWindow()) return false;
-      // Lower bound within the window's in-range tail [pos_, cap).
+      // Lower bound within the window's in-range tail [pos_, cap); slots
+      // outside it (earlier postings, another term's, a partial window's
+      // stale tail) are never read as candidates.
       const uint64_t base = static_cast<uint64_t>(cand) * kStride;
       const uint64_t cap = std::min<uint64_t>(end_, base + kStride);
-      const int32_t* vals = win_.i32();
-      uint32_t s = static_cast<uint32_t>(pos_ - base);
-      uint32_t e = static_cast<uint32_t>(cap - base);
-      while (s < e) {
-        const uint32_t m = s + (e - s) / 2;
-        if (vals[m] >= target) {
-          e = m;
-        } else {
-          s = m + 1;
-        }
-      }
+      const uint32_t s =
+          lower_bound_(win_.i32(), static_cast<uint32_t>(pos_ - base),
+                       static_cast<uint32_t>(cap - base), target);
       if (base + s < cap) {
         pos_ = base + s;
         return true;
@@ -409,6 +421,8 @@ class SortedCursor {
   uint64_t pos_ = 0;
   uint64_t skipped_ = 0;
   uint64_t blockmax_skipped_ = 0;
+  // The in-window search, resolved once per Init (unpack.h's dispatch).
+  internal::LowerBoundFn lower_bound_ = nullptr;
 };
 
 // The cursor over a resident block — a segment's docid cursor, in the

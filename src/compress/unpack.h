@@ -29,6 +29,13 @@
 // deinterleaves four 8-byte {value, pos} records per 32-byte load before
 // the (inherently scalar) scattered stores.
 //
+// LOOP3 (the PFOR-DELTA prefix sum) dispatches the same way: GetPrefixSum()
+// returns the scalar running-sum loop or an AVX2 kernel that sums 8 lanes
+// in registers with the same wrapping uint32 arithmetic. So does the
+// sorted cursor's in-window lower bound (compress/skip_cursor.h):
+// GetLowerBound() returns the scalar binary search or an AVX2
+// compare/movemask scan forward from the cursor's slot.
+//
 // The dictionary-gather shape (PDICT) stays scalar: PDICT is off the
 // posting-list hot path.
 //
@@ -64,17 +71,32 @@ using UnpackDictFn = void (*)(const uint8_t* src, uint32_t n,
 // once per block).
 using PatchFn = void (*)(const uint8_t* recs, uint32_t count,
                          uint32_t out_base, int32_t* out);
+// LOOP3: dst[i] = acc + dst[0] + ... + dst[i] for i in [0, n), summed as
+// uint32 (a corrupt block's deltas wrap instead of overflowing); returns
+// the running value after dst[n - 1] (acc when n == 0).
+using PrefixSumFn = int32_t (*)(int32_t* dst, uint32_t n, int32_t acc);
+// The first slot in [from, end) whose value is >= target, or end.
+// vals[from..end) must be nondecreasing and end <= kEntryPointStride; vals
+// must hold kEntryPointStride readable values (a window buffer), whatever
+// sits outside [from, end).
+using LowerBoundFn = uint32_t (*)(const int32_t* vals, uint32_t from,
+                                  uint32_t end, int32_t target);
 
 // Always-scalar kernels (test oracle). b in [1, kMaxBitWidth].
 UnpackAddFn ScalarUnpackAdd(int b);
 UnpackDictFn ScalarUnpackDict(int b);
 PatchFn ScalarPatch();
+PrefixSumFn ScalarPrefixSum();
+LowerBoundFn ScalarLowerBound();
 
 // Dispatched kernels: SIMD when available and enabled (all widths at
-// kAvx2, b in {4, 8, 16} at kSse/kNeon), scalar otherwise.
+// kAvx2, b in {4, 8, 16} at kSse/kNeon; LOOP2, LOOP3 and the lower bound at
+// kAvx2), scalar otherwise.
 UnpackAddFn GetUnpackAdd(int b);
 UnpackDictFn GetUnpackDict(int b);
 PatchFn GetPatch();
+PrefixSumFn GetPrefixSum();
+LowerBoundFn GetLowerBound();
 
 enum class SimdLevel : uint8_t {
   kScalar = 0,

@@ -223,11 +223,11 @@ Status InvertedIndex::LoadSideTables(const std::string& dir) {
 
 // Fills blockmax_ from the TD columns (DESIGN.md §12.1). Windows are
 // positional (kEntryPointStride postings), so a record can span term
-// boundaries — mixing terms only raises max_tf / lowers min_doclen, i.e.
-// over-estimates any single term's bound, which stays sound. `ub` is the
-// bound under the build parameters with idf = 1; query engines recompute
-// Bm25One(idf, max_tf, min_doclen) with live parameters instead of
-// scaling this float (scaling could round below the true bound).
+// boundaries — mixing terms only raises each maximum, i.e. over-estimates
+// any single term's bound, which stays sound. `ub` is the exact largest
+// idf = 1 contribution among the window's postings at the build
+// parameters, taken in the same pass that reads each (tf, doclen) for the
+// pair bound; the MaxScore executor scales it to live statistics.
 void InvertedIndex::ComputeBlockMax(const std::vector<int32_t>& docid_col,
                                     const std::vector<int32_t>& tf_col) {
   constexpr uint64_t kStride = compress::kEntryPointStride;
@@ -236,21 +236,32 @@ void InvertedIndex::ComputeBlockMax(const std::vector<int32_t>& docid_col,
   blockmax_.assign(windows, BlockMaxEntry());
   const float inv_avgdl =
       avg_doc_len_ > 0.0 ? static_cast<float>(1.0 / avg_doc_len_) : 0.0f;
+  alignas(32) int32_t dl[kStride];
+  alignas(32) float score[kStride];
   for (uint64_t w = 0; w < windows; ++w) {
     const uint64_t lo = w * kStride;
-    const uint64_t hi = std::min<uint64_t>(n, lo + kStride);
+    const uint32_t len = static_cast<uint32_t>(std::min(n - lo, kStride));
+    const int32_t* tf = tf_col.data() + lo;
+    for (uint32_t i = 0; i < len; ++i) dl[i] = doc_lens_[docid_col[lo + i]];
+    // MapBm25 computes Bm25One's bits (bm25.h), a vector at a time.
+    MapBm25(len, score, tf, dl, 1.0f, kMaterializedK1, kMaterializedB,
+            inv_avgdl);
     int32_t max_tf = 0;
     int32_t min_dl = std::numeric_limits<int32_t>::max();
-    for (uint64_t p = lo; p < hi; ++p) {
-      max_tf = std::max(max_tf, tf_col[p]);
-      min_dl = std::min(min_dl, doc_lens_[docid_col[p]]);
+    // Contributions are non-negative, and non-negative floats order as
+    // their bit patterns: an integer max reduction, which vectorizes.
+    int32_t ub_bits = 0;
+    for (uint32_t i = 0; i < len; ++i) {
+      int32_t bits;
+      std::memcpy(&bits, &score[i], sizeof(bits));
+      max_tf = std::max(max_tf, tf[i]);
+      min_dl = std::min(min_dl, dl[i]);
+      ub_bits = std::max(ub_bits, bits);
     }
     BlockMaxEntry& e = blockmax_[w];
     e.max_tf = max_tf;
     e.min_doclen = min_dl;
-    e.ub = Bm25One(1.0f, static_cast<float>(max_tf),
-                   static_cast<float>(min_dl), kMaterializedK1,
-                   kMaterializedB, inv_avgdl);
+    std::memcpy(&e.ub, &ub_bits, sizeof(e.ub));
   }
 }
 

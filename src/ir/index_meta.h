@@ -162,11 +162,15 @@ struct ManifestSegment {
 // kOpaque): fields packed in this order, 12 bytes per window. max_tf and
 // min_doclen bound the window's postings; BM25 is increasing in tf and
 // decreasing in doclen, so for any query term overlapping the window and
-// any (k1, b, idf), score <= Bm25One(idf, max_tf, min_doclen) — the engine
-// recomputes that bound with live parameters rather than trusting `ub`,
-// which is the build-parameter (k1=1.2, b=0.75, idf=1) bound kept for
-// format validation and the soundness property test. Deletes only shrink a
-// window's true maxima, so stale bounds under tombstones stay sound.
+// any (k1, b, idf), score <= Bm25One(idf, max_tf, min_doclen), the pair
+// bound the engine recomputes under live parameters. `ub` is the largest
+// idf = 1 contribution of any posting in the window under the build's
+// parameters (k1=1.2, b=0.75, the index's own avgdl); under the build's
+// (k1, b) the engine scales it to the live idf and avgdl and takes the
+// smaller of the two bounds (ir/maxscore.h's WindowBounds). A directory
+// written before `ub` held that maximum stores the pair bound at build
+// parameters there, looser and still sound. Deletes only shrink a window's
+// true maxima, so stale bounds under tombstones stay sound.
 inline constexpr size_t kBlockMaxRecordBytes = 4 + 4 + 4;
 
 struct BlockMaxEntry {

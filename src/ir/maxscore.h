@@ -16,18 +16,20 @@
 //
 // The evaluation stays vector-at-a-time, and refills are *window-granular*
 // (Block-Max MaxScore, DESIGN.md §12): an essential stream advances one
-// 128-posting window at a time. Before decoding a window, the term's
-// stored (max_tf, min_doclen) block bound — recomputed under the backend's
-// (k1, b, idf) — is tested against θ: when even Σ(other terms' ubs) plus
-// this window's bound cannot reach θ, no document in the window can enter
-// the top k through *any* merge, so the window is skipped without
-// decoding (windows_blockmax_skipped). Decoded windows are scored by the
-// backend in one call. The merge emits candidate vectors of (docid,
+// 128-posting window at a time. Before decoding a window, its bound ub_w is
+// tested against θ. ub_w is the window's (max_tf, min_doclen) pair bound
+// under the backend's (k1, b, idf), or, when the backend scores with the
+// build's (k1, b), the smaller of that and the window's exact stored
+// maximum scaled to the live idf and avgdl (DESIGN.md §12.1). When even
+// Σ(other terms' ubs) plus ub_w cannot reach θ, no document in the window
+// can enter the top k through *any* merge, so the window is skipped
+// without decoding (windows_blockmax_skipped). Decoded windows are scored
+// by the backend in one call. The merge emits candidate vectors of (docid,
 // partial score), and one SelectColVal per vector rejects candidates whose
 // partial + Σ(non-essential ubs) falls below θ. Only survivors touch the
 // probe cursors and the branchy heap.
 //
-// Soundness of the per-term window skip: it fires only when
+// Soundness of the per-term window skip: the static test fires only when
 // other_bound + ub_w < θ, where other_bound sums the *static* ubs of
 // every other query term. Any document d in the skipped window has
 // score(d) <= other_bound + ub_w < θ, so even when d still surfaces as a
@@ -39,6 +41,18 @@
 // never before, so it may miss contributions from earlier skipped
 // windows — missing them only lowers a score that is already provably
 // below θ.
+//
+// The docid-aware test (merge phase only) tightens other_bound for a window
+// whose last docid `last` is known without decoding it: an essential term
+// whose next unconsumed posting lies past `last`, or whose stream is
+// exhausted, gives up its ub. Sound because the merge emits docids in
+// ascending order and consumes every essential head equal to the docid it
+// emits, so every posting an essential term has consumed sits at or below
+// the last emitted docid, while every unconsumed posting of the tested
+// stream — the whole window — sits above it. Such a term therefore has no
+// posting at any docid of the window, except in a window it block-max
+// skipped itself, and every document there is already provably below θ.
+// Demoted terms are probed, not merged, so they keep their ubs.
 //
 // The posting backend (MemPostings, PoolPostings) supplies:
 //
@@ -94,6 +108,54 @@ struct ScoreModel {
   float slack = 0.0f;
 };
 
+// A block-max window's score bound under one backend's model (DESIGN.md
+// §12.1): the window's (max_tf, min_doclen) pair bound under the model's
+// (k1, b, inv_avgdl) and the term's idf — or, when the model's (k1, b) are
+// the build's, the smaller of that and the window's stored exact maximum
+// `ub` scaled to the live statistics. ub is the largest idf = 1
+// contribution in the window at the build's (k1, b, avgdl). With (k1, b)
+// fixed, a live avgdl changes only c1 = k1·b/avgdl, and a smaller c1 raises
+// any posting's score by at most the ratio of the two c1s, so
+// idf · ub · max(1, build c1 / live c1) bounds every posting in the
+// window. kSlack, relative, covers the float rounding of the score
+// kernels, of the stored maximum and of this product: a few ulps (2^-24)
+// each. An index written before ub held the exact maximum stores the pair
+// bound at the build's parameters there, which the same scaling keeps
+// sound.
+class WindowBounds {
+ public:
+  static constexpr float kSlack = 1.0f / 65536.0f;
+
+  WindowBounds(const InvertedIndex& index, const ScoreModel& model)
+      : k1_(model.k1), b_(model.b), inv_avgdl_(model.inv_avgdl) {
+    if (model.k1 == InvertedIndex::kMaterializedK1 &&
+        model.b == InvertedIndex::kMaterializedB && model.inv_avgdl > 0.0f &&
+        index.avg_doc_len() > 0.0) {
+      const float build_inv_avgdl =
+          static_cast<float>(1.0 / index.avg_doc_len());
+      exact_scale_ = std::max(1.0f, build_inv_avgdl / model.inv_avgdl) *
+                     (1.0f + kSlack);
+    }
+  }
+
+  // The factor Bound multiplies a stored maximum by for a term of this
+  // idf; 0 when the stored maxima do not apply to the model.
+  float Scale(float idf) const { return idf * exact_scale_; }
+
+  // Bounds the contribution of every posting in window `bm` for a term of
+  // this idf; scale = Scale(idf), hoisted per term.
+  float Bound(float idf, float scale, const BlockMaxEntry& bm) const {
+    const float pair =
+        Bm25One(idf, static_cast<float>(bm.max_tf),
+                static_cast<float>(bm.min_doclen), k1_, b_, inv_avgdl_);
+    return exact_scale_ > 0.0f ? std::min(pair, scale * bm.ub) : pair;
+  }
+
+ private:
+  float k1_, b_, inv_avgdl_;
+  float exact_scale_ = 0.0f;
+};
+
 // Per-term state for the MaxScore evaluation.
 template <class Postings>
 struct MsTerm {
@@ -103,6 +165,8 @@ struct MsTerm {
   // Σ of every *other* query term's ub, plus the model's slack — the
   // companion bound of the per-window skip test.
   float other_bound = 0.0f;
+  // WindowBounds::Scale(idf), hoisted out of the per-window test.
+  float window_scale = 0.0f;
   uint32_t df = 0;
   uint64_t posting_start = 0;
 
@@ -143,6 +207,7 @@ Status SearchBm25MaxScore(Postings& postings,
   const float bb = model.b;
   const float inv_avgdl = model.inv_avgdl;
   const float min_dl = static_cast<float>(index.min_doc_len());
+  const WindowBounds bounds(index, model);
 
   const size_t m = terms.size();
   // A single-term query never leaves the solo-stream fast path, which
@@ -171,6 +236,7 @@ Status SearchBm25MaxScore(Postings& postings,
     ts.ub = Bm25One(ts.idf, static_cast<float>(info.max_tf), min_dl, k1, bb,
                     inv_avgdl) +
             model.slack;
+    ts.window_scale = bounds.Scale(ts.idf);
     ts.posting_start = info.posting_start;
     ts.voff = 0;
     ts.vlen = 0;
@@ -232,15 +298,49 @@ Status SearchBm25MaxScore(Postings& postings,
 
   const std::vector<BlockMaxEntry>& blockmax = index.block_max();
 
-  // Per-window block-max test: true when even Σ(other terms' ubs) plus the
-  // window's bound under the backend's (k1, b, idf) cannot reach θ, so no
-  // document in window w can enter the top k through this term.
-  const auto window_below_theta = [&](const Term& ts, uint32_t w) {
-    const BlockMaxEntry& bm = blockmax[w];
-    const float wb =
-        Bm25One(ts.idf, static_cast<float>(bm.max_tf),
-                static_cast<float>(bm.min_doclen), k1, bb, inv_avgdl);
-    return ts.other_bound + wb < live_theta();
+  // Per-window block-max test on the stream's current window: true when no
+  // document in it can enter the top k through this term (see the
+  // soundness notes above). The static test charges every other term its
+  // ub. `docid_aware` (the merge phase) then retries a failing window whose
+  // last docid is known, charging only the terms that may still hold a
+  // posting in it; the first pass over the terms sums what no docid can
+  // drop, so the window's max is read only when dropping can decide.
+  const auto window_below_theta = [&](Term& ts, bool docid_aware) {
+    const float wb = bounds.Bound(
+        ts.idf, ts.window_scale, blockmax[ts.stream.CurrentWindowIndex()]);
+    const float theta = live_theta();
+    const bool below = ts.other_bound + wb < theta;
+    if (below || !docid_aware) return below;
+    // An essential term's next posting is known when it is buffered, and
+    // absent when its stream is exhausted.
+    const auto known = [](const Term& o) {
+      return !o.demoted && (o.voff < o.vlen || o.stream.AtEnd());
+    };
+    float fixed = model.slack;
+    bool any_known = false;
+    for (size_t i = 0; i < m; ++i) {
+      const Term& o = states[i];
+      if (&o == &ts) continue;
+      if (known(o)) {
+        any_known = true;
+      } else {
+        fixed += o.ub;
+      }
+    }
+    int32_t last = 0;
+    if (!any_known || fixed + wb >= theta ||
+        !ts.stream.CurrentWindowMax(&last)) {
+      return false;
+    }
+    float bound = fixed;
+    for (size_t i = 0; i < m; ++i) {
+      const Term& o = states[i];
+      if (&o == &ts || !known(o)) continue;
+      // known(o) with an empty buffer means its stream is exhausted.
+      const bool absent = o.voff >= o.vlen || o.docids[o.voff] > last;
+      if (!absent) bound += o.ub;
+    }
+    return bound + wb < theta;
   };
 
   // Window-granular refill: append whole [lo, hi) window slices until the
@@ -255,13 +355,15 @@ Status SearchBm25MaxScore(Postings& postings,
     alignas(32) int32_t wdl[compress::kEntryPointStride];
     alignas(32) float wscore[compress::kEntryPointStride];
     while (ts.vlen < vsize && !ts.stream.AtEnd()) {
-      if (window_below_theta(ts, ts.stream.CurrentWindowIndex())) {
+      if (window_below_theta(ts, /*docid_aware=*/true)) {
         ts.stream.SkipCurrentWindowBlockMax();
         // Leading skips move the buffer's start: vec_start must name the
         // first posting actually buffered (or the end, if none are).
         if (ts.vlen == 0) ts.vec_start = ts.stream.position();
         continue;
       }
+      // A source that failed to read the window's max ended the stream.
+      if (ts.stream.AtEnd()) break;
       const RunView rv = ts.stream.CurrentRunView();
       if (!postings.ScoreWindow(ts.idf, ts.values, rv, wdl, wscore,
                                 &ctx.stats)) {
@@ -401,7 +503,7 @@ Status SearchBm25MaxScore(Postings& postings,
       // iteration (keeps the deadline / re-partition granularity).
       uint32_t consumed = 0;
       while (consumed < vsize && !ts.stream.AtEnd()) {
-        if (window_below_theta(ts, ts.stream.CurrentWindowIndex())) {
+        if (window_below_theta(ts, /*docid_aware=*/false)) {
           ts.stream.SkipCurrentWindowBlockMax();
           continue;
         }

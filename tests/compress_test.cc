@@ -919,6 +919,112 @@ TEST(Codec, PatchKernelBitExact) {
   }
 }
 
+// LOOP3 kernel agreement: the dispatched prefix sum against the scalar
+// loop on every length from 0 to 128 (and past a window, where the AVX2
+// kernel carries its running value across several 8-lane steps), over
+// arbitrary int32 deltas and seeds, so the uint32 sum wraps both ways.
+TEST(Codec, PrefixSumKernelBitExact) {
+  ScopedSimdToggle guard;
+  internal::SetSimdUnpackEnabled(true);
+  Rng rng(0x5CA7);
+  std::vector<uint32_t> lengths;
+  for (uint32_t n = 0; n <= kEntryPointStride; ++n) lengths.push_back(n);
+  for (uint32_t n : {129u, 1024u, 1031u}) lengths.push_back(n);
+  for (const uint32_t n : lengths) {
+    for (const int32_t acc : {0, -1, std::numeric_limits<int32_t>::max(),
+                              std::numeric_limits<int32_t>::min()}) {
+      std::vector<int32_t> got(n);
+      for (auto& x : got) {
+        x = static_cast<int32_t>(static_cast<uint32_t>(rng.Next()));
+      }
+      std::vector<int32_t> want = got;
+      const int32_t got_end = internal::GetPrefixSum()(got.data(), n, acc);
+      const int32_t want_end =
+          internal::ScalarPrefixSum()(want.data(), n, acc);
+      ASSERT_EQ(got, want) << "n=" << n << " acc=" << acc;
+      ASSERT_EQ(got_end, want_end) << "n=" << n << " acc=" << acc;
+    }
+  }
+}
+
+// PFOR-DELTA windows of every length from 0 to 128, as a block's only
+// window and as the partial window after a full one (a nonzero value
+// base), decoded whole and per window with SIMD on and off. Values take
+// deltas of both signs around zero or near either end of int32, so the
+// uint32 running sum wraps. The small-delta blocks are packed at a forced
+// 30 bits without exceptions (the first delta, the first value itself,
+// must fit too), the others at 4 bits with exceptions: negative and
+// 2^30-sized deltas.
+TEST(Codec, SimdPrefixSumMatchesScalarOnEveryWindowLength) {
+  ScopedSimdToggle guard;
+  Rng rng(0xDE17A);
+  const std::vector<int32_t> small_starts = {-3, -(1 << 29)};
+  const std::vector<int32_t> large_starts = {
+      std::numeric_limits<int32_t>::min() + 7,
+      std::numeric_limits<int32_t>::max() - 7, -3};
+  uint32_t with_exceptions = 0;
+  for (uint32_t len = 0; len <= kEntryPointStride; ++len) {
+    for (const uint32_t lead : {0u, kEntryPointStride}) {
+      for (const bool exceptions : {false, true}) {
+        for (const int32_t start :
+             exceptions ? large_starts : small_starts) {
+          const uint32_t n = lead + len;
+          std::vector<int32_t> values(n);
+          int64_t cur = start;
+          for (auto& x : values) {
+            int64_t d;
+            if (!exceptions) {
+              d = static_cast<int64_t>(rng.NextBounded(401)) - 200;
+            } else if (rng.NextBernoulli(0.1)) {
+              d = (int64_t{1} << 30) +
+                  static_cast<int64_t>(rng.NextBounded(1000));
+              if (rng.NextBernoulli(0.5)) d = -d;
+            } else {
+              d = static_cast<int64_t>(rng.NextBounded(16)) -
+                  (rng.NextBernoulli(0.15) ? 16 : 0);
+            }
+            if (cur + d > std::numeric_limits<int32_t>::max() ||
+                cur + d < std::numeric_limits<int32_t>::min()) {
+              d = -d;
+            }
+            cur += d;
+            x = static_cast<int32_t>(cur);
+          }
+          // A negative FOR base without exceptions (LOOP1's add wraps too);
+          // base 0 with them, so negative deltas are exceptions.
+          EncodeOptions opts;
+          opts.bit_width = exceptions ? 4 : 30;
+          opts.force_base = exceptions;
+          std::vector<uint8_t> block;
+          BlockStats stats;
+          ASSERT_TRUE(
+              PforDeltaEncode(values.data(), n, opts, &block, &stats).ok());
+          if (!exceptions) {
+            ASSERT_EQ(stats.n_exceptions, 0u);
+          }
+          with_exceptions += stats.n_exceptions > 0 ? 1 : 0;
+          BlockDecoder dec;
+          ASSERT_TRUE(dec.Init(block.data(), block.size()).ok());
+          for (const bool simd : {true, false}) {
+            internal::SetSimdUnpackEnabled(simd);
+            std::vector<int32_t> all(n, 0), tail(len, 0);
+            dec.DecodeAll(all.data());
+            ASSERT_EQ(all, values) << "len=" << len << " lead=" << lead
+                                   << " exceptions=" << exceptions
+                                   << " simd=" << simd;
+            dec.Decode(lead, len, tail.data());
+            ASSERT_TRUE(std::equal(tail.begin(), tail.end(),
+                                   values.begin() + lead))
+                << "len=" << len << " lead=" << lead
+                << " exceptions=" << exceptions << " simd=" << simd;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(with_exceptions, 2 * kEntryPointStride);
+}
+
 TEST(Codec, SimdDispatchReportsConsistently) {
   ScopedSimdToggle guard;
   internal::SetSimdUnpackEnabled(true);
@@ -940,13 +1046,20 @@ TEST(Codec, SimdDispatchReportsConsistently) {
               all_widths)
         << b;
   }
-  // The LOOP2 patch kernel dispatches the same way.
+  // The LOOP2 patch, LOOP3 prefix-sum and in-window lower-bound kernels
+  // dispatch the same way.
   EXPECT_EQ(internal::GetPatch() != internal::ScalarPatch(), all_widths);
+  EXPECT_EQ(internal::GetPrefixSum() != internal::ScalarPrefixSum(),
+            all_widths);
+  EXPECT_EQ(internal::GetLowerBound() != internal::ScalarLowerBound(),
+            all_widths);
   internal::SetSimdUnpackEnabled(false);
   EXPECT_EQ(internal::ActiveSimdLevel(), internal::SimdLevel::kScalar);
   EXPECT_FALSE(internal::SimdUnpackAvailable(8));
   EXPECT_EQ(internal::GetUnpackAdd(8), internal::ScalarUnpackAdd(8));
   EXPECT_EQ(internal::GetPatch(), internal::ScalarPatch());
+  EXPECT_EQ(internal::GetPrefixSum(), internal::ScalarPrefixSum());
+  EXPECT_EQ(internal::GetLowerBound(), internal::ScalarLowerBound());
 }
 
 // ---------------------------------------------------------------------------
@@ -993,7 +1106,7 @@ void CheckCursorAgainstOracle(const Source& src,
   }
 }
 
-TEST(SkipCursor, AgreesWithOracleAcrossHostileBoundaries) {
+void SkipCursorAgreesWithOracleAcrossHostileBoundaries() {
   // Shapes: run splits landing on/next to window boundaries, totals with
   // n % 128 in {0, 1, 127}, widths from compulsory-exception-riddled b=1
   // to exception-free b=30.
@@ -1046,7 +1159,11 @@ TEST(SkipCursor, AgreesWithOracleAcrossHostileBoundaries) {
   }
 }
 
-TEST(SkipCursor, SequentialNextMatchesFullDecode) {
+TEST(SkipCursor, AgreesWithOracleAcrossHostileBoundaries) {
+  ForEachDispatch(SkipCursorAgreesWithOracleAcrossHostileBoundaries);
+}
+
+void SkipCursorSequentialNextMatchesFullDecode() {
   const auto values = MakeRunColumn({500, 300, 200}, 99);
   EncodeOptions opts;
   opts.bit_width = 8;
@@ -1075,7 +1192,11 @@ TEST(SkipCursor, SequentialNextMatchesFullDecode) {
   check(ArrayWindows(values.data(), values.size()));
 }
 
-TEST(SkipCursor, SkipsWindowsWithoutDecodingThem) {
+TEST(SkipCursor, SequentialNextMatchesFullDecode) {
+  ForEachDispatch(SkipCursorSequentialNextMatchesFullDecode);
+}
+
+void SkipCursorSkipsWindowsWithoutDecodingThem() {
   // A long sorted list probed at a handful of far-apart targets: the
   // cursor must decode only the windows it lands in, skipping the rest.
   const auto values = MakeSorted(128 * 100, 7);  // 100 windows
@@ -1100,6 +1221,86 @@ TEST(SkipCursor, SkipsWindowsWithoutDecodingThem) {
   };
   check(ResidentWindows(&dec));
   check(ArrayWindows(values.data(), values.size()));
+}
+
+TEST(SkipCursor, SkipsWindowsWithoutDecodingThem) {
+  ForEachDispatch(SkipCursorSkipsWindowsWithoutDecodingThem);
+}
+
+// The in-window lower bound on its own: the dispatched kernel against
+// std::lower_bound over [from, end) of a window buffer whose slots outside
+// that range hold values on the wrong side of the targets (INT32_MAX,
+// INT32_MIN, or the two alternating), as a previous window's stale tail or
+// another term's postings can. From slot 0, mid-window and 127; targets
+// below the first value, equal to each value, between two values, and past
+// the last.
+void SkipCursorInWindowLowerBoundEdges() {
+  constexpr uint32_t kStride = kEntryPointStride;
+  constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  alignas(32) int32_t vals[kStride];
+  for (const int outside : {0, 1, 2}) {
+    for (const uint32_t from : {0u, 1u, 63u, 64u, 127u}) {
+      for (uint32_t end = from; end <= kStride; ++end) {
+        for (uint32_t i = 0; i < kStride; ++i) {
+          const int32_t stale =
+              outside == 0 ? kMax : outside == 1 ? kMin : i % 2 ? kMax : kMin;
+          vals[i] = i >= from && i < end ? static_cast<int32_t>(10 * i) + 5
+                                         : stale;
+        }
+        std::vector<int32_t> targets = {kMin, kMax};
+        for (uint32_t i = from; i < end; ++i) {
+          targets.push_back(vals[i] - 1);  // below it / between two values
+          targets.push_back(vals[i]);      // equal to it
+          targets.push_back(vals[i] + 1);  // past it
+        }
+        for (const int32_t t : targets) {
+          const uint32_t want = static_cast<uint32_t>(
+              std::lower_bound(vals + from, vals + end, t) - vals);
+          ASSERT_EQ(internal::GetLowerBound()(vals, from, end, t), want)
+              << "from=" << from << " end=" << end << " target=" << t
+              << " outside=" << outside;
+        }
+      }
+    }
+  }
+
+  // Through the cursor: a column whose final window is partial, probed from
+  // slot 0, mid-window and slot 127 of a window, then past the last value.
+  // Before the partial window loads, the cursor's buffer holds a window of
+  // larger values (another cursor's, over another column), so its stale
+  // tail would match the last probe if the search read it; a second pass
+  // leaves the column's own smaller values there.
+  std::vector<int32_t> col(2 * kStride + 37);
+  for (size_t i = 0; i < col.size(); ++i) {
+    col[i] = static_cast<int32_t>(10 * i);
+  }
+  std::vector<int32_t> big(kStride, std::numeric_limits<int32_t>::max());
+  const ArrayWindows src(col.data(), col.size());
+  for (const bool stale_big : {true, false}) {
+    SortedCursor<ArrayWindows> cur;
+    if (stale_big) {
+      ASSERT_TRUE(cur.Init(ArrayWindows(big.data(), big.size()), 0, kStride)
+                      .ok());
+      ASSERT_EQ(cur.value(), std::numeric_limits<int32_t>::max());
+    }
+    ASSERT_TRUE(cur.Init(src, 0, col.size()).ok());
+    for (const uint32_t slot : {0u, 64u, 127u}) {
+      ASSERT_TRUE(cur.SkipTo(col[kStride + slot] - 3));  // between
+      EXPECT_EQ(cur.position(), kStride + slot);
+      ASSERT_TRUE(cur.SkipTo(col[kStride + slot]));  // equal
+      EXPECT_EQ(cur.position(), kStride + slot);
+    }
+    const uint64_t last = col.size() - 1;
+    ASSERT_TRUE(cur.SkipTo(col[last - 1] + 1));  // into the partial window
+    EXPECT_EQ(cur.position(), last);
+    EXPECT_FALSE(cur.SkipTo(col[last] + 1));  // past the last value
+    EXPECT_TRUE(cur.AtEnd());
+  }
+}
+
+TEST(SkipCursor, InWindowLowerBoundEdges) {
+  ForEachDispatch(SkipCursorInWindowLowerBoundEdges);
 }
 
 // Drives a SortedCursor<Source> over hostile sub-ranges of `values` with a
@@ -1218,7 +1419,7 @@ TEST(Codec, SkipStatsPartitionExact) {
   EXPECT_TRUE(latch.ok()) << latch.ToString();
 }
 
-TEST(SkipCursor, InitRejectsBadRangesAndSchemes) {
+void SkipCursorInitRejectsBadRangesAndSchemes() {
   const auto values = MakeSorted(1000, 3);
   std::vector<uint8_t> delta_block, pfor_block;
   EncodeOptions opts;
@@ -1260,6 +1461,10 @@ TEST(SkipCursor, InitRejectsBadRangesAndSchemes) {
   };
   check(cur, ResidentWindows(&delta_dec));
   check(arr, array);
+}
+
+TEST(SkipCursor, InitRejectsBadRangesAndSchemes) {
+  ForEachDispatch(SkipCursorInitRejectsBadRangesAndSchemes);
 }
 
 // ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@
 #include "ir/custom_engine.h"
 #include "ir/gather.h"
 #include "ir/index_builder.h"
+#include "ir/maxscore.h"
 #include "ir/metrics.h"
 #include "ir/query_gen.h"
 #include "ir/search_engine.h"
@@ -1134,24 +1135,32 @@ TEST(Metrics, Bm25BeatsBooleanOnPlantedTopics) {
 // §12)
 // ---------------------------------------------------------------------------
 
-// Soundness property of the persisted block-max table: for every posting p
-// in window w, max_tf dominates tf(p), min_doclen is dominated by
-// doclen(p), and the stored build-parameter bound dominates the posting's
-// true idf-free BM25 contribution. Windows are positional over the whole
-// TD table, so the check flattens the columns in term order.
-void CheckBlockMaxSound(const InvertedIndex& index) {
-  std::vector<int32_t> docid_col, tf_col;
+// The TD table's docid and tf columns, flattened in term order: windows
+// are positional over the whole table.
+void FlattenPostings(const InvertedIndex& index, std::vector<int32_t>* docids,
+                     std::vector<int32_t>* tfs) {
   for (uint32_t t = 0; t < index.vocab_size(); ++t) {
     std::vector<int32_t> d, f;
     ASSERT_TRUE(index.DecodePostings(t, &d, &f).ok());
-    docid_col.insert(docid_col.end(), d.begin(), d.end());
-    tf_col.insert(tf_col.end(), f.begin(), f.end());
+    docids->insert(docids->end(), d.begin(), d.end());
+    tfs->insert(tfs->end(), f.begin(), f.end());
   }
+  ASSERT_EQ(docids->size(), index.num_postings());
+}
+
+// The persisted block-max table: for every posting p in window w, max_tf
+// dominates tf(p) and min_doclen is dominated by doclen(p), and `ub` is,
+// bit for bit, the largest idf-free BM25 contribution at the build
+// parameters among the window's postings.
+void CheckBlockMaxSound(const InvertedIndex& index) {
+  std::vector<int32_t> docid_col, tf_col;
+  FlattenPostings(index, &docid_col, &tf_col);
+  if (::testing::Test::HasFatalFailure()) return;
   const uint64_t n = index.num_postings();
-  ASSERT_EQ(docid_col.size(), n);
   const std::vector<BlockMaxEntry>& bm = index.block_max();
   ASSERT_EQ(bm.size(), (n + 127) / 128);
   const float inv_avgdl = static_cast<float>(1.0 / index.avg_doc_len());
+  std::vector<float> largest(bm.size(), 0.0f);
   for (uint64_t p = 0; p < n; ++p) {
     const BlockMaxEntry& e = bm[p / 128];
     const int32_t dl = index.doc_lens()[docid_col[p]];
@@ -1161,7 +1170,10 @@ void CheckBlockMaxSound(const InvertedIndex& index) {
         1.0f, static_cast<float>(tf_col[p]), static_cast<float>(dl),
         InvertedIndex::kMaterializedK1, InvertedIndex::kMaterializedB,
         inv_avgdl);
-    ASSERT_GE(e.ub, contrib) << "posting " << p;
+    largest[p / 128] = std::max(largest[p / 128], contrib);
+  }
+  for (size_t w = 0; w < bm.size(); ++w) {
+    ASSERT_EQ(ScoreBits({bm[w].ub}), ScoreBits({largest[w]})) << "window " << w;
   }
 }
 
@@ -1348,6 +1360,224 @@ TEST(Database, BlockMaxSkipsProvablyWeakWindows) {
   // ...and the skipped documents never became candidates.
   EXPECT_EQ(want.num_matches, kDocs);
   EXPECT_LT(a.num_matches, kDocs);
+}
+
+// The executor's window bound (maxscore.h's WindowBounds) under live
+// statistics around the build's: idf across its range, avgdl from half to
+// twice the build's (a segment scored under a snapshot's or a cluster's
+// global statistics), at the build's (k1, b), where the scaled exact maxima
+// apply, and at other (k1, b), where only the pair bound does. For every
+// posting of every window, the bound must be >= the score bits both the
+// fused kernel and MapBm25 compute for it.
+TEST(BlockMax, WindowBoundDominatesEveryPostingUnderLiveStatistics) {
+  Corpus corpus;
+  ASSERT_TRUE(Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
+  InvertedIndex index;
+  ASSERT_TRUE(index.BuildFromCorpus(corpus).ok());
+  std::vector<int32_t> docid_col, tf_col;
+  FlattenPostings(index, &docid_col, &tf_col);
+  if (HasFatalFailure()) return;
+  const compress::BlockDecoder* tf_dec = index.tf_decoder();
+  const std::vector<BlockMaxEntry>& bm = index.block_max();
+  constexpr uint32_t kStride = compress::kEntryPointStride;
+  struct Params {
+    float k1, b;
+  };
+  Rng rng(0xB0B5);
+  uint64_t exact_tighter = 0;
+  for (const Params params : {Params{1.2f, 0.75f}, Params{0.9f, 0.4f},
+                              Params{2.0f, 1.0f}}) {
+    for (const double avgdl_scale : {0.5, 0.8, 1.0, 1.25, 2.0}) {
+      ScoreModel model;
+      model.k1 = params.k1;
+      model.b = params.b;
+      model.inv_avgdl =
+          static_cast<float>(1.0 / (index.avg_doc_len() * avgdl_scale));
+      const WindowBounds bounds(index, model);
+      const float c0 = model.k1 * (1.0f - model.b);
+      const float c1 = model.k1 * model.b * model.inv_avgdl;
+      for (uint32_t w = 0; w < bm.size(); ++w) {
+        const uint64_t lo = uint64_t{w} * kStride;
+        const uint32_t len = static_cast<uint32_t>(
+            std::min<uint64_t>(kStride, docid_col.size() - lo));
+        int32_t dl[kStride];
+        for (uint32_t i = 0; i < len; ++i) {
+          dl[i] = index.doc_lens()[docid_col[lo + i]];
+        }
+        const float idf =
+            0.01f + 12.0f * static_cast<float>(rng.NextBounded(1 << 20)) /
+                        static_cast<float>(1 << 20);
+        float fused[kStride], mapped[kStride];
+        ASSERT_TRUE(FusedScoreTfWindow(tf_dec->WindowViewOf(w), dl,
+                                       idf * (model.k1 + 1.0f), c0, c1,
+                                       fused));
+        MapBm25(len, mapped, tf_col.data() + lo, dl, idf, model.k1, model.b,
+                model.inv_avgdl);
+        const float bound = bounds.Bound(idf, bounds.Scale(idf), bm[w]);
+        for (uint32_t i = 0; i < len; ++i) {
+          ASSERT_GE(bound, fused[i])
+              << "window " << w << " slot " << i << " k1=" << model.k1
+              << " avgdl x" << avgdl_scale;
+          ASSERT_GE(bound, mapped[i])
+              << "window " << w << " slot " << i << " k1=" << model.k1
+              << " avgdl x" << avgdl_scale;
+        }
+        const float pair = Bm25One(idf, static_cast<float>(bm[w].max_tf),
+                                   static_cast<float>(bm[w].min_doclen),
+                                   model.k1, model.b, model.inv_avgdl);
+        exact_tighter += bound < pair ? 1 : 0;
+      }
+    }
+  }
+  // The stored maxima do tighten the bound somewhere.
+  EXPECT_GT(exact_tighter, 0u);
+}
+
+// Documents of `len` terms: `tf` copies of each (term, tf) pair, padded with
+// unique filler terms numbered from *next_filler.
+std::vector<uint32_t> PlantedDoc(
+    const std::vector<std::pair<uint32_t, uint32_t>>& terms, uint32_t len,
+    uint32_t* next_filler) {
+  std::vector<uint32_t> doc;
+  for (const auto& [term, tf] : terms) doc.insert(doc.end(), tf, term);
+  while (doc.size() < len) doc.push_back((*next_filler)++);
+  return doc;
+}
+
+// Term 0 is in every doc. Window 0 holds the ten top docs (tf=8 at the
+// shortest length, 10), and every later window of term 0 pairs one tf=8
+// doc of length 400 with one tf=1 doc of length 10, the rest tf=1 at
+// length 40. Each later window's (max_tf, min_doclen) = (8, 10) pair bound
+// therefore equals the top docs' score — θ once the heap is full — so the
+// pair bound can never skip it, while no posting in it scores within a
+// third of θ.
+TEST(Database, ExactWindowMaximaSkipWhatThePairBoundCannot) {
+  constexpr uint32_t kDocs = 3000;
+  std::vector<std::vector<uint32_t>> docs(kDocs);
+  uint32_t next_filler = 1;
+  for (uint32_t d = 0; d < kDocs; ++d) {
+    if (d < 10) {
+      docs[d] = PlantedDoc({{0, 8}}, 10, &next_filler);
+    } else if (d >= 128 && d % 128 == 0) {
+      docs[d] = PlantedDoc({{0, 8}}, 400, &next_filler);
+    } else if (d >= 128 && d % 128 == 1) {
+      docs[d] = PlantedDoc({{0, 1}}, 10, &next_filler);
+    } else {
+      docs[d] = PlantedDoc({{0, 1}}, 40, &next_filler);
+    }
+  }
+  Corpus corpus;
+  ASSERT_TRUE(Corpus::FromDocuments(docs, next_filler, &corpus).ok());
+  InvertedIndex index;
+  ASSERT_TRUE(index.BuildFromCorpus(corpus).ok());
+  SearchEngine engine(&index);
+
+  Query q;
+  q.terms = {0};
+  SearchOptions opts;
+  opts.k = 10;
+  opts.vector_size = 64;
+  SearchResult a;
+  ASSERT_TRUE(engine.Search(q, RunType::kBm25, opts, &a).ok());
+  const SearchResult want =
+      Reference::Of(corpus).Search(q, RunType::kBm25, opts);
+  ASSERT_EQ(a.docids.size(), 10u);
+  EXPECT_EQ(a.docids, want.docids);
+  EXPECT_EQ(ScoreBits(a.scores), ScoreBits(want.scores));
+
+  // Every window after the first has a pair bound at or above θ: the pair
+  // bound alone skips none of them.
+  const TermInfo& info = index.term(0);
+  ASSERT_EQ(info.posting_start, 0u);
+  const float theta = a.scores.back();
+  const uint32_t windows = (kDocs + 127) / 128;
+  const float inv_avgdl = static_cast<float>(1.0 / index.avg_doc_len());
+  for (uint32_t w = 1; w < windows; ++w) {
+    const BlockMaxEntry& e = index.block_max()[w];
+    ASSERT_GE(Bm25One(info.idf, static_cast<float>(e.max_tf),
+                      static_cast<float>(e.min_doclen), opts.bm25.k1,
+                      opts.bm25.b, inv_avgdl),
+              theta)
+        << "window " << w;
+  }
+  // The exact maxima skip every one of them (θ is final once window 0 is
+  // scored), and decoded + skipped + block-max-skipped still partitions
+  // term 0's windows.
+  EXPECT_EQ(a.stats.windows_blockmax_skipped, windows - 1);
+  EXPECT_EQ(a.stats.windows_decoded + a.stats.windows_skipped +
+                a.stats.windows_blockmax_skipped,
+            windows);
+  EXPECT_LT(a.num_matches, want.num_matches);
+}
+
+// Term 0 is in every doc; term 1 is rare (three docs, fewer than k) with a
+// large idf, one of them the last doc of a window of term 0 and one the
+// first. Window 0 of term 0 holds its strongest docs (tf=8 and one tf=20
+// at the shortest lengths), every later window only tf=1 docs, and term
+// 0's list ends on a window boundary. The top k are the three rare
+// docs and seven of term 0's strong ones, so θ stays below term 0's ub and
+// both terms stay essential; but term 1's ub alone exceeds θ, so a static
+// test that charges it to every window of term 0 skips none. The
+// docid-aware test drops term 1 from every window of term 0 that holds no
+// rare posting: all windows after the first but the three holding one.
+TEST(Database, TermAbsentFromAWindowDropsOutOfItsBound) {
+  constexpr uint32_t kDocs = 24 * 128;
+  const std::set<uint32_t> rare = {500, 11 * 128 + 127, 19 * 128};
+  std::vector<std::vector<uint32_t>> docs(kDocs);
+  uint32_t next_filler = 2;
+  for (uint32_t d = 0; d < kDocs; ++d) {
+    std::vector<std::pair<uint32_t, uint32_t>> terms = {
+        {0, d < 10 ? 8u : d == 10 ? 20u : 1u}};
+    if (rare.count(d) > 0) terms.push_back({1, 1});
+    const uint32_t len = d < 10 ? 10 : d == 10 ? 22 : 40;
+    docs[d] = PlantedDoc(terms, len, &next_filler);
+  }
+  Corpus corpus;
+  ASSERT_TRUE(Corpus::FromDocuments(docs, next_filler, &corpus).ok());
+  InvertedIndex index;
+  ASSERT_TRUE(index.BuildFromCorpus(corpus).ok());
+  SearchEngine engine(&index);
+
+  Query q;
+  q.terms = {0, 1};
+  SearchOptions opts;
+  opts.k = 10;
+  opts.vector_size = 128;  // one window of term 0 per refill
+  SearchResult a;
+  ASSERT_TRUE(engine.Search(q, RunType::kBm25, opts, &a).ok());
+  const SearchResult want =
+      Reference::Of(corpus).Search(q, RunType::kBm25, opts);
+  ASSERT_EQ(a.docids.size(), 10u);
+  EXPECT_EQ(a.docids, want.docids);
+  ExpectRankingsEquivalent(a.docids, a.scores, want.docids, want.scores,
+                           1e-5f);
+  for (size_t i = 0; i < rare.size(); ++i) {
+    EXPECT_EQ(rare.count(static_cast<uint32_t>(a.docids[i])), 1u);
+  }
+
+  // Term 1's static ub alone exceeds θ, and θ stays below term 0's ub.
+  const float theta = a.scores.back();
+  const float min_dl = static_cast<float>(index.min_doc_len());
+  const float inv_avgdl = static_cast<float>(1.0 / index.avg_doc_len());
+  const auto term_ub = [&](uint32_t t) {
+    return Bm25One(index.term(t).idf, static_cast<float>(index.term(t).max_tf),
+                   min_dl, opts.bm25.k1, opts.bm25.b, inv_avgdl);
+  };
+  ASSERT_GT(term_ub(1), theta);
+  ASSERT_GT(term_ub(0), theta);
+
+  // Windows 1..23 of term 0, less the three holding a rare posting, are
+  // block-max skipped; window 0 (decoded before the heap filled) and term
+  // 1's one window are decoded.
+  uint32_t expected = 0;
+  for (uint32_t w = 1; w < kDocs / 128; ++w) {
+    const auto first = rare.lower_bound(w * 128);
+    if (first == rare.end() || *first >= (w + 1) * 128) ++expected;
+  }
+  ASSERT_EQ(expected, 20u);
+  EXPECT_EQ(a.stats.windows_blockmax_skipped, expected);
+  EXPECT_EQ(a.stats.windows_decoded, kDocs / 128 - expected + 1);
+  EXPECT_LT(a.num_matches, want.num_matches);
 }
 
 // ---------------------------------------------------------------------------

@@ -728,7 +728,7 @@ void ExpectSameCursor(const Cursor& cursor, const ReferenceSkipCursor& oracle) {
             oracle.stats().windows_blockmax_skipped);
 }
 
-TEST(SortedColumnCursor, MatchesSortedRangeCursorOracle) {
+void SortedColumnCursorMatchesSortedRangeCursorOracle() {
   Rng rng(77);
   std::vector<int32_t> values(1407);
   int32_t v = 0;
@@ -818,9 +818,9 @@ TEST(SortedColumnCursor, MatchesSortedRangeCursorOracle) {
                 oracle.value() + static_cast<int32_t>(prng.NextBounded(30));
           }
         }
-        if (HasFatalFailure()) return;
+        if (::testing::Test::HasFatalFailure()) return;
         each([&](auto& c) { ExpectSameCursor(c, oracle); });
-        if (HasFatalFailure()) return;
+        if (::testing::Test::HasFatalFailure()) return;
       }
       // A probe past every value: the windows the jump to end passes
       // count as skipped in every cursor.
@@ -830,13 +830,17 @@ TEST(SortedColumnCursor, MatchesSortedRangeCursorOracle) {
         ASSERT_EQ(c.SkipTo(past_end), found_oracle);
         ExpectSameCursor(c, oracle);
       });
-      if (HasFatalFailure()) return;
+      if (::testing::Test::HasFatalFailure()) return;
       ASSERT_TRUE(latch.ok()) << latch.ToString();
     }
   }
 }
 
-TEST(SortedColumnCursor, SkipsWindowsWithoutFetching) {
+TEST(SortedColumnCursor, MatchesSortedRangeCursorOracle) {
+  ForEachDispatch(SortedColumnCursorMatchesSortedRangeCursorOracle);
+}
+
+void SortedColumnCursorSkipsWindowsWithoutFetching() {
   // A long strictly-increasing range: skipping to a far target must not
   // decode (fetch) the windows in between.
   std::vector<int32_t> values(128 * 40);
@@ -867,9 +871,13 @@ TEST(SortedColumnCursor, SkipsWindowsWithoutFetching) {
   EXPECT_TRUE(latch.ok());
 }
 
+TEST(SortedColumnCursor, SkipsWindowsWithoutFetching) {
+  ForEachDispatch(SortedColumnCursorSkipsWindowsWithoutFetching);
+}
+
 // A pool error must end the cursor and land in its latch, never surface
 // as a value: a pool smaller than one page fails every fetch.
-TEST(SortedColumnCursor, PoolFailureLatchesAndEndsTheCursor) {
+void SortedColumnCursorPoolFailureLatchesAndEndsTheCursor() {
   std::vector<int32_t> values(5000);
   for (size_t i = 0; i < values.size(); ++i) {
     values[i] = static_cast<int32_t>(i);
@@ -898,13 +906,17 @@ TEST(SortedColumnCursor, PoolFailureLatchesAndEndsTheCursor) {
   EXPECT_EQ(probe_latch.code(), StatusCode::kResourceExhausted);
 }
 
+TEST(SortedColumnCursor, PoolFailureLatchesAndEndsTheCursor) {
+  ForEachDispatch(SortedColumnCursorPoolFailureLatchesAndEndsTheCursor);
+}
+
 // Which pages a raw cursor's SkipTo pins: a raw column has no window
 // metadata, so each window max the gallop and binary search test is a point
 // read of one page. Values equal positions, and 512-byte pages behind the
 // 16-byte header put window w's max on page w + 1 and a load of window w on
 // pages w and w + 1. A 1-shard pool that never evicts turns every pin into
 // a hit or a miss.
-TEST(SortedColumnCursor, RawCursorPinsThePagesItsSearchTests) {
+void SortedColumnCursorRawCursorPinsThePagesItsSearchTests() {
   std::vector<int32_t> values(40 * 128);
   for (size_t i = 0; i < values.size(); ++i) {
     values[i] = static_cast<int32_t>(i);
@@ -952,6 +964,10 @@ TEST(SortedColumnCursor, RawCursorPinsThePagesItsSearchTests) {
   }
   EXPECT_TRUE(cursor.AtEnd());
   EXPECT_TRUE(latch.ok()) << latch.ToString();
+}
+
+TEST(SortedColumnCursor, RawCursorPinsThePagesItsSearchTests) {
+  ForEachDispatch(SortedColumnCursorRawCursorPinsThePagesItsSearchTests);
 }
 
 // ---------------------------------------------------------------------------

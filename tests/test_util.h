@@ -50,6 +50,19 @@ class ScopedSimdToggle {
   bool prev_;
 };
 
+// Runs `body` once with the SIMD kernels dispatched and once with the
+// scalar ground truth (compress/unpack.h), then restores the toggle.
+template <class Body>
+void ForEachDispatch(const Body& body) {
+  ScopedSimdToggle restore;
+  for (const bool simd : {true, false}) {
+    SCOPED_TRACE(simd ? "SIMD dispatch" : "scalar dispatch");
+    compress::internal::SetSimdUnpackEnabled(simd);
+    body();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
 // Float bit patterns, for bitwise score comparisons (== would equate +0
 // and -0).
 inline std::vector<uint32_t> ScoreBits(const std::vector<float>& scores) {
