@@ -193,37 +193,24 @@ void MeasureRunPaired(const std::vector<ir::Query>& eval_queries,
   out_a->p20 = eval_pass(run_a);
   out_b->p20 = eval_pass(run_b);
   std::vector<int32_t> docids;
-  double best_a = 0.0;
-  double best_b = 0.0;
-  for (int pass = -1; pass < 3; ++pass) {  // pass -1 warms both
-    double ta = 0.0;
-    double tb = 0.0;
-    for (const auto& q : timed_queries) {
+  const auto timed = [&](auto&& run, RunMeasurement* out) {
+    return [&run, &docids, &timed_queries, out](size_t i, int pass) {
       double secs = 0.0;
       vec::ExecStats stats;
       uint64_t matches = 0;
-      run_a(q, &docids, &secs, &stats, &matches);
-      ta += secs;
+      run(timed_queries[i], &docids, &secs, &stats, &matches);
       if (pass == 0) {
-        out_a->stats += stats;
-        out_a->matches += matches;
+        out->stats += stats;
+        out->matches += matches;
       }
-      secs = 0.0;
-      stats = vec::ExecStats();
-      matches = 0;
-      run_b(q, &docids, &secs, &stats, &matches);
-      tb += secs;
-      if (pass == 0) {
-        out_b->stats += stats;
-        out_b->matches += matches;
-      }
-    }
-    if (pass < 0) continue;
-    if (pass == 0 || ta < best_a) best_a = ta;
-    if (pass == 0 || tb < best_b) best_b = tb;
-  }
-  out_a->avg_ms = best_a * 1e3 / static_cast<double>(timed_queries.size());
-  out_b->avg_ms = best_b * 1e3 / static_cast<double>(timed_queries.size());
+      return secs;
+    };
+  };
+  const bench::PairedPasses best =
+      bench::TimePairedPasses(timed_queries.size(), /*passes=*/3,
+                              timed(run_a, out_a), timed(run_b, out_b));
+  out_a->avg_ms = best.a * 1e3 / static_cast<double>(timed_queries.size());
+  out_b->avg_ms = best.b * 1e3 / static_cast<double>(timed_queries.size());
 }
 
 int Run() {

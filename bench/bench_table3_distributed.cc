@@ -98,35 +98,18 @@ int Run() {
   TablePrinter full_table({"config", "avg query time (ms)",
                            "amortized (ms)", "node min (ms)",
                            "node avg (ms)", "node max (ms)"});
+  // Sequential: one engine over the full collection. Modeled slowest-of-N
+  // latency, free of single-host contention: scatter sequentially on an
+  // unstretched cluster (so each shard's measured time is a clean solo
+  // run), then charge every shard its heterogeneity factor and take the
+  // max — exactly what an 8-machine LAN would gate on. The measured
+  // closed-loop row below shares one host's cores across all 8 "nodes", so
+  // its shard times include co-scheduling interference that real separate
+  // machines would not see. dist_speedup8 divides the two, so they are
+  // timed as a pair (bench::TimePairedPasses): query by query, three passes
+  // after a shared warm pass, the fastest pass per side.
   double sequential_ms = 0.0;
-  {
-    ir::SearchOptions opts;
-    opts.k = kHotK;
-    ir::SearchResult result;
-    for (const auto& q : heavy) {
-      bench::CheckOk(db.Search(q, kHotRunType, opts, &result), "warm");
-    }
-    double total = 0.0;
-    for (const auto& q : heavy) {
-      bench::CheckOk(db.Search(q, kHotRunType, opts, &result), "search");
-      total += result.TotalSeconds();
-    }
-    // Same x30 service scaling as the cluster nodes, for comparability.
-    sequential_ms =
-        kServiceScale * total * 1e3 / static_cast<double>(heavy.size());
-    full_table.AddRow({"Sequential (full collection)",
-                       StrFormat("%.3f", sequential_ms), "-", "-", "-", "-"});
-  }
-
-  // Modeled slowest-of-N latency, free of single-host contention: scatter
-  // sequentially on an unstretched cluster (so each shard's measured time
-  // is a clean solo run), then charge every shard its heterogeneity
-  // factor and take the max — exactly what an 8-machine LAN would gate
-  // on. The measured closed-loop row below shares one host's cores
-  // across all 8 "nodes", so its shard times include co-scheduling
-  // interference that real separate machines would not see.
   double modeled8_ms = 0.0;
-  std::vector<double> modeled_node_ms(kTotalPartitions, 0.0);
   {
     dist::Cluster model;
     dist::ClusterOptions mopts;
@@ -135,26 +118,43 @@ int Run() {
     mopts.storage = bench::BenchStorageOptions();
     bench::CheckOk(model.Open(db.corpus(), cluster_dir, mopts),
                    "open model cluster");
+    ir::SearchOptions opts;
+    opts.k = kHotK;
     dist::DistSearchOptions dopts;
     dopts.sequential = true;
     dopts.search.k = kHotK;
+    constexpr int kPasses = 3;
+    std::vector<double> modeled_node_ms(kTotalPartitions, 0.0);
+    ir::SearchResult result;
     dist::DistResult r;
-    for (const auto& q : heavy) {
-      bench::CheckOk(model.Search(q, kHotRunType, dopts, &r), "model warm");
-    }
-    for (const auto& q : heavy) {
-      bench::CheckOk(model.Search(q, kHotRunType, dopts, &r), "model");
-      double slowest = 0.0;
-      for (uint32_t n = 0; n < kTotalPartitions; ++n) {
-        const double node_ms =
-            kServiceScale * r.shard_service_ms[n] * kSpeedFactors[n];
-        modeled_node_ms[n] += node_ms;
-        slowest = std::max(slowest, node_ms);
-      }
-      modeled8_ms += slowest + 0.15;  // + one network round-trip
-    }
-    modeled8_ms /= static_cast<double>(heavy.size());
-    for (double& v : modeled_node_ms) v /= static_cast<double>(heavy.size());
+    const bench::PairedPasses best = bench::TimePairedPasses(
+        heavy.size(), kPasses,
+        [&](size_t i, int) {
+          bench::CheckOk(db.Search(heavy[i], kHotRunType, opts, &result),
+                         "search");
+          // Same x30 service scaling as the cluster nodes, for
+          // comparability.
+          return kServiceScale * result.TotalSeconds() * 1e3;
+        },
+        [&](size_t i, int pass) {
+          bench::CheckOk(model.Search(heavy[i], kHotRunType, dopts, &r),
+                         "model");
+          double slowest = 0.0;
+          for (uint32_t n = 0; n < kTotalPartitions; ++n) {
+            const double node_ms =
+                kServiceScale * r.shard_service_ms[n] * kSpeedFactors[n];
+            if (pass >= 0) modeled_node_ms[n] += node_ms;
+            slowest = std::max(slowest, node_ms);
+          }
+          return slowest + 0.15;  // + one network round-trip
+        });
+    const double queries_run = static_cast<double>(heavy.size());
+    sequential_ms = best.a / queries_run;
+    modeled8_ms = best.b / queries_run;
+    // The node columns average every timed pass.
+    for (double& v : modeled_node_ms) v /= kPasses * queries_run;
+    full_table.AddRow({"Sequential (full collection)",
+                       StrFormat("%.3f", sequential_ms), "-", "-", "-", "-"});
     full_table.AddRow(
         {"8 servers (modeled slowest-of-N)", StrFormat("%.3f", modeled8_ms),
          "-",

@@ -196,6 +196,36 @@ inline double Percentile(std::vector<double> v, double q) {
   return v[std::min(idx, v.size() - 1)];
 }
 
+/// Two runs timed as a pair, for a ratio between them: after one shared
+/// warm pass (pass -1), `passes` timed passes run the two sides
+/// interleaved item by item, so frequency and scheduler drift on a shared
+/// host lands on both sides instead of on whichever ran later. run_a(i,
+/// pass) and run_b(i, pass) run item i and return its cost (seconds,
+/// modeled milliseconds — the caller's unit); a pass costs the sum over its
+/// items. Each side keeps its fastest timed pass.
+struct PairedPasses {
+  double a = 0.0;  // side a's fastest timed pass
+  double b = 0.0;  // side b's
+};
+
+template <typename FnA, typename FnB>
+PairedPasses TimePairedPasses(size_t items, int passes, FnA&& run_a,
+                              FnB&& run_b) {
+  PairedPasses best;
+  for (int pass = -1; pass < passes; ++pass) {
+    double ta = 0.0;
+    double tb = 0.0;
+    for (size_t i = 0; i < items; ++i) {
+      ta += run_a(i, pass);
+      tb += run_b(i, pass);
+    }
+    if (pass < 0) continue;
+    if (pass == 0 || ta < best.a) best.a = ta;
+    if (pass == 0 || tb < best.b) best.b = tb;
+  }
+  return best;
+}
+
 /// One bench run's results. Rows are named groups of numbers; gates are
 /// the values bench/gates.txt bounds (plus informational ones and the
 /// arming flags such as wal_gated), printed as they are recorded. Finish()

@@ -4,7 +4,6 @@
 #ifndef X100IR_COMMON_STATUS_H_
 #define X100IR_COMMON_STATUS_H_
 
-#include <cassert>
 #include <string>
 #include <utility>
 
@@ -119,30 +118,6 @@ inline Status Unavailable(std::string msg) {
 inline bool IsTransient(const Status& s) {
   return s.code() == StatusCode::kUnavailable;
 }
-
-// Status-or-value return type for factory functions such as
-// BlockVectorSource::Create. Minimal by design: T must be
-// default-constructible and movable, and value() must only be called when
-// ok(). Kept here so every layer shares one vocabulary type.
-template <typename T>
-class StatusOr {
- public:
-  // The Status constructor is for error returns only: an OK status here
-  // would hand callers ok() == true with a default-constructed value.
-  StatusOr(Status status) : status_(std::move(status)) {  // NOLINT(runtime/explicit)
-    assert(!status_.ok() && "StatusOr(Status) requires a non-OK status");
-  }
-  StatusOr(T value) : value_(std::move(value)) {}  // NOLINT(runtime/explicit)
-
-  bool ok() const { return status_.ok(); }
-  const Status& status() const { return status_; }
-  T& value() { return value_; }
-  const T& value() const { return value_; }
-
- private:
-  Status status_;
-  T value_{};
-};
 
 // Early-return helper for Status-returning functions.
 #define X100IR_RETURN_IF_ERROR(expr)             \

@@ -40,7 +40,10 @@
 // WindowMax and Load return false when the source failed; it latches the
 // status where its owner reads it, and the cursor then ends. The resident
 // and array sources never fail — both return a constant true, so after
-// inlining the in-memory loops carry no status checks.
+// inlining the in-memory loops carry no status checks. Those two also
+// serve the scan plans' flat reads (vec::ScanOperator):
+//   Read(pos, len, dst)    values [pos, pos + len) into dst, any alignment;
+//                          the caller keeps pos + len <= size().
 //
 // Cursors and caches are cheap to construct (a 128-value window buffer, no
 // allocation) and single-threaded like everything else in a plan.
@@ -117,6 +120,11 @@ class ResidentWindows {
                  dst->i32);
     return true;
   }
+  // Range decode through the entry points: touches only the windows that
+  // overlap [pos, pos + len).
+  void Read(uint64_t pos, uint32_t len, int32_t* dst) const {
+    dec_->Decode(static_cast<uint32_t>(pos), len, dst);
+  }
 
  private:
   const BlockDecoder* dec_ = nullptr;
@@ -150,6 +158,9 @@ class ArrayWindows {
                 std::min<uint64_t>(kEntryPointStride, n_ - base) *
                     sizeof(int32_t));
     return true;
+  }
+  void Read(uint64_t pos, uint32_t len, int32_t* dst) const {
+    std::memcpy(dst, values_ + pos, static_cast<size_t>(len) * sizeof(int32_t));
   }
 
  private:

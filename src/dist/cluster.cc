@@ -243,23 +243,12 @@ Status Cluster::Search(const ir::Query& query, ir::RunType type,
       gather_shard(i);
     }
   } else {
-    std::mutex mu;
-    std::condition_variable cv;
-    uint32_t pending = n;
-    for (uint32_t i = 0; i < n; ++i) {
-      nodes_[i]->exec->Submit([&, i] {
-        RunShard(*nodes_[i], query, type, opts, dl, theta_ptr,
-                 /*stretch=*/true, &shard_results[i], &out->shard_status[i],
-                 &out->shard_service_ms[i]);
-        std::lock_guard<std::mutex> lock(mu);
-        if (--pending == 0) cv.notify_all();
-      });
-    }
     // Gather waits for every shard — even expired ones return promptly
     // because the deadline is checked inside the engine and the service
     // sleep, so slowest-of-N is bounded by the deadline when one is set.
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return pending == 0; });
+    ScatterAndWait(query, type, opts, dl, theta_ptr, /*stretch=*/true,
+                   &shard_results, &out->shard_status,
+                   &out->shard_service_ms);
     for (uint32_t i = 0; i < n; ++i) gather_shard(i);
   }
 
@@ -284,32 +273,41 @@ Status Cluster::Search(const ir::Query& query, ir::RunType type,
   return OkStatus();
 }
 
+void Cluster::ScatterAndWait(const ir::Query& query, ir::RunType type,
+                             const DistSearchOptions& opts,
+                             const Deadline* deadline, SharedTheta* theta,
+                             bool stretch,
+                             std::vector<ir::SearchResult>* results,
+                             std::vector<Status>* status,
+                             std::vector<double>* service_ms) const {
+  std::mutex mu;
+  std::condition_variable cv;
+  uint32_t pending = num_nodes();
+  for (uint32_t i = 0; i < num_nodes(); ++i) {
+    nodes_[i]->exec->Submit([&, i] {
+      RunShard(*nodes_[i], query, type, opts, deadline, theta, stretch,
+               &(*results)[i], &(*status)[i], &(*service_ms)[i]);
+      std::lock_guard<std::mutex> lock(mu);
+      if (--pending == 0) cv.notify_all();
+    });
+  }
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return pending == 0; });
+}
+
 Status Cluster::WarmUp(const std::vector<ir::Query>& queries,
                        ir::RunType type, uint32_t k) {
   if (!open_) return InvalidArgument("cluster is not open");
   DistSearchOptions dopts;
   dopts.search.k = k;
+  const uint32_t n = num_nodes();
+  std::vector<ir::SearchResult> results(n);
+  std::vector<Status> status(n);
+  std::vector<double> service(n, 0.0);
   for (const ir::Query& q : queries) {
-    const uint32_t n = num_nodes();
-    std::vector<ir::SearchResult> results(n);
-    std::vector<Status> status(n);
-    std::vector<double> service(n, 0.0);
-    std::mutex mu;
-    std::condition_variable cv;
-    uint32_t pending = n;
-    for (uint32_t i = 0; i < n; ++i) {
-      nodes_[i]->exec->Submit([&, i] {
-        RunShard(*nodes_[i], q, type, dopts, nullptr, nullptr,
-                 /*stretch=*/false, &results[i], &status[i], &service[i]);
-        std::lock_guard<std::mutex> lock(mu);
-        if (--pending == 0) cv.notify_all();
-      });
-    }
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return pending == 0; });
-    for (uint32_t i = 0; i < n; ++i) {
-      X100IR_RETURN_IF_ERROR(status[i]);
-    }
+    ScatterAndWait(q, type, dopts, nullptr, nullptr, /*stretch=*/false,
+                   &results, &status, &service);
+    for (const Status& s : status) X100IR_RETURN_IF_ERROR(s);
   }
   return OkStatus();
 }

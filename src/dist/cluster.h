@@ -232,6 +232,16 @@ class Cluster {
                 SharedTheta* theta, bool stretch, ir::SearchResult* result,
                 Status* status, double* service_ms) const;
 
+  // The parallel scatter: every node runs RunShard on its own executor,
+  // node i into (*results)[i], (*status)[i] and (*service_ms)[i], each
+  // sized num_nodes(); returns once every shard has.
+  void ScatterAndWait(const ir::Query& query, ir::RunType type,
+                      const DistSearchOptions& opts, const Deadline* deadline,
+                      SharedTheta* theta, bool stretch,
+                      std::vector<ir::SearchResult>* results,
+                      std::vector<Status>* status,
+                      std::vector<double>* service_ms) const;
+
   bool open_ = false;
   ClusterOptions opts_;
   ir::CollectionStats stats_;

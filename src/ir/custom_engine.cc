@@ -23,10 +23,10 @@ Status CustomIrEngine::Load(const InvertedIndex* index) {
   // One bulk range-decode per column: the custom engine pays the decode
   // once at load and never again — the "all raw, all resident" design
   // point Table 1's hand-built engines occupy.
-  index->docid_source()->Read(0, static_cast<uint32_t>(docids_.size()),
-                              docids_.data());
-  index->tf_source()->Read(0, static_cast<uint32_t>(tfs_.size()),
-                           tfs_.data());
+  index->docid_decoder()->Decode(0, static_cast<uint32_t>(docids_.size()),
+                                 docids_.data());
+  index->tf_decoder()->Decode(0, static_cast<uint32_t>(tfs_.size()),
+                              tfs_.data());
   return OkStatus();
 }
 

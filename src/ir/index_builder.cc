@@ -147,30 +147,29 @@ uint32_t MaxThreads(BuildMode mode) {
   return mode == BuildMode::kConcurrent ? UINT32_MAX : 1;
 }
 
-Status MakeBlockSource(std::vector<uint8_t> block,
-                       std::unique_ptr<vec::BlockVectorSource>* out,
-                       uint64_t expected_n, const char* what) {
-  auto src_or = vec::BlockVectorSource::Create(std::move(block));
-  if (!src_or.ok()) return src_or.status();
-  if (src_or.value()->size() != expected_n) {
+// Opens `dec` over `block`: Init checks the header and the deep Validate
+// the payload (queries decode these blocks, the path deep validation exists
+// for), and the block must hold expected_n values.
+Status OpenBlock(const std::vector<uint8_t>& block, uint64_t expected_n,
+                 const char* what, compress::BlockDecoder* dec) {
+  X100IR_RETURN_IF_ERROR(dec->Init(block.data(), block.size()));
+  X100IR_RETURN_IF_ERROR(dec->Validate());
+  if (dec->n() != expected_n) {
     return Internal(StrFormat("%s block holds %llu values, expected %llu",
-                              what,
-                              static_cast<unsigned long long>(
-                                  src_or.value()->size()),
+                              what, static_cast<unsigned long long>(dec->n()),
                               static_cast<unsigned long long>(expected_n)));
   }
-  *out = std::move(src_or.value());
   return OkStatus();
 }
 
 }  // namespace
 
 Status InvertedIndex::LoadColumns(const std::string& dir) {
-  // BlockVectorSource::Create deep-validates the payloads, so a corrupt
-  // file fails loudly here and the caller falls back to a rebuild. A valid
-  // block of the wrong scheme is refused the same way: the skip cursors
-  // read PFOR-DELTA window value bases off the docid column, and the fused
-  // scorer unpacks tf windows as patched PFOR.
+  // OpenBlock deep-validates the payloads, so a corrupt file fails loudly
+  // here and the caller falls back to a rebuild. A valid block of the
+  // wrong scheme is refused the same way: the skip cursors read PFOR-DELTA
+  // window value bases off the docid column, and the fused scorer unpacks
+  // tf windows as patched PFOR.
   const uint64_t n = num_postings_;
   std::vector<uint8_t> docid_block, tf_block;
   uint64_t docid_n = 0, tf_n = 0;
@@ -183,19 +182,20 @@ Status InvertedIndex::LoadColumns(const std::string& dir) {
   if (docid_n != n || tf_n != n) {
     return Internal("column files disagree with index.meta");
   }
-  std::unique_ptr<vec::BlockVectorSource> docid, tf;
-  X100IR_RETURN_IF_ERROR(
-      MakeBlockSource(std::move(docid_block), &docid, n, "docid"));
-  X100IR_RETURN_IF_ERROR(MakeBlockSource(std::move(tf_block), &tf, n, "tf"));
-  if (docid->decoder()->scheme() != compress::Scheme::kPforDelta) {
+  compress::BlockDecoder docid, tf;
+  X100IR_RETURN_IF_ERROR(OpenBlock(docid_block, n, "docid", &docid));
+  X100IR_RETURN_IF_ERROR(OpenBlock(tf_block, n, "tf", &tf));
+  if (docid.scheme() != compress::Scheme::kPforDelta) {
     return Internal("docid column is not PFOR-DELTA in " + dir);
   }
-  if (tf->decoder()->scheme() != compress::Scheme::kPfor ||
-      tf->decoder()->naive_layout()) {
+  if (tf.scheme() != compress::Scheme::kPfor || tf.naive_layout()) {
     return Internal("tf column is not patched PFOR in " + dir);
   }
-  docid_source_ = std::move(docid);
-  tf_source_ = std::move(tf);
+  // A vector's move keeps its heap buffer, so the decoders stay valid.
+  docid_block_ = std::move(docid_block);
+  tf_block_ = std::move(tf_block);
+  docid_dec_ = docid;
+  tf_dec_ = tf;
   return OkStatus();
 }
 
@@ -329,7 +329,8 @@ Status InvertedIndex::EncodeAndPersist(const std::string& dir,
               ColumnFileHeader::kCompressedBlock, n, block.data(),
               block.size()));
         }
-        return MakeBlockSource(std::move(block), &docid_source_, n, "docid");
+        docid_block_ = std::move(block);
+        return OpenBlock(docid_block_, n, "docid", &docid_dec_);
       },
       [&] {
         std::vector<uint8_t> block;
@@ -342,7 +343,8 @@ Status InvertedIndex::EncodeAndPersist(const std::string& dir,
               ColumnFileHeader::kCompressedBlock, n, block.data(),
               block.size()));
         }
-        return MakeBlockSource(std::move(block), &tf_source_, n, "tf");
+        tf_block_ = std::move(block);
+        return OpenBlock(tf_block_, n, "tf", &tf_dec_);
       },
       // Block-max metadata rides along every build (in-memory, persisted,
       // seg_0 and merged). With a directory the raw columns and the side
@@ -674,13 +676,15 @@ Status InvertedIndex::DecodePostings(uint32_t term,
   if (docids != nullptr) {
     docids->resize(info.doc_freq);
     if (info.doc_freq > 0) {
-      docid_source_->Read(info.posting_start, info.doc_freq, docids->data());
+      docid_dec_.Decode(static_cast<uint32_t>(info.posting_start),
+                        info.doc_freq, docids->data());
     }
   }
   if (tfs != nullptr) {
     tfs->resize(info.doc_freq);
     if (info.doc_freq > 0) {
-      tf_source_->Read(info.posting_start, info.doc_freq, tfs->data());
+      tf_dec_.Decode(static_cast<uint32_t>(info.posting_start), info.doc_freq,
+                     tfs->data());
     }
   }
   return OkStatus();

@@ -1,12 +1,13 @@
 // Builds the inverted index from a Corpus as compressed columns and serves
 // per-term posting ranges to the search engine.
 //
-// The index owns two block-backed VectorSources (TD.docid via PFOR-DELTA,
-// TD.tf via PFOR) over the whole TD table; a query scans a term's postings
-// through a SliceVectorSource window — range decode touches only the
-// 128-value windows overlapping the term's range, which is the paper's
-// fine-granularity skipping. The uncompressed doclen column stays in memory
-// (4 bytes/doc; the gather in the BM25 score operator wants O(1) access).
+// The index owns two compressed blocks (TD.docid via PFOR-DELTA, TD.tf via
+// PFOR) over the whole TD table and a decoder over each; a query reads a
+// term's range of them through the decoders' entry points — range decode
+// touches only the 128-value windows overlapping the term's range, which is
+// the paper's fine-granularity skipping. The uncompressed doclen column
+// stays in memory (4 bytes/doc; the gather in the BM25 score operator wants
+// O(1) access).
 //
 // With a non-empty directory, BuildFromCorpus persists the columns (raw +
 // compressed + score + side tables + index.meta) and opens them through
@@ -21,11 +22,11 @@
 #include <vector>
 
 #include "common/status.h"
+#include "compress/codec.h"
 #include "ir/corpus.h"
 #include "ir/index_meta.h"
 #include "storage/buffer_manager.h"
 #include "storage/column_reader.h"
-#include "vec/mem_source.h"
 
 namespace x100ir::ir {
 
@@ -115,22 +116,15 @@ class InvertedIndex {
   // always populated, for built and loaded indexes.
   const std::vector<BlockMaxEntry>& block_max() const { return blockmax_; }
 
-  // Whole-TD-table columns; slice with [term(t).posting_start,
-  // + term(t).doc_freq) for one posting list.
-  const vec::VectorSource* docid_source() const { return docid_source_.get(); }
-  const vec::VectorSource* tf_source() const { return tf_source_.get(); }
-
-  // Raw block decoders behind the columns, for skip-aware access
+  // Decoders over the whole-TD-table compressed columns, header- and
+  // payload-validated; one posting list is positions [term(t).posting_start,
+  // + term(t).doc_freq). Queries read them through window sources
   // (compress/skip_cursor.h). Borrowed; valid as long as the index.
-  const compress::BlockDecoder* docid_decoder() const {
-    return docid_source_->decoder();
-  }
-  const compress::BlockDecoder* tf_decoder() const {
-    return tf_source_->decoder();
-  }
+  const compress::BlockDecoder* docid_decoder() const { return &docid_dec_; }
+  const compress::BlockDecoder* tf_decoder() const { return &tf_dec_; }
 
   // Convenience full decode of one term's postings (tests, oracles;
-  // queries go through ScanOperator instead). Either output may be null.
+  // queries go through the plans instead). Either output may be null.
   Status DecodePostings(uint32_t term, std::vector<int32_t>* docids,
                         std::vector<int32_t>* tfs) const;
 
@@ -189,8 +183,10 @@ class InvertedIndex {
   std::vector<TermInfo> terms_;
   std::vector<int32_t> doc_lens_;
   std::vector<BlockMaxEntry> blockmax_;
-  std::unique_ptr<vec::BlockVectorSource> docid_source_;
-  std::unique_ptr<vec::BlockVectorSource> tf_source_;
+  // The compressed docid and tf columns; each decoder points into its
+  // block's heap buffer, which a move of the index hands over intact.
+  std::vector<uint8_t> docid_block_, tf_block_;
+  compress::BlockDecoder docid_dec_, tf_dec_;
   std::unique_ptr<IndexStorage> storage_;
 };
 

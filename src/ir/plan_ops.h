@@ -26,13 +26,11 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/string_util.h"
 #include "compress/skip_cursor.h"
 #include "ir/bm25.h"
 #include "ir/posting_cursor.h"
 #include "ir/search_engine.h"
 #include "ir/topk.h"
-#include "vec/mem_source.h"
 #include "vec/scan.h"
 #include "vec/streaming_merge.h"
 #include "vec/vector.h"
@@ -58,17 +56,8 @@ class Bm25ScoreOperator : public vec::Operator {
     }
     X100IR_RETURN_IF_ERROR(ctx_->Validate());
     X100IR_RETURN_IF_ERROR(child_->Open());
-    const vec::Schema& cs = child_->schema();
-    if (cs.NumColumns() != 2 || cs.type(0) != vec::TypeId::kI32 ||
-        cs.type(1) != vec::TypeId::kI32) {
-      return InvalidArgument(
-          "bm25-score child must produce (docid i32, tf i32)");
-    }
-    schema_ = vec::Schema();
-    schema_.Add("docid", vec::TypeId::kI32);
-    schema_.Add("score", vec::TypeId::kF32);
-    doclen_vec_.Reset(vec::TypeId::kI32, ctx_->vector_size);
-    score_vec_.Reset(vec::TypeId::kF32, ctx_->vector_size);
+    doclen_vec_.Reset(ctx_->vector_size);
+    score_vec_.Reset(ctx_->vector_size);
     return OkStatus();
   }
 
@@ -128,28 +117,19 @@ class MergeUnionOperator : public vec::Operator {
       return InvalidArgument("union needs an execution context");
     }
     X100IR_RETURN_IF_ERROR(ctx_->Validate());
-    schema_ = vec::Schema();
-    schema_.Add("docid", vec::TypeId::kI32);
-    if (sum_scores_) schema_.Add("score", vec::TypeId::kF32);
     states_.assign(children_.size(), ChildState());
     for (size_t c = 0; c < children_.size(); ++c) {
       if (children_[c] == nullptr) return InvalidArgument("null child");
       X100IR_RETURN_IF_ERROR(children_[c]->Open());
-      const vec::Schema& cs = children_[c]->schema();
-      const uint32_t want = sum_scores_ ? 2 : 1;
-      if (cs.NumColumns() < want || cs.type(0) != vec::TypeId::kI32 ||
-          (sum_scores_ && cs.type(1) != vec::TypeId::kF32)) {
-        return InvalidArgument(StrFormat(
-            "union child %zu must lead with docid i32%s", c,
-            sum_scores_ ? " and carry a f32 score" : ""));
-      }
       X100IR_RETURN_IF_ERROR(Refill(c));
     }
-    out_docid_.Reset(vec::TypeId::kI32, ctx_->vector_size);
-    if (sum_scores_) out_score_.Reset(vec::TypeId::kF32, ctx_->vector_size);
-    batch_.columns.clear();
-    batch_.columns.push_back(&out_docid_);
-    if (sum_scores_) batch_.columns.push_back(&out_score_);
+    out_docid_.Reset(ctx_->vector_size);
+    if (sum_scores_) {
+      out_score_.Reset(ctx_->vector_size);
+      batch_.columns = {&out_docid_, &out_score_};
+    } else {
+      batch_.columns = {&out_docid_};
+    }
     return OkStatus();
   }
 
@@ -243,24 +223,18 @@ class MergeUnionOperator : public vec::Operator {
   vec::Batch batch_;
 };
 
-// Leaf of the scan plans: one term's slice of the docid column, and of tf
-// when the run scores.
+// Leaf of the scan plans: one term's range of the docid column, and of the
+// tf column when the run scores, read through the leaves' window sources.
 template <class Leaves>
 vec::OperatorPtr MakeTermScan(const Leaves& leaves, vec::ExecContext* ctx,
                               uint32_t term, bool with_tf) {
+  using Scan = vec::ScanOperator<typename Leaves::Source>;
   const TermRange r = leaves.Range(term);
-  vec::Schema schema;
-  schema.Add("docid", vec::TypeId::kI32);
-  if (with_tf) schema.Add("tf", vec::TypeId::kI32);
-  std::vector<vec::VectorSourcePtr> sources;
-  sources.push_back(std::make_unique<vec::SliceVectorSource>(
-      leaves.docids(), r.begin, r.len));
-  if (with_tf) {
-    sources.push_back(std::make_unique<vec::SliceVectorSource>(
-        leaves.tfs(), r.begin, r.len));
+  if (!with_tf) {
+    return std::make_unique<Scan>(ctx, leaves.docid_windows(), r.begin, r.len);
   }
-  return std::make_unique<vec::ScanOperator>(ctx, std::move(schema),
-                                             std::move(sources));
+  return std::make_unique<Scan>(ctx, leaves.docid_windows(),
+                                leaves.value_windows(), r.begin, r.len);
 }
 
 // The boolean plans over `terms` (PrepareQuery's, every one with

@@ -20,13 +20,13 @@ namespace x100ir::ir {
 namespace {
 
 // The in-memory posting backend: the leaves of the scan and join plans
-// (ir/posting_cursor.h) — slices of the index's compressed TD columns and
-// skip cursors over its resident docid block — and the MaxScore executor's
-// backend (maxscore.h): skip cursors over the resident PFOR-DELTA docid
-// column, windows scored straight from the packed tf payload by the fused
-// decode→score kernel (tf_window_score.h) — the tf codewords go to BM25
-// contributions without materializing a tf vector — and probes completed
-// from the term's cached tf window.
+// (ir/posting_cursor.h) — the index's resident compressed TD columns, range
+// decoded by the scans and searched by the skip cursors — and the MaxScore
+// executor's backend (maxscore.h): skip cursors over the resident
+// PFOR-DELTA docid column, windows scored straight from the packed tf
+// payload by the fused decode→score kernel (tf_window_score.h) — the tf
+// codewords go to BM25 contributions without materializing a tf vector —
+// and probes completed from the term's cached tf window.
 class MemPostings {
  public:
   using Source = compress::ResidentWindows;
@@ -56,8 +56,6 @@ class MemPostings {
     const TermInfo& info = index_.term(t);
     return {info.posting_start, info.doc_freq};
   }
-  const vec::VectorSource* docids() const { return index_.docid_source(); }
-  const vec::VectorSource* tfs() const { return index_.tf_source(); }
   const int32_t* doc_lens() const { return doclens_; }
   double avg_doc_len() const { return EffectiveAvgDocLen(opts_, index_); }
 

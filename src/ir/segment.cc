@@ -58,7 +58,7 @@ Status TransposeForwardStore(const InvertedIndex& index, Corpus* out) {
   for (uint64_t pos = 0; pos < postings; pos += kWindow) {
     const auto len = static_cast<uint32_t>(
         std::min<uint64_t>(kWindow, postings - pos));
-    index.docid_source()->Read(pos, len, docids);
+    index.docid_decoder()->Decode(static_cast<uint32_t>(pos), len, docids);
     for (uint32_t i = 0; i < len; ++i) {
       if (docids[i] < 0 || static_cast<uint32_t>(docids[i]) >= n) {
         return IOError("segment postings reference an out-of-range docid");
@@ -88,8 +88,9 @@ Status TransposeForwardStore(const InvertedIndex& index, Corpus* out) {
         const uint64_t pos = next[t];
         const auto len = static_cast<uint32_t>(
             std::min<uint64_t>(end - pos, kWindow - pos % kWindow));
-        index.docid_source()->Read(pos, len, docids);
-        index.tf_source()->Read(pos, len, tfs);
+        index.docid_decoder()->Decode(static_cast<uint32_t>(pos), len,
+                                      docids);
+        index.tf_decoder()->Decode(static_cast<uint32_t>(pos), len, tfs);
         uint32_t i = 0;
         for (; i < len && docids[i] < static_cast<int32_t>(hi); ++i) {
           if (docids[i] < static_cast<int32_t>(lo)) {

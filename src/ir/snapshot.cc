@@ -7,6 +7,7 @@
 
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "compress/skip_cursor.h"
 #include "ir/index_meta.h"
 #include "storage/crash_point.h"
 #include "storage/wal.h"
@@ -63,12 +64,16 @@ void SweepSegmentDirs(const std::string& root,
   }
 }
 
-// An input segment's TD columns read forward a window at a time: a merge
-// walks each term's postings in term order, so every window of both
-// columns is decoded once, not once for each term it holds.
+// An input segment's TD columns read forward a window at a time through
+// one window cache per column: a merge walks each term's postings in term
+// order, so every window of both columns is decoded once, not once for
+// each term it holds.
 class TdWindows {
  public:
-  explicit TdWindows(const InvertedIndex& index) : index_(&index) {}
+  explicit TdWindows(const InvertedIndex& index) : index_(&index) {
+    docids_.Init(index.docid_decoder());
+    tfs_.Init(index.tf_decoder());
+  }
   const InvertedIndex& index() const { return *index_; }
 
   // Calls fn(docid, tf) for postings [pos, end), in order.
@@ -76,27 +81,20 @@ class TdWindows {
   void ForEach(uint64_t pos, uint64_t end, Fn&& fn) {
     constexpr uint32_t kWindow = compress::kEntryPointStride;
     while (pos < end) {
-      const uint64_t w = pos / kWindow;
-      const uint64_t first = w * kWindow;
-      if (w != window_) {
-        const auto len = static_cast<uint32_t>(
-            std::min<uint64_t>(kWindow, index_->num_postings() - first));
-        index_->docid_decoder()->Decode(static_cast<uint32_t>(first), len,
-                                        docids_);
-        index_->tf_decoder()->Decode(static_cast<uint32_t>(first), len,
-                                     tfs_);
-        window_ = w;
-      }
+      const auto w = static_cast<uint32_t>(pos / kWindow);
+      docids_.Load(w);  // resident windows: a load cannot fail
+      tfs_.Load(w);
+      const uint64_t first = static_cast<uint64_t>(w) * kWindow;
       const uint64_t stop = std::min(end, first + kWindow);
-      for (; pos < stop; ++pos) fn(docids_[pos - first], tfs_[pos - first]);
+      for (; pos < stop; ++pos) {
+        fn(docids_.i32()[pos - first], tfs_.i32()[pos - first]);
+      }
     }
   }
 
  private:
   const InvertedIndex* index_;
-  uint64_t window_ = UINT64_MAX;
-  int32_t docids_[compress::kEntryPointStride];
-  int32_t tfs_[compress::kEntryPointStride];
+  compress::WindowCache<compress::ResidentWindows> docids_, tfs_;
 };
 
 }  // namespace

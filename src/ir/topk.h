@@ -141,8 +141,8 @@ class TopK {
   float threshold_ = -std::numeric_limits<float>::infinity();
 };
 
-// Plan root for ranked runs. Child schema: (docid i32, score f32). Output:
-// the same schema, rows in rank order, emitted vector-at-a-time.
+// Plan root for ranked runs. Child columns: (docid i32, score f32). Output:
+// the same columns, rows in rank order, emitted vector-at-a-time.
 class TopKOperator : public vec::Operator {
  public:
   TopKOperator(vec::ExecContext* ctx, vec::OperatorPtr child, uint32_t k)
@@ -165,12 +165,6 @@ class TopKOperator : public vec::Operator {
     X100IR_RETURN_IF_ERROR(ctx_->Validate());
     if (topk_.k() == 0) return InvalidArgument("top-k needs k > 0");
     X100IR_RETURN_IF_ERROR(child_->Open());
-    const vec::Schema& cs = child_->schema();
-    if (cs.NumColumns() != 2 || cs.type(0) != vec::TypeId::kI32 ||
-        cs.type(1) != vec::TypeId::kF32) {
-      return InvalidArgument("top-k child must produce (docid i32, score f32)");
-    }
-    schema_ = cs;
     cand_sel_.resize(ctx_->vector_size);
     drained_ = false;
     pos_ = 0;
@@ -194,8 +188,8 @@ class TopKOperator : public vec::Operator {
     const uint32_t len = static_cast<uint32_t>(
         std::min<uint64_t>(ctx_->vector_size, remaining));
     if (batch_.columns.empty()) {
-      out_docid_.Reset(vec::TypeId::kI32, ctx_->vector_size);
-      out_score_.Reset(vec::TypeId::kF32, ctx_->vector_size);
+      out_docid_.Reset(ctx_->vector_size);
+      out_score_.Reset(ctx_->vector_size);
       batch_.columns = {&out_docid_, &out_score_};
     }
     std::copy_n(result_docids_.data() + pos_, len,

@@ -7,10 +7,9 @@
 #ifndef X100IR_VEC_SCAN_H_
 #define X100IR_VEC_SCAN_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "common/status.h"
 #include "vec/vector.h"
@@ -91,7 +90,9 @@ struct ExecContext {
 // (end of stream), Close() once. The returned Batch is dense (all `count`
 // rows live; an operator that filters keeps its selection vector to
 // itself) and it and everything it points at belong to the operator and
-// stay valid until its next Next()/Close().
+// stay valid until its next Next()/Close(). Which columns a batch carries,
+// and their types, is fixed by the plan's templates (ir/plan_ops.h), not
+// checked at run time.
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -99,51 +100,82 @@ class Operator {
   virtual Status Open() = 0;
   virtual Status Next(Batch** out) = 0;
   virtual void Close() {}
-
-  const Schema& schema() const { return schema_; }
-
- protected:
-  Schema schema_;
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
-// A readable column: the scan's abstraction over in-memory arrays
-// (MemVectorSource) and compressed blocks decoded on the fly via
-// BlockDecoder::Decode range decode (BlockVectorSource) — both in
-// mem_source.h.
-class VectorSource {
- public:
-  virtual ~VectorSource() = default;
-
-  virtual uint64_t size() const = 0;
-  virtual TypeId type() const = 0;
-  // Fills dst[0..len) with values [pos, pos + len); the caller guarantees
-  // pos + len <= size().
-  virtual void Read(uint64_t pos, uint32_t len, void* dst) const = 0;
-};
-
-using VectorSourcePtr = std::unique_ptr<VectorSource>;
-
-// Leaf operator: streams the sources' columns in lockstep, vector_size
-// values per Next(). All sources must have equal size and match the
-// schema's column count and types.
+// Leaf operator: positions [begin, begin + len) of an i32 column — one
+// term's docids — and of a parallel i32 column (its tfs) when given, read
+// through their window sources (compress/skip_cursor.h: a resident block's
+// range decode or an array's copy) straight into the output vectors,
+// vector_size values per Next(). It keeps no window across calls: each
+// vector decodes only the 128-value windows it overlaps. Open rejects a
+// range outside either column, as SortedCursor::Init does. Output: (docid)
+// or (docid, tf).
+template <class Source>
 class ScanOperator : public Operator {
  public:
-  ScanOperator(ExecContext* ctx, Schema schema,
-               std::vector<VectorSourcePtr> sources);
+  ScanOperator(ExecContext* ctx, const Source& docids, uint64_t begin,
+               uint64_t len)
+      : ctx_(ctx), docids_(docids), begin_(begin), end_(begin + len) {}
+  ScanOperator(ExecContext* ctx, const Source& docids, const Source& tfs,
+               uint64_t begin, uint64_t len)
+      : ctx_(ctx),
+        docids_(docids),
+        tfs_(tfs),
+        with_tf_(true),
+        begin_(begin),
+        end_(begin + len) {}
 
-  Status Open() override;
-  Status Next(Batch** out) override;
-  void Close() override;
+  Status Open() override {
+    if (ctx_ == nullptr) {
+      return InvalidArgument("scan needs an execution context");
+    }
+    X100IR_RETURN_IF_ERROR(ctx_->Validate());
+    if (end_ < begin_ || end_ > docids_.size() ||
+        (with_tf_ && end_ > tfs_.size())) {
+      return InvalidArgument("scan range out of bounds");
+    }
+    docid_vec_.Reset(ctx_->vector_size);
+    if (with_tf_) {
+      tf_vec_.Reset(ctx_->vector_size);
+      batch_.columns = {&docid_vec_, &tf_vec_};
+    } else {
+      batch_.columns = {&docid_vec_};
+    }
+    pos_ = begin_;
+    return OkStatus();
+  }
+
+  Status Next(Batch** out) override {
+    if (out == nullptr) return InvalidArgument("null output");
+    if (pos_ >= end_) {
+      *out = nullptr;
+      return OkStatus();
+    }
+    const auto len =
+        static_cast<uint32_t>(std::min<uint64_t>(ctx_->vector_size,
+                                                 end_ - pos_));
+    docids_.Read(pos_, len, docid_vec_.Data<int32_t>());
+    if (with_tf_) tfs_.Read(pos_, len, tf_vec_.Data<int32_t>());
+    pos_ += len;
+    batch_.count = len;
+    *out = &batch_;
+    return OkStatus();
+  }
+
+  void Close() override { pos_ = end_; }
 
  private:
   ExecContext* ctx_;
-  std::vector<VectorSourcePtr> sources_;
-  std::vector<Vector> vectors_;
+  Source docids_;
+  Source tfs_;
+  bool with_tf_ = false;
+  uint64_t begin_;
+  uint64_t end_;
+  uint64_t pos_ = end_;  // a Next before Open ends the stream
+  Vector docid_vec_, tf_vec_;
   Batch batch_;
-  uint64_t pos_ = 0;
-  uint64_t n_ = 0;
 };
 
 }  // namespace x100ir::vec

@@ -63,7 +63,7 @@ inline void AddSkipStats(const compress::SkipStats& s, ExecStats* out) {
 }
 
 // N-ary streaming intersection of initialized cursors on their values.
-// Output schema: one dense i32 "docid" column, strictly increasing.
+// Output: one dense i32 docid column, strictly increasing.
 // Constant memory: one output vector, no materialization. The cursors'
 // window counters fold into the context's ExecStats at Close (called once).
 template <class Source>
@@ -83,9 +83,7 @@ class StreamingJoinOperator : public Operator {
           "streaming merge-join needs an execution context");
     }
     X100IR_RETURN_IF_ERROR(ctx_->Validate());
-    schema_ = Schema();
-    schema_.Add("docid", TypeId::kI32);
-    out_docid_.Reset(TypeId::kI32, ctx_->vector_size);
+    out_docid_.Reset(ctx_->vector_size);
     batch_.columns = {&out_docid_};
     // An empty child empties the intersection before any probing starts.
     done_ = std::any_of(cursors_.begin(), cursors_.end(),

@@ -989,6 +989,50 @@ TEST(Search, UnknownTermsGetCleanEmptyResults) {
   EXPECT_EQ(r.num_matches, 2u);
 }
 
+// A scan plan's set-up costs a few heap blocks per query term: the term's
+// scan with its output vectors and batch column list, and for a ranked run
+// its scorer with the same. Warm reads of 1–4 terms over an in-memory
+// index; one more term must add at most `per_term` allocations.
+TEST(Search, ScanPlanSetUpAllocatesAFewBlocksPerTerm) {
+  Rng rng(2007);
+  std::vector<std::vector<uint32_t>> docs(3000);
+  for (auto& doc : docs) {
+    doc.resize(40);
+    for (auto& t : doc) t = static_cast<uint32_t>(rng.NextBounded(200));
+  }
+  Corpus corpus;
+  ASSERT_TRUE(Corpus::FromDocuments(docs, 200, &corpus).ok());
+  InvertedIndex index;
+  ASSERT_TRUE(index.BuildFromCorpus(corpus).ok());
+  SearchEngine engine(&index);
+  SearchOptions opts;
+  opts.maxscore_bm25 = false;  // the score-all union
+  struct Bound {
+    RunType type;
+    int64_t per_term;
+  };
+  for (const Bound& bound :
+       {Bound{RunType::kBm25, 11}, Bound{RunType::kBoolOr, 4}}) {
+    SCOPED_TRACE(RunTypeName(bound.type));
+    std::vector<int64_t> blocks;
+    Query q;
+    for (uint32_t t : {3u, 50u, 97u, 144u}) {
+      q.terms.push_back(t);
+      SearchResult r;
+      ASSERT_TRUE(engine.Search(q, bound.type, opts, &r).ok());  // warm
+      ASSERT_GT(r.num_matches, 0u);
+      CountingScope scope;
+      ASSERT_TRUE(engine.Search(q, bound.type, opts, &r).ok());
+      blocks.push_back(scope.allocations());
+    }
+    for (size_t i = 1; i < blocks.size(); ++i) {
+      EXPECT_LE(blocks[i] - blocks[i - 1], bound.per_term)
+          << i << " -> " << i + 1 << " terms: " << blocks[i - 1] << " -> "
+          << blocks[i] << " blocks";
+    }
+  }
+}
+
 TEST(Database, ExecStatsProveWindowSkipping) {
   core::Database db;
   core::DatabaseOptions dopts;
@@ -1619,8 +1663,8 @@ TEST(FusedScore, BitsEqualMapBm25OnEveryIndexWindow) {
       int32_t tf[compress::kEntryPointStride];
       int32_t docid[compress::kEntryPointStride];
       int32_t dl[compress::kEntryPointStride];
-      index.tf_source()->Read(view.begin, view.len, tf);
-      index.docid_source()->Read(view.begin, view.len, docid);
+      dec->Decode(view.begin, view.len, tf);
+      index.docid_decoder()->Decode(view.begin, view.len, docid);
       for (uint32_t i = 0; i < view.len; ++i) {
         dl[i] = index.doc_lens()[docid[i]];
       }

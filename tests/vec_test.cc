@@ -1,6 +1,6 @@
 // Correctness tests for the vectorized primitive layer: map/select
 // primitives (dense + selection-vector paths), the scan operator over
-// memory and compressed-block sources, the galloping lower bound and the
+// array and compressed-block window sources, the galloping lower bound and the
 // streaming merge-join vs set-intersection references, and the fused BM25
 // map vs its scalar twin and a double-precision reference.
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "compress/pfor.h"
 #include "compress/skip_cursor.h"
 #include "ir/bm25.h"
-#include "vec/mem_source.h"
 #include "vec/primitives.h"
 #include "vec/scan.h"
 #include "vec/streaming_merge.h"
@@ -140,31 +139,54 @@ TEST(Primitives, SelectComposesWithSelectionVector) {
 // Scan operator
 // ---------------------------------------------------------------------------
 
+using ArrayScan = ScanOperator<compress::ArrayWindows>;
+
+// Drains a scan; each batch's columns are appended to cols[c].
+void DrainScan(Operator* scan, uint32_t vector_size,
+               std::vector<std::vector<int32_t>>* cols,
+               uint32_t* batches = nullptr) {
+  ASSERT_TRUE(scan->Open().ok());
+  Batch* b = nullptr;
+  for (;;) {
+    ASSERT_TRUE(scan->Next(&b).ok());
+    if (b == nullptr) break;
+    if (batches != nullptr) ++*batches;
+    EXPECT_GT(b->count, 0u);
+    EXPECT_LE(b->count, vector_size);
+    ASSERT_EQ(b->columns.size(), cols->size());
+    for (size_t c = 0; c < cols->size(); ++c) {
+      const int32_t* data = b->columns[c]->Data<int32_t>();
+      (*cols)[c].insert((*cols)[c].end(), data, data + b->count);
+    }
+  }
+  scan->Close();
+}
+
 TEST(Scan, StreamsInVectorSizeBatches) {
   const uint32_t n = 100;
   auto values = RandomInts(n, 1000, 23);
+  auto tfs = RandomInts(n, 50, 24);
+  const compress::ArrayWindows docid_src(values.data(), n);
+  const compress::ArrayWindows tf_src(tfs.data(), n);
   ExecContext ctx;
   ctx.vector_size = 7;  // deliberately not a divisor of n
-  Schema schema;
-  schema.Add("v", TypeId::kI32);
-  std::vector<VectorSourcePtr> sources;
-  sources.push_back(std::make_unique<MemVectorSource<int32_t>>(values));
-  ScanOperator scan(&ctx, std::move(schema), std::move(sources));
-  ASSERT_TRUE(scan.Open().ok());
-  std::vector<int32_t> got;
-  uint32_t batches = 0;
-  Batch* b = nullptr;
-  while (true) {
-    ASSERT_TRUE(scan.Next(&b).ok());
-    if (b == nullptr) break;
-    ++batches;
-    EXPECT_LE(b->count, 7u);
-    const int32_t* data = b->columns[0]->Data<int32_t>();
-    got.insert(got.end(), data, data + b->count);
+  {
+    ArrayScan scan(&ctx, docid_src, 0, n);
+    std::vector<std::vector<int32_t>> got(1);
+    uint32_t batches = 0;
+    DrainScan(&scan, 7, &got, &batches);
+    EXPECT_EQ(batches, (n + 6) / 7);
+    EXPECT_EQ(got[0], values);
   }
-  scan.Close();
-  EXPECT_EQ(batches, (n + 6) / 7);
-  EXPECT_EQ(got, values);
+  // A sub-range of both columns, read in lockstep.
+  ArrayScan scan(&ctx, docid_src, tf_src, 13, 71);
+  std::vector<std::vector<int32_t>> got(2);
+  uint32_t batches = 0;
+  DrainScan(&scan, 7, &got, &batches);
+  EXPECT_EQ(batches, (71u + 6) / 7);
+  EXPECT_EQ(got[0], std::vector<int32_t>(values.begin() + 13,
+                                         values.begin() + 84));
+  EXPECT_EQ(got[1], std::vector<int32_t>(tfs.begin() + 13, tfs.begin() + 84));
 }
 
 TEST(Scan, CompressedBlockSourceMatchesOriginal) {
@@ -181,42 +203,39 @@ TEST(Scan, CompressedBlockSourceMatchesOriginal) {
   std::vector<uint8_t> block;
   ASSERT_TRUE(
       compress::PforEncode(values.data(), n, opts, &block, nullptr).ok());
-  auto source_or = BlockVectorSource::Create(std::move(block));
-  ASSERT_TRUE(source_or.ok()) << source_or.status().ToString();
+  compress::BlockDecoder dec;
+  ASSERT_TRUE(dec.Init(block.data(), block.size()).ok());
+  ASSERT_TRUE(dec.Validate().ok());
+  const compress::ResidentWindows src(&dec);
 
-  ExecContext ctx;
-  ctx.vector_size = 1000;  // forces mid-window range decodes
-  Schema schema;
-  schema.Add("v", TypeId::kI32);
-  std::vector<VectorSourcePtr> sources;
-  sources.push_back(std::move(source_or.value()));
-  ScanOperator scan(&ctx, std::move(schema), std::move(sources));
-  ASSERT_TRUE(scan.Open().ok());
-  std::vector<int32_t> got;
-  Batch* b = nullptr;
-  while (true) {
-    ASSERT_TRUE(scan.Next(&b).ok());
-    if (b == nullptr) break;
-    const int32_t* data = b->columns[0]->Data<int32_t>();
-    got.insert(got.end(), data, data + b->count);
+  // Vector sizes that cut windows mid-way, one at a time, and whole-block.
+  for (uint32_t vs : {1000u, 1u, 7u, 1u << 20}) {
+    ExecContext ctx;
+    ctx.vector_size = vs;
+    ScanOperator<compress::ResidentWindows> scan(&ctx, src, 0, n);
+    std::vector<std::vector<int32_t>> got(1);
+    DrainScan(&scan, ctx.vector_size, &got);
+    EXPECT_EQ(got[0], values) << "vector size " << vs;
   }
-  scan.Close();
-  EXPECT_EQ(got, values);
+  // A range starting and ending inside windows, two columns from one block.
+  ExecContext ctx;
+  ctx.vector_size = 100;
+  ScanOperator<compress::ResidentWindows> scan(&ctx, src, src, 301, 5000);
+  std::vector<std::vector<int32_t>> got(2);
+  DrainScan(&scan, 100, &got);
+  const std::vector<int32_t> want(values.begin() + 301,
+                                  values.begin() + 5301);
+  EXPECT_EQ(got[0], want);
+  EXPECT_EQ(got[1], want);
 }
 
 TEST(Scan, ValidatesVectorSizeAtOpen) {
   auto values = RandomInts(64, 100, 41);
-  auto make_scan = [&](ExecContext* ctx) {
-    Schema schema;
-    schema.Add("v", TypeId::kI32);
-    std::vector<VectorSourcePtr> sources;
-    sources.push_back(std::make_unique<MemVectorSource<int32_t>>(values));
-    return ScanOperator(ctx, std::move(schema), std::move(sources));
-  };
+  const compress::ArrayWindows src(values.data(), values.size());
   {
     ExecContext ctx;
     ctx.vector_size = 0;  // rejected, not trusted
-    ScanOperator scan = make_scan(&ctx);
+    ArrayScan scan(&ctx, src, 0, values.size());
     const Status s = scan.Open();
     EXPECT_FALSE(s.ok());
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
@@ -224,7 +243,7 @@ TEST(Scan, ValidatesVectorSizeAtOpen) {
   {
     ExecContext ctx;
     ctx.vector_size = ExecContext::kMaxVectorSize * 8;  // clamped
-    ScanOperator scan = make_scan(&ctx);
+    ArrayScan scan(&ctx, src, 0, values.size());
     ASSERT_TRUE(scan.Open().ok());
     EXPECT_EQ(ctx.vector_size, ExecContext::kMaxVectorSize);
     Batch* b = nullptr;
@@ -235,27 +254,30 @@ TEST(Scan, ValidatesVectorSizeAtOpen) {
   }
 }
 
+// A range outside either column is refused at Open, never read.
 TEST(Scan, RejectsMismatchedSources) {
   ExecContext ctx;
-  std::vector<int32_t> a(10), b(20);
-  {
-    Schema schema;
-    schema.Add("a", TypeId::kI32);
-    schema.Add("b", TypeId::kI32);
-    std::vector<VectorSourcePtr> sources;
-    sources.push_back(std::make_unique<MemVectorSource<int32_t>>(a));
-    sources.push_back(std::make_unique<MemVectorSource<int32_t>>(b));
-    ScanOperator scan(&ctx, std::move(schema), std::move(sources));
-    EXPECT_FALSE(scan.Open().ok());  // length mismatch
-  }
-  {
-    Schema schema;
-    schema.Add("a", TypeId::kF32);  // type mismatch
-    std::vector<VectorSourcePtr> sources;
-    sources.push_back(std::make_unique<MemVectorSource<int32_t>>(a));
-    ScanOperator scan(&ctx, std::move(schema), std::move(sources));
-    EXPECT_FALSE(scan.Open().ok());
-  }
+  std::vector<int32_t> a(20, 1), b(10, 2);
+  const compress::ArrayWindows long_src(a.data(), a.size());
+  const compress::ArrayWindows short_src(b.data(), b.size());
+  const auto open = [](ArrayScan scan) { return scan.Open(); };
+  // The tf column is shorter than the docid range.
+  EXPECT_EQ(open(ArrayScan(&ctx, long_src, short_src, 0, 20)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(open(ArrayScan(&ctx, long_src, short_src, 5, 6)).code(),
+            StatusCode::kInvalidArgument);
+  // The range runs past the docid column, or wraps around.
+  EXPECT_EQ(open(ArrayScan(&ctx, long_src, 15, 6)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(open(ArrayScan(&ctx, long_src, UINT64_MAX - 1, 5)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(open(ArrayScan(&ctx, long_src, short_src, 0, 10)).ok());
+  // An empty range at the end is fine and yields nothing.
+  ArrayScan empty(&ctx, long_src, 20, 0);
+  ASSERT_TRUE(empty.Open().ok());
+  Batch* out = nullptr;
+  ASSERT_TRUE(empty.Next(&out).ok());
+  EXPECT_EQ(out, nullptr);
 }
 
 // ---------------------------------------------------------------------------
